@@ -9,22 +9,21 @@ gcds the Alexander polynomials.  Matrices may also be loaded directly
 from __future__ import annotations
 
 import itertools
-import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import sympy
 
-from .cyclofield import Character, CycloNumber, evaluate, rank_over_field
-from .intlinalg import AbelianStructure, abelianization, induced_torus_point
-from .laurent import (ComputationCapError, LaurentError, LaurentPoly,
-                      _symbols, associates, divides, exact_div, gcd_many,
-                      normalize, parse_poly, vanishing_order)
+from .cyclofield import Character, CycloNumber, evaluate
+from .intlinalg import AbelianStructure, abelianization
+from .laurent import (ComputationCapError, LaurentPoly, _symbols, divides,
+                      exact_div_binomial, gcd_many, normalize, parse_poly,
+                      vanishing_order)
 from .presentation import GroupPresentation, Word
 
 MINOR_MATRIX_CAP = 8
-MINOR_TERM_WARN = 10_000
 
 
 class AlexanderError(ValueError):
@@ -140,6 +139,12 @@ def load_matrix(var_names: Sequence[str],
     records the unverified provenance.
     """
     names = tuple(var_names)
+    if len(set(names)) != len(names):
+        raise AlexanderError(f"duplicate variable names in {list(names)}")
+    for name in names:
+        # the names parse_poly can read as a variable, not as a number
+        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
+            raise AlexanderError(f"bad variable name {name!r}")
     parsed: List[List[LaurentPoly]] = []
     width = None
     for row in rows:
@@ -162,23 +167,54 @@ def load_matrix(var_names: Sequence[str],
 # -- minors and elementary ideals -------------------------------------------
 
 
-def _det(rows: List[List[LaurentPoly]]) -> LaurentPoly:
-    k = len(rows)
-    if k == 0:
-        return LaurentPoly.one(0)
-    n = rows[0][0].nvars
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = LaurentPoly.zero(n)
-    for i in range(k):
-        if rows[i][0].is_zero():
-            continue
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = rows[i][0] * _det(minor)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
+def _row_minors(rows: List[List[LaurentPoly]], n: int) -> dict:
+    """The nonzero maximal minors of a k x m matrix (1 <= k <= m), keyed by
+    the bitmask of their columns.
+
+    Laplace expansion along the rows, bottom up and memoized over column
+    subsets: the minors on the last r rows are built from those on the
+    last r - 1, so every sub-minor is computed once (2^m of them at most,
+    not k!).  Products accumulate in plain term dicts, so each memo entry
+    makes a single LaurentPoly.
+    """
+    level = {1 << c: e for c, e in enumerate(rows[-1]) if not e.is_zero()}
+    for row in reversed(rows[:-1]):
+        sums: dict = {}
+        for c, entry in enumerate(row):
+            if entry.is_zero():
+                continue
+            bit = 1 << c
+            for mask, sub in level.items():
+                if mask & bit:
+                    continue
+                # sign of column c's position within the subset mask|bit
+                negative = bin(mask & (bit - 1)).count("1") & 1
+                acc = sums.setdefault(mask | bit, {})
+                for e1, c1 in entry.terms.items():
+                    if negative:
+                        c1 = -c1
+                    for e2, c2 in sub.terms.items():
+                        e = tuple(a + b for a, b in zip(e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        level = {}
+        for mask, acc in sums.items():
+            minor = LaurentPoly(n, acc)
+            if not minor.is_zero():
+                level[mask] = minor
+    return level
+
+
+def _det(rows: List[List[LaurentPoly]], n: int) -> LaurentPoly:
+    """Determinant of a square matrix with entries in n variables."""
+    return _row_minors(rows, n).get((1 << len(rows)) - 1,
+                                    LaurentPoly.zero(n))
+
+
+def _check_minor_cap(mat: AlexanderMatrix) -> None:
+    h, m = mat.num_rows, mat.num_cols
+    if max(h, m) > MINOR_MATRIX_CAP:
+        raise ComputationCapError(
+            f"matrix size {h}x{m} exceeds minor cap {MINOR_MATRIX_CAP}")
 
 
 def elementary_ideal_minors(mat: AlexanderMatrix, i: int) -> List[LaurentPoly]:
@@ -189,30 +225,62 @@ def elementary_ideal_minors(mat: AlexanderMatrix, i: int) -> List[LaurentPoly]:
     """
     if i < 0:
         raise AlexanderError("elementary ideal index must be nonnegative")
-    m = mat.num_cols
-    h = mat.num_rows
     n = mat.num_vars
-    size = m - i
+    size = mat.num_cols - i
     if size <= 0:
         return [LaurentPoly.one(n)]
-    if size > h:
+    if size > mat.num_rows:
         return [LaurentPoly.zero(n)]
-    if max(h, m) > MINOR_MATRIX_CAP:
-        raise ComputationCapError(
-            f"matrix size {h}x{m} exceeds minor cap {MINOR_MATRIX_CAP}")
+    _check_minor_cap(mat)
+    zero = LaurentPoly.zero(n)
     out = []
-    for rsel in itertools.combinations(range(h), size):
-        for csel in itertools.combinations(range(m), size):
-            sub = [[mat.entries[r][c] for c in csel] for r in rsel]
-            out.append(_det(sub))
+    for rsel in itertools.combinations(range(mat.num_rows), size):
+        minors = _row_minors([mat.entries[r] for r in rsel], n)
+        for csel in itertools.combinations(range(mat.num_cols), size):
+            out.append(minors.get(sum(1 << c for c in csel), zero))
     return out
 
 
 def alexander_poly(mat: AlexanderMatrix, i: int = 1) -> LaurentPoly:
-    """Δ_i: the gcd of the minors of the i-th elementary ideal, canonical."""
+    """Δ_i: the gcd of the minors of the i-th elementary ideal, canonical.
+
+    For Δ₁ of a presentation with b1 ≥ 1 only one maximal minor per row
+    subset is computed.  Fox's fundamental identity
+    D_j·(t^{φ(x_k)} − 1) = ±D_k·(t^{φ(x_j)} − 1), for the minors D_j with
+    column j deleted, gives gcd_k D_k ≐ D_j·g / (t^{φ(x_j)} − 1) for any
+    generator with φ(x_j) ≠ 0, where g = gcd_k (t^{φ(x_k)} − 1) is t − 1
+    when b1 = 1 and 1 when b1 ≥ 2.  Matrix-mode input and Δ_i for i ≥ 2
+    take the gcd of all minors.
+    """
     if i < 1:
         raise AlexanderError("alexander_poly index must be >= 1")
+    if i == 1 and mat.origin == "presentation" and mat.num_vars >= 1 \
+            and 1 <= mat.num_cols - 1 <= mat.num_rows:
+        return _fox_delta1(mat)
     return gcd_many(elementary_ideal_minors(mat, i))
+
+
+def _fox_delta1(mat: AlexanderMatrix) -> LaurentPoly:
+    """Δ₁ from one maximal minor per row subset (see alexander_poly)."""
+    _check_minor_cap(mat)
+    n, m = mat.num_vars, mat.num_cols
+    phi = list(zip(*mat.abelian.abf_projection))
+    j = next(k for k in range(m) if any(phi[k]))
+    keep = [c for c in range(m) if c != j]
+    quotients = []
+    for rsel in itertools.combinations(range(mat.num_rows), m - 1):
+        minor = _det([[mat.entries[r][c] for c in keep] for r in rsel], n)
+        if n == 1:
+            minor = minor * (LaurentPoly.var(1, 0) - 1)
+        q = exact_div_binomial(minor, phi[j])
+        if q is None:
+            raise AlexanderError(
+                "Fox identity division was not exact (internal bug)")
+        quotients.append(q)
+    if len(quotients) > 1:
+        return gcd_many(quotients)
+    q = quotients[0]
+    return q if q.is_zero() else normalize(q)
 
 
 def delta_chain(mat: AlexanderMatrix, up_to: int) -> List[LaurentPoly]:
@@ -231,12 +299,9 @@ def generic_rank_mod(mat: AlexanderMatrix, f: LaurentPoly) -> int:
     h, m = mat.num_rows, mat.num_cols
     for k in range(min(h, m), 0, -1):
         for rsel in itertools.combinations(range(h), k):
-            for csel in itertools.combinations(range(m), k):
-                minor = _det([[mat.entries[r][c] for c in csel] for r in rsel])
-                if minor.is_zero():
-                    continue
-                if not divides(f, minor):
-                    return k
+            minors = _row_minors([mat.entries[r] for r in rsel], mat.num_vars)
+            if any(not divides(f, minor) for minor in minors.values()):
+                return k
     return 0
 
 
@@ -253,12 +318,6 @@ def evaluate_matrix(mat: AlexanderMatrix, chi: Character):
         raise AlexanderError(
             f"character has {len(chi)} values, expected {entries[0][0].nvars}")
     return [[evaluate(e, chi.values) for e in row] for row in entries]
-
-
-def evaluate_matrix_at_point(mat: AlexanderMatrix, point):
-    """Evaluate the torsion-free-quotient entries at a torus point
-    (num_vars coordinates)."""
-    return [[evaluate(e, point) for e in row] for row in mat.entries]
 
 
 # -- univariate invariant factors -------------------------------------------

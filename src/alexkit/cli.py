@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .alexander import (AlexanderError, alexander_poly, fox_matrix,
                         load_matrix)
 from .cyclofield import CycloError, parse_character
-from .intlinalg import abelianization
 from .jumploci import (JumpLociError, almost_principal_status, bounds_report,
-                       cv_membership, twisted_betti)
+                       twisted_betti)
 from .laurent import (ComputationCapError, FactoredPoly, LaurentError,
                       factor_poly)
 from .obstruct import ObstructError, qp_verdict
@@ -53,7 +51,16 @@ def _load_input(path: str, matrix_mode: bool):
         if not isinstance(data, dict) or "vars" not in data \
                 or "rows" not in data:
             raise InputError('matrix JSON needs "vars" and "rows"')
-        mat = load_matrix(data["vars"], data["rows"])
+        names, rows = data["vars"], data["rows"]
+        if not isinstance(names, list) \
+                or not all(isinstance(x, str) for x in names):
+            raise InputError('matrix JSON "vars" must be a list of strings')
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(isinstance(x, str) for x in row)
+                for row in rows):
+            raise InputError(
+                'matrix JSON "rows" must be a list of lists of strings')
+        mat = load_matrix(names, rows)
         echo = {"vars": list(mat.var_names),
                 "rows": [[e.render(mat.var_names) for e in row]
                          for row in mat.entries]}
@@ -132,6 +139,8 @@ def cmd_betti(args) -> int:
     mat, char_names, echo = _load_input(args.input, args.matrix)
     names = mat.var_names
     chi = parse_character(args.char, char_names)
+    if args.depth is not None and args.depth < 1:
+        raise InputError("depth must be a positive integer")
     report: dict = {"input": echo, "char": args.char}
     if chi.is_trivial():
         report["b1"] = mat.num_vars
@@ -155,7 +164,7 @@ def cmd_betti(args) -> int:
             report.update(rep.as_dict(names))
     if args.depth is not None:
         report["depth"] = args.depth
-        report["member"] = cv_membership(mat, chi, args.depth)
+        report["member"] = report["b1"] >= args.depth
     _emit(report, args.pretty)
     return EXIT_OK
 
@@ -230,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # parallelism hint accepted for compatibility; computation is serial
-    os.environ.setdefault("ALEXKIT_THREADS", str(os.cpu_count() or 1))
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

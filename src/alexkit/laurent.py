@@ -8,7 +8,6 @@ associate over C if they additionally differ by a rational scalar.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -329,6 +328,39 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
     quot = LaurentPoly.from_sympy(q, n)
     adjust = tuple(mf - mg for mf, mg in zip(mins_f, mins_g))
     return quot * LaurentPoly.monomial(adjust)
+
+
+def exact_div_binomial(f: LaurentPoly,
+                       v: Sequence[int]) -> Optional[LaurentPoly]:
+    """f / (t^v − 1) when t^v − 1 divides f; None otherwise.  v ≠ 0.
+
+    The terms of f fall into lines e + Z·v.  Along one line the quotient's
+    coefficient at e + k·v is minus the running sum of f's coefficients
+    up to e + k·v, and the division is exact iff every line sums to 0.
+    """
+    v = tuple(v)
+    if len(v) != f.nvars:
+        raise LaurentError("exponent vector has wrong length")
+    i = next((i for i, x in enumerate(v) if x), None)
+    if i is None:
+        raise LaurentError("division by zero polynomial")
+    lines: dict = {}
+    for exp, c in f.terms.items():
+        k = exp[i] // v[i]
+        base = tuple(e - k * x for e, x in zip(exp, v))
+        lines.setdefault(base, {})[k] = c
+    out = {}
+    for base, coeffs in lines.items():
+        ks = sorted(coeffs)
+        running = 0
+        for k, k_next in zip(ks, ks[1:]):
+            running += coeffs[k]
+            if running:
+                for p in range(k, k_next):
+                    out[tuple(b + p * x for b, x in zip(base, v))] = -running
+        if running + coeffs[ks[-1]]:
+            return None
+    return LaurentPoly(f.nvars, out)
 
 
 def divides(f: LaurentPoly, g: LaurentPoly) -> bool:

@@ -128,3 +128,77 @@ def test_json_output_is_stable(capsys):
     code2 = main(["invariants", data_path("pencil4.grp")])
     raw2 = capsys.readouterr().out
     assert raw1 == raw2
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Count jumploci.twisted_betti calls, from cli and from jumploci."""
+    from alexkit import cli, jumploci
+    calls = []
+    original = jumploci.twisted_betti
+
+    def counted(mat, rho):
+        calls.append(rho)
+        return original(mat, rho)
+
+    monkeypatch.setattr(jumploci, "twisted_betti", counted)
+    monkeypatch.setattr(cli, "twisted_betti", counted)
+    return calls
+
+
+@pytest.mark.parametrize("char,depth,member", [
+    ("x1=zeta3,x2=zeta3,x3=zeta3", "1", True),
+    ("x1=zeta3,x2=zeta3,x3=zeta3", "2", False),
+    ("x1=-1,x2=1,x3=1", "1", False),
+])
+def test_betti_depth_computes_rank_once(rank_calls, capsys, char, depth,
+                                        member):
+    code, report = run(capsys, "betti", data_path("pencil3.grp"),
+                       "--char", char, "--depth", depth)
+    assert code == 0
+    assert report["member"] is member
+    assert len(rank_calls) == 1
+
+
+def test_betti_depth_zero_delta_computes_rank_once(rank_calls, tmp_path,
+                                                   capsys):
+    free = tmp_path / "free.grp"
+    free.write_text("gens: a b\n")
+    code, report = run(capsys, "betti", str(free), "--char", "a=-1,b=1",
+                       "--depth", "1")
+    assert code == 0
+    assert report["b1"] == 1 and report["member"] is True
+    assert len(rank_calls) == 1
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_betti_rejects_nonpositive_depth(capsys, depth):
+    code = main(["betti", data_path("pencil3.grp"),
+                 "--char", "x1=-1,x2=-1,x3=1", "--depth", depth])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "depth" in captured.err
+
+
+@pytest.mark.parametrize("grid", [
+    {"vars": ["x"], "rows": [[1, "x"]]},
+    {"vars": ["x"], "rows": [["x", None]]},
+    {"vars": "xy", "rows": [["x", "y"]]},
+    {"vars": ["x", "x"], "rows": [["x", "x"]]},
+    {"vars": [1], "rows": [["1"]]},
+    {"vars": ["t", "2"], "rows": [["t-2", "2"]]},
+    {"vars": ["x"], "rows": "x"},
+    {"vars": ["x"], "rows": ["x"]},
+    {"vars": ["x"], "rows": [["x"], ["x", "1"]]},
+])
+def test_matrix_json_schema_errors(tmp_path, capsys, grid):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(grid))
+    for command in (["invariants"], ["betti", "--char", "x=-1"]):
+        code = main(command[:1] + ["--matrix", str(bad)] + command[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("alexkit: ")
+        assert "Traceback" not in captured.err

@@ -4,11 +4,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from alexkit.alexander import alexander_poly, delta_chain, fox_matrix
+from alexkit.alexander import (_det, _row_minors, alexander_poly,
+                               delta_chain, elementary_ideal_minors,
+                               fox_matrix)
 from alexkit.cyclofield import CycloNumber, cyclotomic_poly, rank_over_field
 from alexkit.intlinalg import smith_normal_form
 from alexkit.laurent import (LaurentPoly, associates, cyclotomic_factor,
-                             divides, gcd, multiplicity, newton_vertices,
+                             divides, exact_div, exact_div_binomial, gcd,
+                             gcd_many, multiplicity, newton_vertices,
                              normalize, parse_poly, sev_decompose,
                              vanishing_order)
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
@@ -256,3 +259,107 @@ def test_rank_over_field_matches_brute_minors():
         cols = rng.randrange(1, 5)
         mat = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
         assert rank_over_field(mat) == brute_rank(mat)
+
+
+def _fox_oracle_presentation(rng):
+    """A presentation with m generators and m - 2 .. m + 1 relators, mixing
+    commutators (which keep b1), random words and generator powers (which
+    give torsion or a generator with phi = 0)."""
+    m = rng.randrange(2, 5)
+    h = max(0, m + rng.randrange(-2, 2))
+    relators = []
+    while len(relators) < h:
+        kind = rng.random()
+        if kind < 0.45:
+            a = random_word(rng, m, 2)
+            b = random_word(rng, m, 2)
+            w = a * b * a.inverse() * b.inverse()
+        elif kind < 0.85:
+            w = random_word(rng, m, 5)
+        else:
+            w = word(((rng.randrange(m), rng.randrange(1, 4)),))
+        if not w.is_empty():
+            relators.append(w)
+    names = tuple(f"x{i + 1}" for i in range(m))
+    return GroupPresentation(names, tuple(relators))
+
+
+def test_fox_delta1_matches_gcd_of_minors():
+    rng = random.Random(20241001)
+    seen = set()
+    for _ in range(240):
+        mat = fox_matrix(_fox_oracle_presentation(rng))
+        ab = mat.abelian
+        seen.add(("b1", min(mat.num_vars, 2)))
+        seen.add(("h-m", mat.num_rows - mat.num_cols))
+        if ab.torsion:
+            seen.add("torsion")
+        if mat.num_vars and any(not any(col) for col in
+                                zip(*ab.abf_projection)):
+            seen.add("phi=0")
+        oracle = gcd_many(elementary_ideal_minors(mat, 1))
+        assert alexander_poly(mat) == oracle
+        if mat.num_vars and 1 <= mat.num_cols - 1 <= mat.num_rows \
+                and not oracle.is_zero():
+            seen.add(("fox path", mat.num_rows - mat.num_cols + 1))
+    assert seen >= {("fox path", 0), ("fox path", 1), ("fox path", 2),
+                    ("b1", 0), ("b1", 1), ("b1", 2), ("h-m", -2),
+                    ("h-m", -1), ("h-m", 0), ("h-m", 1), "torsion", "phi=0"}
+
+
+def test_binomial_division_matches_exact_div():
+    rng = random.Random(20241002)
+    vectors = [(2,), (-3,), (1, -1), (2, -2), (-2, 4), (0, 3), (1, -2, 2),
+               (0, -2, 0)]
+    inexact = 0
+    for _ in range(200):
+        v = rng.choice(vectors)
+        n = len(v)
+        f = random_poly(rng, n)
+        binomial = LaurentPoly.monomial(v) - 1
+        product = f * binomial
+        assert exact_div_binomial(product, v) == exact_div(product, binomial)
+        assert exact_div_binomial(product, v) == f
+        g = product + random_poly(rng, n, 2)
+        expected = exact_div(g, binomial)
+        assert exact_div_binomial(g, v) == expected
+        inexact += expected is None
+    assert inexact > 100
+    assert exact_div_binomial(LaurentPoly.zero(2), (1, 2)).is_zero()
+    assert exact_div_binomial(parse_poly("t^4 - 1", ("t",)), (2,)) == \
+        parse_poly("t^2 + 1", ("t",))
+    assert exact_div_binomial(parse_poly("t^4 - 1", ("t",)), (3,)) is None
+
+
+def _cofactor_det(rows):
+    """Determinant by recursive cofactor expansion down the first column."""
+    k = len(rows)
+    n = rows[0][0].nvars
+    if k == 1:
+        return rows[0][0]
+    acc = LaurentPoly.zero(n)
+    for i in range(k):
+        if rows[i][0].is_zero():
+            continue
+        minor = [r[1:] for j, r in enumerate(rows) if j != i]
+        term = rows[i][0] * _cofactor_det(minor)
+        acc = acc + term if i % 2 == 0 else acc - term
+    return acc
+
+
+def test_memoized_det_matches_cofactor_expansion():
+    rng = random.Random(20241003)
+    for _ in range(120):
+        k = rng.randrange(1, 6)
+        width = rng.randrange(k, 6)
+        n = rng.randrange(1, 3)
+        rows = [[random_poly(rng, n, 3) if rng.random() < 0.7
+                 else LaurentPoly.zero(n) for _ in range(width)]
+                for _ in range(k)]
+        square = [r[:k] for r in rows]
+        assert _det(square, n) == _cofactor_det(square)
+        minors = _row_minors(rows, n)
+        for csel in itertools.combinations(range(width), k):
+            mask = sum(1 << c for c in csel)
+            expected = _cofactor_det([[r[c] for c in csel] for r in rows])
+            assert minors.get(mask, LaurentPoly.zero(n)) == expected
