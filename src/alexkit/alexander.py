@@ -14,13 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import sympy
-
 from .cyclofield import Character, CycloNumber, evaluate
 from .intlinalg import AbelianStructure, abelianization
-from .laurent import (ComputationCapError, LaurentPoly, _symbols, divides,
-                      exact_div_binomial, gcd_many, normalize, parse_poly,
-                      vanishing_order)
+from .laurent import (ComputationCapError, LaurentPoly, _from_ring, _to_ring,
+                      default_names, divides, exact_div_binomial, gcd_many,
+                      normalize, parse_poly, vanishing_order)
 from .presentation import GroupPresentation, Word
 
 MINOR_MATRIX_CAP = 8
@@ -62,15 +60,16 @@ class AlexanderMatrix:
         """Check sum_j entry(i,j)·(t^{phi(x_j)} − 1) = 0 for every row."""
         if self.origin != "presentation":
             raise AlexanderError("identity check applies to Fox matrices")
-        n = self.num_vars
-        cols = [LaurentPoly.monomial([row[j] for row in self.abelian.abf_projection])
-                - LaurentPoly.one(n)
-                for j in range(self.presentation.num_generators)]
+        phi = [tuple(row[j] for row in self.abelian.abf_projection)
+               for j in range(self.presentation.num_generators)]
         for row in self.entries:
-            acc = LaurentPoly.zero(n)
-            for entry, c in zip(row, cols):
-                acc = acc + entry * c
-            if not acc.is_zero():
+            acc: dict = {}
+            for entry, v in zip(row, phi):
+                for exp, c in entry.terms.items():
+                    up = tuple(a + b for a, b in zip(exp, v))
+                    acc[up] = acc.get(up, 0) + c
+                    acc[exp] = acc.get(exp, 0) - c
+            if any(acc.values()):
                 return False
         return True
 
@@ -80,21 +79,20 @@ class AlexanderMatrix:
 
 def _fox_row(r: Word, m: int) -> List[LaurentPoly]:
     """Abelianized Fox derivatives of one relator, in m generator variables."""
-    out = [LaurentPoly.zero(m) for _ in range(m)]
+    terms: List[dict] = [{} for _ in range(m)]
     prefix = [0] * m  # exponent vector of the prefix, abelianized
     for g, e in r.letters:
-        if e > 0:
-            for k in range(e):
-                exp = list(prefix)
-                exp[g] += k
-                out[g] = out[g] + LaurentPoly.monomial(exp)
-        else:
-            for k in range(1, -e + 1):
-                exp = list(prefix)
-                exp[g] -= k
-                out[g] = out[g] - LaurentPoly.monomial(exp)
+        acc = terms[g]
+        # x^e contributes 1 + x + ... + x^(e-1), x^-e contributes
+        # -(x^-1 + ... + x^-e), each shifted by the prefix
+        sign, ks = (1, range(e)) if e > 0 else (-1, range(-1, e - 1, -1))
+        exp = list(prefix)
+        for k in ks:
+            exp[g] = prefix[g] + k
+            key = tuple(exp)
+            acc[key] = acc.get(key, 0) + sign
         prefix[g] += e
-    return out
+    return [LaurentPoly(m, t) for t in terms]
 
 
 def _substitute_monomials(f: LaurentPoly,
@@ -116,7 +114,6 @@ def fox_matrix(p: GroupPresentation) -> AlexanderMatrix:
     gen_rows = [_fox_row(r, m) for r in p.relators]
     rows = [[_substitute_monomials(e, ab.abf_projection) for e in row]
             for row in gen_rows]
-    from .laurent import default_names
     mat = AlexanderMatrix(
         num_vars=ab.rank,
         var_names=tuple(default_names(ab.rank)),
@@ -327,22 +324,18 @@ def univariate_invariant_factors(mat: AlexanderMatrix) -> List[LaurentPoly]:
     """Nonzero Smith invariant factors over Q[t^±], ordered by divisibility."""
     if mat.num_vars != 1:
         raise AlexanderError("invariant factors require a univariate matrix")
-    t = _symbols(1)[0]
-    grid = []
-    for row in mat.entries:
-        grid.append([sympy.Poly(r._shifted()[1].to_sympy(), t, domain="QQ")
-                     for r in row])
-    factors = _poly_smith(grid, t)
-    out = []
-    for p in factors:
-        lp = LaurentPoly.from_sympy(p.as_expr(), 1)
-        if not lp.is_zero():
-            out.append(normalize(lp))
-    return out
+    # one power of t for the whole matrix: a unit, so the invariant factors
+    # do not change, where shifting each entry by its own power would
+    low = min((e for row in mat.entries for r in row for (e,) in r.terms),
+              default=0)
+    unit = LaurentPoly.monomial([max(0, -low)])
+    grid = [[_to_ring(r * unit, "QQ")[1] for r in row] for row in mat.entries]
+    return [normalize(_from_ring(p, 1)) for p in _poly_smith(grid) if p]
 
 
-def _poly_smith(grid, t):
-    """Smith normal form diagonal over Q[t] (Euclidean by degree)."""
+def _poly_smith(grid):
+    """Smith normal form diagonal over Q[t] (Euclidean by degree), on
+    elements of sympy's ring Q[t]."""
     rows = len(grid)
     cols = len(grid[0]) if rows else 0
     m = [[grid[i][j] for j in range(cols)] for i in range(rows)]
@@ -362,16 +355,14 @@ def _poly_smith(grid, t):
             changed = False
             for i in range(top + 1, rows):
                 if not m[i][top].is_zero:
-                    q, r = sympy.div(m[i][top], m[top][top], domain="QQ")
-                    q = sympy.Poly(q, t, domain="QQ")
+                    q, _ = m[i][top].div(m[top][top])
                     m[i] = [a - q * b for a, b in zip(m[i], m[top])]
                     if not m[i][top].is_zero:
                         m[top], m[i] = m[i], m[top]
                         changed = True
             for j in range(top + 1, cols):
                 if not m[top][j].is_zero:
-                    q, r = sympy.div(m[top][j], m[top][top], domain="QQ")
-                    q = sympy.Poly(q, t, domain="QQ")
+                    q, _ = m[top][j].div(m[top][top])
                     for rr in range(rows):
                         m[rr][j] = m[rr][j] - q * m[rr][top]
                     if not m[top][j].is_zero:
@@ -382,8 +373,7 @@ def _poly_smith(grid, t):
                 continue
             bad = next(((i, j) for i in range(top + 1, rows)
                         for j in range(top + 1, cols)
-                        if not sympy.rem(m[i][j], m[top][top], domain="QQ")
-                        .is_zero), None)
+                        if not m[i][j].rem(m[top][top]).is_zero), None)
             if bad is None:
                 break
             m[top] = [a + b for a, b in zip(m[top], m[bad[0]])]

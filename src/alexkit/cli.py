@@ -83,6 +83,15 @@ def _factored_dict(fp: FactoredPoly, names) -> dict:
     }
 
 
+def _almost_principal(mat, asserted):
+    """The almost-principal status: from the presentation, or only what the
+    user asserted for matrix-mode input."""
+    if mat.origin == "presentation":
+        return almost_principal_status(mat.presentation, asserted)
+    return ("Yes", f"user-asserted: {asserted}") if asserted \
+        else ("Unknown", None)
+
+
 def _emit(report: dict, pretty: bool) -> None:
     indent = 2 if pretty else None
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=indent))
@@ -94,16 +103,12 @@ def cmd_invariants(args) -> int:
     names = mat.var_names
     report: dict = {"input": echo, "b1": mat.num_vars, "warnings": []}
     if mat.origin == "presentation":
-        ab = mat.abelian
-        report["torsion"] = list(ab.torsion)
-        ap = almost_principal_status(mat.presentation,
-                                     args.assert_almost_principal)
+        report["torsion"] = list(mat.abelian.torsion)
     else:
         report["torsion"] = None
         report["warnings"].append(
             "matrix-mode input: Fox identity not verified")
-        ap = ("Yes", f"user-asserted: {args.assert_almost_principal}") \
-            if args.assert_almost_principal else ("Unknown", None)
+    ap = _almost_principal(mat, args.assert_almost_principal)
     delta = alexander_poly(mat, 1)
     report["delta"] = None if delta.is_zero() else delta.render(names)
     if delta.is_zero():
@@ -151,16 +156,10 @@ def cmd_betti(args) -> int:
             report["b1"] = twisted_betti(mat, chi)
             report["note"] = "zero delta: bounds unavailable"
         else:
-            ap = None
-            if mat.origin != "presentation":
-                ap = ("Yes", f"user-asserted: "
-                      f"{args.assert_almost_principal}") \
-                    if args.assert_almost_principal else ("Unknown", None)
-            elif args.assert_almost_principal:
-                ap = almost_principal_status(mat.presentation,
-                                             args.assert_almost_principal)
-            rep = bounds_report(mat, factor_poly(delta), chi,
-                                almost_principal=ap)
+            rep = bounds_report(
+                mat, factor_poly(delta), chi,
+                almost_principal=_almost_principal(
+                    mat, args.assert_almost_principal))
             report.update(rep.as_dict(names))
     if args.depth is not None:
         report["depth"] = args.depth

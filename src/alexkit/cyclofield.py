@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence
 
-from .laurent import ComputationCapError, LaurentPoly, _euler_phi, normalize
+from .laurent import ComputationCapError, LaurentPoly, _cyclotomic, _invert_mod
 
 CONDUCTOR_CAP = 240
 
@@ -26,27 +26,8 @@ class CycloError(ValueError):
 @lru_cache(maxsize=None)
 def _phi_coeffs(n: int) -> tuple:
     """Integer coefficients of Φ_n, ascending degree."""
-    # divide t^n - 1 by the product of Φ_d over proper divisors d of n
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num = _polydiv_exact(num, list(_phi_coeffs(d)))
-    return tuple(num)
-
-
-def _polydiv_exact(num, den):
-    num = [Fraction(x) for x in num]
-    den = [Fraction(x) for x in den]
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        shift = len(num) - len(den)
-        c = num[-1] / den[-1]
-        out[shift] = c
-        for i, dc in enumerate(den):
-            num[shift + i] -= c * dc
-        while num and num[-1] == 0:
-            num.pop()
-    return [int(x) for x in out]
+    terms = _cyclotomic(n).terms
+    return tuple(int(terms.get((i,), 0)) for i in range(max(terms)[0] + 1))
 
 
 def cyclotomic_poly(n: int) -> LaurentPoly:
@@ -179,21 +160,12 @@ class CycloNumber:
     def inverse(self) -> "CycloNumber":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # extended Euclid of (self, Φ_N) over Q[t]
-        phi = [Fraction(c) for c in _phi_coeffs(self.conductor)]
-        a = list(self.coeffs)
-        while a and a[-1] == 0:
-            a.pop()
-        r0, r1 = phi, a
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 is the gcd (a nonzero constant, since Φ_N is irreducible)
-        c = r0[0]
-        inv = [x / c for x in s0]
-        return CycloNumber(self.conductor, inv)
+        # Φ_N is irreducible, so it is coprime to any nonzero reduced value
+        inv = _invert_mod(
+            LaurentPoly(1, {(i,): c for i, c in enumerate(self.coeffs)}),
+            cyclotomic_poly(self.conductor)).terms
+        return CycloNumber(self.conductor,
+                           [inv.get((i,), 0) for i in range(len(self.coeffs))])
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -233,47 +205,6 @@ class CycloNumber:
             if acc.is_one():
                 return d
         return None
-
-
-def _polydivmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b):
-        if a and a[-1] == 0:
-            a.pop()
-            continue
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i in range(len(b)):
-            a[shift + i] -= c * b[i]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _polymul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _polysub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def common_conductor(values: Sequence[CycloNumber]) -> List[CycloNumber]:
@@ -400,7 +331,3 @@ def rank_over_field(matrix: Sequence[Sequence[CycloNumber]]) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def euler_phi(m: int) -> int:
-    return _euler_phi(m)

@@ -7,7 +7,6 @@ projection matrix onto the maximal torsion-free abelian quotient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 

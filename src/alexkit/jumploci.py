@@ -16,11 +16,11 @@ import sympy
 
 from .alexander import (AlexanderMatrix, elementary_divisor_exponents,
                         evaluate_matrix, univariate_invariant_factors)
-from .cyclofield import (Character, CycloNumber, cyclotomic_poly, evaluate,
+from .cyclofield import (Character, CycloNumber, cyclotomic_poly,
                          rank_over_field)
 from .intlinalg import induced_torus_point, validate_character
-from .laurent import (FactoredPoly, LaurentPoly, associates, factor_poly,
-                      multiplicity, normalize, vanishing_order)
+from .laurent import (FactoredPoly, LaurentPoly, factor_poly, normalize,
+                      vanishing_order)
 from .presentation import GroupPresentation
 
 
@@ -268,9 +268,8 @@ def monodromy_analysis(h: Sequence[Sequence[int]]) -> MonodromyReport:
     size = m.rows
     if (m - sympy.eye(size)).det() == 0:
         raise JumpLociError("1 is an eigenvalue of the monodromy")
-    from .laurent import _symbols
-    char = m.charpoly().as_expr(_symbols(1)[0])
-    delta = LaurentPoly.from_sympy(sympy.expand(char), 1)
+    coeffs = m.charpoly().all_coeffs()  # leading coefficient first
+    delta = LaurentPoly(1, {(size - i,): int(c) for i, c in enumerate(coeffs)})
     factored = factor_poly(delta)
     equalities = []
     semisimple = True

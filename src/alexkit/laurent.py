@@ -4,6 +4,13 @@ The ring is Z[t_1^{±1}, ..., t_n^{±1}] (rational coefficients are tolerated
 in intermediate arithmetic; canonical forms clear denominators).  Units are
 ±(monomial); two polynomials are *associate* if they differ by a unit, and
 associate over C if they additionally differ by a rational scalar.
+
+`LaurentPoly`, a dict {exponent vector: Fraction}, is the one polynomial
+type alexkit code handles.  Division, gcd, squarefree and irreducible
+factorization, cyclotomic polynomials and inverses modulo a polynomial
+come from sympy's sparse polynomial rings, reached only through the bridge
+in this module: `_ring` (Z[t] or Q[t] in n variables, built on first use),
+`_to_ring` and `_from_ring`.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
-import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyRing
 
 TOTAL_DEGREE_CAP = 64
 
@@ -26,11 +35,6 @@ class LaurentError(ValueError):
 
 class ComputationCapError(RuntimeError):
     """A configured desk-scale cap was exceeded."""
-
-
-@lru_cache(maxsize=64)
-def _symbols(n: int):
-    return sympy.symbols(f"_t0:{n}", positive=True) if n else ()
 
 
 class LaurentPoly:
@@ -175,43 +179,6 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self.render()})"
 
-    # -- sympy bridge ------------------------------------------------------
-
-    def _shifted(self):
-        """Clear negative exponents; returns (shift vector, shifted poly)."""
-        if not self.terms:
-            return (0,) * self.nvars, self
-        mins = [min(exp[i] for exp in self.terms) for i in range(self.nvars)]
-        shift = tuple(-min(m, 0) for m in mins)
-        if all(s == 0 for s in shift):
-            return shift, self
-        out = {tuple(e + s for e, s in zip(exp, shift)): c
-               for exp, c in self.terms.items()}
-        return shift, LaurentPoly(self.nvars, out)
-
-    def to_sympy(self):
-        syms = _symbols(self.nvars)
-        expr = sympy.Integer(0)
-        for exp, c in self.terms.items():
-            term = sympy.Rational(c.numerator, c.denominator)
-            for s, e in zip(syms, exp):
-                if e:
-                    term *= s ** e
-            expr += term
-        return expr
-
-    @classmethod
-    def from_sympy(cls, expr, nvars: int) -> "LaurentPoly":
-        syms = _symbols(nvars)
-        expr = sympy.expand(expr)
-        poly = sympy.Poly(expr, *syms, domain="QQ") if nvars else None
-        if nvars == 0:
-            return cls.constant(0, Fraction(sympy.Rational(expr)))
-        out = {}
-        for monom, coeff in poly.terms():
-            out[tuple(monom)] = Fraction(coeff.p, coeff.q)
-        return cls(nvars, out)
-
     # -- rendering ---------------------------------------------------------
 
     def render(self, names: Optional[Sequence[str]] = None) -> str:
@@ -245,6 +212,56 @@ class LaurentPoly:
 
 def default_names(n: int) -> list:
     return [f"t{i + 1}" for i in range(n)] if n != 1 else ["t"]
+
+
+# -- the sympy bridge -------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _ring(nvars: int, domain: str) -> PolyRing:
+    """sympy's sparse ring Z[t_1..t_n] ("ZZ") or Q[t_1..t_n] ("QQ"), lex
+    order; built on first use."""
+    return PolyRing(f"_t0:{nvars}", domain, lex)
+
+
+def _to_ring(f: LaurentPoly, domain: str):
+    """(shift, p) with p = t^shift · f in _ring(f.nvars, domain), where
+    shift is the least vector that makes every exponent nonnegative.
+
+    Over "ZZ" the coefficients of f must be integers.
+    """
+    ring = _ring(f.nvars, domain)
+    shift = tuple(max(0, -min(col)) for col in zip(*f.terms)) \
+        if f.terms else (0,) * f.nvars
+    dom = ring.domain
+    return shift, ring.dtype({
+        tuple(e + s for e, s in zip(exp, shift)):
+            dom.convert_from(QQ(c.numerator, c.denominator), QQ)
+        for exp, c in f.terms.items()})
+
+
+def _from_ring(p, nvars: int, shift: Optional[Sequence[int]] = None
+               ) -> LaurentPoly:
+    """t^-shift · p as a LaurentPoly; the inverse of _to_ring."""
+    shift = shift or (0,) * nvars
+    return LaurentPoly(nvars, {
+        tuple(e - s for e, s in zip(monom, shift)):
+            Fraction(int(c.numerator), int(c.denominator))
+        for monom, c in p.items()})
+
+
+def _cyclotomic(n: int) -> LaurentPoly:
+    """The cyclotomic polynomial Φ_n, n ≥ 1."""
+    return _from_ring(_ring(1, "ZZ").dup_zz_cyclotomic_poly(n), 1)
+
+
+def _invert_mod(f: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
+    """The inverse of f modulo m in Q[t], for univariate f and m with
+    nonnegative exponents and gcd(f, m) = 1; degree below deg m."""
+    _, pf = _to_ring(f, "QQ")
+    _, pm = _to_ring(m, "QQ")
+    inv, _ = pf.half_gcdex(pm)
+    return _from_ring(inv, 1)
 
 
 # -- canonical form ---------------------------------------------------------
@@ -310,24 +327,17 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
     if n == 0:
         c = next(iter(f.terms.values())) / next(iter(g.terms.values()))
         return LaurentPoly.constant(0, c)
-
-    # strip the full monomial content so stray t-power factors cannot
-    # block the polynomial division
-    def strip(p):
-        mins = tuple(min(exp[i] for exp in p.terms) for i in range(n))
-        body = LaurentPoly(n, {tuple(e - m for e, m in zip(exp, mins)): c
-                               for exp, c in p.terms.items()})
-        return mins, body
-
-    mins_f, fs = strip(f)
-    mins_g, gs = strip(g)
-    syms = _symbols(n)
-    q, r = sympy.div(fs.to_sympy(), gs.to_sympy(), *syms, domain="QQ")
-    if r != 0:
+    # strip g's monomial content, a unit, so that it cannot block the
+    # polynomial division; f's shift is then undone on the quotient
+    mins_g = tuple(map(min, zip(*g.terms)))
+    g = LaurentPoly(n, {tuple(e - m for e, m in zip(exp, mins_g)): c
+                        for exp, c in g.terms.items()})
+    shift, pf = _to_ring(f, "QQ")
+    _, pg = _to_ring(g, "QQ")
+    q, r = pf.div(pg)
+    if r:
         return None
-    quot = LaurentPoly.from_sympy(q, n)
-    adjust = tuple(mf - mg for mf, mg in zip(mins_f, mins_g))
-    return quot * LaurentPoly.monomial(adjust)
+    return _from_ring(q, n, tuple(s + m for s, m in zip(shift, mins_g)))
 
 
 def exact_div_binomial(f: LaurentPoly,
@@ -387,14 +397,13 @@ def gcd_many(fs: Iterable[LaurentPoly]) -> LaurentPoly:
         c = math.gcd(*(abs(normalize(f).terms[(
             )].numerator) for f in nonzero))
         return LaurentPoly.constant(0, c)
-    syms = _symbols(nvars)
     acc = None
     for f in nonzero:
-        expr = normalize(f).to_sympy()
-        acc = expr if acc is None else sympy.gcd(acc, expr)
+        _, p = _to_ring(normalize(f), "ZZ")
+        acc = p if acc is None else acc.gcd(p)
         if acc == 1:
             break
-    return normalize(LaurentPoly.from_sympy(acc, nvars))
+    return normalize(_from_ring(acc, nvars))
 
 
 def multiplicity(f: LaurentPoly, delta: LaurentPoly) -> int:
@@ -437,8 +446,8 @@ def vanishing_order(f: LaurentPoly, point) -> int:
         raise LaurentError("vanishing order needs nonzero coordinates")
     vals = common_conductor(vals)
     one = vals[0].ring_one()
-    # clear negative exponents: a unit near rho, does not change the order
-    _, fs = f._shifted()
+    # a unit times f, with nonnegative exponents: the order does not change
+    fs = normalize(f)
     # expand f(rho + z) term by term; coefficients indexed by z-exponents
     out: dict = {}
     for exp, c in fs.terms.items():
@@ -589,11 +598,10 @@ def squarefree_split(f: LaurentPoly) -> list:
     g = normalize(f)
     if g.is_constant():
         raise LaurentError("squarefree_split needs a non-constant input")
-    syms = _symbols(g.nvars)
-    _, sqf = sympy.sqf_list(sympy.Poly(g.to_sympy(), *syms, domain="QQ"))
+    _, sqf = _to_ring(g, "ZZ")[1].sqf_list()
     grouped: dict = {}
     for p, mult in sqf:
-        piece = normalize(LaurentPoly.from_sympy(p.as_expr(), g.nvars))
+        piece = normalize(_from_ring(p, g.nvars))
         if piece.is_constant():
             continue
         if mult in grouped:
@@ -788,18 +796,13 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
     if g.is_constant():
         return FactoredPoly(c, ())
-    syms = _symbols(g.nvars)
-    coeff, parts = sympy.factor_list(sympy.Poly(g.to_sympy(), *syms,
-                                                domain="QQ"))
+    _, parts = _to_ring(g, "ZZ")[1].factor_list()
     factors: list = []
     for p, mult in parts:
-        piece = normalize(LaurentPoly.from_sympy(p.as_expr(), g.nvars))
+        # over Z the factors are primitive, the content is split off
+        piece = normalize(_from_ring(p, g.nvars))
         if piece.is_constant():
             continue
-        pc = math.gcd(*(abs(x.numerator) for x in piece.terms.values()))
-        if pc != 1:
-            piece = LaurentPoly(g.nvars,
-                                {e: x / pc for e, x in piece.terms.items()})
         for i, (q, qm, flag) in enumerate(factors):
             if q == piece:
                 factors[i] = (q, qm + mult, flag)

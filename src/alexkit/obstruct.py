@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .laurent import (FactoredPoly, LaurentError, LaurentPoly,
-                      cyclotomic_factor, normalize, sev_decompose)
+from .laurent import (FactoredPoly, LaurentPoly, cyclotomic_factor, normalize,
+                      sev_decompose)
 
 CONSISTENT = "CONSISTENT"
 OBSTRUCTED = "OBSTRUCTED"

@@ -109,11 +109,6 @@ class GroupPresentation:
         return [r.exponent_vector(self.num_generators) for r in self.relators]
 
 
-def deficiency_lower_bound(p: GroupPresentation) -> int:
-    """Generators minus relators: a lower bound for the deficiency."""
-    return p.num_generators - p.num_relators
-
-
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _LETTER = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 

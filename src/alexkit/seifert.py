@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .cyclofield import CycloNumber, common_conductor
-from .laurent import LaurentPoly, exact_div, normalize
+from .cyclofield import CycloNumber
+from .laurent import LaurentPoly, exact_div_binomial, normalize
 
 
 class SeifertError(ValueError):
@@ -86,15 +86,13 @@ def seifert_delta(d: SpliceData) -> LaurentPoly:
     num = _u_power_minus_one(d.big_n_prime) ** expo if expo > 0 \
         else LaurentPoly.one(1)
     for j in range(q, q + s):
-        quot = exact_div(num, _u_power_minus_one(d.n_prime_j(j)))
-        if quot is None:
+        num = exact_div_binomial(num, (d.n_prime_j(j),))
+        if num is None:
             raise SeifertError("inexact divisor division (internal bug)")
-        num = quot
     # substitute u -> t1^{N_1} ... tq^{N_q}
     exps = [d.n_j(j) for j in range(q)]
-    out = LaurentPoly.zero(q)
-    for (e,), c in num.terms.items():
-        out = out + LaurentPoly.monomial([x * e for x in exps], c)
+    out = LaurentPoly(q, {tuple(x * e for x in exps): c
+                          for (e,), c in num.terms.items()})
     return normalize(out) if not out.is_zero() else out
 
 

@@ -123,6 +123,14 @@ def test_invariant_factors_diag_blocks():
     assert ek2 == {2: 1}
 
 
+def test_invariant_factors_with_negative_exponents():
+    # det = t^-1 - 1 ≐ t - 1: one power of t shifts the whole matrix; a
+    # shift per entry would make it [[1, 1], [1, 1]], of rank 1
+    m = load_matrix(("t",), [["t^-1", "1"], ["1", "1"]])
+    inv = univariate_invariant_factors(m)
+    assert [f.render(("t",)) for f in inv] == ["1", "t - 1"]
+
+
 def test_invariant_factors_requires_univariate(pencil3):
     with pytest.raises(AlexanderError):
         univariate_invariant_factors(pencil3)

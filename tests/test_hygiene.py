@@ -1,0 +1,64 @@
+"""Source checks on the alexkit package, by reading its syntax trees."""
+
+import ast
+from pathlib import Path
+
+import alexkit
+
+PACKAGE = Path(alexkit.__file__).resolve().parent
+# sympy's polynomial entry points; alexkit reaches them only via laurent.py
+POLY_NAMES = {"Poly", "PurePoly", "div", "rem", "quo", "gcd", "gcdex",
+              "invert", "expand", "sqf_list", "factor_list",
+              "cyclotomic_poly", "ring", "PolyRing"}
+
+
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _imported_names(tree):
+    """(bound name, line) of every import, except `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules():
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {bound}"
+                   for bound, line in _imported_names(tree)
+                   if bound not in used]
+    assert unused == []
+
+
+def _sympy_poly_references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("sympy.polys")
+                or node.module == "sympy" and any(
+                    alias.name in POLY_NAMES for alias in node.names)):
+            yield node.lineno
+        elif isinstance(node, ast.Import) and any(
+                alias.name.startswith("sympy.polys") for alias in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in POLY_NAMES \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "sympy":
+            yield node.lineno
+
+
+def test_sympy_polynomials_only_in_laurent():
+    found = [f"{name}:{line}" for name, tree in _modules()
+             if name != "laurent.py"
+             for line in _sympy_poly_references(tree)]
+    assert found == []
+    laurent = dict(_modules())["laurent.py"]
+    assert list(_sympy_poly_references(laurent))

@@ -7,15 +7,17 @@ from fractions import Fraction
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                delta_chain, elementary_ideal_minors,
                                fox_matrix)
-from alexkit.cyclofield import CycloNumber, cyclotomic_poly, rank_over_field
+from alexkit.cyclofield import (CONDUCTOR_CAP, CycloNumber, cyclotomic_poly,
+                                rank_over_field)
 from alexkit.intlinalg import smith_normal_form
-from alexkit.laurent import (LaurentPoly, associates, cyclotomic_factor,
-                             divides, exact_div, exact_div_binomial, gcd,
-                             gcd_many, multiplicity, newton_vertices,
-                             normalize, parse_poly, sev_decompose,
-                             vanishing_order)
+from alexkit.laurent import (LaurentPoly, _from_ring, _to_ring, associates,
+                             cyclotomic_factor, divides, exact_div,
+                             exact_div_binomial, gcd, gcd_many, multiplicity,
+                             newton_vertices, normalize, parse_poly,
+                             sev_decompose, vanishing_order)
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   word)
+from alexkit.seifert import SpliceData, seifert_delta
 
 
 def random_word(rng, num_gens, max_len=6):
@@ -363,3 +365,106 @@ def test_memoized_det_matches_cofactor_expansion():
             mask = sum(1 << c for c in csel)
             expected = _cofactor_det([[r[c] for c in csel] for r in rows])
             assert minors.get(mask, LaurentPoly.zero(n)) == expected
+
+
+def random_rational_poly(rng, nvars, max_terms=5):
+    """Negative exponents and non-integer coefficients."""
+    terms = {}
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        exp = tuple(rng.randrange(-4, 4) for _ in range(nvars))
+        terms[exp] = Fraction(rng.choice([-5, -2, -1, 1, 3, 7]),
+                              rng.choice([1, 2, 3, 10]))
+    return LaurentPoly(nvars, terms)
+
+
+def test_ring_bridge_round_trip():
+    rng = random.Random(20241101)
+    for _ in range(200):
+        n = rng.randrange(1, 4)
+        f = random_rational_poly(rng, n)
+        shift, p = _to_ring(f, "QQ")
+        assert all(s >= 0 for s in shift)
+        assert all(e >= 0 for monom in p for e in monom)
+        # the least shift: some exponent of every variable lands on 0
+        assert all(min(monom[i] for monom in p) == 0 or shift[i] == 0
+                   for i in range(n))
+        assert _from_ring(p, n, shift) == f
+        g = normalize(f)
+        shift, p = _to_ring(g, "ZZ")
+        assert shift == (0,) * n
+        assert _from_ring(p, n) == g
+    assert _from_ring(_to_ring(LaurentPoly.zero(2), "QQ")[1], 2).is_zero()
+
+
+def test_exact_div_of_products():
+    rng = random.Random(20241102)
+    for _ in range(200):
+        n = rng.randrange(1, 4)
+        f = random_rational_poly(rng, n)
+        g = random_rational_poly(rng, n, 3)
+        assert exact_div(f * g, g) == f
+        assert exact_div(f * g * LaurentPoly.var(n, 0, 5), g) == \
+            f * LaurentPoly.var(n, 0, 5)
+
+
+def _int_coeffs(f):
+    """Ascending integer coefficient list of a univariate polynomial."""
+    out = [0] * (max(f.terms)[0] + 1)
+    for (e,), c in f.terms.items():
+        out[e] = int(c)
+    return out
+
+
+def test_cyclotomic_polys_multiply_to_binomials():
+    for n in range(1, CONDUCTOR_CAP + 1):
+        prod = _int_coeffs(cyclotomic_poly(n))
+        for d in range(1, n):
+            if n % d:
+                continue
+            phi = _int_coeffs(cyclotomic_poly(d))
+            out = [0] * (len(prod) + len(phi) - 1)
+            for i, x in enumerate(prod):
+                if x:
+                    for j, y in enumerate(phi):
+                        out[i + j] += x * y
+            prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+def test_cyclotomic_inverse():
+    # a + b·ζ at every conductor, and dense values where φ(n) ≤ 12, which
+    # covers the character-scan conductors 5, 7, 8, 9 and 11.  (A dense
+    # value at a large prime conductor takes seconds to minutes to invert.)
+    rng = random.Random(20241103)
+
+    def value(n, length):
+        while True:
+            x = CycloNumber(n, [Fraction(rng.randrange(-6, 7),
+                                         rng.randrange(1, 4))
+                                for _ in range(length)])
+            if not x.is_zero():
+                return x
+
+    cases = [value(n, 2) for n in range(3, CONDUCTOR_CAP + 1)]
+    for n in range(3, CONDUCTOR_CAP + 1):
+        dim = len(CycloNumber.root_of_unity(n).coeffs)
+        if dim <= 12:
+            cases += [value(n, dim) for _ in range(3)]
+    assert {x.conductor for x in cases} >= {5, 7, 8, 9, 11}
+    for x in cases:
+        assert (x * x.inverse()).is_one()
+
+
+def test_seifert_delta_times_divisors_is_binomial_power():
+    ladder = ((2, 3), (2, 5), (3, 5), (3, 7), (5, 7), (7, 9), (5, 11),
+              (7, 11), (9, 11), (11, 13))
+    cases = [SpliceData((1, 1, 1, a, b), 3) for a, b in ladder]
+    cases += [SpliceData((2, 3, 5, 7, 11), 2), SpliceData((2, 3, 5, 7), 3),
+              SpliceData((1, 1, 3, 4, 5), 2)]
+    for d in cases:
+        u = LaurentPoly.monomial([d.n_j(j) for j in range(d.q)])
+        lhs = seifert_delta(d)
+        for j in range(d.q, d.q + d.s):
+            lhs = lhs * (u ** d.n_prime_j(j) - 1)
+        rhs = (u ** d.big_n_prime - 1) ** (d.q + d.s - 2)
+        assert associates(lhs, rhs)
