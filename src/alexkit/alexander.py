@@ -310,7 +310,6 @@ def evaluate_matrix(mat: AlexanderMatrix, chi: Character):
     in matrix mode); returns a CycloNumber matrix."""
     entries = mat.generator_entries if mat.generator_entries is not None \
         else mat.entries
-    width = len(entries[0]) if entries else 0
     if entries and len(chi) != entries[0][0].nvars:
         raise AlexanderError(
             f"character has {len(chi)} values, expected {entries[0][0].nvars}")

@@ -75,11 +75,8 @@ def _load_input(path: str, matrix_mode: bool):
 def _factored_dict(fp: FactoredPoly, names) -> dict:
     return {
         "constant": fp.constant,
-        "factors": [{"poly": f.render(names), "multiplicity": mu,
-                     "irreducible": irr}
-                    for f, mu, irr in fp.resolved_factors],
-        "unresolved_remainder": None if fp.unresolved_remainder is None
-        else fp.unresolved_remainder.render(names),
+        "factors": [{"poly": f.render(names), "multiplicity": mu}
+                    for f, mu in fp.factors],
     }
 
 
@@ -117,10 +114,7 @@ def cmd_invariants(args) -> int:
     else:
         factored = factor_poly(delta)
         report["factored"] = _factored_dict(factored, names)
-        if factored.unresolved_remainder is not None:
-            report["warnings"].append("unresolved factors in delta")
-    verdict = qp_verdict(None if delta.is_zero() else delta, mat.num_vars,
-                         projective=args.projective)
+    verdict = qp_verdict(factored, mat.num_vars, projective=args.projective)
     report["qp"] = verdict.as_dict(names)
     chars = {}
     for spec in args.char or []:

@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence
 
+from sympy.ntheory import divisors, isprime
+
 from .laurent import ComputationCapError, LaurentPoly, _cyclotomic, _invert_mod
 
 CONDUCTOR_CAP = 240
@@ -26,8 +28,7 @@ class CycloError(ValueError):
 @lru_cache(maxsize=None)
 def _phi_coeffs(n: int) -> tuple:
     """Integer coefficients of Φ_n, ascending degree."""
-    terms = _cyclotomic(n).terms
-    return tuple(int(terms.get((i,), 0)) for i in range(max(terms)[0] + 1))
+    return _cyclotomic(n)
 
 
 def cyclotomic_poly(n: int) -> LaurentPoly:
@@ -36,6 +37,49 @@ def cyclotomic_poly(n: int) -> LaurentPoly:
         raise CycloError("conductor must be positive")
     coeffs = _phi_coeffs(n)
     return LaurentPoly(1, {(i,): c for i, c in enumerate(coeffs) if c})
+
+
+def _totient_preimages(d: int) -> List[int]:
+    """Every m with φ(m) = d ≥ 1, ascending.
+
+    φ(∏ q^k) = ∏ (q − 1)·q^(k−1), so each prime q dividing such an m has
+    (q − 1) | d.  The search takes those primes in increasing order, each
+    with every exponent that leaves an integral rest of d to account for.
+    """
+    primes = [k + 1 for k in divisors(d) if isprime(k + 1)]
+    out = []
+
+    def search(start: int, rest: int, m: int) -> None:
+        if rest == 1:
+            out.append(m)
+        for i in range(start, len(primes)):
+            q = primes[i]
+            if rest % (q - 1):
+                continue
+            rest_q, m_q = rest // (q - 1), m * q
+            while True:
+                search(i + 1, rest_q, m_q)
+                if rest_q % q:
+                    break
+                rest_q, m_q = rest_q // q, m_q * q
+
+    search(0, d, 1)
+    return sorted(out)
+
+
+def cyclotomic_order(p: LaurentPoly) -> Optional[int]:
+    """The m with p = Φ_m for a canonical univariate p (as `normalize`
+    returns it), or None.
+
+    p is compared only with the Φ_m of degree φ(m) = deg p.
+    """
+    terms = p.terms
+    deg = max(e for (e,) in terms)
+    if deg == 0:
+        return None
+    coeffs = tuple(terms.get((i,), 0) for i in range(deg + 1))
+    return next((m for m in _totient_preimages(deg)
+                 if _phi_coeffs(m) == coeffs), None)
 
 
 def _reduce(coeffs: List[Fraction], n: int) -> tuple:

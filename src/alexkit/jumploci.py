@@ -16,7 +16,7 @@ import sympy
 
 from .alexander import (AlexanderMatrix, elementary_divisor_exponents,
                         evaluate_matrix, univariate_invariant_factors)
-from .cyclofield import (Character, CycloNumber, cyclotomic_poly,
+from .cyclofield import (Character, CycloNumber, cyclotomic_order,
                          rank_over_field)
 from .intlinalg import induced_torus_point, validate_character
 from .laurent import (FactoredPoly, LaurentPoly, factor_poly, normalize,
@@ -98,7 +98,6 @@ class BettiReport:
     bound_generic: Optional[int]
     almost_principal: APStatus
     attained: bool
-    lower_confidence: bool = False
 
     def as_dict(self, names: Sequence[str]) -> dict:
         status, reason = self.almost_principal
@@ -109,7 +108,6 @@ class BettiReport:
             "almost_principal": status if reason is None
             else f"{status} ({reason})",
             "attained": self.attained,
-            "lower_confidence": self.lower_confidence,
         }
 
 
@@ -137,17 +135,13 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
     if point is None:
         # off the identity component: vanishing orders do not apply
         return BettiReport(rho, b1, None, None, almost_principal, False)
-    lower_confidence = False
     bound = 0
     on_components = []
-    for f, mu, _ in factored.resolved_factors:
+    for f, mu in factored.factors:
         nu = vanishing_order(f, point)
         bound += mu * nu
         if nu > 0:
             on_components.append((f, mu))
-    if factored.unresolved_remainder is not None:
-        bound += vanishing_order(factored.unresolved_remainder, point)
-        lower_confidence = True
     bound_generic = on_components[0][1] if len(on_components) == 1 else None
     attained = (b1 == bound)
     if almost_principal[0] == "Yes" and b1 > bound:
@@ -155,7 +149,7 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
             f"b1 = {b1} exceeds the proven bound {bound} at a nontrivial "
             "character; the almost-principal assertion must be wrong")
     return BettiReport(rho, b1, bound, bound_generic, almost_principal,
-                       attained, lower_confidence)
+                       attained)
 
 
 # -- roots of univariate factors --------------------------------------------
@@ -171,15 +165,8 @@ def _factor_root(f: LaurentPoly):
         a = g.terms.get((1,), Fraction(0))
         b = g.terms.get((0,), Fraction(0))
         return CycloNumber.from_rational(-b / a)
-    for m in _orders_of_degree(deg):
-        if g == normalize(cyclotomic_poly(m)):
-            return CycloNumber.root_of_unity(m, 1)
-    return None
-
-
-def _orders_of_degree(deg: int):
-    from .laurent import _euler_phi
-    return [m for m in range(1, 2 * deg * deg + 2) if _euler_phi(m) == deg]
+    m = cyclotomic_order(g)
+    return None if m is None else CycloNumber.root_of_unity(m, 1)
 
 
 @dataclass
@@ -205,11 +192,11 @@ def semisimple_equality_report(mat: AlexanderMatrix,
     """
     if mat.num_vars != 1:
         raise JumpLociError("semisimple analysis requires one variable")
-    if not factored.resolved_factors and factored.unresolved_remainder is None:
+    if not factored.factors:
         raise JumpLociError("constant Alexander polynomial: no roots")
     inv = univariate_invariant_factors(mat)
     out = []
-    for f, mu, _ in factored.resolved_factors:
+    for f, mu in factored.factors:
         root = _factor_root(f)
         if root is None or root.is_one():
             continue
@@ -273,7 +260,7 @@ def monodromy_analysis(h: Sequence[Sequence[int]]) -> MonodromyReport:
     factored = factor_poly(delta)
     equalities = []
     semisimple = True
-    for f, mu, _ in factored.resolved_factors:
+    for f, mu in factored.factors:
         g = normalize(f)
         deg = max(e[0] for e in g.terms)
         pm = sympy.zeros(size, size)

@@ -250,9 +250,11 @@ def _from_ring(p, nvars: int, shift: Optional[Sequence[int]] = None
         for monom, c in p.items()})
 
 
-def _cyclotomic(n: int) -> LaurentPoly:
-    """The cyclotomic polynomial Φ_n, n ≥ 1."""
-    return _from_ring(_ring(1, "ZZ").dup_zz_cyclotomic_poly(n), 1)
+def _cyclotomic(n: int) -> Tuple[int, ...]:
+    """The integer coefficients of the cyclotomic polynomial Φ_n, n ≥ 1,
+    in ascending degree."""
+    dense = _ring(1, "ZZ").dup_zz_cyclotomic_poly(n).to_dense()
+    return tuple(int(c) for c in reversed(dense))
 
 
 def _invert_mod(f: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
@@ -286,32 +288,11 @@ def normalize(f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(f.nvars, out)
 
 
-def content(f: LaurentPoly) -> int:
-    """gcd of the integer coefficients of the canonical form."""
-    g = normalize(f)
-    return math.gcd(*(abs(c.numerator) for c in g.terms.values()))
-
-
-def primitive_part(f: LaurentPoly) -> LaurentPoly:
-    g = normalize(f)
-    c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
-    if c == 1:
-        return g
-    return LaurentPoly(g.nvars, {e: x / c for e, x in g.terms.items()})
-
-
 def associates(f: LaurentPoly, g: LaurentPoly) -> bool:
     """f ≐ g: equal up to a unit ±(monomial)."""
     if f.is_zero() or g.is_zero():
         return f.is_zero() and g.is_zero()
     return normalize(f) == normalize(g)
-
-
-def associates_c(f: LaurentPoly, g: LaurentPoly) -> bool:
-    """f ≐ g over C: equal up to a scalar times a monomial."""
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    return primitive_part(f) == primitive_part(g)
 
 
 # -- divisibility, gcd, multiplicities --------------------------------------
@@ -475,70 +456,7 @@ def vanishing_order(f: LaurentPoly, point) -> int:
     return min(degrees)
 
 
-# -- Newton polytope and single essential variable --------------------------
-
-
-def _exact_in_hull(p, points) -> bool:
-    """Is p a convex combination of `points`?  Exact rational LP."""
-    if not points:
-        return False
-    dim = len(p)
-    # feasibility: lambda >= 0, sum lambda = 1, sum lambda q = p
-    # phase-1 simplex on A x = b, x >= 0 with artificial variables
-    rows = [[Fraction(q[i]) for q in points] for i in range(dim)]
-    rows.append([Fraction(1)] * len(points))
-    b = [Fraction(x) for x in p] + [Fraction(1)]
-    m, n = len(rows), len(points)
-    for i in range(m):
-        if b[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            b[i] = -b[i]
-    # tableau with artificials
-    T = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-         + [b[i]] for i in range(m)]
-    cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] -= T[i][j]
-    basis = list(range(n, n + m))
-    while True:
-        pivot_col = next((j for j in range(n + m) if cost[j] < 0), None)
-        if pivot_col is None:
-            break
-        best, pivot_row = None, None
-        for i in range(m):
-            if T[i][pivot_col] > 0:
-                ratio = T[i][-1] / T[i][pivot_col]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[pivot_row]):
-                    best, pivot_row = ratio, i
-        if pivot_row is None:
-            break
-        pv = T[pivot_row][pivot_col]
-        T[pivot_row] = [x / pv for x in T[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and T[i][pivot_col] != 0:
-                f = T[i][pivot_col]
-                T[i] = [a - f * b2 for a, b2 in zip(T[i], T[pivot_row])]
-        f = cost[pivot_col]
-        cost = [a - f * b2 for a, b2 in zip(cost, T[pivot_row])]
-        basis[pivot_row] = pivot_col
-    return -cost[-1] == 0
-
-
-def newton_vertices(f: LaurentPoly) -> list:
-    """Vertices of the convex hull of the support of f."""
-    if f.is_zero():
-        raise LaurentError("Newton polytope of the zero polynomial")
-    pts = f.support()
-    if len(pts) <= 2:
-        return pts
-    direction = _collinear_direction(pts)
-    if direction is not None:
-        key = lambda q: sum(a * b for a, b in zip(q, direction))
-        return [min(pts, key=key), max(pts, key=key)]
-    return [p for p in pts
-            if not _exact_in_hull(p, [q for q in pts if q != p])]
+# -- single essential variable ----------------------------------------------
 
 
 def _collinear_direction(pts) -> Optional[tuple]:
@@ -588,7 +506,7 @@ def sev_decompose(f: LaurentPoly):
     return normalize(LaurentPoly(1, uni)), e
 
 
-# -- squarefree and cyclotomic factor structure -----------------------------
+# -- squarefree decomposition -----------------------------------------------
 
 
 def squarefree_split(f: LaurentPoly) -> list:
@@ -609,63 +527,6 @@ def squarefree_split(f: LaurentPoly) -> list:
         else:
             grouped[mult] = piece
     return sorted(((g_i, i) for i, g_i in grouped.items()), key=lambda kv: kv[1])
-
-
-def cyclotomic_factor(p: LaurentPoly):
-    """Split a univariate polynomial as c · Π Φ_m^{mult} · residual.
-
-    Returns (c, [(m, mult), ...], residual) with the residual canonical,
-    primitive, and free of cyclotomic factors.
-    """
-    from .cyclofield import cyclotomic_poly
-
-    if p.nvars != 1:
-        raise LaurentError("cyclotomic_factor expects a univariate polynomial")
-    if p.is_zero():
-        raise LaurentError("cyclotomic_factor of zero")
-    g = normalize(p)
-    c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
-    if c != 1:
-        g = LaurentPoly(1, {e: x / c for e, x in g.terms.items()})
-    deg = max(e[0] for e in g.terms)
-    cyclo = []
-    if deg > 0:
-        bound = 2 * deg * deg + 1
-        for m in range(1, bound + 1):
-            if _euler_phi(m) > deg:
-                continue
-            phi = cyclotomic_poly(m)
-            mult = 0
-            while True:
-                q = exact_div(g, phi)
-                if q is None:
-                    break
-                g = normalize(q)
-                mult += 1
-            if mult:
-                cyclo.append((m, mult))
-            if g.is_constant():
-                break
-    # absorb any leftover constant into c
-    if g.is_constant():
-        c *= int(next(iter(g.terms.values())))
-        g = LaurentPoly.one(1)
-    return c, cyclo, g
-
-
-def _euler_phi(m: int) -> int:
-    out, n, p = 1, m, 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out *= (p - 1) * p ** (k - 1)
-        p += 1
-    if n > 1:
-        out *= n - 1
-    return out
 
 
 # -- expression parsing -----------------------------------------------------
@@ -769,22 +630,19 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class FactoredPoly:
-    """A factorization c · Π f_j^{μ_j} · remainder ≐ the original polynomial.
+    """A factorization c · Π f_j^{μ_j} ≐ the original polynomial.
 
-    Resolved factors are canonical, pairwise non-associate; the remainder
-    (when present) carries whatever could not be split into known factors.
+    The factors f_j are irreducible, canonical and pairwise non-associate;
+    `factors` holds the pairs (f_j, μ_j).
     """
 
     constant: int
-    resolved_factors: Tuple[Tuple[LaurentPoly, int, bool], ...]
-    unresolved_remainder: Optional[LaurentPoly] = None
+    factors: Tuple[Tuple[LaurentPoly, int], ...]
 
     def reassembled(self, nvars: int) -> LaurentPoly:
         acc = LaurentPoly.constant(nvars, self.constant)
-        for f, mu, _ in self.resolved_factors:
+        for f, mu in self.factors:
             acc = acc * f ** mu
-        if self.unresolved_remainder is not None:
-            acc = acc * self.unresolved_remainder
         return acc
 
 
@@ -797,20 +655,14 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     if g.is_constant():
         return FactoredPoly(c, ())
     _, parts = _to_ring(g, "ZZ")[1].factor_list()
-    factors: list = []
+    mults: dict = {}
     for p, mult in parts:
         # over Z the factors are primitive, the content is split off
         piece = normalize(_from_ring(p, g.nvars))
-        if piece.is_constant():
-            continue
-        for i, (q, qm, flag) in enumerate(factors):
-            if q == piece:
-                factors[i] = (q, qm + mult, flag)
-                break
-        else:
-            factors.append((piece, int(mult), True))
-    factors.sort(key=lambda t: (sorted(t[0].terms), t[1]))
-    out = FactoredPoly(c, tuple(factors))
+        if not piece.is_constant():
+            mults[piece] = mults.get(piece, 0) + int(mult)
+    out = FactoredPoly(c, tuple(sorted(
+        mults.items(), key=lambda t: (sorted(t[0].terms), t[1]))))
     if not associates(out.reassembled(g.nvars), g):
         raise LaurentError("factorization failed to reassemble (internal bug)")
     return out

@@ -9,13 +9,11 @@ the group is not quasi-projective.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .laurent import (FactoredPoly, LaurentPoly, cyclotomic_factor, normalize,
-                      sev_decompose)
+from .cyclofield import cyclotomic_order
+from .laurent import FactoredPoly, LaurentPoly, sev_decompose
 
 CONSISTENT = "CONSISTENT"
 OBSTRUCTED = "OBSTRUCTED"
@@ -28,7 +26,7 @@ class ObstructError(ValueError):
 
 @dataclass(frozen=True)
 class ComponentDirection:
-    """Direction data of one resolved factor of the polynomial.
+    """Direction data of one factor of the polynomial.
 
     The direction is present exactly when the factor is a binomial
     t^a - c (a translated codimension-one subtorus); it is stored
@@ -41,40 +39,28 @@ class ComponentDirection:
 
 
 def _binomial_data(f: LaurentPoly):
-    """(primitive direction, c) when f = unit * (t^a - c); None otherwise."""
-    g = normalize(f)
-    if len(g.terms) != 2:
+    """(primitive direction, translated) when f ≐ t^a − c with c an
+    integer; None otherwise.  The subtorus is translated unless f ≐ t^e − 1
+    with e primitive, that is unless its image in t^e is Φ_1."""
+    sev = sev_decompose(f)
+    if sev is None:
         return None
-    (e1, c1), (e2, c2) = sorted(g.terms.items(), reverse=True)
-    # orient from the constant-side term to the leading term
-    a = tuple(x - y for x, y in zip(e1, e2))
-    if abs(c1) != 1:
+    p, e = sev
+    if len(p.terms) != 2 or p.terms[max(p.terms)] != 1:
         return None
-    c = -Fraction(c2, c1)
-    if c.denominator != 1:
-        return None
-    g0 = math.gcd(*(abs(x) for x in a))
-    if g0 == 0:
-        return None
-    prim = tuple(x // g0 for x in a)
-    first = next(x for x in prim if x)
-    if first < 0:
-        prim = tuple(-x for x in prim)
-    translated = not (c == 1 and g0 == 1)
-    return prim, int(c), translated
+    return e, cyclotomic_order(p) != 1
 
 
 def component_directions(factored: FactoredPoly) -> List[ComponentDirection]:
-    """Direction entries for each resolved factor; non-binomial factors get
-    a direction-absent entry."""
+    """Direction entries for each factor; non-binomial factors get a
+    direction-absent entry."""
     out = []
-    for f, _, _ in factored.resolved_factors:
+    for f, _ in factored.factors:
         data = _binomial_data(f)
         if data is None:
             out.append(ComponentDirection(f, None))
         else:
-            prim, c, translated = data
-            out.append(ComponentDirection(f, prim, translated))
+            out.append(ComponentDirection(f, *data))
     return out
 
 
@@ -94,7 +80,7 @@ def position_report(dirs: List[ComponentDirection], b1: int) -> PositionReport:
     """
     with_dir = [(i, d) for i, d in enumerate(dirs) if d.direction is not None]
     if not with_dir:
-        raise ObstructError("inconclusive: unresolved factors")
+        raise ObstructError("inconclusive: no factor is a binomial")
     n = len(with_dir[0][1].direction)
     pairs = []
     distinct = False
@@ -131,48 +117,52 @@ class QPVerdict:
         return out
 
 
-def qp_verdict(delta: Optional[LaurentPoly], b1: int,
+def qp_verdict(factored: Optional[FactoredPoly], b1: int,
                projective: bool = False) -> QPVerdict:
-    """Necessary conditions for quasi-projectivity from the polynomial.
+    """Necessary conditions for quasi-projectivity from the factored
+    polynomial; None stands for the zero polynomial.
 
     Projective groups need a constant polynomial.  Otherwise, with
-    b1 >= 3 the polynomial must have a single essential variable whose
-    univariate image is an integer times a product of cyclotomic
-    polynomials; the certificate records that decomposition.
+    b1 >= 3 every factor must be Φ_m(t^e) for one primitive direction e,
+    the single essential variable; the certificate records the constant,
+    e and the orders m with their multiplicities.
     """
-    if delta is not None and not delta.is_zero():
-        if delta.nvars != b1:
-            raise ObstructError(
-                f"polynomial has {delta.nvars} variables but b1 = {b1}")
+    factors = factored.factors if factored is not None else ()
+    if factors and factors[0][0].nvars != b1:
+        raise ObstructError(
+            f"polynomial has {factors[0][0].nvars} variables but b1 = {b1}")
     if projective:
-        if delta is None or delta.is_zero() or \
-                normalize(delta).is_constant():
+        if not factors:
             return QPVerdict(CONSISTENT, "constant polynomial as required "
                              "for a projective group")
         return QPVerdict(OBSTRUCTED, "projective group with nonconstant "
                          "polynomial")
-    if delta is None or delta.is_zero():
+    if factored is None:
         return QPVerdict(CONSISTENT, "zero polynomial imposes no condition")
     if b1 <= 1:
         return QPVerdict(CONSISTENT, "no obstruction below b1 = 2")
     if b1 == 2:
         return QPVerdict(NOT_APPLICABLE, "b1=2 groups are exempt")
-    if normalize(delta).is_constant():
+    if not factors:
         return QPVerdict(CONSISTENT, "constant polynomial",
-                         {"c": int(next(iter(normalize(delta)
-                                             .terms.values())))})
-    sev = sev_decompose(delta)
-    if sev is None:
+                         {"c": factored.constant})
+    images = [sev_decompose(f) for f, _ in factors]
+    if None in images or len({e for _, e in images}) > 1:
         return QPVerdict(OBSTRUCTED, "support is not collinear: more than "
                          "one essential variable")
-    univ, e = sev
-    c, cyclo, residual = cyclotomic_factor(univ)
-    if not normalize(residual).is_constant():
+    e = images[0][1]
+    cyclo, residual = [], LaurentPoly.one(1)
+    for (p, _), (_, mu) in zip(images, factors):
+        m = cyclotomic_order(p)
+        if m is None:
+            residual = residual * p ** mu
+        else:
+            cyclo.append([m, mu])
+    if not residual.is_constant():
         return QPVerdict(OBSTRUCTED, "univariate image has a "
                          "non-cyclotomic factor",
-                         {"e": list(e),
-                          "residual": residual.render(("u",))})
+                         {"e": list(e), "residual": residual.render(("u",))})
     return QPVerdict(CONSISTENT, "single essential variable with "
                      "cyclotomic univariate image",
-                     {"c": c, "e": list(e),
-                      "cyclotomic_orders": [list(p) for p in cyclo]})
+                     {"c": factored.constant, "e": list(e),
+                      "cyclotomic_orders": sorted(cyclo)})

@@ -141,14 +141,11 @@ def seifert_twisted_betti(d: SpliceData,
         alpha = alpha * (vals[j] ** d.n_j(j))
     if not (alpha ** d.big_n_prime).is_one():
         return 0
-    order = alpha.multiplicative_order(d.big_n_prime)
-    if order is None:
-        return 0
-    m = _mult_at_order(d, order)
+    m = _mult_at_order(d, alpha.multiplicative_order(d.big_n_prime))
     # independent orbifold-Euler count
     i_alpha = sum(1 for j in range(d.q, d.q + d.s)
                   if (alpha ** d.n_prime_j(j)).is_one())
     if m != (d.q - 2) + d.s - i_alpha:
         raise SeifertError("multiplicity disagrees with orbifold count "
                            "(internal bug)")
-    return max(m, 0)
+    return m

@@ -162,19 +162,20 @@ def test_criterion_08_seifert_example():
 
 def test_criterion_09_obstruction_suite():
     delta52 = parse_poly("(x2-1)*(x1*x2+1)^2*(x2*x3+1)^2", X3)
-    assert qp_verdict(delta52, 3).verdict == OBSTRUCTED
+    assert qp_verdict(factor_poly(delta52), 3).verdict == OBSTRUCTED
     for n in (3, 4, 5):
         names = tuple(f"t{i+1}" for i in range(n))
         u = "*".join(names)
         delta = parse_poly(f"({u} - 1)^{n - 2}", names)
-        v = qp_verdict(delta, n)
+        v = qp_verdict(factor_poly(delta), n)
         assert v.verdict == CONSISTENT
         assert v.certificate["cyclotomic_orders"] == [[1, n - 2]]
-    assert qp_verdict(parse_poly("5", X3), 3,
+    assert qp_verdict(factor_poly(parse_poly("5", X3)), 3,
                       projective=True).verdict == CONSISTENT
-    assert qp_verdict(delta52, 3, projective=True).verdict == OBSTRUCTED
+    assert qp_verdict(factor_poly(delta52), 3,
+                      projective=True).verdict == OBSTRUCTED
     two_factors = parse_poly("(x1*x2-1)*(x2*x3-1)", X3)
-    assert qp_verdict(two_factors, 3).verdict == OBSTRUCTED
+    assert qp_verdict(factor_poly(two_factors), 3).verdict == OBSTRUCTED
     _report(9, "obstruction verdicts match on all required shapes")
 
 

@@ -62,3 +62,33 @@ def test_sympy_polynomials_only_in_laurent():
     assert found == []
     laurent = dict(_modules())["laurent.py"]
     assert list(_sympy_poly_references(laurent))
+
+
+def _unused_locals(func):
+    """Names that `func` binds in its own body but never reads; parameters
+    and `_` are exempt.  Reads in nested functions count."""
+    nested = [node for node in ast.walk(func)
+              if node is not func and isinstance(
+                  node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    inner = {id(node) for scope in nested for node in ast.walk(scope)}
+    args = func.args
+    params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    params |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    bound, read = set(), set()
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Name):
+            continue
+        if isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif id(node) not in inner:
+            bound.add(node.id)
+    return sorted(bound - read - params - {"_"})
+
+
+def test_no_unused_locals():
+    unused = [f"{name}:{node.name} {local}"
+              for name, tree in _modules()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for local in _unused_locals(node)]
+    assert unused == []

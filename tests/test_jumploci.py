@@ -128,6 +128,15 @@ def test_semisimple_report_diagonal_blocks():
     assert (entry2.mu, entry2.b1, entry2.equality) == (2, 1, False)
 
 
+def test_semisimple_report_cyclotomic_roots():
+    text = "(t^2+t+1)^2*(t^4+1)"
+    m = load_matrix(("t",), [[text]])
+    rep = semisimple_equality_report(m, factor_poly(parse_poly(text, ("t",))))
+    assert [(e.root, e.mu, e.b1, e.equality) for e in rep] == [
+        (CycloNumber.root_of_unity(3), 2, 1, False),
+        (CycloNumber.root_of_unity(8), 1, 1, True)]
+
+
 def test_monodromy_jordan_block():
     rep = monodromy_analysis([[-1, 1], [0, -1]])
     assert rep.delta.render(("t",)) == "t^2 + 2*t + 1"

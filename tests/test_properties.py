@@ -1,20 +1,23 @@
 """Randomized property suites with fixed seeds."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                delta_chain, elementary_ideal_minors,
                                fox_matrix)
-from alexkit.cyclofield import (CONDUCTOR_CAP, CycloNumber, cyclotomic_poly,
-                                rank_over_field)
+from alexkit.cyclofield import (CONDUCTOR_CAP, CycloNumber,
+                                _totient_preimages, cyclotomic_order,
+                                cyclotomic_poly, rank_over_field)
 from alexkit.intlinalg import smith_normal_form
 from alexkit.laurent import (LaurentPoly, _from_ring, _to_ring, associates,
-                             cyclotomic_factor, divides, exact_div,
-                             exact_div_binomial, gcd, gcd_many, multiplicity,
-                             newton_vertices, normalize, parse_poly,
-                             sev_decompose, vanishing_order)
+                             divides, exact_div, exact_div_binomial,
+                             factor_poly, gcd, gcd_many, multiplicity,
+                             normalize, parse_poly, sev_decompose,
+                             vanishing_order)
+from alexkit.obstruct import CONSISTENT, OBSTRUCTED, QPVerdict, qp_verdict
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   word)
 from alexkit.seifert import SpliceData, seifert_delta
@@ -216,15 +219,141 @@ def test_sev_matches_collinearity_oracle():
 
 def test_cyclotomic_recognition():
     for m in range(1, 31):
-        phi = cyclotomic_poly(m)
-        c, cyclo, res = cyclotomic_factor(phi)
-        assert c == 1
-        assert cyclo == [(m, 1)]
-        assert normalize(res).is_constant()
+        assert cyclotomic_order(cyclotomic_poly(m)) == m
     for text in ("t-2", "t^2-3"):
-        c, cyclo, res = cyclotomic_factor(parse_poly(text, ("t",)))
-        assert cyclo == []
-        assert associates(res, parse_poly(text, ("t",)))
+        assert cyclotomic_order(parse_poly(text, ("t",))) is None
+
+
+def _euler_phi(m: int) -> int:
+    out, n, p = 1, m, 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out *= (p - 1) * p ** (k - 1)
+        p += 1
+    if n > 1:
+        out *= n - 1
+    return out
+
+
+def test_totient_preimages_match_brute_scan():
+    phi = [None] + [_euler_phi(m) for m in range(1, 2 * 60 * 60 + 2)]
+    for d in range(1, 61):
+        assert _totient_preimages(d) == \
+            [m for m in range(1, 2 * d * d + 2) if phi[m] == d]
+
+
+def test_cyclotomic_order_every_order_to_1000():
+    for m in range(1, 1001):
+        assert cyclotomic_order(cyclotomic_poly(m)) == m
+    for text in ("t-2", "t^2-3", "t^2+t-1", "2*t+1", "t^4+t+1"):
+        assert cyclotomic_order(parse_poly(text, ("t",))) is None
+
+
+def _cyclotomic_factor(p):
+    """The former library splitter, kept as the oracle: c · Π Φ_m^mult ·
+    residual by trial division with every Φ_m, m ≤ 2·deg² + 1."""
+    g = normalize(p)
+    c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
+    if c != 1:
+        g = LaurentPoly(1, {e: x / c for e, x in g.terms.items()})
+    deg = max(e[0] for e in g.terms)
+    cyclo = []
+    if deg > 0:
+        bound = 2 * deg * deg + 1
+        for m in range(1, bound + 1):
+            if _euler_phi(m) > deg:
+                continue
+            phi = cyclotomic_poly(m)
+            mult = 0
+            while True:
+                q = exact_div(g, phi)
+                if q is None:
+                    break
+                g = normalize(q)
+                mult += 1
+            if mult:
+                cyclo.append((m, mult))
+            if g.is_constant():
+                break
+    if g.is_constant():
+        c *= int(next(iter(g.terms.values())))
+        g = LaurentPoly.one(1)
+    return c, cyclo, g
+
+
+def _qp_oracle(delta):
+    """The former qp_verdict for a nonconstant delta and b1 >= 3: one
+    essential variable by sev_decompose, then the trial-division splitter."""
+    sev = sev_decompose(delta)
+    if sev is None:
+        return QPVerdict(OBSTRUCTED, "support is not collinear: more than "
+                         "one essential variable")
+    univ, e = sev
+    c, cyclo, residual = _cyclotomic_factor(univ)
+    if not normalize(residual).is_constant():
+        return QPVerdict(OBSTRUCTED, "univariate image has a "
+                         "non-cyclotomic factor",
+                         {"e": list(e),
+                          "residual": residual.render(("u",))})
+    return QPVerdict(CONSISTENT, "single essential variable with "
+                     "cyclotomic univariate image",
+                     {"c": c, "e": list(e),
+                      "cyclotomic_orders": [list(p) for p in cyclo]})
+
+
+def _random_direction(rng, n):
+    while True:
+        e = tuple(rng.choice([-1, 0, 0, 1, 1]) for _ in range(n))
+        if any(e) and math.gcd(*e) == 1:
+            return e
+
+
+def _along(e, coeffs):
+    """Σ c_k t^{k·e} for {k: c_k}."""
+    return LaurentPoly(len(e), {tuple(k * x for x in e): c
+                                for k, c in coeffs.items()})
+
+
+def _random_qp_delta(rng, n):
+    """c · t^shift · Π P_j(t^e)^μ_j with each P_j a Φ_m, a u^k − c or a
+    generic quadratic; a quarter of them times a binomial along a second
+    random direction."""
+    e = _random_direction(rng, n)
+    delta = LaurentPoly.constant(n, rng.choice([1, 1, 2, 3, -1, -6]))
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            m = rng.choice([1, 2, 3, 4, 5, 6, 8, 10, 12])
+            piece = _along(e, {k: c for (k,), c
+                               in cyclotomic_poly(m).terms.items()})
+        elif kind == 1:
+            piece = _along(e, {rng.randint(1, 2): 1,
+                               0: -rng.choice([-2, -1, 1, 1, 2, 3])})
+        else:
+            piece = _along(e, {2: rng.randint(1, 3), 1: rng.randint(-3, 3),
+                               0: rng.choice([-3, -2, -1, 1, 2, 3])})
+        delta = delta * piece ** rng.choice([1, 1, 1, 2])
+    if rng.random() < 0.25:
+        delta = delta * _along(_random_direction(rng, n),
+                               {1: 1, 0: -rng.choice([1, 1, 2])})
+    shift = tuple(rng.randint(-2, 2) for _ in range(n))
+    return delta * LaurentPoly.monomial(shift)
+
+
+def test_qp_verdict_matches_sev_cyclotomic_oracle():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(300):
+        n = rng.choice([3, 4])
+        delta = _random_qp_delta(rng, n)
+        got = qp_verdict(factor_poly(delta), n).as_dict(None)
+        assert got == _qp_oracle(delta).as_dict(None), delta
+        seen.add(got["reason"])
+    assert len(seen) == 3
 
 
 def test_rank_over_field_matches_brute_minors():
