@@ -33,19 +33,18 @@ class AlexanderMatrix:
     """h x m matrix over the Laurent ring, with provenance.
 
     `entries` live in the torsion-free quotient variables (num_vars of them).
-    For matrices built from a presentation, `generator_entries` additionally
-    hold the Fox derivatives abelianized only by generator exponents (one
-    variable per generator), which is what character evaluation uses.
+    `generator_entries` are what character evaluation uses: for a
+    presentation, the Fox derivatives abelianized only by generator
+    exponents (one variable per generator); in matrix mode, `entries`.
     """
 
     num_vars: int
     var_names: Tuple[str, ...]
     entries: List[List[LaurentPoly]]
     origin: str  # "presentation" | "matrix"
+    generator_entries: List[List[LaurentPoly]] = field(repr=False)
     presentation: Optional[GroupPresentation] = None
     abelian: Optional[AbelianStructure] = None
-    generator_entries: Optional[List[List[LaurentPoly]]] = field(
-        default=None, repr=False)
 
     @property
     def num_rows(self) -> int:
@@ -152,6 +151,8 @@ def load_matrix(var_names: Sequence[str],
         elif len(cur) != width:
             raise AlexanderError("ragged rows in matrix input")
         parsed.append(cur)
+    if not width:
+        raise AlexanderError("matrix input needs at least one row and column")
     return AlexanderMatrix(
         num_vars=len(names),
         var_names=names,
@@ -308,8 +309,7 @@ def generic_rank_mod(mat: AlexanderMatrix, f: LaurentPoly) -> int:
 def evaluate_matrix(mat: AlexanderMatrix, chi: Character):
     """Evaluate at a character with one value per generator (or per variable
     in matrix mode); returns a CycloNumber matrix."""
-    entries = mat.generator_entries if mat.generator_entries is not None \
-        else mat.entries
+    entries = mat.generator_entries
     if entries and len(chi) != entries[0][0].nvars:
         raise AlexanderError(
             f"character has {len(chi)} values, expected {entries[0][0].nvars}")

@@ -46,7 +46,7 @@ def _load_input(path: str, matrix_mode: bool):
     if matrix_mode:
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"bad matrix JSON: {exc}") from exc
         if not isinstance(data, dict) or "vars" not in data \
                 or "rows" not in data:

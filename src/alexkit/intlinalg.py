@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .cyclofield import Character, CycloError, CycloNumber
+from .cyclofield import Character, CycloError, CycloNumber, evaluate
+from .laurent import LaurentPoly
 from .presentation import GroupPresentation
 
 
@@ -131,14 +132,8 @@ def validate_character(p: GroupPresentation, chi: Character) -> bool:
     """True iff chi respects every relator (factors through G_ab)."""
     if len(chi) != p.num_generators:
         raise CycloError("character length does not match generator count")
-    for vec in p.exponent_matrix():
-        acc = CycloNumber.from_rational(1)
-        for val, e in zip(chi.values, vec):
-            if e:
-                acc = acc * (val ** e)
-        if not acc.is_one():
-            return False
-    return True
+    return all(evaluate(LaurentPoly.monomial(vec), chi.values).is_one()
+               for vec in p.exponent_matrix())
 
 
 def induced_torus_point(ab: AbelianStructure,
@@ -153,13 +148,8 @@ def induced_torus_point(ab: AbelianStructure,
     u, d, v = smith_normal_form(a)
     # A is surjective over Z, so d has 1s on the diagonal
     # solve y^A = chi: set chi' = chi^V, z_i = chi'_i, y = z^U
-    chi_prime = []
-    for i in range(m):
-        acc = CycloNumber.from_rational(1)
-        for j in range(m):
-            if v[j][i]:
-                acc = acc * (chi[j] ** v[j][i])
-        chi_prime.append(acc)
+    chi_prime = [evaluate(LaurentPoly.monomial([row[i] for row in v]),
+                          chi.values) for i in range(m)]
     for i in range(n):
         if d[i][i] != 1:
             return None
@@ -168,11 +158,5 @@ def induced_torus_point(ab: AbelianStructure,
         if not chi_prime[i].is_one():
             return None
     z = chi_prime[:n]
-    y = []
-    for i in range(n):
-        acc = CycloNumber.from_rational(1)
-        for k in range(n):
-            if u[k][i]:
-                acc = acc * (z[k] ** u[k][i])
-        y.append(acc)
-    return y
+    return [evaluate(LaurentPoly.monomial([row[i] for row in u]), z)
+            for i in range(n)]

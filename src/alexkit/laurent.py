@@ -15,6 +15,7 @@ in this module: `_ring` (Z[t] or Q[t] in n variables, built on first use),
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -407,53 +408,33 @@ def multiplicity(f: LaurentPoly, delta: LaurentPoly) -> int:
 
 
 def vanishing_order(f: LaurentPoly, point) -> int:
-    """ν_ρ(f): minimal total z-degree of f(ρ + z), computed exactly.
+    """ν_ρ(f): the least k such that some Euler derivative θ^α f with
+    |α| = k, θ_i = t_i ∂/∂t_i, is nonzero at ρ; computed exactly.
 
     `point` is a tuple of nonzero cyclotomic-field (or rational) values,
-    one per variable.
+    one per variable.  θ^α t^e = e^α t^e, so each derivative is one
+    `evaluate`.  θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers
+    S(α,α) = 1 is unitriangular and t^β is a unit at ρ, so this is the
+    order of vanishing of f at ρ.
     """
-    from .cyclofield import CycloNumber, common_conductor
+    from .cyclofield import evaluate
 
     if f.is_zero():
         raise LaurentError("vanishing order of the zero polynomial")
     if f.total_degree() > TOTAL_DEGREE_CAP:
         raise ComputationCapError(
             f"total degree {f.total_degree()} exceeds cap {TOTAL_DEGREE_CAP}")
-    vals = [v if isinstance(v, CycloNumber) else CycloNumber.from_rational(v)
-            for v in point]
-    if len(vals) != f.nvars:
+    if len(point) != f.nvars:
         raise LaurentError("point has wrong number of coordinates")
-    if any(v.is_zero() for v in vals):
+    if any(v == 0 for v in point):
         raise LaurentError("vanishing order needs nonzero coordinates")
-    vals = common_conductor(vals)
-    one = vals[0].ring_one()
-    # a unit times f, with nonnegative exponents: the order does not change
-    fs = normalize(f)
-    # expand f(rho + z) term by term; coefficients indexed by z-exponents
-    out: dict = {}
-    for exp, c in fs.terms.items():
-        # product over i of (rho_i + z_i)^{exp_i}
-        partial = {(0,) * f.nvars: one.scale(c)}
-        for i, e in enumerate(exp):
-            if e == 0:
-                continue
-            powers = [vals[i] ** (e - k) for k in range(e + 1)]
-            new: dict = {}
-            for zexp, coeff in partial.items():
-                for k in range(e + 1):
-                    binom = math.comb(e, k)
-                    ze = list(zexp)
-                    ze[i] += k
-                    key = tuple(ze)
-                    add = (powers[k] * coeff).scale(binom)
-                    new[key] = new[key] + add if key in new else add
-            partial = new
-        for key, v in partial.items():
-            out[key] = out[key] + v if key in out else v
-    degrees = [sum(k) for k, v in out.items() if not v.is_zero()]
-    if not degrees:
-        raise LaurentError("internal error: expansion vanished identically")
-    return min(degrees)
+    for k in itertools.count():
+        for idx in itertools.combinations_with_replacement(range(f.nvars), k):
+            derivative = LaurentPoly(f.nvars, {
+                e: c * math.prod(e[i] for i in idx)
+                for e, c in f.terms.items()})
+            if not evaluate(derivative, point).is_zero():
+                return k
 
 
 # -- single essential variable ----------------------------------------------
@@ -619,7 +600,10 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
             out = out + rhs if op == "+" else out - rhs
         return out
 
-    result = expr()
+    try:
+        result = expr()
+    except RecursionError as exc:
+        raise PolyParseError("expression nested too deeply") from exc
     if peek() is not None:
         raise PolyParseError(f"trailing tokens: {tokens[state['i']:]}")
     return result

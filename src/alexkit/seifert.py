@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .cyclofield import CycloNumber
+from .cyclofield import CycloNumber, evaluate
 from .laurent import LaurentPoly, exact_div_binomial, normalize
 
 
@@ -136,9 +136,8 @@ def seifert_twisted_betti(d: SpliceData,
         raise SeifertError(f"expected {d.q} character values")
     if all(v.is_one() for v in vals):
         raise SeifertError("trivial character excluded")
-    alpha = CycloNumber.from_rational(1)
-    for j in range(d.q):
-        alpha = alpha * (vals[j] ** d.n_j(j))
+    alpha = evaluate(LaurentPoly.monomial([d.n_j(j) for j in range(d.q)]),
+                     vals)
     if not (alpha ** d.big_n_prime).is_one():
         return 0
     m = _mult_at_order(d, alpha.multiplicative_order(d.big_n_prime))

@@ -1,14 +1,10 @@
 """Acceptance suite: one criterion per test, one printed pass line each."""
 
-import itertools
-
-from alexkit.alexander import (alexander_poly, fox_matrix, generic_rank_mod,
-                               load_matrix)
+from alexkit.alexander import alexander_poly, fox_matrix, generic_rank_mod
 from alexkit.cyclofield import Character, CycloNumber
 from alexkit.intlinalg import abelianization
-from alexkit.jumploci import (almost_principal_status, bounds_report,
-                              monodromy_analysis, semisimple_equality_report,
-                              twisted_betti)
+from alexkit.jumploci import (bounds_report, monodromy_analysis,
+                              semisimple_equality_report, twisted_betti)
 from alexkit.laurent import (associates, factor_poly, multiplicity,
                              normalize, parse_poly, vanishing_order)
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, qp_verdict

@@ -10,7 +10,7 @@ from alexkit.laurent import (ComputationCapError, LaurentPoly, associates,
                              divides, parse_poly)
 from alexkit.presentation import parse_presentation
 
-from conftest import load_matrix_fixture, load_presentation
+from conftest import load_matrix_fixture
 
 X3 = ("x1", "x2", "x3")
 

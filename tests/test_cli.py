@@ -190,10 +190,15 @@ def test_betti_rejects_nonpositive_depth(capsys, depth):
     {"vars": ["x"], "rows": "x"},
     {"vars": ["x"], "rows": ["x"]},
     {"vars": ["x"], "rows": [["x"], ["x", "1"]]},
+    {"vars": ["x"], "rows": [[]]},
+    {"vars": ["x"], "rows": []},
+    {"vars": ["x"], "rows": [["(" * 3000 + "x" + ")" * 3000]]},
+    '{"vars": ["x"], "rows": ' + "[" * 100000 + "]" * 100000 + "}",
 ])
 def test_matrix_json_schema_errors(tmp_path, capsys, grid):
+    """`grid` is a JSON value to dump, or raw text for the file."""
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(grid))
+    bad.write_text(grid if isinstance(grid, str) else json.dumps(grid))
     for command in (["invariants"], ["betti", "--char", "x=-1"]):
         code = main(command[:1] + ["--matrix", str(bad)] + command[1:])
         captured = capsys.readouterr()

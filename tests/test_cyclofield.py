@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from alexkit.cyclofield import (Character, CycloError, CycloNumber,
-                                cyclotomic_poly, evaluate, parse_character,
-                                rank_over_field)
+from alexkit.cyclofield import (CycloError, CycloNumber, cyclotomic_poly,
+                                evaluate, parse_character, rank_over_field)
 from alexkit.laurent import parse_poly
 
 R = CycloNumber.from_rational

@@ -1,19 +1,21 @@
 """Source checks on the alexkit package, by reading its syntax trees."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import alexkit
 
 PACKAGE = Path(alexkit.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 # sympy's polynomial entry points; alexkit reaches them only via laurent.py
 POLY_NAMES = {"Poly", "PurePoly", "div", "rem", "quo", "gcd", "gcdex",
               "invert", "expand", "sqf_list", "factor_list",
               "cyclotomic_poly", "ring", "PolyRing"}
 
 
-def _modules():
-    for path in sorted(PACKAGE.glob("*.py")):
+def _modules(directory=PACKAGE):
+    for path in sorted(directory.glob("*.py")):
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
@@ -29,8 +31,9 @@ def _imported_names(tree):
 
 
 def test_no_unused_imports():
+    """In the package and in these tests."""
     unused = []
-    for name, tree in _modules():
+    for name, tree in itertools.chain(_modules(), _modules(TESTS)):
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
         unused += [f"{name}:{line} {bound}"

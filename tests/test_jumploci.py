@@ -1,6 +1,6 @@
 import pytest
 
-from alexkit.alexander import alexander_poly, fox_matrix, load_matrix
+from alexkit.alexander import alexander_poly, load_matrix
 from alexkit.cyclofield import Character, CycloNumber
 from alexkit.jumploci import (BoundInconsistencyError, JumpLociError,
                               almost_principal_status, bounds_report,

@@ -2,8 +2,8 @@ import pytest
 
 from alexkit.presentation import (EMPTY_WORD, GroupPresentation,
                                   PresentationError, Word, commutator,
-                                  free_reduce_letters, parse_presentation,
-                                  render_presentation, word)
+                                  parse_presentation, render_presentation,
+                                  word)
 
 
 def test_free_reduction_merges_and_cancels():

@@ -9,14 +9,16 @@ from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                delta_chain, elementary_ideal_minors,
                                fox_matrix)
 from alexkit.cyclofield import (CONDUCTOR_CAP, CycloNumber,
-                                _totient_preimages, cyclotomic_order,
-                                cyclotomic_poly, rank_over_field)
+                                _totient_preimages, common_conductor,
+                                cyclotomic_order, cyclotomic_poly,
+                                rank_over_field)
 from alexkit.intlinalg import smith_normal_form
-from alexkit.laurent import (LaurentPoly, _from_ring, _to_ring, associates,
-                             divides, exact_div, exact_div_binomial,
-                             factor_poly, gcd, gcd_many, multiplicity,
-                             normalize, parse_poly, sev_decompose,
-                             vanishing_order)
+from alexkit.laurent import (TOTAL_DEGREE_CAP, ComputationCapError,
+                             LaurentError, LaurentPoly, _from_ring, _to_ring,
+                             associates, divides, exact_div,
+                             exact_div_binomial, factor_poly, gcd, gcd_many,
+                             multiplicity, normalize, parse_poly,
+                             sev_decompose, vanishing_order)
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, QPVerdict, qp_verdict
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   word)
@@ -173,6 +175,87 @@ def test_vanishing_order_additivity():
         point = tuple(rng.choice(roots) for _ in range(nvars))
         assert vanishing_order(f * g, point) == \
             vanishing_order(f, point) + vanishing_order(g, point)
+
+
+def _expansion_order(f: LaurentPoly, point) -> int:
+    """ν_ρ(f) as the minimal total z-degree of f(ρ + z): the definition,
+    kept as the oracle for `vanishing_order`."""
+    if f.is_zero():
+        raise LaurentError("vanishing order of the zero polynomial")
+    if f.total_degree() > TOTAL_DEGREE_CAP:
+        raise ComputationCapError(
+            f"total degree {f.total_degree()} exceeds cap {TOTAL_DEGREE_CAP}")
+    vals = [v if isinstance(v, CycloNumber) else CycloNumber.from_rational(v)
+            for v in point]
+    if len(vals) != f.nvars:
+        raise LaurentError("point has wrong number of coordinates")
+    if any(v.is_zero() for v in vals):
+        raise LaurentError("vanishing order needs nonzero coordinates")
+    vals = common_conductor(vals)
+    one = vals[0].ring_one()
+    # a unit times f, with nonnegative exponents: the order does not change
+    fs = normalize(f)
+    # expand f(rho + z) term by term; coefficients indexed by z-exponents
+    out: dict = {}
+    for exp, c in fs.terms.items():
+        # product over i of (rho_i + z_i)^{exp_i}
+        partial = {(0,) * f.nvars: one.scale(c)}
+        for i, e in enumerate(exp):
+            if e == 0:
+                continue
+            powers = [vals[i] ** (e - k) for k in range(e + 1)]
+            new: dict = {}
+            for zexp, coeff in partial.items():
+                for k in range(e + 1):
+                    binom = math.comb(e, k)
+                    ze = list(zexp)
+                    ze[i] += k
+                    key = tuple(ze)
+                    add = (powers[k] * coeff).scale(binom)
+                    new[key] = new[key] + add if key in new else add
+            partial = new
+        for key, v in partial.items():
+            out[key] = out[key] + v if key in out else v
+    degrees = [sum(k) for k, v in out.items() if not v.is_zero()]
+    if not degrees:
+        raise LaurentError("internal error: expansion vanished identically")
+    return min(degrees)
+
+
+def _rational_power(n, coords, e):
+    """ρ^e when it is rational, else None, for ρ_i = q_i·ζ_n^{k_i} given as
+    the pairs (q_i, k_i)."""
+    j = sum(k * x for (_, k), x in zip(coords, e)) % n
+    if 2 * j % n:
+        return None
+    return (-1 if j else 1) * math.prod(
+        Fraction(q) ** x for (q, _), x in zip(coords, e))
+
+
+def test_vanishing_order_matches_expansion_oracle():
+    """Points of conductor 1, 2, 3, 4, 5 and 12, scaled by the rationals 2
+    and −1/3; f is a product of binomials t^e − ρ^e, which vanish at ρ,
+    with a generic factor, and has negative exponents."""
+    rng = random.Random(20241018)
+    small = {nvars: [e for e in itertools.product(range(-6, 7), repeat=nvars)
+                     if 0 < sum(map(abs, e)) <= 6] for nvars in (1, 2, 3)}
+    seen = set()
+    for _ in range(300):
+        nvars = rng.randrange(1, 4)
+        n = rng.choice((1, 2, 3, 4, 5, 12))
+        coords = [(rng.choice((1, 1, 2, Fraction(-1, 3))), rng.randrange(n))
+                  for _ in range(nvars)]
+        point = tuple(CycloNumber.root_of_unity(n, k).scale(q)
+                      for q, k in coords)
+        binomials = [LaurentPoly.monomial(e) - c for e in small[nvars]
+                     if (c := _rational_power(n, coords, e)) is not None]
+        f = random_poly(rng, nvars, 3)
+        for _ in range(rng.randrange(4)):
+            f = f * rng.choice(binomials)
+        nu = vanishing_order(f, point)
+        assert nu == _expansion_order(f, point)
+        seen.add(nu)
+    assert seen >= {0, 1, 2, 3}
 
 
 def test_multiplicity_random():

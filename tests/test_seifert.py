@@ -4,9 +4,8 @@ from alexkit.alexander import alexander_poly
 from alexkit.cyclofield import CycloNumber, cyclotomic_poly
 from alexkit.laurent import (associates, multiplicity, parse_poly,
                              sev_decompose)
-from alexkit.seifert import (DivisorComponent, SeifertError, SpliceData,
-                             seifert_delta, seifert_divisor,
-                             seifert_twisted_betti)
+from alexkit.seifert import (SeifertError, SpliceData, seifert_delta,
+                             seifert_divisor, seifert_twisted_betti)
 
 R = CycloNumber.from_rational
 T3 = ("t1", "t2", "t3")
