@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cyclofield import Character, CycloNumber, evaluate
+from .cyclofield import Character, evaluate
 from .intlinalg import AbelianStructure, abelianization
 from .laurent import (ComputationCapError, LaurentPoly, _from_ring, _to_ring,
                       default_names, divides, exact_div_binomial, gcd_many,
@@ -52,8 +52,8 @@ class AlexanderMatrix:
 
     @property
     def num_cols(self) -> int:
-        return len(self.entries[0]) if self.entries else (
-            self.presentation.num_generators if self.presentation else 0)
+        return len(self.entries[0]) if self.entries else \
+            self.presentation.num_generators
 
     def fox_identity_holds(self) -> bool:
         """Check sum_j entry(i,j)·(t^{phi(x_j)} − 1) = 0 for every row."""
@@ -313,7 +313,7 @@ def evaluate_matrix(mat: AlexanderMatrix, chi: Character):
     if entries and len(chi) != entries[0][0].nvars:
         raise AlexanderError(
             f"character has {len(chi)} values, expected {entries[0][0].nvars}")
-    return [[evaluate(e, chi.values) for e in row] for row in entries]
+    return [[evaluate(e, chi) for e in row] for row in entries]
 
 
 # -- univariate invariant factors -------------------------------------------
@@ -382,15 +382,14 @@ def _poly_smith(grid):
 
 
 def elementary_divisor_exponents(invariant_factors: List[LaurentPoly],
-                                 root) -> dict:
-    """e_k(z): number of invariant factors with (t−z)-multiplicity exactly k."""
-    if not isinstance(root, CycloNumber):
-        root = CycloNumber.from_rational(root)
+                                 root: Character) -> dict:
+    """e_k(z): number of invariant factors with (t−z)-multiplicity exactly k,
+    for z the value of a one-coordinate character."""
     out: dict = {}
     for f in invariant_factors:
         if normalize(f).is_constant():
             continue
-        nu = vanishing_order(f, (root,))
+        nu = vanishing_order(f, root)
         if nu > 0:
             out[nu] = out.get(nu, 0) + 1
     return out

@@ -17,7 +17,7 @@ from .cyclofield import CycloError, parse_character
 from .jumploci import (JumpLociError, almost_principal_status, bounds_report,
                        twisted_betti)
 from .laurent import (ComputationCapError, FactoredPoly, LaurentError,
-                      factor_poly)
+                      default_names, factor_poly)
 from .obstruct import ObstructError, qp_verdict
 from .presentation import PresentationError, parse_presentation
 from .seifert import (SeifertError, SpliceData, seifert_delta,
@@ -169,7 +169,6 @@ def cmd_seifert(args) -> int:
         raise InputError(f"bad weights {args.weights!r}") from exc
     data = SpliceData(weights, args.q)
     delta = seifert_delta(data)
-    from .laurent import default_names
     names = default_names(data.q)
     report: dict = {
         "weights": list(data.weights),
@@ -182,7 +181,7 @@ def cmd_seifert(args) -> int:
     if args.char:
         chi = parse_character(args.char, names)
         report["char"] = args.char
-        report["b1"] = seifert_twisted_betti(data, chi.values)
+        report["b1"] = seifert_twisted_betti(data, chi)
     _emit(report, args.pretty)
     return EXIT_OK
 

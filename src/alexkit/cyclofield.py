@@ -3,7 +3,9 @@
 A CycloNumber is a polynomial in ζ_N with rational coefficients, reduced
 mod Φ_N.  No complex embedding is chosen: ζ_N is the class of t in
 Q[t]/(Φ_N), which is all that exact ranks and vanishing orders need.
-Mixed-conductor arithmetic lifts both operands to the lcm conductor.
+A Character is an exponent vector: its values are q_i·ζ_N^{k_i}, so a
+monomial at a character is one more such value (`Character.pull`), and a
+polynomial's value is a sum of rationals in N buckets (`evaluate`).
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from sympy.ntheory import divisors, isprime
 
@@ -98,108 +101,52 @@ def _reduce(coeffs: List[Fraction], n: int) -> tuple:
     return tuple(coeffs)
 
 
+def _check_conductor(n: int) -> None:
+    if n < 1:
+        raise CycloError("conductor must be positive")
+    if n > CONDUCTOR_CAP:
+        raise ComputationCapError(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
+
+
 class CycloNumber:
-    """An element of Q(ζ_N), reduced mod Φ_N."""
+    """An element of Q(ζ_N), reduced mod Φ_N.  Both operands of an
+    operation must have the same conductor N."""
 
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs: Sequence):
-        if conductor < 1:
-            raise CycloError("conductor must be positive")
-        if conductor > CONDUCTOR_CAP:
-            raise ComputationCapError(
-                f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
+        _check_conductor(conductor)
         self.conductor = conductor
         self.coeffs = _reduce([Fraction(c) for c in coeffs], conductor)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q) -> "CycloNumber":
-        return cls(1, [Fraction(q)])
-
-    @classmethod
-    def root_of_unity(cls, n: int, k: int = 1) -> "CycloNumber":
-        """ζ_n^k."""
-        if n < 1:
-            raise CycloError("order must be positive")
-        k %= n
-        g = math.gcd(k, n) if k else n
-        order = n // g if k else 1
-        kk = k // g if k else 0
-        coeffs = [Fraction(0)] * (kk + 1)
-        coeffs[kk] = Fraction(1)
-        return cls(order, coeffs)
-
-    def ring_one(self) -> "CycloNumber":
-        return CycloNumber(self.conductor, [Fraction(1)])
-
-    # -- basics ------------------------------------------------------------
+    def _check(self, other: "CycloNumber") -> None:
+        if other.conductor != self.conductor:
+            raise CycloError(f"conductors {self.conductor} and "
+                             f"{other.conductor} differ")
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def is_one(self) -> bool:
-        return self == CycloNumber.from_rational(1)
-
-    def as_rational(self) -> Optional[Fraction]:
-        """The value as a Fraction when it lies in Q, else None."""
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0] if self.coeffs else Fraction(0)
-        return None
-
-    def _lift(self, n: int) -> "CycloNumber":
-        """Rewrite in Q(ζ_n), where conductor | n."""
-        if n == self.conductor:
-            return self
-        step = n // self.conductor
-        out = [Fraction(0)] * (len(self.coeffs) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] += c
-        return CycloNumber(n, out)
-
-    def _pair(self, other) -> tuple:
-        if not isinstance(other, CycloNumber):
-            other = CycloNumber.from_rational(other)
-        n = math.lcm(self.conductor, other.conductor)
-        return self._lift(n), other._lift(n)
-
-    # -- arithmetic --------------------------------------------------------
-
     def __add__(self, other):
-        a, b = self._pair(other)
-        return CycloNumber(a.conductor,
-                           [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloNumber(self.conductor, [-c for c in self.coeffs])
+        self._check(other)
+        return CycloNumber(self.conductor,
+                           [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return CycloNumber(a.conductor,
-                           [x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __rsub__(self, other):
-        return (-self) + other
+        self._check(other)
+        return CycloNumber(self.conductor,
+                           [x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1 or 1)
-        for i, x in enumerate(a.coeffs):
+        self._check(other)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+        for i, x in enumerate(self.coeffs):
             if x == 0:
                 continue
-            for j, y in enumerate(b.coeffs):
+            for j, y in enumerate(other.coeffs):
                 if y:
                     out[i + j] += x * y
-        return CycloNumber(a.conductor, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, q) -> "CycloNumber":
-        q = Fraction(q)
-        return CycloNumber(self.conductor, [c * q for c in self.coeffs])
+        return CycloNumber(self.conductor, out)
 
     def inverse(self) -> "CycloNumber":
         if self.is_zero():
@@ -211,92 +158,76 @@ class CycloNumber:
         return CycloNumber(self.conductor,
                            [inv.get((i,), 0) for i in range(len(self.coeffs))])
 
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        return a * b.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CycloNumber(self.conductor, [Fraction(1)])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(other)
         if not isinstance(other, CycloNumber):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
-
-    __hash__ = None  # equality lifts conductors; not usable as a dict key
+        self._check(other)
+        return self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"CycloNumber(zeta{self.conductor}: {list(self.coeffs)})"
-
-    def multiplicative_order(self, bound: int) -> Optional[int]:
-        """Smallest d ≤ bound with self^d = 1, or None."""
-        acc = self.ring_one()
-        for d in range(1, bound + 1):
-            acc = acc * self
-            if acc.is_one():
-                return d
-        return None
-
-
-def common_conductor(values: Sequence[CycloNumber]) -> List[CycloNumber]:
-    n = math.lcm(*(v.conductor for v in values)) if values else 1
-    if n > CONDUCTOR_CAP:
-        raise ComputationCapError(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
-    return [v._lift(n) for v in values]
 
 
 # -- characters -------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Character:
-    """A tuple of nonzero cyclotomic values, one per generator (or variable)."""
+    """A rank-one character, one value per generator (or variable): value
+    i is scales[i]·ζ_N^exps[i], N the conductor.  Every character alexkit
+    reads or builds has this form.
 
-    def __init__(self, values: Sequence[CycloNumber]):
-        vals = []
-        for v in values:
-            if not isinstance(v, CycloNumber):
-                v = CycloNumber.from_rational(v)
-            if v.is_zero():
-                raise CycloError("character values must be nonzero")
-            vals.append(v)
-        self.values = tuple(vals)
+    For even N the scales are kept positive (−1 = ζ_N^{N/2}), so that two
+    characters at one conductor are equal exactly when their values are,
+    and a value is 1 exactly when its scale is 1 and its exponent 0."""
+
+    conductor: int
+    scales: Tuple[Fraction, ...]
+    exps: Tuple[int, ...]
+
+    def __post_init__(self):
+        _check_conductor(self.conductor)
+        if len(self.scales) != len(self.exps):
+            raise CycloError("character needs one scale per exponent")
+        if any(q == 0 for q in self.scales):
+            raise CycloError("character values must be nonzero")
+        n = self.conductor
+        values = [(-q, k + n // 2) if q < 0 and n % 2 == 0 else (q, k)
+                  for q, k in zip(self.scales, self.exps)]
+        object.__setattr__(self, "scales",
+                           tuple(Fraction(q) for q, _ in values))
+        object.__setattr__(self, "exps", tuple(k % n for _, k in values))
 
     def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
+        return len(self.exps)
 
     def is_trivial(self) -> bool:
-        return all(v.is_one() for v in self.values)
+        return all(q == 1 for q in self.scales) and not any(self.exps)
 
-    def __repr__(self):
-        return f"Character({list(self.values)})"
+    def pull(self, vectors: Iterable[Sequence[int]]) -> "Character":
+        """ρ^e for each exponent vector e, as one character: its values
+        are ∏_j q_j^{e_j}·ζ_N^{Σ_j k_j·e_j}.  Every monomial alexkit
+        evaluates at a character is evaluated here."""
+        scaled = [(j, q) for j, q in enumerate(self.scales) if q != 1]
+        scales, exps = [], []
+        for e in vectors:
+            if len(e) != len(self.exps):
+                raise CycloError("exponent vector has wrong length")
+            scales.append(math.prod((q ** e[j] for j, q in scaled),
+                                    start=Fraction(1)))
+            exps.append(sum(k * x for k, x in zip(self.exps, e)))
+        return Character(self.conductor, tuple(scales), tuple(exps))
 
 
+_RATIONAL = r"-?\d+(?:/0*[1-9]\d*)?"  # a denominator is never zero
 _VALUE = re.compile(
-    r"^\s*(?:(?P<mult>-?\d+(?:/\d+)?)\s*\*\s*)?"
-    r"(?:(?P<zeta>zeta(?P<n>\d+))(?:\^(?P<k>-?\d+))?|(?P<rat>-?\d+(?:/\d+)?))\s*$")
+    rf"^\s*(?:(?P<mult>{_RATIONAL})\s*\*\s*)?"
+    rf"(?:(?P<zeta>zeta(?P<n>\d+))(?:\^(?P<k>-?\d+))?|(?P<rat>{_RATIONAL}))\s*$")
 
 
 def parse_character(text: str, names: Sequence[str]) -> Character:
-    """Parse `name=value, ...` with values rational or zetaN^k."""
+    """Parse `name=value, ...`; a value is a rational, zetaN, zetaN^k or
+    q*zetaN^k (such as -1*zeta3^2)."""
     assignments = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -311,44 +242,39 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
         m = _VALUE.match(value)
         if not m:
             raise CycloError(f"bad character value {value!r}")
+        order, k = 1, 0
         if m.group("zeta"):
-            n = int(m.group("n"))
-            k = int(m.group("k") or 1)
-            val = CycloNumber.root_of_unity(n, k)
-        else:
-            val = CycloNumber.from_rational(Fraction(m.group("rat")))
-        if m.group("mult"):
-            val = val.scale(Fraction(m.group("mult")))
-        assignments[name] = val
+            n, k = int(m.group("n")), int(m.group("k") or 1)
+            if n < 1:
+                raise CycloError("order must be positive")
+            g = math.gcd(n, k)
+            order, k = n // g, k // g
+            _check_conductor(order)
+        scale = Fraction(m.group("mult") or 1) * Fraction(m.group("rat") or 1)
+        assignments[name] = (scale, order, k)
     missing = [n for n in names if n not in assignments]
     if missing:
         raise CycloError(f"character missing values for {missing}")
-    return Character([assignments[n] for n in names])
+    values = [assignments[n] for n in names]
+    conductor = math.lcm(*(order for _, order, _ in values))
+    return Character(conductor, tuple(q for q, _, _ in values),
+                     tuple(k * (conductor // order) for _, order, k in values))
 
 
 # -- evaluation and exact rank ----------------------------------------------
 
 
-def evaluate(f: LaurentPoly, point) -> CycloNumber:
-    """Exact value of f at a tuple of nonzero cyclotomic coordinates."""
-    if isinstance(point, Character):
-        point = point.values
-    vals = [v if isinstance(v, CycloNumber) else CycloNumber.from_rational(v)
-            for v in point]
-    if len(vals) != f.nvars:
+def evaluate(f: LaurentPoly, chi: Character) -> CycloNumber:
+    """Exact value of f at the character chi: each term c·t^e adds c·q to
+    the bucket of ζ_N^k, where q·ζ_N^k is chi's value at e, and the
+    buckets are reduced mod Φ_N once."""
+    if len(chi) != f.nvars:
         raise CycloError("point has wrong number of coordinates")
-    if any(v.is_zero() for v in vals):
-        raise CycloError("evaluation needs nonzero coordinates")
-    vals = common_conductor(vals)
-    one = vals[0].ring_one() if vals else CycloNumber.from_rational(1)
-    acc = CycloNumber.from_rational(0)
-    for exp, c in f.terms.items():
-        term = one.scale(c)
-        for v, e in zip(vals, exp):
-            if e:
-                term = term * (v ** e)
-        acc = acc + term
-    return acc
+    values = chi.pull(f.terms)
+    buckets = [Fraction(0)] * chi.conductor
+    for c, q, k in zip(f.terms.values(), values.scales, values.exps):
+        buckets[k] += c * q
+    return CycloNumber(chi.conductor, buckets)
 
 
 def rank_over_field(matrix: Sequence[Sequence[CycloNumber]]) -> int:

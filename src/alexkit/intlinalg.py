@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .cyclofield import Character, CycloError, CycloNumber, evaluate
-from .laurent import LaurentPoly
+from .cyclofield import Character, CycloError
 from .presentation import GroupPresentation
 
 
@@ -132,31 +131,27 @@ def validate_character(p: GroupPresentation, chi: Character) -> bool:
     """True iff chi respects every relator (factors through G_ab)."""
     if len(chi) != p.num_generators:
         raise CycloError("character length does not match generator count")
-    return all(evaluate(LaurentPoly.monomial(vec), chi.values).is_one()
-               for vec in p.exponent_matrix())
+    return chi.pull(p.exponent_matrix()).is_trivial()
 
 
 def induced_torus_point(ab: AbelianStructure,
-                        chi: Character) -> Optional[List[CycloNumber]]:
-    """Coordinates y with y^(A column j) = chi_j for all j, if chi factors
+                        chi: Character) -> Optional[Character]:
+    """The point y with y^(A column j) = chi_j for all j, if chi factors
     through the torsion-free quotient; None otherwise."""
     a = [list(row) for row in ab.abf_projection]
     n = len(a)
     m = len(chi)
     if n == 0:
-        return [] if all(v.is_one() for v in chi.values) else None
+        return chi.pull([]) if chi.is_trivial() else None
     u, d, v = smith_normal_form(a)
     # A is surjective over Z, so d has 1s on the diagonal
     # solve y^A = chi: set chi' = chi^V, z_i = chi'_i, y = z^U
-    chi_prime = [evaluate(LaurentPoly.monomial([row[i] for row in v]),
-                          chi.values) for i in range(m)]
     for i in range(n):
         if d[i][i] != 1:
             return None
+    columns = [[row[i] for row in v] for i in range(m)]
     # consistency: coordinates past n must be trivial
-    for i in range(n, m):
-        if not chi_prime[i].is_one():
-            return None
-    z = chi_prime[:n]
-    return [evaluate(LaurentPoly.monomial([row[i] for row in u]), z)
-            for i in range(n)]
+    if not chi.pull(columns[n:]).is_trivial():
+        return None
+    z = chi.pull(columns[:n])
+    return z.pull([[row[i] for row in u] for i in range(n)])

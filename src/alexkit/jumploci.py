@@ -16,9 +16,9 @@ import sympy
 
 from .alexander import (AlexanderMatrix, elementary_divisor_exponents,
                         evaluate_matrix, univariate_invariant_factors)
-from .cyclofield import (Character, CycloNumber, cyclotomic_order,
-                         rank_over_field)
-from .intlinalg import induced_torus_point, validate_character
+from .cyclofield import Character, cyclotomic_order, rank_over_field
+from .intlinalg import (abelianization, induced_torus_point,
+                        validate_character)
 from .laurent import (FactoredPoly, LaurentPoly, factor_poly, normalize,
                       vanishing_order)
 from .presentation import GroupPresentation
@@ -64,13 +64,13 @@ def cv_membership(mat: AlexanderMatrix, rho: Character, k: int) -> bool:
     return twisted_betti(mat, rho) >= k
 
 
-def torus_point(mat: AlexanderMatrix, rho: Character):
-    """Coordinates of rho on the identity component of the character torus,
+def torus_point(mat: AlexanderMatrix, rho: Character) -> Optional[Character]:
+    """rho as a point of the identity component of the character torus,
     or None when rho does not factor through the torsion-free quotient."""
     _check_character(mat, rho)
     if mat.origin == "presentation":
         return induced_torus_point(mat.abelian, rho)
-    return list(rho.values)
+    return rho
 
 
 APStatus = Tuple[str, Optional[str]]  # ("Yes"|"Unknown", reason)
@@ -80,7 +80,6 @@ def almost_principal_status(p: GroupPresentation,
                             asserted: Optional[str] = None) -> APStatus:
     """Sufficient conditions for the first elementary ideal to be almost
     principal; Unknown when none applies."""
-    from .intlinalg import abelianization
     if abelianization(p).rank == 1:
         return ("Yes", "b1=1")
     if p.num_generators - p.num_relators >= 1:
@@ -155,24 +154,24 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
 # -- roots of univariate factors --------------------------------------------
 
 
-def _factor_root(f: LaurentPoly):
-    """A representative root of a univariate irreducible factor as an exact
-    cyclotomic value: rational for linear factors, a root of unity for
-    cyclotomic factors, None otherwise."""
+def _factor_root(f: LaurentPoly) -> Optional[Character]:
+    """A representative root of a univariate irreducible factor as a
+    one-coordinate character: rational for linear factors, a primitive
+    root of unity for cyclotomic factors, None otherwise."""
     g = normalize(f)
     deg = max(e[0] for e in g.terms)
     if deg == 1:
         a = g.terms.get((1,), Fraction(0))
         b = g.terms.get((0,), Fraction(0))
-        return CycloNumber.from_rational(-b / a)
+        return Character(1, (-b / a,), (0,))
     m = cyclotomic_order(g)
-    return None if m is None else CycloNumber.root_of_unity(m, 1)
+    return None if m is None else Character(m, (1,), (1,))
 
 
 @dataclass
 class RootEquality:
     root_text: str
-    root: Optional[CycloNumber]
+    root: Optional[Character]
     mu: int
     b1: int
     equality: bool
@@ -198,7 +197,7 @@ def semisimple_equality_report(mat: AlexanderMatrix,
     out = []
     for f, mu in factored.factors:
         root = _factor_root(f)
-        if root is None or root.is_one():
+        if root is None or root.is_trivial():
             continue
         ek = elementary_divisor_exponents(inv, root)
         b1 = sum(ek.values())
@@ -209,8 +208,7 @@ def semisimple_equality_report(mat: AlexanderMatrix,
                 "invariant-factor structure disagrees with the multiplicity "
                 "comparison (internal bug)")
         if mat.origin == "presentation":
-            chi = _character_at(mat, root)
-            if chi is not None and twisted_betti(mat, chi) != b1:
+            if twisted_betti(mat, _character_at(mat, root)) != b1:
                 raise JumpLociError(
                     "twisted rank disagrees with invariant factors "
                     "(internal bug)")
@@ -219,15 +217,10 @@ def semisimple_equality_report(mat: AlexanderMatrix,
     return out
 
 
-def _character_at(mat: AlexanderMatrix, value: CycloNumber):
+def _character_at(mat: AlexanderMatrix, value: Character) -> Character:
     """The character on the generators induced by t -> value on the
     one-dimensional torsion-free quotient."""
-    row = mat.abelian.abf_projection[0]
-    try:
-        vals = [value ** int(a) for a in row]
-    except ZeroDivisionError:
-        return None
-    return Character(vals)
+    return value.pull([[a] for a in mat.abelian.abf_projection[0]])
 
 
 # -- integer monodromy -------------------------------------------------------

@@ -407,13 +407,12 @@ def multiplicity(f: LaurentPoly, delta: LaurentPoly) -> int:
 # -- order of vanishing -----------------------------------------------------
 
 
-def vanishing_order(f: LaurentPoly, point) -> int:
+def vanishing_order(f: LaurentPoly, point: "Character") -> int:
     """ν_ρ(f): the least k such that some Euler derivative θ^α f with
     |α| = k, θ_i = t_i ∂/∂t_i, is nonzero at ρ; computed exactly.
 
-    `point` is a tuple of nonzero cyclotomic-field (or rational) values,
-    one per variable.  θ^α t^e = e^α t^e, so each derivative is one
-    `evaluate`.  θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers
+    `point` is a `cyclofield.Character` with one value per variable.
+    θ^α t^e = e^α t^e, so each derivative is one `evaluate`.  θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers
     S(α,α) = 1 is unitriangular and t^β is a unit at ρ, so this is the
     order of vanishing of f at ρ.
     """
@@ -426,8 +425,6 @@ def vanishing_order(f: LaurentPoly, point) -> int:
             f"total degree {f.total_degree()} exceeds cap {TOTAL_DEGREE_CAP}")
     if len(point) != f.nvars:
         raise LaurentError("point has wrong number of coordinates")
-    if any(v == 0 for v in point):
-        raise LaurentError("vanishing order needs nonzero coordinates")
     for k in itertools.count():
         for idx in itertools.combinations_with_replacement(range(f.nvars), k):
             derivative = LaurentPoly(f.nvars, {

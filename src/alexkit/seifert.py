@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .cyclofield import CycloNumber, evaluate
+from .cyclofield import Character
 from .laurent import LaurentPoly, exact_div_binomial, normalize
 
 
@@ -123,27 +123,35 @@ def seifert_divisor(d: SpliceData) -> List[DivisorComponent]:
     return out
 
 
-def seifert_twisted_betti(d: SpliceData,
-                          rho: Sequence[CycloNumber]) -> int:
+def _order(alpha: Character) -> Optional[int]:
+    """Multiplicative order of the one value q·ζ_N^k of alpha, or None when
+    it has none (|q| ≠ 1).  With −1 = ζ_{2N}^N, the value ±ζ_N^k is
+    ζ_{2N}^{2k + [q<0]·N}."""
+    (q,), (k,), n = alpha.scales, alpha.exps, alpha.conductor
+    if abs(q) != 1:
+        return None
+    return 2 * n // math.gcd(2 * n, 2 * k + (n if q < 0 else 0))
+
+
+def seifert_twisted_betti(d: SpliceData, rho: Character) -> int:
     """Predicted twisted rank at a character on the link components.
 
     The character only matters through alpha = rho_1^{N_1}...rho_q^{N_q};
     off the divisor (alpha^{N'} != 1) the rank is zero, on it the rank is
     the component multiplicity, cross-checked against the orbifold count.
     """
-    vals = list(rho)
-    if len(vals) != d.q:
+    if len(rho) != d.q:
         raise SeifertError(f"expected {d.q} character values")
-    if all(v.is_one() for v in vals):
+    if rho.is_trivial():
         raise SeifertError("trivial character excluded")
-    alpha = evaluate(LaurentPoly.monomial([d.n_j(j) for j in range(d.q)]),
-                     vals)
-    if not (alpha ** d.big_n_prime).is_one():
+    alpha = rho.pull([[d.n_j(j) for j in range(d.q)]])
+    order = _order(alpha)
+    if order is None or d.big_n_prime % order:
         return 0
-    m = _mult_at_order(d, alpha.multiplicative_order(d.big_n_prime))
+    m = _mult_at_order(d, order)
     # independent orbifold-Euler count
     i_alpha = sum(1 for j in range(d.q, d.q + d.s)
-                  if (alpha ** d.n_prime_j(j)).is_one())
+                  if alpha.pull([[d.n_prime_j(j)]]).is_trivial())
     if m != (d.q - 2) + d.s - i_alpha:
         raise SeifertError("multiplicity disagrees with orbifold count "
                            "(internal bug)")

@@ -1,7 +1,6 @@
 """Acceptance suite: one criterion per test, one printed pass line each."""
 
 from alexkit.alexander import alexander_poly, fox_matrix, generic_rank_mod
-from alexkit.cyclofield import Character, CycloNumber
 from alexkit.intlinalg import abelianization
 from alexkit.jumploci import (bounds_report, monodromy_analysis,
                               semisimple_equality_report, twisted_betti)
@@ -12,15 +11,9 @@ from alexkit.seifert import (SpliceData, seifert_delta, seifert_divisor,
                              seifert_twisted_betti)
 
 import test_properties
-from conftest import load_matrix_fixture, load_presentation
+from conftest import character, load_matrix_fixture, load_presentation
 
-R = CycloNumber.from_rational
 X3 = ("x1", "x2", "x3")
-
-
-def _chi(*vals):
-    return Character([v if isinstance(v, CycloNumber) else R(v)
-                      for v in vals])
 
 
 def _report(num, text):
@@ -56,7 +49,7 @@ def test_criterion_02_generic_rank_bounds():
 
 def test_criterion_03_nongeneric_point():
     g1 = load_matrix_fixture("ex52-g1.json")
-    rho = _chi(-1, 1, -1)
+    rho = character(-1, 1, -1)
     assert twisted_betti(g1, rho) == 2
     assert multiplicity(parse_poly("x2-1", X3),
                         alexander_poly(g1)) == 1
@@ -65,7 +58,7 @@ def test_criterion_03_nongeneric_point():
 
 def test_criterion_04_bound_fails_without_hypothesis():
     mat = load_matrix_fixture("ex66.json")
-    rho = _chi(1, -1, 1)
+    rho = character(1, -1, 1)
     assert twisted_betti(mat, rho) == 2
     rep = bounds_report(mat, factor_poly(alexander_poly(mat)), rho)
     assert rep.bound_pointwise == 1
@@ -76,10 +69,8 @@ def test_criterion_04_bound_fails_without_hypothesis():
 
 
 def test_criterion_05_strict_inequality_family():
-    z8 = CycloNumber.root_of_unity(8, 1)
-    samples = [_chi(CycloNumber.root_of_unity(4, 1),
-                    CycloNumber.root_of_unity(4, 1)),
-               _chi(z8, z8 ** 3), _chi(-1, 1)]
+    samples = [character("zeta4", "zeta4"), character("zeta8", "zeta8^3"),
+               character(-1, 1)]
     for k in (2, 3):
         mat = load_matrix_fixture(f"ex67-k{k}.json")
         fp = factor_poly(alexander_poly(mat))
@@ -87,20 +78,18 @@ def test_criterion_05_strict_inequality_family():
             rep = bounds_report(mat, fp, rho,
                                 almost_principal=("Yes",
                                                   "user-asserted: fixture"))
-            nu = vanishing_order(parse_poly("x1*x2+1", ("x1", "x2")),
-                                 list(rho.values))
+            nu = vanishing_order(parse_poly("x1*x2+1", ("x1", "x2")), rho)
             assert rep.b1 == 1
             assert rep.b1 < k * nu
     _report(5, "b1 = 1 < k*nu at sampled characters for the k=2,3 family")
 
 
 def test_criterion_06_bound_attained_pencil():
-    z3 = CycloNumber.root_of_unity(3, 1)
-    z4 = CycloNumber.root_of_unity(4, 1)
-    samples = {3: [_chi(z3, z3, z3), _chi(-1, -1, 1),
-                   _chi(z4, z4 ** 3, 1)],
-               4: [_chi(z4, z4, z4, z4), _chi(-1, -1, 1, 1),
-                   _chi(z3, z3 ** 2, -1, -1)]}
+    samples = {3: [character("zeta3", "zeta3", "zeta3"),
+                   character(-1, -1, 1), character("zeta4", "zeta4^3", 1)],
+               4: [character("zeta4", "zeta4", "zeta4", "zeta4"),
+                   character(-1, -1, 1, 1),
+                   character("zeta3", "zeta3^2", -1, -1)]}
     for n, rhos in samples.items():
         mat = fox_matrix(load_presentation(f"pencil{n}.grp"))
         fp = factor_poly(alexander_poly(mat))
@@ -120,7 +109,7 @@ def test_criterion_07_torus_bundle():
     mat = fox_matrix(pres)
     delta = alexander_poly(mat)
     assert associates(delta, parse_poly("(t+1)^2", ("t",)))
-    assert twisted_betti(mat, _chi(1, 1, -1)) == 1
+    assert twisted_betti(mat, character(1, 1, -1)) == 1
     entry = semisimple_equality_report(mat, factor_poly(delta))[0]
     assert not entry.equality
     rep = monodromy_analysis([[-1, 1], [0, -1]])
@@ -133,8 +122,7 @@ def test_criterion_07_torus_bundle():
 def test_criterion_08_seifert_example():
     d = SpliceData((1, 1, 1, 2, 3), 3)
     delta = seifert_delta(d)
-    roots = {1: R(1), 2: R(-1), 3: CycloNumber.root_of_unity(3, 1),
-             6: CycloNumber.root_of_unity(6, 1)}
+    roots = {2: -1, 3: "zeta3", 6: "zeta6"}
     comps = {c.root_order: c.multiplicity for c in seifert_divisor(d)}
     assert comps == {1: 1, 2: 2, 3: 2, 6: 3}
     from alexkit.cyclofield import cyclotomic_poly
@@ -142,12 +130,11 @@ def test_criterion_08_seifert_example():
         phi = parse_poly(cyclotomic_poly(order).render(("u",))
                          .replace("u", "(t1*t2*t3)"), ("t1", "t2", "t3"))
         assert multiplicity(phi, delta) == mult
-        alpha = roots[order]
         if order == 1:
             # alpha = 1 through a nontrivial character
-            got = seifert_twisted_betti(d, [R(-1), R(-1), R(1)])
+            got = seifert_twisted_betti(d, character(-1, -1, 1))
         else:
-            got = seifert_twisted_betti(d, [alpha, R(1), R(1)])
+            got = seifert_twisted_betti(d, character(roots[order], 1, 1))
         assert got == mult
     pencil = fox_matrix(load_presentation("pencil3.grp"))
     assert associates(seifert_delta(SpliceData((1, 1, 1), 3)),

@@ -120,6 +120,19 @@ def test_exit_code_cap_exceeded(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["betti", data_path("pencil3.grp"), "--char", "x1=1/0,x2=1,x3=1"],
+    ["seifert", "--weights", "1,1,1", "--q", "3",
+     "--char", "t1=1/0*zeta3,t2=1,t3=1"],
+])
+def test_exit_code_zero_denominator_in_character(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bad character value" in captured.err
+
+
 def test_json_output_is_stable(capsys):
     _, first = run(capsys, "invariants", data_path("pencil4.grp"))
     code1 = main(["invariants", data_path("pencil4.grp")])

@@ -2,91 +2,116 @@ from fractions import Fraction
 
 import pytest
 
-from alexkit.cyclofield import (CycloError, CycloNumber, cyclotomic_poly,
-                                evaluate, parse_character, rank_over_field)
-from alexkit.laurent import parse_poly
+from alexkit.cyclofield import (Character, CycloError, CycloNumber,
+                                cyclotomic_poly, evaluate, parse_character,
+                                rank_over_field)
+from alexkit.laurent import ComputationCapError, parse_poly
 
-R = CycloNumber.from_rational
+from conftest import character
+
+
+def one(n):
+    return CycloNumber(n, [1])
+
+
+def zeta(n, k=1):
+    return CycloNumber(n, [0] * k + [1])
 
 
 def test_root_of_unity_reduces_order():
-    assert CycloNumber.root_of_unity(6, 3) == R(-1)
-    assert CycloNumber.root_of_unity(4, 2) == R(-1)
-    assert CycloNumber.root_of_unity(5, 5).is_one()
+    chi = parse_character("a=zeta6^3, b=zeta4^-2, c=zeta5^5", "abc")
+    assert chi == Character(2, (1, 1, 1), (1, 1, 0))
 
 
 def test_primitive_root_power_cycle():
-    z = CycloNumber.root_of_unity(5, 1)
-    acc = R(1)
+    z = zeta(5)
+    acc = one(5)
     for _ in range(5):
         acc = acc * z
-    assert acc.is_one()
-    assert not (z ** 3).is_one()
+    assert acc == one(5)
+    z5 = character("zeta5")
+    assert z5.pull([[5]]).is_trivial()
+    assert not z5.pull([[3]]).is_trivial()
 
 
-def test_mixed_conductor_arithmetic():
-    z3 = CycloNumber.root_of_unity(3, 1)
-    z4 = CycloNumber.root_of_unity(4, 1)
-    w = z3 * z4
-    assert w.conductor == 12
-    assert (w ** 12).is_one()
-    assert not (w ** 6).is_one()
+def test_mixed_conductors_raise():
+    with pytest.raises(CycloError):
+        zeta(3) * zeta(4)
+    with pytest.raises(CycloError):
+        zeta(3) + one(1)
+    with pytest.raises(CycloError):
+        zeta(3) == one(1)
 
 
 def test_zeta3_sum_identity():
-    z = CycloNumber.root_of_unity(3, 1)
-    assert (z * z + z + R(1)).is_zero()
+    z = zeta(3)
+    assert (z * z + z + one(3)).is_zero()
 
 
 def test_inverse():
-    z = CycloNumber.root_of_unity(7, 2)
-    assert (z * z.inverse()).is_one()
-    x = R(Fraction(3, 4))
-    assert (x * x.inverse()).is_one()
+    z = zeta(7, 2)
+    assert z * z.inverse() == one(7)
+    x = CycloNumber(1, [Fraction(3, 4)])
+    assert x * x.inverse() == one(1)
     with pytest.raises(ZeroDivisionError):
-        R(0).inverse()
+        CycloNumber(1, [0]).inverse()
 
 
 def test_negative_powers():
-    z = CycloNumber.root_of_unity(8, 1)
-    assert z ** -1 == z ** 7
+    z = character("zeta8")
+    assert z.pull([[-1]]) == z.pull([[7]])
+    half = character("1/2*zeta8")
+    assert half.pull([[-3]]) == Character(8, (8,), (5,))
 
 
-def test_as_rational():
-    assert R(Fraction(5, 2)).as_rational() == Fraction(5, 2)
-    z = CycloNumber.root_of_unity(3, 1)
-    assert z.as_rational() is None
+def test_character_checks_values():
+    assert Character(12, (2, 1), (13, -7)).exps == (1, 5)
+    # −1 = ζ_12^6: the scale's sign moves into the exponent
+    assert Character(12, (-2, -1), (0, 6)) == Character(12, (2, 1), (6, 0))
+    assert Character(2, (-1,), (1,)).is_trivial()
+    assert not Character(3, (-1,), (0,)).is_trivial()
+    with pytest.raises(CycloError):
+        Character(3, (1, 0), (1, 0))
+    with pytest.raises(ComputationCapError):
+        Character(241, (1,), (1,))
 
 
-def test_multiplicative_order():
-    z = CycloNumber.root_of_unity(6, 1)
-    assert z.multiplicative_order(12) == 6
-    assert R(2).multiplicative_order(10) is None
+def test_pull_multiplies_scales_and_adds_residues():
+    chi = Character(12, (2, -1), (1, 5))
+    assert chi.pull([[2, -1], [0, 0]]) == \
+        Character(12, (-4, 1), (2 - 5, 0))
+    with pytest.raises(CycloError):
+        chi.pull([[1]])
 
 
 def test_parse_character():
     chi = parse_character("x1=-1, x2=zeta3^2, x3=1", ("x1", "x2", "x3"))
-    assert chi[0] == R(-1)
-    assert chi[1] == CycloNumber.root_of_unity(3, 2)
-    assert chi[2].is_one()
+    assert chi == Character(3, (-1, 1, 1), (0, 2, 0))
     assert not chi.is_trivial()
+    chi = parse_character("x1=-1*zeta3^2, x2=1/2*zeta4", ("x1", "x2"))
+    assert chi == Character(12, (-1, Fraction(1, 2)), (8, 3))
 
 
 def test_parse_character_rejects_bad_input():
-    with pytest.raises(CycloError):
-        parse_character("x1=0", ("x1",))
+    for text in ("x1=0", "x1=1/0", "x1=2/0*zeta3", "x1=zeta0", "x1=-zeta3",
+                 "y=1"):
+        with pytest.raises(CycloError):
+            parse_character(text, ("x1",))
     with pytest.raises(CycloError):
         parse_character("x1=1", ("x1", "x2"))
-    with pytest.raises(CycloError):
-        parse_character("y=1", ("x1",))
+    with pytest.raises(ComputationCapError):
+        parse_character("x1=zeta241", ("x1",))
+    with pytest.raises(ComputationCapError):
+        parse_character("x1=zeta239, x2=zeta2", ("x1", "x2"))
+    assert parse_character("x1=zeta16, x2=zeta15",
+                           ("x1", "x2")).conductor == 240
 
 
 def test_evaluate_polynomial():
     f = parse_poly("t1*t2 - 1", ("t1", "t2"))
-    z = CycloNumber.root_of_unity(4, 1)
-    assert evaluate(f, (z, z ** 3)).is_zero()
+    assert evaluate(f, character("zeta4", "zeta4^3")).is_zero()
     g = parse_poly("t^-1 + t", ("t",))
-    assert evaluate(g, (R(-1),)) == R(-2)
+    assert evaluate(g, character(-1)) == CycloNumber(1, [-2])
 
 
 def test_cyclotomic_poly_values():
@@ -96,10 +121,11 @@ def test_cyclotomic_poly_values():
 
 
 def test_rank_over_field():
-    z = CycloNumber.root_of_unity(3, 1)
-    rows = [[R(1), z], [z.inverse(), R(1)]]
+    z = zeta(3)
+    zero = CycloNumber(3, [])
+    rows = [[one(3), z], [z.inverse(), one(3)]]
     # second row is a multiple of the first
     assert rank_over_field(rows) == 1
-    rows2 = [[R(1), R(0)], [R(0), z]]
+    rows2 = [[one(3), zero], [zero, z]]
     assert rank_over_field(rows2) == 2
-    assert rank_over_field([[R(0), R(0)]]) == 0
+    assert rank_over_field([[zero, zero]]) == 0

@@ -67,6 +67,16 @@ def test_sympy_polynomials_only_in_laurent():
     assert list(_sympy_poly_references(laurent))
 
 
+def test_cyclonumber_only_in_cyclofield():
+    """Points are Characters: no other module handles field elements."""
+    found = [f"{name}:{node.lineno}" for name, tree in _modules()
+             if name != "cyclofield.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "CycloNumber"
+             or isinstance(node, ast.alias) and node.name == "CycloNumber"]
+    assert found == []
+
+
 def _unused_locals(func):
     """Names that `func` binds in its own body but never reads; parameters
     and `_` are exempt.  Reads in nested functions count."""

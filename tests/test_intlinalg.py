@@ -1,9 +1,8 @@
-from alexkit.cyclofield import Character, CycloNumber
 from alexkit.intlinalg import (abelianization, induced_torus_point,
                                smith_normal_form, validate_character)
 from alexkit.presentation import parse_presentation
 
-R = CycloNumber.from_rational
+from conftest import character
 
 
 def _matmul(a, b):
@@ -66,8 +65,8 @@ def test_abelianization_free_group():
 
 def test_validate_character():
     p = parse_presentation(TORUSBUNDLE)
-    good = Character([R(1), R(1), R(-1)])
-    bad = Character([R(-1), R(1), R(1)])
+    good = character(1, 1, -1)
+    bad = character(-1, 1, 1)
     assert validate_character(p, good)
     assert not validate_character(p, bad)
 
@@ -75,16 +74,13 @@ def test_validate_character():
 def test_induced_torus_point():
     p = parse_presentation(TORUSBUNDLE)
     ab = abelianization(p)
-    chi = Character([R(1), R(1), R(-1)])
-    point = induced_torus_point(ab, chi)
-    assert point is not None
-    assert len(point) == 1
-    assert point[0] == R(-1) or point[0] == R(-1).inverse()
+    chi = character(1, 1, -1)
+    assert induced_torus_point(ab, chi) == character(-1)
 
 
 def test_induced_torus_point_rejects_torsion_character():
     p = parse_presentation("gens: a b\nrel: a^2\n")
     ab = abelianization(p)
-    chi = Character([R(-1), R(1)])
+    chi = character(-1, 1)
     assert validate_character(p, chi)
     assert induced_torus_point(ab, chi) is None

@@ -1,7 +1,6 @@
 import pytest
 
 from alexkit.alexander import alexander_poly, load_matrix
-from alexkit.cyclofield import Character, CycloNumber
 from alexkit.jumploci import (BoundInconsistencyError, JumpLociError,
                               almost_principal_status, bounds_report,
                               cv_membership, monodromy_analysis,
@@ -9,14 +8,8 @@ from alexkit.jumploci import (BoundInconsistencyError, JumpLociError,
 from alexkit.laurent import factor_poly, parse_poly
 from alexkit.presentation import parse_presentation
 
+from conftest import character as chi
 from conftest import load_matrix_fixture, load_presentation
-
-R = CycloNumber.from_rational
-
-
-def chi(*vals):
-    return Character([R(v) if not isinstance(v, CycloNumber) else v
-                      for v in vals])
 
 
 def test_twisted_betti_example_56():
@@ -43,8 +36,7 @@ def test_twisted_betti_validates_characters(torusbundle):
 
 
 def test_cv_membership_pencil(pencil3):
-    z3 = CycloNumber.root_of_unity(3, 1)
-    rho = chi(z3, z3, z3)
+    rho = chi("zeta3", "zeta3", "zeta3")
     assert cv_membership(pencil3, rho, 1)
     assert not cv_membership(pencil3, rho, 2)
     assert cv_membership(pencil3, chi(1, 1, 1), 2)
@@ -64,8 +56,8 @@ def test_almost_principal_status():
 
 def test_bounds_report_attained_pencil(pencil3):
     delta = alexander_poly(pencil3)
-    z3 = CycloNumber.root_of_unity(3, 1)
-    rep = bounds_report(pencil3, factor_poly(delta), chi(z3, z3, z3))
+    rep = bounds_report(pencil3, factor_poly(delta),
+                        chi("zeta3", "zeta3", "zeta3"))
     assert rep.b1 == 1
     assert rep.bound_pointwise == 1
     assert rep.attained
@@ -76,8 +68,7 @@ def test_bounds_report_strict_example_67():
     mat = load_matrix_fixture("ex67-k2.json")
     delta = alexander_poly(mat)
     fp = factor_poly(delta)
-    z4 = CycloNumber.root_of_unity(4, 1)
-    rho = chi(z4, z4)  # (i)(i)+1 = 0: on V(x1*x2+1)
+    rho = chi("zeta4", "zeta4")  # (i)(i)+1 = 0: on V(x1*x2+1)
     rep = bounds_report(mat, fp, rho,
                         almost_principal=("Yes", "user-asserted: fixture"))
     assert rep.b1 == 1
@@ -133,8 +124,7 @@ def test_semisimple_report_cyclotomic_roots():
     m = load_matrix(("t",), [[text]])
     rep = semisimple_equality_report(m, factor_poly(parse_poly(text, ("t",))))
     assert [(e.root, e.mu, e.b1, e.equality) for e in rep] == [
-        (CycloNumber.root_of_unity(3), 2, 1, False),
-        (CycloNumber.root_of_unity(8), 1, 1, True)]
+        (chi("zeta3"), 2, 1, False), (chi("zeta8"), 1, 1, True)]
 
 
 def test_monodromy_jordan_block():

@@ -8,10 +8,9 @@ from fractions import Fraction
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                delta_chain, elementary_ideal_minors,
                                fox_matrix)
-from alexkit.cyclofield import (CONDUCTOR_CAP, CycloNumber,
-                                _totient_preimages, common_conductor,
-                                cyclotomic_order, cyclotomic_poly,
-                                rank_over_field)
+from alexkit.cyclofield import (CONDUCTOR_CAP, Character, CycloNumber,
+                                _totient_preimages, cyclotomic_order,
+                                cyclotomic_poly, evaluate, rank_over_field)
 from alexkit.intlinalg import smith_normal_form
 from alexkit.laurent import (TOTAL_DEGREE_CAP, ComputationCapError,
                              LaurentError, LaurentPoly, _from_ring, _to_ring,
@@ -22,7 +21,9 @@ from alexkit.laurent import (TOTAL_DEGREE_CAP, ComputationCapError,
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, QPVerdict, qp_verdict
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   word)
-from alexkit.seifert import SpliceData, seifert_delta
+from alexkit.seifert import SpliceData, _order, seifert_delta
+
+from conftest import character
 
 
 def random_word(rng, num_gens, max_len=6):
@@ -165,19 +166,31 @@ def test_gcd_axioms_random():
 
 def test_vanishing_order_additivity():
     rng = random.Random(20240906)
-    roots = [CycloNumber.from_rational(1), CycloNumber.from_rational(-1),
-             CycloNumber.root_of_unity(3, 1), CycloNumber.root_of_unity(4, 1),
-             CycloNumber.root_of_unity(6, 1)]
+    roots = [1, -1, "zeta3", "zeta4", "zeta6"]
     for _ in range(100):
         nvars = rng.randrange(1, 3)
         f = random_poly(rng, nvars, 3)
         g = random_poly(rng, nvars, 3)
-        point = tuple(rng.choice(roots) for _ in range(nvars))
+        point = character(*(rng.choice(roots) for _ in range(nvars)))
         assert vanishing_order(f * g, point) == \
             vanishing_order(f, point) + vanishing_order(g, point)
 
 
-def _expansion_order(f: LaurentPoly, point) -> int:
+def _values(chi: Character):
+    """The values q·ζ_N^k of chi as CycloNumbers at its conductor N."""
+    return [CycloNumber(chi.conductor, [0] * k + [q])
+            for q, k in zip(chi.scales, chi.exps)]
+
+
+def _powers(x: CycloNumber, e: int):
+    """[x^0, x^1, ..., x^e] by repeated multiplication."""
+    out = [CycloNumber(x.conductor, [1])]
+    for _ in range(e):
+        out.append(out[-1] * x)
+    return out
+
+
+def _expansion_order(f: LaurentPoly, point: Character) -> int:
     """ν_ρ(f) as the minimal total z-degree of f(ρ + z): the definition,
     kept as the oracle for `vanishing_order`."""
     if f.is_zero():
@@ -185,25 +198,24 @@ def _expansion_order(f: LaurentPoly, point) -> int:
     if f.total_degree() > TOTAL_DEGREE_CAP:
         raise ComputationCapError(
             f"total degree {f.total_degree()} exceeds cap {TOTAL_DEGREE_CAP}")
-    vals = [v if isinstance(v, CycloNumber) else CycloNumber.from_rational(v)
-            for v in point]
-    if len(vals) != f.nvars:
+    if len(point) != f.nvars:
         raise LaurentError("point has wrong number of coordinates")
-    if any(v.is_zero() for v in vals):
-        raise LaurentError("vanishing order needs nonzero coordinates")
-    vals = common_conductor(vals)
-    one = vals[0].ring_one()
+    vals = _values(point)
+
+    def const(c):
+        return CycloNumber(point.conductor, [c])
+
     # a unit times f, with nonnegative exponents: the order does not change
     fs = normalize(f)
     # expand f(rho + z) term by term; coefficients indexed by z-exponents
     out: dict = {}
     for exp, c in fs.terms.items():
         # product over i of (rho_i + z_i)^{exp_i}
-        partial = {(0,) * f.nvars: one.scale(c)}
+        partial = {(0,) * f.nvars: const(c)}
         for i, e in enumerate(exp):
             if e == 0:
                 continue
-            powers = [vals[i] ** (e - k) for k in range(e + 1)]
+            powers = _powers(vals[i], e)[::-1]
             new: dict = {}
             for zexp, coeff in partial.items():
                 for k in range(e + 1):
@@ -211,7 +223,7 @@ def _expansion_order(f: LaurentPoly, point) -> int:
                     ze = list(zexp)
                     ze[i] += k
                     key = tuple(ze)
-                    add = (powers[k] * coeff).scale(binom)
+                    add = powers[k] * coeff * const(binom)
                     new[key] = new[key] + add if key in new else add
             partial = new
         for key, v in partial.items():
@@ -245,8 +257,8 @@ def test_vanishing_order_matches_expansion_oracle():
         n = rng.choice((1, 2, 3, 4, 5, 12))
         coords = [(rng.choice((1, 1, 2, Fraction(-1, 3))), rng.randrange(n))
                   for _ in range(nvars)]
-        point = tuple(CycloNumber.root_of_unity(n, k).scale(q)
-                      for q, k in coords)
+        point = Character(n, tuple(q for q, _ in coords),
+                          tuple(k for _, k in coords))
         binomials = [LaurentPoly.monomial(e) - c for e in small[nvars]
                      if (c := _rational_power(n, coords, e)) is not None]
         f = random_poly(rng, nvars, 3)
@@ -256,6 +268,54 @@ def test_vanishing_order_matches_expansion_oracle():
         assert nu == _expansion_order(f, point)
         seen.add(nu)
     assert seen >= {0, 1, 2, 3}
+
+
+def _product_evaluate(f: LaurentPoly, n, coords) -> CycloNumber:
+    """f(ρ) for ρ_i = q_i·ζ_n^{k_i}, given as the pairs (q_i, k_i), as
+    Σ c·∏ ρ_i^{e_i} with one CycloNumber product per unit of each exponent
+    and ρ_i^{-1} = q_i^{-1}·ζ_n^{-k_i} built directly: the definition,
+    kept as the oracle for the bucket `evaluate`."""
+    rho = [CycloNumber(n, [0] * k + [q]) for q, k in coords]
+    rho_inv = [CycloNumber(n, [0] * (-k % n) + [1 / q]) for q, k in coords]
+    acc = CycloNumber(n, [])
+    for exp, c in f.terms.items():
+        term = CycloNumber(n, [c])
+        for r, r_inv, e in zip(rho, rho_inv, exp):
+            for _ in range(abs(e)):
+                term = term * (r if e > 0 else r_inv)
+        acc = acc + term
+    return acc
+
+
+def test_evaluate_matches_product_oracle():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(300):
+        nvars = rng.randrange(1, 4)
+        n = rng.choice((1, 2, 12, 60, 211, 240))
+        coords = [(rng.choice((1, -1, 2, Fraction(-1, 3))), rng.randrange(n))
+                  for _ in range(nvars)]
+        chi = Character(n, tuple(q for q, _ in coords),
+                        tuple(k for _, k in coords))
+        f = LaurentPoly(nvars, {
+            tuple(rng.randrange(-5, 6) for _ in range(nvars)):
+            Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+            for _ in range(rng.randrange(1, 6))})
+        value = evaluate(f, chi)
+        assert value == _product_evaluate(f, n, coords)
+        seen.add((n, value.is_zero()))
+    assert {n for n, _ in seen} == {1, 2, 12, 60, 211, 240}
+    assert any(zero for _, zero in seen)
+
+
+def test_seifert_order_matches_brute_powers():
+    for n in range(1, 61):
+        for k in range(n):
+            for q in (1, -1, 2, Fraction(-1, 2)):
+                alpha = Character(n, (q,), (k,))
+                brute = next((d for d in range(1, 2 * n + 1)
+                              if alpha.pull([[d]]).is_trivial()), None)
+                assert _order(alpha) == brute
 
 
 def test_multiplicity_random():
@@ -441,15 +501,14 @@ def test_qp_verdict_matches_sev_cyclotomic_oracle():
 
 def test_rank_over_field_matches_brute_minors():
     rng = random.Random(20240909)
-    z12 = CycloNumber.root_of_unity(12, 1)
-    pool = [CycloNumber.from_rational(0), CycloNumber.from_rational(1),
-            CycloNumber.from_rational(-1), z12, z12 ** 5,
-            z12 ** 4, z12 ** 3, CycloNumber.from_rational(2)]
+    pool = [CycloNumber(12, [0] * k + [q])
+            for q, k in ((0, 0), (1, 0), (-1, 0), (1, 1), (1, 5), (1, 4),
+                         (1, 3), (2, 0))]
 
     def det(mat):
         if len(mat) == 1:
             return mat[0][0]
-        acc = CycloNumber.from_rational(0)
+        acc = CycloNumber(12, [])
         sign = 1
         for i in range(len(mat)):
             minor = [r[1:] for j, r in enumerate(mat) if j != i]
@@ -659,12 +718,12 @@ def test_cyclotomic_inverse():
 
     cases = [value(n, 2) for n in range(3, CONDUCTOR_CAP + 1)]
     for n in range(3, CONDUCTOR_CAP + 1):
-        dim = len(CycloNumber.root_of_unity(n).coeffs)
+        dim = len(CycloNumber(n, []).coeffs)
         if dim <= 12:
             cases += [value(n, dim) for _ in range(3)]
     assert {x.conductor for x in cases} >= {5, 7, 8, 9, 11}
     for x in cases:
-        assert (x * x.inverse()).is_one()
+        assert x * x.inverse() == CycloNumber(x.conductor, [1])
 
 
 def test_seifert_delta_times_divisors_is_binomial_power():

@@ -1,13 +1,14 @@
 import pytest
 
 from alexkit.alexander import alexander_poly
-from alexkit.cyclofield import CycloNumber, cyclotomic_poly
+from alexkit.cyclofield import cyclotomic_poly
 from alexkit.laurent import (associates, multiplicity, parse_poly,
                              sev_decompose)
 from alexkit.seifert import (SeifertError, SpliceData, seifert_delta,
                              seifert_divisor, seifert_twisted_betti)
 
-R = CycloNumber.from_rational
+from conftest import character
+
 T3 = ("t1", "t2", "t3")
 
 
@@ -69,22 +70,20 @@ def test_seifert_delta_is_sev():
 
 def test_seifert_twisted_betti_example_73():
     d = ex73()
-    z3 = CycloNumber.root_of_unity(3, 1)
-    z6 = CycloNumber.root_of_unity(6, 1)
-    assert seifert_twisted_betti(d, [R(-1), R(1), R(1)]) == 2
-    assert seifert_twisted_betti(d, [z3, R(1), R(1)]) == 2
-    assert seifert_twisted_betti(d, [z6, R(1), R(1)]) == 3
+    assert seifert_twisted_betti(d, character(-1, 1, 1)) == 2
+    assert seifert_twisted_betti(d, character("zeta3", 1, 1)) == 2
+    assert seifert_twisted_betti(d, character("zeta6", 1, 1)) == 3
     # alpha = 1 but rho nontrivial: the order-1 component
-    assert seifert_twisted_betti(d, [R(-1), R(-1), R(1)]) == 1
-    assert seifert_twisted_betti(d, [R(2), R(1), R(1)]) == 0
+    assert seifert_twisted_betti(d, character(-1, -1, 1)) == 1
+    assert seifert_twisted_betti(d, character(2, 1, 1)) == 0
 
 
 def test_seifert_twisted_betti_pencil():
     d = SpliceData((1, 1, 1), 3)
-    z3 = CycloNumber.root_of_unity(3, 1)
-    assert seifert_twisted_betti(d, [z3, z3, z3]) == 1
+    assert seifert_twisted_betti(
+        d, character("zeta3", "zeta3", "zeta3")) == 1
 
 
 def test_seifert_twisted_betti_rejects_trivial():
     with pytest.raises(SeifertError):
-        seifert_twisted_betti(ex73(), [R(1), R(1), R(1)])
+        seifert_twisted_betti(ex73(), character(1, 1, 1))
