@@ -135,11 +135,11 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    if args.depth is not None and args.depth < 1:
+        raise InputError("depth must be a positive integer")
     mat, char_names, echo = _load_input(args.input, args.matrix)
     names = mat.var_names
     chi = parse_character(args.char, char_names)
-    if args.depth is not None and args.depth < 1:
-        raise InputError("depth must be a positive integer")
     report: dict = {"input": echo, "char": args.char}
     if chi.is_trivial():
         report["b1"] = mat.num_vars

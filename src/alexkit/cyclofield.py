@@ -14,12 +14,10 @@ import math
 import re
 from fractions import Fraction
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from sympy.ntheory import divisors, isprime
-
-from .laurent import ComputationCapError, LaurentPoly, _cyclotomic, _invert_mod
+from .laurent import (ComputationCapError, LaurentPoly, _invert_mod,
+                      _phi_coeffs, _totient_preimages)
 
 CONDUCTOR_CAP = 240
 
@@ -28,46 +26,12 @@ class CycloError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
-def _phi_coeffs(n: int) -> tuple:
-    """Integer coefficients of Φ_n, ascending degree."""
-    return _cyclotomic(n)
-
-
 def cyclotomic_poly(n: int) -> LaurentPoly:
     """Φ_n as a univariate LaurentPoly."""
     if n < 1:
         raise CycloError("conductor must be positive")
     coeffs = _phi_coeffs(n)
     return LaurentPoly(1, {(i,): c for i, c in enumerate(coeffs) if c})
-
-
-def _totient_preimages(d: int) -> List[int]:
-    """Every m with φ(m) = d ≥ 1, ascending.
-
-    φ(∏ q^k) = ∏ (q − 1)·q^(k−1), so each prime q dividing such an m has
-    (q − 1) | d.  The search takes those primes in increasing order, each
-    with every exponent that leaves an integral rest of d to account for.
-    """
-    primes = [k + 1 for k in divisors(d) if isprime(k + 1)]
-    out = []
-
-    def search(start: int, rest: int, m: int) -> None:
-        if rest == 1:
-            out.append(m)
-        for i in range(start, len(primes)):
-            q = primes[i]
-            if rest % (q - 1):
-                continue
-            rest_q, m_q = rest // (q - 1), m * q
-            while True:
-                search(i + 1, rest_q, m_q)
-                if rest_q % q:
-                    break
-                rest_q, m_q = rest_q // q, m_q * q
-
-    search(0, d, 1)
-    return sorted(out)
 
 
 def cyclotomic_order(p: LaurentPoly) -> Optional[int]:

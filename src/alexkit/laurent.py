@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
+from sympy.ntheory import divisors, isprime
 from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
@@ -251,13 +252,6 @@ def _from_ring(p, nvars: int, shift: Optional[Sequence[int]] = None
         for monom, c in p.items()})
 
 
-def _cyclotomic(n: int) -> Tuple[int, ...]:
-    """The integer coefficients of the cyclotomic polynomial Φ_n, n ≥ 1,
-    in ascending degree."""
-    dense = _ring(1, "ZZ").dup_zz_cyclotomic_poly(n).to_dense()
-    return tuple(int(c) for c in reversed(dense))
-
-
 def _invert_mod(f: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
     """The inverse of f modulo m in Q[t], for univariate f and m with
     nonnegative exponents and gcd(f, m) = 1; degree below deg m."""
@@ -265,6 +259,47 @@ def _invert_mod(f: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
     _, pm = _to_ring(m, "QQ")
     inv, _ = pf.half_gcdex(pm)
     return _from_ring(inv, 1)
+
+
+# -- cyclotomic polynomials -------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _phi_coeffs(n: int) -> Tuple[int, ...]:
+    """The integer coefficients of the cyclotomic polynomial Φ_n, n ≥ 1,
+    in ascending degree."""
+    dense = _ring(1, "ZZ").dup_zz_cyclotomic_poly(n).to_dense()
+    return tuple(int(c) for c in reversed(dense))
+
+
+@lru_cache(maxsize=None)
+def _totient_preimages(d: int) -> Tuple[int, ...]:
+    """Every m with φ(m) = d ≥ 1, ascending: the orders of the Φ_m of
+    degree d.
+
+    φ(∏ q^k) = ∏ (q − 1)·q^(k−1), so each prime q dividing such an m has
+    (q − 1) | d.  The search takes those primes in increasing order, each
+    with every exponent that leaves an integral rest of d to account for.
+    """
+    primes = [k + 1 for k in divisors(d) if isprime(k + 1)]
+    out = []
+
+    def search(start: int, rest: int, m: int) -> None:
+        if rest == 1:
+            out.append(m)
+        for i in range(start, len(primes)):
+            q = primes[i]
+            if rest % (q - 1):
+                continue
+            rest_q, m_q = rest // (q - 1), m * q
+            while True:
+                search(i + 1, rest_q, m_q)
+                if rest_q % q:
+                    break
+                rest_q, m_q = rest_q // q, m_q * q
+
+    search(0, d, 1)
+    return tuple(sorted(out))
 
 
 # -- canonical form ---------------------------------------------------------
@@ -627,23 +662,71 @@ class FactoredPoly:
         return acc
 
 
+def _split_cyclotomic(q):
+    """(cyclo, rest) with q = Π cyclo · rest, for a squarefree q in
+    _ring(1, "ZZ") with q(0) ≠ 0: cyclo lists the Φ_m dividing q, and no
+    Φ_m divides rest.
+
+    Φ_m is its own reciprocal up to sign, so each Φ_m dividing q divides
+    r = gcd(q, u^deg q · q(1/u)).  The Φ_m are tried on r in order of
+    degree, and r shrinks as they are found.
+    """
+    ring = q.ring
+    deg = q.degree()
+    r = q.gcd(ring({(deg - k,): c for (k,), c in q.items()}))
+    cyclo = []
+    d = 1
+    while d <= r.degree():
+        for m in _totient_preimages(d):
+            phi = ring({(k,): c for k, c in enumerate(_phi_coeffs(m)) if c})
+            quo, rem = r.div(phi)
+            if not rem:
+                cyclo.append(phi)
+                r, q = quo, q.exquo(phi)
+        d += 1
+    return cyclo, q
+
+
 def factor_poly(f: LaurentPoly) -> FactoredPoly:
-    """Factor into irreducible pieces over Q, with integer content split off."""
+    """Factor into irreducible pieces over Q, with integer content split off.
+
+    A collinear support means f ≐ P(t^e) for a primitive e
+    (`sev_decompose`), and then P is factored: each squarefree piece loses
+    its cyclotomic part (`_split_cyclotomic`), and only the rest goes to
+    sympy's `factor_list`.  A factor q(u) of P lifts to the factor q(t^e)
+    of f, irreducible because e extends to a basis of Z^n.
+    """
     if f.is_zero():
         raise LaurentError("cannot factor the zero polynomial")
     g = normalize(f)
     c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
     if g.is_constant():
         return FactoredPoly(c, ())
-    _, parts = _to_ring(g, "ZZ")[1].factor_list()
+    sev = sev_decompose(g)
+    if sev is None:
+        # over Z the factors are primitive, the content is split off
+        parts = [(_from_ring(p, g.nvars), mult)
+                 for p, mult in _to_ring(g, "ZZ")[1].factor_list()[1]]
+    else:
+        univariate, e = sev
+        factors = []
+        for piece, mult in squarefree_split(univariate):
+            cyclo, rest = _split_cyclotomic(_to_ring(piece, "ZZ")[1])
+            factors += [(q, mult) for q in cyclo]
+            factors += [(q, mult * k) for q, k in rest.factor_list()[1]]
+        # q(u) becomes q(t^e)
+        parts = [(LaurentPoly(g.nvars, {
+            tuple(k * x for x in e): coeff
+            for (k,), coeff in _from_ring(q, 1).terms.items()}), mult)
+            for q, mult in factors]
     mults: dict = {}
     for p, mult in parts:
-        # over Z the factors are primitive, the content is split off
-        piece = normalize(_from_ring(p, g.nvars))
+        piece = normalize(p)
         if not piece.is_constant():
             mults[piece] = mults.get(piece, 0) + int(mult)
     out = FactoredPoly(c, tuple(sorted(
-        mults.items(), key=lambda t: (sorted(t[0].terms), t[1]))))
+        mults.items(), key=lambda t: (sorted(t[0].terms),
+                                      sorted(t[0].terms.items()), t[1]))))
     if not associates(out.reassembled(g.nvars), g):
         raise LaurentError("factorization failed to reassemble (internal bug)")
     return out

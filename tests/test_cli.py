@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alexkit
 from alexkit.cli import main
+from alexkit.cyclofield import cyclotomic_poly
+from alexkit.laurent import LaurentPoly, default_names, parse_poly
 
 from conftest import data_path
 
@@ -183,10 +190,15 @@ def test_betti_depth_zero_delta_computes_rank_once(rank_calls, tmp_path,
     assert len(rank_calls) == 1
 
 
-@pytest.mark.parametrize("depth", ["0", "-2"])
-def test_betti_rejects_nonpositive_depth(capsys, depth):
+@pytest.mark.parametrize("char,depth", [
+    ("x1=-1,x2=-1,x3=1", "0"),
+    ("x1=-1,x2=-1,x3=1", "-2"),
+    # the conductor 478 is over the cap: the cheap depth check comes first
+    ("x1=zeta239,x2=zeta2,x3=1", "0"),
+], ids=["0", "-2", "0-conductor-over-cap"])
+def test_betti_rejects_nonpositive_depth(capsys, char, depth):
     code = main(["betti", data_path("pencil3.grp"),
-                 "--char", "x1=-1,x2=-1,x3=1", "--depth", depth])
+                 "--char", char, "--depth", depth])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -219,3 +231,47 @@ def test_matrix_json_schema_errors(tmp_path, capsys, grid):
         assert captured.out == ""
         assert captured.err.startswith("alexkit: ")
         assert "Traceback" not in captured.err
+
+
+def _pencil_text(n):
+    gens = [f"x{i + 1}" for i in range(n)]
+    inverse = " ".join(f"{g}^-1" for g in reversed(gens))
+    return "gens: " + " ".join(gens) + "\n" + "".join(
+        f"rel: {' '.join(gens)} {g} {inverse} {g}^-1\n" for g in gens[:-1])
+
+
+def _cyclotomic_along_t1(d, nvars):
+    return LaurentPoly(nvars, {(k,) + (0,) * (nvars - 1): c for (k,), c
+                               in cyclotomic_poly(d).terms.items()})
+
+
+# inputs that took 55 s, 4.2 s and 1.55 s when sympy factored the whole Δ,
+# with the factors (polynomial, multiplicity) that Δ must have
+SLOW_BEFORE = [
+    ("gens: a b\nrel: a^160 b a^-160 b^-1\n",
+     [(_cyclotomic_along_t1(d, 2), 1) for d in range(2, 161) if 160 % d == 0]),
+    (_pencil_text(8), [(parse_poly("t1*t2*t3*t4*t5*t6*t7*t8 - 1",
+                                   default_names(8)), 6)]),
+    ("gens: x y\nrel: x^7 y^-13\n",
+     [(cyclotomic_poly(d), 1) for d in range(2, 92)
+      if 91 % d == 0 and 7 % d and 13 % d]),
+]
+
+
+@pytest.mark.parametrize("text,factors", SLOW_BEFORE,
+                         ids=["power160", "pencil8", "torus7-13"])
+def test_invariants_collinear_delta_in_bounded_time(tmp_path, text, factors):
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    src = str(Path(alexkit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "alexkit.cli", "invariants", str(path)],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    names = default_names(report["b1"])
+    got = {parse_poly(f["poly"], names): f["multiplicity"]
+           for f in report["factored"]["factors"]}
+    assert report["factored"]["constant"] == 1
+    assert got == dict(factors)

@@ -105,3 +105,24 @@ def test_no_unused_locals():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               for local in _unused_locals(node)]
     assert unused == []
+
+
+def test_cyclotomic_list_only_in_laurent():
+    """The one list of the Φ_m of each degree: no second enumeration."""
+    found = sorted(f"{name}:{node.name}" for name, tree in _modules()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in {"_totient_preimages", "_phi_coeffs"})
+    assert found == ["laurent.py:_phi_coeffs", "laurent.py:_totient_preimages"]
+
+
+def test_factor_list_only_in_factor_poly():
+    """sympy's factoring runs in laurent.factor_poly alone: on the rest of
+    the collinear branch and on the non-collinear path."""
+    found = [f"{name}:{getattr(top, 'name', '<module>')}"
+             for name, tree in _modules()
+             for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and "factor_list" in node.attr
+             or isinstance(node, ast.Name) and "factor_list" in node.id]
+    assert found == ["laurent.py:factor_poly"] * 2

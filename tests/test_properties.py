@@ -9,11 +9,12 @@ from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                delta_chain, elementary_ideal_minors,
                                fox_matrix)
 from alexkit.cyclofield import (CONDUCTOR_CAP, Character, CycloNumber,
-                                _totient_preimages, cyclotomic_order,
-                                cyclotomic_poly, evaluate, rank_over_field)
+                                cyclotomic_order, cyclotomic_poly, evaluate,
+                                rank_over_field)
 from alexkit.intlinalg import smith_normal_form
 from alexkit.laurent import (TOTAL_DEGREE_CAP, ComputationCapError,
-                             LaurentError, LaurentPoly, _from_ring, _to_ring,
+                             FactoredPoly, LaurentError, LaurentPoly,
+                             _from_ring, _to_ring, _totient_preimages,
                              associates, divides, exact_div,
                              exact_div_binomial, factor_poly, gcd, gcd_many,
                              multiplicity, normalize, parse_poly,
@@ -386,7 +387,7 @@ def test_totient_preimages_match_brute_scan():
     phi = [None] + [_euler_phi(m) for m in range(1, 2 * 60 * 60 + 2)]
     for d in range(1, 61):
         assert _totient_preimages(d) == \
-            [m for m in range(1, 2 * d * d + 2) if phi[m] == d]
+            tuple(m for m in range(1, 2 * d * d + 2) if phi[m] == d)
 
 
 def test_cyclotomic_order_every_order_to_1000():
@@ -497,6 +498,60 @@ def test_qp_verdict_matches_sev_cyclotomic_oracle():
         assert got == _qp_oracle(delta).as_dict(None), delta
         seen.add(got["reason"])
     assert len(seen) == 3
+
+
+def _factor_list_oracle(f):
+    """The former factor_poly, kept as the oracle: sympy's factor_list on
+    the whole polynomial, in all its variables."""
+    g = normalize(f)
+    c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
+    _, parts = _to_ring(g, "ZZ")[1].factor_list()
+    factors = [(normalize(_from_ring(p, g.nvars)), mult)
+               for p, mult in parts]
+    return FactoredPoly(c, tuple(sorted(
+        ((p, mult) for p, mult in factors if not p.is_constant()),
+        key=lambda t: (sorted(t[0].terms), sorted(t[0].terms.items()),
+                       t[1]))))
+
+
+# non-cyclotomic univariate factors: non-monic, a reciprocal pair
+# (3u + 2, 2u + 3) and a self-reciprocal one (u^2 - 3u + 1), so that
+# gcd(P, reversed P) keeps factors that are not cyclotomic
+NON_CYCLOTOMIC = ("2*u^2 - 1", "u^3 - u - 1", "3*u + 2", "2*u + 3",
+                  "u^2 - 3*u + 1")
+
+
+def test_collinear_factoring_matches_factor_list_oracle():
+    """factor_poly on c · ±t^a · Π P_j(t^e)^μ_j, e primitive, against
+    sympy's factoring of the whole polynomial.  That oracle took 8 s to
+    over 10 s on products of degree 41 along (1, 1, 1, 1), so products
+    along a direction with two or more nonzero entries are kept to total
+    degree 24."""
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 300:
+        p = LaurentPoly.constant(1, rng.choice([1, 1, 2, 3, 6]))
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                piece = cyclotomic_poly(rng.randint(1, 60))
+            elif kind == 1:
+                piece = parse_poly(rng.choice(["u - 1", "u + 1"]), ("u",))
+            else:
+                piece = parse_poly(rng.choice(NON_CYCLOTOMIC), ("u",))
+            p = p * piece ** rng.randint(1, 3)
+        n = rng.randint(1, 4)
+        e = (0,) * n
+        while math.gcd(*e) != 1:
+            e = tuple(rng.randint(-3, 3) for _ in range(n))
+        degree = max(k for (k,) in p.terms) * sum(map(abs, e))
+        if sum(map(bool, e)) > 1 and degree > 24:
+            continue
+        checked += 1
+        unit = LaurentPoly.monomial(
+            tuple(rng.randint(-3, 3) for _ in range(n)), rng.choice([1, -1]))
+        f = unit * _along(e, {k: c for (k,), c in p.terms.items()})
+        assert factor_poly(f) == _factor_list_oracle(f), f
 
 
 def test_rank_over_field_matches_brute_minors():
