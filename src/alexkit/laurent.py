@@ -662,27 +662,65 @@ class FactoredPoly:
         return acc
 
 
+def _cyclotomic_part(r):
+    """The largest divisor of r whose roots are all roots of unity, for a
+    squarefree r in _ring(1, "ZZ") with r(0) ≠ 0.
+
+    A primitive m-th root of unity ζ is conjugate to ζ^2 when m is odd and
+    to −ζ^2 when m ≡ 2 mod 4, and Φ_m(u) = Φ_{m/2}(u^2) when 4 | m
+    (Beukers & Smyth).  So the Φ_m with m odd divide the largest divisor h
+    of r with h | h(u^2); those with m ≡ 2 mod 4 divide the largest
+    divisor h of what is left with h | h(−u^2); and those with 4 | m are
+    Φ(u^2) for the cyclotomic factors Φ(w) of the even part
+    gcd(r(u), r(−u)) = E(u^2) of what is left after that.  Such an h is
+    reached by gcds that each lower the degree, and has only roots of
+    unity, since for each root α all of ±α^(2^k) are among its finitely
+    many roots.  No step depends on how many Φ_m there are.
+    """
+    ring = r.ring
+
+    def substitute(g, sign, power):
+        """g(sign · u^power)"""
+        return ring({(power * k,): c * sign ** k for (k,), c in g.items()})
+
+    def closed(h, sign):
+        while True:
+            g = h.gcd(substitute(h, sign, 2))
+            if g.degree() == h.degree():
+                return h
+            h = g
+
+    part = ring(1)
+    for sign in (1, -1):
+        h = closed(r, sign)
+        part, r = part * h, r.exquo(h)
+    even = r.gcd(substitute(r, -1, 1))
+    if even.degree() > 0:
+        half = ring({(k // 2,): c for (k,), c in even.items()})
+        part *= substitute(_cyclotomic_part(half), 1, 2)
+    return part
+
+
 def _split_cyclotomic(q):
     """(cyclo, rest) with q = Π cyclo · rest, for a squarefree q in
     _ring(1, "ZZ") with q(0) ≠ 0: cyclo lists the Φ_m dividing q, and no
     Φ_m divides rest.
 
-    Φ_m is its own reciprocal up to sign, so each Φ_m dividing q divides
-    r = gcd(q, u^deg q · q(1/u)).  The Φ_m are tried on r in order of
-    degree, and r shrinks as they are found.
+    The Φ_m are tried on the product c of them (`_cyclotomic_part`) in
+    order of degree, and c shrinks as they are found, so when q has no
+    cyclotomic factor none is tried.
     """
     ring = q.ring
-    deg = q.degree()
-    r = q.gcd(ring({(deg - k,): c for (k,), c in q.items()}))
+    c = _cyclotomic_part(q)
     cyclo = []
     d = 1
-    while d <= r.degree():
+    while d <= c.degree():
         for m in _totient_preimages(d):
-            phi = ring({(k,): c for k, c in enumerate(_phi_coeffs(m)) if c})
-            quo, rem = r.div(phi)
+            phi = ring({(k,): v for k, v in enumerate(_phi_coeffs(m)) if v})
+            quo, rem = c.div(phi)
             if not rem:
                 cyclo.append(phi)
-                r, q = quo, q.exquo(phi)
+                c, q = quo, q.exquo(phi)
         d += 1
     return cyclo, q
 
@@ -726,7 +764,7 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
             mults[piece] = mults.get(piece, 0) + int(mult)
     out = FactoredPoly(c, tuple(sorted(
         mults.items(), key=lambda t: (sorted(t[0].terms),
-                                      sorted(t[0].terms.items()), t[1]))))
+                                      sorted(t[0].terms.items())))))
     if not associates(out.reassembled(g.nvars), g):
         raise LaurentError("factorization failed to reassemble (internal bug)")
     return out

@@ -14,7 +14,8 @@ from alexkit.cyclofield import (CONDUCTOR_CAP, Character, CycloNumber,
 from alexkit.intlinalg import smith_normal_form
 from alexkit.laurent import (TOTAL_DEGREE_CAP, ComputationCapError,
                              FactoredPoly, LaurentError, LaurentPoly,
-                             _from_ring, _to_ring, _totient_preimages,
+                             _cyclotomic_part, _from_ring,
+                             _split_cyclotomic, _to_ring, _totient_preimages,
                              associates, divides, exact_div,
                              exact_div_binomial, factor_poly, gcd, gcd_many,
                              multiplicity, normalize, parse_poly,
@@ -510,13 +511,12 @@ def _factor_list_oracle(f):
                for p, mult in parts]
     return FactoredPoly(c, tuple(sorted(
         ((p, mult) for p, mult in factors if not p.is_constant()),
-        key=lambda t: (sorted(t[0].terms), sorted(t[0].terms.items()),
-                       t[1]))))
+        key=lambda t: (sorted(t[0].terms), sorted(t[0].terms.items())))))
 
 
 # non-cyclotomic univariate factors: non-monic, a reciprocal pair
-# (3u + 2, 2u + 3) and a self-reciprocal one (u^2 - 3u + 1), so that
-# gcd(P, reversed P) keeps factors that are not cyclotomic
+# (3u + 2, 2u + 3) and a self-reciprocal one (u^2 - 3u + 1), whose roots
+# are closed under u ↦ 1/u as those of every Φ_m are
 NON_CYCLOTOMIC = ("2*u^2 - 1", "u^3 - u - 1", "3*u + 2", "2*u + 3",
                   "u^2 - 3*u + 1")
 
@@ -552,6 +552,45 @@ def test_collinear_factoring_matches_factor_list_oracle():
             tuple(rng.randint(-3, 3) for _ in range(n)), rng.choice([1, -1]))
         f = unit * _along(e, {k: c for (k,), c in p.terms.items()})
         assert factor_poly(f) == _factor_list_oracle(f), f
+
+
+# self-reciprocal, like every Φ_m, and not cyclotomic: with φ the golden
+# ratio, u^2 ∓ 3u + 1 has the roots ±φ^(±2), u^2 ∓ 7u + 1 the roots
+# ±φ^(±4) and u^4 − 3u^2 + 1 the roots ±φ^(±1), so squaring (or minus
+# squaring) maps some roots to others; Lehmer's polynomial has all roots
+# but two on the unit circle
+RECIPROCAL_NON_CYCLOTOMIC = (
+    "u^2 - 3*u + 1", "u^2 + 3*u + 1", "u^2 - 7*u + 1", "u^2 + 7*u + 1",
+    "u^4 - 3*u^2 + 1", "u^10 + u^9 - u^7 - u^6 - u^5 - u^4 - u^3 + u + 1")
+
+
+def test_split_cyclotomic_finds_exactly_the_cyclotomic_factors():
+    """_cyclotomic_part and _split_cyclotomic on squarefree products of
+    distinct Φ_m (m ≤ 90) and self-reciprocal non-cyclotomic factors
+    whose roots square into each other's: the part is the product of the
+    Φ_m put in, and the split returns exactly them."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        orders = set(rng.sample(range(1, 91), rng.randint(0, 5)))
+        others = rng.sample(RECIPROCAL_NON_CYCLOTOMIC, rng.randint(0, 3))
+        if not orders and not others:
+            continue
+        part = LaurentPoly.constant(1, 1)
+        for m in orders:
+            part = part * cyclotomic_poly(m)
+        p = part
+        for text in others:
+            p = p * parse_poly(text, ("u",))
+        q = _to_ring(p, "ZZ")[1]
+        assert associates(_from_ring(_cyclotomic_part(q), 1), part)
+        cyclo, rest = _split_cyclotomic(q)
+        assert {_from_ring(c, 1) for c in cyclo} == \
+            {cyclotomic_poly(m) for m in orders}, (orders, others)
+        assert len(cyclo) == len(orders)
+        product = rest
+        for c in cyclo:
+            product = product * c
+        assert product == q
 
 
 def test_rank_over_field_matches_brute_minors():
