@@ -1,11 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(ζ_N), and linear algebra over them.
 
 A CycloNumber is a polynomial in ζ_N with rational coefficients, reduced
-mod Φ_N.  No complex embedding is chosen: ζ_N is the class of t in
-Q[t]/(Φ_N), which is all that exact ranks and vanishing orders need.
+mod Φ_N; integral coefficients are kept as `int`.  No complex embedding is
+chosen: ζ_N is the class of t in Q[t]/(Φ_N), which is all that exact ranks
+and vanishing orders need.
 A Character is an exponent vector: its values are q_i·ζ_N^{k_i}, so a
 monomial at a character is one more such value (`Character.pull`), and a
 polynomial's value is a sum of rationals in N buckets (`evaluate`).
+Ranks are computed in Z[ζ_N] by Bareiss's fraction-free elimination, whose
+exact divisions are ℓ-adic: no element of Q(ζ_N) is ever inverted.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import math
 import re
 from fractions import Fraction
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .laurent import (ComputationCapError, LaurentPoly, _invert_mod,
+from .laurent import (ComputationCapError, LaurentPoly, _invert_mod_prime,
                       _phi_coeffs, _totient_preimages)
 
 CONDUCTOR_CAP = 240
@@ -49,7 +53,7 @@ def cyclotomic_order(p: LaurentPoly) -> Optional[int]:
                  if _phi_coeffs(m) == coeffs), None)
 
 
-def _reduce(coeffs: List[Fraction], n: int) -> tuple:
+def _reduce(coeffs: list, n: int) -> tuple:
     """Reduce a coefficient list mod Φ_n to degree < φ(n)."""
     phi = list(_phi_coeffs(n))
     deg = len(phi) - 1
@@ -61,8 +65,30 @@ def _reduce(coeffs: List[Fraction], n: int) -> tuple:
             for i in range(deg):
                 coeffs[shift + i] -= c * phi[i]
     while len(coeffs) < deg:
-        coeffs.append(Fraction(0))
+        coeffs.append(0)
     return tuple(coeffs)
+
+
+def _product(x: Sequence, y: Sequence) -> list:
+    """The product of two coefficient lists as polynomials, unreduced."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    out[i + j] += a * b
+    return out
+
+
+def _mul(x: Sequence, y: Sequence, n: int) -> tuple:
+    """x·y in Z[ζ_n] (or Q(ζ_n)), reduced mod Φ_n."""
+    return _reduce(_product(x, y), n)
+
+
+def _cross(p: tuple, x: tuple, f: tuple, y: tuple, n: int) -> tuple:
+    """p·x − f·y in Z[ζ_n], reduced mod Φ_n once."""
+    return _reduce([u - v for u, v in zip(_product(p, x), _product(f, y))],
+                   n)
 
 
 def _check_conductor(n: int) -> None:
@@ -81,7 +107,8 @@ class CycloNumber:
     def __init__(self, conductor: int, coeffs: Sequence):
         _check_conductor(conductor)
         self.conductor = conductor
-        self.coeffs = _reduce([Fraction(c) for c in coeffs], conductor)
+        self.coeffs = _reduce([c if type(c) is int else Fraction(c)
+                               for c in coeffs], conductor)
 
     def _check(self, other: "CycloNumber") -> None:
         if other.conductor != self.conductor:
@@ -103,24 +130,8 @@ class CycloNumber:
 
     def __mul__(self, other):
         self._check(other)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                if y:
-                    out[i + j] += x * y
-        return CycloNumber(self.conductor, out)
-
-    def inverse(self) -> "CycloNumber":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # Φ_N is irreducible, so it is coprime to any nonzero reduced value
-        inv = _invert_mod(
-            LaurentPoly(1, {(i,): c for i, c in enumerate(self.coeffs)}),
-            cyclotomic_poly(self.conductor)).terms
         return CycloNumber(self.conductor,
-                           [inv.get((i,), 0) for i in range(len(self.coeffs))])
+                           _mul(self.coeffs, other.coeffs, self.conductor))
 
     def __eq__(self, other):
         if not isinstance(other, CycloNumber):
@@ -177,8 +188,7 @@ class Character:
         for e in vectors:
             if len(e) != len(self.exps):
                 raise CycloError("exponent vector has wrong length")
-            scales.append(math.prod((q ** e[j] for j, q in scaled),
-                                    start=Fraction(1)))
+            scales.append(math.prod((q ** e[j] for j, q in scaled), start=1))
             exps.append(sum(k * x for k, x in zip(self.exps, e)))
         return Character(self.conductor, tuple(scales), tuple(exps))
 
@@ -231,36 +241,111 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
 def evaluate(f: LaurentPoly, chi: Character) -> CycloNumber:
     """Exact value of f at the character chi: each term c·t^e adds c·q to
     the bucket of ζ_N^k, where q·ζ_N^k is chi's value at e, and the
-    buckets are reduced mod Φ_N once."""
+    buckets are reduced mod Φ_N once.  An integral c·q is added as an
+    `int`."""
     if len(chi) != f.nvars:
         raise CycloError("point has wrong number of coordinates")
     values = chi.pull(f.terms)
-    buckets = [Fraction(0)] * chi.conductor
+    buckets = [0] * chi.conductor
     for c, q, k in zip(f.terms.values(), values.scales, values.exps):
-        buckets[k] += c * q
+        num, den = c.numerator * q.numerator, c.denominator * q.denominator
+        buckets[k] += num if den == 1 else Fraction(num, den)
     return CycloNumber(chi.conductor, buckets)
 
 
+# The first prime ℓ of the ℓ-adic divisions; 2^61 − 1 fits a machine word.
+_PRIME = 2 ** 61 - 1
+
+
+@lru_cache(maxsize=None)
+def _power_bound(n: int) -> int:
+    """The largest |coefficient| of ζ_n^i, 0 ≤ i < n, reduced mod Φ_n."""
+    phi = _phi_coeffs(n)
+    v = (1,) + (0,) * (len(phi) - 2)
+    best = 1
+    for _ in range(n - 1):
+        v = _reduce([0, *v], n)
+        best = max(best, *map(abs, v))
+    return best
+
+
+def _divider(b: tuple, n: int):
+    """Exact division by b ≠ 0 in Z[ζ_n]: a function taking each integer
+    coefficient tuple a that b divides to the tuple of a / b.
+
+    b is inverted once, modulo a word-size prime ℓ and Φ_n (the next prime
+    when b is not invertible there).  The quotient then comes out in
+    symmetric ℓ-adic digits q_0 + q_1·ℓ + ..., each q_i = r_i·b⁻¹ mod ℓ with
+    r_0 = a and r_(i+1) = (r_i − b·q_i) / ℓ, until r_i = 0.
+
+    With b' the product of the other conjugates of b, a / b = a·b' / N(b)
+    for the norm N(b), a nonzero integer.  A conjugate permutes the
+    coefficients of b in Z[t]/(t^n − 1), so every coefficient of a / b is
+    at most B = c_n·|a|_1·|b|_1^(φ(n)−1), c_n from `_power_bound`.  Once
+    ℓ^i > 2B the digits hold the whole quotient, so a remainder left then
+    means that b does not divide a: an internal error.
+    """
+    phi = _phi_coeffs(n)
+    ell, inverse = _invert_mod_prime(b, phi, _PRIME)
+    half = ell // 2
+    bound = 2 * _power_bound(n) * sum(map(abs, b)) ** (len(phi) - 2)
+
+    def divide(a: tuple) -> tuple:
+        limit = bound * sum(map(abs, a))
+        q, r, scale = [0] * len(a), a, 1
+        while any(r):
+            if scale > limit:
+                raise CycloError("inexact division in Z[zeta] (internal bug)")
+            digit = [(c + half) % ell - half for c in _mul(r, inverse, n)]
+            r = [(x - y) // ell for x, y in zip(r, _mul(b, digit, n))]
+            q = [x + scale * y for x, y in zip(q, digit)]
+            scale *= ell
+        return tuple(q)
+
+    return divide
+
+
+def _integral(row: Sequence[CycloNumber]) -> List[tuple]:
+    """The row times the lcm of its denominators, as integer tuples."""
+    lcm = math.lcm(*(c.denominator for x in row for c in x.coeffs))
+    return [tuple(c.numerator * (lcm // c.denominator) for c in x.coeffs)
+            for x in row]
+
+
 def rank_over_field(matrix: Sequence[Sequence[CycloNumber]]) -> int:
-    """Exact rank via Gaussian elimination with exact zero tests."""
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
+    """Exact rank over Q(ζ_N), by Bareiss's fraction-free elimination in
+    Z[ζ_N] (Math. Comp. 22, 1968).
+
+    Each row is first scaled to integer coefficients, which keeps the rank.
+    Below the pivot p, every row becomes (p·row − f·pivot row) / the
+    previous pivot, f its entry in the pivot column (also when f = 0).
+    Sylvester's identity makes every entry a minor of the matrix, so each
+    division is exact in Z[ζ_N] (`_divider`).
+    """
+    if not matrix or not matrix[0]:
         return 0
+    n = matrix[0][0].conductor
+    if any(x.conductor != n for row in matrix for x in row):
+        raise CycloError("matrix entries have different conductors")
+    rows = [_integral(row) for row in matrix]
     nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    col = 0
+    rank, prev = 0, None
     for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows)
-                      if not rows[i][col].is_zero()), None)
+        pivot = next((i for i in range(rank, nrows) if any(rows[i][col])),
+                     None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(nrows):
-            if i != rank and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        top = rows[rank]
+        p = top[col]
+        if rank + 1 < nrows:
+            divide = _divider(prev, n) if prev is not None else None
+            for i in range(rank + 1, nrows):
+                row, f = rows[i], rows[i][col]
+                for j in range(col + 1, ncols):
+                    x = _cross(p, row[j], f, top[j], n)
+                    row[j] = divide(x) if divide else x
+        prev = p
         rank += 1
         if rank == nrows:
             break

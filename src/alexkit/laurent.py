@@ -7,10 +7,11 @@ associate over C if they additionally differ by a rational scalar.
 
 `LaurentPoly`, a dict {exponent vector: Fraction}, is the one polynomial
 type alexkit code handles.  Division, gcd, squarefree and irreducible
-factorization, cyclotomic polynomials and inverses modulo a polynomial
-come from sympy's sparse polynomial rings, reached only through the bridge
-in this module: `_ring` (Z[t] or Q[t] in n variables, built on first use),
-`_to_ring` and `_from_ring`.
+factorization and cyclotomic polynomials come from sympy's sparse
+polynomial rings, reached only through the bridge in this module: `_ring`
+(Z[t] or Q[t] in n variables, built on first use), `_to_ring` and
+`_from_ring`.  Inverses modulo a prime and a polynomial come from sympy's
+dense Euclid over F_p, through `_invert_mod_prime`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
-from sympy.ntheory import divisors, isprime
-from sympy.polys.domains import QQ
+from sympy.ntheory import divisors, isprime, nextprime
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.galoistools import gf_from_int_poly, gf_gcdex
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
@@ -252,13 +254,18 @@ def _from_ring(p, nvars: int, shift: Optional[Sequence[int]] = None
         for monom, c in p.items()})
 
 
-def _invert_mod(f: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
-    """The inverse of f modulo m in Q[t], for univariate f and m with
-    nonnegative exponents and gcd(f, m) = 1; degree below deg m."""
-    _, pf = _to_ring(f, "QQ")
-    _, pm = _to_ring(m, "QQ")
-    inv, _ = pf.half_gcdex(pm)
-    return _from_ring(inv, 1)
+def _invert_mod_prime(f: Sequence[int], m: Sequence[int], p: int
+                      ) -> Tuple[int, Tuple[int, ...]]:
+    """(ℓ, the inverse of f modulo m over F_ℓ) for the least prime ℓ ≥ p at
+    which f is invertible modulo m; f and m are ascending integer
+    coefficient lists, m is monic and coprime to f over Q, and the inverse
+    has coefficients in [0, ℓ), one per degree below deg m."""
+    while True:
+        s, _, g = gf_gcdex(gf_from_int_poly(f[::-1], p),
+                           gf_from_int_poly(m[::-1], p), p, ZZ)
+        if g == [1]:
+            return p, tuple(s[::-1]) + (0,) * (len(m) - 1 - len(s))
+        p = nextprime(p)
 
 
 # -- cyclotomic polynomials -------------------------------------------------

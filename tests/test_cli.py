@@ -275,3 +275,20 @@ def test_invariants_collinear_delta_in_bounded_time(tmp_path, text, factors):
            for f in report["factored"]["factors"]}
     assert report["factored"]["constant"] == 1
     assert got == dict(factors)
+
+
+def test_betti_at_conductor_211_in_bounded_time(tmp_path):
+    """Each pivot inverted over Q(ζ_211) took minutes; Bareiss in
+    Z[ζ_211] inverts nothing over Q."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "rows": [
+        ["x + y^5 - 2", "x^3 - y + 1", "y^2 + x*y - 3"],
+        ["x^2*y - 1 + y^7", "2*x - y^3", "x^5 + y - 1"]]}))
+    src = str(Path(alexkit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "alexkit.cli", "betti", "--matrix", str(path),
+         "--char", "x=zeta211,y=zeta211^17"],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["b1"] == 0

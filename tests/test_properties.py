@@ -8,14 +8,16 @@ from fractions import Fraction
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                delta_chain, elementary_ideal_minors,
                                fox_matrix)
-from alexkit.cyclofield import (CONDUCTOR_CAP, Character, CycloNumber,
+from alexkit.cyclofield import (_PRIME, CONDUCTOR_CAP, Character,
+                                CycloNumber, _divider, _mul,
                                 cyclotomic_order, cyclotomic_poly, evaluate,
                                 rank_over_field)
 from alexkit.intlinalg import smith_normal_form
 from alexkit.laurent import (TOTAL_DEGREE_CAP, ComputationCapError,
                              FactoredPoly, LaurentError, LaurentPoly,
-                             _cyclotomic_part, _from_ring,
-                             _split_cyclotomic, _to_ring, _totient_preimages,
+                             _cyclotomic_part, _from_ring, _invert_mod_prime,
+                             _phi_coeffs, _split_cyclotomic, _to_ring,
+                             _totient_preimages,
                              associates, divides, exact_div,
                              exact_div_binomial, factor_poly, gcd, gcd_many,
                              multiplicity, normalize, parse_poly,
@@ -593,39 +595,100 @@ def test_split_cyclotomic_finds_exactly_the_cyclotomic_factors():
         assert product == q
 
 
+def _brute_rank(mat):
+    """The largest k with a nonzero k×k minor, each minor a Laplace
+    expansion along its first row (memoized over row and column sets)."""
+    n = mat[0][0].conductor
+    memo = {}
+
+    def det(rsel, csel):
+        if not rsel:
+            return CycloNumber(n, [1])
+        if (rsel, csel) not in memo:
+            acc = CycloNumber(n, [])
+            for j, c in enumerate(csel):
+                term = mat[rsel[0]][c] * det(rsel[1:], csel[:j] + csel[j + 1:])
+                acc = acc + term if j % 2 == 0 else acc - term
+            memo[rsel, csel] = acc
+        return memo[rsel, csel]
+
+    rows, cols = len(mat), len(mat[0])
+    for k in range(min(rows, cols), 0, -1):
+        if any(not det(rsel, csel).is_zero()
+               for rsel in itertools.combinations(range(rows), k)
+               for csel in itertools.combinations(range(cols), k)):
+            return k
+    return 0
+
+
+def _random_cyclo(rng, n, scales, terms=2):
+    """A sum of up to `terms` values q·ζ_n^k, q drawn from `scales`."""
+    acc = CycloNumber(n, [])
+    for _ in range(rng.randrange(terms + 1)):
+        acc = acc + CycloNumber(n, [0] * rng.randrange(n)
+                                + [rng.choice(scales)])
+    return acc
+
+
 def test_rank_over_field_matches_brute_minors():
+    """Bareiss's rank against brute-force minors: conductors 1, 2, 5, 12,
+    60 and (up to 3×3) 211, rational entries, shapes up to 5×6, a zero
+    column, and a row that is a Z[ζ]-combination of the others."""
     rng = random.Random(20240909)
-    pool = [CycloNumber(12, [0] * k + [q])
-            for q, k in ((0, 0), (1, 0), (-1, 0), (1, 1), (1, 5), (1, 4),
-                         (1, 3), (2, 0))]
+    scales = (1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))
+    shapes = {1: (5, 6), 2: (5, 6), 5: (5, 6), 12: (5, 6), 60: (4, 5),
+              211: (3, 3)}
+    for case in range(240):
+        n = (1, 2, 5, 12, 60, 211)[case % 6]
+        max_rows, max_cols = shapes[n]
+        if case % 4 == 1:
+            max_rows, max_cols = (5, 6) if n != 211 else (3, 3)
+        rows, cols = rng.randint(1, max_rows), rng.randint(1, max_cols)
+        mat = [[_random_cyclo(rng, n, scales) for _ in range(cols)]
+               for _ in range(rows)]
+        if case % 5 == 2:
+            j = rng.randrange(cols)
+            for row in mat:
+                row[j] = CycloNumber(n, [])
+        if case % 3 == 0 and rows > 1:
+            i = rng.randrange(rows)
+            combo = [CycloNumber(n, [])] * cols
+            for r in range(rows):
+                if r != i:
+                    c = _random_cyclo(rng, n, (1, -1, 2), 3)
+                    combo = [x + c * y for x, y in zip(combo, mat[r])]
+            mat[i] = combo
+        assert rank_over_field(mat) == _brute_rank(mat), (n, mat)
 
-    def det(mat):
-        if len(mat) == 1:
-            return mat[0][0]
-        acc = CycloNumber(12, [])
-        sign = 1
-        for i in range(len(mat)):
-            minor = [r[1:] for j, r in enumerate(mat) if j != i]
-            term = mat[i][0] * det(minor)
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        return acc
 
-    def brute_rank(mat):
-        rows, cols = len(mat), len(mat[0])
-        for k in range(min(rows, cols), 0, -1):
-            for rsel in itertools.combinations(range(rows), k):
-                for csel in itertools.combinations(range(cols), k):
-                    sub = [[mat[r][c] for c in csel] for r in rsel]
-                    if not det(sub).is_zero():
-                        return k
-        return 0
+def test_rank_of_known_rank_products():
+    """B·C over Z[ζ_3] at 24×24 with B = [I_r; random] and
+    C = [I_r | random] has rank r; its minors grow with the size, which
+    Bareiss's exact divisions keep down."""
+    rng = random.Random(20261018)
+    size = 24
 
-    for _ in range(40):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        mat = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
-        assert rank_over_field(mat) == brute_rank(mat)
+    def entry():
+        return CycloNumber(3, [rng.randint(-9, 9), rng.randint(-9, 9)])
+
+    def identity(i, j):
+        return CycloNumber(3, [int(i == j)])
+
+    for r in (1, 7, 16, 23):
+        b = [[identity(i, j) if i < r else entry() for j in range(r)]
+             for i in range(size)]
+        c = [[identity(i, j) if j < r else entry() for j in range(size)]
+             for i in range(r)]
+        product = []
+        for i in range(size):
+            row = []
+            for j in range(size):
+                acc = CycloNumber(3, [])
+                for k in range(r):
+                    acc = acc + b[i][k] * c[k][j]
+                row.append(acc)
+            product.append(row)
+        assert rank_over_field(product) == r
 
 
 def _fox_oracle_presentation(rng):
@@ -796,28 +859,32 @@ def test_cyclotomic_polys_multiply_to_binomials():
         assert prod == [-1] + [0] * (n - 1) + [1]
 
 
-def test_cyclotomic_inverse():
-    # a + b·ζ at every conductor, and dense values where φ(n) ≤ 12, which
-    # covers the character-scan conductors 5, 7, 8, 9 and 11.  (A dense
-    # value at a large prime conductor takes seconds to minutes to invert.)
+def test_cyclotomic_exact_division():
+    """divide(x·d) == x for the exact division by d in Z[ζ_n]: a sparse x
+    and d at every conductor up to the cap, dense ones at 211 and 239,
+    large coefficients, and d ≡ 0 mod the first prime ℓ, where d has no
+    inverse mod ℓ and the next prime is taken."""
     rng = random.Random(20241103)
 
-    def value(n, length):
+    def value(n, length, size=6):
         while True:
-            x = CycloNumber(n, [Fraction(rng.randrange(-6, 7),
-                                         rng.randrange(1, 4))
-                                for _ in range(length)])
-            if not x.is_zero():
-                return x
+            x = [0] * (len(_phi_coeffs(n)) - 1)
+            for _ in range(length):
+                x[rng.randrange(len(x))] = rng.randint(-size, size)
+            if any(x):
+                return tuple(x)
 
-    cases = [value(n, 2) for n in range(3, CONDUCTOR_CAP + 1)]
-    for n in range(3, CONDUCTOR_CAP + 1):
-        dim = len(CycloNumber(n, []).coeffs)
-        if dim <= 12:
-            cases += [value(n, dim) for _ in range(3)]
-    assert {x.conductor for x in cases} >= {5, 7, 8, 9, 11}
-    for x in cases:
-        assert x * x.inverse() == CycloNumber(x.conductor, [1])
+    cases = [(n, value(n, 3), value(n, 2))
+             for n in range(1, CONDUCTOR_CAP + 1)]
+    cases += [(n, value(n, 300), value(n, 300)) for n in (211, 239)]
+    cases += [(n, value(n, 8, 10 ** 40), value(n, 8, 10 ** 30))
+              for n in (5, 12, 60, 240)]
+    for n in (1, 7, 60):
+        d = tuple(_PRIME * c for c in value(n, 3))
+        assert _invert_mod_prime(d, _phi_coeffs(n), _PRIME)[0] > _PRIME
+        cases.append((n, value(n, 4), d))
+    for n, x, d in cases:
+        assert _divider(d, n)(_mul(x, d, n)) == x, (n, x, d)
 
 
 def test_seifert_delta_times_divisors_is_binomial_power():
