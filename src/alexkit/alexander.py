@@ -308,7 +308,8 @@ def generic_rank_mod(mat: AlexanderMatrix, f: LaurentPoly) -> int:
 
 def evaluate_matrix(mat: AlexanderMatrix, chi: Character):
     """Evaluate at a character with one value per generator (or per variable
-    in matrix mode); returns a CycloNumber matrix."""
+    in matrix mode): a grid of coefficient tuples at chi's conductor, as
+    `evaluate` returns them."""
     entries = mat.generator_entries
     if entries and len(chi) != entries[0][0].nvars:
         raise AlexanderError(

@@ -14,7 +14,7 @@ import sys
 from .alexander import (AlexanderError, alexander_poly, fox_matrix,
                         load_matrix)
 from .cyclofield import CycloError, parse_character
-from .jumploci import (JumpLociError, almost_principal_status, bounds_report,
+from .jumploci import (JumpLociError, almost_principal_of, bounds_report,
                        twisted_betti)
 from .laurent import (ComputationCapError, FactoredPoly, LaurentError,
                       default_names, factor_poly)
@@ -80,15 +80,6 @@ def _factored_dict(fp: FactoredPoly, names) -> dict:
     }
 
 
-def _almost_principal(mat, asserted):
-    """The almost-principal status: from the presentation, or only what the
-    user asserted for matrix-mode input."""
-    if mat.origin == "presentation":
-        return almost_principal_status(mat.presentation, asserted)
-    return ("Yes", f"user-asserted: {asserted}") if asserted \
-        else ("Unknown", None)
-
-
 def _emit(report: dict, pretty: bool) -> None:
     indent = 2 if pretty else None
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=indent))
@@ -105,7 +96,7 @@ def cmd_invariants(args) -> int:
         report["torsion"] = None
         report["warnings"].append(
             "matrix-mode input: Fox identity not verified")
-    ap = _almost_principal(mat, args.assert_almost_principal)
+    ap = almost_principal_of(mat, args.assert_almost_principal)
     delta = alexander_poly(mat, 1)
     report["delta"] = None if delta.is_zero() else delta.render(names)
     if delta.is_zero():
@@ -115,7 +106,7 @@ def cmd_invariants(args) -> int:
         factored = factor_poly(delta)
         report["factored"] = _factored_dict(factored, names)
     verdict = qp_verdict(factored, mat.num_vars, projective=args.projective)
-    report["qp"] = verdict.as_dict(names)
+    report["qp"] = verdict.as_dict()
     chars = {}
     for spec in args.char or []:
         chi = parse_character(spec, char_names)
@@ -127,7 +118,7 @@ def cmd_invariants(args) -> int:
                            "note": "zero delta: bounds unavailable"}
         else:
             rep = bounds_report(mat, factored, chi, almost_principal=ap)
-            chars[spec] = rep.as_dict(names)
+            chars[spec] = rep.as_dict()
     if chars:
         report["characters"] = chars
     _emit(report, args.pretty)
@@ -138,7 +129,6 @@ def cmd_betti(args) -> int:
     if args.depth is not None and args.depth < 1:
         raise InputError("depth must be a positive integer")
     mat, char_names, echo = _load_input(args.input, args.matrix)
-    names = mat.var_names
     chi = parse_character(args.char, char_names)
     report: dict = {"input": echo, "char": args.char}
     if chi.is_trivial():
@@ -152,9 +142,9 @@ def cmd_betti(args) -> int:
         else:
             rep = bounds_report(
                 mat, factor_poly(delta), chi,
-                almost_principal=_almost_principal(
+                almost_principal=almost_principal_of(
                     mat, args.assert_almost_principal))
-            report.update(rep.as_dict(names))
+            report.update(rep.as_dict())
     if args.depth is not None:
         report["depth"] = args.depth
         report["member"] = report["b1"] >= args.depth

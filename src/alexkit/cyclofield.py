@@ -1,9 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(ζ_N), and linear algebra over them.
 
-A CycloNumber is a polynomial in ζ_N with rational coefficients, reduced
-mod Φ_N; integral coefficients are kept as `int`.  No complex embedding is
-chosen: ζ_N is the class of t in Q[t]/(Φ_N), which is all that exact ranks
-and vanishing orders need.
+A value in Q(ζ_N) is the tuple of its φ(N) coefficients in ζ_N, reduced
+mod Φ_N (`_reduce`), each an `int` or, when not integral, a `Fraction`.
+No complex embedding is chosen: ζ_N is the class of t in Q[t]/(Φ_N),
+which is all that exact ranks and vanishing orders need.  The conductor
+travels with the character or matrix, not with each value.
 A Character is an exponent vector: its values are q_i·ζ_N^{k_i}, so a
 monomial at a character is one more such value (`Character.pull`), and a
 polynomial's value is a sum of rationals in N buckets (`evaluate`).
@@ -98,51 +99,6 @@ def _check_conductor(n: int) -> None:
         raise ComputationCapError(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
 
 
-class CycloNumber:
-    """An element of Q(ζ_N), reduced mod Φ_N.  Both operands of an
-    operation must have the same conductor N."""
-
-    __slots__ = ("conductor", "coeffs")
-
-    def __init__(self, conductor: int, coeffs: Sequence):
-        _check_conductor(conductor)
-        self.conductor = conductor
-        self.coeffs = _reduce([c if type(c) is int else Fraction(c)
-                               for c in coeffs], conductor)
-
-    def _check(self, other: "CycloNumber") -> None:
-        if other.conductor != self.conductor:
-            raise CycloError(f"conductors {self.conductor} and "
-                             f"{other.conductor} differ")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        self._check(other)
-        return CycloNumber(self.conductor,
-                           [x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return CycloNumber(self.conductor,
-                           [x - y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        self._check(other)
-        return CycloNumber(self.conductor,
-                           _mul(self.coeffs, other.coeffs, self.conductor))
-
-    def __eq__(self, other):
-        if not isinstance(other, CycloNumber):
-            return NotImplemented
-        self._check(other)
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"CycloNumber(zeta{self.conductor}: {list(self.coeffs)})"
-
-
 # -- characters -------------------------------------------------------------
 
 
@@ -154,7 +110,11 @@ class Character:
 
     For even N the scales are kept positive (−1 = ζ_N^{N/2}), so that two
     characters at one conductor are equal exactly when their values are,
-    and a value is 1 exactly when its scale is 1 and its exponent 0."""
+    and a value is 1 exactly when its scale is 1 and its exponent 0.
+
+    Equality compares the representation (N, scales, exps), so one value
+    at two conductors compares unequal: −1 at N = 1 is not −1 at N = 2.
+    `is_trivial`, and every rank and verdict, read the values exactly."""
 
     conductor: int
     scales: Tuple[Fraction, ...]
@@ -238,11 +198,11 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
 # -- evaluation and exact rank ----------------------------------------------
 
 
-def evaluate(f: LaurentPoly, chi: Character) -> CycloNumber:
-    """Exact value of f at the character chi: each term c·t^e adds c·q to
-    the bucket of ζ_N^k, where q·ζ_N^k is chi's value at e, and the
-    buckets are reduced mod Φ_N once.  An integral c·q is added as an
-    `int`."""
+def evaluate(f: LaurentPoly, chi: Character) -> tuple:
+    """Exact value of f at the character chi, as a coefficient tuple at
+    chi's conductor N: each term c·t^e adds c·q to the bucket of ζ_N^k,
+    where q·ζ_N^k is chi's value at e, and the buckets are reduced mod Φ_N
+    once.  An integral c·q is added as an `int`."""
     if len(chi) != f.nvars:
         raise CycloError("point has wrong number of coordinates")
     values = chi.pull(f.terms)
@@ -250,7 +210,7 @@ def evaluate(f: LaurentPoly, chi: Character) -> CycloNumber:
     for c, q, k in zip(f.terms.values(), values.scales, values.exps):
         num, den = c.numerator * q.numerator, c.denominator * q.denominator
         buckets[k] += num if den == 1 else Fraction(num, den)
-    return CycloNumber(chi.conductor, buckets)
+    return _reduce(buckets, chi.conductor)
 
 
 # The first prime ℓ of the ℓ-adic divisions; 2^61 − 1 fits a machine word.
@@ -305,28 +265,27 @@ def _divider(b: tuple, n: int):
     return divide
 
 
-def _integral(row: Sequence[CycloNumber]) -> List[tuple]:
+def _integral(row: Sequence[tuple]) -> List[tuple]:
     """The row times the lcm of its denominators, as integer tuples."""
-    lcm = math.lcm(*(c.denominator for x in row for c in x.coeffs))
-    return [tuple(c.numerator * (lcm // c.denominator) for c in x.coeffs)
+    lcm = math.lcm(*(c.denominator for x in row for c in x))
+    return [tuple(c.numerator * (lcm // c.denominator) for c in x)
             for x in row]
 
 
-def rank_over_field(matrix: Sequence[Sequence[CycloNumber]]) -> int:
-    """Exact rank over Q(ζ_N), by Bareiss's fraction-free elimination in
-    Z[ζ_N] (Math. Comp. 22, 1968).
+def rank_over_field(matrix: Sequence[Sequence[tuple]], n: int) -> int:
+    """Exact rank over Q(ζ_n) of a matrix of coefficient tuples reduced
+    mod Φ_n, by Bareiss's fraction-free elimination in Z[ζ_n]
+    (Math. Comp. 22, 1968).
 
     Each row is first scaled to integer coefficients, which keeps the rank.
     Below the pivot p, every row becomes (p·row − f·pivot row) / the
     previous pivot, f its entry in the pivot column (also when f = 0).
     Sylvester's identity makes every entry a minor of the matrix, so each
-    division is exact in Z[ζ_N] (`_divider`).
+    division is exact in Z[ζ_n] (`_divider`).  At n = 1 the entries are
+    1-tuples of rationals and this is the rank over Q.
     """
     if not matrix or not matrix[0]:
         return 0
-    n = matrix[0][0].conductor
-    if any(x.conductor != n for row in matrix for x in row):
-        raise CycloError("matrix entries have different conductors")
     rows = [_integral(row) for row in matrix]
     nrows, ncols = len(rows), len(rows[0])
     rank, prev = 0, None

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import sympy
-
 from .alexander import (AlexanderMatrix, elementary_divisor_exponents,
                         evaluate_matrix, univariate_invariant_factors)
 from .cyclofield import Character, cyclotomic_order, rank_over_field
@@ -54,7 +52,8 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
         return mat.num_vars
     if mat.num_rows == 0:
         return mat.num_cols - 1
-    return mat.num_cols - 1 - rank_over_field(evaluate_matrix(mat, rho))
+    return mat.num_cols - 1 - rank_over_field(evaluate_matrix(mat, rho),
+                                              rho.conductor)
 
 
 def cv_membership(mat: AlexanderMatrix, rho: Character, k: int) -> bool:
@@ -89,6 +88,16 @@ def almost_principal_status(p: GroupPresentation,
     return ("Unknown", None)
 
 
+def almost_principal_of(mat: AlexanderMatrix,
+                        asserted: Optional[str] = None) -> APStatus:
+    """The almost-principal status of mat: from its presentation, or only
+    what was asserted for a matrix given directly."""
+    if mat.origin == "presentation":
+        return almost_principal_status(mat.presentation, asserted)
+    return ("Yes", f"user-asserted: {asserted}") if asserted \
+        else ("Unknown", None)
+
+
 @dataclass
 class BettiReport:
     rho: Character
@@ -98,7 +107,7 @@ class BettiReport:
     almost_principal: APStatus
     attained: bool
 
-    def as_dict(self, names: Sequence[str]) -> dict:
+    def as_dict(self) -> dict:
         status, reason = self.almost_principal
         return {
             "b1": self.b1,
@@ -127,10 +136,7 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
     b1 = twisted_betti(mat, rho)
     point = torus_point(mat, rho)
     if almost_principal is None:
-        if mat.origin == "presentation":
-            almost_principal = almost_principal_status(mat.presentation)
-        else:
-            almost_principal = ("Unknown", None)
+        almost_principal = almost_principal_of(mat)
     if point is None:
         # off the identity component: vanishing orders do not apply
         return BettiReport(rho, b1, None, None, almost_principal, False)
@@ -234,32 +240,59 @@ class MonodromyReport:
     equalities: List[RootEquality]
 
 
+def _mul_add(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
+             c: int) -> List[List[int]]:
+    """a·b + c·I for square integer matrices a and b."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) + (c if i == j else 0)
+             for j, col in enumerate(cols)] for i, row in enumerate(a)]
+
+
+def _charpoly(a: Sequence[Sequence[int]]) -> List[int]:
+    """det(t·I − a) for a square integer matrix a, its coefficients from
+    t^n down to t^0, by Faddeev–LeVerrier: with M_0 = 0 and c_n = 1,
+    M_k = a·M_(k−1) + c_(n−k+1)·I and c_(n−k) = −tr(a·M_k) / k.  Each
+    c_(n−k) is an integer, so every division is exact."""
+    n = len(a)
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = _mul_add(a, m, coeffs[-1])
+        trace = sum(x * m[j][i] for i, row in enumerate(a)
+                    for j, x in enumerate(row))
+        coeffs.append(-trace // k)
+    return coeffs
+
+
 def monodromy_analysis(h: Sequence[Sequence[int]]) -> MonodromyReport:
     """Mapping-torus analysis of an integer monodromy matrix.
 
     The Alexander polynomial is the characteristic polynomial; for each
     irreducible factor the twisted rank at its roots is the geometric
     multiplicity, and global semisimplicity is equivalent to every
-    algebraic multiplicity being attained.
+    algebraic multiplicity being attained.  The rank of g(M) for a factor
+    g is `rank_over_field` at conductor 1.
     """
-    m = sympy.Matrix([[int(x) for x in row] for row in h])
-    if m.rows != m.cols:
+    m = [[int(x) for x in row] for row in h]
+    size = len(m)
+    if any(len(row) != size for row in m):
         raise JumpLociError("monodromy matrix must be square")
-    size = m.rows
-    if (m - sympy.eye(size)).det() == 0:
+    coeffs = _charpoly(m)
+    if sum(coeffs) == 0:
         raise JumpLociError("1 is an eigenvalue of the monodromy")
-    coeffs = m.charpoly().all_coeffs()  # leading coefficient first
-    delta = LaurentPoly(1, {(size - i,): int(c) for i, c in enumerate(coeffs)})
+    delta = LaurentPoly(1, {(size - i,): c for i, c in enumerate(coeffs)})
     factored = factor_poly(delta)
     equalities = []
     semisimple = True
     for f, mu in factored.factors:
         g = normalize(f)
         deg = max(e[0] for e in g.terms)
-        pm = sympy.zeros(size, size)
-        for e, c in g.terms.items():
-            pm += sympy.Rational(c.numerator, c.denominator) * m ** e[0]
-        geometric = (size - pm.rank()) // deg
+        # g(M) by Horner's rule; g has integer coefficients
+        pm = [[0] * size for _ in range(size)]
+        for k in range(deg, -1, -1):
+            pm = _mul_add(pm, m, int(g.terms.get((k,), 0)))
+        rank = rank_over_field([[(x,) for x in row] for row in pm], 1)
+        geometric = (size - rank) // deg
         equality = (geometric == mu)
         if not equality:
             semisimple = False

@@ -454,9 +454,10 @@ def vanishing_order(f: LaurentPoly, point: "Character") -> int:
     |α| = k, θ_i = t_i ∂/∂t_i, is nonzero at ρ; computed exactly.
 
     `point` is a `cyclofield.Character` with one value per variable.
-    θ^α t^e = e^α t^e, so each derivative is one `evaluate`.  θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers
-    S(α,α) = 1 is unitriangular and t^β is a unit at ρ, so this is the
-    order of vanishing of f at ρ.
+    θ^α t^e = e^α t^e, so each derivative is one `evaluate`.
+    θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers S(α,α) = 1 is
+    unitriangular and t^β is a unit at ρ, so this is the order of
+    vanishing of f at ρ.
     """
     from .cyclofield import evaluate
 
@@ -472,7 +473,7 @@ def vanishing_order(f: LaurentPoly, point: "Character") -> int:
             derivative = LaurentPoly(f.nvars, {
                 e: c * math.prod(e[i] for i in idx)
                 for e, c in f.terms.items()})
-            if not evaluate(derivative, point).is_zero():
+            if any(evaluate(derivative, point)):
                 return k
 
 
@@ -524,29 +525,6 @@ def sev_decompose(f: LaurentPoly):
         k = (exp[idx] - base[idx]) // e[idx]
         uni[(k,)] = c
     return normalize(LaurentPoly(1, uni)), e
-
-
-# -- squarefree decomposition -----------------------------------------------
-
-
-def squarefree_split(f: LaurentPoly) -> list:
-    """Yun-style decomposition: f ≐ Π g_i^i with the g_i squarefree, coprime."""
-    if f.is_zero() or f.is_unit():
-        raise LaurentError("squarefree_split needs a nonzero non-unit input")
-    g = normalize(f)
-    if g.is_constant():
-        raise LaurentError("squarefree_split needs a non-constant input")
-    _, sqf = _to_ring(g, "ZZ")[1].sqf_list()
-    grouped: dict = {}
-    for p, mult in sqf:
-        piece = normalize(_from_ring(p, g.nvars))
-        if piece.is_constant():
-            continue
-        if mult in grouped:
-            grouped[mult] = normalize(grouped[mult] * piece)
-        else:
-            grouped[mult] = piece
-    return sorted(((g_i, i) for i, g_i in grouped.items()), key=lambda kv: kv[1])
 
 
 # -- expression parsing -----------------------------------------------------
@@ -736,8 +714,9 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     """Factor into irreducible pieces over Q, with integer content split off.
 
     A collinear support means f ≐ P(t^e) for a primitive e
-    (`sev_decompose`), and then P is factored: each squarefree piece loses
-    its cyclotomic part (`_split_cyclotomic`), and only the rest goes to
+    (`sev_decompose`), and then P is factored: each squarefree piece of P
+    in Z[u] (sympy's `sqf_list`) loses its cyclotomic part
+    (`_split_cyclotomic`), and only the rest goes to
     sympy's `factor_list`.  A factor q(u) of P lifts to the factor q(t^e)
     of f, irreducible because e extends to a basis of Z^n.
     """
@@ -755,8 +734,8 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     else:
         univariate, e = sev
         factors = []
-        for piece, mult in squarefree_split(univariate):
-            cyclo, rest = _split_cyclotomic(_to_ring(piece, "ZZ")[1])
+        for piece, mult in _to_ring(univariate, "ZZ")[1].sqf_list()[1]:
+            cyclo, rest = _split_cyclotomic(piece)
             factors += [(q, mult) for q in cyclo]
             factors += [(q, mult * k) for q, k in rest.factor_list()[1]]
         # q(u) becomes q(t^e)

@@ -110,7 +110,7 @@ class QPVerdict:
     reason: str
     certificate: Optional[dict] = None
 
-    def as_dict(self, names) -> dict:
+    def as_dict(self) -> dict:
         out = {"verdict": self.verdict, "reason": self.reason}
         if self.certificate is not None:
             out["certificate"] = self.certificate

@@ -2,20 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from alexkit.cyclofield import (Character, CycloError, CycloNumber, _divider,
-                                cyclotomic_poly, evaluate, parse_character,
-                                rank_over_field)
-from alexkit.laurent import ComputationCapError, parse_poly
+from alexkit.cyclofield import (Character, CycloError, _divider, _mul,
+                                _reduce, cyclotomic_poly, evaluate,
+                                parse_character, rank_over_field)
+from alexkit.laurent import ComputationCapError, LaurentPoly, parse_poly
 
 from conftest import character
 
 
 def one(n):
-    return CycloNumber(n, [1])
+    return _reduce([1], n)
 
 
 def zeta(n, k=1):
-    return CycloNumber(n, [0] * k + [1])
+    return _reduce([0] * k + [1], n)
 
 
 def test_root_of_unity_reduces_order():
@@ -27,25 +27,16 @@ def test_primitive_root_power_cycle():
     z = zeta(5)
     acc = one(5)
     for _ in range(5):
-        acc = acc * z
+        acc = _mul(acc, z, 5)
     assert acc == one(5)
     z5 = character("zeta5")
     assert z5.pull([[5]]).is_trivial()
     assert not z5.pull([[3]]).is_trivial()
 
 
-def test_mixed_conductors_raise():
-    with pytest.raises(CycloError):
-        zeta(3) * zeta(4)
-    with pytest.raises(CycloError):
-        zeta(3) + one(1)
-    with pytest.raises(CycloError):
-        zeta(3) == one(1)
-
-
 def test_zeta3_sum_identity():
     z = zeta(3)
-    assert (z * z + z + one(3)).is_zero()
+    assert not any(map(sum, zip(_mul(z, z, 3), z, one(3))))
 
 
 def test_negative_powers():
@@ -100,9 +91,11 @@ def test_parse_character_rejects_bad_input():
 
 def test_evaluate_polynomial():
     f = parse_poly("t1*t2 - 1", ("t1", "t2"))
-    assert evaluate(f, character("zeta4", "zeta4^3")).is_zero()
+    assert not any(evaluate(f, character("zeta4", "zeta4^3")))
     g = parse_poly("t^-1 + t", ("t",))
-    assert evaluate(g, character(-1)) == CycloNumber(1, [-2])
+    assert evaluate(g, character(-1)) == (-2,)
+    h = LaurentPoly(1, {(2,): 1, (0,): Fraction(1, 2)})
+    assert evaluate(h, character("zeta3")) == (Fraction(-1, 2), -1)
 
 
 def test_cyclotomic_poly_values():
@@ -113,13 +106,15 @@ def test_cyclotomic_poly_values():
 
 def test_rank_over_field():
     z = zeta(3)
-    zero = CycloNumber(3, [])
+    zero = _reduce([], 3)
     rows = [[one(3), z], [zeta(3, 2), one(3)]]
     # second row is a multiple of the first
-    assert rank_over_field(rows) == 1
+    assert rank_over_field(rows, 3) == 1
     rows2 = [[one(3), zero], [zero, z]]
-    assert rank_over_field(rows2) == 2
-    assert rank_over_field([[zero, zero]]) == 0
+    assert rank_over_field(rows2, 3) == 2
+    assert rank_over_field([[zero, zero]], 3) == 0
+    # at conductor 1 the entries are 1-tuples of rationals
+    assert rank_over_field([[(2,), (Fraction(1, 3),)], [(6,), (1,)]], 1) == 1
 
 
 def test_inexact_division_raises():

@@ -8,10 +8,6 @@ import alexkit
 
 PACKAGE = Path(alexkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-# sympy's polynomial entry points; alexkit reaches them only via laurent.py
-POLY_NAMES = {"Poly", "PurePoly", "div", "rem", "quo", "gcd", "gcdex",
-              "invert", "expand", "sqf_list", "factor_list",
-              "cyclotomic_poly", "ring", "PolyRing"}
 
 
 def _modules(directory=PACKAGE):
@@ -42,39 +38,31 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def _sympy_poly_references(tree):
+def _sympy_references(tree):
+    """Lines that import sympy or one of its modules, or read a name
+    `sympy` (which a module could bind without an import statement)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module and (
-                node.module.startswith("sympy.polys")
-                or node.module == "sympy" and any(
-                    alias.name in POLY_NAMES for alias in node.names)):
+        if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "sympy" for alias in node.names):
             yield node.lineno
-        elif isinstance(node, ast.Import) and any(
-                alias.name.startswith("sympy.polys") for alias in node.names):
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "sympy":
             yield node.lineno
-        elif isinstance(node, ast.Attribute) and node.attr in POLY_NAMES \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id == "sympy":
+        elif isinstance(node, ast.Name) and node.id == "sympy":
             yield node.lineno
 
 
-def test_sympy_polynomials_only_in_laurent():
-    found = [f"{name}:{line}" for name, tree in _modules()
+def test_sympy_only_in_laurent():
+    """laurent.py is the one bridge to sympy: no other module imports it,
+    so every polynomial algorithm and every exact rank is alexkit's own
+    or goes through that bridge.  Each module is reported at its first
+    reference."""
+    found = [f"{name}:{min(lines)}" for name, tree in _modules()
              if name != "laurent.py"
-             for line in _sympy_poly_references(tree)]
+             and (lines := list(_sympy_references(tree)))]
     assert found == []
     laurent = dict(_modules())["laurent.py"]
-    assert list(_sympy_poly_references(laurent))
-
-
-def test_cyclonumber_only_in_cyclofield():
-    """Points are Characters: no other module handles field elements."""
-    found = [f"{name}:{node.lineno}" for name, tree in _modules()
-             if name != "cyclofield.py"
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and node.id == "CycloNumber"
-             or isinstance(node, ast.alias) and node.name == "CycloNumber"]
-    assert found == []
+    assert list(_sympy_references(laurent))
 
 
 def _unused_locals(func):
@@ -96,6 +84,28 @@ def _unused_locals(func):
         elif id(node) not in inner:
             bound.add(node.id)
     return sorted(bound - read - params - {"_"})
+
+
+def _unused_parameters(func):
+    """Parameters of `func` (a def or a lambda) that its body, nested
+    functions included, never reads; `self`, `cls` and `_` are exempt."""
+    args = func.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    read = {node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [p for p in params
+            if p not in read and p not in {"self", "cls", "_"}]
+
+
+def test_no_unused_parameters():
+    unused = [f"{name}:{getattr(node, 'name', '<lambda>')} {param}"
+              for name, tree in _modules()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda))
+              for param in _unused_parameters(node)]
+    assert unused == []
 
 
 def test_no_unused_locals():

@@ -6,8 +6,7 @@ from alexkit.cyclofield import cyclotomic_order
 from alexkit.laurent import (LaurentError, LaurentPoly, associates, divides,
                              exact_div, factor_poly, gcd, gcd_many,
                              multiplicity, normalize, parse_poly,
-                             sev_decompose, squarefree_split,
-                             vanishing_order)
+                             sev_decompose, vanishing_order)
 
 from conftest import character
 
@@ -102,18 +101,6 @@ def test_sev_decompose():
     p, e = sev_decompose(P("x1+x2", ("x1", "x2")))
     assert e == (1, -1)
     assert sev_decompose(P("(x2-1)*(x1*x3-1)", ("x1", "x2", "x3"))) is None
-
-
-def test_squarefree_split():
-    phi = P("x1*x2+1", ("x1", "x2", "x3"))
-    psi = P("x2*x3+1", ("x1", "x2", "x3"))
-    x2 = P("x2", ("x1", "x2", "x3"))
-    f = (x2 - LaurentPoly.one(3)) * (phi * psi) ** 2
-    parts = dict((m, g) for g, m in squarefree_split(f))
-    assert associates(parts[1], x2 - LaurentPoly.one(3))
-    assert associates(parts[2], phi * psi)
-    assert squarefree_split(P("t^2-1", T1)) == [(P("t^2-1", T1), 1)]
-    assert squarefree_split(P("(t-1)^3", T1)) == [(P("t-1", T1), 3)]
 
 
 def _cyclotomic_orders(fp):

@@ -5,18 +5,22 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
+
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                delta_chain, elementary_ideal_minors,
                                fox_matrix)
-from alexkit.cyclofield import (_PRIME, CONDUCTOR_CAP, Character,
-                                CycloNumber, _divider, _mul,
-                                cyclotomic_order, cyclotomic_poly, evaluate,
-                                rank_over_field)
+from alexkit.cyclofield import (_PRIME, CONDUCTOR_CAP, Character, _divider,
+                                _mul, _reduce, cyclotomic_order,
+                                cyclotomic_poly, evaluate, rank_over_field)
 from alexkit.intlinalg import smith_normal_form
+from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
+                              _charpoly, _factor_root, monodromy_analysis)
 from alexkit.laurent import (TOTAL_DEGREE_CAP, ComputationCapError,
                              FactoredPoly, LaurentError, LaurentPoly,
                              _cyclotomic_part, _from_ring, _invert_mod_prime,
-                             _phi_coeffs, _split_cyclotomic, _to_ring,
+                             _phi_coeffs, _ring, _split_cyclotomic, _to_ring,
                              _totient_preimages,
                              associates, divides, exact_div,
                              exact_div_binomial, factor_poly, gcd, gcd_many,
@@ -180,17 +184,25 @@ def test_vanishing_order_additivity():
             vanishing_order(f, point) + vanishing_order(g, point)
 
 
+def _add(x: tuple, y: tuple) -> tuple:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _sub(x: tuple, y: tuple) -> tuple:
+    return tuple(a - b for a, b in zip(x, y))
+
+
 def _values(chi: Character):
-    """The values q·ζ_N^k of chi as CycloNumbers at its conductor N."""
-    return [CycloNumber(chi.conductor, [0] * k + [q])
+    """The values q·ζ_N^k of chi as coefficient tuples at its conductor N."""
+    return [_reduce([0] * k + [q], chi.conductor)
             for q, k in zip(chi.scales, chi.exps)]
 
 
-def _powers(x: CycloNumber, e: int):
-    """[x^0, x^1, ..., x^e] by repeated multiplication."""
-    out = [CycloNumber(x.conductor, [1])]
+def _powers(x: tuple, e: int, n: int):
+    """[x^0, x^1, ..., x^e] in Q(ζ_n) by repeated multiplication."""
+    out = [_reduce([1], n)]
     for _ in range(e):
-        out.append(out[-1] * x)
+        out.append(_mul(out[-1], x, n))
     return out
 
 
@@ -204,10 +216,11 @@ def _expansion_order(f: LaurentPoly, point: Character) -> int:
             f"total degree {f.total_degree()} exceeds cap {TOTAL_DEGREE_CAP}")
     if len(point) != f.nvars:
         raise LaurentError("point has wrong number of coordinates")
+    n = point.conductor
     vals = _values(point)
 
     def const(c):
-        return CycloNumber(point.conductor, [c])
+        return _reduce([c], n)
 
     # a unit times f, with nonnegative exponents: the order does not change
     fs = normalize(f)
@@ -219,7 +232,7 @@ def _expansion_order(f: LaurentPoly, point: Character) -> int:
         for i, e in enumerate(exp):
             if e == 0:
                 continue
-            powers = _powers(vals[i], e)[::-1]
+            powers = _powers(vals[i], e, n)[::-1]
             new: dict = {}
             for zexp, coeff in partial.items():
                 for k in range(e + 1):
@@ -227,12 +240,12 @@ def _expansion_order(f: LaurentPoly, point: Character) -> int:
                     ze = list(zexp)
                     ze[i] += k
                     key = tuple(ze)
-                    add = powers[k] * coeff * const(binom)
-                    new[key] = new[key] + add if key in new else add
+                    add = _mul(_mul(powers[k], coeff, n), const(binom), n)
+                    new[key] = _add(new[key], add) if key in new else add
             partial = new
         for key, v in partial.items():
-            out[key] = out[key] + v if key in out else v
-    degrees = [sum(k) for k, v in out.items() if not v.is_zero()]
+            out[key] = _add(out[key], v) if key in out else v
+    degrees = [sum(k) for k, v in out.items() if any(v)]
     if not degrees:
         raise LaurentError("internal error: expansion vanished identically")
     return min(degrees)
@@ -274,20 +287,21 @@ def test_vanishing_order_matches_expansion_oracle():
     assert seen >= {0, 1, 2, 3}
 
 
-def _product_evaluate(f: LaurentPoly, n, coords) -> CycloNumber:
+def _product_evaluate(f: LaurentPoly, n, coords) -> tuple:
     """f(ρ) for ρ_i = q_i·ζ_n^{k_i}, given as the pairs (q_i, k_i), as
-    Σ c·∏ ρ_i^{e_i} with one CycloNumber product per unit of each exponent
+    Σ c·∏ ρ_i^{e_i} with one product in Q(ζ_n) per unit of each exponent
     and ρ_i^{-1} = q_i^{-1}·ζ_n^{-k_i} built directly: the definition,
     kept as the oracle for the bucket `evaluate`."""
-    rho = [CycloNumber(n, [0] * k + [q]) for q, k in coords]
-    rho_inv = [CycloNumber(n, [0] * (-k % n) + [1 / q]) for q, k in coords]
-    acc = CycloNumber(n, [])
+    rho = [_reduce([0] * k + [q], n) for q, k in coords]
+    rho_inv = [_reduce([0] * (-k % n) + [1 / Fraction(q)], n)
+               for q, k in coords]
+    acc = _reduce([], n)
     for exp, c in f.terms.items():
-        term = CycloNumber(n, [c])
+        term = _reduce([c], n)
         for r, r_inv, e in zip(rho, rho_inv, exp):
             for _ in range(abs(e)):
-                term = term * (r if e > 0 else r_inv)
-        acc = acc + term
+                term = _mul(term, r if e > 0 else r_inv, n)
+        acc = _add(acc, term)
     return acc
 
 
@@ -307,7 +321,7 @@ def test_evaluate_matches_product_oracle():
             for _ in range(rng.randrange(1, 6))})
         value = evaluate(f, chi)
         assert value == _product_evaluate(f, n, coords)
-        seen.add((n, value.is_zero()))
+        seen.add((n, not any(value)))
     assert {n for n, _ in seen} == {1, 2, 12, 60, 211, 240}
     assert any(zero for _, zero in seen)
 
@@ -497,8 +511,8 @@ def test_qp_verdict_matches_sev_cyclotomic_oracle():
     for _ in range(300):
         n = rng.choice([3, 4])
         delta = _random_qp_delta(rng, n)
-        got = qp_verdict(factor_poly(delta), n).as_dict(None)
-        assert got == _qp_oracle(delta).as_dict(None), delta
+        got = qp_verdict(factor_poly(delta), n).as_dict()
+        assert got == _qp_oracle(delta).as_dict(), delta
         seen.add(got["reason"])
     assert len(seen) == 3
 
@@ -570,21 +584,24 @@ def test_split_cyclotomic_finds_exactly_the_cyclotomic_factors():
     """_cyclotomic_part and _split_cyclotomic on squarefree products of
     distinct Φ_m (m ≤ 90) and self-reciprocal non-cyclotomic factors
     whose roots square into each other's: the part is the product of the
-    Φ_m put in, and the split returns exactly them."""
+    Φ_m put in, and the split returns exactly them.  The inputs are built
+    in Z[u], where products are cheap."""
     rng = random.Random(20261018)
+    ring = _ring(1, "ZZ")
     for _ in range(300):
         orders = set(rng.sample(range(1, 91), rng.randint(0, 5)))
         others = rng.sample(RECIPROCAL_NON_CYCLOTOMIC, rng.randint(0, 3))
         if not orders and not others:
             continue
-        part = LaurentPoly.constant(1, 1)
+        part = ring(1)
         for m in orders:
-            part = part * cyclotomic_poly(m)
-        p = part
+            part *= ring({(k,): c
+                          for k, c in enumerate(_phi_coeffs(m)) if c})
+        q = part
         for text in others:
-            p = p * parse_poly(text, ("u",))
-        q = _to_ring(p, "ZZ")[1]
-        assert associates(_from_ring(_cyclotomic_part(q), 1), part)
+            q *= _to_ring(parse_poly(text, ("u",)), "ZZ")[1]
+        assert associates(_from_ring(_cyclotomic_part(q), 1),
+                          _from_ring(part, 1))
         cyclo, rest = _split_cyclotomic(q)
         assert {_from_ring(c, 1) for c in cyclo} == \
             {cyclotomic_poly(m) for m in orders}, (orders, others)
@@ -595,26 +612,27 @@ def test_split_cyclotomic_finds_exactly_the_cyclotomic_factors():
         assert product == q
 
 
-def _brute_rank(mat):
-    """The largest k with a nonzero k×k minor, each minor a Laplace
-    expansion along its first row (memoized over row and column sets)."""
-    n = mat[0][0].conductor
+def _brute_rank(mat, n):
+    """The largest k with a nonzero k×k minor over Q(ζ_n), each minor a
+    Laplace expansion along its first row (memoized over row and column
+    sets)."""
     memo = {}
 
     def det(rsel, csel):
         if not rsel:
-            return CycloNumber(n, [1])
+            return _reduce([1], n)
         if (rsel, csel) not in memo:
-            acc = CycloNumber(n, [])
+            acc = _reduce([], n)
             for j, c in enumerate(csel):
-                term = mat[rsel[0]][c] * det(rsel[1:], csel[:j] + csel[j + 1:])
-                acc = acc + term if j % 2 == 0 else acc - term
+                term = _mul(mat[rsel[0]][c],
+                            det(rsel[1:], csel[:j] + csel[j + 1:]), n)
+                acc = _add(acc, term) if j % 2 == 0 else _sub(acc, term)
             memo[rsel, csel] = acc
         return memo[rsel, csel]
 
     rows, cols = len(mat), len(mat[0])
     for k in range(min(rows, cols), 0, -1):
-        if any(not det(rsel, csel).is_zero()
+        if any(any(det(rsel, csel))
                for rsel in itertools.combinations(range(rows), k)
                for csel in itertools.combinations(range(cols), k)):
             return k
@@ -623,10 +641,10 @@ def _brute_rank(mat):
 
 def _random_cyclo(rng, n, scales, terms=2):
     """A sum of up to `terms` values q·ζ_n^k, q drawn from `scales`."""
-    acc = CycloNumber(n, [])
+    acc = _reduce([], n)
     for _ in range(rng.randrange(terms + 1)):
-        acc = acc + CycloNumber(n, [0] * rng.randrange(n)
-                                + [rng.choice(scales)])
+        acc = _add(acc, _reduce([0] * rng.randrange(n)
+                                + [rng.choice(scales)], n))
     return acc
 
 
@@ -649,16 +667,17 @@ def test_rank_over_field_matches_brute_minors():
         if case % 5 == 2:
             j = rng.randrange(cols)
             for row in mat:
-                row[j] = CycloNumber(n, [])
+                row[j] = _reduce([], n)
         if case % 3 == 0 and rows > 1:
             i = rng.randrange(rows)
-            combo = [CycloNumber(n, [])] * cols
+            combo = [_reduce([], n)] * cols
             for r in range(rows):
                 if r != i:
                     c = _random_cyclo(rng, n, (1, -1, 2), 3)
-                    combo = [x + c * y for x, y in zip(combo, mat[r])]
+                    combo = [_add(x, _mul(c, y, n))
+                             for x, y in zip(combo, mat[r])]
             mat[i] = combo
-        assert rank_over_field(mat) == _brute_rank(mat), (n, mat)
+        assert rank_over_field(mat, n) == _brute_rank(mat, n), (n, mat)
 
 
 def test_rank_of_known_rank_products():
@@ -669,10 +688,10 @@ def test_rank_of_known_rank_products():
     size = 24
 
     def entry():
-        return CycloNumber(3, [rng.randint(-9, 9), rng.randint(-9, 9)])
+        return _reduce([rng.randint(-9, 9), rng.randint(-9, 9)], 3)
 
     def identity(i, j):
-        return CycloNumber(3, [int(i == j)])
+        return _reduce([int(i == j)], 3)
 
     for r in (1, 7, 16, 23):
         b = [[identity(i, j) if i < r else entry() for j in range(r)]
@@ -683,12 +702,109 @@ def test_rank_of_known_rank_products():
         for i in range(size):
             row = []
             for j in range(size):
-                acc = CycloNumber(3, [])
+                acc = _reduce([], 3)
                 for k in range(r):
-                    acc = acc + b[i][k] * c[k][j]
+                    acc = _add(acc, _mul(b[i][k], c[k][j], 3))
                 row.append(acc)
             product.append(row)
-        assert rank_over_field(product) == r
+        assert rank_over_field(product, 3) == r
+
+
+def test_charpoly_matches_sympy():
+    """Faddeev–LeVerrier against sympy's charpoly, sizes 1 to 8."""
+    rng = random.Random(20261020)
+    for case in range(200):
+        size = case % 8 + 1
+        bound = rng.choice((1, 3, 9))
+        a = [[rng.randint(-bound, bound) for _ in range(size)]
+             for _ in range(size)]
+        expected = [int(c) for c in sympy.Matrix(a).charpoly().all_coeffs()]
+        assert _charpoly(a) == expected, a
+
+
+def _sympy_monodromy(h):
+    """The former monodromy_analysis, kept as the oracle: sympy's charpoly,
+    det(M − I) and the rank over Q of each g(M)."""
+    m = sympy.Matrix([[int(x) for x in row] for row in h])
+    size = m.rows
+    if (m - sympy.eye(size)).det() == 0:
+        raise JumpLociError("1 is an eigenvalue of the monodromy")
+    coeffs = m.charpoly().all_coeffs()  # leading coefficient first
+    delta = LaurentPoly(1, {(size - i,): int(c) for i, c in enumerate(coeffs)})
+    factored = factor_poly(delta)
+    equalities = []
+    semisimple = True
+    for f, mu in factored.factors:
+        g = normalize(f)
+        deg = max(e[0] for e in g.terms)
+        pm = sympy.zeros(size, size)
+        for e, c in g.terms.items():
+            pm += sympy.Rational(c.numerator, c.denominator) * m ** e[0]
+        geometric = (size - pm.rank()) // deg
+        equality = (geometric == mu)
+        if not equality:
+            semisimple = False
+        equalities.append(RootEquality(
+            f.render(("t",)), _factor_root(f), mu, geometric, equality,
+            equality))
+    return MonodromyReport(delta, factored, semisimple, equalities)
+
+
+# diagonal blocks for monodromies with repeated factors: −1, 2, companions
+# of Φ_3, Φ_4, Φ_6 and u^2 − u − 1, Jordan blocks at −1 and 2, and the
+# companion of Φ_3^2, which has one Jordan block per root
+MONODROMY_BLOCKS = (
+    [[-1]], [[2]], [[0, -1], [1, -1]], [[0, -1], [1, 0]], [[0, -1], [1, 1]],
+    [[0, 1], [1, 1]], [[-1, 1], [0, -1]], [[2, 1], [0, 2]],
+    [[0, 0, 0, -1], [1, 0, 0, -2], [0, 1, 0, -3], [0, 0, 1, -2]])
+
+
+def _random_monodromy(rng):
+    """A dense matrix with entries in −2..2, or a block diagonal matrix
+    from MONODROMY_BLOCKS, of size up to 6, conjugated by elementary
+    unimodular matrices."""
+    if rng.random() < 0.5:
+        size = rng.randint(1, 5)
+        return [[rng.randint(-2, 2) for _ in range(size)]
+                for _ in range(size)]
+    blocks = []
+    while not blocks or rng.random() < 0.6:
+        block = rng.choice(MONODROMY_BLOCKS)
+        if sum(map(len, blocks)) + len(block) > 6:
+            break
+        blocks.append(block)
+    size = sum(map(len, blocks))
+    m = [[0] * size for _ in range(size)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            m[start + i][start:start + len(row)] = row
+        start += len(block)
+    for _ in range(rng.randint(0, 4) if size > 1 else 0):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice((1, -1))
+        # M ↦ E·M·E⁻¹ with E = I + c·e_ij
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[j] -= c * row[i]
+    return m
+
+
+def test_monodromy_matches_sympy_oracle():
+    rng = random.Random(20261021)
+    seen = set()
+    for _ in range(300):
+        h = _random_monodromy(rng)
+        try:
+            expected = _sympy_monodromy(h)
+        except JumpLociError:
+            with pytest.raises(JumpLociError, match="eigenvalue"):
+                monodromy_analysis(h)
+            seen.add("rejected")
+            continue
+        assert monodromy_analysis(h) == expected, h
+        seen.add(expected.semisimple)
+    assert seen == {"rejected", True, False}
 
 
 def _fox_oracle_presentation(rng):
