@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .laurent import (ComputationCapError, LaurentPoly, _invert_mod_prime,
-                      _phi_coeffs, _totient_preimages)
+from .laurent import (ComputationCapError, LaurentPoly, _dup_mul,
+                      _from_dense, _invert_mod_prime, _phi_coeffs, _to_dense,
+                      _totient_preimages)
 
 CONDUCTOR_CAP = 240
 
@@ -35,8 +36,7 @@ def cyclotomic_poly(n: int) -> LaurentPoly:
     """Φ_n as a univariate LaurentPoly."""
     if n < 1:
         raise CycloError("conductor must be positive")
-    coeffs = _phi_coeffs(n)
-    return LaurentPoly(1, {(i,): c for i, c in enumerate(coeffs) if c})
+    return _from_dense(_phi_coeffs(n), (1,))
 
 
 def cyclotomic_order(p: LaurentPoly) -> Optional[int]:
@@ -45,12 +45,10 @@ def cyclotomic_order(p: LaurentPoly) -> Optional[int]:
 
     p is compared only with the Φ_m of degree φ(m) = deg p.
     """
-    terms = p.terms
-    deg = max(e for (e,) in terms)
-    if deg == 0:
+    coeffs = _to_dense(p)
+    if len(coeffs) == 1:
         return None
-    coeffs = tuple(terms.get((i,), 0) for i in range(deg + 1))
-    return next((m for m in _totient_preimages(deg)
+    return next((m for m in _totient_preimages(len(coeffs) - 1)
                  if _phi_coeffs(m) == coeffs), None)
 
 
@@ -70,25 +68,14 @@ def _reduce(coeffs: list, n: int) -> tuple:
     return tuple(coeffs)
 
 
-def _product(x: Sequence, y: Sequence) -> list:
-    """The product of two coefficient lists as polynomials, unreduced."""
-    out = [0] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
 def _mul(x: Sequence, y: Sequence, n: int) -> tuple:
     """x·y in Z[ζ_n] (or Q(ζ_n)), reduced mod Φ_n."""
-    return _reduce(_product(x, y), n)
+    return _reduce(_dup_mul(x, y), n)
 
 
 def _cross(p: tuple, x: tuple, f: tuple, y: tuple, n: int) -> tuple:
     """p·x − f·y in Z[ζ_n], reduced mod Φ_n once."""
-    return _reduce([u - v for u, v in zip(_product(p, x), _product(f, y))],
+    return _reduce([u - v for u, v in zip(_dup_mul(p, x), _dup_mul(f, y))],
                    n)
 
 

@@ -6,12 +6,16 @@ in intermediate arithmetic; canonical forms clear denominators).  Units are
 associate over C if they additionally differ by a rational scalar.
 
 `LaurentPoly`, a dict {exponent vector: Fraction}, is the one polynomial
-type alexkit code handles.  Division, gcd, squarefree and irreducible
-factorization and cyclotomic polynomials come from sympy's sparse
-polynomial rings, reached only through the bridge in this module: `_ring`
-(Z[t] or Q[t] in n variables, built on first use), `_to_ring` and
-`_from_ring`.  Inverses modulo a prime and a polynomial come from sympy's
-dense Euclid over F_p, through `_invert_mod_prime`.
+type alexkit code handles.  One-variable work runs on a dense layer in
+Z[u], ascending `int` tuples: gcd (heuristic, with a primitive Euclidean
+fallback), Yun's squarefree split, exact division, the cyclotomic
+polynomials Φ_n, inverses modulo a prime and a polynomial, and the
+primes and divisors these need.  sympy is a backend, imported inside the
+functions that still need it: multivariate gcd and factoring, the
+factoring of a one-variable rest with no cyclotomic factor, and division
+over Q[t] (`exact_div`, and the Smith form of `alexander`), all through
+the bridge `_ring` (Z[t] or Q[t] in n variables, built on first use),
+`_to_ring` and `_from_ring`.
 """
 
 from __future__ import annotations
@@ -23,12 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
-
-from sympy.ntheory import divisors, isprime, nextprime
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.galoistools import gf_from_int_poly, gf_gcdex
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyRing
 
 TOTAL_DEGREE_CAP = 64
 
@@ -219,12 +217,19 @@ def default_names(n: int) -> list:
 
 
 # -- the sympy bridge -------------------------------------------------------
+#
+# sympy is imported here, inside the functions that need it, and so only by
+# multivariate work, by factoring a non-cyclotomic rest and by division over
+# Q[t]: the one-variable work on cyclotomic polynomials below never loads it.
 
 
 @lru_cache(maxsize=None)
-def _ring(nvars: int, domain: str) -> PolyRing:
+def _ring(nvars: int, domain: str):
     """sympy's sparse ring Z[t_1..t_n] ("ZZ") or Q[t_1..t_n] ("QQ"), lex
     order; built on first use."""
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import PolyRing
+
     return PolyRing(f"_t0:{nvars}", domain, lex)
 
 
@@ -234,6 +239,8 @@ def _to_ring(f: LaurentPoly, domain: str):
 
     Over "ZZ" the coefficients of f must be integers.
     """
+    from sympy.polys.domains import QQ
+
     ring = _ring(f.nvars, domain)
     shift = tuple(max(0, -min(col)) for col in zip(*f.terms)) \
         if f.terms else (0,) * f.nvars
@@ -254,6 +261,259 @@ def _from_ring(p, nvars: int, shift: Optional[Sequence[int]] = None
         for monom, c in p.items()})
 
 
+# -- dense polynomials in one variable --------------------------------------
+#
+# A polynomial in Z[u] is the tuple of its integer coefficients in ascending
+# degree, with a nonzero last entry: () is 0 and the degree is the length
+# minus one.  `cyclofield` holds Φ_N and the values in Q(ζ_N) the same way.
+
+
+def _to_dense(f: LaurentPoly) -> Tuple[int, ...]:
+    """The coefficients of a univariate f with integer coefficients and
+    least exponent 0, as `normalize` returns it."""
+    return tuple(int(f.terms.get((k,), 0))
+                 for k in range(max(e for (e,) in f.terms) + 1))
+
+
+def _from_dense(q: Sequence[int], e: Sequence[int]) -> LaurentPoly:
+    """q(t^e): the coefficient of u^k goes to the exponent k·e."""
+    return LaurentPoly(len(e), {tuple(k * x for x in e): c
+                                for k, c in enumerate(q) if c})
+
+
+def _dup_mul(x: Sequence, y: Sequence) -> list:
+    """The product of two nonempty coefficient lists as polynomials."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    out[i + j] += a * b
+    return out
+
+
+def _dup_strip(f: list) -> tuple:
+    """f without its trailing zeros."""
+    while f and not f[-1]:
+        f.pop()
+    return tuple(f)
+
+
+def _dup_sub(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
+    """x − y."""
+    return _dup_strip([a - b for a, b in
+                       itertools.zip_longest(x, y, fillvalue=0)])
+
+
+def _dup_primitive(f: Sequence[int]) -> Tuple[int, ...]:
+    """f ≠ 0 over its content, with a positive leading coefficient."""
+    c = math.gcd(*f)
+    return tuple(x // c for x in f) if f[-1] > 0 else \
+        tuple(-x // c for x in f)
+
+
+def _dup_exquo(f: Sequence[int], g: Sequence[int]) -> Optional[tuple]:
+    """q with f = q·g in Z[u], or None when g ≠ 0 does not divide f there.
+
+    Long division from the top: each quotient coefficient is the top
+    coefficient of the remainder over that of g, which must be an integer
+    when q exists.
+    """
+    r = list(f)
+    top, dg = g[-1], len(g) - 1
+    q = [0] * max(len(f) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + dg], top)
+        if rem:
+            return None
+        if c:
+            q[k] = c
+            r[k:k + dg] = [a - c * b for a, b in zip(r[k:k + dg], g)]
+    return None if any(r[:dg]) else tuple(q)
+
+
+def _dup_eval(f: Sequence[int], x: int) -> int:
+    """f(x), by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+def _dup_heu_gcd(f: Tuple[int, ...], g: Tuple[int, ...]
+                 ) -> Optional[Tuple[int, ...]]:
+    """GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 1989) for primitive
+    nonconstant f and g with positive leading coefficients: their gcd, or
+    None when six evaluation points all miss.
+
+    For ξ ≥ 2·min(|f|∞, |g|∞) + 2, f(ξ) and g(ξ) are nonzero, and the
+    gcd is the primitive part h of the integer gcd(f(ξ), g(ξ)) read back
+    in symmetric base-ξ digits, as soon as h divides both f and g.
+    """
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(6):
+        n, digits = math.gcd(_dup_eval(f, xi), _dup_eval(g, xi)), []
+        while n:
+            d = n % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            n = (n - d) // xi
+        h = _dup_primitive(digits)
+        if _dup_exquo(f, h) is not None and _dup_exquo(g, h) is not None:
+            return h
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _dup_prs_gcd(f: Tuple[int, ...], g: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The gcd of primitive nonconstant f and g, with a positive leading
+    coefficient, by the primitive Euclidean remainder sequence: each
+    remainder is that of a multiple of the dividend, made primitive."""
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r = list(f)
+        while len(r) >= len(g):
+            c, shift = r[-1], len(r) - len(g)
+            r = [g[-1] * a for a in r]
+            r[shift:] = [a - c * b for a, b in zip(r[shift:], g)]
+            _dup_strip(r)
+        if not r:
+            return g
+        f, g = g, _dup_primitive(r)
+    return (1,)
+
+
+def _dup_gcd(f: Sequence[int], g: Sequence[int]) -> Tuple[int, ...]:
+    """gcd(f, g) in Z[u], not both 0, with a positive leading coefficient
+    and the gcd of the contents as its content."""
+    if not f or not g:
+        h = tuple(f or g)
+        return tuple(-c for c in h) if h[-1] < 0 else h
+    c = math.gcd(math.gcd(*f), math.gcd(*g))
+    if len(f) == 1 or len(g) == 1:
+        return (c,)
+    f, g = _dup_primitive(f), _dup_primitive(g)
+    h = _dup_heu_gcd(f, g) or _dup_prs_gcd(f, g)
+    return tuple(c * x for x in h)
+
+
+def _dup_sqf_list(f: Sequence[int]) -> list:
+    """Yun's squarefree split (SYMSAC 1976) of a nonconstant f in Z[u]:
+    [(a_i, i)] with f ≐ c · Π a_i^i for its content c, each a_i
+    nonconstant, primitive, squarefree and with a positive leading
+    coefficient, and the a_i pairwise coprime.
+
+    With b = f / gcd(f, f') and c = f' / gcd(f, f'), each round takes
+    a = gcd(b, c − b'), then b ← b / a and c ← (c − b') / a; the i-th a
+    is the product of the irreducible factors of multiplicity i.
+    """
+    def diff(h):
+        return tuple(k * x for k, x in enumerate(h))[1:]
+
+    f = _dup_primitive(f)
+    df = diff(f)
+    a = _dup_gcd(f, df)
+    b, c = _dup_exquo(f, a), _dup_exquo(df, a)
+    out, i = [], 1
+    while len(b) > 1:
+        d = _dup_sub(c, diff(b))
+        a = _dup_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _dup_exquo(b, a), _dup_exquo(d, a)
+        i += 1
+    return out
+
+
+# -- integers and F_p -------------------------------------------------------
+
+
+def _factorize(n: int) -> dict:
+    """{prime: exponent} of n ≥ 1, by trial division."""
+    out, q = {}, 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _divisors(n: int) -> list:
+    """The divisors of n ≥ 1, ascending."""
+    out = [1]
+    for q, k in _factorize(n).items():
+        out += [d * q ** j for d in out for j in range(1, k + 1)]
+    return sorted(out)
+
+
+# the first 13 primes: as Miller–Rabin bases they decide primality exactly
+# below 3.3·10^24 (Sorenson & Webster, Math. Comp. 86, 2017), and the first
+# 4 below 3215031751 (Pomerance, Selfridge & Wagstaff, Math. Comp. 35, 1980)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _isprime(n: int) -> bool:
+    """Whether n is prime, by Miller–Rabin with `_WITNESSES` as bases:
+    exact for n < 3.3·10^24, which covers every n alexkit asks about."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES[:4] if n < 3215031751 else _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _nextprime(n: int) -> int:
+    """The least prime greater than n."""
+    n += 1
+    while not _isprime(n):
+        n += 1
+    return n
+
+
+def _gf_inverse(f: Sequence[int], m: Sequence[int], p: int
+                ) -> Optional[Tuple[int, ...]]:
+    """The inverse of f modulo a monic m over F_p, prime p, by the extended
+    Euclidean algorithm: one coefficient in [0, p) per degree below deg m,
+    or None when f is not invertible modulo m over F_p."""
+    r0, r1 = [c % p for c in m], list(_dup_strip([c % p for c in f]))
+    s0, s1 = [0], [1]
+    while r1:
+        inverse, d1 = pow(r1[-1], -1, p), len(r1) - 1
+        q = [0] * (len(r0) - d1)
+        for k in range(len(q) - 1, -1, -1):
+            c = r0[k + d1] * inverse % p
+            if c:
+                q[k] = c
+                r0[k:k + d1 + 1] = [(a - c * b) % p
+                                    for a, b in zip(r0[k:k + d1 + 1], r1)]
+        s = [c % p for c in _dup_sub(s0, _dup_mul(q, s1))]
+        r0, r1 = r1, list(_dup_strip(r0))
+        s0, s1 = s1, list(_dup_strip(s))
+    if len(r0) != 1:
+        return None
+    inverse = pow(r0[0], -1, p)
+    return tuple(c * inverse % p for c in s0) + (0,) * (len(m) - 1 - len(s0))
+
+
 def _invert_mod_prime(f: Sequence[int], m: Sequence[int], p: int
                       ) -> Tuple[int, Tuple[int, ...]]:
     """(ℓ, the inverse of f modulo m over F_ℓ) for the least prime ℓ ≥ p at
@@ -261,11 +521,10 @@ def _invert_mod_prime(f: Sequence[int], m: Sequence[int], p: int
     coefficient lists, m is monic and coprime to f over Q, and the inverse
     has coefficients in [0, ℓ), one per degree below deg m."""
     while True:
-        s, _, g = gf_gcdex(gf_from_int_poly(f[::-1], p),
-                           gf_from_int_poly(m[::-1], p), p, ZZ)
-        if g == [1]:
-            return p, tuple(s[::-1]) + (0,) * (len(m) - 1 - len(s))
-        p = nextprime(p)
+        inverse = _gf_inverse(f, m, p)
+        if inverse is not None:
+            return p, inverse
+        p = _nextprime(p)
 
 
 # -- cyclotomic polynomials -------------------------------------------------
@@ -274,9 +533,33 @@ def _invert_mod_prime(f: Sequence[int], m: Sequence[int], p: int
 @lru_cache(maxsize=None)
 def _phi_coeffs(n: int) -> Tuple[int, ...]:
     """The integer coefficients of the cyclotomic polynomial Φ_n, n ≥ 1,
-    in ascending degree."""
-    dense = _ring(1, "ZZ").dup_zz_cyclotomic_poly(n).to_dense()
-    return tuple(int(c) for c in reversed(dense))
+    in ascending degree.
+
+    For the radical r of n, Φ_r = Π_{d | r} (u^d − 1)^μ(r/d): each factor
+    u^d − 1 is a shift and a subtraction, each division by one a running
+    sum with stride d.  Then Φ_n(u) = Φ_r(u^(n/r)).
+    """
+    primes = list(_factorize(n))
+    r = math.prod(primes)
+
+    def orders(parity):
+        """The d | r with μ(r/d) = (−1)^parity."""
+        return [r // math.prod(chosen)
+                for j in range(parity, len(primes) + 1, 2)
+                for chosen in itertools.combinations(primes, j)]
+
+    f = [1]
+    for d in orders(0):
+        f = [b - a for a, b in
+             itertools.zip_longest(f, [0] * d + f, fillvalue=0)]
+    for d in orders(1):
+        q = [0] * (len(f) - d)
+        for i in range(len(q)):
+            q[i] = (q[i - d] if i >= d else 0) - f[i]
+        f = q
+    out = [0] * ((len(f) - 1) * (n // r) + 1)
+    out[::n // r] = f
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -288,7 +571,7 @@ def _totient_preimages(d: int) -> Tuple[int, ...]:
     (q − 1) | d.  The search takes those primes in increasing order, each
     with every exponent that leaves an integral rest of d to account for.
     """
-    primes = [k + 1 for k in divisors(d) if isprime(k + 1)]
+    primes = [k + 1 for k in _divisors(d) if _isprime(k + 1)]
     out = []
 
     def search(start: int, rest: int, m: int) -> None:
@@ -307,6 +590,21 @@ def _totient_preimages(d: int) -> Tuple[int, ...]:
 
     search(0, d, 1)
     return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity_mod(m: int) -> Tuple[int, int]:
+    """(p, ω): the least prime p > 2^29 with p ≡ 1 (mod m), and an ω of
+    order m in F_p^×, so that the roots of Φ_m mod p are the ω^k with k
+    prime to m.  For the m alexkit tries, p < 2^30, a one-digit Python int."""
+    p = ((1 << 29) // m + 1) * m + 1
+    while not _isprime(p):
+        p += m
+    primes = _factorize(m)
+    for g in itertools.count(2):
+        w = pow(g, (p - 1) // m, p)
+        if all(pow(w, m // q, p) != 1 for q in primes):
+            return p, w
 
 
 # -- canonical form ---------------------------------------------------------
@@ -421,6 +719,14 @@ def gcd_many(fs: Iterable[LaurentPoly]) -> LaurentPoly:
         c = math.gcd(*(abs(normalize(f).terms[(
             )].numerator) for f in nonzero))
         return LaurentPoly.constant(0, c)
+    if nvars == 1:
+        acc = None
+        for f in nonzero:
+            p = _to_dense(normalize(f))
+            acc = p if acc is None else _dup_gcd(acc, p)
+            if acc == (1,):
+                break
+        return normalize(_from_dense(acc, (1,)))
     acc = None
     for f in nonzero:
         _, p = _to_ring(normalize(f), "ZZ")
@@ -647,9 +953,10 @@ class FactoredPoly:
         return acc
 
 
-def _cyclotomic_part(r):
-    """The largest divisor of r whose roots are all roots of unity, for a
-    squarefree r in _ring(1, "ZZ") with r(0) ≠ 0.
+def _cyclotomic_part(r: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The largest divisor of r whose roots are all roots of unity, with a
+    positive leading coefficient, for a squarefree r in Z[u] with
+    r(0) ≠ 0.
 
     A primitive m-th root of unity ζ is conjugate to ζ^2 when m is odd and
     to −ζ^2 when m ≡ 2 mod 4, and Φ_m(u) = Φ_{m/2}(u^2) when 4 | m
@@ -662,52 +969,68 @@ def _cyclotomic_part(r):
     unity, since for each root α all of ±α^(2^k) are among its finitely
     many roots.  No step depends on how many Φ_m there are.
     """
-    ring = r.ring
-
     def substitute(g, sign, power):
         """g(sign · u^power)"""
-        return ring({(power * k,): c * sign ** k for (k,), c in g.items()})
+        out = [0] * (power * (len(g) - 1) + 1)
+        out[::power] = [-c if sign < 0 and k % 2 else c
+                        for k, c in enumerate(g)]
+        return out
 
     def closed(h, sign):
         while True:
-            g = h.gcd(substitute(h, sign, 2))
-            if g.degree() == h.degree():
+            g = _dup_gcd(h, substitute(h, sign, 2))
+            if len(g) == len(h):
                 return h
             h = g
 
-    part = ring(1)
+    part = (1,)
     for sign in (1, -1):
         h = closed(r, sign)
-        part, r = part * h, r.exquo(h)
-    even = r.gcd(substitute(r, -1, 1))
-    if even.degree() > 0:
-        half = ring({(k // 2,): c for (k,), c in even.items()})
-        part *= substitute(_cyclotomic_part(half), 1, 2)
-    return part
+        part, r = _dup_mul(part, h), _dup_exquo(r, h)
+    even = _dup_gcd(r, substitute(r, -1, 1))
+    if len(even) > 1:
+        part = _dup_mul(part, substitute(_cyclotomic_part(even[::2]), 1, 2))
+    return tuple(part)
 
 
-def _split_cyclotomic(q):
-    """(cyclo, rest) with q = Π cyclo · rest, for a squarefree q in
-    _ring(1, "ZZ") with q(0) ≠ 0: cyclo lists the Φ_m dividing q, and no
-    Φ_m divides rest.
+def _vanishes_at_root_mod_p(c: Sequence[int], m: int) -> bool:
+    """Whether c(ω) ≡ 0 (mod p) for (p, ω) = `_root_of_unity_mod(m)`.
+
+    ω is a root of Φ_m mod p, so this holds whenever Φ_m divides c: the
+    test has no false negatives.  For a product c of distinct Φ_k, none
+    with p | k, it holds exactly when Φ_m divides c.
+    """
+    p, w = _root_of_unity_mod(m)
+    v = 0
+    for a in reversed(c):
+        v = (v * w + a) % p
+    return not v
+
+
+def _split_cyclotomic(q: Tuple[int, ...]) -> tuple:
+    """(cyclo, rest) with q = Π cyclo · rest, for a squarefree q in Z[u]
+    with q(0) ≠ 0: cyclo lists the Φ_m dividing q, and no Φ_m divides rest.
 
     The Φ_m are tried on the product c of them (`_cyclotomic_part`) in
     order of degree, and c shrinks as they are found, so when q has no
-    cyclotomic factor none is tried.
+    cyclotomic factor none is tried.  Φ_m is built and divided out only
+    when c passes `_vanishes_at_root_mod_p`.
     """
-    ring = q.ring
     c = _cyclotomic_part(q)
+    rest = _dup_exquo(q, c)
     cyclo = []
     d = 1
-    while d <= c.degree():
+    while d < len(c):
         for m in _totient_preimages(d):
-            phi = ring({(k,): v for k, v in enumerate(_phi_coeffs(m)) if v})
-            quo, rem = c.div(phi)
-            if not rem:
+            if not _vanishes_at_root_mod_p(c, m):
+                continue
+            phi = _phi_coeffs(m)
+            quo = _dup_exquo(c, phi)
+            if quo is not None:
                 cyclo.append(phi)
-                c, q = quo, q.exquo(phi)
+                c = quo
         d += 1
-    return cyclo, q
+    return cyclo, rest
 
 
 def factor_poly(f: LaurentPoly) -> FactoredPoly:
@@ -715,10 +1038,11 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
 
     A collinear support means f ≐ P(t^e) for a primitive e
     (`sev_decompose`), and then P is factored: each squarefree piece of P
-    in Z[u] (sympy's `sqf_list`) loses its cyclotomic part
-    (`_split_cyclotomic`), and only the rest goes to
-    sympy's `factor_list`.  A factor q(u) of P lifts to the factor q(t^e)
-    of f, irreducible because e extends to a basis of Z^n.
+    in Z[u] (`_dup_sqf_list`) loses its cyclotomic part
+    (`_split_cyclotomic`), and only a nonconstant rest goes to sympy's
+    `dup_factor_list`.  A factor q(u) of P lifts to the factor q(t^e) of
+    f, irreducible because e extends to a basis of Z^n.  Otherwise the
+    whole of f goes to sympy's multivariate `factor_list`.
     """
     if f.is_zero():
         raise LaurentError("cannot factor the zero polynomial")
@@ -734,15 +1058,17 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     else:
         univariate, e = sev
         factors = []
-        for piece, mult in _to_ring(univariate, "ZZ")[1].sqf_list()[1]:
+        for piece, mult in _dup_sqf_list(_to_dense(univariate)):
             cyclo, rest = _split_cyclotomic(piece)
             factors += [(q, mult) for q in cyclo]
-            factors += [(q, mult * k) for q, k in rest.factor_list()[1]]
-        # q(u) becomes q(t^e)
-        parts = [(LaurentPoly(g.nvars, {
-            tuple(k * x for x in e): coeff
-            for (k,), coeff in _from_ring(q, 1).terms.items()}), mult)
-            for q, mult in factors]
+            if len(rest) > 1:
+                from sympy.polys.domains import ZZ
+                from sympy.polys.factortools import dup_factor_list
+
+                factors += [(tuple(map(int, reversed(q))), mult * k)
+                            for q, k in dup_factor_list(
+                                [ZZ(x) for x in reversed(rest)], ZZ)[1]]
+        parts = [(_from_dense(q, e), mult) for q, mult in factors]
     mults: dict = {}
     for p, mult in parts:
         piece = normalize(p)

@@ -1,10 +1,22 @@
-"""Source checks on the alexkit package, by reading its syntax trees."""
+"""Source checks on the alexkit package, by reading its syntax trees, and
+checks that a fresh interpreter loads sympy only when the answer needs it."""
 
 import ast
 import itertools
+import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+import sympy
+
 import alexkit
+from alexkit.laurent import LaurentPoly
+
+from conftest import data_path
 
 PACKAGE = Path(alexkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -39,30 +51,118 @@ def test_no_unused_imports():
 
 
 def _sympy_references(tree):
-    """Lines that import sympy or one of its modules, or read a name
+    """Nodes that import sympy or one of its modules, or read a name
     `sympy` (which a module could bind without an import statement)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) and any(
                 alias.name.split(".")[0] == "sympy" for alias in node.names):
-            yield node.lineno
+            yield node
         elif isinstance(node, ast.ImportFrom) and node.level == 0 \
                 and node.module.split(".")[0] == "sympy":
-            yield node.lineno
+            yield node
         elif isinstance(node, ast.Name) and node.id == "sympy":
-            yield node.lineno
+            yield node
 
 
 def test_sympy_only_in_laurent():
-    """laurent.py is the one bridge to sympy: no other module imports it,
-    so every polynomial algorithm and every exact rank is alexkit's own
-    or goes through that bridge.  Each module is reported at its first
-    reference."""
-    found = [f"{name}:{min(lines)}" for name, tree in _modules()
-             if name != "laurent.py"
-             and (lines := list(_sympy_references(tree)))]
+    """laurent.py is the one bridge to sympy, a backend for multivariate
+    gcd and factoring, for factoring a non-cyclotomic rest and for division
+    over Q[t]: no other module imports it, so every other polynomial
+    algorithm and every exact rank is alexkit's own.  Each module is
+    reported at its first reference."""
+    found = [f"{name}:{min(node.lineno for node in nodes)}"
+             for name, tree in _modules()
+             if name != "laurent.py" and (nodes := list(_sympy_references(tree)))]
     assert found == []
     laurent = dict(_modules())["laurent.py"]
     assert list(_sympy_references(laurent))
+
+
+def test_sympy_imported_only_inside_functions():
+    """No module imports sympy when it is itself imported: laurent imports
+    it inside the functions that need it, so a run that needs none of them
+    never loads it."""
+    found = []
+    for name, tree in _modules():
+        inside = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(func)}
+        found += [f"{name}:{node.lineno}" for node in _sympy_references(tree)
+                  if id(node) not in inside]
+    assert found == []
+
+
+# Φ_143 = Δ(T(11,13)) from sympy, written as alexkit renders it
+PHI143 = LaurentPoly(1, {monom: int(c) for monom, c in sympy.Poly(
+    sympy.cyclotomic_poly(143, sympy.Symbol("t"))).terms()}).render()
+
+# cyclotomic Δ, characters, exact ranks and Seifert forms: runs that the
+# one-variable layer in laurent answers without sympy
+FRESH_RUNS = {
+    "pencil3": (["invariants", "pencil3.grp"], {
+        "b1": 3, "delta": "t1*t2*t3 - 1",
+        "factored": {"constant": 1, "factors": [
+            {"multiplicity": 1, "poly": "t1*t2*t3 - 1"}]},
+        "input": {"generators": ["x1", "x2", "x3"], "num_relators": 2},
+        "qp": {"certificate": {"c": 1, "cyclotomic_orders": [[1, 1]],
+                               "e": [1, 1, 1]},
+               "reason": "single essential variable with cyclotomic "
+                         "univariate image",
+               "verdict": "CONSISTENT"},
+        "torsion": [], "warnings": []}),
+    # every nontrivial character of T(11,13) meets Φ_143, whose degree 120
+    # is over the vanishing-order cap, so the character here is trivial
+    "torus11-13": (["invariants", "torus11-13.grp", "--char", "x=1,y=1"], {
+        "b1": 1,
+        "characters": {"x=1,y=1": {"b1": 1,
+                                   "note": "trivial character: full rank"}},
+        "delta": PHI143,
+        "factored": {"constant": 1, "factors": [
+            {"multiplicity": 1, "poly": PHI143}]},
+        "input": {"generators": ["x", "y"], "num_relators": 1},
+        "qp": {"reason": "no obstruction below b1 = 2",
+               "verdict": "CONSISTENT"},
+        "torsion": [], "warnings": []}),
+    "betti-pencil3": (["betti", "pencil3.grp", "--char",
+                       "x1=zeta3,x2=zeta3,x3=zeta3", "--depth", "1"], {
+        "almost_principal": "Yes (deficiency>0)", "attained": True,
+        "b1": 1, "bound_generic": 1, "bound_pointwise": 1,
+        "char": "x1=zeta3,x2=zeta3,x3=zeta3", "depth": 1,
+        "input": {"generators": ["x1", "x2", "x3"], "num_relators": 2},
+        "member": True}),
+    "seifert": (["seifert", "--weights", "1,1,1,2,3", "--q", "3"], {
+        "delta": "t1^13*t2^13*t3^13 + t1^11*t2^11*t3^11 + t1^10*t2^10*t3^10"
+                 " + t1^9*t2^9*t3^9 + t1^8*t2^8*t3^8 - t1^7*t2^7*t3^7"
+                 " + t1^6*t2^6*t3^6 - t1^5*t2^5*t3^5 - t1^4*t2^4*t3^4"
+                 " - t1^3*t2^3*t3^3 - t1^2*t2^2*t3^2 - 1",
+        "divisor": [{"multiplicity": 1, "root_order": 1},
+                    {"multiplicity": 2, "root_order": 2},
+                    {"multiplicity": 2, "root_order": 3},
+                    {"multiplicity": 3, "root_order": 6}],
+        "q": 3, "weights": [1, 1, 1, 3, 2]}),
+}
+
+_FRESH = ("import sys\n"
+          "from alexkit.cli import main\n"
+          "code = main(sys.argv[1:])\n"
+          "print('sympy' in sys.modules, file=sys.stderr)\n"
+          "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("name", FRESH_RUNS)
+def test_fresh_run_never_loads_sympy(tmp_path, name):
+    """A fresh interpreter answers these runs with sympy never imported,
+    and prints the expected report."""
+    argv, expected = FRESH_RUNS[name]
+    shutil.copy(data_path("pencil3.grp"), tmp_path)
+    (tmp_path / "torus11-13.grp").write_text("gens: x y\nrel: x^11 y^-13\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH, *argv], cwd=tmp_path,
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"
+    assert proc.stdout == json.dumps(expected, sort_keys=True) + "\n"
 
 
 def _unused_locals(func):

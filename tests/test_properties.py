@@ -19,8 +19,9 @@ from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
                               _charpoly, _factor_root, monodromy_analysis)
 from alexkit.laurent import (TOTAL_DEGREE_CAP, ComputationCapError,
                              FactoredPoly, LaurentError, LaurentPoly,
-                             _cyclotomic_part, _from_ring, _invert_mod_prime,
-                             _phi_coeffs, _ring, _split_cyclotomic, _to_ring,
+                             _cyclotomic_part, _dup_mul, _from_ring,
+                             _invert_mod_prime, _phi_coeffs,
+                             _split_cyclotomic, _to_dense, _to_ring,
                              _totient_preimages,
                              associates, divides, exact_div,
                              exact_div_binomial, factor_poly, gcd, gcd_many,
@@ -585,30 +586,27 @@ def test_split_cyclotomic_finds_exactly_the_cyclotomic_factors():
     distinct Φ_m (m ≤ 90) and self-reciprocal non-cyclotomic factors
     whose roots square into each other's: the part is the product of the
     Φ_m put in, and the split returns exactly them.  The inputs are built
-    in Z[u], where products are cheap."""
+    as dense coefficient tuples in Z[u]."""
     rng = random.Random(20261018)
-    ring = _ring(1, "ZZ")
     for _ in range(300):
         orders = set(rng.sample(range(1, 91), rng.randint(0, 5)))
         others = rng.sample(RECIPROCAL_NON_CYCLOTOMIC, rng.randint(0, 3))
         if not orders and not others:
             continue
-        part = ring(1)
+        part = (1,)
         for m in orders:
-            part *= ring({(k,): c
-                          for k, c in enumerate(_phi_coeffs(m)) if c})
+            part = tuple(_dup_mul(part, _phi_coeffs(m)))
         q = part
         for text in others:
-            q *= _to_ring(parse_poly(text, ("u",)), "ZZ")[1]
-        assert associates(_from_ring(_cyclotomic_part(q), 1),
-                          _from_ring(part, 1))
+            q = tuple(_dup_mul(q, _to_dense(parse_poly(text, ("u",)))))
+        assert _cyclotomic_part(q) == part
         cyclo, rest = _split_cyclotomic(q)
-        assert {_from_ring(c, 1) for c in cyclo} == \
-            {cyclotomic_poly(m) for m in orders}, (orders, others)
+        assert set(cyclo) == {_phi_coeffs(m) for m in orders}, \
+            (orders, others)
         assert len(cyclo) == len(orders)
         product = rest
         for c in cyclo:
-            product = product * c
+            product = tuple(_dup_mul(product, c))
         assert product == q
 
 
