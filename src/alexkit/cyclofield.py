@@ -43,7 +43,8 @@ def cyclotomic_order(p: LaurentPoly) -> Optional[int]:
     """The m with p = Φ_m for a canonical univariate p (as `normalize`
     returns it), or None.
 
-    p is compared only with the Φ_m of degree φ(m) = deg p.
+    p is compared only with the Φ_m of degree φ(m) = deg p.  A p with a
+    non-integral coefficient or a negative exponent raises LaurentError.
     """
     coeffs = _to_dense(p)
     if len(coeffs) == 1:

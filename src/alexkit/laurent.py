@@ -269,10 +269,15 @@ def _from_ring(p, nvars: int, shift: Optional[Sequence[int]] = None
 
 
 def _to_dense(f: LaurentPoly) -> Tuple[int, ...]:
-    """The coefficients of a univariate f with integer coefficients and
-    least exponent 0, as `normalize` returns it."""
-    return tuple(int(f.terms.get((k,), 0))
-                 for k in range(max(e for (e,) in f.terms) + 1))
+    """The coefficients of a nonzero univariate f with integer coefficients
+    and no negative exponent, as `normalize` returns it; LaurentError on
+    any other f."""
+    terms = f.terms
+    if (not terms or min(e for (e,) in terms) < 0
+            or any(c.denominator != 1 for c in terms.values())):
+        raise LaurentError("expected a nonzero polynomial in Z[u]")
+    return tuple(int(terms.get((k,), 0))
+                 for k in range(max(e for (e,) in terms) + 1))
 
 
 def _from_dense(q: Sequence[int], e: Sequence[int]) -> LaurentPoly:
@@ -452,8 +457,7 @@ def _divisors(n: int) -> list:
 
 
 # the first 13 primes: as Miller–Rabin bases they decide primality exactly
-# below 3.3·10^24 (Sorenson & Webster, Math. Comp. 86, 2017), and the first
-# 4 below 3215031751 (Pomerance, Selfridge & Wagstaff, Math. Comp. 35, 1980)
+# below 3.3·10^24 (Sorenson & Webster, Math. Comp. 86, 2017)
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
@@ -468,7 +472,7 @@ def _isprime(n: int) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _WITNESSES[:4] if n < 3215031751 else _WITNESSES:
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

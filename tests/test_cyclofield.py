@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from alexkit.cyclofield import (Character, CycloError, _divider, _mul,
-                                _reduce, cyclotomic_poly, evaluate,
-                                parse_character, rank_over_field)
-from alexkit.laurent import ComputationCapError, LaurentPoly, parse_poly
+                                _reduce, cyclotomic_order, cyclotomic_poly,
+                                evaluate, parse_character, rank_over_field)
+from alexkit.laurent import (ComputationCapError, LaurentError, LaurentPoly,
+                             parse_poly)
 
 from conftest import character
 
@@ -102,6 +103,15 @@ def test_cyclotomic_poly_values():
     assert cyclotomic_poly(1) == parse_poly("t-1", ("t",))
     assert cyclotomic_poly(6) == parse_poly("t^2-t+1", ("t",))
     assert cyclotomic_poly(8) == parse_poly("t^4+1", ("t",))
+
+
+def test_cyclotomic_order_rejects_non_canonical_input():
+    assert cyclotomic_order(parse_poly("t^2+t+1", ("t",))) == 3
+    # neither may be read as 1 + t = Φ_2
+    for p in (LaurentPoly(1, {(1,): Fraction(3, 2), (0,): 1}),
+              parse_poly("t^-1 + 1 + t", ("t",))):
+        with pytest.raises(LaurentError):
+            cyclotomic_order(p)
 
 
 def test_rank_over_field():
