@@ -12,7 +12,8 @@ fallback), Yun's squarefree split, exact division, the cyclotomic
 polynomials Φ_n, inverses modulo a prime and a polynomial, and the
 primes and divisors these need.  sympy is a backend, imported inside the
 functions that still need it: multivariate gcd and factoring, the
-factoring of a one-variable rest with no cyclotomic factor, and division
+factoring of a one-variable rest with no cyclotomic factor and of the
+one-variable images that prove a residual irreducible, and division
 over Q[t] (`exact_div`, and the Smith form of `alexander`), all through
 the bridge `_ring` (Z[t] or Q[t] in n variables, built on first use),
 `_to_ring` and `_from_ring`.
@@ -22,13 +23,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
-TOTAL_DEGREE_CAP = 64
+# derivatives evaluated × terms that one `vanishing_order` may spend
+VANISHING_WORK_CAP = 200_000
 
 
 class LaurentError(ValueError):
@@ -773,13 +776,16 @@ def vanishing_order(f: LaurentPoly, point: "Character") -> int:
 
     if f.is_zero():
         raise LaurentError("vanishing order of the zero polynomial")
-    if f.total_degree() > TOTAL_DEGREE_CAP:
-        raise ComputationCapError(
-            f"total degree {f.total_degree()} exceeds cap {TOTAL_DEGREE_CAP}")
     if len(point) != f.nvars:
         raise LaurentError("point has wrong number of coordinates")
+    work = 0
     for k in itertools.count():
         for idx in itertools.combinations_with_replacement(range(f.nvars), k):
+            work += len(f.terms)
+            if work > VANISHING_WORK_CAP:
+                raise ComputationCapError(
+                    f"vanishing-order work (derivatives evaluated × terms) "
+                    f"{work} exceeds cap {VANISHING_WORK_CAP}")
             derivative = LaurentPoly(f.nvars, {
                 e: c * math.prod(e[i] for i in idx)
                 for e, c in f.terms.items()})
@@ -790,28 +796,19 @@ def vanishing_order(f: LaurentPoly, point: "Character") -> int:
 # -- single essential variable ----------------------------------------------
 
 
-def _collinear_direction(pts) -> Optional[tuple]:
-    """Primitive direction if all points are collinear, else None."""
-    base = pts[0]
-    diffs = [tuple(a - b for a, b in zip(q, base)) for q in pts[1:]]
-    diffs = [d for d in diffs if any(d)]
-    if not diffs:
-        return (0,) * len(base) if len(base) else ()
-    d0 = diffs[0]
-    g = math.gcd(*(abs(x) for x in d0))
-    prim = tuple(x // g for x in d0)
-    for d in diffs[1:]:
-        # d must be an integer multiple of prim
-        ratios = {a // b for a, b in zip(d, prim) if b != 0}
-        if len(ratios) != 1:
-            return None
-        (r,) = ratios
-        if tuple(r * x for x in prim) != d:
-            return None
-    first = next(x for x in prim if x != 0)
-    if first < 0:
-        prim = tuple(-x for x in prim)
-    return prim
+def _directions(base: tuple, points: Sequence[tuple]) -> list:
+    """The primitive directions prim(v − base), first nonzero entry
+    positive, for the points v ≠ base, each once, in order of first
+    appearance: one direction iff base and the points are collinear."""
+    out: dict = {}
+    for v in points:
+        d = [a - b for a, b in zip(v, base)]
+        g = math.gcd(*d)
+        if g:
+            if next(x for x in d if x) < 0:
+                g = -g
+            out.setdefault(tuple(x // g for x in d), None)
+    return list(out)
 
 
 def sev_decompose(f: LaurentPoly):
@@ -825,9 +822,10 @@ def sev_decompose(f: LaurentPoly):
     pts = f.support()
     if len(pts) == 1:
         raise LaurentError("sev_decompose needs a non-unit input")
-    e = _collinear_direction(pts)
-    if e is None or not any(e):
+    directions = _directions(pts[0], pts)
+    if len(directions) != 1:
         return None
+    (e,) = directions
     base = pts[0]
     idx = next(i for i, x in enumerate(e) if x != 0)
     uni = {}
@@ -957,17 +955,20 @@ class FactoredPoly:
         return acc
 
 
-def _cyclotomic_part(r: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The largest divisor of r whose roots are all roots of unity, with a
-    positive leading coefficient, for a squarefree r in Z[u] with
-    r(0) ≠ 0.
+def _cyclotomic_parts(r: Tuple[int, ...]) -> tuple:
+    """(closed, twice odd, even): the products of the Φ_m dividing r, each
+    with a positive leading coefficient, for a squarefree r in Z[u] with
+    r(0) ≠ 0, split into three classes: every Φ_m with m odd and each
+    Φ_(2^j·k) that comes with all of Φ_k, Φ_2k, ..., Φ_(2^(j−1)·k), k odd;
+    the other Φ_m with m ≡ 2 (mod 4); the other Φ_m with 4 | m.
 
     A primitive m-th root of unity ζ is conjugate to ζ^2 when m is odd and
     to −ζ^2 when m ≡ 2 mod 4, and Φ_m(u) = Φ_{m/2}(u^2) when 4 | m
-    (Beukers & Smyth).  So the Φ_m with m odd divide the largest divisor h
-    of r with h | h(u^2); those with m ≡ 2 mod 4 divide the largest
-    divisor h of what is left with h | h(−u^2); and those with 4 | m are
-    Φ(u^2) for the cyclotomic factors Φ(w) of the even part
+    (Beukers & Smyth).  So the first class is the largest divisor h of r
+    with h | h(u^2), since squaring halves an even order; the second is
+    the largest divisor h of what is left with h | h(−u^2), since
+    α ↦ −α^2 takes an order divisible by 4 down to an odd one; and the
+    third is Φ(u^2) for the cyclotomic factors Φ(w) of the even part
     gcd(r(u), r(−u)) = E(u^2) of what is left after that.  Such an h is
     reached by gcds that each lower the degree, and has only roots of
     unity, since for each root α all of ±α^(2^k) are among its finitely
@@ -987,14 +988,18 @@ def _cyclotomic_part(r: Tuple[int, ...]) -> Tuple[int, ...]:
                 return h
             h = g
 
-    part = (1,)
+    parts = []
     for sign in (1, -1):
         h = closed(r, sign)
-        part, r = _dup_mul(part, h), _dup_exquo(r, h)
+        parts.append(h)
+        r = _dup_exquo(r, h)
     even = _dup_gcd(r, substitute(r, -1, 1))
-    if len(even) > 1:
-        part = _dup_mul(part, substitute(_cyclotomic_part(even[::2]), 1, 2))
-    return tuple(part)
+    if len(even) == 1:
+        return (*parts, (1,))
+    inner = (1,)
+    for h in _cyclotomic_parts(even[::2]):
+        inner = _dup_mul(inner, h)
+    return (*parts, tuple(substitute(inner, 1, 2)))
 
 
 def _vanishes_at_root_mod_p(c: Sequence[int], m: int) -> bool:
@@ -1015,64 +1020,177 @@ def _split_cyclotomic(q: Tuple[int, ...]) -> tuple:
     """(cyclo, rest) with q = Π cyclo · rest, for a squarefree q in Z[u]
     with q(0) ≠ 0: cyclo lists the Φ_m dividing q, and no Φ_m divides rest.
 
-    The Φ_m are tried on the product c of them (`_cyclotomic_part`) in
-    order of degree, and c shrinks as they are found, so when q has no
-    cyclotomic factor none is tried.  Φ_m is built and divided out only
-    when c passes `_vanishes_at_root_mod_p`.
+    Each part c of `_cyclotomic_parts` is tried in order of degree with
+    the m of its class alone: odd m, m ≡ 2 (mod 4), 4 | m; in the first,
+    a hit at m is followed by 2m, 4m, ... while they divide.  c shrinks as
+    they are found, so when q has no cyclotomic factor none is tried.  Φ_m
+    is built and divided out only when c passes `_vanishes_at_root_mod_p`.
     """
-    c = _cyclotomic_part(q)
-    rest = _dup_exquo(q, c)
     cyclo = []
-    d = 1
-    while d < len(c):
-        for m in _totient_preimages(d):
-            if not _vanishes_at_root_mod_p(c, m):
-                continue
-            phi = _phi_coeffs(m)
-            quo = _dup_exquo(c, phi)
-            if quo is not None:
-                cyclo.append(phi)
-                c = quo
-        d += 1
+
+    def divide(c, m):
+        """c / Φ_m, or None when Φ_m does not divide c."""
+        if not _vanishes_at_root_mod_p(c, m):
+            return None
+        phi = _phi_coeffs(m)
+        quo = _dup_exquo(c, phi)
+        if quo is not None:
+            cyclo.append(phi)
+        return quo
+
+    rest = q
+    for c, residues in zip(_cyclotomic_parts(q), ((1, 3), (2,), (0,))):
+        rest = _dup_exquo(rest, c)
+        d = 1
+        while d < len(c):
+            for m in _totient_preimages(d):
+                quo = divide(c, m) if m % 4 in residues else None
+                while quo is not None:
+                    # in the first part, Φ_2m divides only next to Φ_m
+                    c, m = quo, 2 * m
+                    quo = divide(c, m) if 1 in residues else None
+            d += 1
     return cyclo, rest
+
+
+def _split_directions(terms: dict) -> tuple:
+    """([(P, e)], rest) with Σ c_v t^v ≐ rest · Π P(t^e), for the terms
+    {v: c_v} of a primitive non-monomial: e runs over primitive directions,
+    P(u) over primitive nonconstant polynomials in Z[u] with P(0) ≠ 0, each
+    the largest with P(t^e) dividing, and rest, a dict of terms, has no
+    factor in one essential variable.
+
+    Write f = Σ_ℓ t^ℓ·c_ℓ(t^e), ℓ over the cosets of Z·e: P(t^e) divides f
+    iff P divides every fiber c_ℓ, so the largest such P is gcd_ℓ c_ℓ.  A
+    non-monomial P times anything has two terms or more, so then each fiber
+    has, and the fiber through any v₀ ∈ supp f makes e = prim(v − v₀) for
+    some other v ∈ supp f (`_directions`): the directions from the first
+    point are kept only where they are directions from the least and the
+    greatest point too.  A divisor of rest divides f, so each such e is
+    tried once.  A collinear f is the case P ≐ f.
+    """
+    points = list(terms)
+    directions = _directions(points[0], points)
+    for corner in (min(points), max(points)):
+        if len(directions) > 1:
+            found = set(_directions(corner, points))
+            directions = [e for e in directions if e in found]
+    contents = []
+    for e in directions:
+        i = next(j for j, x in enumerate(e) if x)
+        fibers: dict = {}
+        for v, c in terms.items():
+            k = v[i] // e[i]
+            fibers.setdefault(tuple(x - k * y for x, y in zip(v, e)),
+                              {})[k] = c
+        if any(len(fiber) < 2 for fiber in fibers.values()):
+            continue
+        dense, p = {}, None
+        for ell, fiber in fibers.items():
+            low = min(fiber)
+            q = dense[ell, low] = tuple(
+                fiber.get(k, 0) for k in range(low, max(fiber) + 1))
+            p = q if p is None else _dup_gcd(p, q)
+        if len(p) == 1:
+            continue
+        p, terms = _dup_primitive(p), {}
+        for (ell, low), q in dense.items():
+            for k, c in enumerate(_dup_exquo(q, p), low):
+                if c:
+                    terms[tuple(x + k * y for x, y in zip(ell, e))] = c
+        contents.append((p, e))
+    return contents, terms
+
+
+# the scales a_i of the images t_i ↦ a_i·u^(w_i), repeated for more variables
+_IMAGE_SCALES = (2, 3, -1, -2, 5, 1, -3)
+# the widest image taken: the images of t1^20*t2 + t1*t2^20 + 3, of span
+# 41, took three to four times as long to factor as sympy's factor_list of
+# the polynomial itself, while those of the random Δ of the fox-width
+# benchmark have spans below 16
+_IMAGE_SPAN_CAP = 16
+
+
+def _images(terms: dict) -> list:
+    """At most two images in Z[u] of f = Σ c_v t^v, given by its terms
+    {v: c_v}: t^-m·f under t_i ↦ a_i·u^(w_i), m the least exponent vector
+    and a the `_IMAGE_SCALES`, over u^(min w·v).  The weights w are those
+    with one entry 2 and the others 1, or one entry 1 and the others 2,
+    for which the max and the min of w·v over supp f are each attained
+    once; the two with the least span max − min, if at most
+    `_IMAGE_SPAN_CAP`, are taken, first come first."""
+    n = len(next(iter(terms)))
+    weights = {tuple(base + step * (i == j) for i in range(n)): None
+               for base, step in ((1, 1), (2, -1)) for j in range(n)}
+    found = []
+    for w in weights:
+        degrees = [sum(map(operator.mul, w, v)) for v in terms]
+        bottom, top = min(degrees), max(degrees)
+        if top - bottom <= _IMAGE_SPAN_CAP and degrees.count(bottom) == 1 \
+                and degrees.count(top) == 1:
+            found.append((top - bottom, bottom, degrees))
+    low = [min(col) for col in zip(*terms)]
+    scales = [_IMAGE_SCALES[i % len(_IMAGE_SCALES)] for i in range(n)]
+    out = []
+    for span, bottom, degrees in sorted(found, key=lambda t: t[0])[:2]:
+        image = [0] * (span + 1)
+        for (v, c), d in zip(terms.items(), degrees):
+            image[d - bottom] += c * math.prod(
+                a ** (x - m) for a, x, m in zip(scales, v, low))
+        out.append(tuple(image))
+    return out
 
 
 def factor_poly(f: LaurentPoly) -> FactoredPoly:
     """Factor into irreducible pieces over Q, with integer content split off.
 
-    A collinear support means f ≐ P(t^e) for a primitive e
-    (`sev_decompose`), and then P is factored: each squarefree piece of P
-    in Z[u] (`_dup_sqf_list`) loses its cyclotomic part
+    First every factor P(t^e) in one essential variable is split off by
+    univariate gcds (`_split_directions`), and each P is factored in Z[u]:
+    each squarefree piece (`_dup_sqf_list`) loses its cyclotomic part
     (`_split_cyclotomic`), and only a nonconstant rest goes to sympy's
     `dup_factor_list`.  A factor q(u) of P lifts to the factor q(t^e) of
-    f, irreducible because e extends to a basis of Z^n.  Otherwise the
-    whole of f goes to sympy's multivariate `factor_list`.
+    f, irreducible because e extends to a basis of Z^n.
+
+    A residual g that is not a monomial is irreducible when one of its
+    images h under t_i ↦ a_i·u^(w_i) (`_images`) is irreducible in Q[u]:
+    with the max and the min of w·v over supp g each attained once,
+    top_w(ab) = top_w(a)·top_w(b) makes every non-monomial factor of g map
+    to a nonconstant factor of h.  Otherwise sympy's multivariate
+    `factor_list` factors g.
     """
+    def factor_dense(q):
+        """The irreducible factors of q in Z[u] and their multiplicities."""
+        from sympy.polys.domains import ZZ
+        from sympy.polys.factortools import dup_factor_list
+
+        return [(tuple(map(int, reversed(r))), k) for r, k in
+                dup_factor_list([ZZ(x) for x in reversed(q)], ZZ)[1]]
+
     if f.is_zero():
         raise LaurentError("cannot factor the zero polynomial")
     g = normalize(f)
     c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
     if g.is_constant():
         return FactoredPoly(c, ())
-    sev = sev_decompose(g)
-    if sev is None:
-        # over Z the factors are primitive, the content is split off
-        parts = [(_from_ring(p, g.nvars), mult)
-                 for p, mult in _to_ring(g, "ZZ")[1].factor_list()[1]]
-    else:
-        univariate, e = sev
-        factors = []
-        for piece, mult in _dup_sqf_list(_to_dense(univariate)):
-            cyclo, rest = _split_cyclotomic(piece)
-            factors += [(q, mult) for q in cyclo]
-            if len(rest) > 1:
-                from sympy.polys.domains import ZZ
-                from sympy.polys.factortools import dup_factor_list
-
-                factors += [(tuple(map(int, reversed(q))), mult * k)
-                            for q, k in dup_factor_list(
-                                [ZZ(x) for x in reversed(rest)], ZZ)[1]]
-        parts = [(_from_dense(q, e), mult) for q, mult in factors]
+    contents, rest = _split_directions(
+        {v: int(x) // c for v, x in g.terms.items()})
+    parts = []
+    for p, e in contents:
+        for piece, mult in _dup_sqf_list(p):
+            cyclo, q = _split_cyclotomic(piece)
+            parts += [(_from_dense(phi, e), mult) for phi in cyclo]
+            if len(q) > 1:
+                parts += [(_from_dense(r, e), mult * k)
+                          for r, k in factor_dense(q)]
+    if len(rest) > 1:
+        residual = LaurentPoly(g.nvars, rest)
+        for h in _images(rest):
+            if [k for _, k in factor_dense(h)] == [1]:
+                parts.append((residual, 1))
+                break
+        else:
+            parts += [(_from_ring(p, g.nvars), mult) for p, mult in
+                      _to_ring(residual, "ZZ")[1].factor_list()[1]]
     mults: dict = {}
     for p, mult in parts:
         piece = normalize(p)

@@ -11,7 +11,7 @@ from alexkit.cli import main
 from alexkit.cyclofield import cyclotomic_poly
 from alexkit.laurent import LaurentPoly, default_names, parse_poly
 
-from conftest import data_path
+from conftest import DATA, data_path
 
 
 def run(capsys, *argv):
@@ -292,3 +292,65 @@ def test_betti_at_conductor_211_in_bounded_time(tmp_path):
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["b1"] == 0
+
+
+def _run_cli(*argv):
+    """`python -m alexkit.cli` in a fresh interpreter, 20 s at most."""
+    src = str(Path(alexkit.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "alexkit.cli", *argv],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_non_collinear_product_in_bounded_time(tmp_path):
+    """Handed whole to sympy's multivariate factor_list, this Δ ran for
+    over 60 s; its factors in one essential variable split off by
+    univariate gcds."""
+    names = ["t1", "t2", "t3", "t4"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": names, "rows": [[
+        "((t1*t2*t3*t4)^20 + (t1*t2*t3*t4)^19 - 1)"
+        "*(t1*t2*t3*t4 + 1)^3*(t1 - 2)", "0"]]}))
+    proc = _run_cli("invariants", "--matrix", str(path))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    got = {parse_poly(f["poly"], names): f["multiplicity"]
+           for f in report["factored"]["factors"]}
+    assert got == {parse_poly(text, names): mult for text, mult in (
+        ("t1 - 2", 1), ("t1*t2*t3*t4 + 1", 3),
+        ("(t1*t2*t3*t4)^20 + (t1*t2*t3*t4)^19 - 1", 1))}
+    assert report["factored"]["constant"] == 1
+
+
+def test_torus_11_13_at_a_point_of_its_jump_locus(tmp_path):
+    """Φ_143 has total degree 120; its vanishing order at a root needs
+    one evaluation of 121 terms, well inside the work cap."""
+    path = tmp_path / "t.grp"
+    path.write_text("gens: x y\nrel: x^11 y^-13\n")
+    spec = "x=zeta143^13,y=zeta143^11"
+    proc = _run_cli("invariants", str(path), "--char", spec)
+    assert proc.returncode == 0, proc.stderr
+    entry = json.loads(proc.stdout)["characters"][spec]
+    assert (entry["b1"], entry["bound_pointwise"], entry["attained"]) == \
+        (1, 1, True)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_RUNS = [
+    (f"invariants-{name}", ["invariants", "--matrix", data_path(name)]
+     if name.endswith(".json") else ["invariants", data_path(name)])
+    for name in sorted(os.listdir(DATA))] + [
+    ("betti-pencil3.grp-depth1",
+     ["betti", data_path("pencil3.grp"),
+      "--char", "x1=zeta3,x2=zeta3,x3=zeta3", "--depth", "1"])]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_RUNS,
+                         ids=[name for name, _ in GOLDEN_RUNS])
+def test_stdout_matches_golden(capsys, name, argv):
+    """stdout byte for byte on every fixture, as recorded in tests/golden
+    before factoring took one path for every Δ."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

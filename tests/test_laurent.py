@@ -2,11 +2,12 @@ import math
 
 import pytest
 
+from alexkit import laurent
 from alexkit.cyclofield import cyclotomic_order
-from alexkit.laurent import (LaurentError, LaurentPoly, associates, divides,
-                             exact_div, factor_poly, gcd, gcd_many,
-                             multiplicity, normalize, parse_poly,
-                             sev_decompose, vanishing_order)
+from alexkit.laurent import (ComputationCapError, LaurentError, LaurentPoly,
+                             associates, divides, exact_div, factor_poly,
+                             gcd, gcd_many, multiplicity, normalize,
+                             parse_poly, sev_decompose, vanishing_order)
 
 from conftest import character
 
@@ -92,6 +93,18 @@ def test_vanishing_order():
     assert vanishing_order(P("(t-1)^2", T1), character(1)) == 2
     assert vanishing_order(P("(x2-1)*(x1*x3-1)^2", ("x1", "x2", "x3")),
                            character(1, 1, 1)) == 3
+
+
+def test_vanishing_order_work_cap(monkeypatch):
+    """The cap is on derivatives evaluated × terms, and its error names
+    the budget, the work reached and the limit."""
+    monkeypatch.setattr(laurent, "VANISHING_WORK_CAP", 1000)
+    f = P("(t1-1)^5*(t2-1)^5", ("t1", "t2"))
+    with pytest.raises(ComputationCapError,
+                       match=r"vanishing-order work \(derivatives evaluated "
+                             r"× terms\) 1008 exceeds cap 1000"):
+        vanishing_order(f, character(1, 1))
+    assert vanishing_order(f, character(-1, 1)) == 5
 
 
 def test_sev_decompose():

@@ -17,16 +17,16 @@ from alexkit.cyclofield import (_PRIME, CONDUCTOR_CAP, Character, _divider,
 from alexkit.intlinalg import smith_normal_form
 from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
                               _charpoly, _factor_root, monodromy_analysis)
-from alexkit.laurent import (TOTAL_DEGREE_CAP, ComputationCapError,
-                             FactoredPoly, LaurentError, LaurentPoly,
-                             _cyclotomic_part, _dup_mul, _from_ring,
+from alexkit.laurent import (ComputationCapError, FactoredPoly,
+                             LaurentError, LaurentPoly, _cyclotomic_parts,
+                             _dup_mul, _from_ring, _images,
                              _invert_mod_prime, _phi_coeffs,
-                             _split_cyclotomic, _to_dense, _to_ring,
-                             _totient_preimages,
-                             associates, divides, exact_div,
-                             exact_div_binomial, factor_poly, gcd, gcd_many,
-                             multiplicity, normalize, parse_poly,
-                             sev_decompose, vanishing_order)
+                             _split_cyclotomic, _split_directions, _to_dense,
+                             _to_ring, _totient_preimages, associates,
+                             divides, exact_div, exact_div_binomial,
+                             factor_poly, gcd, gcd_many, multiplicity,
+                             normalize, parse_poly, sev_decompose,
+                             vanishing_order)
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, QPVerdict, qp_verdict
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   word)
@@ -205,6 +205,10 @@ def _powers(x: tuple, e: int, n: int):
     for _ in range(e):
         out.append(_mul(out[-1], x, n))
     return out
+
+
+# the oracle's own guard: the expansion grows with the total degree
+TOTAL_DEGREE_CAP = 64
 
 
 def _expansion_order(f: LaurentPoly, point: Character) -> int:
@@ -571,6 +575,74 @@ def test_collinear_factoring_matches_factor_list_oracle():
         assert factor_poly(f) == _factor_list_oracle(f), f
 
 
+def test_directional_factoring_matches_factor_list_oracle():
+    """factor_poly on c · ±t^a · Π P_j(t^e_j)^μ_j along one to three
+    random primitive directions e_j, each P_j a Φ_m or non-cyclotomic and
+    some repeated, half of them times one or two generic factors in every
+    variable, against sympy's factoring of the whole polynomial, order
+    included.  The oracle's cost grows fast with the degree, so the
+    products are kept to total degree 14."""
+    rng = random.Random(20261020)
+    checked = generic = 0
+    while checked < 150:
+        n = rng.randint(2, 4)
+        f = LaurentPoly.constant(n, rng.choice([1, 1, 2, 3]))
+        for _ in range(rng.randint(1, 3)):
+            e = _random_direction(rng, n)
+            for _ in range(rng.randint(1, 2)):
+                piece = cyclotomic_poly(rng.choice([1, 2, 3, 4, 6])) \
+                    if rng.random() < 0.5 else \
+                    parse_poly(rng.choice(NON_CYCLOTOMIC), ("u",))
+                f = f * _along(e, {k: c for (k,), c in piece.terms.items()}
+                               ) ** rng.randint(1, 2)
+        others = rng.choice([0, 0, 1, 2])
+        for _ in range(others):
+            f = f * LaurentPoly(n, {
+                tuple(int(i == j) for i in range(n)):
+                    rng.choice([-3, -2, -1, 1, 2, 3]) for j in range(-1, n)})
+        if normalize(f).total_degree() > 14:
+            continue
+        checked += 1
+        generic += others > 0
+        unit = LaurentPoly.monomial(
+            tuple(rng.randint(-2, 2) for _ in range(n)), rng.choice([1, -1]))
+        expected = _factor_list_oracle(unit * f)
+        assert factor_poly(unit * f) == expected, f
+        # the split leaves exactly the factors of more than one direction
+        g = normalize(f)
+        _, rest = _split_directions(
+            {v: int(c) // expected.constant for v, c in g.terms.items()})
+        residual = LaurentPoly.one(n)
+        for p, mult in expected.factors:
+            if sev_decompose(p) is None:
+                residual = residual * p ** mult
+        assert associates(LaurentPoly(n, rest), residual), f
+    assert generic > 30
+
+
+def test_image_certificate_never_passes_a_product():
+    """No image that `_images` takes of a product a·b of two non-monomials
+    is irreducible: top_w(ab) = top_w(a)·top_w(b), so where the max and
+    the min of w·v are each attained once, a and b map to nonconstant
+    factors."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    rng = random.Random(20261021)
+    images = 0
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        a, b = random_poly(rng, n), random_poly(rng, n, 3)
+        if a.is_monomial() or b.is_monomial():
+            continue
+        g = normalize(a * b)
+        for h in _images({v: int(c) for v, c in g.terms.items()}):
+            images += 1
+            assert [k for _, k in dup_factor_list(
+                [ZZ(x) for x in reversed(h)], ZZ)[1]] != [1], (a, b, h)
+    assert images > 200
+
+
 # self-reciprocal, like every Φ_m, and not cyclotomic: with φ the golden
 # ratio, u^2 ∓ 3u + 1 has the roots ±φ^(±2), u^2 ∓ 7u + 1 the roots
 # ±φ^(±4) and u^4 − 3u^2 + 1 the roots ±φ^(±1), so squaring (or minus
@@ -581,25 +653,48 @@ RECIPROCAL_NON_CYCLOTOMIC = (
     "u^4 - 3*u^2 + 1", "u^10 + u^9 - u^7 - u^6 - u^5 - u^4 - u^3 + u + 1")
 
 
+def _twos(m: int) -> int:
+    """The exponent of 2 in m ≥ 1."""
+    return (m & -m).bit_length() - 1
+
+
+def _phi_product(orders) -> tuple:
+    """Π Φ_m over the orders, as a dense tuple."""
+    out = (1,)
+    for m in orders:
+        out = tuple(_dup_mul(out, _phi_coeffs(m)))
+    return out
+
+
 def test_split_cyclotomic_finds_exactly_the_cyclotomic_factors():
-    """_cyclotomic_part and _split_cyclotomic on squarefree products of
+    """_cyclotomic_parts and _split_cyclotomic on squarefree products of
     distinct Φ_m (m ≤ 90) and self-reciprocal non-cyclotomic factors
-    whose roots square into each other's: the part is the product of the
-    Φ_m put in, and the split returns exactly them.  The inputs are built
-    as dense coefficient tuples in Z[u]."""
+    whose roots square into each other's: the three parts are the
+    products of the Φ_m put in of each class (m odd or with every
+    m/2, m/4, ... down to its odd part put in too; the other m ≡ 2 mod 4;
+    the other 4 | m), and the split returns exactly the Φ_m.  The inputs
+    are built as dense coefficient tuples in Z[u]."""
     rng = random.Random(20261018)
     for _ in range(300):
         orders = set(rng.sample(range(1, 91), rng.randint(0, 5)))
+        if orders and rng.random() < 0.5:
+            # a chain k, 2k, 4k, ...: all of it in the first part
+            k = rng.choice(sorted(orders))
+            orders |= {k << i for i in range(1, rng.randint(2, 4))
+                       if k << i <= 90}
         others = rng.sample(RECIPROCAL_NON_CYCLOTOMIC, rng.randint(0, 3))
         if not orders and not others:
             continue
-        part = (1,)
-        for m in orders:
-            part = tuple(_dup_mul(part, _phi_coeffs(m)))
-        q = part
+        q = _phi_product(orders)
         for text in others:
             q = tuple(_dup_mul(q, _to_dense(parse_poly(text, ("u",)))))
-        assert _cyclotomic_part(q) == part
+        closed = {m for m in orders
+                  if all(m >> i in orders for i in range(1, _twos(m) + 1))}
+        assert _cyclotomic_parts(q) == tuple(
+            _phi_product(m for m in orders if test(m))
+            for test in (closed.__contains__,
+                         lambda m: m not in closed and m % 4 == 2,
+                         lambda m: m not in closed and m % 4 == 0))
         cyclo, rest = _split_cyclotomic(q)
         assert set(cyclo) == {_phi_coeffs(m) for m in orders}, \
             (orders, others)
