@@ -19,11 +19,10 @@ import re
 from fractions import Fraction
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .laurent import (ComputationCapError, LaurentPoly, _dup_mul,
-                      _from_dense, _invert_mod_prime, _phi_coeffs, _to_dense,
-                      _totient_preimages)
+                      _from_dense, _invert_mod_prime, _phi_coeffs)
 
 CONDUCTOR_CAP = 240
 
@@ -37,20 +36,6 @@ def cyclotomic_poly(n: int) -> LaurentPoly:
     if n < 1:
         raise CycloError("conductor must be positive")
     return _from_dense(_phi_coeffs(n), (1,))
-
-
-def cyclotomic_order(p: LaurentPoly) -> Optional[int]:
-    """The m with p = Φ_m for a canonical univariate p (as `normalize`
-    returns it), or None.
-
-    p is compared only with the Φ_m of degree φ(m) = deg p.  A p with a
-    non-integral coefficient or a negative exponent raises LaurentError.
-    """
-    coeffs = _to_dense(p)
-    if len(coeffs) == 1:
-        return None
-    return next((m for m in _totient_preimages(len(coeffs) - 1)
-                 if _phi_coeffs(m) == coeffs), None)
 
 
 def _reduce(coeffs: list, n: int) -> tuple:
@@ -186,19 +171,24 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
 # -- evaluation and exact rank ----------------------------------------------
 
 
-def evaluate(f: LaurentPoly, chi: Character) -> tuple:
-    """Exact value of f at the character chi, as a coefficient tuple at
-    chi's conductor N: each term c·t^e adds c·q to the bucket of ζ_N^k,
-    where q·ζ_N^k is chi's value at e, and the buckets are reduced mod Φ_N
-    once.  An integral c·q is added as an `int`."""
-    if len(chi) != f.nvars:
-        raise CycloError("point has wrong number of coordinates")
-    values = chi.pull(f.terms)
-    buckets = [0] * chi.conductor
-    for c, q, k in zip(f.terms.values(), values.scales, values.exps):
+def _bucket_sum(coeffs: Iterable, values: Character) -> tuple:
+    """Σ_j c_j·q_j·ζ_N^(k_j) for the rationals c_j and the values
+    q_j·ζ_N^(k_j) of `values`, as a coefficient tuple: each c_j·q_j goes
+    to the bucket of ζ_N^(k_j), as an `int` when integral, and the buckets
+    are reduced mod Φ_N once."""
+    buckets = [0] * values.conductor
+    for c, q, k in zip(coeffs, values.scales, values.exps):
         num, den = c.numerator * q.numerator, c.denominator * q.denominator
         buckets[k] += num if den == 1 else Fraction(num, den)
-    return _reduce(buckets, chi.conductor)
+    return _reduce(buckets, values.conductor)
+
+
+def evaluate(f: LaurentPoly, chi: Character) -> tuple:
+    """Exact value of f at the character chi, as a coefficient tuple at
+    chi's conductor N: c·t^e contributes c times chi's value at e."""
+    if len(chi) != f.nvars:
+        raise CycloError("point has wrong number of coordinates")
+    return _bucket_sum(f.terms.values(), chi.pull(f.terms))
 
 
 # The first prime ℓ of the ℓ-adic divisions; 2^61 − 1 fits a machine word.

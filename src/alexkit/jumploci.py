@@ -14,11 +14,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .alexander import (AlexanderMatrix, elementary_divisor_exponents,
                         evaluate_matrix, univariate_invariant_factors)
-from .cyclofield import Character, cyclotomic_order, rank_over_field
+from .cyclofield import Character, rank_over_field
 from .intlinalg import (abelianization, induced_torus_point,
                         validate_character)
-from .laurent import (FactoredPoly, LaurentPoly, factor_poly, normalize,
-                      vanishing_order)
+from .laurent import FactoredPoly, LaurentPoly, factor_poly, vanishing_order
 from .presentation import GroupPresentation
 
 
@@ -160,17 +159,14 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
 # -- roots of univariate factors --------------------------------------------
 
 
-def _factor_root(f: LaurentPoly) -> Optional[Character]:
-    """A representative root of a univariate irreducible factor as a
-    one-coordinate character: rational for linear factors, a primitive
-    root of unity for cyclotomic factors, None otherwise."""
-    g = normalize(f)
-    deg = max(e[0] for e in g.terms)
-    if deg == 1:
-        a = g.terms.get((1,), Fraction(0))
-        b = g.terms.get((0,), Fraction(0))
-        return Character(1, (-b / a,), (0,))
-    m = cyclotomic_order(g)
+def _factor_root(record: tuple) -> Optional[Character]:
+    """A representative root of the univariate irreducible factor with the
+    `essential` record (e, P, m), as a one-coordinate character: rational
+    for linear factors, a primitive root of unity for cyclotomic factors,
+    None otherwise."""
+    _, p, m = record
+    if len(p) == 2:
+        return Character(1, (Fraction(-p[0], p[1]),), (0,))
     return None if m is None else Character(m, (1,), (1,))
 
 
@@ -201,8 +197,8 @@ def semisimple_equality_report(mat: AlexanderMatrix,
         raise JumpLociError("constant Alexander polynomial: no roots")
     inv = univariate_invariant_factors(mat)
     out = []
-    for f, mu in factored.factors:
-        root = _factor_root(f)
+    for (f, mu), record in zip(factored.factors, factored.essential):
+        root = _factor_root(record)
         if root is None or root.is_trivial():
             continue
         ek = elementary_divisor_exponents(inv, root)
@@ -284,19 +280,18 @@ def monodromy_analysis(h: Sequence[Sequence[int]]) -> MonodromyReport:
     factored = factor_poly(delta)
     equalities = []
     semisimple = True
-    for f, mu in factored.factors:
-        g = normalize(f)
-        deg = max(e[0] for e in g.terms)
-        # g(M) by Horner's rule; g has integer coefficients
+    for (f, mu), record in zip(factored.factors, factored.essential):
+        g = record[1]
+        # g(M) by Horner's rule over the coefficients of g in Z[u]
         pm = [[0] * size for _ in range(size)]
-        for k in range(deg, -1, -1):
-            pm = _mul_add(pm, m, int(g.terms.get((k,), 0)))
+        for c in reversed(g):
+            pm = _mul_add(pm, m, c)
         rank = rank_over_field([[(x,) for x in row] for row in pm], 1)
-        geometric = (size - rank) // deg
+        geometric = (size - rank) // (len(g) - 1)
         equality = (geometric == mu)
         if not equality:
             semisimple = False
         equalities.append(RootEquality(
-            f.render(("t",)), _factor_root(f), mu, geometric, equality,
+            f.render(("t",)), _factor_root(record), mu, geometric, equality,
             equality))
     return MonodromyReport(delta, factored, semisimple, equalities)

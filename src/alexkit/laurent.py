@@ -767,17 +767,22 @@ def vanishing_order(f: LaurentPoly, point: "Character") -> int:
     |α| = k, θ_i = t_i ∂/∂t_i, is nonzero at ρ; computed exactly.
 
     `point` is a `cyclofield.Character` with one value per variable.
-    θ^α t^e = e^α t^e, so each derivative is one `evaluate`.
+    θ^α t^e = e^α t^e, so the monomials of f are evaluated at ρ once and
+    each derivative only reweights their coefficients.
     θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers S(α,α) = 1 is
     unitriangular and t^β is a unit at ρ, so this is the order of
     vanishing of f at ρ.
     """
-    from .cyclofield import evaluate
+    from .cyclofield import _bucket_sum
 
     if f.is_zero():
         raise LaurentError("vanishing order of the zero polynomial")
     if len(point) != f.nvars:
         raise LaurentError("point has wrong number of coordinates")
+    values = point.pull(f.terms)
+    # f times the lcm of its denominators vanishes to the same order
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    terms = [(e, int(c * den)) for e, c in f.terms.items()]
     work = 0
     for k in itertools.count():
         for idx in itertools.combinations_with_replacement(range(f.nvars), k):
@@ -786,53 +791,9 @@ def vanishing_order(f: LaurentPoly, point: "Character") -> int:
                 raise ComputationCapError(
                     f"vanishing-order work (derivatives evaluated × terms) "
                     f"{work} exceeds cap {VANISHING_WORK_CAP}")
-            derivative = LaurentPoly(f.nvars, {
-                e: c * math.prod(e[i] for i in idx)
-                for e, c in f.terms.items()})
-            if any(evaluate(derivative, point)):
+            if any(_bucket_sum((c * math.prod(e[i] for i in idx)
+                                for e, c in terms), values)):
                 return k
-
-
-# -- single essential variable ----------------------------------------------
-
-
-def _directions(base: tuple, points: Sequence[tuple]) -> list:
-    """The primitive directions prim(v − base), first nonzero entry
-    positive, for the points v ≠ base, each once, in order of first
-    appearance: one direction iff base and the points are collinear."""
-    out: dict = {}
-    for v in points:
-        d = [a - b for a, b in zip(v, base)]
-        g = math.gcd(*d)
-        if g:
-            if next(x for x in d if x) < 0:
-                g = -g
-            out.setdefault(tuple(x // g for x in d), None)
-    return list(out)
-
-
-def sev_decompose(f: LaurentPoly):
-    """Single-essential-variable form: (P, e) with f ≐ P(t^e), or None.
-
-    P is a canonical univariate polynomial and e a primitive direction with
-    first nonzero entry positive.  Present iff the support of f is collinear.
-    """
-    if f.is_zero() or f.is_unit():
-        raise LaurentError("sev_decompose needs a nonzero non-unit input")
-    pts = f.support()
-    if len(pts) == 1:
-        raise LaurentError("sev_decompose needs a non-unit input")
-    directions = _directions(pts[0], pts)
-    if len(directions) != 1:
-        return None
-    (e,) = directions
-    base = pts[0]
-    idx = next(i for i, x in enumerate(e) if x != 0)
-    uni = {}
-    for exp, c in f.terms.items():
-        k = (exp[idx] - base[idx]) // e[idx]
-        uni[(k,)] = c
-    return normalize(LaurentPoly(1, uni)), e
 
 
 # -- expression parsing -----------------------------------------------------
@@ -942,11 +903,16 @@ class FactoredPoly:
     """A factorization c · Π f_j^{μ_j} ≐ the original polynomial.
 
     The factors f_j are irreducible, canonical and pairwise non-associate;
-    `factors` holds the pairs (f_j, μ_j).
+    `factors` holds the pairs (f_j, μ_j).  `essential[j]` classifies f_j:
+    for f_j ≐ P(t^e) in one essential variable it is (e, P, m), e primitive
+    with its first nonzero entry positive, P the dense primitive Z[u] tuple
+    with a positive leading coefficient, and m the order with P = Φ_m or
+    None; for a factor in more than one essential variable it is None.
     """
 
     constant: int
     factors: Tuple[Tuple[LaurentPoly, int], ...]
+    essential: Tuple[Optional[tuple], ...]
 
     def reassembled(self, nvars: int) -> LaurentPoly:
         acc = LaurentPoly.constant(nvars, self.constant)
@@ -1017,8 +983,8 @@ def _vanishes_at_root_mod_p(c: Sequence[int], m: int) -> bool:
 
 
 def _split_cyclotomic(q: Tuple[int, ...]) -> tuple:
-    """(cyclo, rest) with q = Π cyclo · rest, for a squarefree q in Z[u]
-    with q(0) ≠ 0: cyclo lists the Φ_m dividing q, and no Φ_m divides rest.
+    """(orders, rest) with q = Π Φ_m · rest over the m in orders, for a
+    squarefree q in Z[u] with q(0) ≠ 0: no Φ_m divides rest.
 
     Each part c of `_cyclotomic_parts` is tried in order of degree with
     the m of its class alone: odd m, m ≡ 2 (mod 4), 4 | m; in the first,
@@ -1026,16 +992,15 @@ def _split_cyclotomic(q: Tuple[int, ...]) -> tuple:
     they are found, so when q has no cyclotomic factor none is tried.  Φ_m
     is built and divided out only when c passes `_vanishes_at_root_mod_p`.
     """
-    cyclo = []
+    orders = []
 
     def divide(c, m):
         """c / Φ_m, or None when Φ_m does not divide c."""
         if not _vanishes_at_root_mod_p(c, m):
             return None
-        phi = _phi_coeffs(m)
-        quo = _dup_exquo(c, phi)
+        quo = _dup_exquo(c, _phi_coeffs(m))
         if quo is not None:
-            cyclo.append(phi)
+            orders.append(m)
         return quo
 
     rest = q
@@ -1050,7 +1015,22 @@ def _split_cyclotomic(q: Tuple[int, ...]) -> tuple:
                     c, m = quo, 2 * m
                     quo = divide(c, m) if 1 in residues else None
             d += 1
-    return cyclo, rest
+    return orders, rest
+
+
+def _directions(base: tuple, points: Sequence[tuple]) -> list:
+    """The primitive directions prim(v − base), first nonzero entry
+    positive, for the points v ≠ base, each once, in order of first
+    appearance: one direction iff base and the points are collinear."""
+    out: dict = {}
+    for v in points:
+        d = [a - b for a, b in zip(v, base)]
+        g = math.gcd(*d)
+        if g:
+            if next(x for x in d if x) < 0:
+                g = -g
+            out.setdefault(tuple(x // g for x in d), None)
+    return list(out)
 
 
 def _split_directions(terms: dict) -> tuple:
@@ -1156,7 +1136,9 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     with the max and the min of w·v over supp g each attained once,
     top_w(ab) = top_w(a)·top_w(b) makes every non-monomial factor of g map
     to a nonconstant factor of h.  Otherwise sympy's multivariate
-    `factor_list` factors g.
+    `factor_list` factors g.  Each factor is classified here, as it is
+    built: `essential` records (e, P, m) for q(t^e) and None for a factor
+    of g, which has no factor in one essential variable.
     """
     def factor_dense(q):
         """The irreducible factors of q in Z[u] and their multiplicities."""
@@ -1171,34 +1153,32 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     g = normalize(f)
     c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
     if g.is_constant():
-        return FactoredPoly(c, ())
+        return FactoredPoly(c, (), ())
     contents, rest = _split_directions(
         {v: int(x) // c for v, x in g.terms.items()})
-    parts = []
+    parts = []  # (factor, multiplicity, record)
     for p, e in contents:
         for piece, mult in _dup_sqf_list(p):
-            cyclo, q = _split_cyclotomic(piece)
-            parts += [(_from_dense(phi, e), mult) for phi in cyclo]
+            orders, q = _split_cyclotomic(piece)
+            found = [(_phi_coeffs(m), 1, m) for m in orders]
             if len(q) > 1:
-                parts += [(_from_dense(r, e), mult * k)
-                          for r, k in factor_dense(q)]
+                found += [(r, k, None) for r, k in factor_dense(q)]
+            parts += [(normalize(_from_dense(r, e)), mult * k, (e, r, m))
+                      for r, k, m in found]
     if len(rest) > 1:
         residual = LaurentPoly(g.nvars, rest)
         for h in _images(rest):
             if [k for _, k in factor_dense(h)] == [1]:
-                parts.append((residual, 1))
+                parts.append((normalize(residual), 1, None))
                 break
         else:
-            parts += [(_from_ring(p, g.nvars), mult) for p, mult in
-                      _to_ring(residual, "ZZ")[1].factor_list()[1]]
-    mults: dict = {}
-    for p, mult in parts:
-        piece = normalize(p)
-        if not piece.is_constant():
-            mults[piece] = mults.get(piece, 0) + int(mult)
-    out = FactoredPoly(c, tuple(sorted(
-        mults.items(), key=lambda t: (sorted(t[0].terms),
-                                      sorted(t[0].terms.items())))))
+            for p, mult in _to_ring(residual, "ZZ")[1].factor_list()[1]:
+                piece = normalize(_from_ring(p, g.nvars))
+                if not piece.is_constant():
+                    parts.append((piece, int(mult), None))
+    parts.sort(key=lambda t: (sorted(t[0].terms), sorted(t[0].terms.items())))
+    out = FactoredPoly(c, tuple((f, mult) for f, mult, _ in parts),
+                       tuple(record for _, _, record in parts))
     if not associates(out.reassembled(g.nvars), g):
         raise LaurentError("factorization failed to reassemble (internal bug)")
     return out

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .cyclofield import cyclotomic_order
-from .laurent import FactoredPoly, LaurentPoly, sev_decompose
+from .laurent import FactoredPoly, LaurentPoly, _from_dense
 
 CONSISTENT = "CONSISTENT"
 OBSTRUCTED = "OBSTRUCTED"
@@ -38,29 +37,18 @@ class ComponentDirection:
     translated: bool = False
 
 
-def _binomial_data(f: LaurentPoly):
-    """(primitive direction, translated) when f ≐ t^a − c with c an
-    integer; None otherwise.  The subtorus is translated unless f ≐ t^e − 1
-    with e primitive, that is unless its image in t^e is Φ_1."""
-    sev = sev_decompose(f)
-    if sev is None:
-        return None
-    p, e = sev
-    if len(p.terms) != 2 or p.terms[max(p.terms)] != 1:
-        return None
-    return e, cyclotomic_order(p) != 1
-
-
 def component_directions(factored: FactoredPoly) -> List[ComponentDirection]:
-    """Direction entries for each factor; non-binomial factors get a
-    direction-absent entry."""
+    """Direction entries for each factor, read off its `essential` record:
+    a factor ≐ t^a − c with c an integer, that is P(t^e) with two terms
+    and P's top coefficient 1, gets its direction e, translated unless
+    P = Φ_1; every other factor gets a direction-absent entry."""
     out = []
-    for f, _ in factored.factors:
-        data = _binomial_data(f)
-        if data is None:
+    for (f, _), record in zip(factored.factors, factored.essential):
+        if record is None or len(f.terms) != 2 or record[1][-1] != 1:
             out.append(ComponentDirection(f, None))
         else:
-            out.append(ComponentDirection(f, *data))
+            e, _, m = record
+            out.append(ComponentDirection(f, e, m != 1))
     return out
 
 
@@ -146,16 +134,15 @@ def qp_verdict(factored: Optional[FactoredPoly], b1: int,
     if not factors:
         return QPVerdict(CONSISTENT, "constant polynomial",
                          {"c": factored.constant})
-    images = [sev_decompose(f) for f, _ in factors]
-    if None in images or len({e for _, e in images}) > 1:
+    records = factored.essential
+    if None in records or len({e for e, _, _ in records}) > 1:
         return QPVerdict(OBSTRUCTED, "support is not collinear: more than "
                          "one essential variable")
-    e = images[0][1]
+    e = records[0][0]
     cyclo, residual = [], LaurentPoly.one(1)
-    for (p, _), (_, mu) in zip(images, factors):
-        m = cyclotomic_order(p)
+    for (_, p, m), (_, mu) in zip(records, factors):
         if m is None:
-            residual = residual * p ** mu
+            residual = residual * _from_dense(p, (1,)) ** mu
         else:
             cyclo.append([m, mu])
     if not residual.is_constant():

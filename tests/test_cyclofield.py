@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from alexkit.cyclofield import (Character, CycloError, _divider, _mul,
-                                _reduce, cyclotomic_order, cyclotomic_poly,
-                                evaluate, parse_character, rank_over_field)
+                                _reduce, cyclotomic_poly, evaluate,
+                                parse_character, rank_over_field)
 from alexkit.laurent import (ComputationCapError, LaurentError, LaurentPoly,
-                             parse_poly)
+                             _to_dense, parse_poly)
 
 from conftest import character
 
@@ -106,12 +106,14 @@ def test_cyclotomic_poly_values():
 
 
 def test_cyclotomic_order_rejects_non_canonical_input():
-    assert cyclotomic_order(parse_poly("t^2+t+1", ("t",))) == 3
+    """_to_dense, which reads a univariate polynomial into Z[u], rejects a
+    non-integral coefficient and a negative exponent."""
+    assert _to_dense(parse_poly("t^2+t+1", ("t",))) == (1, 1, 1)
     # neither may be read as 1 + t = Φ_2
     for p in (LaurentPoly(1, {(1,): Fraction(3, 2), (0,): 1}),
               parse_poly("t^-1 + 1 + t", ("t",))):
         with pytest.raises(LaurentError):
-            cyclotomic_order(p)
+            _to_dense(p)
 
 
 def test_rank_over_field():

@@ -236,3 +236,17 @@ def test_factor_list_only_in_factor_poly():
              if isinstance(node, ast.Attribute) and "factor_list" in node.attr
              or isinstance(node, ast.Name) and "factor_list" in node.id]
     assert found == ["laurent.py:factor_poly"] * 2
+
+
+def test_factored_poly_built_only_in_factor_poly():
+    """Only laurent.factor_poly builds a FactoredPoly, so every one carries
+    the `essential` record of its factors, classified where they are
+    built."""
+    found = [f"{name}:{getattr(top, 'name', '<module>')}"
+             for name, tree in _modules()
+             for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "FactoredPoly"]
+    assert found == ["laurent.py:factor_poly"] * 2

@@ -3,13 +3,13 @@ import math
 import pytest
 
 from alexkit import laurent
-from alexkit.cyclofield import cyclotomic_order
 from alexkit.laurent import (ComputationCapError, LaurentError, LaurentPoly,
                              associates, divides, exact_div, factor_poly,
                              gcd, gcd_many, multiplicity, normalize,
-                             parse_poly, sev_decompose, vanishing_order)
+                             parse_poly, vanishing_order)
 
 from conftest import character
+from test_properties import cyclotomic_order
 
 T3 = ("t1", "t2", "t3")
 T1 = ("t",)
@@ -108,16 +108,23 @@ def test_vanishing_order_work_cap(monkeypatch):
 
 
 def test_sev_decompose():
-    p, e = sev_decompose(P("(t1*t2*t3-1)^2"))
-    assert e == (1, 1, 1)
-    assert p == P("(t-1)^2", T1)
-    p, e = sev_decompose(P("x1+x2", ("x1", "x2")))
-    assert e == (1, -1)
-    assert sev_decompose(P("(x2-1)*(x1*x3-1)", ("x1", "x2", "x3"))) is None
+    """factor_poly records each factor's direction e, its image P in Z[u]
+    and the order m with P = Φ_m."""
+    fp = factor_poly(P("(t1*t2*t3-1)^2"))
+    assert fp.factors[0][1] == 2
+    assert fp.essential == (((1, 1, 1), (-1, 1), 1),)
+    fp = factor_poly(P("x1+x2", ("x1", "x2")))
+    assert fp.essential == (((1, -1), (1, 1), 2),)
+    fp = factor_poly(P("(x2-1)*(x1*x3-1)", ("x1", "x2", "x3")))
+    assert fp.essential == (((0, 1, 0), (-1, 1), 1), ((1, 0, 1), (-1, 1), 1))
 
 
 def _cyclotomic_orders(fp):
-    return [(cyclotomic_order(f), mu) for f, mu in fp.factors]
+    """The recorded order of each factor with its multiplicity, checked
+    against the recognizer oracle."""
+    orders = [(m, mu) for (_, _, m), (_, mu) in zip(fp.essential, fp.factors)]
+    assert orders == [(cyclotomic_order(f), mu) for f, mu in fp.factors]
+    return orders
 
 
 def test_cyclotomic_factor():

@@ -12,21 +12,20 @@ from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                delta_chain, elementary_ideal_minors,
                                fox_matrix)
 from alexkit.cyclofield import (_PRIME, CONDUCTOR_CAP, Character, _divider,
-                                _mul, _reduce, cyclotomic_order,
-                                cyclotomic_poly, evaluate, rank_over_field)
+                                _mul, _reduce, cyclotomic_poly, evaluate,
+                                rank_over_field)
 from alexkit.intlinalg import smith_normal_form
 from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
                               _charpoly, _factor_root, monodromy_analysis)
 from alexkit.laurent import (ComputationCapError, FactoredPoly,
                              LaurentError, LaurentPoly, _cyclotomic_parts,
-                             _dup_mul, _from_ring, _images,
+                             _directions, _dup_mul, _from_ring, _images,
                              _invert_mod_prime, _phi_coeffs,
                              _split_cyclotomic, _split_directions, _to_dense,
                              _to_ring, _totient_preimages, associates,
                              divides, exact_div, exact_div_binomial,
                              factor_poly, gcd, gcd_many, multiplicity,
-                             normalize, parse_poly, sev_decompose,
-                             vanishing_order)
+                             normalize, parse_poly, vanishing_order)
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, QPVerdict, qp_verdict
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   word)
@@ -356,6 +355,45 @@ def test_multiplicity_random():
         checked += 1
 
 
+def sev_decompose(f: LaurentPoly):
+    """The former library classifier, kept as the oracle of the direction
+    and the image that `factor_poly` records: (P, e) with f ≐ P(t^e), P a
+    canonical univariate polynomial and e a primitive direction with first
+    nonzero entry positive, when the support of f is collinear; else None.
+    """
+    if f.is_zero() or len(f.terms) == 1:
+        raise LaurentError("sev_decompose needs a nonzero non-unit input")
+    pts = f.support()
+    directions = _directions(pts[0], pts)
+    if len(directions) != 1:
+        return None
+    (e,) = directions
+    idx = next(i for i, x in enumerate(e) if x != 0)
+    uni = {((exp[idx] - pts[0][idx]) // e[idx],): c
+           for exp, c in f.terms.items()}
+    return normalize(LaurentPoly(1, uni)), e
+
+
+def cyclotomic_order(p: LaurentPoly):
+    """The former library recognizer, kept as the oracle of the order that
+    `factor_poly` records: the m with p = Φ_m for a canonical univariate p,
+    compared with every Φ_m of its degree, or None."""
+    coeffs = _to_dense(p)
+    if len(coeffs) == 1:
+        return None
+    return next((m for m in _totient_preimages(len(coeffs) - 1)
+                 if _phi_coeffs(m) == coeffs), None)
+
+
+def essential_oracle(f: LaurentPoly):
+    """The `essential` record of a factor f, from the two oracles above."""
+    sev = sev_decompose(f)
+    if sev is None:
+        return None
+    p, e = sev
+    return e, _to_dense(p), cyclotomic_order(p)
+
+
 def test_sev_matches_collinearity_oracle():
     rng = random.Random(20240908)
     for _ in range(100):
@@ -384,10 +422,14 @@ def test_sev_matches_collinearity_oracle():
 
 
 def test_cyclotomic_recognition():
-    for m in range(1, 31):
-        assert cyclotomic_order(cyclotomic_poly(m)) == m
-    for text in ("t-2", "t^2-3"):
-        assert cyclotomic_order(parse_poly(text, ("t",))) is None
+    """factor_poly records Φ_m as itself, for every m ≤ 250, and no order
+    for a non-cyclotomic irreducible."""
+    for m in range(1, 251):
+        phi = _phi_coeffs(m)
+        assert factor_poly(cyclotomic_poly(m)).essential == (((1,), phi, m),)
+    for text in ("t-2", "t^2-3", "t^2+t-1", "2*t+1", "t^4+t+1"):
+        f = parse_poly(text, ("t",))
+        assert factor_poly(f).essential == (((1,), _to_dense(f), None),)
 
 
 def _euler_phi(m: int) -> int:
@@ -410,13 +452,6 @@ def test_totient_preimages_match_brute_scan():
     for d in range(1, 61):
         assert _totient_preimages(d) == \
             tuple(m for m in range(1, 2 * d * d + 2) if phi[m] == d)
-
-
-def test_cyclotomic_order_every_order_to_1000():
-    for m in range(1, 1001):
-        assert cyclotomic_order(cyclotomic_poly(m)) == m
-    for text in ("t-2", "t^2-3", "t^2+t-1", "2*t+1", "t^4+t+1"):
-        assert cyclotomic_order(parse_poly(text, ("t",))) is None
 
 
 def _cyclotomic_factor(p):
@@ -524,15 +559,18 @@ def test_qp_verdict_matches_sev_cyclotomic_oracle():
 
 def _factor_list_oracle(f):
     """The former factor_poly, kept as the oracle: sympy's factor_list on
-    the whole polynomial, in all its variables."""
+    the whole polynomial, in all its variables, and each factor classified
+    by `essential_oracle`."""
     g = normalize(f)
     c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
     _, parts = _to_ring(g, "ZZ")[1].factor_list()
     factors = [(normalize(_from_ring(p, g.nvars)), mult)
                for p, mult in parts]
-    return FactoredPoly(c, tuple(sorted(
+    factors = tuple(sorted(
         ((p, mult) for p, mult in factors if not p.is_constant()),
-        key=lambda t: (sorted(t[0].terms), sorted(t[0].terms.items())))))
+        key=lambda t: (sorted(t[0].terms), sorted(t[0].terms.items()))))
+    return FactoredPoly(c, factors,
+                        tuple(essential_oracle(p) for p, _ in factors))
 
 
 # non-cyclotomic univariate factors: non-monic, a reciprocal pair
@@ -695,14 +733,9 @@ def test_split_cyclotomic_finds_exactly_the_cyclotomic_factors():
             for test in (closed.__contains__,
                          lambda m: m not in closed and m % 4 == 2,
                          lambda m: m not in closed and m % 4 == 0))
-        cyclo, rest = _split_cyclotomic(q)
-        assert set(cyclo) == {_phi_coeffs(m) for m in orders}, \
-            (orders, others)
-        assert len(cyclo) == len(orders)
-        product = rest
-        for c in cyclo:
-            product = tuple(_dup_mul(product, c))
-        assert product == q
+        found, rest = _split_cyclotomic(q)
+        assert sorted(found) == sorted(orders), (orders, others)
+        assert tuple(_dup_mul(_phi_product(found), rest)) == q
 
 
 def _brute_rank(mat, n):
@@ -827,7 +860,7 @@ def _sympy_monodromy(h):
     factored = factor_poly(delta)
     equalities = []
     semisimple = True
-    for f, mu in factored.factors:
+    for (f, mu), record in zip(factored.factors, factored.essential):
         g = normalize(f)
         deg = max(e[0] for e in g.terms)
         pm = sympy.zeros(size, size)
@@ -838,7 +871,7 @@ def _sympy_monodromy(h):
         if not equality:
             semisimple = False
         equalities.append(RootEquality(
-            f.render(("t",)), _factor_root(f), mu, geometric, equality,
+            f.render(("t",)), _factor_root(record), mu, geometric, equality,
             equality))
     return MonodromyReport(delta, factored, semisimple, equalities)
 

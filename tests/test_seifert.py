@@ -2,12 +2,12 @@ import pytest
 
 from alexkit.alexander import alexander_poly
 from alexkit.cyclofield import cyclotomic_poly
-from alexkit.laurent import (associates, multiplicity, parse_poly,
-                             sev_decompose)
+from alexkit.laurent import associates, multiplicity, parse_poly
 from alexkit.seifert import (SeifertError, SpliceData, seifert_delta,
                              seifert_divisor, seifert_twisted_betti)
 
 from conftest import character
+from test_properties import sev_decompose
 
 T3 = ("t1", "t2", "t3")
 
