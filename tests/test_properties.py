@@ -22,7 +22,8 @@ from alexkit.laurent import (ComputationCapError, FactoredPoly,
                              _directions, _dup_mul, _from_ring, _images,
                              _invert_mod_prime, _phi_coeffs,
                              _split_cyclotomic, _split_directions, _to_dense,
-                             _to_ring, _totient_preimages, associates,
+                             _to_ring, _totient_preimages,
+                             _vanishes_at_root_mod_p, associates,
                              divides, exact_div, exact_div_binomial,
                              factor_poly, gcd, gcd_many, multiplicity,
                              normalize, parse_poly, vanishing_order)
@@ -430,6 +431,20 @@ def test_cyclotomic_recognition():
     for text in ("t-2", "t^2-3", "t^2+t-1", "2*t+1", "t^4+t+1"):
         f = parse_poly(text, ("t",))
         assert factor_poly(f).essential == (((1,), _to_dense(f), None),)
+
+
+def test_cyclotomic_order_every_order_to_1000():
+    """The order oracle names every Φ_m, m ≤ 1000, and no non-cyclotomic
+    polynomial; the mod-p root test that `_split_cyclotomic` runs before
+    dividing by Φ_m never misses Φ_m itself, and the split finds no order
+    in a non-cyclotomic irreducible."""
+    for m in range(1, 1001):
+        assert cyclotomic_order(cyclotomic_poly(m)) == m
+        assert _vanishes_at_root_mod_p(_phi_coeffs(m), m)
+    for text in ("t-2", "t^2-3", "t^2+t-1", "2*t+1", "t^4+t+1"):
+        f = parse_poly(text, ("t",))
+        assert cyclotomic_order(f) is None
+        assert _split_cyclotomic(_to_dense(f)) == ([], _to_dense(f))
 
 
 def _euler_phi(m: int) -> int:
