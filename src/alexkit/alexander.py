@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .cyclofield import Character, evaluate
@@ -102,7 +101,7 @@ def _substitute_monomials(f: LaurentPoly,
     for exp, c in f.terms.items():
         new = tuple(sum(row[j] * exp[j] for j in range(len(exp)))
                     for row in projection)
-        out[new] = out.get(new, Fraction(0)) + c
+        out[new] = out.get(new, 0) + c
     return LaurentPoly(n, out)
 
 

@@ -15,14 +15,15 @@ exact divisions are ℓ-adic: no element of Q(ζ_N) is ever inverted.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .laurent import (ComputationCapError, LaurentPoly, _dup_mul,
-                      _from_dense, _invert_mod_prime, _phi_coeffs)
+                      _from_dense, _invert_mod_prime, _phi_coeffs, _rational)
 
 CONDUCTOR_CAP = 240
 
@@ -79,7 +80,9 @@ def _check_conductor(n: int) -> None:
 class Character:
     """A rank-one character, one value per generator (or variable): value
     i is scales[i]·ζ_N^exps[i], N the conductor.  Every character alexkit
-    reads or builds has this form.
+    reads or builds has this form.  A scale is a nonzero rational, held as
+    `laurent._rational` holds it: an `int` when integral, else a
+    `Fraction`.
 
     For even N the scales are kept positive (−1 = ζ_N^{N/2}), so that two
     characters at one conductor are equal exactly when their values are,
@@ -90,7 +93,7 @@ class Character:
     `is_trivial`, and every rank and verdict, read the values exactly."""
 
     conductor: int
-    scales: Tuple[Fraction, ...]
+    scales: Tuple[Union[int, Fraction], ...]
     exps: Tuple[int, ...]
 
     def __post_init__(self):
@@ -103,7 +106,7 @@ class Character:
         values = [(-q, k + n // 2) if q < 0 and n % 2 == 0 else (q, k)
                   for q, k in zip(self.scales, self.exps)]
         object.__setattr__(self, "scales",
-                           tuple(Fraction(q) for q, _ in values))
+                           tuple(_rational(q) for q, _ in values))
         object.__setattr__(self, "exps", tuple(k % n for _, k in values))
 
     def __len__(self):
@@ -115,14 +118,19 @@ class Character:
     def pull(self, vectors: Iterable[Sequence[int]]) -> "Character":
         """ρ^e for each exponent vector e, as one character: its values
         are ∏_j q_j^{e_j}·ζ_N^{Σ_j k_j·e_j}.  Every monomial alexkit
-        evaluates at a character is evaluated here."""
+        evaluates at a character is evaluated here.  A negative power of a
+        scale is taken as a `Fraction`, never as an `int` power, which
+        would be a float."""
         scaled = [(j, q) for j, q in enumerate(self.scales) if q != 1]
         scales, exps = [], []
         for e in vectors:
             if len(e) != len(self.exps):
                 raise CycloError("exponent vector has wrong length")
-            scales.append(math.prod((q ** e[j] for j, q in scaled), start=1))
-            exps.append(sum(k * x for k, x in zip(self.exps, e)))
+            scale = 1
+            for j, q in scaled:
+                scale *= q ** e[j] if e[j] >= 0 else Fraction(1, q) ** -e[j]
+            scales.append(scale)
+            exps.append(sum(map(operator.mul, self.exps, e)))
         return Character(self.conductor, tuple(scales), tuple(exps))
 
 
@@ -174,13 +182,12 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
 def _bucket_sum(coeffs: Iterable, values: Character) -> tuple:
     """Σ_j c_j·q_j·ζ_N^(k_j) for the rationals c_j and the values
     q_j·ζ_N^(k_j) of `values`, as a coefficient tuple: each c_j·q_j goes
-    to the bucket of ζ_N^(k_j), as an `int` when integral, and the buckets
-    are reduced mod Φ_N once."""
+    to the bucket of ζ_N^(k_j), the buckets are reduced mod Φ_N once, and
+    each coefficient is then an `int` when integral (`_rational`)."""
     buckets = [0] * values.conductor
     for c, q, k in zip(coeffs, values.scales, values.exps):
-        num, den = c.numerator * q.numerator, c.denominator * q.denominator
-        buckets[k] += num if den == 1 else Fraction(num, den)
-    return _reduce(buckets, values.conductor)
+        buckets[k] += c * q
+    return tuple(map(_rational, _reduce(buckets, values.conductor)))
 
 
 def evaluate(f: LaurentPoly, chi: Character) -> tuple:

@@ -5,18 +5,21 @@ in intermediate arithmetic; canonical forms clear denominators).  Units are
 ±(monomial); two polynomials are *associate* if they differ by a unit, and
 associate over C if they additionally differ by a rational scalar.
 
-`LaurentPoly`, a dict {exponent vector: Fraction}, is the one polynomial
-type alexkit code handles.  One-variable work runs on a dense layer in
-Z[u], ascending `int` tuples: gcd (heuristic, with a primitive Euclidean
-fallback), Yun's squarefree split, exact division, the cyclotomic
-polynomials Φ_n, inverses modulo a prime and a polynomial, and the
-primes and divisors these need.  sympy is a backend, imported inside the
-functions that still need it: multivariate gcd and factoring, the
-factoring of a one-variable rest with no cyclotomic factor and of the
-one-variable images that prove a residual irreducible, and division
-over Q[t] (`exact_div`, and the Smith form of `alexander`), all through
-the bridge `_ring` (Z[t] or Q[t] in n variables, built on first use),
-`_to_ring` and `_from_ring`.
+`LaurentPoly`, a dict {exponent vector: coefficient}, is the one polynomial
+type alexkit code handles.  A coefficient, here and in `cyclofield`, is
+an `int` when it is integral and a `Fraction` only when it is not
+(`_rational`), so integral work runs on `int` arithmetic; a `float` is
+refused.  One-variable work runs on a dense layer in Z[u], ascending `int`
+tuples: gcd (heuristic, with a primitive Euclidean fallback), Yun's
+squarefree split, exact division, the cyclotomic polynomials Φ_n,
+inverses modulo a prime and a polynomial, and the primes and divisors
+these need.  sympy is a backend, imported inside the functions that
+still need it: multivariate gcd and factoring, the factoring of a
+one-variable rest with no cyclotomic factor and of the one-variable
+images that prove a residual irreducible, and division over Q[t]
+(`exact_div`, and the Smith form of `alexander`), all through the bridge
+`_ring` (Z[t] or Q[t] in n variables, built on first use), `_to_ring` and
+`_from_ring`.
 """
 
 from __future__ import annotations
@@ -42,8 +45,27 @@ class ComputationCapError(RuntimeError):
     """A configured desk-scale cap was exceeded."""
 
 
+def _rational(c):
+    """c as alexkit holds a rational: an `int` when c is integral, else a
+    `Fraction` with denominator > 1.  A `float` raises LaurentError: it
+    is not exact, and nothing in alexkit is a float."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise LaurentError(f"inexact number {c!r}: expected an int or a "
+                           f"Fraction")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class LaurentPoly:
-    """A Laurent polynomial as a map {exponent vector: nonzero coefficient}."""
+    """A Laurent polynomial as a map {exponent vector: nonzero coefficient}.
+
+    Each exponent vector is a tuple of nvars ints, and each coefficient is
+    an `int`, or a `Fraction` when it is not integral (`_rational`).  This
+    constructor is the only one: it converts a coefficient that is not an
+    `int` and drops zeros, so integral arithmetic stays on `int`s.
+    """
 
     __slots__ = ("nvars", "terms", "_hash")
 
@@ -51,14 +73,15 @@ class LaurentPoly:
         self.nvars = nvars
         clean = {}
         for exp, c in (terms or {}).items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars:
-                raise LaurentError(f"exponent vector {exp} has wrong length")
-            clean[exp] = clean.get(exp, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+            if type(c) is not int:
+                c = _rational(c)
+            if c:
+                if type(exp) is not tuple or len(exp) != nvars:
+                    raise LaurentError(
+                        f"exponent vector {exp!r} is not a tuple of length "
+                        f"{nvars}")
+                clean[exp] = c
+        self.terms = clean
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -69,7 +92,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
@@ -79,11 +102,11 @@ class LaurentPoly:
     def var(cls, nvars: int, i: int, power: int = 1) -> "LaurentPoly":
         exp = [0] * nvars
         exp[i] = power
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls(nvars, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, exp: Sequence[int], coeff=1) -> "LaurentPoly":
-        return cls(len(exp), {tuple(exp): Fraction(coeff)})
+        return cls(len(exp), {tuple(exp): coeff})
 
     # -- predicates --------------------------------------------------------
 
@@ -117,7 +140,7 @@ class LaurentPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
+            out[exp] = out.get(exp, 0) + c
         return LaurentPoly(self.nvars, out)
 
     def __radd__(self, other):
@@ -137,8 +160,8 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(operator.add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(self.nvars, out)
 
     def __rmul__(self, other):
@@ -260,7 +283,8 @@ def _from_ring(p, nvars: int, shift: Optional[Sequence[int]] = None
     shift = shift or (0,) * nvars
     return LaurentPoly(nvars, {
         tuple(e - s for e, s in zip(monom, shift)):
-            Fraction(int(c.numerator), int(c.denominator))
+            int(c.numerator) if c.denominator == 1
+            else Fraction(int(c.numerator), int(c.denominator))
         for monom, c in p.items()})
 
 
@@ -279,7 +303,7 @@ def _to_dense(f: LaurentPoly) -> Tuple[int, ...]:
     if (not terms or min(e for (e,) in terms) < 0
             or any(c.denominator != 1 for c in terms.values())):
         raise LaurentError("expected a nonzero polynomial in Z[u]")
-    return tuple(int(terms.get((k,), 0))
+    return tuple(terms.get((k,), 0)
                  for k in range(max(e for (e,) in terms) + 1))
 
 
@@ -628,7 +652,7 @@ def normalize(f: LaurentPoly) -> LaurentPoly:
         raise LaurentError("cannot normalize the zero polynomial")
     mins = [min(exp[i] for exp in f.terms) for i in range(f.nvars)]
     den = math.lcm(*(c.denominator for c in f.terms.values()))
-    out = {tuple(e - m for e, m in zip(exp, mins)): c * den
+    out = {tuple(map(operator.sub, exp, mins)): c * den
            for exp, c in f.terms.items()}
     lead = max(out)
     if out[lead] < 0:
@@ -654,8 +678,7 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
         return LaurentPoly.zero(f.nvars)
     n = f.nvars
     if n == 0:
-        c = next(iter(f.terms.values())) / next(iter(g.terms.values()))
-        return LaurentPoly.constant(0, c)
+        return LaurentPoly.constant(0, Fraction(f.terms[()], g.terms[()]))
     # strip g's monomial content, a unit, so that it cannot block the
     # polynomial division; f's shift is then undone on the quotient
     mins_g = tuple(map(min, zip(*g.terms)))
@@ -723,8 +746,7 @@ def gcd_many(fs: Iterable[LaurentPoly]) -> LaurentPoly:
     if not nonzero:
         return LaurentPoly.zero(nvars)
     if nvars == 0:
-        c = math.gcd(*(abs(normalize(f).terms[(
-            )].numerator) for f in nonzero))
+        c = math.gcd(*(normalize(f).terms[()] for f in nonzero))
         return LaurentPoly.constant(0, c)
     if nvars == 1:
         acc = None
@@ -1135,10 +1157,12 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     images h under t_i ↦ a_i·u^(w_i) (`_images`) is irreducible in Q[u]:
     with the max and the min of w·v over supp g each attained once,
     top_w(ab) = top_w(a)·top_w(b) makes every non-monomial factor of g map
-    to a nonconstant factor of h.  Otherwise sympy's multivariate
-    `factor_list` factors g.  Each factor is classified here, as it is
-    built: `essential` records (e, P, m) for q(t^e) and None for a factor
-    of g, which has no factor in one essential variable.
+    to a nonconstant factor of h.  An irreducible h is squarefree, so an h
+    that Yun's split (`_dup_sqf_list`) shows is not is never factored.
+    Otherwise sympy's multivariate `factor_list` factors g.  Each factor is
+    classified here, as it is built: `essential` records (e, P, m) for
+    q(t^e) and None for a factor of g, which has no factor in one
+    essential variable.
     """
     def factor_dense(q):
         """The irreducible factors of q in Z[u] and their multiplicities."""
@@ -1151,11 +1175,11 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     if f.is_zero():
         raise LaurentError("cannot factor the zero polynomial")
     g = normalize(f)
-    c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
+    c = math.gcd(*g.terms.values())
     if g.is_constant():
         return FactoredPoly(c, (), ())
     contents, rest = _split_directions(
-        {v: int(x) // c for v, x in g.terms.items()})
+        {v: x // c for v, x in g.terms.items()})
     parts = []  # (factor, multiplicity, record)
     for p, e in contents:
         for piece, mult in _dup_sqf_list(p):
@@ -1168,7 +1192,8 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     if len(rest) > 1:
         residual = LaurentPoly(g.nvars, rest)
         for h in _images(rest):
-            if [k for _, k in factor_dense(h)] == [1]:
+            if all(k == 1 for _, k in _dup_sqf_list(h)) \
+                    and [k for _, k in factor_dense(h)] == [1]:
                 parts.append((normalize(residual), 1, None))
                 break
         else:

@@ -47,6 +47,22 @@ def test_negative_powers():
     assert half.pull([[-3]]) == Character(8, (8,), (5,))
 
 
+def test_scales_and_values_are_exact():
+    """A negative power of an integral scale is a Fraction, never the
+    float that an int power would give, and an integral scale is an int."""
+    (q,) = Character(1, (2,), (0,)).pull([(-3,)]).scales
+    assert type(q) is Fraction and q == Fraction(1, 8)
+    (q,) = Character(1, (3,), (0,)).pull([(-2,)]).scales
+    assert type(q) is Fraction and q == Fraction(1, 9)
+    (q,) = Character(1, (Fraction(1, 2),), (0,)).pull([(-3,)]).scales
+    assert type(q) is int and q == 8
+    for x in (2, 3):
+        (v,) = evaluate(parse_poly("t^-1", ("t",)), character(x))
+        assert type(v) is Fraction and v == Fraction(1, x)
+    (q,) = Character(4, (Fraction(-6, 3),), (1,)).scales
+    assert type(q) is int and q == 2
+
+
 def test_character_checks_values():
     assert Character(12, (2, 1), (13, -7)).exps == (1, 5)
     # −1 = ζ_12^6: the scale's sign moves into the exponent

@@ -250,3 +250,23 @@ def test_factored_poly_built_only_in_factor_poly():
              and isinstance(node.func, ast.Name)
              and node.func.id == "FactoredPoly"]
     assert found == ["laurent.py:factor_poly"] * 2
+
+
+def test_no_true_division():
+    """`/` on two ints is a float, so no module divides with it: an exact
+    quotient is a `Fraction(a, b)` or a floor division `//`."""
+    found = [f"{name}:{node.lineno}" for name, tree in _modules()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.Div)]
+    assert found == []
+
+
+def test_laurent_poly_has_one_constructor():
+    """`LaurentPoly.__init__` builds every polynomial: nothing calls a
+    `__new__` or defines a second constructor that skips its checks."""
+    found = [f"{name}:{node.lineno}" for name, tree in _modules()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"
+             or isinstance(node, ast.FunctionDef) and node.name == "__new__"]
+    assert found == []

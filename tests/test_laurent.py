@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -53,6 +54,28 @@ def test_exact_div_restores_monomial_shift():
     q = exact_div(f, g)
     assert q is not None
     assert q * g == f
+
+
+def test_exact_div_of_constants_is_exact():
+    """In no variables exact_div divides one coefficient by another: 1/3
+    must be the Fraction, where `/` on two ints would be a float."""
+    (q,) = exact_div(LaurentPoly.constant(0, 1),
+                     LaurentPoly.constant(0, 3)).terms.values()
+    assert type(q) is Fraction and q == Fraction(1, 3)
+    (q,) = exact_div(LaurentPoly.constant(0, 6),
+                     LaurentPoly.constant(0, -3)).terms.values()
+    assert type(q) is int and q == -2
+
+
+def test_floats_are_refused():
+    with pytest.raises(LaurentError):
+        LaurentPoly(1, {(0,): 0.5})
+    with pytest.raises(LaurentError):
+        LaurentPoly.constant(2, 2.0)
+    with pytest.raises(LaurentError):
+        LaurentPoly.one(1) * 0.5
+    (c,) = LaurentPoly(1, {(1,): Fraction(4, 2)}).terms.values()
+    assert type(c) is int and c == 2
 
 
 def test_divides():
@@ -155,6 +178,23 @@ def test_factor_poly_reassembles():
     fp = factor_poly(f)
     assert fp.constant == 1
     assert sorted(mu for _, mu in fp.factors) == [1, 2, 2]
+    assert associates(fp.reassembled(3), f)
+
+
+def test_factor_poly_repeated_residual_factors(monkeypatch):
+    """A residual with repeated factors has no squarefree image, so none
+    can certify it: no image is factored, and factor_list splits it."""
+    import sympy.polys.factortools as factortools
+
+    def no_image(*args):
+        raise AssertionError("an image that is not squarefree was factored")
+
+    monkeypatch.setattr(factortools, "dup_factor_list", no_image)
+    f = P("(t1*t2 + t3 - 2)^3*(t1 - t2*t3 + 3)^2")
+    fp = factor_poly(f)
+    assert fp.constant == 1
+    assert fp.factors == ((P("t1*t2 + t3 - 2"), 3), (P("t1 - t2*t3 + 3"), 2))
+    assert fp.essential == (None, None)
     assert associates(fp.reassembled(3), f)
 
 

@@ -13,7 +13,7 @@ from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                fox_matrix)
 from alexkit.cyclofield import (_PRIME, CONDUCTOR_CAP, Character, _divider,
                                 _mul, _reduce, cyclotomic_poly, evaluate,
-                                rank_over_field)
+                                parse_character, rank_over_field)
 from alexkit.intlinalg import smith_normal_form
 from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
                               _charpoly, _factor_root, monodromy_analysis)
@@ -24,9 +24,10 @@ from alexkit.laurent import (ComputationCapError, FactoredPoly,
                              _split_cyclotomic, _split_directions, _to_dense,
                              _to_ring, _totient_preimages,
                              _vanishes_at_root_mod_p, associates,
-                             divides, exact_div, exact_div_binomial,
-                             factor_poly, gcd, gcd_many, multiplicity,
-                             normalize, parse_poly, vanishing_order)
+                             default_names, divides, exact_div,
+                             exact_div_binomial, factor_poly, gcd, gcd_many,
+                             multiplicity, normalize, parse_poly,
+                             vanishing_order)
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, QPVerdict, qp_verdict
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   word)
@@ -475,7 +476,7 @@ def _cyclotomic_factor(p):
     g = normalize(p)
     c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
     if c != 1:
-        g = LaurentPoly(1, {e: x / c for e, x in g.terms.items()})
+        g = LaurentPoly(1, {e: x // c for e, x in g.terms.items()})
     deg = max(e[0] for e in g.terms)
     cyclo = []
     if deg > 0:
@@ -1157,3 +1158,76 @@ def test_seifert_delta_times_divisors_is_binomial_power():
             lhs = lhs * (u ** d.n_prime_j(j) - 1)
         rhs = (u ** d.big_n_prime - 1) ** (d.q + d.s - 2)
         assert associates(lhs, rhs)
+
+
+def _assert_rational(x):
+    """x is held as alexkit holds a rational: an `int` exactly when it is
+    integral, else a `Fraction` with denominator > 1; never a float or a
+    bool."""
+    assert type(x) is int or (type(x) is Fraction and x.denominator > 1), \
+        (type(x), x)
+
+
+def _assert_canonical(f: LaurentPoly):
+    assert type(f) is LaurentPoly
+    for exp, c in f.terms.items():
+        assert type(exp) is tuple and len(exp) == f.nvars, exp
+        assert all(type(e) is int for e in exp), exp
+        _assert_rational(c)
+
+
+def test_coefficients_and_scales_are_int_or_proper_fraction():
+    """Every coefficient and every character scale is an `int` when it is
+    integral and a `Fraction` only when it is not, after each operation
+    that builds one, on the random cases of the tests above (their
+    generators and seeds), and on characters parsed from random values,
+    each with integral and non-integral scales."""
+    rng = random.Random(20241102)  # test_exact_div_of_products
+    for _ in range(100):
+        n = rng.randrange(1, 4)
+        f = random_rational_poly(rng, n)
+        g = random_rational_poly(rng, n, 3)
+        a, b = random_poly(rng, n), random_poly(rng, n, 3)
+        for h in (f + g, f - g, f * g, f ** 2, -f, a + b, a - b, a * b,
+                  b ** 3, a + 1, a * Fraction(1, 2) * 2, normalize(f),
+                  normalize(a), exact_div(f * g, g), exact_div(a * b, b),
+                  exact_div(a * b, a + 7 * b) or a, gcd_many([a * b, a]),
+                  gcd_many([f, g]), parse_poly(a.render(), default_names(n))):
+            _assert_canonical(h)
+        for p, _ in factor_poly(a).factors:
+            _assert_canonical(p)
+    for c, d in ((1, 3), (6, 3), (Fraction(1, 2), Fraction(3, 2))):
+        _assert_canonical(exact_div(LaurentPoly.constant(0, c),
+                                    LaurentPoly.constant(0, d)))
+    rng = random.Random(20241002)  # test_binomial_division_matches_exact_div
+    for v in ((2,), (-3,), (1, -1), (2, -2), (0, 3), (1, -2, 2)):
+        f = random_poly(rng, len(v))
+        _assert_canonical(exact_div_binomial(
+            f * (LaurentPoly.monomial(v) - 1), v))
+    rng = random.Random(20261018)  # test_qp_verdict_matches_sev_...
+    for _ in range(30):
+        for p, _ in factor_poly(_random_qp_delta(rng, rng.choice([3, 4]))
+                                ).factors:
+            _assert_canonical(p)
+    rng = random.Random(20241001)  # test_fox_delta1_matches_gcd_of_minors
+    for _ in range(60):
+        mat = fox_matrix(_fox_oracle_presentation(rng))
+        for row in mat.entries:
+            for entry in row:
+                _assert_canonical(entry)
+    for weights, q in (((1, 1, 1, 2, 3), 3), ((2, 3, 5, 7, 11), 2),
+                       ((1, 1, 3, 4, 5), 2)):
+        _assert_canonical(seifert_delta(SpliceData(weights, q)))
+    rng = random.Random(20261021)
+    for _ in range(100):
+        values = [rng.choice(("1", "-1", "2", "4/2", "-1/3", "3/4", "zeta6",
+                              "2*zeta4^3", "-1/2*zeta3", "-4/2*zeta12^5"))
+                  for _ in range(rng.randrange(1, 4))]
+        names = [f"x{i}" for i in range(len(values))]
+        chi = parse_character(
+            ",".join(f"{x}={v}" for x, v in zip(names, values)), names)
+        vectors = [tuple(rng.randint(-4, 4) for _ in names)
+                   for _ in range(5)]
+        for rho in (chi, chi.pull(vectors)):
+            for q in rho.scales:
+                _assert_rational(q)
