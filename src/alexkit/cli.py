@@ -8,6 +8,7 @@ computation cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -176,7 +177,9 @@ def cmd_seifert(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `main` call."""
     parser = argparse.ArgumentParser(
         prog="alexkit",
         description="Exact Alexander-polynomial and jump-locus toolkit")
@@ -221,8 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ComputationCapError as exc:

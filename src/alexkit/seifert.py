@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .cyclofield import Character
-from .laurent import LaurentPoly, exact_div_binomial, normalize
+from .laurent import LaurentPoly, _divisors, exact_div_binomial, normalize
 
 
 class SeifertError(ValueError):
@@ -115,8 +115,7 @@ def seifert_divisor(d: SpliceData) -> List[DivisorComponent]:
     """Components of the polynomial's zero set with their multiplicities,
     one entry per exact root order dividing N'."""
     out = []
-    np = d.big_n_prime
-    for order in sorted(k for k in range(1, np + 1) if np % k == 0):
+    for order in _divisors(d.big_n_prime):
         m = _mult_at_order(d, order)
         if m > 0:
             out.append(DivisorComponent(order, m))

@@ -141,12 +141,56 @@ def test_exit_code_zero_denominator_in_character(capsys, argv):
 
 
 def test_json_output_is_stable(capsys):
-    _, first = run(capsys, "invariants", data_path("pencil4.grp"))
-    code1 = main(["invariants", data_path("pencil4.grp")])
+    """Every `main` call of a process shares one parser: calls with other
+    options, and a usage error, leave no trace in the next report."""
+    argv = ["invariants", data_path("pencil4.grp")]
+    assert main(argv) == 0
     raw1 = capsys.readouterr().out
-    code2 = main(["invariants", data_path("pencil4.grp")])
+    code, report = run(capsys, *argv, "--char", "x1=-1,x2=1,x3=1,x4=1",
+                       "--char", "x1=zeta3,x2=zeta3,x3=zeta3,x4=zeta3")
+    assert code == 0
+    assert len(report["characters"]) == 2
+    assert main([*argv, "--pretty"]) == 0
+    assert capsys.readouterr().out.startswith("{\n  ")
+    with pytest.raises(SystemExit) as exc:
+        main(["seifert", "--weights", "1,1,1"])
+    assert exc.value.code == 2
+    assert "--q" in capsys.readouterr().err
+    assert main(argv) == 0
     raw2 = capsys.readouterr().out
     assert raw1 == raw2
+    report = json.loads(raw1)
+    assert "characters" not in report
+    assert raw1 == json.dumps(report, sort_keys=True) + "\n"
+
+
+_COUNT_PARSERS = (
+    "import argparse, sys\n"
+    "built = []\n"
+    "init = argparse.ArgumentParser.__init__\n"
+    "def counted(self, *args, **kwargs):\n"
+    "    built.append(self)\n"
+    "    init(self, *args, **kwargs)\n"
+    "argparse.ArgumentParser.__init__ = counted\n"
+    "import alexkit.cli\n"
+    "print(len(built), file=sys.stderr)\n"
+    "for _ in range(2):\n"
+    "    assert alexkit.cli.main(sys.argv[1:]) == 0\n"
+    "print(len(built), file=sys.stderr)\n")
+
+
+def test_parser_built_once_per_process_and_not_at_import():
+    """Importing `alexkit.cli` builds no parser; the first `main` call
+    builds the top-level parser and its three subparsers, and a second
+    call builds none."""
+    src = str(Path(alexkit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS,
+         "seifert", "--weights", "1,1,1", "--q", "3"],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0", "4"]
 
 
 @pytest.fixture

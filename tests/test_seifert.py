@@ -1,10 +1,13 @@
+import time
+
 import pytest
 
 from alexkit.alexander import alexander_poly
 from alexkit.cyclofield import cyclotomic_poly
 from alexkit.laurent import associates, multiplicity, parse_poly
-from alexkit.seifert import (SeifertError, SpliceData, seifert_delta,
-                             seifert_divisor, seifert_twisted_betti)
+from alexkit.seifert import (DivisorComponent, SeifertError, SpliceData,
+                             _mult_at_order, seifert_delta, seifert_divisor,
+                             seifert_twisted_betti)
 
 from conftest import character
 from test_properties import sev_decompose
@@ -50,6 +53,42 @@ def test_seifert_delta_trivial_exponent():
 def test_seifert_divisor_example_73():
     comps = {c.root_order: c.multiplicity for c in seifert_divisor(ex73())}
     assert comps == {1: 1, 2: 2, 3: 2, 6: 3}
+
+
+def _divisor_by_trial(d):
+    """The old `seifert_divisor`: every order from 1 to N′ tried."""
+    out = []
+    np = d.big_n_prime
+    for order in range(1, np + 1):
+        if np % order == 0:
+            m = _mult_at_order(d, order)
+            if m > 0:
+                out.append(DivisorComponent(order, m))
+    return out
+
+
+# the (k4, k5) pairs of the benchmark's Seifert calls, whose weights are
+# (1, 1, 1, k4, k5) with q = 3 (bench/workloads.SEIFERT_LADDER)
+SEIFERT_LADDER = ((2, 3), (2, 5), (3, 5), (3, 7), (5, 7), (7, 9), (5, 11),
+                  (7, 11), (9, 11), (11, 13))
+
+
+@pytest.mark.parametrize("d", [
+    *(SpliceData((1, 1, 1, k4, k5), 3) for k4, k5 in SEIFERT_LADDER),
+    SpliceData((2, 3, 5), 2), SpliceData((2, 3, 5, 7), 2),
+    SpliceData((3, 5, 7, 11, 13), 3), SpliceData((4, 9, 5, 7, 11), 2),
+    SpliceData((5, 7, 1, 1, 8), 2), SpliceData((2, 3, 5, 7), 4)])
+def test_seifert_divisor_matches_trial_orders(d):
+    assert seifert_divisor(d) == _divisor_by_trial(d)
+
+
+def test_seifert_divisor_of_a_large_prime_weight():
+    """N′ = 10⁸ + 7 is prime, so its orders are 1 and N′; trying every
+    order up to N′ took seconds."""
+    start = time.perf_counter()
+    comps = seifert_divisor(SpliceData((1, 1, 100000007), 2))
+    assert time.perf_counter() - start < 1
+    assert comps == [DivisorComponent(100000007, 1)]
 
 
 def test_seifert_divisor_matches_delta_multiplicities():
