@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclofield import Character, evaluate
 from .intlinalg import AbelianStructure, abelianization
@@ -27,8 +26,7 @@ class AlexanderError(ValueError):
     pass
 
 
-@dataclass
-class AlexanderMatrix:
+class AlexanderMatrix(NamedTuple):
     """h x m matrix over the Laurent ring, with provenance.
 
     `entries` live in the torsion-free quotient variables (num_vars of them).
@@ -41,7 +39,7 @@ class AlexanderMatrix:
     var_names: Tuple[str, ...]
     entries: List[List[LaurentPoly]]
     origin: str  # "presentation" | "matrix"
-    generator_entries: List[List[LaurentPoly]] = field(repr=False)
+    generator_entries: List[List[LaurentPoly]]
     presentation: Optional[GroupPresentation] = None
     abelian: Optional[AbelianStructure] = None
 
@@ -278,10 +276,6 @@ def _fox_delta1(mat: AlexanderMatrix) -> LaurentPoly:
         return gcd_many(quotients)
     q = quotients[0]
     return q if q.is_zero() else normalize(q)
-
-
-def delta_chain(mat: AlexanderMatrix, up_to: int) -> List[LaurentPoly]:
-    return [alexander_poly(mat, i) for i in range(1, up_to + 1)]
 
 
 # -- generic ranks ----------------------------------------------------------

@@ -18,10 +18,10 @@ import math
 import operator
 import re
 from fractions import Fraction
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple, Union
 
+from . import Frozen
 from .laurent import (ComputationCapError, LaurentPoly, _dup_mul,
                       _from_dense, _invert_mod_prime, _phi_coeffs, _rational)
 
@@ -76,8 +76,7 @@ def _check_conductor(n: int) -> None:
 # -- characters -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Frozen):
     """A rank-one character, one value per generator (or variable): value
     i is scales[i]·ζ_N^exps[i], N the conductor.  Every character alexkit
     reads or builds has this form.  A scale is a nonzero rational, held as
@@ -92,22 +91,23 @@ class Character:
     at two conductors compares unequal: −1 at N = 1 is not −1 at N = 2.
     `is_trivial`, and every rank and verdict, read the values exactly."""
 
-    conductor: int
-    scales: Tuple[Union[int, Fraction], ...]
-    exps: Tuple[int, ...]
+    __slots__ = ("conductor", "scales", "exps")
 
-    def __post_init__(self):
-        _check_conductor(self.conductor)
-        if len(self.scales) != len(self.exps):
+    def __init__(self, conductor: int,
+                 scales: Tuple[Union[int, Fraction], ...],
+                 exps: Tuple[int, ...]):
+        _check_conductor(conductor)
+        if len(scales) != len(exps):
             raise CycloError("character needs one scale per exponent")
-        if any(q == 0 for q in self.scales):
+        if any(q == 0 for q in scales):
             raise CycloError("character values must be nonzero")
-        n = self.conductor
-        values = [(-q, k + n // 2) if q < 0 and n % 2 == 0 else (q, k)
-                  for q, k in zip(self.scales, self.exps)]
-        object.__setattr__(self, "scales",
-                           tuple(_rational(q) for q, _ in values))
-        object.__setattr__(self, "exps", tuple(k % n for _, k in values))
+        if conductor % 2 == 0 and any(q < 0 for q in scales):
+            half = conductor // 2
+            exps = [k + half if q < 0 else k for q, k in zip(scales, exps)]
+            scales = map(abs, scales)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "scales", tuple(map(_rational, scales)))
+        object.__setattr__(self, "exps", tuple(k % conductor for k in exps))
 
     def __len__(self):
         return len(self.exps)

@@ -7,8 +7,7 @@ projection matrix onto the maximal torsion-free abelian quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclofield import Character, CycloError
 from .presentation import GroupPresentation
@@ -99,8 +98,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     return u, m, v
 
 
-@dataclass(frozen=True)
-class AbelianStructure:
+class AbelianStructure(NamedTuple):
     """Abelianization data: rank, torsion invariants, and the projection
     matrix sending generator j to its image in Z^rank."""
 

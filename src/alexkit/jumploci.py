@@ -8,9 +8,8 @@ orders of the factors of the Alexander polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .alexander import (AlexanderMatrix, elementary_divisor_exponents,
                         evaluate_matrix, univariate_invariant_factors)
@@ -29,46 +28,26 @@ class BoundInconsistencyError(JumpLociError):
     """A proven upper bound was exceeded: indicates bad input assertions."""
 
 
-def _check_character(mat: AlexanderMatrix, rho: Character) -> None:
-    if mat.origin == "presentation":
-        if not validate_character(mat.presentation, rho):
-            raise JumpLociError("character does not respect the relators")
-    else:
-        if len(rho) != mat.num_vars:
-            raise JumpLociError(
-                f"character has {len(rho)} values, matrix has "
-                f"{mat.num_vars} variables")
-
-
 def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
-    """b1 of the group with coefficients twisted by the character rho.
+    """b1 of the group with coefficients twisted by the character rho,
+    which must respect the relators (or, in matrix mode, have one value
+    per variable): JumpLociError otherwise.
 
     The trivial character gives the untwisted rank n; otherwise the rank
     drops to m - 1 - rank of the evaluated Alexander matrix.
     """
-    _check_character(mat, rho)
+    if mat.origin == "presentation":
+        if not validate_character(mat.presentation, rho):
+            raise JumpLociError("character does not respect the relators")
+    elif len(rho) != mat.num_vars:
+        raise JumpLociError(f"character has {len(rho)} values, matrix has "
+                            f"{mat.num_vars} variables")
     if rho.is_trivial():
         return mat.num_vars
     if mat.num_rows == 0:
         return mat.num_cols - 1
     return mat.num_cols - 1 - rank_over_field(evaluate_matrix(mat, rho),
                                               rho.conductor)
-
-
-def cv_membership(mat: AlexanderMatrix, rho: Character, k: int) -> bool:
-    """Membership of rho in the depth-k jump locus: b1(G, rho) >= k."""
-    if k < 1:
-        raise JumpLociError("depth must be a positive integer")
-    return twisted_betti(mat, rho) >= k
-
-
-def torus_point(mat: AlexanderMatrix, rho: Character) -> Optional[Character]:
-    """rho as a point of the identity component of the character torus,
-    or None when rho does not factor through the torsion-free quotient."""
-    _check_character(mat, rho)
-    if mat.origin == "presentation":
-        return induced_torus_point(mat.abelian, rho)
-    return rho
 
 
 APStatus = Tuple[str, Optional[str]]  # ("Yes"|"Unknown", reason)
@@ -97,8 +76,7 @@ def almost_principal_of(mat: AlexanderMatrix,
         else ("Unknown", None)
 
 
-@dataclass
-class BettiReport:
+class BettiReport(NamedTuple):
     rho: Character
     b1: int
     bound_pointwise: Optional[int]
@@ -132,8 +110,11 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
         raise JumpLociError("bounds require a nontrivial character")
     if factored.constant == 0:
         raise JumpLociError("bounds undefined for zero Alexander polynomial")
-    b1 = twisted_betti(mat, rho)
-    point = torus_point(mat, rho)
+    b1 = twisted_betti(mat, rho)  # checks rho, once
+    # rho as a point of the identity component of the character torus, or
+    # None when rho does not factor through the torsion-free quotient
+    point = induced_torus_point(mat.abelian, rho) \
+        if mat.origin == "presentation" else rho
     if almost_principal is None:
         almost_principal = almost_principal_of(mat)
     if point is None:
@@ -170,8 +151,7 @@ def _factor_root(record: tuple) -> Optional[Character]:
     return None if m is None else Character(m, (1,), (1,))
 
 
-@dataclass
-class RootEquality:
+class RootEquality(NamedTuple):
     root_text: str
     root: Optional[Character]
     mu: int
@@ -228,8 +208,7 @@ def _character_at(mat: AlexanderMatrix, value: Character) -> Character:
 # -- integer monodromy -------------------------------------------------------
 
 
-@dataclass
-class MonodromyReport:
+class MonodromyReport(NamedTuple):
     delta: LaurentPoly
     factored: FactoredPoly
     semisimple: bool

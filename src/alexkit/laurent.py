@@ -28,10 +28,9 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 # derivatives evaluated × terms that one `vanishing_order` may spend
 VANISHING_WORK_CAP = 200_000
@@ -56,6 +55,18 @@ def _rational(c):
                            f"Fraction")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _int_exponents(exp: Sequence[int]) -> tuple:
+    """exp as an exponent tuple; LaurentError unless every entry is an
+    `int` (a `bool`, a `float` or a `Fraction` is not).  The constructors
+    that take exponents from a caller check them here, not in
+    `LaurentPoly.__init__`, which every polynomial built passes through."""
+    exp = tuple(exp)
+    if any(type(x) is not int for x in exp):
+        raise LaurentError(f"exponent vector {exp!r} has an entry that is "
+                           f"not an int")
+    return exp
 
 
 class LaurentPoly:
@@ -102,11 +113,12 @@ class LaurentPoly:
     def var(cls, nvars: int, i: int, power: int = 1) -> "LaurentPoly":
         exp = [0] * nvars
         exp[i] = power
-        return cls(nvars, {tuple(exp): 1})
+        return cls(nvars, {_int_exponents(exp): 1})
 
     @classmethod
     def monomial(cls, exp: Sequence[int], coeff=1) -> "LaurentPoly":
-        return cls(len(exp), {tuple(exp): coeff})
+        exp = _int_exponents(exp)
+        return cls(len(exp), {exp: coeff})
 
     # -- predicates --------------------------------------------------------
 
@@ -732,10 +744,6 @@ def divides(f: LaurentPoly, g: LaurentPoly) -> bool:
     return exact_div(g, f) is not None
 
 
-def gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return gcd_many([f, g])
-
-
 def gcd_many(fs: Iterable[LaurentPoly]) -> LaurentPoly:
     """Canonical gcd over Z[t^±] (integer content participates)."""
     fs = list(fs)
@@ -920,8 +928,7 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
 # -- factorization ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactoredPoly:
+class FactoredPoly(NamedTuple):
     """A factorization c · Π f_j^{μ_j} ≐ the original polynomial.
 
     The factors f_j are irreducible, canonical and pairwise non-associate;

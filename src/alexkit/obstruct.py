@@ -9,8 +9,7 @@ the group is not quasi-projective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .laurent import FactoredPoly, LaurentPoly, _from_dense
 
@@ -23,8 +22,7 @@ class ObstructError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ComponentDirection:
+class ComponentDirection(NamedTuple):
     """Direction data of one factor of the polynomial.
 
     The direction is present exactly when the factor is a binomial
@@ -52,10 +50,9 @@ def component_directions(factored: FactoredPoly) -> List[ComponentDirection]:
     return out
 
 
-@dataclass
-class PositionReport:
+class PositionReport(NamedTuple):
     verdict: str
-    pairs: List[Tuple[int, int, str]] = field(default_factory=list)
+    pairs: Sequence[Tuple[int, int, str]] = ()
     note: Optional[str] = None
 
 
@@ -92,8 +89,7 @@ def position_report(dirs: List[ComponentDirection], b1: int) -> PositionReport:
     return PositionReport(CONSISTENT, pairs)
 
 
-@dataclass
-class QPVerdict:
+class QPVerdict(NamedTuple):
     verdict: str
     reason: str
     certificate: Optional[dict] = None

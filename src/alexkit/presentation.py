@@ -8,8 +8,9 @@ applied, since Fox calculus is defined on free-group words.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
+
+from . import Frozen
 
 
 class PresentationError(ValueError):
@@ -21,18 +22,18 @@ class PresentationError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """A freely reduced word in a free group, as (index, exponent) letters."""
 
-    letters: Tuple[Tuple[int, int], ...]
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for i, (g, e) in enumerate(self.letters):
+    def __init__(self, letters: Tuple[Tuple[int, int], ...]):
+        for i, (g, e) in enumerate(letters):
             if e == 0:
                 raise PresentationError("zero exponent in word")
-            if i and self.letters[i - 1][0] == g:
+            if i and letters[i - 1][0] == g:
                 raise PresentationError("word is not freely reduced")
+        object.__setattr__(self, "letters", letters)
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
@@ -84,17 +85,18 @@ def commutator(a: Word, b: Word) -> Word:
     return a * b * a.inverse() * b.inverse()
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Frozen):
     """⟨generators | relators⟩ with relators stored freely reduced."""
 
-    generator_names: Tuple[str, ...]
-    relators: Tuple[Word, ...]
+    __slots__ = ("generator_names", "relators")
 
-    def __post_init__(self):
-        for r in self.relators:
-            if r.max_index() >= self.num_generators:
+    def __init__(self, generator_names: Tuple[str, ...],
+                 relators: Tuple[Word, ...]):
+        for r in relators:
+            if r.max_index() >= len(generator_names):
                 raise PresentationError("relator uses an undeclared generator")
+        object.__setattr__(self, "generator_names", generator_names)
+        object.__setattr__(self, "relators", relators)
 
     @property
     def num_generators(self) -> int:

@@ -10,9 +10,9 @@ closed forms in the single variable u = t_1^{N_1} ... t_q^{N_q}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
+from . import Frozen
 from .cyclofield import Character
 from .laurent import LaurentPoly, _divisors, exact_div_binomial, normalize
 
@@ -21,20 +21,18 @@ class SeifertError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SpliceData:
+class SpliceData(Frozen):
     """Fiber weights k_1..k_n (pairwise coprime) with the first q as link
     components; trivial weights in the tail are sorted last."""
 
-    weights: Tuple[int, ...]
-    q: int
+    __slots__ = ("weights", "q")
 
-    def __post_init__(self):
-        k = self.weights
+    def __init__(self, weights: Tuple[int, ...], q: int):
+        k = weights
         n = len(k)
         if n < 3:
             raise SeifertError("need at least three weights")
-        if not (2 <= self.q <= n):
+        if not (2 <= q <= n):
             raise SeifertError("q must satisfy 2 <= q <= n")
         if any(x < 1 for x in k):
             raise SeifertError("weights must be positive integers")
@@ -42,8 +40,9 @@ class SpliceData:
             for j in range(i + 1, n):
                 if math.gcd(k[i], k[j]) != 1:
                     raise SeifertError("weights not pairwise coprime")
-        tail = sorted(k[self.q:], reverse=True)
-        object.__setattr__(self, "weights", tuple(k[:self.q]) + tuple(tail))
+        tail = sorted(k[q:], reverse=True)
+        object.__setattr__(self, "weights", tuple(k[:q]) + tuple(tail))
+        object.__setattr__(self, "q", q)
 
     @property
     def n(self) -> int:
@@ -96,8 +95,7 @@ def seifert_delta(d: SpliceData) -> LaurentPoly:
     return normalize(out) if not out.is_zero() else out
 
 
-@dataclass(frozen=True)
-class DivisorComponent:
+class DivisorComponent(NamedTuple):
     """Zero-set component u = zeta with zeta of exact order root_order;
     all primitive roots of that order share the multiplicity."""
 

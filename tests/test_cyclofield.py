@@ -68,6 +68,8 @@ def test_character_checks_values():
     # −1 = ζ_12^6: the scale's sign moves into the exponent
     assert Character(12, (-2, -1), (0, 6)) == Character(12, (2, 1), (6, 0))
     assert Character(2, (-1,), (1,)).is_trivial()
+    minus_one = Character(2, (-1,), (0,))
+    assert (minus_one.scales, minus_one.exps) == ((1,), (1,))
     assert not Character(3, (-1,), (0,)).is_trivial()
     with pytest.raises(CycloError):
         Character(3, (1, 0), (1, 0))

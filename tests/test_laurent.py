@@ -6,8 +6,8 @@ import pytest
 from alexkit import laurent
 from alexkit.laurent import (ComputationCapError, LaurentError, LaurentPoly,
                              associates, divides, exact_div, factor_poly,
-                             gcd, gcd_many, multiplicity, normalize,
-                             parse_poly, vanishing_order)
+                             gcd_many, multiplicity, normalize, parse_poly,
+                             vanishing_order)
 
 from conftest import character
 from test_properties import cyclotomic_order
@@ -78,6 +78,15 @@ def test_floats_are_refused():
     assert type(c) is int and c == 2
 
 
+@pytest.mark.parametrize("bad", [True, 0.5, Fraction(1, 2), Fraction(2, 1)])
+def test_var_and_monomial_refuse_exponents_that_are_not_ints(bad):
+    with pytest.raises(LaurentError):
+        LaurentPoly.var(2, 1, bad)
+    with pytest.raises(LaurentError):
+        LaurentPoly.monomial((0, bad))
+    assert LaurentPoly.var(2, 1, -3) == LaurentPoly.monomial([0, -3])
+
+
 def test_divides():
     assert divides(P("t-1", T1), P("t^2-1", T1))
     assert divides(P("t1*t2+1"), P("(t2-1)*(t1*t2+1)^2"))
@@ -85,9 +94,9 @@ def test_divides():
 
 
 def test_gcd_oracles():
-    assert gcd(P("t^2-1", T1), P("t-1", T1)) == P("t-1", T1)
-    assert gcd(LaurentPoly.zero(1), P("2*t-2", T1)) == P("2*t-2", T1)
-    assert gcd(P("2*t", T1), P("4", T1)) == P("2", T1)
+    assert gcd_many([P("t^2-1", T1), P("t-1", T1)]) == P("t-1", T1)
+    assert gcd_many([LaurentPoly.zero(1), P("2*t-2", T1)]) == P("2*t-2", T1)
+    assert gcd_many([P("2*t", T1), P("4", T1)]) == P("2", T1)
 
 
 def test_gcd_of_example_minor_generators():
