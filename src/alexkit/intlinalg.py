@@ -7,6 +7,7 @@ projection matrix onto the maximal torsion-free abelian quotient.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclofield import Character, CycloError
@@ -132,24 +133,31 @@ def validate_character(p: GroupPresentation, chi: Character) -> bool:
     return chi.pull(p.exponent_matrix()).is_trivial()
 
 
+@lru_cache(maxsize=64)
+def _torus_section(projection: Tuple[Tuple[int, ...], ...]
+                   ) -> Optional[tuple]:
+    """(kernel, section) for a projection A onto Z^n, n ≥ 1, or None when
+    A is not onto: chi factors through A iff chi^kernel is trivial, and
+    then y = chi^section.  With D = U·A·V in Smith form, the columns of V
+    past n span ker A, and the section is V's first n columns times U.
+    """
+    n = len(projection)
+    u, d, v = smith_normal_form(projection)
+    if any(d[i][i] != 1 for i in range(n)):
+        return None
+    kernel = tuple(tuple(row[i] for row in v) for i in range(n, len(v)))
+    section = tuple(tuple(sum(row[i] * u[i][k] for i in range(n))
+                          for row in v) for k in range(n))
+    return kernel, section
+
+
 def induced_torus_point(ab: AbelianStructure,
                         chi: Character) -> Optional[Character]:
     """The point y with y^(A column j) = chi_j for all j, if chi factors
     through the torsion-free quotient; None otherwise."""
-    a = [list(row) for row in ab.abf_projection]
-    n = len(a)
-    m = len(chi)
-    if n == 0:
+    if not ab.abf_projection:
         return chi.pull([]) if chi.is_trivial() else None
-    u, d, v = smith_normal_form(a)
-    # A is surjective over Z, so d has 1s on the diagonal
-    # solve y^A = chi: set chi' = chi^V, z_i = chi'_i, y = z^U
-    for i in range(n):
-        if d[i][i] != 1:
-            return None
-    columns = [[row[i] for row in v] for i in range(m)]
-    # consistency: coordinates past n must be trivial
-    if not chi.pull(columns[n:]).is_trivial():
+    found = _torus_section(ab.abf_projection)
+    if found is None or not chi.pull(found[0]).is_trivial():
         return None
-    z = chi.pull(columns[:n])
-    return z.pull([[row[i] for row in u] for i in range(n)])
+    return chi.pull(found[1])

@@ -1150,6 +1150,41 @@ def _images(terms: dict) -> list:
     return out
 
 
+# the values `_coprime` sends the variables to, repeated for more variables
+_COPRIME_POINT = (3, -5, 7, 11, -13, 17, -19, 23)
+
+
+def _coprime(a: dict, b: dict) -> bool:
+    """True only if gcd(a, b) is constant, for a, b ≠ 0 given by their
+    terms {v: c} with no negative exponent; False when this is not shown.
+
+    For each variable t_j of a, the others go to the point p of
+    `_COPRIME_POINT`, a's leading coefficient in t_j must not vanish
+    there, and the gcd of the two images in Z[t_j] must be constant.  A
+    common factor g of degree d ≥ 1 in t_j would survive: its leading
+    coefficient in t_j divides a's, so g(p) has degree d and divides both
+    images.  A nonconstant common factor has degree d ≥ 1 in some
+    variable of a.
+    """
+    def image(terms, j, point):
+        out = [0] * (max(v[j] for v in terms) + 1)
+        for v, c in terms.items():
+            out[v[j]] += c * math.prod(map(pow, point, v))
+        return _dup_strip(out)
+
+    n = len(next(iter(a)))
+    base = [_COPRIME_POINT[k % len(_COPRIME_POINT)] for k in range(n)]
+    for j in range(n):
+        top = max(v[j] for v in a)
+        if top:
+            point = base[:j] + [1] + base[j + 1:]
+            image_a = image(a, j, point)
+            if len(image_a) <= top or len(
+                    _dup_gcd(image_a, image(b, j, point))) > 1:
+                return False
+    return True
+
+
 def factor_poly(f: LaurentPoly) -> FactoredPoly:
     """Factor into irreducible pieces over Q, with integer content split off.
 
@@ -1160,16 +1195,20 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     `dup_factor_list`.  A factor q(u) of P lifts to the factor q(t^e) of
     f, irreducible because e extends to a basis of Z^n.
 
-    A residual g that is not a monomial is irreducible when one of its
-    images h under t_i ↦ a_i·u^(w_i) (`_images`) is irreducible in Q[u]:
-    with the max and the min of w·v over supp g each attained once,
-    top_w(ab) = top_w(a)·top_w(b) makes every non-monomial factor of g map
-    to a nonconstant factor of h.  An irreducible h is squarefree, so an h
-    that Yun's split (`_dup_sqf_list`) shows is not is never factored.
-    Otherwise sympy's multivariate `factor_list` factors g.  Each factor is
-    classified here, as it is built: `essential` records (e, P, m) for
-    q(t^e) and None for a factor of g, which has no factor in one
-    essential variable.
+    A residual piece h of degree one in some t_i is A·t_i + B, with A and
+    B free of t_i: h/c, c = gcd(A, B), is primitive of degree one in t_i,
+    so irreducible, and c is the next piece.  `_coprime` shows c = 1 by
+    one-variable gcds; `gcd_many` computes c only when it cannot.  Any
+    other piece is irreducible when one of its images h under
+    t_i ↦ a_i·u^(w_i) (`_images`) is irreducible in Q[u]: with the max and
+    the min of w·v over the support each attained once,
+    top_w(ab) = top_w(a)·top_w(b) makes every non-monomial factor map to a
+    nonconstant factor of h.  An irreducible h is squarefree, so an h that
+    Yun's split (`_dup_sqf_list`) shows is not is never factored.
+    Otherwise sympy's multivariate `factor_list` factors the piece.  Each
+    factor is classified here, as it is built: `essential` records
+    (e, P, m) for q(t^e) and None for a factor of the residual, which has
+    no factor in one essential variable.
     """
     def factor_dense(q):
         """The irreducible factors of q in Z[u] and their multiplicities."""
@@ -1196,18 +1235,30 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
                 found += [(r, k, None) for r, k in factor_dense(q)]
             parts += [(normalize(_from_dense(r, e)), mult * k, (e, r, m))
                       for r, k, m in found]
-    if len(rest) > 1:
-        residual = LaurentPoly(g.nvars, rest)
-        for h in _images(rest):
-            if all(k == 1 for _, k in _dup_sqf_list(h)) \
-                    and [k for _, k in factor_dense(h)] == [1]:
-                parts.append((normalize(residual), 1, None))
-                break
-        else:
-            for p, mult in _to_ring(residual, "ZZ")[1].factor_list()[1]:
-                piece = normalize(_from_ring(p, g.nvars))
-                if not piece.is_constant():
-                    parts.append((piece, int(mult), None))
+    piece = normalize(LaurentPoly(g.nvars, rest))
+    while not piece.is_constant():
+        tops = [max(col) for col in zip(*piece.terms)]
+        if 1 in tops:
+            i = tops.index(1)
+            a = {v[:i] + (0,) + v[i + 1:]: x
+                 for v, x in piece.terms.items() if v[i]}
+            b = {v: x for v, x in piece.terms.items() if not v[i]}
+            if not _coprime(a, b):
+                common = gcd_many([LaurentPoly(g.nvars, a),
+                                   LaurentPoly(g.nvars, b)])
+                parts.append((normalize(exact_div(piece, common)), 1, None))
+                piece = common
+                continue
+        elif not any(all(k == 1 for _, k in _dup_sqf_list(h))
+                     and [k for _, k in factor_dense(h)] == [1]
+                     for h in _images(piece.terms)):
+            for p, mult in _to_ring(piece, "ZZ")[1].factor_list()[1]:
+                p = normalize(_from_ring(p, g.nvars))
+                if not p.is_constant():
+                    parts.append((p, int(mult), None))
+            break
+        parts.append((piece, 1, None))
+        break
     parts.sort(key=lambda t: (sorted(t[0].terms), sorted(t[0].terms.items())))
     out = FactoredPoly(c, tuple((f, mult) for f, mult, _ in parts),
                        tuple(record for _, _, record in parts))

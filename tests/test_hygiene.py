@@ -140,7 +140,32 @@ FRESH_RUNS = {
                     {"multiplicity": 2, "root_order": 3},
                     {"multiplicity": 3, "root_order": 6}],
         "q": 3, "weights": [1, 1, 1, 3, 2]}),
+    # a residual of degree one in t2, whose two coefficients in t2
+    # `_coprime` proves coprime by one-variable gcds
+    "random5": (["invariants", "random5.grp"], {
+        "b1": 5,
+        "delta": "t2^3*t4^2*t5 - t2^3*t5 - 3*t2^2*t4^2*t5 + t2^2*t4^2"
+                 " - t2^2*t4*t5 + t2^2*t4 + 2*t2^2*t5 + 3*t2*t4^2*t5"
+                 " - 2*t2*t4^2 + 2*t2*t4*t5 - 2*t2*t4 - t2*t5 - t4^2*t5"
+                 " + t4^2 - t4*t5 + t4",
+        "factored": {"constant": 1, "factors": [
+            {"multiplicity": 1, "poly": "t4 + 1"},
+            {"multiplicity": 2, "poly": "t2 - 1"},
+            {"multiplicity": 1, "poly": "t2*t4*t5 - t2*t5 - t4*t5 + t4"}]},
+        "input": {"generators": ["x1", "x2", "x3", "x4", "x5"],
+                  "num_relators": 4},
+        "qp": {"reason": "support is not collinear: more than one "
+                         "essential variable",
+               "verdict": "OBSTRUCTED"},
+        "torsion": [], "warnings": []}),
 }
+
+# random_relators(random.Random(1), 5) of bench/workloads.py
+RANDOM5 = ("gens: x1 x2 x3 x4 x5\n"
+           "rel: x2^-1 x1 x2 x1^-1 x4^-1 x5^-1 x4 x5\n"
+           "rel: x2^-1 x1 x2 x1^-1 x4 x5^-1 x4^-1 x5\n"
+           "rel: x3 x2^-1 x3^-1 x2 x1 x5 x1^-1 x5^-1\n"
+           "rel: x4^-1 x2 x4 x2^-1 x5^-1 x2^-1 x5 x2\n")
 
 _FRESH = ("import sys\n"
           "from alexkit.cli import main\n"
@@ -156,6 +181,7 @@ def test_fresh_run_never_loads_sympy(tmp_path, name):
     argv, expected = FRESH_RUNS[name]
     shutil.copy(data_path("pencil3.grp"), tmp_path)
     (tmp_path / "torus11-13.grp").write_text("gens: x y\nrel: x^11 y^-13\n")
+    (tmp_path / "random5.grp").write_text(RANDOM5)
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH, *argv], cwd=tmp_path,
         capture_output=True, text=True, timeout=20,

@@ -1,8 +1,15 @@
+import glob
+import itertools
+import os
+import random
+from fractions import Fraction
+
+from alexkit.cyclofield import Character
 from alexkit.intlinalg import (abelianization, induced_torus_point,
                                smith_normal_form, validate_character)
 from alexkit.presentation import parse_presentation
 
-from conftest import character
+from conftest import DATA, character, load_presentation
 
 
 def _matmul(a, b):
@@ -84,3 +91,69 @@ def test_induced_torus_point_rejects_torsion_character():
     chi = character(-1, 1)
     assert validate_character(p, chi)
     assert induced_torus_point(ab, chi) is None
+
+
+def _induced_torus_point_oracle(ab, chi):
+    """The per-character solve that `induced_torus_point` replaced: the
+    Smith form of the projection A is taken anew for every chi."""
+    a = [list(row) for row in ab.abf_projection]
+    n = len(a)
+    m = len(chi)
+    if n == 0:
+        return chi.pull([]) if chi.is_trivial() else None
+    u, d, v = smith_normal_form(a)
+    for i in range(n):
+        if d[i][i] != 1:
+            return None
+    columns = [[row[i] for row in v] for i in range(m)]
+    if not chi.pull(columns[n:]).is_trivial():
+        return None
+    z = chi.pull(columns[:n])
+    return z.pull([[row[i] for row in u] for i in range(n)])
+
+
+def _pencil(n):
+    names = [f"x{i}" for i in range(1, n + 1)]
+    prod = " ".join(names)
+    inv = " ".join(f"{x}^-1" for x in reversed(names))
+    return parse_presentation(
+        f"gens: {' '.join(names)}\n" + "".join(
+            f"rel: {prod} {x} {inv} {x}^-1\n" for x in names[:-1]))
+
+
+def test_torus_section_matches_per_character_solve():
+    """On every character with values in μ_1..μ_4 of each presentation in
+    tests/data, and on random characters, with rational scales too, of
+    pencils, torus knots and a group with torsion, the section computed
+    once per projection gives the point the per-character solve gives."""
+    groups = [load_presentation(os.path.basename(path))
+              for path in sorted(glob.glob(os.path.join(DATA, "*.grp")))]
+    checked = 0
+    for p in groups:
+        ab = abelianization(p)
+        m = p.num_generators
+        for n in (1, 2, 3, 4):
+            for exps in itertools.product(range(n), repeat=m):
+                chi = Character(n, (1,) * m, exps)
+                assert induced_torus_point(ab, chi) == \
+                    _induced_torus_point_oracle(ab, chi), (p, chi)
+                checked += 1
+    rng = random.Random(20261019)
+    randoms = [_pencil(n) for n in range(2, 8)] + [
+        parse_presentation(f"gens: x y\nrel: x^{a} y^-{b}\n")
+        for a, b in ((2, 3), (3, 4), (3, 5), (5, 7), (4, 9), (7, 11))] + [
+        parse_presentation("gens: a b c\nrel: a^2\nrel: b c b^-1 c^-1\n")]
+    points = 0
+    for p in randoms:
+        ab = abelianization(p)
+        m = p.num_generators
+        for _ in range(60):
+            n = rng.randint(1, 30)
+            scales = tuple(rng.choice([1, 1, 1, -1, 2, Fraction(1, 3)])
+                           for _ in range(m))
+            chi = Character(n, scales,
+                            tuple(rng.randrange(n) for _ in range(m)))
+            expected = _induced_torus_point_oracle(ab, chi)
+            assert induced_torus_point(ab, chi) == expected, (p, chi)
+            points += expected is not None
+    assert checked > 1000 and points > 100

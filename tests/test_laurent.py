@@ -207,6 +207,28 @@ def test_factor_poly_repeated_residual_factors(monkeypatch):
     assert associates(fp.reassembled(3), f)
 
 
+def test_factor_poly_splits_linear_residual_without_factoring(monkeypatch):
+    """A residual with a variable of degree one is split by one gcd of its
+    two coefficients in that variable, and each piece is proved
+    irreducible by `_coprime`: neither sympy's one-variable nor its
+    multivariate factoring runs."""
+    import sympy.polys.factortools as factortools
+    from sympy.polys.rings import PolyElement
+
+    def no_factoring(*args):
+        raise AssertionError("a residual with a linear variable was factored")
+
+    monkeypatch.setattr(factortools, "dup_factor_list", no_factoring)
+    monkeypatch.setattr(PolyElement, "factor_list", no_factoring)
+    monkeypatch.setattr(laurent, "_images", no_factoring)
+    a, b = P("t1*t2 + t3 - 2"), P("t2*t3^2 + 3*t2 - t3")
+    fp = factor_poly(a * b)
+    assert fp.constant == 1
+    assert sorted(fp.factors, key=repr) == sorted(((a, 1), (b, 1)), key=repr)
+    assert fp.essential == (None, None)
+    assert associates(fp.reassembled(3), a * b)
+
+
 def test_factor_poly_content():
     fp = factor_poly(P("2*(t-2)*(t+1)", T1))
     assert fp.constant == 2

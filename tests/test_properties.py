@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from alexkit import alexander, laurent
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                elementary_ideal_minors, fox_matrix)
 from alexkit.cyclofield import (_PRIME, CONDUCTOR_CAP, Character, _divider,
@@ -17,11 +18,12 @@ from alexkit.intlinalg import smith_normal_form
 from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
                               _charpoly, _factor_root, monodromy_analysis)
 from alexkit.laurent import (ComputationCapError, FactoredPoly,
-                             LaurentError, LaurentPoly, _cyclotomic_parts,
-                             _directions, _dup_mul, _from_ring, _images,
-                             _invert_mod_prime, _phi_coeffs,
-                             _split_cyclotomic, _split_directions, _to_dense,
-                             _to_ring, _totient_preimages,
+                             LaurentError, LaurentPoly, _coprime,
+                             _cyclotomic_parts, _directions, _dup_mul,
+                             _from_ring, _images, _invert_mod_prime,
+                             _phi_coeffs, _split_cyclotomic,
+                             _split_directions, _to_dense, _to_ring,
+                             _totient_preimages,
                              _vanishes_at_root_mod_p, associates,
                              default_names, divides, exact_div,
                              exact_div_binomial, factor_poly, gcd_many,
@@ -29,7 +31,7 @@ from alexkit.laurent import (ComputationCapError, FactoredPoly,
                              vanishing_order)
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, QPVerdict, qp_verdict
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
-                                  word)
+                                  parse_presentation, word)
 from alexkit.seifert import SpliceData, _order, seifert_delta
 
 from conftest import character
@@ -695,6 +697,131 @@ def test_image_certificate_never_passes_a_product():
             assert [k for _, k in dup_factor_list(
                 [ZZ(x) for x in reversed(h)], ZZ)[1]] != [1], (a, b, h)
     assert images > 200
+
+
+def _polynomial(rng, n, max_terms, free=()):
+    """A random polynomial in n variables with no negative exponent, at
+    most max_terms terms and degree at most 2 in each variable, none in
+    the variables of `free`."""
+    return LaurentPoly(n, {
+        tuple(0 if i in free else rng.randrange(3) for i in range(n)):
+            rng.choice([-3, -2, -1, 1, 2, 3])
+        for _ in range(rng.randint(1, max_terms))})
+
+
+def test_coprime_never_certifies_a_common_factor():
+    """`_coprime` never returns True on a·c, b·c for a non-constant c, and
+    returns True only where `gcd_many` finds a constant gcd; it leaves few
+    coprime pairs to the fallback."""
+    rng = random.Random(20261022)
+    certified = missed = 0
+    for trial in range(1500):
+        n = rng.randint(1, 4)
+        a, b = _polynomial(rng, n, 4), _polynomial(rng, n, 4)
+        if trial % 2:
+            c = _polynomial(rng, n, 3)
+            if normalize(c).is_constant():
+                continue
+            assert not _coprime(normalize(a * c).terms,
+                                normalize(b * c).terms), (a, b, c)
+            continue
+        got = _coprime(normalize(a).terms, normalize(b).terms)
+        constant = gcd_many([a, b]).is_constant()
+        assert constant or not got, (a, b)
+        certified += got
+        missed += constant and not got
+    assert certified > 600 and missed < 20
+
+
+def _linear_factor(rng, n, free=()):
+    """(i, A·t_i + B) for a random i not in `free`, with A and B random
+    polynomials in the variables other than t_i and those of `free`."""
+    i = rng.choice([j for j in range(n) if j not in free])
+    free = set(free) | {i}
+    return i, (_polynomial(rng, n, 3, free) * LaurentPoly.var(n, i)
+               + _polynomial(rng, n, 3, free))
+
+
+def test_linear_split_matches_factor_list_oracle(monkeypatch):
+    """factor_poly on c · ±t^a · Π f_j^μ_j, one to three generic factors
+    f_j each of degree one in some variable, some repeated, against
+    sympy's factoring of the whole polynomial.  Where f_1 is linear in
+    t_i and the others are free of t_i, the gcd of f's two coefficients
+    in t_i is the product of the others, which goes back on the worklist:
+    some products here take two or three linear splits.  The oracle's
+    cost grows fast with the degree, so the products are kept to total
+    degree 12."""
+    calls = []
+    coprime = laurent._coprime
+
+    def counted(a, b):
+        calls.append(1)
+        return coprime(a, b)
+
+    monkeypatch.setattr(laurent, "_coprime", counted)
+    rng = random.Random(20261023)
+    checked = deep = 0
+    while checked < 150:
+        n = rng.randint(3, 5)
+        f = LaurentPoly.constant(n, rng.choice([1, 1, 2, 3]))
+        used = set()
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.8 and len(used) < n:
+                # free of the variables the earlier factors are linear in
+                i, piece = _linear_factor(rng, n, used)
+                used.add(i)
+            else:
+                _, piece = _linear_factor(rng, n)
+            f = f * piece ** rng.choice([1, 1, 1, 2])
+        if f.is_zero() or normalize(f).total_degree() > 12:
+            continue
+        checked += 1
+        unit = LaurentPoly.monomial(
+            tuple(rng.randint(-2, 2) for _ in range(n)), rng.choice([1, -1]))
+        del calls[:]
+        assert factor_poly(unit * f) == _factor_list_oracle(unit * f), f
+        deep += len(calls) > 1
+    assert deep > 30
+
+
+def _random_relators_text(rng, n):
+    """The presentation `bench/workloads.random_relators(rng, n)` draws:
+    n generators and n − 1 relators, each a product of two commutators
+    [x_a^±1, x_b^±1] of distinct generators."""
+    names = [f"x{i + 1}" for i in range(n)]
+    lines = ["gens: " + " ".join(names)]
+    for _ in range(n - 1):
+        letters = []
+        for _ in range(2):
+            a, b = rng.sample(range(n), 2)
+            ea, eb = rng.choice((1, -1)), rng.choice((1, -1))
+            letters += [(a, ea), (b, eb), (a, -ea), (b, -eb)]
+        lines.append("rel: " + " ".join(
+            names[g] if e == 1 else f"{names[g]}^{e}" for g, e in letters))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n,seed", [(8, 308), (8, 408), (10, 5)])
+def test_random_presentation_residuals_split_without_factoring(
+        monkeypatch, n, seed):
+    """The random presentations whose residuals (182 to 1946 terms) the
+    one-variable images could not certify, which sympy's factor_list took
+    0.15 to 4 s on: the linear split gives the oracle's answer, and no
+    sympy factoring runs."""
+    import sympy.polys.factortools as factortools
+    from sympy.polys.rings import PolyElement
+
+    monkeypatch.setattr(alexander, "MINOR_MATRIX_CAP", 10)
+    p = parse_presentation(_random_relators_text(random.Random(seed), n))
+    delta = alexander_poly(fox_matrix(p), 1)
+    expected = _factor_list_oracle(delta)
+
+    def no_factoring(*args):
+        raise AssertionError("a residual with a linear variable was factored")
+
+    monkeypatch.setattr(factortools, "dup_factor_list", no_factoring)
+    monkeypatch.setattr(PolyElement, "factor_list", no_factoring)
+    assert factor_poly(delta) == expected
 
 
 # self-reciprocal, like every Φ_m, and not cyclotomic: with φ the golden
