@@ -2,7 +2,20 @@
 jump loci of rank-one local systems, quasi-projectivity obstructions,
 and Seifert link invariants."""
 
+import re
+
 __version__ = "0.1.0"
+
+# Python refuses to convert a string of more than 4300 digits to an int
+# (its default `sys.get_int_max_str_digits()`), with a ValueError; each
+# parser refuses such a number first, with its own error.
+MAX_DIGITS = 4300
+_LONG_NUMBER = re.compile(rf"\d{{{MAX_DIGITS + 1}}}")
+
+
+def has_long_number(text: str) -> bool:
+    """Whether `text` holds a run of more than MAX_DIGITS digits."""
+    return len(text) > MAX_DIGITS and _LONG_NUMBER.search(text) is not None
 
 
 class Frozen:

@@ -14,9 +14,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclofield import Character, evaluate
 from .intlinalg import AbelianStructure, abelianization
-from .laurent import (ComputationCapError, LaurentPoly, _from_ring, _to_ring,
-                      default_names, divides, exact_div_binomial, gcd_many,
-                      normalize, parse_poly, vanishing_order)
+from .laurent import (ComputationCapError, LaurentPoly, default_names, divides,
+                      exact_div, exact_div_binomial, gcd_many, normalize,
+                      parse_poly, vanishing_order)
 from .presentation import GroupPresentation, Word
 
 MINOR_MATRIX_CAP = 8
@@ -287,12 +287,11 @@ def generic_rank_mod(mat: AlexanderMatrix, f: LaurentPoly) -> int:
     """
     if f.is_zero() or f.is_unit() or normalize(f).is_constant():
         raise AlexanderError("generic_rank_mod needs a nonzero non-unit f")
-    h, m = mat.num_rows, mat.num_cols
-    for k in range(min(h, m), 0, -1):
-        for rsel in itertools.combinations(range(h), k):
-            minors = _row_minors([mat.entries[r] for r in rsel], mat.num_vars)
-            if any(not divides(f, minor) for minor in minors.values()):
-                return k
+    m = mat.num_cols
+    for k in range(min(mat.num_rows, m), 0, -1):
+        if any(not divides(f, minor)
+               for minor in elementary_ideal_minors(mat, m - k)):
+            return k
     return 0
 
 
@@ -314,65 +313,26 @@ def evaluate_matrix(mat: AlexanderMatrix, chi: Character):
 
 
 def univariate_invariant_factors(mat: AlexanderMatrix) -> List[LaurentPoly]:
-    """Nonzero Smith invariant factors over Q[t^±], ordered by divisibility."""
+    """Nonzero invariant factors over Q[t^±], ordered by divisibility.
+
+    Over this PID the k-th invariant factor is d_k / d_(k−1), where the
+    determinantal divisor d_k is the gcd of the k x k minors and d_0 = 1.
+    Every k x k minor expands in (k−1) x (k−1) ones, so d_(k−1) divides
+    d_k in Z[t^±]: each quotient has integer coefficients, and their
+    product is d_r for the rank r, the last k with d_k ≠ 0.
+    """
     if mat.num_vars != 1:
         raise AlexanderError("invariant factors require a univariate matrix")
-    # one power of t for the whole matrix: a unit, so the invariant factors
-    # do not change, where shifting each entry by its own power would
-    low = min((e for row in mat.entries for r in row for (e,) in r.terms),
-              default=0)
-    unit = LaurentPoly.monomial([max(0, -low)])
-    grid = [[_to_ring(r * unit, "QQ")[1] for r in row] for row in mat.entries]
-    return [normalize(_from_ring(p, 1)) for p in _poly_smith(grid) if p]
-
-
-def _poly_smith(grid):
-    """Smith normal form diagonal over Q[t] (Euclidean by degree), on
-    elements of sympy's ring Q[t]."""
-    rows = len(grid)
-    cols = len(grid[0]) if rows else 0
-    m = [[grid[i][j] for j in range(cols)] for i in range(rows)]
-    diag = []
-    top = 0
-    while top < min(rows, cols):
-        pivot = min(((i, j) for i in range(top, rows) for j in range(top, cols)
-                     if not m[i][j].is_zero),
-                    key=lambda ij: m[ij[0]][ij[1]].degree(), default=None)
-        if pivot is None:
+    m = mat.num_cols
+    out: List[LaurentPoly] = []
+    prev = LaurentPoly.one(1)
+    for k in range(1, min(mat.num_rows, m) + 1):
+        d = gcd_many(elementary_ideal_minors(mat, m - k))
+        if d.is_zero():
             break
-        i0, j0 = pivot
-        m[top], m[i0] = m[i0], m[top]
-        for r in range(rows):
-            m[r][top], m[r][j0] = m[r][j0], m[r][top]
-        while True:
-            changed = False
-            for i in range(top + 1, rows):
-                if not m[i][top].is_zero:
-                    q, _ = m[i][top].div(m[top][top])
-                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                    if not m[i][top].is_zero:
-                        m[top], m[i] = m[i], m[top]
-                        changed = True
-            for j in range(top + 1, cols):
-                if not m[top][j].is_zero:
-                    q, _ = m[top][j].div(m[top][top])
-                    for rr in range(rows):
-                        m[rr][j] = m[rr][j] - q * m[rr][top]
-                    if not m[top][j].is_zero:
-                        for rr in range(rows):
-                            m[rr][top], m[rr][j] = m[rr][j], m[rr][top]
-                        changed = True
-            if changed:
-                continue
-            bad = next(((i, j) for i in range(top + 1, rows)
-                        for j in range(top + 1, cols)
-                        if not m[i][j].rem(m[top][top]).is_zero), None)
-            if bad is None:
-                break
-            m[top] = [a + b for a, b in zip(m[top], m[bad[0]])]
-        diag.append(m[top][top])
-        top += 1
-    return diag
+        out.append(normalize(exact_div(d, prev)))
+        prev = d
+    return out
 
 
 def elementary_divisor_exponents(invariant_factors: List[LaurentPoly],

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from . import Frozen
+from . import MAX_DIGITS, Frozen, has_long_number
 from .laurent import (ComputationCapError, LaurentPoly, _dup_mul,
                       _from_dense, _invert_mod_prime, _phi_coeffs, _rational)
 
@@ -154,6 +154,9 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
         name = name.strip()
         if name not in names:
             raise CycloError(f"unknown name {name!r} in character")
+        if has_long_number(value):
+            raise CycloError(f"a number in the value of {name!r} has more "
+                             f"than {MAX_DIGITS} digits")
         m = _VALUE.match(value)
         if not m:
             raise CycloError(f"bad character value {value!r}")

@@ -17,9 +17,9 @@ these need.  sympy is a backend, imported inside the functions that
 still need it: multivariate gcd and factoring, the factoring of a
 one-variable rest with no cyclotomic factor and of the one-variable
 images that prove a residual irreducible, and division over Q[t]
-(`exact_div`, and the Smith form of `alexander`), all through the bridge
-`_ring` (Z[t] or Q[t] in n variables, built on first use), `_to_ring` and
-`_from_ring`.
+(`exact_div`), all through the bridge `_ring` (Z[t] or Q[t] in n
+variables, built on first use), `_to_ring` and `_from_ring`, which no
+other module names.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+
+from . import MAX_DIGITS, has_long_number
 
 # derivatives evaluated × terms that one `vanishing_order` may spend
 VANISHING_WORK_CAP = 200_000
@@ -837,6 +839,8 @@ class PolyParseError(LaurentError):
 
 def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
     """Parse the expression grammar: ints, variables, + - * ^, parentheses."""
+    if has_long_number(text):
+        raise PolyParseError(f"a number has more than {MAX_DIGITS} digits")
     tokens = []
     pos = 0
     while pos < len(text):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import List, Sequence, Tuple
 
-from . import Frozen
+from . import MAX_DIGITS, Frozen, has_long_number
 
 
 class PresentationError(ValueError):
@@ -74,11 +74,6 @@ def free_reduce_letters(letters: Sequence[Tuple[int, int]]) -> Word:
         else:
             stack.append([g, e])
     return Word(tuple((g, e) for g, e in stack))
-
-
-def free_reduce(w: Word) -> Word:
-    """The unique freely reduced representative (idempotent)."""
-    return free_reduce_letters(w.letters)
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -158,6 +153,10 @@ def parse_presentation(text: str) -> GroupPresentation:
                     raise PresentationError(
                         f"undeclared generator {name!r}", lineno,
                         raw.index(tok) + 1)
+                if exp is not None and has_long_number(exp):
+                    raise PresentationError(
+                        f"exponent on {name!r} has more than {MAX_DIGITS} "
+                        f"digits", lineno, raw.index(tok) + 1)
                 e = int(exp) if exp is not None else 1
                 if e == 0:
                     raise PresentationError(

@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 
 from alexkit.alexander import (AlexanderError, alexander_poly,
@@ -62,6 +65,12 @@ def test_minor_cap():
     mat = load_matrix(names, rows)
     with pytest.raises(ComputationCapError):
         elementary_ideal_minors(mat, 0)
+    # one row of nine columns: the 1 x 1 minors are already over the cap
+    wide = load_matrix(("t",), [["t - 1"] * 9])
+    with pytest.raises(ComputationCapError):
+        univariate_invariant_factors(wide)
+    with pytest.raises(ComputationCapError):
+        generic_rank_mod(wide, parse_poly("t + 1", ("t",)))
 
 
 def test_alexander_poly_pencil(pencil3):
@@ -128,6 +137,24 @@ def test_invariant_factors_with_negative_exponents():
     m = load_matrix(("t",), [["t^-1", "1"], ["1", "1"]])
     inv = univariate_invariant_factors(m)
     assert [f.render(("t",)) for f in inv] == ["1", "t - 1"]
+
+
+def test_invariant_factors_of_matrix_whose_smith_elimination_blew_up():
+    """A Smith elimination over Q[t] took 11 s here and left factors with
+    integer contents of 175,092 bits; the ratios of determinantal divisors
+    are the exact answer, in well under a second."""
+    m = load_matrix(("t",), [
+        ["t^-1", "0", "0", "t"],
+        ["-2*t^2 - t^-1", "t^2*(t+1)", "-1", "(1 + 2*t^-1)*(t+1)"],
+        ["-t^2 - 2 + 2*t", "1", "(t^-1 - 3*t^2)*(t+1)", "2*t^-1 - 3*t^3"],
+        ["t^2 - t^3", "0", "0", "-3*t^-1"]])
+    start = time.perf_counter()
+    inv = univariate_invariant_factors(m)
+    assert time.perf_counter() - start < 2
+    assert [max(e for (e,) in f.terms) for f in inv] == [0, 0, 0, 12]
+    assert inv[:3] == [LaurentPoly.one(1)] * 3
+    assert math.gcd(*inv[3].terms.values()) == 1
+    assert associates(inv[3], elementary_ideal_minors(m, 0)[0])
 
 
 def test_invariant_factors_requires_univariate(pencil3):

@@ -140,6 +140,35 @@ def test_exit_code_zero_denominator_in_character(capsys, argv):
     assert "bad character value" in captured.err
 
 
+LONG = "7" * 5000  # past Python's 4300-digit limit on int conversion
+
+
+@pytest.mark.parametrize("route", ["presentation", "matrix", "zeta order",
+                                   "rational"])
+def test_exit_code_number_over_int_conversion_limit(tmp_path, capsys, route):
+    """Each parser refuses the digit string before `int` raises a bare
+    ValueError: exit 2 with a one-line message, not a traceback."""
+    grp = tmp_path / "long.grp"
+    grp.write_text(f"gens: a b\nrel: a^{LONG} b\n")
+    grid = tmp_path / "long.json"
+    grid.write_text(json.dumps({"vars": ["t"], "rows": [[f"{LONG}*t - 1"]]}))
+    argv = {
+        "presentation": ["invariants", str(grp)],
+        "matrix": ["invariants", "--matrix", str(grid)],
+        "zeta order": ["betti", data_path("pencil3.grp"),
+                       "--char", f"x1=zeta{LONG},x2=1,x3=1"],
+        "rational": ["betti", data_path("pencil3.grp"),
+                     "--char", f"x1={LONG},x2=1,x3=1"],
+    }[route]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("alexkit: ")
+    assert captured.err.count("\n") == 1
+    assert "more than 4300 digits" in captured.err
+
+
 def test_json_output_is_stable(capsys):
     """Every `main` call of a process shares one parser: calls with other
     options, and a usage error, leave no trace in the next report."""

@@ -78,6 +78,20 @@ def test_sympy_only_in_laurent():
     assert list(_sympy_references(laurent))
 
 
+def test_ring_bridge_named_only_in_laurent():
+    """sympy's ring elements never leave `laurent`: no other module names
+    the bridge `_ring`, `_to_ring` or `_from_ring`, so each conversion to
+    a ring element and back happens inside one `laurent` call."""
+    bridge = {"_ring", "_to_ring", "_from_ring"}
+    found = sorted(f"{name}:{node.lineno}" for name, tree in _modules()
+                   if name != "laurent.py"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id in bridge
+                   or isinstance(node, ast.Attribute) and node.attr in bridge
+                   or isinstance(node, ast.alias) and node.name in bridge)
+    assert found == []
+
+
 def test_sympy_imported_only_inside_functions():
     """No module imports sympy when it is itself imported: laurent imports
     it inside the functions that need it, so a run that needs none of them

@@ -10,7 +10,8 @@ import sympy
 
 from alexkit import alexander, laurent
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
-                               elementary_ideal_minors, fox_matrix)
+                               elementary_ideal_minors, fox_matrix,
+                               univariate_invariant_factors)
 from alexkit.cyclofield import (_PRIME, CONDUCTOR_CAP, Character, _divider,
                                 _mul, _reduce, cyclotomic_poly, evaluate,
                                 parse_character, rank_over_field)
@@ -1120,6 +1121,74 @@ def test_fox_delta1_matches_gcd_of_minors():
     assert seen >= {("fox path", 0), ("fox path", 1), ("fox path", 2),
                     ("b1", 0), ("b1", 1), ("b1", 2), ("h-m", -2),
                     ("h-m", -1), ("h-m", 0), ("h-m", 1), "torsion", "phi=0"}
+
+
+def _random_univariate_entry(rng):
+    """Zero a quarter of the time; else one to three terms with
+    coefficients in [-3, 3] and exponents in [-1, 3], sometimes times
+    t + 1."""
+    if rng.random() < 0.25:
+        return LaurentPoly.zero(1)
+    f = LaurentPoly(1, {(rng.randint(-1, 3),): rng.randint(-3, 3)
+                        for _ in range(rng.randint(1, 3))})
+    if rng.random() < 0.3:
+        f = f * LaurentPoly(1, {(1,): 1, (0,): 1})
+    return f
+
+
+def _primitive(f: LaurentPoly) -> LaurentPoly:
+    """The associate of f in Z[t] with content 1 and no factor t: a
+    representative of f up to the units of Q[t^±]."""
+    g = normalize(f)
+    c = math.gcd(*g.terms.values())
+    return LaurentPoly(1, {e: v // c for e, v in g.terms.items()})
+
+
+def _smith_oracle(mat):
+    """sympy's invariant factors over Q[t], of the matrix times t (a unit,
+    which clears t^-1), as primitive representatives."""
+    from sympy.matrices.normalforms import invariant_factors
+
+    t = sympy.Symbol("t")
+    ring = sympy.QQ[t]
+    grid = sympy.Matrix([[sum((c * t ** (e + 1) for (e,), c
+                               in f.terms.items()), sympy.Integer(0))
+                          for f in row] for row in mat.entries])
+    out = []
+    for s in invariant_factors(grid, domain=ring):
+        poly = sympy.Poly(ring.to_sympy(s), t)
+        if not poly.is_zero:
+            out.append(_primitive(LaurentPoly(1, {
+                k: Fraction(int(c.p), int(c.q)) for k, c in poly.terms()})))
+    return out
+
+
+def test_invariant_factors_match_sympy_smith_oracle():
+    """Ratios of determinantal divisors against sympy's Smith form over
+    Q[t], compared as primitive parts (the rationals are units of
+    Q[t^±]); their product is the last nonzero determinantal divisor,
+    integer content included."""
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(200):
+        h, m = rng.randint(1, 4), rng.randint(1, 4)
+        mat = alexander.load_matrix(("t",), [
+            [_random_univariate_entry(rng) for _ in range(m)]
+            for _ in range(h)])
+        inv = univariate_invariant_factors(mat)
+        assert [_primitive(f) for f in inv] == _smith_oracle(mat)
+        r = len(inv)
+        seen.add("rank < min(h, m)" if r < min(h, m) else "full rank")
+        if any(not f.is_constant() for f in inv[:-1]):
+            seen.add("nonconstant before the last")
+        if r:
+            prod = LaurentPoly.one(1)
+            for f in inv:
+                prod = prod * f
+            assert associates(prod, gcd_many(
+                elementary_ideal_minors(mat, m - r)))
+    assert seen == {"rank < min(h, m)", "full rank",
+                    "nonconstant before the last"}
 
 
 def test_binomial_division_matches_exact_div():
