@@ -7,8 +7,9 @@ import re
 __version__ = "0.1.0"
 
 # Python refuses to convert a string of more than 4300 digits to an int
-# (its default `sys.get_int_max_str_digits()`), with a ValueError; each
-# parser refuses such a number first, with its own error.
+# (its default `sys.get_int_max_str_digits()`), with a ValueError, and to
+# print such an int; each parser refuses such a number first, with its own
+# error, and `LaurentPoly.render` refuses to print a computed one.
 MAX_DIGITS = 4300
 _LONG_NUMBER = re.compile(rf"\d{{{MAX_DIGITS + 1}}}")
 

@@ -27,7 +27,8 @@ class AlexanderError(ValueError):
 
 
 class AlexanderMatrix(NamedTuple):
-    """h x m matrix over the Laurent ring, with provenance.
+    """h x m matrix over the Laurent ring, with provenance: `presentation`
+    and `abelian` are None for a matrix given directly.
 
     `entries` live in the torsion-free quotient variables (num_vars of them).
     `generator_entries` are what character evaluation uses: for a
@@ -38,7 +39,6 @@ class AlexanderMatrix(NamedTuple):
     num_vars: int
     var_names: Tuple[str, ...]
     entries: List[List[LaurentPoly]]
-    origin: str  # "presentation" | "matrix"
     generator_entries: List[List[LaurentPoly]]
     presentation: Optional[GroupPresentation] = None
     abelian: Optional[AbelianStructure] = None
@@ -54,7 +54,7 @@ class AlexanderMatrix(NamedTuple):
 
     def fox_identity_holds(self) -> bool:
         """Check sum_j entry(i,j)·(t^{phi(x_j)} − 1) = 0 for every row."""
-        if self.origin != "presentation":
+        if self.presentation is None:
             raise AlexanderError("identity check applies to Fox matrices")
         phi = [tuple(row[j] for row in self.abelian.abf_projection)
                for j in range(self.presentation.num_generators)]
@@ -114,7 +114,6 @@ def fox_matrix(p: GroupPresentation) -> AlexanderMatrix:
         num_vars=ab.rank,
         var_names=tuple(default_names(ab.rank)),
         entries=rows,
-        origin="presentation",
         presentation=p,
         abelian=ab,
         generator_entries=gen_rows,
@@ -128,8 +127,8 @@ def load_matrix(var_names: Sequence[str],
                 rows: Sequence[Sequence[str]]) -> AlexanderMatrix:
     """Matrix-mode input: a grid of polynomial expressions.
 
-    The Fox identity is not required (and not checked); the origin tag
-    records the unverified provenance.
+    The Fox identity is not required (and not checked); the missing
+    presentation records the unverified provenance.
     """
     names = tuple(var_names)
     if len(set(names)) != len(names):
@@ -154,7 +153,6 @@ def load_matrix(var_names: Sequence[str],
         num_vars=len(names),
         var_names=names,
         entries=parsed,
-        origin="matrix",
         generator_entries=parsed,
     )
 
@@ -249,7 +247,7 @@ def alexander_poly(mat: AlexanderMatrix, i: int = 1) -> LaurentPoly:
     """
     if i < 1:
         raise AlexanderError("alexander_poly index must be >= 1")
-    if i == 1 and mat.origin == "presentation" and mat.num_vars >= 1 \
+    if i == 1 and mat.presentation is not None and mat.num_vars >= 1 \
             and 1 <= mat.num_cols - 1 <= mat.num_rows:
         return _fox_delta1(mat)
     return gcd_many(elementary_ideal_minors(mat, i))

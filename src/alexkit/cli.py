@@ -81,6 +81,17 @@ def _factored_dict(fp: FactoredPoly, names) -> dict:
     }
 
 
+def _character_report(mat, chi, factored, ap) -> dict:
+    """The entry for one character: full rank when it is trivial, its
+    rank alone when Δ (`factored`) is zero, else its bounds report."""
+    if chi.is_trivial():
+        return {"b1": mat.num_vars, "note": "trivial character: full rank"}
+    if factored is None:
+        return {"b1": twisted_betti(mat, chi),
+                "note": "zero delta: bounds unavailable"}
+    return bounds_report(mat, factored, chi, almost_principal=ap).as_dict()
+
+
 def _emit(report: dict, pretty: bool) -> None:
     indent = 2 if pretty else None
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=indent))
@@ -91,7 +102,7 @@ def cmd_invariants(args) -> int:
     mat, char_names, echo = _load_input(args.input, args.matrix)
     names = mat.var_names
     report: dict = {"input": echo, "b1": mat.num_vars, "warnings": []}
-    if mat.origin == "presentation":
+    if mat.presentation is not None:
         report["torsion"] = list(mat.abelian.torsion)
     else:
         report["torsion"] = None
@@ -99,27 +110,17 @@ def cmd_invariants(args) -> int:
             "matrix-mode input: Fox identity not verified")
     ap = almost_principal_of(mat, args.assert_almost_principal)
     delta = alexander_poly(mat, 1)
-    report["delta"] = None if delta.is_zero() else delta.render(names)
     if delta.is_zero():
-        factored = None
-        report["factored"] = None
+        factored = report["delta"] = report["factored"] = None
     else:
+        report["delta"] = delta.render(names)
         factored = factor_poly(delta)
         report["factored"] = _factored_dict(factored, names)
     verdict = qp_verdict(factored, mat.num_vars, projective=args.projective)
     report["qp"] = verdict.as_dict()
-    chars = {}
-    for spec in args.char or []:
-        chi = parse_character(spec, char_names)
-        if chi.is_trivial():
-            chars[spec] = {"b1": mat.num_vars,
-                           "note": "trivial character: full rank"}
-        elif factored is None:
-            chars[spec] = {"b1": twisted_betti(mat, chi),
-                           "note": "zero delta: bounds unavailable"}
-        else:
-            rep = bounds_report(mat, factored, chi, almost_principal=ap)
-            chars[spec] = rep.as_dict()
+    chars = {spec: _character_report(
+        mat, parse_character(spec, char_names), factored, ap)
+        for spec in args.char or []}
     if chars:
         report["characters"] = chars
     _emit(report, args.pretty)
@@ -131,21 +132,14 @@ def cmd_betti(args) -> int:
         raise InputError("depth must be a positive integer")
     mat, char_names, echo = _load_input(args.input, args.matrix)
     chi = parse_character(args.char, char_names)
-    report: dict = {"input": echo, "char": args.char}
-    if chi.is_trivial():
-        report["b1"] = mat.num_vars
-        report["note"] = "trivial character: full rank"
-    else:
+    factored = ap = None
+    if not chi.is_trivial():  # a trivial character needs no Δ
         delta = alexander_poly(mat, 1)
-        if delta.is_zero():
-            report["b1"] = twisted_betti(mat, chi)
-            report["note"] = "zero delta: bounds unavailable"
-        else:
-            rep = bounds_report(
-                mat, factor_poly(delta), chi,
-                almost_principal=almost_principal_of(
-                    mat, args.assert_almost_principal))
-            report.update(rep.as_dict())
+        if not delta.is_zero():
+            factored = factor_poly(delta)
+            ap = almost_principal_of(mat, args.assert_almost_principal)
+    report: dict = {"input": echo, "char": args.char,
+                    **_character_report(mat, chi, factored, ap)}
     if args.depth is not None:
         report["depth"] = args.depth
         report["member"] = report["b1"] >= args.depth

@@ -85,8 +85,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
                         col_swap(t, j)
                         changed = True
             if changed:
-                if m[t][t] < 0:
-                    row_negate(t)
+                # the new pivot, a remainder of `//` by a positive one, is > 0
                 continue
             # divisibility: d_t must divide the remaining block
             bad = next(((i, j) for i in range(t + 1, rows)

@@ -36,7 +36,7 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
     The trivial character gives the untwisted rank n; otherwise the rank
     drops to m - 1 - rank of the evaluated Alexander matrix.
     """
-    if mat.origin == "presentation":
+    if mat.presentation is not None:
         if not validate_character(mat.presentation, rho):
             raise JumpLociError("character does not respect the relators")
     elif len(rho) != mat.num_vars:
@@ -70,7 +70,7 @@ def almost_principal_of(mat: AlexanderMatrix,
                         asserted: Optional[str] = None) -> APStatus:
     """The almost-principal status of mat: from its presentation, or only
     what was asserted for a matrix given directly."""
-    if mat.origin == "presentation":
+    if mat.presentation is not None:
         return almost_principal_status(mat.presentation, asserted)
     return ("Yes", f"user-asserted: {asserted}") if asserted \
         else ("Unknown", None)
@@ -114,7 +114,7 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
     # rho as a point of the identity component of the character torus, or
     # None when rho does not factor through the torsion-free quotient
     point = induced_torus_point(mat.abelian, rho) \
-        if mat.origin == "presentation" else rho
+        if mat.presentation is not None else rho
     if almost_principal is None:
         almost_principal = almost_principal_of(mat)
     if point is None:
@@ -189,7 +189,7 @@ def semisimple_equality_report(mat: AlexanderMatrix,
             raise JumpLociError(
                 "invariant-factor structure disagrees with the multiplicity "
                 "comparison (internal bug)")
-        if mat.origin == "presentation":
+        if mat.presentation is not None:
             if twisted_betti(mat, _character_at(mat, root)) != b1:
                 raise JumpLociError(
                     "twisted rank disagrees with invariant factors "

@@ -36,6 +36,8 @@ from . import MAX_DIGITS, has_long_number
 
 # derivatives evaluated × terms that one `vanishing_order` may spend
 VANISHING_WORK_CAP = 200_000
+# the least number of more than MAX_DIGITS digits, which `str` refuses
+_DIGITS_LIMIT = 10 ** MAX_DIGITS
 
 
 class LaurentError(ValueError):
@@ -224,7 +226,9 @@ class LaurentPoly:
     # -- rendering ---------------------------------------------------------
 
     def render(self, names: Optional[Sequence[str]] = None) -> str:
-        """Canonical string: terms in descending lex order, explicit '*'."""
+        """Canonical string: terms in descending lex order, explicit '*'.
+        ComputationCapError when a coefficient has more than MAX_DIGITS
+        digits, which Python refuses to print."""
         if not self.terms:
             return "0"
         if names is None:
@@ -239,6 +243,10 @@ class LaurentPoly:
                 elif e != 0:
                     factors.append(f"{name}^{e}")
             mag = abs(c)
+            if max(mag.numerator, mag.denominator) >= _DIGITS_LIMIT:
+                raise ComputationCapError(
+                    f"a coefficient has more than {MAX_DIGITS} digits, "
+                    f"the limit for printing a number")
             if not factors:
                 body = str(mag)
             elif mag == 1:

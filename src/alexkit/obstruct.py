@@ -9,7 +9,7 @@ the group is not quasi-projective.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional
 
 from .laurent import FactoredPoly, LaurentPoly, _from_dense
 
@@ -20,73 +20,6 @@ NOT_APPLICABLE = "NO-OBSTRUCTION-APPLICABLE"
 
 class ObstructError(ValueError):
     pass
-
-
-class ComponentDirection(NamedTuple):
-    """Direction data of one factor of the polynomial.
-
-    The direction is present exactly when the factor is a binomial
-    t^a - c (a translated codimension-one subtorus); it is stored
-    primitive with positive first nonzero entry.
-    """
-
-    component: LaurentPoly
-    direction: Optional[Tuple[int, ...]]
-    translated: bool = False
-
-
-def component_directions(factored: FactoredPoly) -> List[ComponentDirection]:
-    """Direction entries for each factor, read off its `essential` record:
-    a factor ≐ t^a − c with c an integer, that is P(t^e) with two terms
-    and P's top coefficient 1, gets its direction e, translated unless
-    P = Φ_1; every other factor gets a direction-absent entry."""
-    out = []
-    for (f, _), record in zip(factored.factors, factored.essential):
-        if record is None or len(f.terms) != 2 or record[1][-1] != 1:
-            out.append(ComponentDirection(f, None))
-        else:
-            e, _, m = record
-            out.append(ComponentDirection(f, e, m != 1))
-    return out
-
-
-class PositionReport(NamedTuple):
-    verdict: str
-    pairs: Sequence[Tuple[int, int, str]] = ()
-    note: Optional[str] = None
-
-
-def position_report(dirs: List[ComponentDirection], b1: int) -> PositionReport:
-    """Pairwise position of the codimension-one components.
-
-    Two binomial components are parallel when their directions agree; a
-    pair with distinct directions contradicts quasi-projectivity when
-    b1 >= 3.  Groups with b1 = 2 are exempt from the obstruction.
-    """
-    with_dir = [(i, d) for i, d in enumerate(dirs) if d.direction is not None]
-    if not with_dir:
-        raise ObstructError("inconclusive: no factor is a binomial")
-    n = len(with_dir[0][1].direction)
-    pairs = []
-    distinct = False
-    for a in range(len(with_dir)):
-        for b in range(a + 1, len(with_dir)):
-            i, di = with_dir[a]
-            j, dj = with_dir[b]
-            if di.direction == dj.direction:
-                kind = "parallel"
-            else:
-                distinct = True
-                kind = "transverse-finite" if n <= 2 else "transverse-infinite"
-            pairs.append((i, j, kind))
-    if b1 == 2:
-        return PositionReport(NOT_APPLICABLE, pairs,
-                              "b1=2 groups are exempt")
-    if distinct and b1 >= 3:
-        return PositionReport(OBSTRUCTED, pairs,
-                              "codimension-one components with distinct "
-                              "directions")
-    return PositionReport(CONSISTENT, pairs)
 
 
 class QPVerdict(NamedTuple):

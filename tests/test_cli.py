@@ -169,6 +169,26 @@ def test_exit_code_number_over_int_conversion_limit(tmp_path, capsys, route):
     assert "more than 4300 digits" in captured.err
 
 
+@pytest.mark.parametrize("rows", [
+    [["3^9100*(t-1)", "3^9100*(t+1)"]],
+    # the entries print, with 2171 digits each, but Δ = 3^9100 does not
+    [["3^4550*(t-1)", "3^4550*(t+1)", "0"], ["0", "3^4550", "3^4550*t"]],
+], ids=["entries", "delta"])
+def test_exit_code_computed_coefficient_over_print_limit(tmp_path, capsys,
+                                                         rows):
+    """A computed coefficient of more than 4300 digits, which `str` refuses
+    to print, is a cap error: exit 3 with a one-line message."""
+    grid = tmp_path / "huge.json"
+    grid.write_text(json.dumps({"vars": ["t"], "rows": rows}))
+    code = main(["invariants", "--matrix", str(grid)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("alexkit: cap exceeded: ")
+    assert captured.err.count("\n") == 1
+    assert "more than 4300 digits" in captured.err
+
+
 def test_json_output_is_stable(capsys):
     """Every `main` call of a process shares one parser: calls with other
     options, and a usage error, leave no trace in the next report."""

@@ -205,6 +205,37 @@ def test_fresh_run_never_loads_sympy(tmp_path, name):
     assert proc.stdout == json.dumps(expected, sort_keys=True) + "\n"
 
 
+def test_public_names_unused_in_the_package():
+    """The public top-level functions and classes that no code in the
+    package loads outside their own definition: the library functions
+    without a CLI entry that the README lists, and nothing else."""
+    modules = dict(_modules())
+    imported = {(node.module or "__init__", alias.name)
+                for tree in modules.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    unused = set()
+    for name, tree in modules.items():
+        stem = name[:-3]
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)) \
+                    or definition.name.startswith("_"):
+                continue
+            public = definition.name
+            inside = {id(node) for node in ast.walk(definition)}
+            loaded = any(isinstance(node, ast.Name) and node.id == public
+                         and isinstance(node.ctx, ast.Load)
+                         and id(node) not in inside
+                         for node in ast.walk(tree))
+            if not loaded and (stem, public) not in imported:
+                unused.add(f"{stem}.{public}")
+    assert unused == {
+        "alexander.generic_rank_mod", "cyclofield.cyclotomic_poly",
+        "jumploci.monodromy_analysis", "jumploci.semisimple_equality_report",
+        "laurent.multiplicity", "presentation.commutator",
+        "presentation.render_presentation", "presentation.word"}
+
+
 def test_no_module_imports_dataclasses():
     """The records are `NamedTuple`s or `Frozen` slotted classes: the
     `dataclasses` module, with the `inspect` and `ast` it loads, and the

@@ -229,6 +229,23 @@ def test_factor_poly_splits_linear_residual_without_factoring(monkeypatch):
     assert associates(fp.reassembled(3), a * b)
 
 
+def test_factor_poly_certifies_irreducible_residual_by_an_image(monkeypatch):
+    """A residual piece of degree two in each variable with an irreducible
+    image is certified by `_images`: sympy's multivariate factor_list
+    never runs."""
+    from sympy.polys.rings import PolyElement
+
+    def no_factor_list(*args):
+        raise AssertionError("an image-certified piece was factored")
+
+    monkeypatch.setattr(PolyElement, "factor_list", no_factor_list)
+    f = P("t1^2*t2^2 + t1^2 + 3*t2^2 + 5", ("t1", "t2"))
+    fp = factor_poly(f)
+    assert fp.constant == 1
+    assert fp.factors == ((f, 1),)
+    assert fp.essential == (None,)
+
+
 def test_factor_poly_content():
     fp = factor_poly(P("2*(t-2)*(t+1)", T1))
     assert fp.constant == 2

@@ -2,49 +2,9 @@ import pytest
 
 from alexkit.laurent import factor_poly, parse_poly
 from alexkit.obstruct import (CONSISTENT, NOT_APPLICABLE, OBSTRUCTED,
-                              ObstructError, component_directions,
-                              position_report, qp_verdict)
+                              ObstructError, qp_verdict)
 
 X3 = ("x1", "x2", "x3")
-
-
-def test_component_directions():
-    fp = factor_poly(parse_poly("(x2-1)*(x1*x3-1)*(x1*x2+1)", X3))
-    dirs = {d.direction: d for d in component_directions(fp)}
-    assert (0, 1, 0) in dirs and not dirs[(0, 1, 0)].translated
-    assert (1, 0, 1) in dirs and not dirs[(1, 0, 1)].translated
-    assert (1, 1, 0) in dirs and dirs[(1, 1, 0)].translated
-
-
-def test_component_directions_non_binomial():
-    fp = factor_poly(parse_poly("t1^2 + t1 + 1 + t2", ("t1", "t2")))
-    dirs = component_directions(fp)
-    assert all(d.direction is None for d in dirs)
-
-
-def test_position_report_obstructed():
-    fp = factor_poly(parse_poly("(x2-1)*(x1*x3-1)", X3))
-    rep = position_report(component_directions(fp), 3)
-    assert rep.verdict == OBSTRUCTED
-
-
-def test_position_report_parallel_translates():
-    fp = factor_poly(parse_poly("(x1*x2*x3-1)*(x1*x2*x3+1)", X3))
-    rep = position_report(component_directions(fp), 3)
-    assert rep.verdict == CONSISTENT
-    assert all(kind == "parallel" for _, _, kind in rep.pairs)
-
-
-def test_position_report_b1_2_exception():
-    fp = factor_poly(parse_poly("(t1*t2-1)*(t1*t2^-1-1)", ("t1", "t2")))
-    rep = position_report(component_directions(fp), 2)
-    assert rep.verdict == NOT_APPLICABLE
-
-
-def test_position_report_needs_directions():
-    fp = factor_poly(parse_poly("t1^2 + t1 + 1 + t2", ("t1", "t2")))
-    with pytest.raises(ObstructError):
-        position_report(component_directions(fp), 3)
 
 
 def test_qp_verdict_pencil_consistent():
@@ -86,6 +46,30 @@ def test_qp_verdict_low_b1():
 def test_qp_verdict_two_distinct_subtorus_factors():
     delta = parse_poly("(x1*x2-1)*(x2*x3-1)", X3)
     assert qp_verdict(factor_poly(delta), 3).verdict == OBSTRUCTED
+
+
+def test_qp_verdict_transverse_subtori_obstructed():
+    delta = parse_poly("(x2-1)*(x1*x3-1)", X3)
+    assert qp_verdict(factor_poly(delta), 3).verdict == OBSTRUCTED
+
+
+def test_qp_verdict_parallel_translated_subtori():
+    delta = parse_poly("(x1*x2*x3-1)*(x1*x2*x3+1)", X3)
+    v = qp_verdict(factor_poly(delta), 3)
+    assert v.verdict == CONSISTENT
+    assert v.certificate["e"] == [1, 1, 1]
+    assert v.certificate["cyclotomic_orders"] == [[1, 1], [2, 1]]
+
+
+def test_qp_verdict_transverse_subtori_b1_2_exempt():
+    delta = parse_poly("(t1*t2-1)*(t1*t2^-1-1)", ("t1", "t2"))
+    assert qp_verdict(factor_poly(delta), 2).verdict == NOT_APPLICABLE
+
+
+def test_qp_verdict_nonzero_constant():
+    v = qp_verdict(factor_poly(parse_poly("3", X3)), 3)
+    assert v.verdict == CONSISTENT
+    assert v.certificate == {"c": 3}
 
 
 def test_qp_verdict_variable_mismatch():

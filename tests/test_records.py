@@ -11,7 +11,7 @@ from alexkit.cyclofield import Character
 from alexkit.intlinalg import AbelianStructure
 from alexkit.jumploci import BettiReport, RootEquality, monodromy_analysis
 from alexkit.laurent import factor_poly, parse_poly
-from alexkit.obstruct import ComponentDirection, PositionReport, QPVerdict
+from alexkit.obstruct import QPVerdict
 from alexkit.presentation import GroupPresentation, Word, parse_presentation
 from alexkit.seifert import DivisorComponent, SpliceData
 
@@ -32,9 +32,6 @@ RECORDS = {
     "AbelianStructure": lambda: AbelianStructure(2, (), ((1, 0), (0, 1))),
     "FactoredPoly": lambda: factor_poly(parse_poly("t^2 - 1", ("t",))),
     "AlexanderMatrix": lambda: fox_matrix(load_presentation("pencil3.grp")),
-    "ComponentDirection": lambda: ComponentDirection(
-        parse_poly("t - 1", ("t",)), (1,)),
-    "PositionReport": lambda: PositionReport("CONSISTENT"),
     "QPVerdict": lambda: QPVerdict("CONSISTENT", "constant polynomial",
                                    {"c": 1}),
     "BettiReport": lambda: BettiReport(
