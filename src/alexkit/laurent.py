@@ -11,15 +11,15 @@ an `int` when it is integral and a `Fraction` only when it is not
 (`_rational`), so integral work runs on `int` arithmetic; a `float` is
 refused.  One-variable work runs on a dense layer in Z[u], ascending `int`
 tuples: gcd (heuristic, with a primitive Euclidean fallback), Yun's
-squarefree split, exact division, the cyclotomic polynomials Φ_n,
-inverses modulo a prime and a polynomial, and the primes and divisors
-these need.  sympy is a backend, imported inside the functions that
-still need it: multivariate gcd and factoring, the factoring of a
-one-variable rest with no cyclotomic factor and of the one-variable
-images that prove a residual irreducible, and division over Q[t]
-(`exact_div`), all through the bridge `_ring` (Z[t] or Q[t] in n
-variables, built on first use), `_to_ring` and `_from_ring`, which no
-other module names.
+squarefree split, exact division, the cyclotomic polynomials Φ_n and
+the recognizer of their products, inverses modulo a prime and a
+polynomial, and the primes and divisors these need.  sympy is a
+backend, imported inside the functions that still need it: multivariate
+gcd and factoring, the factoring of a one-variable rest with no
+cyclotomic factor and of the one-variable images that prove a residual
+irreducible, and division over Q[t] (`exact_div`), all through the
+bridge `_ring` (Z[t] or Q[t] in n variables, built on first use),
+`_to_ring` and `_from_ring`, which no other module names.
 """
 
 from __future__ import annotations
@@ -330,8 +330,12 @@ def _to_dense(f: LaurentPoly) -> Tuple[int, ...]:
 
 
 def _from_dense(q: Sequence[int], e: Sequence[int]) -> LaurentPoly:
-    """q(t^e): the coefficient of u^k goes to the exponent k·e."""
-    return LaurentPoly(len(e), {tuple(k * x for x in e): c
+    """q(t^e) over the monomial t^(deg q · min(e, 0)): the coefficient of
+    u^k goes to the exponent k·e − deg q · min(e, 0).  That is canonical
+    when q(0) ≠ 0, q's leading coefficient is positive and so is e's
+    first nonzero entry."""
+    low = [(len(q) - 1) * min(x, 0) for x in e]
+    return LaurentPoly(len(e), {tuple(k * x - y for x, y in zip(e, low)): c
                                 for k, c in enumerate(q) if c})
 
 
@@ -357,6 +361,21 @@ def _dup_sub(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
     """x − y."""
     return _dup_strip([a - b for a, b in
                        itertools.zip_longest(x, y, fillvalue=0)])
+
+
+def _times_binomial(s: list, n: int, k: int) -> None:
+    """s ← s·(1 − u^n)^k mod u^len(s), in place: k differences of stride
+    n, or −k running sums of stride n when k < 0, taken along the n
+    residue classes or along blocks of n, whichever are fewer."""
+    for _ in range(abs(k)):
+        if k > 0:
+            s[n:] = map(operator.sub, s[n:], s)
+        elif n * n < len(s):
+            for r in range(n):
+                s[r::n] = itertools.accumulate(s[r::n])
+        else:
+            for i in range(n, len(s), n):
+                s[i:i + n] = map(operator.add, s[i:i + n], s[i - n:i])
 
 
 def _dup_primitive(f: Sequence[int]) -> Tuple[int, ...]:
@@ -615,49 +634,52 @@ def _phi_coeffs(n: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _totient_preimages(d: int) -> Tuple[int, ...]:
-    """Every m with φ(m) = d ≥ 1, ascending: the orders of the Φ_m of
-    degree d.
+def _order_bound(n: int) -> int:
+    """An M ≥ every m with φ(m) ≤ n, n ≥ 0: ⌊n·Π p/(p − 1)⌋ over the
+    first K primes p, K the largest with φ(p_1⋯p_K) ≤ n, since such an m
+    has at most K prime factors q and m/φ(m) = Π q/(q − 1)."""
+    num = den = q = 1
+    while den * ((q := _nextprime(q)) - 1) <= n:
+        num, den = num * q, den * (q - 1)
+    return n * num // den
 
-    φ(∏ q^k) = ∏ (q − 1)·q^(k−1), so each prime q dividing such an m has
-    (q − 1) | d.  The search takes those primes in increasing order, each
-    with every exponent that leaves an integral rest of d to account for.
+
+def _cyclotomic_exponents(p: Tuple[int, ...]) -> Optional[list]:
+    """[(d, a_d)], d ascending, with p = Π Φ_d^(a_d), for a primitive p in
+    Z[u] with a positive leading coefficient; None when p is no product
+    of cyclotomic polynomials (Bradford & Davenport, ISSAC 1988).
+
+    A product is ±Π (1 − u^n)^(b_n), a_d = Σ_{d | n} b_n, palindromic up
+    to sign, and |b_n| ≤ deg p for n ≤ M = `_order_bound(deg p)`, b_n = 0
+    beyond.  b_n = −[u^n]s is read off s = p/p(0), and s divided by
+    (1 − u^n)^(b_n), for n = 1..M; s is held mod u^(L+1), L doubling up
+    to M, so that a p whose b_n soon exceed deg p is refused cheaply.
+    With Σ n·b_n = deg p and every a_d ≥ 0, Π Φ_d^(a_d) has degree
+    deg p ≤ M and agrees with ±p mod u^(M+1), so it is ±p.
     """
-    primes = [k + 1 for k in _divisors(d) if _isprime(k + 1)]
-    out = []
-
-    def search(start: int, rest: int, m: int) -> None:
-        if rest == 1:
-            out.append(m)
-        for i in range(start, len(primes)):
-            q = primes[i]
-            if rest % (q - 1):
-                continue
-            rest_q, m_q = rest // (q - 1), m * q
-            while True:
-                search(i + 1, rest_q, m_q)
-                if rest_q % q:
-                    break
-                rest_q, m_q = rest_q // q, m_q * q
-
-    search(0, d, 1)
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _root_of_unity_mod(m: int) -> Tuple[int, int]:
-    """(p, ω): the least prime p > 2^29 with p ≡ 1 (mod m), and an ω of
-    order m in F_p^×, so that the roots of Φ_m mod p are the ω^k with k
-    prime to m.  For the m alexkit tries, p < 2^30, a one-digit Python int."""
-    p = ((1 << 29) // m + 1) * m + 1
-    while not _isprime(p):
-        p += m
-    primes = _factorize(m)
-    for g in itertools.count(2):
-        w = pow(g, (p - 1) // m, p)
-        if all(pow(w, m // q, p) != 1 for q in primes):
-            return p, w
+    if p[0] not in (1, -1) or p[::-1] not in (p, tuple(-c for c in p)):
+        return None
+    deg, b, size = len(p) - 1, {}, 0
+    top = _order_bound(deg)
+    while size < top:
+        start, size = size + 1, min(2 * size + 32, top)
+        s = [c * p[0] for c in p[:size + 1]] + [0] * (size + 1 - len(p))
+        for m, k in b.items():
+            _times_binomial(s, m, -k)
+        for n in range(start, size + 1):
+            if s[n]:
+                if abs(s[n]) > deg:
+                    return None
+                b[n] = -s[n]
+                _times_binomial(s, n, s[n])
+    a: dict = {}
+    for m, k in b.items():
+        for d in _divisors(m):
+            a[d] = a.get(d, 0) + k
+    if sum(m * k for m, k in b.items()) != deg or any(k < 0 for k in
+                                                       a.values()):
+        return None
+    return sorted((d, k) for d, k in a.items() if k)
 
 
 # -- canonical form ---------------------------------------------------------
@@ -1009,53 +1031,15 @@ def _cyclotomic_parts(r: Tuple[int, ...]) -> tuple:
     return (*parts, tuple(substitute(inner, 1, 2)))
 
 
-def _vanishes_at_root_mod_p(c: Sequence[int], m: int) -> bool:
-    """Whether c(ω) ≡ 0 (mod p) for (p, ω) = `_root_of_unity_mod(m)`.
-
-    ω is a root of Φ_m mod p, so this holds whenever Φ_m divides c: the
-    test has no false negatives.  For a product c of distinct Φ_k, none
-    with p | k, it holds exactly when Φ_m divides c.
-    """
-    p, w = _root_of_unity_mod(m)
-    v = 0
-    for a in reversed(c):
-        v = (v * w + a) % p
-    return not v
-
-
 def _split_cyclotomic(q: Tuple[int, ...]) -> tuple:
     """(orders, rest) with q = Π Φ_m · rest over the m in orders, for a
-    squarefree q in Z[u] with q(0) ≠ 0: no Φ_m divides rest.
-
-    Each part c of `_cyclotomic_parts` is tried in order of degree with
-    the m of its class alone: odd m, m ≡ 2 (mod 4), 4 | m; in the first,
-    a hit at m is followed by 2m, 4m, ... while they divide.  c shrinks as
-    they are found, so when q has no cyclotomic factor none is tried.  Φ_m
-    is built and divided out only when c passes `_vanishes_at_root_mod_p`.
-    """
-    orders = []
-
-    def divide(c, m):
-        """c / Φ_m, or None when Φ_m does not divide c."""
-        if not _vanishes_at_root_mod_p(c, m):
-            return None
-        quo = _dup_exquo(c, _phi_coeffs(m))
-        if quo is not None:
-            orders.append(m)
-        return quo
-
-    rest = q
-    for c, residues in zip(_cyclotomic_parts(q), ((1, 3), (2,), (0,))):
+    squarefree q in Z[u] with q(0) ≠ 0: no Φ_m divides rest.  Each part
+    of `_cyclotomic_parts` is a product of distinct Φ_m, whose orders
+    `_cyclotomic_exponents` reads off."""
+    orders, rest = [], q
+    for c in _cyclotomic_parts(q):
+        orders += [m for m, _ in _cyclotomic_exponents(c)]
         rest = _dup_exquo(rest, c)
-        d = 1
-        while d < len(c):
-            for m in _totient_preimages(d):
-                quo = divide(c, m) if m % 4 in residues else None
-                while quo is not None:
-                    # in the first part, Φ_2m divides only next to Φ_m
-                    c, m = quo, 2 * m
-                    quo = divide(c, m) if 1 in residues else None
-            d += 1
     return orders, rest
 
 
@@ -1197,12 +1181,47 @@ def _coprime(a: dict, b: dict) -> bool:
     return True
 
 
+def _reassembles(out: FactoredPoly, g: LaurentPoly) -> bool:
+    """Whether c · Π f^μ = g, for the canonical nonconstant g that `out`
+    factors.  The product's degrees Σ μ·deg_i f must be g's; then
+    t_i ↦ u^(w_i), w_i = Π_{j<i} (deg_j g + 1), is one to one on the box
+    that holds both (Kronecker), and the images agree at u = 2^(8k), read
+    from bytes, iff they are equal, as 2^(8k−1) bounds the coefficients
+    of both, the product's by c·Π ‖f‖₁^μ.  Where g fills less than a
+    quarter of its box, the term dicts are multiplied instead."""
+    tops = [max(col) for col in zip(*g.terms)]
+    w = list(itertools.accumulate((t + 1 for t in tops), operator.mul,
+                                  initial=1))
+    if w.pop() > 4 * len(g.terms):
+        return associates(out.reassembled(g.nvars), g)
+    k = max(out.constant.bit_length() + sum(
+        mult * sum(map(abs, f.terms.values())).bit_length()
+        for f, mult in out.factors),
+        max(map(abs, g.terms.values())).bit_length()) // 8 + 1
+
+    def image(f):
+        dense = [0] * (sum(map(operator.mul, w, map(max, zip(*f.terms)))) + 1)
+        for v, x in f.terms.items():
+            dense[sum(map(operator.mul, w, v))] = x
+        return int.from_bytes(b"".join(max(x, 0).to_bytes(k, "little")
+                                       for x in dense), "little") - \
+            int.from_bytes(b"".join(max(-x, 0).to_bytes(k, "little")
+                                    for x in dense), "little")
+
+    return tops == [sum(mult * max(v[i] for v in f.terms)
+                        for f, mult in out.factors)
+                    for i in range(g.nvars)] and image(g) == math.prod(
+        (image(f) ** mult for f, mult in out.factors), start=out.constant)
+
+
 def factor_poly(f: LaurentPoly) -> FactoredPoly:
     """Factor into irreducible pieces over Q, with integer content split off.
 
     First every factor P(t^e) in one essential variable is split off by
     univariate gcds (`_split_directions`), and each P is factored in Z[u]:
-    each squarefree piece (`_dup_sqf_list`) loses its cyclotomic part
+    a product of Φ_m is read off its exponent sequence
+    (`_cyclotomic_exponents`); any other P is split by Yun
+    (`_dup_sqf_list`), each squarefree piece loses its cyclotomic part
     (`_split_cyclotomic`), and only a nonconstant rest goes to sympy's
     `dup_factor_list`.  A factor q(u) of P lifts to the factor q(t^e) of
     f, irreducible because e extends to a basis of Z^n.
@@ -1240,13 +1259,14 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
         {v: x // c for v, x in g.terms.items()})
     parts = []  # (factor, multiplicity, record)
     for p, e in contents:
-        for piece, mult in _dup_sqf_list(p):
+        found = [(_phi_coeffs(m), k, m)
+                 for m, k in _cyclotomic_exponents(p) or ()]
+        for piece, mult in () if found else _dup_sqf_list(p):
             orders, q = _split_cyclotomic(piece)
-            found = [(_phi_coeffs(m), 1, m) for m in orders]
+            found += [(_phi_coeffs(m), mult, m) for m in orders]
             if len(q) > 1:
-                found += [(r, k, None) for r, k in factor_dense(q)]
-            parts += [(normalize(_from_dense(r, e)), mult * k, (e, r, m))
-                      for r, k, m in found]
+                found += [(r, mult * k, None) for r, k in factor_dense(q)]
+        parts += [(_from_dense(r, e), k, (e, r, m)) for r, k, m in found]
     piece = normalize(LaurentPoly(g.nvars, rest))
     while not piece.is_constant():
         tops = [max(col) for col in zip(*piece.terms)]
@@ -1274,6 +1294,6 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     parts.sort(key=lambda t: (sorted(t[0].terms), sorted(t[0].terms.items())))
     out = FactoredPoly(c, tuple((f, mult) for f, mult, _ in parts),
                        tuple(record for _, _, record in parts))
-    if not associates(out.reassembled(g.nvars), g):
+    if not _reassembles(out, g):
         raise LaurentError("factorization failed to reassemble (internal bug)")
     return out

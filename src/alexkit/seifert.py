@@ -14,7 +14,12 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from . import Frozen
 from .cyclofield import Character
-from .laurent import LaurentPoly, _divisors, exact_div_binomial, normalize
+from .laurent import (ComputationCapError, LaurentPoly, _divisors,
+                      _from_dense, _times_binomial, normalize)
+
+# the largest degree in u of a Seifert polynomial that is built: with
+# q ≤ 3, a `seifert` run at this degree takes under a second and 70 MB
+SEIFERT_DEGREE_CAP = 100_000
 
 
 class SeifertError(ValueError):
@@ -69,30 +74,23 @@ class SpliceData(Frozen):
         return sum(1 for x in self.weights[self.q:] if x > 1)
 
 
-def _u_power_minus_one(k: int) -> LaurentPoly:
-    return LaurentPoly.monomial([k]) - LaurentPoly.one(1)
-
-
 def seifert_delta(d: SpliceData) -> LaurentPoly:
-    """The link's Alexander polynomial in t_1..t_q.
-
-    Computed as [u^{N'} - 1]^{q+s-2} divided by the u^{N'_j} - 1 of the
-    nontrivial non-component fibers, then u substituted by the monomial
-    t_1^{N_1} ... t_q^{N_q}; the division is exact by construction.
-    """
+    """The link's Alexander polynomial in t_1..t_q: the exponent sequence
+    b_{N'} = q+s−2, b_{N'_j} = −1 of Δ(u) = ±Π (1 − u^n)^{b_n}, j over the
+    nontrivial non-component fibers, in u = t_1^{N_1} ... t_q^{N_q}.  Its
+    degree (q+s−2)·N' − Σ_j N'_j must be within `SEIFERT_DEGREE_CAP`;
+    each factor is then applied to 1 mod u^(degree+1)."""
     q, s = d.q, d.s
-    expo = q + s - 2
-    num = _u_power_minus_one(d.big_n_prime) ** expo if expo > 0 \
-        else LaurentPoly.one(1)
-    for j in range(q, q + s):
-        num = exact_div_binomial(num, (d.n_prime_j(j),))
-        if num is None:
-            raise SeifertError("inexact divisor division (internal bug)")
-    # substitute u -> t1^{N_1} ... tq^{N_q}
-    exps = [d.n_j(j) for j in range(q)]
-    out = LaurentPoly(q, {tuple(x * e for x in exps): c
-                          for (e,), c in num.terms.items()})
-    return normalize(out) if not out.is_zero() else out
+    divisors = [d.n_prime_j(j) for j in range(q, q + s)]
+    degree = (q + s - 2) * d.big_n_prime - sum(divisors)
+    if degree > SEIFERT_DEGREE_CAP:
+        raise ComputationCapError(f"Seifert polynomial degree {degree} "
+                                  f"exceeds cap {SEIFERT_DEGREE_CAP}")
+    coeffs = [1] + [0] * degree
+    for n in divisors:
+        _times_binomial(coeffs, n, -1)
+    _times_binomial(coeffs, d.big_n_prime, q + s - 2)
+    return normalize(_from_dense(coeffs, [d.n_j(j) for j in range(q)]))
 
 
 class DivisorComponent(NamedTuple):

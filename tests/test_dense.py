@@ -16,8 +16,7 @@ from alexkit import laurent
 from alexkit.laurent import (_divisors, _dup_exquo, _dup_gcd, _dup_mul,
                              _dup_primitive, _dup_prs_gcd, _dup_sqf_list,
                              _dup_strip, _gf_inverse, _isprime, _nextprime,
-                             _phi_coeffs, _root_of_unity_mod,
-                             _totient_preimages, _vanishes_at_root_mod_p)
+                             _phi_coeffs)
 
 
 def _down(f):
@@ -140,27 +139,3 @@ def test_primes_and_divisors_match_sympy():
         assert _nextprime(n) == sympy.nextprime(n), n
     for n in range(1, 3000):
         assert _divisors(n) == sympy.divisors(n), n
-
-
-def test_root_of_unity_has_order_m():
-    for m in range(1, 1001):
-        p, w = _root_of_unity_mod(m)
-        assert sympy.isprime(p) and (p - 1) % m == 0 and p < 2 ** 30
-        assert sympy.n_order(w, p) == m
-
-
-def test_evaluation_test_matches_trial_division():
-    """For products of distinct Φ_k (k ≤ 120) and non-cyclotomic factors,
-    c(ω) ≡ 0 mod p exactly when trial division by Φ_m succeeds, for every
-    m with φ(m) ≤ deg c."""
-    rng = random.Random(20261105)
-    for _ in range(60):
-        orders = rng.sample(range(1, 121), rng.randint(0, 4))
-        others = [_random_poly(rng, rng.randint(1, 4), 5)
-                  for _ in range(rng.randint(0, 2))]
-        c = _product(*[_phi_coeffs(k) for k in orders],
-                     *[f for f in others if len(f) > 1])
-        for d in range(1, len(c)):
-            for m in _totient_preimages(d):
-                divides = _dup_exquo(c, _phi_coeffs(m)) is not None
-                assert _vanishes_at_root_mod_p(c, m) == divides, (orders, m)

@@ -317,12 +317,16 @@ def test_no_unused_locals():
 
 
 def test_cyclotomic_list_only_in_laurent():
-    """The one list of the Φ_m of each degree: no second enumeration."""
+    """One construction of Φ_m and one recognizer of products of them,
+    and no list of the Φ_m of each degree: the recognizer reads orders
+    off the exponent sequence, so only the tests enumerate orders."""
     found = sorted(f"{name}:{node.name}" for name, tree in _modules()
                    for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
-                   and node.name in {"_totient_preimages", "_phi_coeffs"})
-    assert found == ["laurent.py:_phi_coeffs", "laurent.py:_totient_preimages"]
+                   and node.name in {"_totient_preimages", "_phi_coeffs",
+                                     "_cyclotomic_exponents"})
+    assert found == ["laurent.py:_cyclotomic_exponents",
+                     "laurent.py:_phi_coeffs"]
 
 
 def test_factor_list_only_in_factor_poly():

@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from alexkit import laurent
+from alexkit.alexander import alexander_poly, fox_matrix
 from alexkit.laurent import (ComputationCapError, LaurentError, LaurentPoly,
                              associates, divides, exact_div, factor_poly,
                              gcd_many, multiplicity, normalize, parse_poly,
                              vanishing_order)
+
+from alexkit.presentation import parse_presentation
 
 from conftest import character
 from test_properties import cyclotomic_order
@@ -227,6 +230,41 @@ def test_factor_poly_splits_linear_residual_without_factoring(monkeypatch):
     assert sorted(fp.factors, key=repr) == sorted(((a, 1), (b, 1)), key=repr)
     assert fp.essential == (None, None)
     assert associates(fp.reassembled(3), a * b)
+
+
+def _no_split(*args):
+    raise AssertionError("a product of cyclotomic polynomials was split")
+
+
+def test_factor_poly_reads_cyclotomic_delta_off_its_exponents(monkeypatch):
+    """Δ of the torus knot T(7, 11) is Φ_77, and (t^80 − 1)/(t − 1) is the
+    product of the Φ_d, 1 < d | 80: both are read off their exponent
+    sequences, with no squarefree split and no gcd closure."""
+    monkeypatch.setattr(laurent, "_dup_sqf_list", _no_split)
+    monkeypatch.setattr(laurent, "_cyclotomic_parts", _no_split)
+    knot = parse_presentation("gens: x y\nrel: x^7 y^-11\n")
+    fp = factor_poly(alexander_poly(fox_matrix(knot)))
+    assert (fp.constant, _cyclotomic_orders(fp)) == (1, [(77, 1)])
+    fp = factor_poly(P(" + ".join(f"t^{k}" for k in range(80)), T1))
+    assert fp.constant == 1
+    assert sorted(_cyclotomic_orders(fp)) == \
+        [(d, 1) for d in (2, 4, 5, 8, 10, 16, 20, 40, 80)]
+
+
+def test_factor_poly_reassembly_check_refuses_a_wrong_factorization(
+        monkeypatch):
+    """The reassembly check is not vacuous: with the multiplicity of Φ_3
+    read off one too high, factor_poly raises, on a Δ in one variable
+    and on one that fills its box of degrees (both packed) and on a
+    sparse one (term dicts multiplied)."""
+    right = laurent._cyclotomic_exponents
+    monkeypatch.setattr(laurent, "_cyclotomic_exponents", lambda p: [
+        (m, k + (m == 3)) for m, k in right(p) or ()] or None)
+    for f in (P("(t^2 + t + 1)*(t - 1)^2", T1),
+              P("(t1^2 + t1 + 1)*(t2 - 1)^2", ("t1", "t2")),
+              P("(t1*t2)^10 + (t1*t2)^5 + 1", ("t1", "t2"))):
+        with pytest.raises(LaurentError, match="reassemble"):
+            factor_poly(f)
 
 
 def test_factor_poly_certifies_irreducible_residual_by_an_image(monkeypatch):

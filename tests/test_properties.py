@@ -20,13 +20,12 @@ from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
                               _charpoly, _factor_root, monodromy_analysis)
 from alexkit.laurent import (ComputationCapError, FactoredPoly,
                              LaurentError, LaurentPoly, _coprime,
-                             _cyclotomic_parts, _directions, _dup_mul,
-                             _from_ring, _images, _invert_mod_prime,
-                             _phi_coeffs, _split_cyclotomic,
+                             _cyclotomic_exponents, _cyclotomic_parts,
+                             _directions, _divisors, _dup_mul, _from_ring,
+                             _images, _invert_mod_prime, _isprime,
+                             _order_bound, _phi_coeffs, _split_cyclotomic,
                              _split_directions, _to_dense, _to_ring,
-                             _totient_preimages,
-                             _vanishes_at_root_mod_p, associates,
-                             default_names, divides, exact_div,
+                             associates, default_names, divides, exact_div,
                              exact_div_binomial, factor_poly, gcd_many,
                              multiplicity, normalize, parse_poly,
                              vanishing_order)
@@ -379,6 +378,35 @@ def sev_decompose(f: LaurentPoly):
     return normalize(LaurentPoly(1, uni)), e
 
 
+def _totient_preimages(d: int) -> tuple:
+    """Every m with φ(m) = d ≥ 1, ascending: the orders of the Φ_m of
+    degree d, and the former library list of them.
+
+    φ(∏ q^k) = ∏ (q − 1)·q^(k−1), so each prime q dividing such an m has
+    (q − 1) | d.  The search takes those primes in increasing order, each
+    with every exponent that leaves an integral rest of d to account for.
+    """
+    primes = [k + 1 for k in _divisors(d) if _isprime(k + 1)]
+    out = []
+
+    def search(start: int, rest: int, m: int) -> None:
+        if rest == 1:
+            out.append(m)
+        for i in range(start, len(primes)):
+            q = primes[i]
+            if rest % (q - 1):
+                continue
+            rest_q, m_q = rest // (q - 1), m * q
+            while True:
+                search(i + 1, rest_q, m_q)
+                if rest_q % q:
+                    break
+                rest_q, m_q = rest_q // q, m_q * q
+
+    search(0, d, 1)
+    return tuple(sorted(out))
+
+
 def cyclotomic_order(p: LaurentPoly):
     """The former library recognizer, kept as the oracle of the order that
     `factor_poly` records: the m with p = Φ_m for a canonical univariate p,
@@ -439,12 +467,10 @@ def test_cyclotomic_recognition():
 
 def test_cyclotomic_order_every_order_to_1000():
     """The order oracle names every Φ_m, m ≤ 1000, and no non-cyclotomic
-    polynomial; the mod-p root test that `_split_cyclotomic` runs before
-    dividing by Φ_m never misses Φ_m itself, and the split finds no order
-    in a non-cyclotomic irreducible."""
+    polynomial, and the split finds no order in a non-cyclotomic
+    irreducible."""
     for m in range(1, 1001):
         assert cyclotomic_order(cyclotomic_poly(m)) == m
-        assert _vanishes_at_root_mod_p(_phi_coeffs(m), m)
     for text in ("t-2", "t^2-3", "t^2+t-1", "2*t+1", "t^4+t+1"):
         f = parse_poly(text, ("t",))
         assert cyclotomic_order(f) is None
@@ -880,6 +906,101 @@ def test_split_cyclotomic_finds_exactly_the_cyclotomic_factors():
         found, rest = _split_cyclotomic(q)
         assert sorted(found) == sorted(orders), (orders, others)
         assert tuple(_dup_mul(_phi_product(found), rest)) == q
+
+
+def _sympy_cyclotomic_exponents(p):
+    """The oracle of `_cyclotomic_exponents`: [(m, a_m)] when sympy's
+    factor_list of p has only factors that sympy's `is_cyclotomic` accepts
+    and content 1, each named by `cyclotomic_order`; else None."""
+    u = sympy.Symbol("u")
+    content, factors = sympy.Poly(list(reversed(p)), u).factor_list()
+    out = {}
+    for f, k in factors:
+        if not f.is_cyclotomic:
+            return None
+        m = cyclotomic_order(LaurentPoly(1, {
+            (i,): int(c) for i, c in enumerate(reversed(f.all_coeffs()))}))
+        out[m] = out.get(m, 0) + k
+    return sorted(out.items()) if content == 1 else None
+
+
+def test_cyclotomic_exponents_of_every_phi_to_1000():
+    for m in range(1, 1001):
+        assert _cyclotomic_exponents(_phi_coeffs(m)) == [(m, 1)], m
+
+
+def test_cyclotomic_exponents_of_products():
+    """Products of up to five Φ_m, m < 200, with multiplicities 1–3: the
+    exponents are the orders put in, and the small ones agree with
+    sympy's factoring."""
+    rng = random.Random(20261019)
+    checked = 0
+    for _ in range(150):
+        want = {m: rng.randint(1, 3)
+                for m in rng.sample(range(1, 200), rng.randint(1, 5))}
+        p = _phi_product(m for m, k in want.items() for _ in range(k))
+        assert _cyclotomic_exponents(p) == sorted(want.items()), want
+        if len(p) < 100:
+            checked += 1
+            assert _sympy_cyclotomic_exponents(p) == sorted(want.items())
+    assert checked > 10
+
+
+def test_cyclotomic_exponents_refuse_reciprocal_non_cyclotomic():
+    """Palindromic polynomials with p(0) = ±1 that are no product of Φ_m,
+    among them u² − 3u + 1 and Lehmer's polynomial, alone and times Φ_m
+    of every class, some of high degree: None, as sympy's factoring
+    says."""
+    rng = random.Random(20261020)
+    for text in RECIPROCAL_NON_CYCLOTOMIC:
+        f = _to_dense(parse_poly(text, ("u",)))
+        for orders in ([], [1], [2, 3], [1, 1, 12], [5, 30, 97], [2000],
+                       rng.sample(range(1, 200), 4)):
+            p = tuple(_dup_mul(f, _phi_product(orders)))
+            assert _cyclotomic_exponents(p) is None, (text, orders)
+            if len(p) < 100:
+                assert _sympy_cyclotomic_exponents(p) is None
+
+
+def test_cyclotomic_exponents_match_sympy_on_random_palindromes():
+    """Random (anti)palindromic p with p(0) = ±1 and small coefficients,
+    some of them times a Φ_m: the recognizer and sympy's factoring accept
+    the same p, with the same exponents, and some are accepted."""
+    rng = random.Random(20261021)
+    accepted = 0
+    for _ in range(400):
+        half = [1] + [rng.randint(-2, 2) for _ in range(rng.randint(0, 6))]
+        sign = rng.choice([1, -1])
+        middle = [rng.randint(-2, 2)] if sign == 1 and rng.random() < 0.5 \
+            else []
+        p = tuple(half + middle + [sign * c for c in reversed(half)])
+        if rng.random() < 0.3:
+            p = tuple(_dup_mul(p, _phi_coeffs(rng.randint(1, 40))))
+        if p[-1] < 0:
+            p = tuple(-c for c in p)
+        want = _sympy_cyclotomic_exponents(p)
+        assert _cyclotomic_exponents(p) == want, p
+        accepted += want is not None
+    assert accepted > 40
+
+
+def test_order_bound_covers_every_order():
+    """`_order_bound(d)` ≥ every m with φ(m) ≤ d, for every d ≤ 1000, by a
+    sieve of φ up to 1000²: φ(m) ≥ √m for m ≠ 2, 6, so no larger m has
+    φ(m) ≤ 1000.  For d = 60 the bound is 262 and the largest m is 210."""
+    top = 1000
+    phi = list(range(top * top + 1))
+    for q in range(2, len(phi)):
+        if phi[q] == q:
+            phi[q::q] = [x - x // q for x in phi[q::q]]
+    largest = [0] * (top + 1)
+    for m in range(1, len(phi)):
+        if phi[m] <= top:
+            largest[phi[m]] = max(largest[phi[m]], m)
+    for d in range(1, top + 1):
+        largest[d] = max(largest[d], largest[d - 1])
+        assert largest[d] <= _order_bound(d) <= 6 * d, d
+    assert (largest[60], _order_bound(60)) == (210, 262)
 
 
 def _brute_rank(mat, n):

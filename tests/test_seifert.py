@@ -4,7 +4,9 @@ import pytest
 
 from alexkit.alexander import alexander_poly
 from alexkit.cyclofield import cyclotomic_poly
-from alexkit.laurent import associates, multiplicity, parse_poly
+from alexkit.laurent import (LaurentPoly, _cyclotomic_exponents, _to_dense,
+                             associates, exact_div_binomial, multiplicity,
+                             normalize, parse_poly)
 from alexkit.seifert import (DivisorComponent, SeifertError, SpliceData,
                              _mult_at_order, seifert_delta, seifert_divisor,
                              seifert_twisted_betti)
@@ -126,3 +128,39 @@ def test_seifert_twisted_betti_pencil():
 def test_seifert_twisted_betti_rejects_trivial():
     with pytest.raises(SeifertError):
         seifert_twisted_betti(ex73(), character(1, 1, 1))
+
+
+def _sparse_seifert_u_delta(d):
+    """The former construction, kept as the oracle: (u^N′ − 1)^(q+s−2) by
+    sparse powers, divided by each u^N′_j − 1 of a nontrivial
+    non-component fiber by `exact_div_binomial`, in Z[u]."""
+    expo = d.q + d.s - 2
+    num = (LaurentPoly.monomial([d.big_n_prime]) - 1) ** expo
+    for j in range(d.q, d.q + d.s):
+        num = exact_div_binomial(num, (d.n_prime_j(j),))
+    return num
+
+
+# the benchmark's q = 3 ladder, q = 2 cases, and trivial tail weights
+SEIFERT_CASES = [
+    *(SpliceData((1, 1, 1, k4, k5), 3) for k4, k5 in SEIFERT_LADDER),
+    SpliceData((2, 3, 5), 2), SpliceData((2, 3, 5, 7), 2),
+    SpliceData((4, 9, 5, 7, 11), 2), SpliceData((5, 7, 1, 1, 8), 2),
+    SpliceData((1, 1, 10007), 2), SpliceData((1, 1, 1, 23, 29), 3),
+    SpliceData((1, 1, 1), 3), SpliceData((1, 1, 1, 1), 2),
+    SpliceData((3, 5, 1, 1), 2), SpliceData((2, 3, 5, 7), 4),
+    SpliceData((3, 5, 7, 11, 13), 3)]
+
+
+@pytest.mark.parametrize("d", SEIFERT_CASES, ids=repr)
+def test_seifert_delta_matches_sparse_construction(d):
+    """The dense build from the exponent sequence b_N′ = q+s−2,
+    b_N′_j = −1 gives the former sparse Δ, and reading that sequence back
+    off Δ(u) gives the divisor's orders and multiplicities."""
+    num = _sparse_seifert_u_delta(d)
+    exps = [d.n_j(j) for j in range(d.q)]
+    want = normalize(LaurentPoly(d.q, {tuple(k * x for x in exps): c
+                                       for (k,), c in num.terms.items()}))
+    assert seifert_delta(d) == want
+    assert _cyclotomic_exponents(_to_dense(normalize(num))) == \
+        [(c.root_order, c.multiplicity) for c in seifert_divisor(d)]
