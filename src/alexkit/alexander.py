@@ -9,6 +9,7 @@ gcds the Alexander polynomials.  Matrices may also be loaded directly
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -62,7 +63,7 @@ class AlexanderMatrix(NamedTuple):
             acc: dict = {}
             for entry, v in zip(row, phi):
                 for exp, c in entry.terms.items():
-                    up = tuple(a + b for a, b in zip(exp, v))
+                    up = tuple(map(operator.add, exp, v))
                     acc[up] = acc.get(up, 0) + c
                     acc[exp] = acc.get(exp, 0) - c
             if any(acc.values()):
@@ -97,19 +98,22 @@ def _substitute_monomials(f: LaurentPoly,
     n = len(projection)
     out = {}
     for exp, c in f.terms.items():
-        new = tuple(sum(row[j] * exp[j] for j in range(len(exp)))
-                    for row in projection)
+        new = tuple(sum(map(operator.mul, row, exp)) for row in projection)
         out[new] = out.get(new, 0) + c
     return LaurentPoly(n, out)
 
 
 def fox_matrix(p: GroupPresentation) -> AlexanderMatrix:
-    """The Alexander matrix of a presentation over the torsion-free quotient."""
+    """The Alexander matrix of a presentation over the torsion-free quotient;
+    when its projection is the identity, the generator rows are the
+    entries."""
     ab = abelianization(p)
     m = p.num_generators
     gen_rows = [_fox_row(r, m) for r in p.relators]
-    rows = [[_substitute_monomials(e, ab.abf_projection) for e in row]
-            for row in gen_rows]
+    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    rows = gen_rows if ab.abf_projection == identity else [
+        [_substitute_monomials(e, ab.abf_projection) for e in row]
+        for row in gen_rows]
     mat = AlexanderMatrix(
         num_vars=ab.rank,
         var_names=tuple(default_names(ab.rank)),
@@ -187,7 +191,7 @@ def _row_minors(rows: List[List[LaurentPoly]], n: int) -> dict:
                     if negative:
                         c1 = -c1
                     for e2, c2 in sub.terms.items():
-                        e = tuple(a + b for a, b in zip(e1, e2))
+                        e = tuple(map(operator.add, e1, e2))
                         acc[e] = acc.get(e, 0) + c1 * c2
         level = {}
         for mask, acc in sums.items():
@@ -296,15 +300,17 @@ def generic_rank_mod(mat: AlexanderMatrix, f: LaurentPoly) -> int:
 # -- evaluation at characters -----------------------------------------------
 
 
-def evaluate_matrix(mat: AlexanderMatrix, chi: Character):
+def evaluate_matrix(mat: AlexanderMatrix, chi: Character,
+                    drop: Optional[int] = None):
     """Evaluate at a character with one value per generator (or per variable
     in matrix mode): a grid of coefficient tuples at chi's conductor, as
-    `evaluate` returns them."""
+    `evaluate` returns them, without column `drop` when it is given."""
     entries = mat.generator_entries
     if entries and len(chi) != entries[0][0].nvars:
         raise AlexanderError(
             f"character has {len(chi)} values, expected {entries[0][0].nvars}")
-    return [[evaluate(e, chi) for e in row] for row in entries]
+    return [[evaluate(e, chi) for j, e in enumerate(row) if j != drop]
+            for row in entries]
 
 
 # -- univariate invariant factors -------------------------------------------

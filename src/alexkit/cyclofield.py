@@ -6,8 +6,10 @@ No complex embedding is chosen: ζ_N is the class of t in Q[t]/(Φ_N),
 which is all that exact ranks and vanishing orders need.  The conductor
 travels with the character or matrix, not with each value.
 A Character is an exponent vector: its values are q_i·ζ_N^{k_i}, so a
-monomial at a character is one more such value (`Character.pull`), and a
-polynomial's value is a sum of rationals in N buckets (`evaluate`).
+monomial t^e at a character is the residue ⟨k, e⟩ mod N and a scale
+(`Character.residues`), and a polynomial's value is its coefficients
+summed by residue, each sum times a row of the table of ζ_N^k reduced
+mod Φ_N (`_powers`, `evaluate`).
 Ranks are computed in Z[ζ_N] by Bareiss's fraction-free elimination, whose
 exact divisions are ℓ-adic: no element of Q(ζ_N) is ever inverted.
 """
@@ -19,7 +21,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import MAX_DIGITS, Frozen, has_long_number
 from .laurent import (ComputationCapError, LaurentPoly, _dup_mul,
@@ -115,23 +117,40 @@ class Character(Frozen):
     def is_trivial(self) -> bool:
         return all(q == 1 for q in self.scales) and not any(self.exps)
 
-    def pull(self, vectors: Iterable[Sequence[int]]) -> "Character":
-        """ρ^e for each exponent vector e, as one character: its values
-        are ∏_j q_j^{e_j}·ζ_N^{Σ_j k_j·e_j}.  Every monomial alexkit
-        evaluates at a character is evaluated here.  A negative power of a
-        scale is taken as a `Fraction`, never as an `int` power, which
-        would be a float."""
+    def residues(self, vectors: Iterable[Sequence[int]]
+                 ) -> Tuple[List[int], Optional[list]]:
+        """The value ∏_j q_j^{e_j}·ζ_N^k of ρ^e for each exponent vector e,
+        as the list of residues k = Σ_j k_j·e_j mod N and the list of
+        scales, which is None when every scale of ρ is 1.  Every monomial
+        alexkit evaluates at a character is evaluated here.  A negative
+        power of a scale is taken as a `Fraction`, never as an `int`
+        power, which would be a float."""
+        n, exps = self.conductor, self.exps
         scaled = [(j, q) for j, q in enumerate(self.scales) if q != 1]
-        scales, exps = [], []
+        residues, scales = [], [] if scaled else None
+        width = len(exps)
         for e in vectors:
-            if len(e) != len(self.exps):
+            if len(e) != width:
                 raise CycloError("exponent vector has wrong length")
-            scale = 1
-            for j, q in scaled:
-                scale *= q ** e[j] if e[j] >= 0 else Fraction(1, q) ** -e[j]
-            scales.append(scale)
-            exps.append(sum(map(operator.mul, self.exps, e)))
-        return Character(self.conductor, tuple(scales), tuple(exps))
+            residues.append(sum(map(operator.mul, exps, e)) % n)
+            if scaled:
+                scale = 1
+                for j, q in scaled:
+                    scale *= q ** e[j] if e[j] >= 0 \
+                        else Fraction(1, q) ** -e[j]
+                scales.append(scale)
+        return residues, scales
+
+    def pull(self, vectors: Iterable[Sequence[int]]) -> "Character":
+        """ρ^e for each exponent vector e, as one character."""
+        exps, scales = self.residues(vectors)
+        return Character(self.conductor, scales or [1] * len(exps), exps)
+
+    def trivial_on(self, vectors: Iterable[Sequence[int]]) -> bool:
+        """Whether ρ^e = 1 for every exponent vector e."""
+        exps, scales = self.residues(vectors)
+        return not any(exps) and (scales is None
+                                  or all(q == 1 for q in scales))
 
 
 _RATIONAL = r"-?\d+(?:/0*[1-9]\d*)?"  # a denominator is never zero
@@ -168,7 +187,8 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
             g = math.gcd(n, k)
             order, k = n // g, k // g
             _check_conductor(order)
-        scale = Fraction(m.group("mult") or 1) * Fraction(m.group("rat") or 1)
+        scale = math.prod(Fraction(x) if "/" in x else int(x)
+                          for x in m.group("mult", "rat") if x)
         assignments[name] = (scale, order, k)
     missing = [n for n in names if n not in assignments]
     if missing:
@@ -182,15 +202,38 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
 # -- evaluation and exact rank ----------------------------------------------
 
 
-def _bucket_sum(coeffs: Iterable, values: Character) -> tuple:
-    """Σ_j c_j·q_j·ζ_N^(k_j) for the rationals c_j and the values
-    q_j·ζ_N^(k_j) of `values`, as a coefficient tuple: each c_j·q_j goes
-    to the bucket of ζ_N^(k_j), the buckets are reduced mod Φ_N once, and
-    each coefficient is then an `int` when integral (`_rational`)."""
-    buckets = [0] * values.conductor
-    for c, q, k in zip(coeffs, values.scales, values.exps):
-        buckets[k] += c * q
-    return tuple(map(_rational, _reduce(buckets, values.conductor)))
+@lru_cache(maxsize=None)
+def _powers(n: int) -> Tuple[tuple, ...]:
+    """ζ_n^k reduced mod Φ_n, for k = 0..n−1, as coefficient tuples: row
+    k is row k − 1 times ζ_n, its top coefficient c folded back as −c·Φ_n
+    (Φ_n is monic)."""
+    phi = _phi_coeffs(n)
+    row = (1,) + (0,) * (len(phi) - 2)
+    rows = [row]
+    for _ in range(n - 1):
+        top, row = row[-1], (0,) + row[:-1]
+        if top:
+            row = tuple(x - top * c for x, c in zip(row, phi))
+        rows.append(row)
+    return tuple(rows)
+
+
+def _power_sum(terms: Iterable[tuple], n: int) -> tuple:
+    """Σ c·ζ_n^k over the pairs (c, k), 0 ≤ k < n, as a coefficient tuple:
+    the c are summed by residue k, each nonzero sum is added times row k
+    of `_powers(n)`, and each coefficient is then an `int` when integral
+    (`_rational`)."""
+    buckets: dict = {}
+    for c, k in terms:
+        buckets[k] = buckets.get(k, 0) + c
+    rows = _powers(n)
+    out = [0] * len(rows[0])
+    for k, c in buckets.items():
+        if c:
+            for i, x in enumerate(rows[k]):
+                if x:
+                    out[i] += c * x
+    return tuple(map(_rational, out))
 
 
 def evaluate(f: LaurentPoly, chi: Character) -> tuple:
@@ -198,7 +241,11 @@ def evaluate(f: LaurentPoly, chi: Character) -> tuple:
     chi's conductor N: c·t^e contributes c times chi's value at e."""
     if len(chi) != f.nvars:
         raise CycloError("point has wrong number of coordinates")
-    return _bucket_sum(f.terms.values(), chi.pull(f.terms))
+    residues, scales = chi.residues(f.terms)
+    coeffs = f.terms.values()
+    if scales is not None:
+        coeffs = map(operator.mul, coeffs, scales)
+    return _power_sum(zip(coeffs, residues), chi.conductor)
 
 
 # The first prime ℓ of the ℓ-adic divisions; 2^61 − 1 fits a machine word.
@@ -208,13 +255,7 @@ _PRIME = 2 ** 61 - 1
 @lru_cache(maxsize=None)
 def _power_bound(n: int) -> int:
     """The largest |coefficient| of ζ_n^i, 0 ≤ i < n, reduced mod Φ_n."""
-    phi = _phi_coeffs(n)
-    v = (1,) + (0,) * (len(phi) - 2)
-    best = 1
-    for _ in range(n - 1):
-        v = _reduce([0, *v], n)
-        best = max(best, *map(abs, v))
-    return best
+    return max(abs(x) for row in _powers(n) for x in row)
 
 
 def _divider(b: tuple, n: int):
@@ -255,6 +296,8 @@ def _divider(b: tuple, n: int):
 
 def _integral(row: Sequence[tuple]) -> List[tuple]:
     """The row times the lcm of its denominators, as integer tuples."""
+    if all(type(c) is int for x in row for c in x):
+        return list(row)
     lcm = math.lcm(*(c.denominator for x in row for c in x))
     return [tuple(c.numerator * (lcm // c.denominator) for c in x)
             for x in row]

@@ -129,7 +129,7 @@ def validate_character(p: GroupPresentation, chi: Character) -> bool:
     """True iff chi respects every relator (factors through G_ab)."""
     if len(chi) != p.num_generators:
         raise CycloError("character length does not match generator count")
-    return chi.pull(p.exponent_matrix()).is_trivial()
+    return chi.trivial_on(p.exponent_matrix())
 
 
 @lru_cache(maxsize=64)
@@ -157,6 +157,6 @@ def induced_torus_point(ab: AbelianStructure,
     if not ab.abf_projection:
         return chi.pull([]) if chi.is_trivial() else None
     found = _torus_section(ab.abf_projection)
-    if found is None or not chi.pull(found[0]).is_trivial():
+    if found is None or not chi.trivial_on(found[0]):
         return None
     return chi.pull(found[1])

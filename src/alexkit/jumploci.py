@@ -34,7 +34,10 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
     per variable): JumpLociError otherwise.
 
     The trivial character gives the untwisted rank n; otherwise the rank
-    drops to m - 1 - rank of the evaluated Alexander matrix.
+    drops to m - 1 - rank of the evaluated Alexander matrix.  For a Fox
+    matrix, one column j with rho(x_j) ≠ 1 is left out: Fox's identity
+    Σ_j ∂r/∂x_j(rho)·(rho(x_j) − 1) = rho(r) − 1 = 0 makes it a
+    combination of the others, so the rank does not change.
     """
     if mat.presentation is not None:
         if not validate_character(mat.presentation, rho):
@@ -46,18 +49,26 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
         return mat.num_vars
     if mat.num_rows == 0:
         return mat.num_cols - 1
-    return mat.num_cols - 1 - rank_over_field(evaluate_matrix(mat, rho),
-                                              rho.conductor)
+    drop = None
+    if mat.presentation is not None:
+        drop = next(j for j, (q, k) in enumerate(zip(rho.scales, rho.exps))
+                    if q != 1 or k)
+    return mat.num_cols - 1 - rank_over_field(
+        evaluate_matrix(mat, rho, drop), rho.conductor)
 
 
 APStatus = Tuple[str, Optional[str]]  # ("Yes"|"Unknown", reason)
 
 
 def almost_principal_status(p: GroupPresentation,
-                            asserted: Optional[str] = None) -> APStatus:
+                            asserted: Optional[str] = None,
+                            rank: Optional[int] = None) -> APStatus:
     """Sufficient conditions for the first elementary ideal to be almost
-    principal; Unknown when none applies."""
-    if abelianization(p).rank == 1:
+    principal; Unknown when none applies.  `rank`, the rank of G_ab, is
+    computed when it is not given."""
+    if rank is None:
+        rank = abelianization(p).rank
+    if rank == 1:
         return ("Yes", "b1=1")
     if p.num_generators - p.num_relators >= 1:
         return ("Yes", "deficiency>0")
@@ -71,7 +82,8 @@ def almost_principal_of(mat: AlexanderMatrix,
     """The almost-principal status of mat: from its presentation, or only
     what was asserted for a matrix given directly."""
     if mat.presentation is not None:
-        return almost_principal_status(mat.presentation, asserted)
+        return almost_principal_status(mat.presentation, asserted,
+                                       mat.abelian.rank)
     return ("Yes", f"user-asserted: {asserted}") if asserted \
         else ("Unknown", None)
 

@@ -829,33 +829,43 @@ def vanishing_order(f: LaurentPoly, point: "Character") -> int:
     |α| = k, θ_i = t_i ∂/∂t_i, is nonzero at ρ; computed exactly.
 
     `point` is a `cyclofield.Character` with one value per variable.
-    θ^α t^e = e^α t^e, so the monomials of f are evaluated at ρ once and
-    each derivative only reweights their coefficients.
+    θ^α t^e = e^α t^e, so the monomials of f are evaluated at ρ once
+    (`Character.residues`) and each derivative only reweights their
+    coefficients: θ_j θ^α f has the coefficients of θ^α f times the
+    exponents of t_j.
     θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers S(α,α) = 1 is
     unitriangular and t^β is a unit at ρ, so this is the order of
     vanishing of f at ρ.
     """
-    from .cyclofield import _bucket_sum
+    from .cyclofield import _power_sum
 
     if f.is_zero():
         raise LaurentError("vanishing order of the zero polynomial")
     if len(point) != f.nvars:
         raise LaurentError("point has wrong number of coordinates")
-    values = point.pull(f.terms)
+    residues, scales = point.residues(f.terms)
     # f times the lcm of its denominators vanishes to the same order
     den = math.lcm(*(c.denominator for c in f.terms.values()))
-    terms = [(e, int(c * den)) for e, c in f.terms.items()]
-    work = 0
+    coeffs = [int(c * den) for c in f.terms.values()]
+    if scales is not None:
+        coeffs = list(map(operator.mul, coeffs, scales))
+    columns = list(zip(*f.terms))
+    # the coefficients of θ^α f for the α of order k, in lexicographic
+    # order, each with α's last index i; order k + 1 extends α by j ≥ i
+    derivatives, work = [(0, coeffs)], 0
     for k in itertools.count():
-        for idx in itertools.combinations_with_replacement(range(f.nvars), k):
-            work += len(f.terms)
+        vanishing = []
+        for i, weighted in derivatives:
+            work += len(weighted)
             if work > VANISHING_WORK_CAP:
                 raise ComputationCapError(
                     f"vanishing-order work (derivatives evaluated × terms) "
                     f"{work} exceeds cap {VANISHING_WORK_CAP}")
-            if any(_bucket_sum((c * math.prod(e[i] for i in idx)
-                                for e, c in terms), values)):
+            if any(_power_sum(zip(weighted, residues), point.conductor)):
                 return k
+            vanishing.append((i, weighted))
+        derivatives = ((j, list(map(operator.mul, weighted, columns[j])))
+                       for i, weighted in vanishing for j in range(i, f.nvars))
 
 
 # -- expression parsing -----------------------------------------------------

@@ -20,6 +20,9 @@ from .laurent import (ComputationCapError, LaurentPoly, _divisors,
 # the largest degree in u of a Seifert polynomial that is built: with
 # q ≤ 3, a `seifert` run at this degree takes under a second and 70 MB
 SEIFERT_DEGREE_CAP = 100_000
+# the largest q·(degree + 1), the exponents Δ's terms carry in all: every
+# q ≤ 3 within SEIFERT_DEGREE_CAP passes
+SEIFERT_OUTPUT_CAP = 3 * (SEIFERT_DEGREE_CAP + 1)
 
 
 class SeifertError(ValueError):
@@ -78,14 +81,19 @@ def seifert_delta(d: SpliceData) -> LaurentPoly:
     """The link's Alexander polynomial in t_1..t_q: the exponent sequence
     b_{N'} = q+s−2, b_{N'_j} = −1 of Δ(u) = ±Π (1 − u^n)^{b_n}, j over the
     nontrivial non-component fibers, in u = t_1^{N_1} ... t_q^{N_q}.  Its
-    degree (q+s−2)·N' − Σ_j N'_j must be within `SEIFERT_DEGREE_CAP`;
-    each factor is then applied to 1 mod u^(degree+1)."""
+    degree (q+s−2)·N' − Σ_j N'_j must be within `SEIFERT_DEGREE_CAP`,
+    and q·(degree + 1) within `SEIFERT_OUTPUT_CAP`; each factor is then
+    applied to 1 mod u^(degree+1)."""
     q, s = d.q, d.s
     divisors = [d.n_prime_j(j) for j in range(q, q + s)]
     degree = (q + s - 2) * d.big_n_prime - sum(divisors)
     if degree > SEIFERT_DEGREE_CAP:
         raise ComputationCapError(f"Seifert polynomial degree {degree} "
                                   f"exceeds cap {SEIFERT_DEGREE_CAP}")
+    if q * (degree + 1) > SEIFERT_OUTPUT_CAP:
+        raise ComputationCapError(
+            f"Seifert output size q·(degree + 1) = {q * (degree + 1)} "
+            f"exceeds cap {SEIFERT_OUTPUT_CAP}")
     coeffs = [1] + [0] * degree
     for n in divisors:
         _times_binomial(coeffs, n, -1)
@@ -146,7 +154,7 @@ def seifert_twisted_betti(d: SpliceData, rho: Character) -> int:
     m = _mult_at_order(d, order)
     # independent orbifold-Euler count
     i_alpha = sum(1 for j in range(d.q, d.q + d.s)
-                  if alpha.pull([[d.n_prime_j(j)]]).is_trivial())
+                  if alpha.trivial_on([[d.n_prime_j(j)]]))
     if m != (d.q - 2) + d.s - i_alpha:
         raise SeifertError("multiplicity disagrees with orbifold count "
                            "(internal bug)")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import alexkit
 
-# seconds; each input below ends in well under one second
+# seconds; each input below ends in about a second or less
 WALL_BOUND = 10
 
 
@@ -47,3 +47,43 @@ def test_invariants_power_2000_commutator(tmp_path):
     factored = json.loads(proc.stdout)["factored"]
     assert factored["constant"] == 1
     assert [f["multiplicity"] for f in factored["factors"]] == [1] * 19
+
+
+def test_invariants_power_20000_commutator(tmp_path):
+    """a^20000 b a^-20000 b^-1: Δ = (t1^20000 − 1)/(t1 − 1), of degree
+    19999, whose 29 factors Φ_d(t1), 1 < d | 20000, are read off its
+    exponent sequence."""
+    path = tmp_path / "g.grp"
+    path.write_text("gens: a b\nrel: a^20000 b a^-20000 b^-1\n")
+    proc, wall = _run_cli("invariants", str(path))
+    assert wall < WALL_BOUND
+    assert proc.returncode == 0, proc.stderr
+    factored = json.loads(proc.stdout)["factored"]
+    assert factored["constant"] == 1
+    assert [f["multiplicity"] for f in factored["factors"]] == [1] * 29
+
+
+def test_matrix_delta_over_print_limit(tmp_path):
+    """Δ = 3^9100 has more digits than Python prints: refused with one
+    line, not a traceback."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"vars": ["t"], "rows": [["3^9100*(t-1)", "3^9100*(t+1)"]]}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("alexkit: cap exceeded: ")
+
+
+def test_seifert_many_components_over_output_cap():
+    """1000 unit weights, then 2 and 3, as 1000 components: Δ has degree
+    5995, under the degree cap, but its terms would carry 1000 exponents
+    each; refused from the weights before any coefficient list exists."""
+    weights = ",".join(["1"] * 1000 + ["2", "3"])
+    proc, wall = _run_cli("seifert", "--weights", weights, "--q", "1000")
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "alexkit: cap exceeded: Seifert output size q·(degree + 1) = "
+        "5996000 exceeds cap 300003"]

@@ -283,6 +283,30 @@ def test_betti_depth_zero_delta_computes_rank_once(rank_calls, tmp_path,
     assert len(rank_calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", data_path("torusbundle.grp"), "--char",
+     "x1=1,x2=-1,x3=zeta3"],
+    ["betti", data_path("pencil3.grp"), "--char",
+     "x1=zeta3,x2=zeta3,x3=zeta3"],
+], ids=["invariants", "betti"])
+def test_one_abelianization_per_run(monkeypatch, capsys, argv):
+    """The Smith form of the exponent matrix is taken once, by
+    `fox_matrix`; the almost-principal status reads its rank off the
+    matrix."""
+    from alexkit import alexander, intlinalg, jumploci
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return intlinalg.abelianization(p)
+
+    monkeypatch.setattr(alexander, "abelianization", counted)
+    monkeypatch.setattr(jumploci, "abelianization", counted)
+    code, report = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("char,depth", [
     ("x1=-1,x2=-1,x3=1", "0"),
     ("x1=-1,x2=-1,x3=1", "-2"),

@@ -2,22 +2,24 @@
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from alexkit import alexander, laurent
+from alexkit import alexander, cyclofield, laurent
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
-                               elementary_ideal_minors, fox_matrix,
-                               univariate_invariant_factors)
+                               elementary_ideal_minors, evaluate_matrix,
+                               fox_matrix, univariate_invariant_factors)
 from alexkit.cyclofield import (_PRIME, CONDUCTOR_CAP, Character, _divider,
                                 _mul, _reduce, cyclotomic_poly, evaluate,
                                 parse_character, rank_over_field)
-from alexkit.intlinalg import smith_normal_form
+from alexkit.intlinalg import abelianization, smith_normal_form
 from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
-                              _charpoly, _factor_root, monodromy_analysis)
+                              _charpoly, _factor_root, monodromy_analysis,
+                              twisted_betti)
 from alexkit.laurent import (ComputationCapError, FactoredPoly,
                              LaurentError, LaurentPoly, _coprime,
                              _cyclotomic_exponents, _cyclotomic_parts,
@@ -34,7 +36,7 @@ from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   parse_presentation, word)
 from alexkit.seifert import SpliceData, _order, seifert_delta
 
-from conftest import character
+from conftest import DATA, character, load_presentation
 
 
 def random_word(rng, num_gens, max_len=6):
@@ -332,6 +334,198 @@ def test_evaluate_matches_product_oracle():
         seen.add((n, not any(value)))
     assert {n for n, _ in seen} == {1, 2, 12, 60, 211, 240}
     assert any(zero for _, zero in seen)
+
+
+def test_power_table_matches_reduce_for_every_conductor():
+    """Row k of `_powers(n)` is ζ_n^k reduced by the `_reduce` cascade: a
+    random combination Σ c_k·ζ_n^k of all n rows, reduced once, and every
+    row k ≤ φ(n) + 2 and k = n − 1 alone, for every n ≤ CONDUCTOR_CAP;
+    `_power_bound` is the table's largest |coefficient|."""
+    rng = random.Random(20261023)
+    for n in range(1, CONDUCTOR_CAP + 1):
+        rows = cyclofield._powers(n)
+        assert len(rows) == n
+        deg = len(_phi_coeffs(n)) - 1
+        for k in {*range(min(n, deg + 3)), n - 1}:
+            assert rows[k] == _reduce([0] * k + [1], n), (n, k)
+        for _ in range(2):
+            c = [rng.randint(-9, 9) for _ in range(n)]
+            combo = [sum(ck * row[i] for ck, row in zip(c, rows))
+                     for i in range(deg)]
+            assert tuple(combo) == _reduce(c, n), n
+        assert cyclofield._power_bound(n) == \
+            max(abs(x) for row in rows for x in row)
+
+
+def _pull_oracle(chi: Character, vectors) -> Character:
+    """ρ^e for each exponent vector e, one scale at a time: the former
+    `Character.pull`, kept as the oracle for `Character.residues`."""
+    scales, exps = [], []
+    for e in vectors:
+        assert len(e) == len(chi.exps)
+        scale = 1
+        for q, x in zip(chi.scales, e):
+            scale *= Fraction(q) ** x
+        scales.append(scale)
+        exps.append(sum(k * x for k, x in zip(chi.exps, e)))
+    return Character(chi.conductor, tuple(scales), tuple(exps))
+
+
+def _bucket_sum_oracle(coeffs, values: Character) -> tuple:
+    """Σ_j c_j·q_j·ζ_N^(k_j) in N buckets reduced mod Φ_N once: the former
+    `cyclofield._bucket_sum`, kept as the oracle for `_power_sum`."""
+    buckets = [0] * values.conductor
+    for c, q, k in zip(coeffs, values.scales, values.exps):
+        buckets[k] += c * q
+    return tuple(map(laurent._rational, _reduce(buckets, values.conductor)))
+
+
+def _bucket_vanishing_order(f: LaurentPoly, point: Character) -> int:
+    """ν_ρ(f) from Euler derivatives, each one bucket sum over the pulled
+    monomials: the former `vanishing_order`, kept as its oracle."""
+    values = _pull_oracle(point, f.terms)
+    for k in itertools.count():
+        for idx in itertools.combinations_with_replacement(range(f.nvars), k):
+            if any(_bucket_sum_oracle(
+                    (c * math.prod(e[i] for i in idx)
+                     for e, c in f.terms.items()), values)):
+                return k
+
+
+# scales of the kernel oracles: integral, negative, non-integral
+_KERNEL_SCALES = (1, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+                  Fraction(5, 4))
+
+
+def _random_character(rng, nvars, conductors):
+    n = rng.choice(conductors)
+    return Character(n, tuple(rng.choice(_KERNEL_SCALES)
+                              for _ in range(nvars)),
+                     tuple(rng.randrange(n) for _ in range(nvars)))
+
+
+def test_residue_kernel_matches_pull_and_bucket_sum():
+    """`Character.residues`, `pull`, `trivial_on` and `evaluate` against
+    the former one-scale-at-a-time pull and N-bucket sum, on random
+    rational polynomials and characters of odd and even conductor."""
+    rng = random.Random(20261024)
+    conductors = (1, 2, 3, 4, 5, 6, 12, 15, 60, 211, 240)
+    seen = set()
+    for _ in range(400):
+        nvars = rng.randrange(1, 4)
+        chi = _random_character(rng, nvars, conductors)
+        f = LaurentPoly(nvars, {
+            tuple(rng.randrange(-4, 5) for _ in range(nvars)):
+            Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+            for _ in range(rng.randrange(1, 7))})
+        pulled = _pull_oracle(chi, f.terms)
+        assert chi.pull(f.terms) == pulled
+        residues, scales = chi.residues(f.terms)
+        assert residues == list(pulled.exps)
+        assert (scales is None) == all(q == 1 for q in chi.scales)
+        assert chi.trivial_on(f.terms) == pulled.is_trivial()
+        value = evaluate(f, chi)
+        assert value == _bucket_sum_oracle(f.terms.values(), pulled)
+        seen.add((chi.conductor % 2, scales is None, not any(value)))
+    assert {(parity, plain) for parity, plain, _ in seen} == \
+        {(0, False), (0, True), (1, False), (1, True)}
+    assert any(zero for _, _, zero in seen)
+
+
+def test_vanishing_order_matches_bucket_path():
+    """`vanishing_order` against the former pull-and-bucket loop, on
+    products of binomials t^e − ρ^e with a random factor, at points of
+    odd and even conductor with rational, negative and non-integral
+    scales."""
+    rng = random.Random(20261025)
+    small = {nvars: [e for e in itertools.product(range(-4, 5), repeat=nvars)
+                     if 0 < sum(map(abs, e)) <= 4] for nvars in (1, 2, 3)}
+    seen = set()
+    for _ in range(300):
+        nvars = rng.randrange(1, 4)
+        point = _random_character(rng, nvars, (1, 2, 3, 4, 6, 12, 15))
+        coords = list(zip(point.scales, point.exps))
+        binomials = [LaurentPoly.monomial(e) - c for e in small[nvars]
+                     if (c := _rational_power(point.conductor, coords, e))
+                     is not None]
+        f = random_poly(rng, nvars, 3)
+        for _ in range(rng.randrange(4) if binomials else 0):
+            f = f * rng.choice(binomials)
+        nu = vanishing_order(f, point)
+        assert nu == _bucket_vanishing_order(f, point)
+        seen.add(nu)
+    assert seen >= {0, 1, 2, 3}
+
+
+def _relator_characters(rng, p, count):
+    """Characters of p that respect its relators: pulled from random
+    points of the torsion-free quotient, and random ones of small
+    conductor kept when they pass the relator check."""
+    ab = abelianization(p)
+    m, out = p.num_generators, []
+    columns = [[row[j] for row in ab.abf_projection] for j in range(m)]
+    for _ in range(count):
+        n = rng.choice((1, 2, 3, 4, 6, 12))
+        if ab.rank and rng.random() < 0.6:
+            y = Character(n, tuple(rng.choice((1, 1, 1, 2, -1, Fraction(1, 3)))
+                                   for _ in range(ab.rank)),
+                          tuple(rng.randrange(n) for _ in range(ab.rank)))
+            out.append(y.pull(columns))
+        else:
+            chi = Character(n, (1,) * m, tuple(rng.randrange(n)
+                                               for _ in range(m)))
+            if chi.trivial_on(p.exponent_matrix()):
+                out.append(chi)
+    return out
+
+
+def _pencil(n):
+    """pencil_n = F_(n−1) × Z: relators [x1···xn, x_i] for i < n."""
+    prod = " ".join(f"x{j + 1}" for j in range(n))
+    inv = " ".join(f"x{j + 1}^-1" for j in reversed(range(n)))
+    return parse_presentation(
+        f"gens: {prod}\n" + "".join(f"rel: {prod} x{i + 1} {inv} x{i + 1}^-1\n"
+                                    for i in range(n - 1)))
+
+
+def test_twisted_betti_dropped_column_matches_full_rank():
+    """b1 with one column left out, by Fox's identity, against the rank of
+    the whole evaluated matrix: every `tests/data` presentation, pencils,
+    torus knots and random presentations, at random characters and at
+    characters on their jump loci (a product of values 1 on a pencil, a
+    primitive pq-th root on T(p, q))."""
+    rng = random.Random(20261026)
+    cases = []
+    for name in sorted(os.listdir(DATA)):
+        if name.endswith(".grp"):
+            p = load_presentation(name)
+            cases.append((p, _relator_characters(rng, p, 16)))
+    for n in (3, 4, 5):
+        on = []
+        for cond in (2, 3, 4, 6):
+            ks = [rng.randrange(cond) for _ in range(n - 1)]
+            on.append(Character(cond, (1,) * n, (*ks, -sum(ks))))
+        p = _pencil(n)
+        cases.append((p, on + _relator_characters(rng, p, 8)))
+    for a, b in ((2, 3), (2, 5), (3, 4), (3, 5)):
+        p = parse_presentation(f"gens: x y\nrel: x^{a} y^-{b}\n")
+        on = [Character(a * b, (1, 1), (k * b, k * a))
+              for k in range(1, a * b) if math.gcd(k, a * b) == 1]
+        cases.append((p, on + _relator_characters(rng, p, 8)))
+    for _ in range(60):
+        p = _fox_oracle_presentation(rng)
+        cases.append((p, _relator_characters(rng, p, 8)))
+    seen = set()
+    for p, chars in cases:
+        mat = fox_matrix(p)
+        for rho in chars:
+            if rho.is_trivial():
+                continue
+            full = rank_over_field(evaluate_matrix(mat, rho), rho.conductor)
+            b1 = twisted_betti(mat, rho)
+            assert b1 == mat.num_cols - 1 - full, (p, rho)
+            seen.add(min(b1, 2))
+    assert seen == {0, 1, 2}
 
 
 def test_seifert_order_matches_brute_powers():
