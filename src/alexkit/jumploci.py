@@ -37,7 +37,9 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
     drops to m - 1 - rank of the evaluated Alexander matrix.  For a Fox
     matrix, one column j with rho(x_j) ≠ 1 is left out: Fox's identity
     Σ_j ∂r/∂x_j(rho)·(rho(x_j) − 1) = rho(r) − 1 = 0 makes it a
-    combination of the others, so the rank does not change.
+    combination of the others, so the rank does not change.  A matrix
+    given in matrix mode whose rank there is m is no Alexander matrix:
+    JumpLociError.
     """
     if mat.presentation is not None:
         if not validate_character(mat.presentation, rho):
@@ -53,8 +55,12 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
     if mat.presentation is not None:
         drop = next(j for j, (q, k) in enumerate(zip(rho.scales, rho.exps))
                     if q != 1 or k)
-    return mat.num_cols - 1 - rank_over_field(
-        evaluate_matrix(mat, rho, drop), rho.conductor)
+    rank = rank_over_field(evaluate_matrix(mat, rho, drop), rho.conductor)
+    if rank == mat.num_cols:
+        raise JumpLociError(f"matrix has full rank {rank} at a nontrivial "
+                            f"character: an Alexander matrix has rank at "
+                            f"most {rank - 1} there")
+    return mat.num_cols - 1 - rank
 
 
 APStatus = Tuple[str, Optional[str]]  # ("Yes"|"Unknown", reason)

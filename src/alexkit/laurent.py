@@ -10,16 +10,15 @@ type alexkit code handles.  A coefficient, here and in `cyclofield`, is
 an `int` when it is integral and a `Fraction` only when it is not
 (`_rational`), so integral work runs on `int` arithmetic; a `float` is
 refused.  One-variable work runs on a dense layer in Z[u], ascending `int`
-tuples: gcd (heuristic, with a primitive Euclidean fallback), Yun's
-squarefree split, exact division, the cyclotomic polynomials Φ_n and
-the recognizer of their products, inverses modulo a prime and a
-polynomial, and the primes and divisors these need.  sympy is a
-backend, imported inside the functions that still need it: multivariate
-gcd and factoring, the factoring of a one-variable rest with no
-cyclotomic factor and of the one-variable images that prove a residual
-irreducible, and division over Q[t] (`exact_div`), all through the
-bridge `_ring` (Z[t] or Q[t] in n variables, built on first use),
-`_to_ring` and `_from_ring`, which no other module names.
+tuples: gcd (heuristic, with a primitive Euclidean fallback), exact
+division, the cyclotomic polynomials Φ_n and the recognizer of their
+products, inverses modulo a prime and a polynomial, and the primes and
+divisors these need.  sympy is a backend, imported inside the functions
+that still need it: multivariate gcd and factoring, the squarefree
+split and factoring of a one-variable piece that is not a product of
+Φ_m, and division over Q[t] (`exact_div`); its multivariate work goes
+through the bridge `_ring` (Z[t] or Q[t] in n variables, built on first
+use), `_to_ring` and `_from_ring`, which no other module names.
 """
 
 from __future__ import annotations
@@ -472,34 +471,6 @@ def _dup_gcd(f: Sequence[int], g: Sequence[int]) -> Tuple[int, ...]:
     return tuple(c * x for x in h)
 
 
-def _dup_sqf_list(f: Sequence[int]) -> list:
-    """Yun's squarefree split (SYMSAC 1976) of a nonconstant f in Z[u]:
-    [(a_i, i)] with f ≐ c · Π a_i^i for its content c, each a_i
-    nonconstant, primitive, squarefree and with a positive leading
-    coefficient, and the a_i pairwise coprime.
-
-    With b = f / gcd(f, f') and c = f' / gcd(f, f'), each round takes
-    a = gcd(b, c − b'), then b ← b / a and c ← (c − b') / a; the i-th a
-    is the product of the irreducible factors of multiplicity i.
-    """
-    def diff(h):
-        return tuple(k * x for k, x in enumerate(h))[1:]
-
-    f = _dup_primitive(f)
-    df = diff(f)
-    a = _dup_gcd(f, df)
-    b, c = _dup_exquo(f, a), _dup_exquo(df, a)
-    out, i = [], 1
-    while len(b) > 1:
-        d = _dup_sub(c, diff(b))
-        a = _dup_gcd(b, d)
-        if len(a) > 1:
-            out.append((a, i))
-        b, c = _dup_exquo(b, a), _dup_exquo(d, a)
-        i += 1
-    return out
-
-
 # -- integers and F_p -------------------------------------------------------
 
 
@@ -933,12 +904,9 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
         if peek() == "^":
             take()
             k = parse_int()
-            if base.is_monomial():
-                base = base ** k
-            elif k >= 0:
-                base = base ** k
-            else:
+            if k < 0 and not base.is_monomial():
                 raise PolyParseError("negative exponent on a non-monomial")
+            base = base ** k
         return base
 
     def term() -> LaurentPoly:
@@ -1117,45 +1085,6 @@ def _split_directions(terms: dict) -> tuple:
     return contents, terms
 
 
-# the scales a_i of the images t_i ↦ a_i·u^(w_i), repeated for more variables
-_IMAGE_SCALES = (2, 3, -1, -2, 5, 1, -3)
-# the widest image taken: the images of t1^20*t2 + t1*t2^20 + 3, of span
-# 41, took three to four times as long to factor as sympy's factor_list of
-# the polynomial itself, while those of the random Δ of the fox-width
-# benchmark have spans below 16
-_IMAGE_SPAN_CAP = 16
-
-
-def _images(terms: dict) -> list:
-    """At most two images in Z[u] of f = Σ c_v t^v, given by its terms
-    {v: c_v}: t^-m·f under t_i ↦ a_i·u^(w_i), m the least exponent vector
-    and a the `_IMAGE_SCALES`, over u^(min w·v).  The weights w are those
-    with one entry 2 and the others 1, or one entry 1 and the others 2,
-    for which the max and the min of w·v over supp f are each attained
-    once; the two with the least span max − min, if at most
-    `_IMAGE_SPAN_CAP`, are taken, first come first."""
-    n = len(next(iter(terms)))
-    weights = {tuple(base + step * (i == j) for i in range(n)): None
-               for base, step in ((1, 1), (2, -1)) for j in range(n)}
-    found = []
-    for w in weights:
-        degrees = [sum(map(operator.mul, w, v)) for v in terms]
-        bottom, top = min(degrees), max(degrees)
-        if top - bottom <= _IMAGE_SPAN_CAP and degrees.count(bottom) == 1 \
-                and degrees.count(top) == 1:
-            found.append((top - bottom, bottom, degrees))
-    low = [min(col) for col in zip(*terms)]
-    scales = [_IMAGE_SCALES[i % len(_IMAGE_SCALES)] for i in range(n)]
-    out = []
-    for span, bottom, degrees in sorted(found, key=lambda t: t[0])[:2]:
-        image = [0] * (span + 1)
-        for (v, c), d in zip(terms.items(), degrees):
-            image[d - bottom] += c * math.prod(
-                a ** (x - m) for a, x, m in zip(scales, v, low))
-        out.append(tuple(image))
-    return out
-
-
 # the values `_coprime` sends the variables to, repeated for more variables
 _COPRIME_POINT = (3, -5, 7, 11, -13, 17, -19, 23)
 
@@ -1230,8 +1159,8 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     First every factor P(t^e) in one essential variable is split off by
     univariate gcds (`_split_directions`), and each P is factored in Z[u]:
     a product of Φ_m is read off its exponent sequence
-    (`_cyclotomic_exponents`); any other P is split by Yun
-    (`_dup_sqf_list`), each squarefree piece loses its cyclotomic part
+    (`_cyclotomic_exponents`); any other P is split by sympy's
+    `dup_sqf_list`, each squarefree piece loses its cyclotomic part
     (`_split_cyclotomic`), and only a nonconstant rest goes to sympy's
     `dup_factor_list`.  A factor q(u) of P lifts to the factor q(t^e) of
     f, irreducible because e extends to a basis of Z^n.
@@ -1240,16 +1169,10 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     B free of t_i: h/c, c = gcd(A, B), is primitive of degree one in t_i,
     so irreducible, and c is the next piece.  `_coprime` shows c = 1 by
     one-variable gcds; `gcd_many` computes c only when it cannot.  Any
-    other piece is irreducible when one of its images h under
-    t_i ↦ a_i·u^(w_i) (`_images`) is irreducible in Q[u]: with the max and
-    the min of w·v over the support each attained once,
-    top_w(ab) = top_w(a)·top_w(b) makes every non-monomial factor map to a
-    nonconstant factor of h.  An irreducible h is squarefree, so an h that
-    Yun's split (`_dup_sqf_list`) shows is not is never factored.
-    Otherwise sympy's multivariate `factor_list` factors the piece.  Each
-    factor is classified here, as it is built: `essential` records
-    (e, P, m) for q(t^e) and None for a factor of the residual, which has
-    no factor in one essential variable.
+    other piece goes to sympy's multivariate `factor_list`.  Each factor
+    is classified here, as it is built: `essential` records (e, P, m) for
+    q(t^e) and None for a factor of the residual, which has no factor in
+    one essential variable.
     """
     def factor_dense(q):
         """The irreducible factors of q in Z[u] and their multiplicities."""
@@ -1258,6 +1181,15 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
 
         return [(tuple(map(int, reversed(r))), k) for r, k in
                 dup_factor_list([ZZ(x) for x in reversed(q)], ZZ)[1]]
+
+    def sqf_dense(q):
+        """The squarefree pieces of q in Z[u], each primitive with a
+        positive leading coefficient, and their multiplicities."""
+        from sympy.polys.domains import ZZ
+        from sympy.polys.sqfreetools import dup_sqf_list
+
+        return [(_dup_primitive(tuple(map(int, reversed(r)))), k) for r, k in
+                dup_sqf_list([ZZ(x) for x in reversed(q)], ZZ)[1]]
 
     if f.is_zero():
         raise LaurentError("cannot factor the zero polynomial")
@@ -1271,7 +1203,7 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     for p, e in contents:
         found = [(_phi_coeffs(m), k, m)
                  for m, k in _cyclotomic_exponents(p) or ()]
-        for piece, mult in () if found else _dup_sqf_list(p):
+        for piece, mult in () if found else sqf_dense(p):
             orders, q = _split_cyclotomic(piece)
             found += [(_phi_coeffs(m), mult, m) for m in orders]
             if len(q) > 1:
@@ -1280,27 +1212,22 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     piece = normalize(LaurentPoly(g.nvars, rest))
     while not piece.is_constant():
         tops = [max(col) for col in zip(*piece.terms)]
-        if 1 in tops:
-            i = tops.index(1)
-            a = {v[:i] + (0,) + v[i + 1:]: x
-                 for v, x in piece.terms.items() if v[i]}
-            b = {v: x for v, x in piece.terms.items() if not v[i]}
-            if not _coprime(a, b):
-                common = gcd_many([LaurentPoly(g.nvars, a),
-                                   LaurentPoly(g.nvars, b)])
-                parts.append((normalize(exact_div(piece, common)), 1, None))
-                piece = common
-                continue
-        elif not any(all(k == 1 for _, k in _dup_sqf_list(h))
-                     and [k for _, k in factor_dense(h)] == [1]
-                     for h in _images(piece.terms)):
+        if 1 not in tops:
             for p, mult in _to_ring(piece, "ZZ")[1].factor_list()[1]:
                 p = normalize(_from_ring(p, g.nvars))
                 if not p.is_constant():
                     parts.append((p, int(mult), None))
             break
-        parts.append((piece, 1, None))
-        break
+        i = tops.index(1)
+        a = {v[:i] + (0,) + v[i + 1:]: x
+             for v, x in piece.terms.items() if v[i]}
+        b = {v: x for v, x in piece.terms.items() if not v[i]}
+        if _coprime(a, b):
+            parts.append((piece, 1, None))
+            break
+        common = gcd_many([LaurentPoly(g.nvars, a), LaurentPoly(g.nvars, b)])
+        parts.append((normalize(exact_div(piece, common)), 1, None))
+        piece = common
     parts.sort(key=lambda t: (sorted(t[0].terms), sorted(t[0].terms.items())))
     out = FactoredPoly(c, tuple((f, mult) for f, mult, _ in parts),
                        tuple(record for _, _, record in parts))

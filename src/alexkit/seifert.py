@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Tuple
 
-from . import Frozen
+from . import MAX_DIGITS, Frozen
 from .cyclofield import Character
-from .laurent import (ComputationCapError, LaurentPoly, _divisors,
-                      _from_dense, _times_binomial, normalize)
+from .laurent import (_DIGITS_LIMIT, ComputationCapError, LaurentPoly,
+                      _divisors, _from_dense, _times_binomial, normalize)
 
 # the largest degree in u of a Seifert polynomial that is built: with
 # q ≤ 3, a `seifert` run at this degree takes under a second and 70 MB
@@ -44,10 +44,8 @@ class SpliceData(Frozen):
             raise SeifertError("q must satisfy 2 <= q <= n")
         if any(x < 1 for x in k):
             raise SeifertError("weights must be positive integers")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if math.gcd(k[i], k[j]) != 1:
-                    raise SeifertError("weights not pairwise coprime")
+        if math.lcm(*k) != math.prod(k):
+            raise SeifertError("weights not pairwise coprime")
         tail = sorted(k[q:], reverse=True)
         object.__setattr__(self, "weights", tuple(k[:q]) + tuple(tail))
         object.__setattr__(self, "q", q)
@@ -84,11 +82,13 @@ def seifert_delta(d: SpliceData) -> LaurentPoly:
     degree (q+s−2)·N' − Σ_j N'_j must be within `SEIFERT_DEGREE_CAP`,
     and q·(degree + 1) within `SEIFERT_OUTPUT_CAP`; each factor is then
     applied to 1 mod u^(degree+1)."""
-    q, s = d.q, d.s
-    divisors = [d.n_prime_j(j) for j in range(q, q + s)]
-    degree = (q + s - 2) * d.big_n_prime - sum(divisors)
+    q, s, big_n_prime = d.q, d.s, d.big_n_prime
+    divisors = [big_n_prime // k for k in d.weights[q:q + s]]
+    degree = (q + s - 2) * big_n_prime - sum(divisors)
     if degree > SEIFERT_DEGREE_CAP:
-        raise ComputationCapError(f"Seifert polynomial degree {degree} "
+        shown = degree if degree < _DIGITS_LIMIT else \
+            f"of more than {MAX_DIGITS} digits"
+        raise ComputationCapError(f"Seifert polynomial degree {shown} "
                                   f"exceeds cap {SEIFERT_DEGREE_CAP}")
     if q * (degree + 1) > SEIFERT_OUTPUT_CAP:
         raise ComputationCapError(

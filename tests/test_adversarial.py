@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import alexkit
+from alexkit.laurent import _nextprime
 
 # seconds; each input below ends in about a second or less
 WALL_BOUND = 10
@@ -87,3 +88,37 @@ def test_seifert_many_components_over_output_cap():
     assert proc.stderr.splitlines() == [
         "alexkit: cap exceeded: Seifert output size q·(degree + 1) = "
         "5996000 exceeds cap 300003"]
+
+
+def _first_primes(count):
+    primes = [2]
+    while len(primes) < count:
+        primes.append(_nextprime(primes[-1]))
+    return primes
+
+
+def test_seifert_thousands_of_prime_weights_over_degree_cap():
+    """Two unit components and the first 2000 primes: N′ has more than
+    4300 digits, so the degree is refused without being printed, and
+    neither the coprimality test nor N′ costs a pass over all pairs."""
+    weights = ",".join(map(str, [1, 1] + _first_primes(2000)))
+    proc, wall = _run_cli("seifert", "--weights", weights, "--q", "2")
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "alexkit: cap exceeded: Seifert polynomial degree of more than "
+        "4300 digits exceeds cap 100000"]
+
+
+def test_seifert_thousands_of_unit_weights():
+    """8000 unit weights, then 2 and 3, with two components: Δ has degree
+    7, and the weights are checked coprime by one lcm, not by 3.2·10⁷
+    pairwise gcds."""
+    weights = ",".join(["1"] * 8000 + ["2", "3"])
+    proc, wall = _run_cli("seifert", "--weights", weights, "--q", "2")
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["delta"] == ("t1^7*t2^7 + t1^5*t2^5 + t1^4*t2^4"
+                               " + t1^3*t2^3 + t1^2*t2^2 + 1")
+    assert len(report["weights"]) == 8002

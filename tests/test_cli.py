@@ -106,6 +106,20 @@ def test_exit_code_bad_weights(capsys):
     assert "coprime" in err
 
 
+@pytest.mark.parametrize("command", ["betti", "invariants"])
+def test_exit_code_matrix_of_full_rank_at_a_character(tmp_path, capsys,
+                                                      command):
+    """A matrix whose rank at a nontrivial character is its column count m
+    is no Alexander matrix, whose rank there is at most m − 1: refused,
+    not reported with b1 = −1."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["t"], "rows": [["t"], ["1"]]}))
+    code = main([command, "--matrix", str(path), "--char", "t=zeta5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "full rank" in captured.err
+
+
 def test_exit_code_missing_file(capsys):
     code = main(["invariants", "no-such-file.grp"])
     assert code == 2

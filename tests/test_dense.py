@@ -10,13 +10,11 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.galoistools import gf_from_int_poly, gf_gcdex
 from sympy.polys.specialpolys import dup_zz_cyclotomic_poly
-from sympy.polys.sqfreetools import dup_sqf_list
 
 from alexkit import laurent
 from alexkit.laurent import (_divisors, _dup_exquo, _dup_gcd, _dup_mul,
-                             _dup_primitive, _dup_prs_gcd, _dup_sqf_list,
-                             _dup_strip, _gf_inverse, _isprime, _nextprime,
-                             _phi_coeffs)
+                             _dup_primitive, _dup_prs_gcd, _dup_strip,
+                             _gf_inverse, _isprime, _nextprime, _phi_coeffs)
 
 
 def _down(f):
@@ -68,21 +66,6 @@ def test_gcd_fallback_matches_sympy(monkeypatch):
         if len(f) > 1 and len(g) > 1:
             assert _dup_prs_gcd(_dup_primitive(f), _dup_primitive(g)) == \
                 _dup_primitive(_dup_gcd(f, g))
-
-
-def test_yun_matches_sqf_list():
-    rng = random.Random(20261102)
-    for _ in range(300):
-        f = (rng.choice([1, -1, 3, -12]),)
-        for _ in range(rng.randint(1, 4)):
-            piece = _random_poly(rng, rng.randint(1, 4), 4)
-            if len(piece) > 1:
-                f = _product(f, *[piece] * rng.randint(1, 4))
-        if len(f) < 2:
-            continue
-        want = [(_dup_primitive(_up(p)), k)
-                for p, k in dup_sqf_list(_down(f), ZZ)[1]]
-        assert sorted(_dup_sqf_list(f)) == sorted(want), f
 
 
 def test_exact_division_matches_sympy_division():

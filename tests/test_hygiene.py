@@ -205,10 +205,26 @@ def test_fresh_run_never_loads_sympy(tmp_path, name):
     assert proc.stdout == json.dumps(expected, sort_keys=True) + "\n"
 
 
+def _definitions(tree):
+    """(name, node) of each top-level function and class, and of each name
+    that a top-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                           ast.Name):
+            yield node.target.id, node
+
+
 def test_public_names_unused_in_the_package():
-    """The public top-level functions and classes that no code in the
+    """The public top-level functions and classes, and the private
+    top-level functions, classes and constants, that no code in the
     package loads outside their own definition: the library functions
-    without a CLI entry that the README lists, and nothing else."""
+    without a CLI entry that the README lists, and no private helper."""
     modules = dict(_modules())
     imported = {(node.module or "__init__", alias.name)
                 for tree in modules.values() for node in ast.walk(tree)
@@ -217,18 +233,17 @@ def test_public_names_unused_in_the_package():
     unused = set()
     for name, tree in modules.items():
         stem = name[:-3]
-        for definition in tree.body:
-            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)) \
-                    or definition.name.startswith("_"):
+        for defined, definition in _definitions(tree):
+            if defined.startswith("__") or not defined.startswith("_") \
+                    and isinstance(definition, (ast.Assign, ast.AnnAssign)):
                 continue
-            public = definition.name
             inside = {id(node) for node in ast.walk(definition)}
-            loaded = any(isinstance(node, ast.Name) and node.id == public
+            loaded = any(isinstance(node, ast.Name) and node.id == defined
                          and isinstance(node.ctx, ast.Load)
                          and id(node) not in inside
                          for node in ast.walk(tree))
-            if not loaded and (stem, public) not in imported:
-                unused.add(f"{stem}.{public}")
+            if not loaded and (stem, defined) not in imported:
+                unused.add(f"{stem}.{defined}")
     assert unused == {
         "alexander.generic_rank_mod", "cyclofield.cyclotomic_poly",
         "jumploci.monodromy_analysis", "jumploci.semisimple_equality_report",

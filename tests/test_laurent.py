@@ -6,9 +6,9 @@ import pytest
 from alexkit import laurent
 from alexkit.alexander import alexander_poly, fox_matrix
 from alexkit.laurent import (ComputationCapError, LaurentError, LaurentPoly,
-                             associates, divides, exact_div, factor_poly,
-                             gcd_many, multiplicity, normalize, parse_poly,
-                             vanishing_order)
+                             PolyParseError, associates, divides, exact_div,
+                             factor_poly, gcd_many, multiplicity, normalize,
+                             parse_poly, vanishing_order)
 
 from alexkit.presentation import parse_presentation
 
@@ -185,6 +185,23 @@ def test_parse_errors():
         parse_poly("q1", T3)
 
 
+@pytest.mark.parametrize("text,outcome", [
+    ("(t+1)^-1", PolyParseError),
+    ("(2*t)^-1", LaurentError),
+    ("(-t)^-2", LaurentPoly.var(1, 0, -2)),
+])
+def test_parse_negative_powers(text, outcome):
+    """A negative power of a non-monomial is refused by the parser, one of
+    a monomial that is not a unit by the arithmetic (a `LaurentError` that
+    is no `PolyParseError`), and one of a unit monomial is its inverse."""
+    if isinstance(outcome, LaurentPoly):
+        assert P(text, T1) == outcome
+    else:
+        with pytest.raises(outcome) as info:
+            P(text, T1)
+        assert type(info.value) is outcome
+
+
 def test_factor_poly_reassembles():
     f = P("(x2-1)*(x1*x2+1)^2*(x2*x3+1)^2", ("x1", "x2", "x3"))
     fp = factor_poly(f)
@@ -194,14 +211,15 @@ def test_factor_poly_reassembles():
 
 
 def test_factor_poly_repeated_residual_factors(monkeypatch):
-    """A residual with repeated factors has no squarefree image, so none
-    can certify it: no image is factored, and factor_list splits it."""
+    """A residual with repeated factors and no variable of degree one goes
+    to sympy's multivariate factor_list alone: no one-variable polynomial
+    is factored."""
     import sympy.polys.factortools as factortools
 
-    def no_image(*args):
-        raise AssertionError("an image that is not squarefree was factored")
+    def no_dense(*args):
+        raise AssertionError("a one-variable polynomial was factored")
 
-    monkeypatch.setattr(factortools, "dup_factor_list", no_image)
+    monkeypatch.setattr(factortools, "dup_factor_list", no_dense)
     f = P("(t1*t2 + t3 - 2)^3*(t1 - t2*t3 + 3)^2")
     fp = factor_poly(f)
     assert fp.constant == 1
@@ -223,7 +241,6 @@ def test_factor_poly_splits_linear_residual_without_factoring(monkeypatch):
 
     monkeypatch.setattr(factortools, "dup_factor_list", no_factoring)
     monkeypatch.setattr(PolyElement, "factor_list", no_factoring)
-    monkeypatch.setattr(laurent, "_images", no_factoring)
     a, b = P("t1*t2 + t3 - 2"), P("t2*t3^2 + 3*t2 - t3")
     fp = factor_poly(a * b)
     assert fp.constant == 1
@@ -240,7 +257,9 @@ def test_factor_poly_reads_cyclotomic_delta_off_its_exponents(monkeypatch):
     """Δ of the torus knot T(7, 11) is Φ_77, and (t^80 − 1)/(t − 1) is the
     product of the Φ_d, 1 < d | 80: both are read off their exponent
     sequences, with no squarefree split and no gcd closure."""
-    monkeypatch.setattr(laurent, "_dup_sqf_list", _no_split)
+    import sympy.polys.sqfreetools as sqfreetools
+
+    monkeypatch.setattr(sqfreetools, "dup_sqf_list", _no_split)
     monkeypatch.setattr(laurent, "_cyclotomic_parts", _no_split)
     knot = parse_presentation("gens: x y\nrel: x^7 y^-11\n")
     fp = factor_poly(alexander_poly(fox_matrix(knot)))
@@ -265,23 +284,6 @@ def test_factor_poly_reassembly_check_refuses_a_wrong_factorization(
               P("(t1*t2)^10 + (t1*t2)^5 + 1", ("t1", "t2"))):
         with pytest.raises(LaurentError, match="reassemble"):
             factor_poly(f)
-
-
-def test_factor_poly_certifies_irreducible_residual_by_an_image(monkeypatch):
-    """A residual piece of degree two in each variable with an irreducible
-    image is certified by `_images`: sympy's multivariate factor_list
-    never runs."""
-    from sympy.polys.rings import PolyElement
-
-    def no_factor_list(*args):
-        raise AssertionError("an image-certified piece was factored")
-
-    monkeypatch.setattr(PolyElement, "factor_list", no_factor_list)
-    f = P("t1^2*t2^2 + t1^2 + 3*t2^2 + 5", ("t1", "t2"))
-    fp = factor_poly(f)
-    assert fp.constant == 1
-    assert fp.factors == ((f, 1),)
-    assert fp.essential == (None,)
 
 
 def test_factor_poly_content():
