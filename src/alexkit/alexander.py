@@ -13,14 +13,19 @@ import operator
 import re
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from . import MAX_DIGITS
 from .cyclofield import Character, evaluate
 from .intlinalg import AbelianStructure, abelianization
-from .laurent import (ComputationCapError, LaurentPoly, default_names, divides,
-                      exact_div, exact_div_binomial, gcd_many, normalize,
-                      parse_poly, vanishing_order)
+from .laurent import (_DIGITS_LIMIT, ComputationCapError, LaurentPoly,
+                      default_names, divides, exact_div, exact_div_binomial,
+                      gcd_many, normalize, parse_poly, vanishing_order)
 from .presentation import GroupPresentation, Word
 
 MINOR_MATRIX_CAP = 8
+# the largest word length Σ|e| over all relators that `fox_matrix` expands,
+# one term per unit of exponent: a fresh `invariants` on a^(10^5) takes
+# 0.26 s on a 2-core x86_64 container, and a^(10^8) took 7.6 GB
+FOX_WORD_CAP = 100_000
 
 
 class AlexanderError(ValueError):
@@ -106,7 +111,13 @@ def _substitute_monomials(f: LaurentPoly,
 def fox_matrix(p: GroupPresentation) -> AlexanderMatrix:
     """The Alexander matrix of a presentation over the torsion-free quotient;
     when its projection is the identity, the generator rows are the
-    entries."""
+    entries.  The relators' word length must be within `FOX_WORD_CAP`."""
+    length = sum(abs(e) for r in p.relators for _, e in r.letters)
+    if length > FOX_WORD_CAP:
+        shown = length if length < _DIGITS_LIMIT else \
+            f"of more than {MAX_DIGITS} digits"
+        raise ComputationCapError(f"Fox word length {shown} exceeds cap "
+                                  f"{FOX_WORD_CAP}")
     ab = abelianization(p)
     m = p.num_generators
     gen_rows = [_fox_row(r, m) for r in p.relators]

@@ -15,8 +15,8 @@ import sys
 from .alexander import (AlexanderError, alexander_poly, fox_matrix,
                         load_matrix)
 from .cyclofield import CycloError, parse_character
-from .jumploci import (JumpLociError, almost_principal_of, bounds_report,
-                       twisted_betti)
+from .jumploci import (JumpLociError, almost_principal_status,
+                       bounds_report, twisted_betti)
 from .laurent import (ComputationCapError, FactoredPoly, LaurentError,
                       default_names, factor_poly)
 from .obstruct import ObstructError, qp_verdict
@@ -108,7 +108,7 @@ def cmd_invariants(args) -> int:
         report["torsion"] = None
         report["warnings"].append(
             "matrix-mode input: Fox identity not verified")
-    ap = almost_principal_of(mat, args.assert_almost_principal)
+    ap = almost_principal_status(mat, args.assert_almost_principal)
     delta = alexander_poly(mat, 1)
     if delta.is_zero():
         factored = report["delta"] = report["factored"] = None
@@ -137,7 +137,7 @@ def cmd_betti(args) -> int:
         delta = alexander_poly(mat, 1)
         if not delta.is_zero():
             factored = factor_poly(delta)
-            ap = almost_principal_of(mat, args.assert_almost_principal)
+            ap = almost_principal_status(mat, args.assert_almost_principal)
     report: dict = {"input": echo, "char": args.char,
                     **_character_report(mat, chi, factored, ap)}
     if args.depth is not None:

@@ -14,10 +14,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .alexander import (AlexanderMatrix, elementary_divisor_exponents,
                         evaluate_matrix, univariate_invariant_factors)
 from .cyclofield import Character, rank_over_field
-from .intlinalg import (abelianization, induced_torus_point,
-                        validate_character)
+from .intlinalg import induced_torus_point, validate_character
 from .laurent import FactoredPoly, LaurentPoly, factor_poly, vanishing_order
-from .presentation import GroupPresentation
 
 
 class JumpLociError(ValueError):
@@ -49,8 +47,6 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
                             f"{mat.num_vars} variables")
     if rho.is_trivial():
         return mat.num_vars
-    if mat.num_rows == 0:
-        return mat.num_cols - 1
     drop = None
     if mat.presentation is not None:
         drop = next(j for j, (q, k) in enumerate(zip(rho.scales, rho.exps))
@@ -66,32 +62,20 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
 APStatus = Tuple[str, Optional[str]]  # ("Yes"|"Unknown", reason)
 
 
-def almost_principal_status(p: GroupPresentation,
-                            asserted: Optional[str] = None,
-                            rank: Optional[int] = None) -> APStatus:
-    """Sufficient conditions for the first elementary ideal to be almost
-    principal; Unknown when none applies.  `rank`, the rank of G_ab, is
-    computed when it is not given."""
-    if rank is None:
-        rank = abelianization(p).rank
-    if rank == 1:
-        return ("Yes", "b1=1")
-    if p.num_generators - p.num_relators >= 1:
-        return ("Yes", "deficiency>0")
+def almost_principal_status(mat: AlexanderMatrix,
+                            asserted: Optional[str] = None) -> APStatus:
+    """Sufficient conditions for the first elementary ideal of mat to be
+    almost principal: b1 = 1 or positive deficiency of its presentation,
+    else what was asserted; Unknown when none applies."""
+    p = mat.presentation
+    if p is not None:
+        if mat.abelian.rank == 1:
+            return ("Yes", "b1=1")
+        if p.num_generators - p.num_relators >= 1:
+            return ("Yes", "deficiency>0")
     if asserted:
         return ("Yes", f"user-asserted: {asserted}")
     return ("Unknown", None)
-
-
-def almost_principal_of(mat: AlexanderMatrix,
-                        asserted: Optional[str] = None) -> APStatus:
-    """The almost-principal status of mat: from its presentation, or only
-    what was asserted for a matrix given directly."""
-    if mat.presentation is not None:
-        return almost_principal_status(mat.presentation, asserted,
-                                       mat.abelian.rank)
-    return ("Yes", f"user-asserted: {asserted}") if asserted \
-        else ("Unknown", None)
 
 
 class BettiReport(NamedTuple):
@@ -134,7 +118,7 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
     point = induced_torus_point(mat.abelian, rho) \
         if mat.presentation is not None else rho
     if almost_principal is None:
-        almost_principal = almost_principal_of(mat)
+        almost_principal = almost_principal_status(mat)
     if point is None:
         # off the identity component: vanishing orders do not apply
         return BettiReport(rho, b1, None, None, almost_principal, False)
@@ -175,7 +159,6 @@ class RootEquality(NamedTuple):
     mu: int
     b1: int
     equality: bool
-    all_ek_zero_above_1: bool
 
 
 def semisimple_equality_report(mat: AlexanderMatrix,
@@ -212,8 +195,7 @@ def semisimple_equality_report(mat: AlexanderMatrix,
                 raise JumpLociError(
                     "twisted rank disagrees with invariant factors "
                     "(internal bug)")
-        out.append(RootEquality(f.render(("t",)), root, mu, b1, equality,
-                                all_simple))
+        out.append(RootEquality(f.render(("t",)), root, mu, b1, equality))
     return out
 
 
@@ -289,6 +271,5 @@ def monodromy_analysis(h: Sequence[Sequence[int]]) -> MonodromyReport:
         if not equality:
             semisimple = False
         equalities.append(RootEquality(
-            f.render(("t",)), _factor_root(record), mu, geometric, equality,
-            equality))
+            f.render(("t",)), _factor_root(record), mu, geometric, equality))
     return MonodromyReport(delta, factored, semisimple, equalities)

@@ -28,7 +28,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import MAX_DIGITS, has_long_number
@@ -578,28 +578,18 @@ def _phi_coeffs(n: int) -> Tuple[int, ...]:
     """The integer coefficients of the cyclotomic polynomial Φ_n, n ≥ 1,
     in ascending degree.
 
-    For the radical r of n, Φ_r = Π_{d | r} (u^d − 1)^μ(r/d): each factor
-    u^d − 1 is a shift and a subtraction, each division by one a running
-    sum with stride d.  Then Φ_n(u) = Φ_r(u^(n/r)).
+    For the radical r > 1 of n, Φ_r = Π_{d | r} (1 − u^d)^μ(r/d), a
+    polynomial of degree φ(r), so `_times_binomial` builds it mod
+    u^(φ(r)+1).  Then Φ_n(u) = Φ_r(u^(n/r)).
     """
+    if n == 1:
+        return (-1, 1)
     primes = list(_factorize(n))
     r = math.prod(primes)
-
-    def orders(parity):
-        """The d | r with μ(r/d) = (−1)^parity."""
-        return [r // math.prod(chosen)
-                for j in range(parity, len(primes) + 1, 2)
-                for chosen in itertools.combinations(primes, j)]
-
-    f = [1]
-    for d in orders(0):
-        f = [b - a for a, b in
-             itertools.zip_longest(f, [0] * d + f, fillvalue=0)]
-    for d in orders(1):
-        q = [0] * (len(f) - d)
-        for i in range(len(q)):
-            q[i] = (q[i - d] if i >= d else 0) - f[i]
-        f = q
+    f = [1] + [0] * math.prod(p - 1 for p in primes)
+    for j in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, j):
+            _times_binomial(f, r // math.prod(chosen), (-1) ** j)
     out = [0] * ((len(f) - 1) * (n // r) + 1)
     out[::n // r] = f
     return tuple(out)
@@ -711,33 +701,22 @@ def exact_div_binomial(f: LaurentPoly,
                        v: Sequence[int]) -> Optional[LaurentPoly]:
     """f / (t^v − 1) when t^v − 1 divides f; None otherwise.  v ≠ 0.
 
-    The terms of f fall into lines e + Z·v.  Along one line the quotient's
-    coefficient at e + k·v is minus the running sum of f's coefficients
-    up to e + k·v, and the division is exact iff every line sums to 0.
+    The terms of f fall into lines e + Z·v (`_fibers`).  Along one line
+    the quotient's coefficient at e + k·v is minus the running sum of f's
+    coefficients up to e + k·v, and the division is exact iff every line
+    sums to 0.
     """
     v = tuple(v)
     if len(v) != f.nvars:
         raise LaurentError("exponent vector has wrong length")
-    i = next((i for i, x in enumerate(v) if x), None)
-    if i is None:
+    if not any(v):
         raise LaurentError("division by zero polynomial")
-    lines: dict = {}
-    for exp, c in f.terms.items():
-        k = exp[i] // v[i]
-        base = tuple(e - k * x for e, x in zip(exp, v))
-        lines.setdefault(base, {})[k] = c
-    out = {}
-    for base, coeffs in lines.items():
-        ks = sorted(coeffs)
-        running = 0
-        for k, k_next in zip(ks, ks[1:]):
-            running += coeffs[k]
-            if running:
-                for p in range(k, k_next):
-                    out[tuple(b + p * x for b, x in zip(base, v))] = -running
-        if running + coeffs[ks[-1]]:
-            return None
-    return LaurentPoly(f.nvars, out)
+    fibers = _fibers(f.terms, v)
+    if any(map(sum, fibers.values())):
+        return None
+    return LaurentPoly(f.nvars, _unfibers(
+        {key: [-x for x in itertools.accumulate(s[:-1])]
+         for key, s in fibers.items()}, v))
 
 
 def divides(f: LaurentPoly, g: LaurentPoly) -> bool:
@@ -1036,6 +1015,30 @@ def _directions(base: tuple, points: Sequence[tuple]) -> list:
     return list(out)
 
 
+def _fibers(terms: dict, e: tuple) -> dict:
+    """The lines of the terms {v: c_v} along e ≠ 0, as {(base, low):
+    [c_low, ..., c_high]} with c_k the coefficient at base + k·e: base is
+    the line's point with 0 ≤ base_i/e_i < 1 for the first i with
+    e_i ≠ 0, and c_low and c_high are nonzero.  `_unfibers` inverts it."""
+    i = next(j for j, x in enumerate(e) if x)
+    lines: dict = {}
+    for v, c in terms.items():
+        k = v[i] // e[i]
+        lines.setdefault(tuple([x - k * y for x, y in zip(v, e)]), {})[k] = c
+    out = {}
+    for base, line in lines.items():
+        low = min(line)
+        out[base, low] = [line.get(k, 0) for k in range(low, max(line) + 1)]
+    return out
+
+
+def _unfibers(fibers: dict, e: tuple) -> dict:
+    """The terms {v: c} with c ≠ 0 that the lines `fibers` along e hold."""
+    return {tuple([x + k * y for x, y in zip(base, e)]): c
+            for (base, low), line in fibers.items()
+            for k, c in enumerate(line, low) if c}
+
+
 def _split_directions(terms: dict) -> tuple:
     """([(P, e)], rest) with Σ c_v t^v ≐ rest · Π P(t^e), for the terms
     {v: c_v} of a primitive non-monomial: e runs over primitive directions,
@@ -1043,14 +1046,15 @@ def _split_directions(terms: dict) -> tuple:
     the largest with P(t^e) dividing, and rest, a dict of terms, has no
     factor in one essential variable.
 
-    Write f = Σ_ℓ t^ℓ·c_ℓ(t^e), ℓ over the cosets of Z·e: P(t^e) divides f
-    iff P divides every fiber c_ℓ, so the largest such P is gcd_ℓ c_ℓ.  A
-    non-monomial P times anything has two terms or more, so then each fiber
-    has, and the fiber through any v₀ ∈ supp f makes e = prim(v − v₀) for
-    some other v ∈ supp f (`_directions`): the directions from the first
-    point are kept only where they are directions from the least and the
-    greatest point too.  A divisor of rest divides f, so each such e is
-    tried once.  A collinear f is the case P ≐ f.
+    Write f = Σ_ℓ t^ℓ·c_ℓ(t^e), ℓ over the cosets of Z·e (`_fibers`):
+    P(t^e) divides f iff P divides every fiber c_ℓ, so the largest such P
+    is gcd_ℓ c_ℓ.  A non-monomial P times anything has two terms or more,
+    so then each fiber has, and the fiber through any v₀ ∈ supp f makes
+    e = prim(v − v₀) for some other v ∈ supp f (`_directions`): the
+    directions from the first point are kept only where they are
+    directions from the least and the greatest point too.  A divisor of
+    rest divides f, so each such e is tried once.  A collinear f is the
+    case P ≐ f.
     """
     points = list(terms)
     directions = _directions(points[0], points)
@@ -1060,27 +1064,15 @@ def _split_directions(terms: dict) -> tuple:
             directions = [e for e in directions if e in found]
     contents = []
     for e in directions:
-        i = next(j for j, x in enumerate(e) if x)
-        fibers: dict = {}
-        for v, c in terms.items():
-            k = v[i] // e[i]
-            fibers.setdefault(tuple(x - k * y for x, y in zip(v, e)),
-                              {})[k] = c
-        if any(len(fiber) < 2 for fiber in fibers.values()):
+        fibers = _fibers(terms, e)
+        if any(len(s) < 2 for s in fibers.values()):
             continue
-        dense, p = {}, None
-        for ell, fiber in fibers.items():
-            low = min(fiber)
-            q = dense[ell, low] = tuple(
-                fiber.get(k, 0) for k in range(low, max(fiber) + 1))
-            p = q if p is None else _dup_gcd(p, q)
+        p = reduce(_dup_gcd, fibers.values())
         if len(p) == 1:
             continue
-        p, terms = _dup_primitive(p), {}
-        for (ell, low), q in dense.items():
-            for k, c in enumerate(_dup_exquo(q, p), low):
-                if c:
-                    terms[tuple(x + k * y for x, y in zip(ell, e))] = c
+        p = _dup_primitive(p)
+        terms = _unfibers({key: _dup_exquo(s, p)
+                           for key, s in fibers.items()}, e)
         contents.append((p, e))
     return contents, terms
 

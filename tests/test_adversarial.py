@@ -3,10 +3,13 @@ must end with the stated exit code within a wall-time bound."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import alexkit
 from alexkit.laurent import _nextprime
@@ -15,14 +18,23 @@ from alexkit.laurent import _nextprime
 WALL_BOUND = 10
 
 
-def _run_cli(*argv):
+# bytes of address space for a child that must be refused from its input
+# alone, so that a regression fails its test rather than fill the memory
+MEMORY_BOUND = 1 << 30
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BOUND, MEMORY_BOUND))
+
+
+def _run_cli(*argv, preexec_fn=None):
     """(`python -m alexkit.cli` in a fresh interpreter, its wall time)."""
     src = str(Path(alexkit.__file__).resolve().parent.parent)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "alexkit.cli", *argv],
         capture_output=True, text=True, timeout=2 * WALL_BOUND,
-        env=dict(os.environ, PYTHONPATH=src))
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=preexec_fn)
     return proc, time.perf_counter() - start
 
 
@@ -122,3 +134,26 @@ def test_seifert_thousands_of_unit_weights():
     assert report["delta"] == ("t1^7*t2^7 + t1^5*t2^5 + t1^4*t2^4"
                                " + t1^3*t2^3 + t1^2*t2^2 + 1")
     assert len(report["weights"]) == 8002
+
+
+# a 4300-digit exponent, the longest the parser takes
+_LONG = "9" * 4300
+
+
+@pytest.mark.parametrize("relators,message", [
+    ("rel: a^100000000", "Fox word length 100000000 exceeds cap 100000"),
+    ("rel: a^1000000 b a^-1000000 b^-1",
+     "Fox word length 2000002 exceeds cap 100000"),
+    (f"rel: a^{_LONG} b^{_LONG}",
+     "Fox word length of more than 4300 digits exceeds cap 100000"),
+], ids=["power-1e8", "commutator-1e6", "4300-digits"])
+def test_invariants_over_fox_word_cap(tmp_path, relators, message):
+    """A relator expands to one Fox term per unit of exponent: a word
+    length over `FOX_WORD_CAP` is refused from the presentation, before
+    any term exists, and a length too long to print is not printed."""
+    path = tmp_path / "g.grp"
+    path.write_text(f"gens: a b\n{relators}\n")
+    proc, wall = _run_cli("invariants", str(path), preexec_fn=_limit_memory)
+    assert wall < 2
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [f"alexkit: cap exceeded: {message}"]

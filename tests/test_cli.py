@@ -132,6 +132,85 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+# (input kind, text, the one stderr line): presentation files, matrix
+# entries given to `parse_poly`, a matrix JSON and Seifert weights
+PARSER_REFUSALS = {
+    "rel-before-gens": ("grp", "rel: a\ngens: a\n",
+                        "line 1, column 1: rel: before gens:"),
+    "missing-gens": ("grp", "# nothing\n",
+                     "line 1, column 1: missing gens: line"),
+    "second-gens": ("grp", "gens: a\ngens: b\n",
+                    "line 2, column 1: duplicate gens: line"),
+    "bad-generator-name": ("grp", "gens: 1a\n",
+                           "line 1, column 7: bad generator name '1a'"),
+    "bad-letter": ("grp", "gens: a\nrel: a^\n",
+                   "line 2, column 6: bad letter 'a^'"),
+    "zero-exponent": ("grp", "gens: a\nrel: a^0\n",
+                      "line 2, column 6: zero exponent on 'a'"),
+    "unrecognized-line": ("grp", "gens: a\nrelator: a\n",
+                          "line 2, column 1: unrecognized line 'relator: a'"),
+    "bad-token": ("entry", "t $ 1", "bad token at position 1: ' $ 1'"),
+    "exponent-not-integer": ("entry", "t^x", "expected integer exponent"),
+    "missing-parenthesis": ("entry", "(t+1", "missing closing parenthesis"),
+    "unexpected-end": ("entry", "t+", "unexpected end of expression"),
+    "nested-too-deeply": ("entry", "(" * 5000 + "t" + ")" * 5000,
+                          "expression nested too deeply"),
+    "trailing-tokens": ("entry", "t )", "trailing tokens: [')']"),
+    "matrix-without-rows": ("json", '{"vars": ["t"]}',
+                            'matrix JSON needs "vars" and "rows"'),
+    "bad-weights": ("weights", "2,x,5", "bad weights '2,x,5'"),
+}
+
+
+@pytest.mark.parametrize("name", PARSER_REFUSALS)
+def test_exit_code_parser_refusals(tmp_path, capsys, name):
+    """Each refusal of the presentation, polynomial, matrix JSON and
+    weights parsers exits 2 with one line on stderr."""
+    kind, text, message = PARSER_REFUSALS[name]
+    path = tmp_path / "input"
+    path.write_text(json.dumps({"vars": ["t"], "rows": [[text]]})
+                    if kind == "entry" else text)
+    argv = {"grp": ["invariants", str(path)],
+            "weights": ["seifert", "--weights", text, "--q", "1"]}.get(
+                kind, ["invariants", "--matrix", str(path)])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"alexkit: {message}\n"
+
+
+def test_unary_minus_after_times(tmp_path, capsys):
+    """`2*-t` is −2t: the one input that reaches the unary minus of an
+    atom."""
+    assert parse_poly("2*-t", ("t",)) == LaurentPoly(1, {(1,): -2})
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["t"], "rows": [["2*-t"]]}))
+    code, report = run(capsys, "invariants", "--matrix", str(path))
+    assert code == 0
+    assert report["input"]["rows"] == [["-2*t"]]
+
+
+@pytest.mark.parametrize("chars", [[], ["a=-1,b=1", "a=1,b=1"]],
+                         ids=["plain", "characters"])
+def test_invariants_zero_delta(tmp_path, capsys, chars):
+    """A free group has Δ = 0: no polynomial, no factors, a consistent
+    verdict, and per character only its rank."""
+    free = tmp_path / "free.grp"
+    free.write_text("gens: a b\n")
+    code, report = run(capsys, "invariants", str(free),
+                       *(arg for c in chars for arg in ("--char", c)))
+    assert code == 0
+    assert report["delta"] is None and report["factored"] is None
+    assert report["qp"] == {"verdict": "CONSISTENT",
+                            "reason": "zero polynomial imposes no condition"}
+    if chars:
+        assert report["characters"] == {
+            "a=-1,b=1": {"b1": 1, "note": "zero delta: bounds unavailable"},
+            "a=1,b=1": {"b1": 2, "note": "trivial character: full rank"}}
+    else:
+        assert "characters" not in report
+
+
 def test_exit_code_cap_exceeded(tmp_path, capsys):
     grid = {"vars": ["t"], "rows": [["t"] * 9 for _ in range(9)]}
     big = tmp_path / "big.json"
@@ -307,7 +386,7 @@ def test_one_abelianization_per_run(monkeypatch, capsys, argv):
     """The Smith form of the exponent matrix is taken once, by
     `fox_matrix`; the almost-principal status reads its rank off the
     matrix."""
-    from alexkit import alexander, intlinalg, jumploci
+    from alexkit import alexander, intlinalg
     calls = []
 
     def counted(p):
@@ -315,7 +394,6 @@ def test_one_abelianization_per_run(monkeypatch, capsys, argv):
         return intlinalg.abelianization(p)
 
     monkeypatch.setattr(alexander, "abelianization", counted)
-    monkeypatch.setattr(jumploci, "abelianization", counted)
     code, report = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1

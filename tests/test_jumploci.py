@@ -1,7 +1,7 @@
 import pytest
 
 from alexkit import jumploci
-from alexkit.alexander import alexander_poly, load_matrix
+from alexkit.alexander import alexander_poly, fox_matrix, load_matrix
 from alexkit.jumploci import (BoundInconsistencyError, JumpLociError,
                               almost_principal_status, bounds_report,
                               monodromy_analysis,
@@ -46,15 +46,20 @@ def test_cv_membership_pencil(pencil3):
 
 
 def test_almost_principal_status():
-    tb = load_presentation("torusbundle.grp")
+    tb = fox_matrix(load_presentation("torusbundle.grp"))
     assert almost_principal_status(tb) == ("Yes", "b1=1")
-    pencil = load_presentation("pencil3.grp")
+    pencil = fox_matrix(load_presentation("pencil3.grp"))
     assert almost_principal_status(pencil) == ("Yes", "deficiency>0")
-    balanced = parse_presentation(
-        "gens: x y\nrel: x y x^-1 y^-1\nrel: x y x^-1 y^-1\n")
+    balanced = fox_matrix(parse_presentation(
+        "gens: x y\nrel: x y x^-1 y^-1\nrel: x y x^-1 y^-1\n"))
     assert almost_principal_status(balanced)[0] == "Unknown"
     assert almost_principal_status(balanced, "link exterior") == \
         ("Yes", "user-asserted: link exterior")
+    # a matrix given directly has only what is asserted for it
+    direct = load_matrix_fixture("ex66.json")
+    assert almost_principal_status(direct) == ("Unknown", None)
+    assert almost_principal_status(direct, "fixture") == \
+        ("Yes", "user-asserted: fixture")
 
 
 def test_bounds_report_attained_pencil(pencil3):
@@ -127,7 +132,6 @@ def test_semisimple_report_example_612(torusbundle):
     assert entry.mu == 2
     assert entry.b1 == 1
     assert not entry.equality
-    assert not entry.all_ek_zero_above_1
 
 
 def test_semisimple_report_diagonal_blocks():

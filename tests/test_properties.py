@@ -25,8 +25,9 @@ from alexkit.laurent import (ComputationCapError, FactoredPoly,
                              _cyclotomic_exponents, _cyclotomic_parts,
                              _directions, _divisors, _dup_mul, _from_ring,
                              _invert_mod_prime, _isprime,
-                             _order_bound, _phi_coeffs, _split_cyclotomic,
-                             _split_directions, _to_dense, _to_ring,
+                             _fibers, _order_bound, _phi_coeffs,
+                             _split_cyclotomic, _split_directions, _to_dense,
+                             _to_ring, _unfibers,
                              associates, default_names, divides, exact_div,
                              exact_div_binomial, factor_poly, gcd_many,
                              multiplicity, normalize, parse_poly,
@@ -1306,8 +1307,7 @@ def _sympy_monodromy(h):
         if not equality:
             semisimple = False
         equalities.append(RootEquality(
-            f.render(("t",)), _factor_root(record), mu, geometric, equality,
-            equality))
+            f.render(("t",)), _factor_root(record), mu, geometric, equality))
     return MonodromyReport(delta, factored, semisimple, equalities)
 
 
@@ -1504,6 +1504,33 @@ def test_binomial_division_matches_exact_div():
     assert exact_div_binomial(parse_poly("t^4 - 1", ("t",)), (2,)) == \
         parse_poly("t^2 + 1", ("t",))
     assert exact_div_binomial(parse_poly("t^4 - 1", ("t",)), (3,)) is None
+
+
+def test_fibers_round_trip():
+    """`_fibers` cuts terms into lines along e, negative and non-primitive
+    e too, each with nonzero ends and every term on base + Z·e, and
+    `_unfibers` gives the terms back."""
+    rng = random.Random(20261019)
+    for _ in range(300):
+        n = rng.randrange(1, 4)
+        e = tuple(rng.randrange(-4, 5) for _ in range(n))
+        if not any(e):
+            continue
+        terms = {tuple(rng.randrange(-6, 7) for _ in range(n)):
+                 rng.choice([-3, -1, 1, 2, Fraction(1, 2)])
+                 for _ in range(rng.randrange(1, 12))}
+        fibers = _fibers(terms, e)
+        assert _unfibers(fibers, e) == terms
+        assert sum(map(len, fibers.values())) >= len(terms)
+        for (base, low), line in fibers.items():
+            assert line[0] and line[-1]
+            for k, c in enumerate(line, low):
+                v = tuple(b + k * x for b, x in zip(base, e))
+                assert terms.get(v, 0) == c
+    # a line of Fraction coefficients divides like one of ints
+    f = LaurentPoly(1, {(0,): Fraction(1, 2), (3,): Fraction(-1, 2)})
+    assert exact_div_binomial(f, (-3,)) == LaurentPoly(
+        1, {(3,): Fraction(1, 2)})
 
 
 def _cofactor_det(rows):

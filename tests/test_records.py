@@ -37,7 +37,7 @@ RECORDS = {
     "BettiReport": lambda: BettiReport(
         Character(3, (1,), (1,)), 1, 1, 1, ("Yes", None), True),
     "RootEquality": lambda: RootEquality(
-        "t + 1", Character(2, (1,), (1,)), 1, 1, True, True),
+        "t + 1", Character(2, (1,), (1,)), 1, 1, True),
     "MonodromyReport": lambda: monodromy_analysis([[0, -1], [1, 0]]),
     "DivisorComponent": lambda: DivisorComponent(root_order=6,
                                                  multiplicity=3),
