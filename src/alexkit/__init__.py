@@ -6,17 +6,60 @@ import re
 
 __version__ = "0.1.0"
 
+
+class AlexkitError(ValueError):
+    """An input that alexkit refuses: the CLI exits 2."""
+
+
+class ComputationCapError(RuntimeError):
+    """A configured desk-scale cap was exceeded: the CLI exits 3."""
+
+
+# -- caps: each is checked before the work it bounds is done ---------------
+
+# the most rows or columns of a matrix whose minors are expanded
+MINOR_MATRIX_CAP = 8
+# the largest conductor N of a character, whose values lie in Q(ζ_N)
+CONDUCTOR_CAP = 240
+# derivatives evaluated × terms that one `vanishing_order` may spend
+VANISHING_WORK_CAP = 200_000
+# the largest degree expanded densely: a relator word length Σ|e|, one Fox
+# term per unit of exponent, a Seifert Δ(u), and a coefficient list in one
+# variable (`invariants` on a^(10^5) takes 0.26 s on a 2-core x86_64)
+DEGREE_CAP = 100_000
+# the largest q·(degree + 1), the exponents a Seifert Δ's terms carry in
+# all: every q ≤ 3 within DEGREE_CAP passes
+SEIFERT_OUTPUT_CAP = 3 * (DEGREE_CAP + 1)
+
 # Python refuses to convert a string of more than 4300 digits to an int
 # (its default `sys.get_int_max_str_digits()`), with a ValueError, and to
 # print such an int; each parser refuses such a number first, with its own
-# error, and `LaurentPoly.render` refuses to print a computed one.
+# error, and `check_printable` refuses to print a computed one.
 MAX_DIGITS = 4300
 _LONG_NUMBER = re.compile(rf"\d{{{MAX_DIGITS + 1}}}")
+_DIGITS_LIMIT = 10 ** MAX_DIGITS  # the least of more than MAX_DIGITS digits
+
+
+def check(what: str, value: int, cap: int) -> None:
+    """ComputationCapError "<what> <value> exceeds cap <cap>" when value
+    passes cap; a value too long to print is given by its length."""
+    if value > cap:
+        shown = value if value < _DIGITS_LIMIT else \
+            f"of more than {MAX_DIGITS} digits"
+        raise ComputationCapError(f"{what} {shown} exceeds cap {cap}")
 
 
 def has_long_number(text: str) -> bool:
     """Whether `text` holds a run of more than MAX_DIGITS digits."""
     return len(text) > MAX_DIGITS and _LONG_NUMBER.search(text) is not None
+
+
+def check_printable(c) -> None:
+    """ComputationCapError when the rational c has more than MAX_DIGITS
+    digits, which Python refuses to print."""
+    if max(abs(c.numerator), c.denominator) >= _DIGITS_LIMIT:
+        raise ComputationCapError(f"a coefficient has more than {MAX_DIGITS} "
+                                  "digits, the limit for printing a number")
 
 
 class Frozen:

@@ -13,22 +13,16 @@ import operator
 import re
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from . import MAX_DIGITS
+from . import DEGREE_CAP, MINOR_MATRIX_CAP, AlexkitError, check
 from .cyclofield import Character, evaluate
 from .intlinalg import AbelianStructure, abelianization
-from .laurent import (_DIGITS_LIMIT, ComputationCapError, LaurentPoly,
-                      default_names, divides, exact_div, exact_div_binomial,
-                      gcd_many, normalize, parse_poly, vanishing_order)
+from .laurent import (LaurentPoly, default_names, divides, exact_div,
+                      exact_div_binomial, gcd_many, normalize, parse_poly,
+                      vanishing_order)
 from .presentation import GroupPresentation, Word
 
-MINOR_MATRIX_CAP = 8
-# the largest word length Σ|e| over all relators that `fox_matrix` expands,
-# one term per unit of exponent: a fresh `invariants` on a^(10^5) takes
-# 0.26 s on a 2-core x86_64 container, and a^(10^8) took 7.6 GB
-FOX_WORD_CAP = 100_000
 
-
-class AlexanderError(ValueError):
+class AlexanderError(AlexkitError):
     pass
 
 
@@ -111,13 +105,10 @@ def _substitute_monomials(f: LaurentPoly,
 def fox_matrix(p: GroupPresentation) -> AlexanderMatrix:
     """The Alexander matrix of a presentation over the torsion-free quotient;
     when its projection is the identity, the generator rows are the
-    entries.  The relators' word length must be within `FOX_WORD_CAP`."""
-    length = sum(abs(e) for r in p.relators for _, e in r.letters)
-    if length > FOX_WORD_CAP:
-        shown = length if length < _DIGITS_LIMIT else \
-            f"of more than {MAX_DIGITS} digits"
-        raise ComputationCapError(f"Fox word length {shown} exceeds cap "
-                                  f"{FOX_WORD_CAP}")
+    entries.  The relators' word length, one Fox term per unit of
+    exponent, must be within `DEGREE_CAP`."""
+    check("Fox word length",
+          sum(abs(e) for r in p.relators for _, e in r.letters), DEGREE_CAP)
     ab = abelianization(p)
     m = p.num_generators
     gen_rows = [_fox_row(r, m) for r in p.relators]
@@ -218,13 +209,6 @@ def _det(rows: List[List[LaurentPoly]], n: int) -> LaurentPoly:
                                     LaurentPoly.zero(n))
 
 
-def _check_minor_cap(mat: AlexanderMatrix) -> None:
-    h, m = mat.num_rows, mat.num_cols
-    if max(h, m) > MINOR_MATRIX_CAP:
-        raise ComputationCapError(
-            f"matrix size {h}x{m} exceeds minor cap {MINOR_MATRIX_CAP}")
-
-
 def elementary_ideal_minors(mat: AlexanderMatrix, i: int) -> List[LaurentPoly]:
     """Generators (all minors of size m−i) of the i-th elementary ideal.
 
@@ -239,7 +223,8 @@ def elementary_ideal_minors(mat: AlexanderMatrix, i: int) -> List[LaurentPoly]:
         return [LaurentPoly.one(n)]
     if size > mat.num_rows:
         return [LaurentPoly.zero(n)]
-    _check_minor_cap(mat)
+    check("matrix size (most rows or columns)",
+          max(mat.num_rows, mat.num_cols), MINOR_MATRIX_CAP)
     zero = LaurentPoly.zero(n)
     out = []
     for rsel in itertools.combinations(range(mat.num_rows), size):
@@ -270,7 +255,8 @@ def alexander_poly(mat: AlexanderMatrix, i: int = 1) -> LaurentPoly:
 
 def _fox_delta1(mat: AlexanderMatrix) -> LaurentPoly:
     """Δ₁ from one maximal minor per row subset (see alexander_poly)."""
-    _check_minor_cap(mat)
+    check("matrix size (most rows or columns)",
+          max(mat.num_rows, mat.num_cols), MINOR_MATRIX_CAP)
     n, m = mat.num_vars, mat.num_cols
     phi = list(zip(*mat.abelian.abf_projection))
     j = next(k for k in range(m) if any(phi[k]))

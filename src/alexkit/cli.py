@@ -12,24 +12,22 @@ import functools
 import json
 import sys
 
-from .alexander import (AlexanderError, alexander_poly, fox_matrix,
-                        load_matrix)
-from .cyclofield import CycloError, parse_character
-from .jumploci import (JumpLociError, almost_principal_status,
-                       bounds_report, twisted_betti)
-from .laurent import (ComputationCapError, FactoredPoly, LaurentError,
-                      default_names, factor_poly)
-from .obstruct import ObstructError, qp_verdict
-from .presentation import PresentationError, parse_presentation
-from .seifert import (SeifertError, SpliceData, seifert_delta,
-                      seifert_divisor, seifert_twisted_betti)
+from . import AlexkitError, ComputationCapError
+from .alexander import alexander_poly, fox_matrix, load_matrix
+from .cyclofield import parse_character
+from .jumploci import almost_principal_status, bounds_report, twisted_betti
+from .laurent import FactoredPoly, default_names, factor_poly
+from .obstruct import qp_verdict
+from .presentation import parse_presentation
+from .seifert import (SpliceData, seifert_delta, seifert_divisor,
+                      seifert_twisted_betti)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_CAP = 3
+EXIT_CAPPED = 3
 
 
-class InputError(ValueError):
+class InputError(AlexkitError):
     pass
 
 
@@ -223,10 +221,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ComputationCapError as exc:
         print(f"alexkit: cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (InputError, PresentationError, LaurentError, CycloError,
-            AlexanderError, JumpLociError, ObstructError,
-            SeifertError) as exc:
+        return EXIT_CAPPED
+    except AlexkitError as exc:
         print(f"alexkit: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

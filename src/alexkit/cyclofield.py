@@ -23,14 +23,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from . import MAX_DIGITS, Frozen, has_long_number
-from .laurent import (ComputationCapError, LaurentPoly, _dup_mul,
-                      _from_dense, _invert_mod_prime, _phi_coeffs, _rational)
+from . import (CONDUCTOR_CAP, MAX_DIGITS, AlexkitError, Frozen, check,
+               has_long_number)
+from .laurent import (LaurentPoly, _dup_mul, _from_dense, _invert_mod_prime,
+                      _phi_coeffs, _rational)
 
-CONDUCTOR_CAP = 240
 
-
-class CycloError(ValueError):
+class CycloError(AlexkitError):
     pass
 
 
@@ -68,13 +67,6 @@ def _cross(p: tuple, x: tuple, f: tuple, y: tuple, n: int) -> tuple:
                    n)
 
 
-def _check_conductor(n: int) -> None:
-    if n < 1:
-        raise CycloError("conductor must be positive")
-    if n > CONDUCTOR_CAP:
-        raise ComputationCapError(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
-
-
 # -- characters -------------------------------------------------------------
 
 
@@ -98,7 +90,9 @@ class Character(Frozen):
     def __init__(self, conductor: int,
                  scales: Tuple[Union[int, Fraction], ...],
                  exps: Tuple[int, ...]):
-        _check_conductor(conductor)
+        if conductor < 1:
+            raise CycloError("conductor must be positive")
+        check("conductor", conductor, CONDUCTOR_CAP)
         if len(scales) != len(exps):
             raise CycloError("character needs one scale per exponent")
         if any(q == 0 for q in scales):
@@ -186,7 +180,7 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
                 raise CycloError("order must be positive")
             g = math.gcd(n, k)
             order, k = n // g, k // g
-            _check_conductor(order)
+            check("conductor", order, CONDUCTOR_CAP)
         scale = math.prod(Fraction(x) if "/" in x else int(x)
                           for x in m.group("mult", "rat") if x)
         assignments[name] = (scale, order, k)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from . import AlexkitError
 from .alexander import (AlexanderMatrix, elementary_divisor_exponents,
                         evaluate_matrix, univariate_invariant_factors)
 from .cyclofield import Character, rank_over_field
@@ -18,7 +19,7 @@ from .intlinalg import induced_torus_point, validate_character
 from .laurent import FactoredPoly, LaurentPoly, factor_poly, vanishing_order
 
 
-class JumpLociError(ValueError):
+class JumpLociError(AlexkitError):
     pass
 
 

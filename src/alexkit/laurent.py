@@ -31,20 +31,12 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from . import MAX_DIGITS, has_long_number
-
-# derivatives evaluated × terms that one `vanishing_order` may spend
-VANISHING_WORK_CAP = 200_000
-# the least number of more than MAX_DIGITS digits, which `str` refuses
-_DIGITS_LIMIT = 10 ** MAX_DIGITS
+from . import (DEGREE_CAP, MAX_DIGITS, VANISHING_WORK_CAP, AlexkitError,
+               check, check_printable, has_long_number)
 
 
-class LaurentError(ValueError):
+class LaurentError(AlexkitError):
     pass
-
-
-class ComputationCapError(RuntimeError):
-    """A configured desk-scale cap was exceeded."""
 
 
 def _rational(c):
@@ -242,10 +234,7 @@ class LaurentPoly:
                 elif e != 0:
                     factors.append(f"{name}^{e}")
             mag = abs(c)
-            if max(mag.numerator, mag.denominator) >= _DIGITS_LIMIT:
-                raise ComputationCapError(
-                    f"a coefficient has more than {MAX_DIGITS} digits, "
-                    f"the limit for printing a number")
+            check_printable(mag)
             if not factors:
                 body = str(mag)
             elif mag == 1:
@@ -319,13 +308,14 @@ def _from_ring(p, nvars: int, shift: Optional[Sequence[int]] = None
 def _to_dense(f: LaurentPoly) -> Tuple[int, ...]:
     """The coefficients of a nonzero univariate f with integer coefficients
     and no negative exponent, as `normalize` returns it; LaurentError on
-    any other f."""
+    any other f, and a cap error for a degree past DEGREE_CAP."""
     terms = f.terms
     if (not terms or min(e for (e,) in terms) < 0
             or any(c.denominator != 1 for c in terms.values())):
         raise LaurentError("expected a nonzero polynomial in Z[u]")
-    return tuple(terms.get((k,), 0)
-                 for k in range(max(e for (e,) in terms) + 1))
+    top = max(e for (e,) in terms)
+    check("dense degree", top, DEGREE_CAP)
+    return tuple(terms.get((k,), 0) for k in range(top + 1))
 
 
 def _from_dense(q: Sequence[int], e: Sequence[int]) -> LaurentPoly:
@@ -807,10 +797,8 @@ def vanishing_order(f: LaurentPoly, point: "Character") -> int:
         vanishing = []
         for i, weighted in derivatives:
             work += len(weighted)
-            if work > VANISHING_WORK_CAP:
-                raise ComputationCapError(
-                    f"vanishing-order work (derivatives evaluated × terms) "
-                    f"{work} exceeds cap {VANISHING_WORK_CAP}")
+            check("vanishing-order work (derivatives evaluated × terms)",
+                  work, VANISHING_WORK_CAP)
             if any(_power_sum(zip(weighted, residues), point.conductor)):
                 return k
             vanishing.append((i, weighted))
@@ -1019,7 +1007,8 @@ def _fibers(terms: dict, e: tuple) -> dict:
     """The lines of the terms {v: c_v} along e ≠ 0, as {(base, low):
     [c_low, ..., c_high]} with c_k the coefficient at base + k·e: base is
     the line's point with 0 ≤ base_i/e_i < 1 for the first i with
-    e_i ≠ 0, and c_low and c_high are nonzero.  `_unfibers` inverts it."""
+    e_i ≠ 0, c_low and c_high are nonzero, and high − low is at most
+    DEGREE_CAP (a cap error otherwise).  `_unfibers` inverts it."""
     i = next(j for j, x in enumerate(e) if x)
     lines: dict = {}
     for v, c in terms.items():
@@ -1027,8 +1016,9 @@ def _fibers(terms: dict, e: tuple) -> dict:
         lines.setdefault(tuple([x - k * y for x, y in zip(v, e)]), {})[k] = c
     out = {}
     for base, line in lines.items():
-        low = min(line)
-        out[base, low] = [line.get(k, 0) for k in range(low, max(line) + 1)]
+        low, high = min(line), max(line)
+        check("dense degree", high - low, DEGREE_CAP)
+        out[base, low] = [line.get(k, 0) for k in range(low, high + 1)]
     return out
 
 
@@ -1091,10 +1081,12 @@ def _coprime(a: dict, b: dict) -> bool:
     common factor g of degree d ≥ 1 in t_j would survive: its leading
     coefficient in t_j divides a's, so g(p) has degree d and divides both
     images.  A nonconstant common factor has degree d ≥ 1 in some
-    variable of a.
+    variable of a.  Each image's degree must be within DEGREE_CAP.
     """
     def image(terms, j, point):
-        out = [0] * (max(v[j] for v in terms) + 1)
+        top = max(v[j] for v in terms)
+        check("dense degree", top, DEGREE_CAP)
+        out = [0] * (top + 1)
         for v, c in terms.items():
             out[v[j]] += c * math.prod(map(pow, point, v))
         return _dup_strip(out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from . import AlexkitError
 from .laurent import FactoredPoly, LaurentPoly, _from_dense
 
 CONSISTENT = "CONSISTENT"
@@ -18,7 +19,7 @@ OBSTRUCTED = "OBSTRUCTED"
 NOT_APPLICABLE = "NO-OBSTRUCTION-APPLICABLE"
 
 
-class ObstructError(ValueError):
+class ObstructError(AlexkitError):
     pass
 
 

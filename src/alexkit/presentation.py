@@ -10,10 +10,10 @@ from __future__ import annotations
 import re
 from typing import List, Sequence, Tuple
 
-from . import MAX_DIGITS, Frozen, has_long_number
+from . import MAX_DIGITS, AlexkitError, Frozen, has_long_number
 
 
-class PresentationError(ValueError):
+class PresentationError(AlexkitError):
     def __init__(self, message: str, line: int = 0, column: int = 0):
         if line:
             message = f"line {line}, column {column}: {message}"

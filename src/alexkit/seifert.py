@@ -12,20 +12,13 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Tuple
 
-from . import MAX_DIGITS, Frozen
+from . import DEGREE_CAP, SEIFERT_OUTPUT_CAP, AlexkitError, Frozen, check
 from .cyclofield import Character
-from .laurent import (_DIGITS_LIMIT, ComputationCapError, LaurentPoly,
-                      _divisors, _from_dense, _times_binomial, normalize)
-
-# the largest degree in u of a Seifert polynomial that is built: with
-# q ≤ 3, a `seifert` run at this degree takes under a second and 70 MB
-SEIFERT_DEGREE_CAP = 100_000
-# the largest q·(degree + 1), the exponents Δ's terms carry in all: every
-# q ≤ 3 within SEIFERT_DEGREE_CAP passes
-SEIFERT_OUTPUT_CAP = 3 * (SEIFERT_DEGREE_CAP + 1)
+from .laurent import (LaurentPoly, _divisors, _from_dense, _times_binomial,
+                      normalize)
 
 
-class SeifertError(ValueError):
+class SeifertError(AlexkitError):
     pass
 
 
@@ -79,21 +72,15 @@ def seifert_delta(d: SpliceData) -> LaurentPoly:
     """The link's Alexander polynomial in t_1..t_q: the exponent sequence
     b_{N'} = q+s−2, b_{N'_j} = −1 of Δ(u) = ±Π (1 − u^n)^{b_n}, j over the
     nontrivial non-component fibers, in u = t_1^{N_1} ... t_q^{N_q}.  Its
-    degree (q+s−2)·N' − Σ_j N'_j must be within `SEIFERT_DEGREE_CAP`,
-    and q·(degree + 1) within `SEIFERT_OUTPUT_CAP`; each factor is then
+    degree (q+s−2)·N' − Σ_j N'_j must be within `DEGREE_CAP`, and
+    q·(degree + 1) within `SEIFERT_OUTPUT_CAP`; each factor is then
     applied to 1 mod u^(degree+1)."""
     q, s, big_n_prime = d.q, d.s, d.big_n_prime
     divisors = [big_n_prime // k for k in d.weights[q:q + s]]
     degree = (q + s - 2) * big_n_prime - sum(divisors)
-    if degree > SEIFERT_DEGREE_CAP:
-        shown = degree if degree < _DIGITS_LIMIT else \
-            f"of more than {MAX_DIGITS} digits"
-        raise ComputationCapError(f"Seifert polynomial degree {shown} "
-                                  f"exceeds cap {SEIFERT_DEGREE_CAP}")
-    if q * (degree + 1) > SEIFERT_OUTPUT_CAP:
-        raise ComputationCapError(
-            f"Seifert output size q·(degree + 1) = {q * (degree + 1)} "
-            f"exceeds cap {SEIFERT_OUTPUT_CAP}")
+    check("Seifert polynomial degree", degree, DEGREE_CAP)
+    check("Seifert output size q·(degree + 1) =", q * (degree + 1),
+          SEIFERT_OUTPUT_CAP)
     coeffs = [1] + [0] * degree
     for n in divisors:
         _times_binomial(coeffs, n, -1)

@@ -18,8 +18,8 @@ from alexkit.laurent import _nextprime
 WALL_BOUND = 10
 
 
-# bytes of address space for a child that must be refused from its input
-# alone, so that a regression fails its test rather than fill the memory
+# bytes of address space for each child, so that a regression that fills
+# the memory fails its test rather than the machine
 MEMORY_BOUND = 1 << 30
 
 
@@ -27,14 +27,15 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BOUND, MEMORY_BOUND))
 
 
-def _run_cli(*argv, preexec_fn=None):
-    """(`python -m alexkit.cli` in a fresh interpreter, its wall time)."""
+def _run_cli(*argv):
+    """(`python -m alexkit.cli` in a fresh interpreter under MEMORY_BOUND,
+    its wall time)."""
     src = str(Path(alexkit.__file__).resolve().parent.parent)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "alexkit.cli", *argv],
         capture_output=True, text=True, timeout=2 * WALL_BOUND,
-        env=dict(os.environ, PYTHONPATH=src), preexec_fn=preexec_fn)
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=_limit_memory)
     return proc, time.perf_counter() - start
 
 
@@ -149,11 +150,49 @@ _LONG = "9" * 4300
 ], ids=["power-1e8", "commutator-1e6", "4300-digits"])
 def test_invariants_over_fox_word_cap(tmp_path, relators, message):
     """A relator expands to one Fox term per unit of exponent: a word
-    length over `FOX_WORD_CAP` is refused from the presentation, before
+    length over `DEGREE_CAP` is refused from the presentation, before
     any term exists, and a length too long to print is not printed."""
     path = tmp_path / "g.grp"
     path.write_text(f"gens: a b\n{relators}\n")
-    proc, wall = _run_cli("invariants", str(path), preexec_fn=_limit_memory)
+    proc, wall = _run_cli("invariants", str(path))
     assert wall < 2
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.splitlines() == [f"alexkit: cap exceeded: {message}"]
+
+
+@pytest.mark.parametrize("names,rows,message", [
+    (["t"], [["t^100000000 + t^3 - 1", "t - 1"]],
+     "dense degree 100000000 exceeds cap 100000"),
+    (["t"], [["t^1000000 + t^3 - 1", "t - 1"]],
+     "dense degree 1000000 exceeds cap 100000"),
+    (["x", "y"], [["(x^100000000 + x^3 - 1)*y", "0"]],
+     "dense degree 100000000 exceeds cap 100000"),
+    (["x", "y"], [["x^100000000*y + x + 1", "0"]],
+     "dense degree 100000000 exceeds cap 100000"),
+], ids=["gcd-1e8", "gcd-1e6", "fibers-1e8", "coprime-1e8"])
+def test_matrix_over_dense_degree_cap(tmp_path, names, rows, message):
+    """A sparse entry of high degree is refused where it would be written
+    as a coefficient list: in the one-variable gcd of the minors, in a
+    line of Δ's terms along a direction, and in the one-variable image of
+    the coprimality test.  Each once filled the memory."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": names, "rows": rows}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < 2
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [f"alexkit: cap exceeded: {message}"]
+
+
+@pytest.mark.parametrize("names,rows", [
+    (["t"], [["t^20000 + t^3 - 1", "t - 1"]]),
+    (["x", "y"], [["x^1000000*y + y^3 - 1", "x - 1"]]),
+], ids=["gcd-2e4", "sparse-1e6"])
+def test_matrix_sparse_entries_under_dense_degree_cap(tmp_path, names, rows):
+    """Δ = 1 for each: a dense degree within the cap, and a sparse entry
+    that no step writes as a coefficient list, are answered."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": names, "rows": rows}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < WALL_BOUND
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["delta"] == "1"

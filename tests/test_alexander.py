@@ -8,8 +8,8 @@ from alexkit.alexander import (AlexanderError, alexander_poly,
                                elementary_ideal_minors, fox_matrix,
                                generic_rank_mod, load_matrix,
                                univariate_invariant_factors)
-from alexkit.laurent import (ComputationCapError, LaurentPoly, associates,
-                             divides, parse_poly)
+from alexkit import ComputationCapError
+from alexkit.laurent import LaurentPoly, associates, divides, parse_poly
 from alexkit.presentation import parse_presentation
 
 from conftest import character, load_matrix_fixture

@@ -5,8 +5,8 @@ import pytest
 from alexkit.cyclofield import (Character, CycloError, _divider, _mul,
                                 _reduce, cyclotomic_poly, evaluate,
                                 parse_character, rank_over_field)
-from alexkit.laurent import (ComputationCapError, LaurentError, LaurentPoly,
-                             _to_dense, parse_poly)
+from alexkit import ComputationCapError
+from alexkit.laurent import LaurentError, LaurentPoly, _to_dense, parse_poly
 
 from conftest import character
 

@@ -388,3 +388,30 @@ def test_laurent_poly_has_one_constructor():
              if isinstance(node, ast.Attribute) and node.attr == "__new__"
              or isinstance(node, ast.FunctionDef) and node.name == "__new__"]
     assert found == []
+
+
+def _names(node):
+    """The names and attribute names that `node` reads or binds."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_caps_held_in_alexkit_init():
+    """alexkit/__init__.py holds every cap: only it raises
+    ComputationCapError (through `check` and `check_printable`), and no
+    other module binds a name ending in `_CAP`; the others import the
+    constants they check against."""
+    raisers = sorted({name for name, tree in _modules()
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Raise) and node.exc is not None
+                      and "ComputationCapError" in _names(node.exc)})
+    assert raisers == ["__init__.py"]
+    bound = [f"{name}:{node.lineno} {node.id}" for name, tree in _modules()
+             if name != "__init__.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id.endswith("_CAP")
+             and isinstance(node.ctx, (ast.Store, ast.Del))]
+    assert bound == []

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from alexkit import laurent
+from alexkit import ComputationCapError, laurent
 from alexkit.alexander import alexander_poly, fox_matrix
-from alexkit.laurent import (ComputationCapError, LaurentError, LaurentPoly,
-                             PolyParseError, associates, divides, exact_div,
-                             factor_poly, gcd_many, multiplicity, normalize,
-                             parse_poly, vanishing_order)
+from alexkit.laurent import (LaurentError, LaurentPoly, PolyParseError,
+                             associates, divides, exact_div, factor_poly,
+                             gcd_many, multiplicity, normalize, parse_poly,
+                             vanishing_order)
 
 from alexkit.presentation import parse_presentation
 

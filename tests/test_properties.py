@@ -9,19 +9,20 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from alexkit import alexander, cyclofield, laurent
+from alexkit import (CONDUCTOR_CAP, ComputationCapError, alexander,
+                     cyclofield, laurent)
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                elementary_ideal_minors, evaluate_matrix,
                                fox_matrix, univariate_invariant_factors)
-from alexkit.cyclofield import (_PRIME, CONDUCTOR_CAP, Character, _divider,
-                                _mul, _reduce, cyclotomic_poly, evaluate,
-                                parse_character, rank_over_field)
+from alexkit.cyclofield import (_PRIME, Character, _divider, _mul, _reduce,
+                                cyclotomic_poly, evaluate, parse_character,
+                                rank_over_field)
 from alexkit.intlinalg import abelianization, smith_normal_form
 from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
                               _charpoly, _factor_root, monodromy_analysis,
                               twisted_betti)
-from alexkit.laurent import (ComputationCapError, FactoredPoly,
-                             LaurentError, LaurentPoly, _coprime,
+from alexkit.laurent import (FactoredPoly, LaurentError, LaurentPoly,
+                             _coprime,
                              _cyclotomic_exponents, _cyclotomic_parts,
                              _directions, _divisors, _dup_mul, _from_ring,
                              _invert_mod_prime, _isprime,
