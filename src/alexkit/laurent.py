@@ -13,12 +13,13 @@ refused.  One-variable work runs on a dense layer in Z[u], ascending `int`
 tuples: gcd (heuristic, with a primitive Euclidean fallback), exact
 division, the cyclotomic polynomials Φ_n and the recognizer of their
 products, inverses modulo a prime and a polynomial, and the primes and
-divisors these need.  sympy is a backend, imported inside the functions
-that still need it: multivariate gcd and factoring, the squarefree
-split and factoring of a one-variable piece that is not a product of
-Φ_m, and division over Q[t] (`exact_div`); its multivariate work goes
-through the bridge `_ring` (Z[t] or Q[t] in n variables, built on first
-use), `_to_ring` and `_from_ring`, which no other module names.
+divisors these need.  sympy is a backend, imported in one function,
+`_ring` (Z[t] or Q[t] in n variables, built on first use), and reached
+through the bridge `_ring`, `_to_ring` and `_from_ring`, which no other
+module names: multivariate gcd (`gcd_many`, and the cofactors of
+`factor_poly`'s linear split), factoring of a piece that is neither a
+product of Φ_m nor of degree one in a variable, and division over Q[t]
+(`exact_div`).
 """
 
 from __future__ import annotations
@@ -253,10 +254,6 @@ def default_names(n: int) -> list:
 
 
 # -- the sympy bridge -------------------------------------------------------
-#
-# sympy is imported here, inside the functions that need it, and so only by
-# multivariate work, by factoring a non-cyclotomic rest and by division over
-# Q[t]: the one-variable work on cyclotomic polynomials below never loads it.
 
 
 @lru_cache(maxsize=None)
@@ -275,15 +272,10 @@ def _to_ring(f: LaurentPoly, domain: str):
 
     Over "ZZ" the coefficients of f must be integers.
     """
-    from sympy.polys.domains import QQ
-
-    ring = _ring(f.nvars, domain)
     shift = tuple(max(0, -min(col)) for col in zip(*f.terms)) \
         if f.terms else (0,) * f.nvars
-    dom = ring.domain
-    return shift, ring.dtype({
-        tuple(e + s for e, s in zip(exp, shift)):
-            dom.convert_from(QQ(c.numerator, c.denominator), QQ)
+    return shift, _ring(f.nvars, domain).from_dict({
+        tuple(e + s for e, s in zip(exp, shift)): c
         for exp, c in f.terms.items()})
 
 
@@ -930,15 +922,16 @@ class FactoredPoly(NamedTuple):
 
 
 def _cyclotomic_parts(r: Tuple[int, ...]) -> tuple:
-    """(closed, twice odd, even): the products of the Φ_m dividing r, each
-    with a positive leading coefficient, for a squarefree r in Z[u] with
-    r(0) ≠ 0, split into three classes: every Φ_m with m odd and each
-    Φ_(2^j·k) that comes with all of Φ_k, Φ_2k, ..., Φ_(2^(j−1)·k), k odd;
-    the other Φ_m with m ≡ 2 (mod 4); the other Φ_m with 4 | m.
+    """(closed, twice odd, even): products of Φ_m, each with a positive
+    leading coefficient, that between them hold every Φ_m dividing r in
+    Z[u], r(0) ≠ 0, with its full multiplicity.  For a squarefree r they
+    are the Φ_m with m odd and each Φ_(2^j·k) that comes with all of Φ_k,
+    Φ_2k, ..., Φ_(2^(j−1)·k), k odd; the other Φ_m with m ≡ 2 (mod 4);
+    the other Φ_m with 4 | m.
 
     A primitive m-th root of unity ζ is conjugate to ζ^2 when m is odd and
     to −ζ^2 when m ≡ 2 mod 4, and Φ_m(u) = Φ_{m/2}(u^2) when 4 | m
-    (Beukers & Smyth).  So the first class is the largest divisor h of r
+    (Beukers & Smyth).  So the first part is the largest divisor h of r
     with h | h(u^2), since squaring halves an even order; the second is
     the largest divisor h of what is left with h | h(−u^2), since
     α ↦ −α^2 takes an order divisible by 4 down to an odd one; and the
@@ -947,6 +940,15 @@ def _cyclotomic_parts(r: Tuple[int, ...]) -> tuple:
     reached by gcds that each lower the degree, and has only roots of
     unity, since for each root α all of ±α^(2^k) are among its finitely
     many roots.  No step depends on how many Φ_m there are.
+
+    Nor on r being squarefree.  A divisor D of h with D | D(±u^2) divides
+    gcd(h, h(±u^2)), so the closure h ← gcd(h, h(±u^2)) ends at the
+    largest such D.  By valuations: Φ_m^a divides Φ_m(u^2)^a for m odd
+    and Φ_m(−u^2)^a for m ≡ 2 mod 4, so the first two parts hold it
+    whole, and Φ_m(−u) = Φ_m(u) for 4 | m, so the even part holds what
+    the first two leave of Φ_m^a whole.  One Φ_m can fall into two parts:
+    in (u − 1)(u + 1)^3, Φ_2 goes once into the first and twice into the
+    second.
     """
     def substitute(g, sign, power):
         """g(sign · u^power)"""
@@ -977,15 +979,17 @@ def _cyclotomic_parts(r: Tuple[int, ...]) -> tuple:
 
 
 def _split_cyclotomic(q: Tuple[int, ...]) -> tuple:
-    """(orders, rest) with q = Π Φ_m · rest over the m in orders, for a
-    squarefree q in Z[u] with q(0) ≠ 0: no Φ_m divides rest.  Each part
-    of `_cyclotomic_parts` is a product of distinct Φ_m, whose orders
-    `_cyclotomic_exponents` reads off."""
-    orders, rest = [], q
+    """([(m, a_m)], rest), m ascending, with q = Π Φ_m^(a_m) · rest, for q
+    in Z[u] with q(0) ≠ 0: no Φ_m divides rest.  Each part of
+    `_cyclotomic_parts` is a product of Φ_m, whose orders and
+    multiplicities `_cyclotomic_exponents` reads off; one Φ_m can fall
+    into two parts, so its multiplicities are summed."""
+    found, rest = {}, q
     for c in _cyclotomic_parts(q):
-        orders += [m for m, _ in _cyclotomic_exponents(c)]
+        for m, k in _cyclotomic_exponents(c):
+            found[m] = found.get(m, 0) + k
         rest = _dup_exquo(rest, c)
-    return orders, rest
+    return sorted(found.items()), rest
 
 
 def _directions(base: tuple, points: Sequence[tuple]) -> list:
@@ -1081,12 +1085,12 @@ def _coprime(a: dict, b: dict) -> bool:
     common factor g of degree d ≥ 1 in t_j would survive: its leading
     coefficient in t_j divides a's, so g(p) has degree d and divides both
     images.  A nonconstant common factor has degree d ≥ 1 in some
-    variable of a.  Each image's degree must be within DEGREE_CAP.
+    variable of a.  Every exponent of the terms, not only those of t_j,
+    must be within DEGREE_CAP before any power of the point is taken.
     """
     def image(terms, j, point):
-        top = max(v[j] for v in terms)
-        check("dense degree", top, DEGREE_CAP)
-        out = [0] * (top + 1)
+        check("dense degree", max(map(max, terms)), DEGREE_CAP)
+        out = [0] * (max(v[j] for v in terms) + 1)
         for v, c in terms.items():
             out[v[j]] += c * math.prod(map(pow, point, v))
         return _dup_strip(out)
@@ -1143,37 +1147,27 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     First every factor P(t^e) in one essential variable is split off by
     univariate gcds (`_split_directions`), and each P is factored in Z[u]:
     a product of Φ_m is read off its exponent sequence
-    (`_cyclotomic_exponents`); any other P is split by sympy's
-    `dup_sqf_list`, each squarefree piece loses its cyclotomic part
-    (`_split_cyclotomic`), and only a nonconstant rest goes to sympy's
-    `dup_factor_list`.  A factor q(u) of P lifts to the factor q(t^e) of
-    f, irreducible because e extends to a basis of Z^n.
+    (`_cyclotomic_exponents`); any other P loses its cyclotomic part,
+    multiplicities included (`_split_cyclotomic`), and only a nonconstant
+    rest goes to sympy's `factor_list`, which does its own squarefree
+    split.  A factor q(u) of P lifts to the factor q(t^e) of f,
+    irreducible because e extends to a basis of Z^n.
 
     A residual piece h of degree one in some t_i is A·t_i + B, with A and
-    B free of t_i: h/c, c = gcd(A, B), is primitive of degree one in t_i,
-    so irreducible, and c is the next piece.  `_coprime` shows c = 1 by
-    one-variable gcds; `gcd_many` computes c only when it cannot.  Any
+    B free of t_i: with c = gcd(A, B) = A/A' = B/B', A'·t_i + B' is
+    primitive of degree one in t_i, so irreducible, and c is the next
+    piece.  `_coprime` shows c = 1 by one-variable gcds; sympy's
+    `cofactors` gives c, A' and B' in one call only when it cannot.  Any
     other piece goes to sympy's multivariate `factor_list`.  Each factor
     is classified here, as it is built: `essential` records (e, P, m) for
     q(t^e) and None for a factor of the residual, which has no factor in
     one essential variable.
     """
-    def factor_dense(q):
-        """The irreducible factors of q in Z[u] and their multiplicities."""
-        from sympy.polys.domains import ZZ
-        from sympy.polys.factortools import dup_factor_list
-
-        return [(tuple(map(int, reversed(r))), k) for r, k in
-                dup_factor_list([ZZ(x) for x in reversed(q)], ZZ)[1]]
-
-    def sqf_dense(q):
-        """The squarefree pieces of q in Z[u], each primitive with a
-        positive leading coefficient, and their multiplicities."""
-        from sympy.polys.domains import ZZ
-        from sympy.polys.sqfreetools import dup_sqf_list
-
-        return [(_dup_primitive(tuple(map(int, reversed(r)))), k) for r, k in
-                dup_sqf_list([ZZ(x) for x in reversed(q)], ZZ)[1]]
+    def factored(p):
+        """The irreducible factors of p in Z[t], canonical, and their
+        multiplicities."""
+        return [(normalize(_from_ring(r, p.nvars)), k)
+                for r, k in _to_ring(p, "ZZ")[1].factor_list()[1]]
 
     if f.is_zero():
         raise LaurentError("cannot factor the zero polynomial")
@@ -1185,22 +1179,19 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
         {v: x // c for v, x in g.terms.items()})
     parts = []  # (factor, multiplicity, record)
     for p, e in contents:
-        found = [(_phi_coeffs(m), k, m)
-                 for m, k in _cyclotomic_exponents(p) or ()]
-        for piece, mult in () if found else sqf_dense(p):
-            orders, q = _split_cyclotomic(piece)
-            found += [(_phi_coeffs(m), mult, m) for m in orders]
-            if len(q) > 1:
-                found += [(r, mult * k, None) for r, k in factor_dense(q)]
+        orders, q = _cyclotomic_exponents(p), (1,)
+        if orders is None:
+            orders, q = _split_cyclotomic(p)
+        found = [(_phi_coeffs(m), k, m) for m, k in orders]
+        if len(q) > 1:
+            found += [(_to_dense(r), k, None)
+                      for r, k in factored(_from_dense(q, (1,)))]
         parts += [(_from_dense(r, e), k, (e, r, m)) for r, k, m in found]
     piece = normalize(LaurentPoly(g.nvars, rest))
     while not piece.is_constant():
         tops = [max(col) for col in zip(*piece.terms)]
         if 1 not in tops:
-            for p, mult in _to_ring(piece, "ZZ")[1].factor_list()[1]:
-                p = normalize(_from_ring(p, g.nvars))
-                if not p.is_constant():
-                    parts.append((p, int(mult), None))
+            parts += [(r, k, None) for r, k in factored(piece)]
             break
         i = tops.index(1)
         a = {v[:i] + (0,) + v[i + 1:]: x
@@ -1209,9 +1200,11 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
         if _coprime(a, b):
             parts.append((piece, 1, None))
             break
-        common = gcd_many([LaurentPoly(g.nvars, a), LaurentPoly(g.nvars, b)])
-        parts.append((normalize(exact_div(piece, common)), 1, None))
-        piece = common
+        ring = _ring(g.nvars, "ZZ")
+        common, a, b = ring.from_dict(a).cofactors(ring.from_dict(b))
+        parts.append((normalize(_from_ring(a * ring.gens[i] + b, g.nvars)),
+                      1, None))
+        piece = normalize(_from_ring(common, g.nvars))
     parts.sort(key=lambda t: (sorted(t[0].terms), sorted(t[0].terms.items())))
     out = FactoredPoly(c, tuple((f, mult) for f, mult, _ in parts),
                        tuple(record for _, _, record in parts))

@@ -169,12 +169,17 @@ def test_invariants_over_fox_word_cap(tmp_path, relators, message):
      "dense degree 100000000 exceeds cap 100000"),
     (["x", "y"], [["x^100000000*y + x + 1", "0"]],
      "dense degree 100000000 exceeds cap 100000"),
-], ids=["gcd-1e8", "gcd-1e6", "fibers-1e8", "coprime-1e8"])
+    (["y", "z", "x"], [["y*z*x^100000000 + y + z", "0"]],
+     "dense degree 100000000 exceeds cap 100000"),
+], ids=["gcd-1e8", "gcd-1e6", "fibers-1e8", "coprime-1e8",
+        "coprime-other-variable-1e8"])
 def test_matrix_over_dense_degree_cap(tmp_path, names, rows, message):
     """A sparse entry of high degree is refused where it would be written
     as a coefficient list: in the one-variable gcd of the minors, in a
     line of Δ's terms along a direction, and in the one-variable image of
-    the coprimality test.  Each once filled the memory."""
+    the coprimality test, also where the high degree is in a variable
+    other than the image's, whose power of an evaluation point the image
+    would take.  Each once filled the memory or ran without bound."""
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"vars": names, "rows": rows}))
     proc, wall = _run_cli("invariants", "--matrix", str(path))

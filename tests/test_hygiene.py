@@ -92,6 +92,22 @@ def test_ring_bridge_named_only_in_laurent():
     assert found == []
 
 
+def test_sympy_imported_only_in_ring():
+    """Every sympy import statement in the package sits in laurent._ring:
+    every call into sympy goes through its ring.  Each import is named by
+    the innermost function that holds it."""
+    owner = {}
+    for name, tree in _modules():
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.Module, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                for node in _sympy_references(scope):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        owner[name, node.lineno] = \
+                            f"{name}:{getattr(scope, 'name', '<module>')}"
+    assert sorted(set(owner.values())) == ["laurent.py:_ring"]
+
+
 def test_sympy_imported_only_inside_functions():
     """No module imports sympy when it is itself imported: laurent imports
     it inside the functions that need it, so a run that needs none of them
@@ -345,15 +361,16 @@ def test_cyclotomic_list_only_in_laurent():
 
 
 def test_factor_list_only_in_factor_poly():
-    """sympy's factoring runs in laurent.factor_poly alone: on the rest of
-    the collinear branch and on the non-collinear path."""
+    """sympy's factoring runs in laurent.factor_poly alone, through one
+    call for the rest of the collinear branch and the non-collinear path
+    alike."""
     found = [f"{name}:{getattr(top, 'name', '<module>')}"
              for name, tree in _modules()
              for top in tree.body
              for node in ast.walk(top)
              if isinstance(node, ast.Attribute) and "factor_list" in node.attr
              or isinstance(node, ast.Name) and "factor_list" in node.id]
-    assert found == ["laurent.py:factor_poly"] * 2
+    assert found == ["laurent.py:factor_poly"]
 
 
 def test_factored_poly_built_only_in_factor_poly():

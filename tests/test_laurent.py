@@ -249,6 +249,51 @@ def test_factor_poly_splits_linear_residual_without_factoring(monkeypatch):
     assert associates(fp.reassembled(3), a * b)
 
 
+# fox-width seed 1's g023.grp of the benchmark: Δ has 26 terms in five
+# variables, and `_coprime` cannot show the first residual irreducible
+LINEAR_SPLIT_GROUP = """gens: x1 x2 x3 x4 x5
+rel: x4 x2 x4^-1 x2^-1 x4 x1^-1 x4^-1 x1
+rel: x1^-1 x5^-1 x3^-1 x4^-1 x3 x4 x1 x5
+rel: x5 x3 x5^-1 x4 x1^-1 x4^-1 x1 x3^-1
+rel: x2^-1 x5^-1 x3^-1 x5 x3 x1 x2 x1^-1
+"""
+
+
+def test_linear_split_makes_one_ring_call(monkeypatch):
+    """Where `_coprime` cannot show A and B coprime, the split of
+    A·t_i + B takes c = gcd(A, B), A/c and B/c from one call to sympy's
+    `cofactors`, and divides nothing.  Only the calls alexkit makes are
+    counted, not those sympy makes inside them: its heuristic gcd divides
+    to check its answer."""
+    from sympy.polys.rings import PolyElement
+
+    calls, depth = [], [0]
+
+    def counted(name, method):
+        def wrapper(*args):
+            if not depth[0]:
+                calls.append(name)
+            depth[0] += 1
+            try:
+                return method(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in ("gcd", "cofactors", "div"):
+        monkeypatch.setattr(PolyElement, name,
+                            counted(name, getattr(PolyElement, name)))
+    coprime, shown = laurent._coprime, []
+    monkeypatch.setattr(laurent, "_coprime",
+                        lambda a, b: shown.append(coprime(a, b)) or shown[-1])
+    delta = alexander_poly(fox_matrix(parse_presentation(LINEAR_SPLIT_GROUP)))
+    fp = factor_poly(delta)
+    assert shown == [False, True]
+    assert calls == ["cofactors"]
+    assert [mu for _, mu in fp.factors] == [1, 1]
+    assert associates(fp.reassembled(5), delta)
+
+
 def _no_split(*args):
     raise AssertionError("a product of cyclotomic polynomials was split")
 
@@ -256,10 +301,10 @@ def _no_split(*args):
 def test_factor_poly_reads_cyclotomic_delta_off_its_exponents(monkeypatch):
     """Δ of the torus knot T(7, 11) is Φ_77, and (t^80 − 1)/(t − 1) is the
     product of the Φ_d, 1 < d | 80: both are read off their exponent
-    sequences, with no squarefree split and no gcd closure."""
-    import sympy.polys.sqfreetools as sqfreetools
+    sequences, with no factoring and no gcd closure."""
+    from sympy.polys.rings import PolyElement
 
-    monkeypatch.setattr(sqfreetools, "dup_sqf_list", _no_split)
+    monkeypatch.setattr(PolyElement, "factor_list", _no_split)
     monkeypatch.setattr(laurent, "_cyclotomic_parts", _no_split)
     knot = parse_presentation("gens: x y\nrel: x^7 y^-11\n")
     fp = factor_poly(alexander_poly(fox_matrix(knot)))

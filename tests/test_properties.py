@@ -1076,8 +1076,40 @@ def test_split_cyclotomic_finds_exactly_the_cyclotomic_factors():
                          lambda m: m not in closed and m % 4 == 2,
                          lambda m: m not in closed and m % 4 == 0))
         found, rest = _split_cyclotomic(q)
-        assert sorted(found) == sorted(orders), (orders, others)
-        assert tuple(_dup_mul(_phi_product(found), rest)) == q
+        assert found == [(m, 1) for m in sorted(orders)], (orders, others)
+        assert tuple(_dup_mul(_phi_product(orders), rest)) == q
+
+
+def test_split_cyclotomic_counts_multiplicities():
+    """_split_cyclotomic on products that are not squarefree: Φ_m^a
+    (m ≤ 90, a ≤ 3), chains Φ_k^a·Φ_2k^b·Φ_4k^c with unequal exponents,
+    and squares of self-reciprocal non-cyclotomic factors.  It returns
+    the orders and multiplicities the product was built from and the
+    non-cyclotomic rest, also where one Φ_m falls into two parts of
+    `_cyclotomic_parts`.  The inputs are dense tuples in Z[u]."""
+    rng = random.Random(20261027)
+    shared = 0
+    for _ in range(200):
+        counts = {m: rng.randint(1, 3)
+                  for m in rng.sample(range(1, 91), rng.randint(0, 3))}
+        if rng.random() < 0.6:
+            k = rng.randint(1, 22)
+            for m, a in zip((k, 2 * k, 4 * k), rng.sample(range(4), 3)):
+                if a:
+                    counts[m] = counts.get(m, 0) + a
+        rest = (1,)
+        for text in rng.sample(RECIPROCAL_NON_CYCLOTOMIC, rng.randint(0, 2)):
+            r = _to_dense(parse_poly(text, ("u",)))
+            for _ in range(rng.randint(1, 2)):
+                rest = tuple(_dup_mul(rest, r))
+        q = rest
+        for m, a in counts.items():
+            q = tuple(_dup_mul(q, _phi_product([m] * a)))
+        assert _split_cyclotomic(q) == (sorted(counts.items()), rest), \
+            (counts, rest)
+        parts = [dict(_cyclotomic_exponents(c)) for c in _cyclotomic_parts(q)]
+        shared += any(len([p for p in parts if m in p]) > 1 for m in counts)
+    assert shared > 20
 
 
 def _sympy_cyclotomic_exponents(p):
