@@ -38,6 +38,10 @@ SEIFERT_OUTPUT_CAP = 3 * (DEGREE_CAP + 1)
 MAX_DIGITS = 4300
 _LONG_NUMBER = re.compile(rf"\d{{{MAX_DIGITS + 1}}}")
 _DIGITS_LIMIT = 10 ** MAX_DIGITS  # the least of more than MAX_DIGITS digits
+# the largest b with 2^b of at most MAX_DIGITS digits: `parse_poly` refuses
+# f^k when k·(bit length of f's leading coefficient − 1) passes it, since
+# f^k then holds a coefficient of more than MAX_DIGITS digits
+COEFFICIENT_BITS_CAP = _DIGITS_LIMIT.bit_length() - 1
 
 
 def check(what: str, value: int, cap: int) -> None:
@@ -54,10 +58,10 @@ def has_long_number(text: str) -> bool:
     return len(text) > MAX_DIGITS and _LONG_NUMBER.search(text) is not None
 
 
-def check_printable(c) -> None:
-    """ComputationCapError when the rational c has more than MAX_DIGITS
-    digits, which Python refuses to print."""
-    if max(abs(c.numerator), c.denominator) >= _DIGITS_LIMIT:
+def check_printable(c: int) -> None:
+    """ComputationCapError when c has more than MAX_DIGITS digits, which
+    Python refuses to print."""
+    if abs(c) >= _DIGITS_LIMIT:
         raise ComputationCapError(f"a coefficient has more than {MAX_DIGITS} "
                                   "digits, the limit for printing a number")
 

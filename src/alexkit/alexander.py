@@ -16,9 +16,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import DEGREE_CAP, MINOR_MATRIX_CAP, AlexkitError, check
 from .cyclofield import Character, evaluate
 from .intlinalg import AbelianStructure, abelianization
-from .laurent import (LaurentPoly, default_names, divides, exact_div,
-                      exact_div_binomial, gcd_many, normalize, parse_poly,
-                      vanishing_order)
+from .laurent import (LaurentPoly, _dup_exquo, _from_dense, _to_dense,
+                      default_names, divides, exact_div_binomial, gcd_many,
+                      normalize, parse_poly, vanishing_order)
 from .presentation import GroupPresentation, Word
 
 
@@ -320,18 +320,20 @@ def univariate_invariant_factors(mat: AlexanderMatrix) -> List[LaurentPoly]:
     determinantal divisor d_k is the gcd of the k x k minors and d_0 = 1.
     Every k x k minor expands in (k−1) x (k−1) ones, so d_(k−1) divides
     d_k in Z[t^±]: each quotient has integer coefficients, and their
-    product is d_r for the rank r, the last k with d_k ≠ 0.
+    product is d_r for the rank r, the last k with d_k ≠ 0.  Both are
+    canonical, so the quotient is taken in Z[u] (`_dup_exquo`).
     """
     if mat.num_vars != 1:
         raise AlexanderError("invariant factors require a univariate matrix")
     m = mat.num_cols
     out: List[LaurentPoly] = []
-    prev = LaurentPoly.one(1)
+    prev = (1,)
     for k in range(1, min(mat.num_rows, m) + 1):
         d = gcd_many(elementary_ideal_minors(mat, m - k))
         if d.is_zero():
             break
-        out.append(normalize(exact_div(d, prev)))
+        d = _to_dense(d)
+        out.append(_from_dense(_dup_exquo(d, prev), (1,)))
         prev = d
     return out
 

@@ -1,25 +1,24 @@
-"""Exact multivariate Laurent polynomials over the rationals.
+"""Exact multivariate Laurent polynomials over the integers.
 
-The ring is Z[t_1^{±1}, ..., t_n^{±1}] (rational coefficients are tolerated
-in intermediate arithmetic; canonical forms clear denominators).  Units are
-±(monomial); two polynomials are *associate* if they differ by a unit, and
-associate over C if they additionally differ by a rational scalar.
+The ring is Z[t_1^{±1}, ..., t_n^{±1}].  Units are ±(monomial); two
+polynomials are *associate* if they differ by a unit, and associate over C
+if they additionally differ by a rational scalar.
 
 `LaurentPoly`, a dict {exponent vector: coefficient}, is the one polynomial
-type alexkit code handles.  A coefficient, here and in `cyclofield`, is
-an `int` when it is integral and a `Fraction` only when it is not
-(`_rational`), so integral work runs on `int` arithmetic; a `float` is
-refused.  One-variable work runs on a dense layer in Z[u], ascending `int`
-tuples: gcd (heuristic, with a primitive Euclidean fallback), exact
+type alexkit code handles.  Its coefficients are `int`s: an integral
+`Fraction` is stored as its `int`, and any other `Fraction` or a `float` is
+refused.  Rationals appear only in character scales and in values in
+Q(ζ_N), each an `int` when integral and a `Fraction` only when not
+(`_rational`).  One-variable work runs on a dense layer in Z[u], ascending
+`int` tuples: gcd (heuristic, with a primitive Euclidean fallback), exact
 division, the cyclotomic polynomials Φ_n and the recognizer of their
 products, inverses modulo a prime and a polynomial, and the primes and
 divisors these need.  sympy is a backend, imported in one function,
-`_ring` (Z[t] or Q[t] in n variables, built on first use), and reached
-through the bridge `_ring`, `_to_ring` and `_from_ring`, which no other
-module names: multivariate gcd (`gcd_many`, and the cofactors of
-`factor_poly`'s linear split), factoring of a piece that is neither a
-product of Φ_m nor of degree one in a variable, and division over Q[t]
-(`exact_div`).
+`_ring` (a cached sparse ring Z[t] per variable count), and reached through
+the bridge `_ring`, `_to_ring` and `_from_ring`, which no other module
+names: multivariate gcd (`gcd_many`, and the cofactors of `factor_poly`'s
+linear split), and factoring of a piece that is neither a product of Φ_m
+nor of degree one in a variable.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from . import (DEGREE_CAP, MAX_DIGITS, VANISHING_WORK_CAP, AlexkitError,
-               check, check_printable, has_long_number)
+from . import (COEFFICIENT_BITS_CAP, DEGREE_CAP, MAX_DIGITS,
+               VANISHING_WORK_CAP, AlexkitError, check, check_printable,
+               has_long_number)
 
 
 class LaurentError(AlexkitError):
@@ -69,9 +69,9 @@ class LaurentPoly:
     """A Laurent polynomial as a map {exponent vector: nonzero coefficient}.
 
     Each exponent vector is a tuple of nvars ints, and each coefficient is
-    an `int`, or a `Fraction` when it is not integral (`_rational`).  This
-    constructor is the only one: it converts a coefficient that is not an
-    `int` and drops zeros, so integral arithmetic stays on `int`s.
+    an `int`.  This constructor is the only one: it converts an integral
+    coefficient that is not an `int` (`_rational`), refuses any other with
+    LaurentError, and drops zeros.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
@@ -82,6 +82,8 @@ class LaurentPoly:
         for exp, c in (terms or {}).items():
             if type(c) is not int:
                 c = _rational(c)
+                if type(c) is not int:
+                    raise LaurentError(f"coefficient {c} is not an integer")
             if c:
                 if type(exp) is not tuple or len(exp) != nvars:
                     raise LaurentError(
@@ -201,7 +203,7 @@ class LaurentPoly:
         return LaurentPoly.constant(self.nvars, other)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.constant(self.nvars, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -257,37 +259,23 @@ def default_names(n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _ring(nvars: int, domain: str):
-    """sympy's sparse ring Z[t_1..t_n] ("ZZ") or Q[t_1..t_n] ("QQ"), lex
-    order; built on first use."""
+def _ring(nvars: int):
+    """sympy's sparse ring Z[t_1..t_n], lex order; built on first use."""
     from sympy.polys.orderings import lex
     from sympy.polys.rings import PolyRing
 
-    return PolyRing(f"_t0:{nvars}", domain, lex)
+    return PolyRing(f"_t0:{nvars}", "ZZ", lex)
 
 
-def _to_ring(f: LaurentPoly, domain: str):
-    """(shift, p) with p = t^shift · f in _ring(f.nvars, domain), where
-    shift is the least vector that makes every exponent nonnegative.
-
-    Over "ZZ" the coefficients of f must be integers.
-    """
-    shift = tuple(max(0, -min(col)) for col in zip(*f.terms)) \
-        if f.terms else (0,) * f.nvars
-    return shift, _ring(f.nvars, domain).from_dict({
-        tuple(e + s for e, s in zip(exp, shift)): c
-        for exp, c in f.terms.items()})
+def _to_ring(f: LaurentPoly):
+    """f, which has no negative exponent (as `normalize` returns it), as an
+    element of _ring(f.nvars)."""
+    return _ring(f.nvars).from_dict(f.terms)
 
 
-def _from_ring(p, nvars: int, shift: Optional[Sequence[int]] = None
-               ) -> LaurentPoly:
-    """t^-shift · p as a LaurentPoly; the inverse of _to_ring."""
-    shift = shift or (0,) * nvars
-    return LaurentPoly(nvars, {
-        tuple(e - s for e, s in zip(monom, shift)):
-            int(c.numerator) if c.denominator == 1
-            else Fraction(int(c.numerator), int(c.denominator))
-        for monom, c in p.items()})
+def _from_ring(p, nvars: int) -> LaurentPoly:
+    """p in _ring(nvars) as a LaurentPoly; the inverse of _to_ring."""
+    return LaurentPoly(nvars, {monom: int(c) for monom, c in p.items()})
 
 
 # -- dense polynomials in one variable --------------------------------------
@@ -298,12 +286,11 @@ def _from_ring(p, nvars: int, shift: Optional[Sequence[int]] = None
 
 
 def _to_dense(f: LaurentPoly) -> Tuple[int, ...]:
-    """The coefficients of a nonzero univariate f with integer coefficients
-    and no negative exponent, as `normalize` returns it; LaurentError on
-    any other f, and a cap error for a degree past DEGREE_CAP."""
+    """The coefficients of a nonzero univariate f with no negative exponent,
+    as `normalize` returns it; LaurentError on any other f, and a cap error
+    for a degree past DEGREE_CAP."""
     terms = f.terms
-    if (not terms or min(e for (e,) in terms) < 0
-            or any(c.denominator != 1 for c in terms.values())):
+    if not terms or min(e for (e,) in terms) < 0:
         raise LaurentError("expected a nonzero polynomial in Z[u]")
     top = max(e for (e,) in terms)
     check("dense degree", top, DEGREE_CAP)
@@ -631,15 +618,14 @@ def _cyclotomic_exponents(p: Tuple[int, ...]) -> Optional[list]:
 def normalize(f: LaurentPoly) -> LaurentPoly:
     """Canonical representative of f up to units ±(monomial).
 
-    Every variable's minimum exponent over the support becomes 0, coefficient
-    denominators are cleared (integer content is preserved), and the
-    coefficient of the lexicographically greatest exponent vector is positive.
+    Every variable's minimum exponent over the support becomes 0 (integer
+    content is preserved), and the coefficient of the lexicographically
+    greatest exponent vector is positive.
     """
     if f.is_zero():
         raise LaurentError("cannot normalize the zero polynomial")
     mins = [min(exp[i] for exp in f.terms) for i in range(f.nvars)]
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    out = {tuple(map(operator.sub, exp, mins)): c * den
+    out = {tuple(map(operator.sub, exp, mins)): c
            for exp, c in f.terms.items()}
     lead = max(out)
     if out[lead] < 0:
@@ -654,29 +640,7 @@ def associates(f: LaurentPoly, g: LaurentPoly) -> bool:
     return normalize(f) == normalize(g)
 
 
-# -- divisibility, gcd, multiplicities --------------------------------------
-
-
-def exact_div(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
-    """f / g when g divides f (over Q[t^±]); None otherwise."""
-    if g.is_zero():
-        raise LaurentError("division by zero polynomial")
-    if f.is_zero():
-        return LaurentPoly.zero(f.nvars)
-    n = f.nvars
-    if n == 0:
-        return LaurentPoly.constant(0, Fraction(f.terms[()], g.terms[()]))
-    # strip g's monomial content, a unit, so that it cannot block the
-    # polynomial division; f's shift is then undone on the quotient
-    mins_g = tuple(map(min, zip(*g.terms)))
-    g = LaurentPoly(n, {tuple(e - m for e, m in zip(exp, mins_g)): c
-                        for exp, c in g.terms.items()})
-    shift, pf = _to_ring(f, "QQ")
-    _, pg = _to_ring(g, "QQ")
-    q, r = pf.div(pg)
-    if r:
-        return None
-    return _from_ring(q, n, tuple(s + m for s, m in zip(shift, mins_g)))
+# -- divisibility and gcd ---------------------------------------------------
 
 
 def exact_div_binomial(f: LaurentPoly,
@@ -702,10 +666,14 @@ def exact_div_binomial(f: LaurentPoly,
 
 
 def divides(f: LaurentPoly, g: LaurentPoly) -> bool:
-    """True iff g = f·q for some Laurent polynomial q (over Q)."""
+    """True iff g = f·q for some Laurent polynomial q over Q: iff f and
+    gcd(f, g) have the same primitive part (Gauss's lemma)."""
     if f.is_zero():
         raise LaurentError("zero divisor")
-    return exact_div(g, f) is not None
+    f, h = normalize(f), gcd_many([f, g])
+    cf, ch = math.gcd(*f.terms.values()), math.gcd(*h.terms.values())
+    return f.terms.keys() == h.terms.keys() and all(
+        c * ch == h.terms[e] * cf for e, c in f.terms.items())
 
 
 def gcd_many(fs: Iterable[LaurentPoly]) -> LaurentPoly:
@@ -730,27 +698,11 @@ def gcd_many(fs: Iterable[LaurentPoly]) -> LaurentPoly:
         return normalize(_from_dense(acc, (1,)))
     acc = None
     for f in nonzero:
-        _, p = _to_ring(normalize(f), "ZZ")
+        p = _to_ring(normalize(f))
         acc = p if acc is None else acc.gcd(p)
         if acc == 1:
             break
     return normalize(_from_ring(acc, nvars))
-
-
-def multiplicity(f: LaurentPoly, delta: LaurentPoly) -> int:
-    """Largest k ≥ 0 with f^k dividing delta."""
-    if f.is_zero() or f.is_unit() or normalize(f).is_constant():
-        raise LaurentError("multiplicity requires a non-unit, nonzero f")
-    if delta.is_zero():
-        raise LaurentError("multiplicity undefined for zero polynomial")
-    k = 0
-    cur = delta
-    while True:
-        nxt = exact_div(cur, f)
-        if nxt is None:
-            return k
-        cur = nxt
-        k += 1
 
 
 # -- order of vanishing -----------------------------------------------------
@@ -776,9 +728,7 @@ def vanishing_order(f: LaurentPoly, point: "Character") -> int:
     if len(point) != f.nvars:
         raise LaurentError("point has wrong number of coordinates")
     residues, scales = point.residues(f.terms)
-    # f times the lcm of its denominators vanishes to the same order
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    coeffs = [int(c * den) for c in f.terms.values()]
+    coeffs = list(f.terms.values())
     if scales is not None:
         coeffs = list(map(operator.mul, coeffs, scales))
     columns = list(zip(*f.terms))
@@ -808,7 +758,9 @@ class PolyParseError(LaurentError):
 
 
 def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
-    """Parse the expression grammar: ints, variables, + - * ^, parentheses."""
+    """Parse the expression grammar: ints, variables, + - * ^, parentheses.
+    A power whose result would hold a coefficient of more than MAX_DIGITS
+    digits is a cap error, found before it is expanded."""
     if has_long_number(text):
         raise PolyParseError(f"a number has more than {MAX_DIGITS} digits")
     tokens = []
@@ -865,6 +817,13 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
             k = parse_int()
             if k < 0 and not base.is_monomial():
                 raise PolyParseError("negative exponent on a non-monomial")
+            if base.terms:
+                # the lex-leading term of a product is the product of the
+                # lex-leading terms, so |a|^k, a the leading coefficient,
+                # is a coefficient of base^k, and |a|^k ≥ 2^(k·(bits − 1))
+                a = base.terms[max(base.terms)]
+                check("bits of a power's leading coefficient",
+                      k * (abs(a).bit_length() - 1), COEFFICIENT_BITS_CAP)
             base = base ** k
         return base
 
@@ -1167,7 +1126,7 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
         """The irreducible factors of p in Z[t], canonical, and their
         multiplicities."""
         return [(normalize(_from_ring(r, p.nvars)), k)
-                for r, k in _to_ring(p, "ZZ")[1].factor_list()[1]]
+                for r, k in _to_ring(p).factor_list()[1]]
 
     if f.is_zero():
         raise LaurentError("cannot factor the zero polynomial")
@@ -1200,7 +1159,7 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
         if _coprime(a, b):
             parts.append((piece, 1, None))
             break
-        ring = _ring(g.nvars, "ZZ")
+        ring = _ring(g.nvars)
         common, a, b = ring.from_dict(a).cofactors(ring.from_dict(b))
         parts.append((normalize(_from_ring(a * ring.gens[i] + b, g.nvars)),
                       1, None))

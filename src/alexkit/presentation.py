@@ -57,11 +57,6 @@ class Word(Frozen):
 EMPTY_WORD = Word(())
 
 
-def word(letters: Sequence[Tuple[int, int]]) -> Word:
-    """Build a Word from arbitrary letters, reducing freely."""
-    return free_reduce_letters(tuple(letters))
-
-
 def free_reduce_letters(letters: Sequence[Tuple[int, int]]) -> Word:
     stack: List[List[int]] = []
     for g, e in letters:
@@ -74,10 +69,6 @@ def free_reduce_letters(letters: Sequence[Tuple[int, int]]) -> Word:
         else:
             stack.append([g, e])
     return Word(tuple((g, e) for g, e in stack))
-
-
-def commutator(a: Word, b: Word) -> Word:
-    return a * b * a.inverse() * b.inverse()
 
 
 class GroupPresentation(Frozen):
@@ -170,14 +161,3 @@ def parse_presentation(text: str) -> GroupPresentation:
         raise PresentationError("missing gens: line", 1, 1)
     return GroupPresentation(tuple(names), tuple(relators))
 
-
-def render_presentation(p: GroupPresentation) -> str:
-    """Canonical text form; parse(render(p)) == p."""
-    lines = ["gens: " + " ".join(p.generator_names)]
-    for r in p.relators:
-        parts = []
-        for g, e in r.letters:
-            name = p.generator_names[g]
-            parts.append(name if e == 1 else f"{name}^{e}")
-        lines.append("rel: " + " ".join(parts))
-    return "\n".join(lines) + "\n"

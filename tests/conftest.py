@@ -5,7 +5,8 @@ import pytest
 
 from alexkit.alexander import fox_matrix, load_matrix
 from alexkit.cyclofield import parse_character
-from alexkit.presentation import parse_presentation
+from alexkit.laurent import divides, normalize
+from alexkit.presentation import free_reduce_letters, parse_presentation
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -31,6 +32,39 @@ def character(*values):
     names = [f"v{i}" for i in range(len(values))]
     return parse_character(
         ",".join(f"{n}={v}" for n, v in zip(names, values)), names)
+
+
+# -- helpers that only tests use: no CLI path calls them
+
+def word(letters):
+    """The Word of arbitrary letters (index, exponent), reduced freely."""
+    return free_reduce_letters(tuple(letters))
+
+
+def commutator(a, b):
+    return a * b * a.inverse() * b.inverse()
+
+
+def render_presentation(p):
+    """Canonical text form; parse_presentation(render_presentation(p)) == p."""
+    lines = ["gens: " + " ".join(p.generator_names)]
+    for r in p.relators:
+        parts = []
+        for g, e in r.letters:
+            name = p.generator_names[g]
+            parts.append(name if e == 1 else f"{name}^{e}")
+        lines.append("rel: " + " ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def multiplicity(f, delta):
+    """The largest k ≥ 0 with f^k dividing delta ≠ 0 over Q, for a
+    nonconstant f."""
+    assert not normalize(f).is_constant() and not delta.is_zero()
+    k, power = 0, f
+    while divides(power, delta):
+        k, power = k + 1, power * f
+    return k
 
 
 @pytest.fixture

@@ -4,14 +4,15 @@ from alexkit.alexander import alexander_poly, fox_matrix, generic_rank_mod
 from alexkit.intlinalg import abelianization
 from alexkit.jumploci import (bounds_report, monodromy_analysis,
                               semisimple_equality_report, twisted_betti)
-from alexkit.laurent import (associates, factor_poly, multiplicity,
-                             normalize, parse_poly, vanishing_order)
+from alexkit.laurent import (associates, factor_poly, normalize, parse_poly,
+                             vanishing_order)
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, qp_verdict
 from alexkit.seifert import (SpliceData, seifert_delta, seifert_divisor,
                              seifert_twisted_betti)
 
 import test_properties
-from conftest import character, load_matrix_fixture, load_presentation
+from conftest import (character, load_matrix_fixture, load_presentation,
+                      multiplicity)
 
 X3 = ("x1", "x2", "x3")
 

@@ -90,6 +90,34 @@ def test_matrix_delta_over_print_limit(tmp_path):
     assert proc.stderr.startswith("alexkit: cap exceeded: ")
 
 
+@pytest.mark.parametrize("entry", ["11^111111211", "(11*t)^111111211"],
+                         ids=["integer", "monomial"])
+def test_matrix_power_over_print_limit(tmp_path, entry):
+    """|11|^k is the leading coefficient of 11^k and of (11·t)^k, and at
+    k = 111111211 it has some 1.2·10⁸ digits: the power is refused from
+    its base and exponent, before it is expanded.  It once ran without
+    bound."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["t"], "rows": [[entry]]}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < 2
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "alexkit: cap exceeded: bits of a power's leading coefficient "
+        "333333633 exceeds cap 14284"]
+
+
+def test_matrix_power_under_print_limit(tmp_path):
+    """11^4000 has 4166 digits, within what Python prints: answered, and
+    the entry is echoed in full."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["t"], "rows": [["11^4000"]]}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["input"]["rows"] == [[str(11 ** 4000)]]
+
+
 def test_seifert_many_components_over_output_cap():
     """1000 unit weights, then 2 and 3, as 1000 components: Δ has degree
     5995, under the degree cap, but its terms would carry 1000 exponents

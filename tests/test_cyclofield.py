@@ -113,8 +113,10 @@ def test_evaluate_polynomial():
     assert not any(evaluate(f, character("zeta4", "zeta4^3")))
     g = parse_poly("t^-1 + t", ("t",))
     assert evaluate(g, character(-1)) == (-2,)
-    h = LaurentPoly(1, {(2,): 1, (0,): Fraction(1, 2)})
-    assert evaluate(h, character("zeta3")) == (Fraction(-1, 2), -1)
+    # 2·(ζ/2)^2 + 1 = ζ^2/2 + 1 = 1/2 − ζ/2, with ζ^2 = −1 − ζ
+    h = parse_poly("2*t^2 + 1", ("t",))
+    assert evaluate(h, character("1/2*zeta3")) == (Fraction(1, 2),
+                                                   Fraction(-1, 2))
 
 
 def test_cyclotomic_poly_values():
@@ -125,11 +127,11 @@ def test_cyclotomic_poly_values():
 
 def test_cyclotomic_order_rejects_non_canonical_input():
     """_to_dense, which reads a univariate polynomial into Z[u], rejects a
-    non-integral coefficient and a negative exponent."""
+    negative exponent and the zero polynomial; no coefficient reaches it
+    that is not an integer, since `LaurentPoly` refuses one."""
     assert _to_dense(parse_poly("t^2+t+1", ("t",))) == (1, 1, 1)
-    # neither may be read as 1 + t = Φ_2
-    for p in (LaurentPoly(1, {(1,): Fraction(3, 2), (0,): 1}),
-              parse_poly("t^-1 + 1 + t", ("t",))):
+    # t^-1 + 1 + t may not be read as 1 + t + t^2 = Φ_3
+    for p in (parse_poly("t^-1 + 1 + t", ("t",)), LaurentPoly.zero(1)):
         with pytest.raises(LaurentError):
             _to_dense(p)
 

@@ -66,8 +66,8 @@ def _sympy_references(tree):
 
 def test_sympy_only_in_laurent():
     """laurent.py is the one bridge to sympy, a backend for multivariate
-    gcd and factoring, for factoring a non-cyclotomic rest and for division
-    over Q[t]: no other module imports it, so every other polynomial
+    gcd and factoring and for factoring a non-cyclotomic rest: no other
+    module imports it, so every other polynomial
     algorithm and every exact rank is alexkit's own.  Each module is
     reported at its first reference."""
     found = [f"{name}:{min(node.lineno for node in nodes)}"
@@ -89,6 +89,19 @@ def test_ring_bridge_named_only_in_laurent():
                    if isinstance(node, ast.Name) and node.id in bridge
                    or isinstance(node, ast.Attribute) and node.attr in bridge
                    or isinstance(node, ast.alias) and node.name in bridge)
+    assert found == []
+
+
+def test_ring_is_over_the_integers():
+    """Every polynomial is held over Z, so the bridge has one ring per
+    variable count: `laurent._ring` takes the count alone, and no module
+    names the rationals' domain."""
+    laurent = dict(_modules())["laurent.py"]
+    (ring,) = [node for node in laurent.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_ring"]
+    assert [a.arg for a in ring.args.args] == ["nvars"]
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "QQ" in path.read_text(encoding="utf-8")]
     assert found == []
 
 
@@ -262,9 +275,7 @@ def test_public_names_unused_in_the_package():
                 unused.add(f"{stem}.{defined}")
     assert unused == {
         "alexander.generic_rank_mod", "cyclofield.cyclotomic_poly",
-        "jumploci.monodromy_analysis", "jumploci.semisimple_equality_report",
-        "laurent.multiplicity", "presentation.commutator",
-        "presentation.render_presentation", "presentation.word"}
+        "jumploci.monodromy_analysis", "jumploci.semisimple_equality_report"}
 
 
 def test_no_module_imports_dataclasses():

@@ -6,13 +6,12 @@ import pytest
 from alexkit import ComputationCapError, laurent
 from alexkit.alexander import alexander_poly, fox_matrix
 from alexkit.laurent import (LaurentError, LaurentPoly, PolyParseError,
-                             associates, divides, exact_div, factor_poly,
-                             gcd_many, multiplicity, normalize, parse_poly,
-                             vanishing_order)
+                             associates, divides, factor_poly, gcd_many,
+                             normalize, parse_poly, vanishing_order)
 
 from alexkit.presentation import parse_presentation
 
-from conftest import character
+from conftest import character, multiplicity
 from test_properties import cyclotomic_order
 
 T3 = ("t1", "t2", "t3")
@@ -51,23 +50,17 @@ def test_associates_and_scalar_associates():
     assert not associates(f, f + f)
 
 
-def test_exact_div_restores_monomial_shift():
+def test_divides_ignores_a_monomial_shift():
     f = P("t1^-1*t2*(t1*t2-1)")
     g = P("t1*t2-1")
-    q = exact_div(f, g)
-    assert q is not None
-    assert q * g == f
+    assert divides(g, f) and divides(f, g)
+    assert divides(g * LaurentPoly.monomial((3, -2, 1)), f)
 
 
-def test_exact_div_of_constants_is_exact():
-    """In no variables exact_div divides one coefficient by another: 1/3
-    must be the Fraction, where `/` on two ints would be a float."""
-    (q,) = exact_div(LaurentPoly.constant(0, 1),
-                     LaurentPoly.constant(0, 3)).terms.values()
-    assert type(q) is Fraction and q == Fraction(1, 3)
-    (q,) = exact_div(LaurentPoly.constant(0, 6),
-                     LaurentPoly.constant(0, -3)).terms.values()
-    assert type(q) is int and q == -2
+def test_divides_in_no_variables():
+    """A nonzero constant divides every constant over Q."""
+    assert divides(LaurentPoly.constant(0, 3), LaurentPoly.constant(0, 1))
+    assert divides(LaurentPoly.constant(0, -3), LaurentPoly.zero(0))
 
 
 def test_floats_are_refused():
@@ -77,6 +70,17 @@ def test_floats_are_refused():
         LaurentPoly.constant(2, 2.0)
     with pytest.raises(LaurentError):
         LaurentPoly.one(1) * 0.5
+
+
+def test_coefficients_are_integers():
+    """A non-integral coefficient is refused, however it is reached; an
+    integral `Fraction` is stored as its `int`."""
+    with pytest.raises(LaurentError):
+        LaurentPoly(1, {(0,): Fraction(1, 2)})
+    with pytest.raises(LaurentError):
+        LaurentPoly.one(1) * Fraction(1, 2)
+    with pytest.raises(LaurentError):
+        LaurentPoly.constant(0, Fraction(-7, 3))
     (c,) = LaurentPoly(1, {(1,): Fraction(4, 2)}).terms.values()
     assert type(c) is int and c == 2
 
@@ -92,8 +96,10 @@ def test_var_and_monomial_refuse_exponents_that_are_not_ints(bad):
 
 def test_divides():
     assert divides(P("t-1", T1), P("t^2-1", T1))
+    assert divides(P("2*t-2", T1), P("t^2-1", T1))
     assert divides(P("t1*t2+1"), P("(t2-1)*(t1*t2+1)^2"))
     assert not divides(P("t-2", T1), P("t^2-1", T1))
+    assert not divides(P("t^2-1", T1), P("2*t-2", T1))
 
 
 def test_gcd_oracles():
@@ -118,8 +124,7 @@ def test_multiplicity():
                           ("x1", "x2", "x3"))) == 1
     f = P("t1*t2*t3-1")
     assert multiplicity(f, f ** 3) == 3
-    with pytest.raises(LaurentError):
-        multiplicity(LaurentPoly.one(1), P("t-1", T1))
+    assert multiplicity(2 * f, 3 * f ** 2) == 2
 
 
 def test_vanishing_order():

@@ -1,9 +1,9 @@
 import pytest
 
 from alexkit.presentation import (EMPTY_WORD, GroupPresentation,
-                                  PresentationError, Word, commutator,
-                                  parse_presentation, render_presentation,
-                                  word)
+                                  PresentationError, Word, parse_presentation)
+
+from conftest import commutator, render_presentation, word
 
 
 def test_free_reduction_merges_and_cancels():

@@ -1,7 +1,9 @@
 """Randomized property suites with fixed seeds."""
 
+import functools
 import itertools
 import math
+import operator
 import os
 import random
 from fractions import Fraction
@@ -25,20 +27,20 @@ from alexkit.laurent import (FactoredPoly, LaurentError, LaurentPoly,
                              _coprime,
                              _cyclotomic_exponents, _cyclotomic_parts,
                              _directions, _divisors, _dup_mul, _from_ring,
+                             _ring,
                              _invert_mod_prime, _isprime,
                              _fibers, _order_bound, _phi_coeffs,
                              _split_cyclotomic, _split_directions, _to_dense,
                              _to_ring, _unfibers,
-                             associates, default_names, divides, exact_div,
+                             associates, default_names, divides,
                              exact_div_binomial, factor_poly, gcd_many,
-                             multiplicity, normalize, parse_poly,
-                             vanishing_order)
+                             normalize, parse_poly, vanishing_order)
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, QPVerdict, qp_verdict
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
-                                  parse_presentation, word)
+                                  parse_presentation)
 from alexkit.seifert import SpliceData, _order, seifert_delta
 
-from conftest import DATA, character, load_presentation
+from conftest import DATA, character, load_presentation, multiplicity, word
 
 
 def random_word(rng, num_gens, max_len=6):
@@ -162,8 +164,38 @@ def random_poly(rng, nvars, max_terms=4):
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
         exp = tuple(rng.randrange(-2, 3) for _ in range(nvars))
-        terms[exp] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        terms[exp] = rng.choice([-3, -2, -1, 1, 2, 3])
     return LaurentPoly(nvars, terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _q_ring(nvars):
+    """sympy's sparse ring Q[x_0..x_(n−1)], lex order."""
+    return sympy.polys.rings.PolyRing(f"x:{nvars}", sympy.QQ,
+                                      sympy.polys.orderings.lex)
+
+
+def _quotient_over_q(f, g):
+    """The terms {exponent: Fraction} of f / g when g ≠ 0 divides f in
+    Q[t^±], else None: the oracle of every exact division, by sympy's
+    division over Q of f and g, each moved to nonnegative exponents with
+    some exponent of each variable 0 (then g divides f in Q[t^±] iff it
+    does so in Q[t])."""
+    ring = _q_ring(f.nvars)
+
+    def shifted(h):
+        low = [min(col) for col in zip(*h.terms)] if h.terms \
+            else [0] * h.nvars
+        return low, ring.from_dict({tuple(map(operator.sub, e, low)): c
+                                    for e, c in h.terms.items()})
+
+    (low_f, pf), (low_g, pg) = shifted(f), shifted(g)
+    q, r = pf.div(pg)
+    if r:
+        return None
+    return {tuple(e + a - b for e, a, b in zip(monom, low_f, low_g)):
+            Fraction(int(c.numerator), int(c.denominator))
+            for monom, c in q.items()}
 
 
 def test_gcd_axioms_random():
@@ -275,8 +307,8 @@ def _rational_power(n, coords, e):
 
 def test_vanishing_order_matches_expansion_oracle():
     """Points of conductor 1, 2, 3, 4, 5 and 12, scaled by the rationals 2
-    and −1/3; f is a product of binomials t^e − ρ^e, which vanish at ρ,
-    with a generic factor, and has negative exponents."""
+    and −1/3; f is a product of binomials b·t^e − a with a/b = ρ^e, which
+    vanish at ρ, with a generic factor, and has negative exponents."""
     rng = random.Random(20241018)
     small = {nvars: [e for e in itertools.product(range(-6, 7), repeat=nvars)
                      if 0 < sum(map(abs, e)) <= 6] for nvars in (1, 2, 3)}
@@ -288,7 +320,8 @@ def test_vanishing_order_matches_expansion_oracle():
                   for _ in range(nvars)]
         point = Character(n, tuple(q for q, _ in coords),
                           tuple(k for _, k in coords))
-        binomials = [LaurentPoly.monomial(e) - c for e in small[nvars]
+        binomials = [c.denominator * LaurentPoly.monomial(e) - c.numerator
+                     for e in small[nvars]
                      if (c := _rational_power(n, coords, e)) is not None]
         f = random_poly(rng, nvars, 3)
         for _ in range(rng.randrange(4)):
@@ -329,7 +362,7 @@ def test_evaluate_matches_product_oracle():
                         tuple(k for _, k in coords))
         f = LaurentPoly(nvars, {
             tuple(rng.randrange(-5, 6) for _ in range(nvars)):
-            Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+            rng.randrange(-6, 7)
             for _ in range(rng.randrange(1, 6))})
         value = evaluate(f, chi)
         assert value == _product_evaluate(f, n, coords)
@@ -409,7 +442,8 @@ def _random_character(rng, nvars, conductors):
 def test_residue_kernel_matches_pull_and_bucket_sum():
     """`Character.residues`, `pull`, `trivial_on` and `evaluate` against
     the former one-scale-at-a-time pull and N-bucket sum, on random
-    rational polynomials and characters of odd and even conductor."""
+    integer polynomials and characters of odd and even conductor with
+    rational scales."""
     rng = random.Random(20261024)
     conductors = (1, 2, 3, 4, 5, 6, 12, 15, 60, 211, 240)
     seen = set()
@@ -418,7 +452,7 @@ def test_residue_kernel_matches_pull_and_bucket_sum():
         chi = _random_character(rng, nvars, conductors)
         f = LaurentPoly(nvars, {
             tuple(rng.randrange(-4, 5) for _ in range(nvars)):
-            Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+            rng.randrange(-6, 7)
             for _ in range(rng.randrange(1, 7))})
         pulled = _pull_oracle(chi, f.terms)
         assert chi.pull(f.terms) == pulled
@@ -436,9 +470,9 @@ def test_residue_kernel_matches_pull_and_bucket_sum():
 
 def test_vanishing_order_matches_bucket_path():
     """`vanishing_order` against the former pull-and-bucket loop, on
-    products of binomials t^e − ρ^e with a random factor, at points of
-    odd and even conductor with rational, negative and non-integral
-    scales."""
+    products of binomials b·t^e − a with a/b = ρ^e and a random factor,
+    at points of odd and even conductor with rational, negative and
+    non-integral scales."""
     rng = random.Random(20261025)
     small = {nvars: [e for e in itertools.product(range(-4, 5), repeat=nvars)
                      if 0 < sum(map(abs, e)) <= 4] for nvars in (1, 2, 3)}
@@ -447,7 +481,8 @@ def test_vanishing_order_matches_bucket_path():
         nvars = rng.randrange(1, 4)
         point = _random_character(rng, nvars, (1, 2, 3, 4, 6, 12, 15))
         coords = list(zip(point.scales, point.exps))
-        binomials = [LaurentPoly.monomial(e) - c for e in small[nvars]
+        binomials = [c.denominator * LaurentPoly.monomial(e) - c.numerator
+                     for e in small[nvars]
                      if (c := _rational_power(point.conductor, coords, e))
                      is not None]
         f = random_poly(rng, nvars, 3)
@@ -712,10 +747,10 @@ def _cyclotomic_factor(p):
             phi = cyclotomic_poly(m)
             mult = 0
             while True:
-                q = exact_div(g, phi)
+                q = _quotient_over_q(g, phi)
                 if q is None:
                     break
-                g = normalize(q)
+                g = normalize(LaurentPoly(1, q))
                 mult += 1
             if mult:
                 cyclo.append((m, mult))
@@ -804,7 +839,7 @@ def _factor_list_oracle(f):
     by `essential_oracle`."""
     g = normalize(f)
     c = math.gcd(*(abs(x.numerator) for x in g.terms.values()))
-    _, parts = _to_ring(g, "ZZ")[1].factor_list()
+    _, parts = _to_ring(g).factor_list()
     factors = [(normalize(_from_ring(p, g.nvars)), mult)
                for p, mult in parts]
     factors = tuple(sorted(
@@ -1482,8 +1517,9 @@ def _smith_oracle(mat):
     for s in invariant_factors(grid, domain=ring):
         poly = sympy.Poly(ring.to_sympy(s), t)
         if not poly.is_zero:
+            _, poly = poly.clear_denoms(convert=True)
             out.append(_primitive(LaurentPoly(1, {
-                k: Fraction(int(c.p), int(c.q)) for k, c in poly.terms()})))
+                k: int(c) for k, c in poly.terms()})))
     return out
 
 
@@ -1515,7 +1551,7 @@ def test_invariant_factors_match_sympy_smith_oracle():
                     "nonconstant before the last"}
 
 
-def test_binomial_division_matches_exact_div():
+def test_binomial_division_matches_sympy_division():
     rng = random.Random(20241002)
     vectors = [(2,), (-3,), (1, -1), (2, -2), (-2, 4), (0, 3), (1, -2, 2),
                (0, -2, 0)]
@@ -1526,11 +1562,11 @@ def test_binomial_division_matches_exact_div():
         f = random_poly(rng, n)
         binomial = LaurentPoly.monomial(v) - 1
         product = f * binomial
-        assert exact_div_binomial(product, v) == exact_div(product, binomial)
+        assert _quotient_over_q(product, binomial) == f.terms
         assert exact_div_binomial(product, v) == f
         g = product + random_poly(rng, n, 2)
-        expected = exact_div(g, binomial)
-        assert exact_div_binomial(g, v) == expected
+        expected, got = _quotient_over_q(g, binomial), exact_div_binomial(g, v)
+        assert expected == (got if got is None else got.terms)
         inexact += expected is None
     assert inexact > 100
     assert exact_div_binomial(LaurentPoly.zero(2), (1, 2)).is_zero()
@@ -1550,7 +1586,7 @@ def test_fibers_round_trip():
         if not any(e):
             continue
         terms = {tuple(rng.randrange(-6, 7) for _ in range(n)):
-                 rng.choice([-3, -1, 1, 2, Fraction(1, 2)])
+                 rng.choice([-3, -1, 1, 2, 5])
                  for _ in range(rng.randrange(1, 12))}
         fibers = _fibers(terms, e)
         assert _unfibers(fibers, e) == terms
@@ -1560,10 +1596,6 @@ def test_fibers_round_trip():
             for k, c in enumerate(line, low):
                 v = tuple(b + k * x for b, x in zip(base, e))
                 assert terms.get(v, 0) == c
-    # a line of Fraction coefficients divides like one of ints
-    f = LaurentPoly(1, {(0,): Fraction(1, 2), (3,): Fraction(-1, 2)})
-    assert exact_div_binomial(f, (-3,)) == LaurentPoly(
-        1, {(3,): Fraction(1, 2)})
 
 
 def _cofactor_det(rows):
@@ -1600,44 +1632,52 @@ def test_memoized_det_matches_cofactor_expansion():
             assert minors.get(mask, LaurentPoly.zero(n)) == expected
 
 
-def random_rational_poly(rng, nvars, max_terms=5):
-    """Negative exponents and non-integer coefficients."""
+def random_laurent_poly(rng, nvars, max_terms=5):
+    """Negative exponents and integer coefficients that are often not
+    primitive."""
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
         exp = tuple(rng.randrange(-4, 4) for _ in range(nvars))
-        terms[exp] = Fraction(rng.choice([-5, -2, -1, 1, 3, 7]),
-                              rng.choice([1, 2, 3, 10]))
+        terms[exp] = rng.choice([-5, -2, -1, 1, 3, 7]) * \
+            rng.choice([1, 2, 3, 10])
     return LaurentPoly(nvars, terms)
 
 
 def test_ring_bridge_round_trip():
+    """A canonical integer polynomial goes into the ring Z[t] of its
+    variable count and comes back unchanged, with `int` coefficients."""
     rng = random.Random(20241101)
     for _ in range(200):
         n = rng.randrange(1, 4)
-        f = random_rational_poly(rng, n)
-        shift, p = _to_ring(f, "QQ")
-        assert all(s >= 0 for s in shift)
+        g = normalize(random_laurent_poly(rng, n))
+        p = _to_ring(g)
+        assert p.ring is _ring(n)
         assert all(e >= 0 for monom in p for e in monom)
-        # the least shift: some exponent of every variable lands on 0
-        assert all(min(monom[i] for monom in p) == 0 or shift[i] == 0
-                   for i in range(n))
-        assert _from_ring(p, n, shift) == f
-        g = normalize(f)
-        shift, p = _to_ring(g, "ZZ")
-        assert shift == (0,) * n
-        assert _from_ring(p, n) == g
-    assert _from_ring(_to_ring(LaurentPoly.zero(2), "QQ")[1], 2).is_zero()
+        back = _from_ring(p, n)
+        assert back == g
+        assert all(type(c) is int for c in back.terms.values())
+    assert _from_ring(_to_ring(LaurentPoly.zero(2)), 2).is_zero()
 
 
-def test_exact_div_of_products():
+def test_divides_matches_sympy_division_over_q():
+    """`divides` against sympy's division over Q, on random pairs in 1–3
+    variables with negative exponents and divisors that are often not
+    primitive; half the dividends are multiples of the divisor."""
     rng = random.Random(20241102)
+    seen = set()
     for _ in range(200):
         n = rng.randrange(1, 4)
-        f = random_rational_poly(rng, n)
-        g = random_rational_poly(rng, n, 3)
-        assert exact_div(f * g, g) == f
-        assert exact_div(f * g * LaurentPoly.var(n, 0, 5), g) == \
-            f * LaurentPoly.var(n, 0, 5)
+        f = rng.choice((1, 2, 6)) * random_laurent_poly(rng, n, 3)
+        g = random_laurent_poly(rng, n)
+        if rng.random() < 0.5:
+            g = g * f * LaurentPoly.var(n, 0, rng.randrange(-5, 6))
+        got = divides(f, g)
+        assert got == (_quotient_over_q(g, f) is not None), (f, g)
+        seen.add((got, math.gcd(*f.terms.values()) > 1))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+    t = ("t",)
+    assert divides(parse_poly("2*t - 2", t), parse_poly("t^2 - 1", t))
 
 
 def _int_coeffs(f):
@@ -1720,33 +1760,29 @@ def _assert_canonical(f: LaurentPoly):
     for exp, c in f.terms.items():
         assert type(exp) is tuple and len(exp) == f.nvars, exp
         assert all(type(e) is int for e in exp), exp
-        _assert_rational(c)
+        assert type(c) is int, (type(c), c)
 
 
 def test_coefficients_and_scales_are_int_or_proper_fraction():
-    """Every coefficient and every character scale is an `int` when it is
-    integral and a `Fraction` only when it is not, after each operation
-    that builds one, on the random cases of the tests above (their
-    generators and seeds), and on characters parsed from random values,
-    each with integral and non-integral scales."""
-    rng = random.Random(20241102)  # test_exact_div_of_products
+    """Every polynomial coefficient is an `int`, and every character scale
+    is an `int` when it is integral and a `Fraction` only when it is not,
+    after each operation that builds one, on the random cases of the tests
+    above (their generators and seeds), and on characters parsed from
+    random values, each with integral and non-integral scales."""
+    rng = random.Random(20241102)  # test_divides_matches_sympy_division_...
     for _ in range(100):
         n = rng.randrange(1, 4)
-        f = random_rational_poly(rng, n)
-        g = random_rational_poly(rng, n, 3)
+        f = random_laurent_poly(rng, n)
+        g = random_laurent_poly(rng, n, 3)
         a, b = random_poly(rng, n), random_poly(rng, n, 3)
         for h in (f + g, f - g, f * g, f ** 2, -f, a + b, a - b, a * b,
-                  b ** 3, a + 1, a * Fraction(1, 2) * 2, normalize(f),
-                  normalize(a), exact_div(f * g, g), exact_div(a * b, b),
-                  exact_div(a * b, a + 7 * b) or a, gcd_many([a * b, a]),
-                  gcd_many([f, g]), parse_poly(a.render(), default_names(n))):
+                  b ** 3, a + 1, a * Fraction(4, 2), normalize(f),
+                  normalize(a), gcd_many([a * b, a]), gcd_many([f, g]),
+                  parse_poly(a.render(), default_names(n))):
             _assert_canonical(h)
         for p, _ in factor_poly(a).factors:
             _assert_canonical(p)
-    for c, d in ((1, 3), (6, 3), (Fraction(1, 2), Fraction(3, 2))):
-        _assert_canonical(exact_div(LaurentPoly.constant(0, c),
-                                    LaurentPoly.constant(0, d)))
-    rng = random.Random(20241002)  # test_binomial_division_matches_exact_div
+    rng = random.Random(20241002)  # test_binomial_division_matches_sympy_...
     for v in ((2,), (-3,), (1, -1), (2, -2), (0, 3), (1, -2, 2)):
         f = random_poly(rng, len(v))
         _assert_canonical(exact_div_binomial(

@@ -5,13 +5,13 @@ import pytest
 from alexkit.alexander import alexander_poly
 from alexkit.cyclofield import cyclotomic_poly
 from alexkit.laurent import (LaurentPoly, _cyclotomic_exponents, _to_dense,
-                             associates, exact_div_binomial, multiplicity,
-                             normalize, parse_poly)
+                             associates, exact_div_binomial, normalize,
+                             parse_poly)
 from alexkit.seifert import (DivisorComponent, SeifertError, SpliceData,
                              _mult_at_order, seifert_delta, seifert_divisor,
                              seifert_twisted_betti)
 
-from conftest import character
+from conftest import character, multiplicity
 from test_properties import sev_decompose
 
 T3 = ("t1", "t2", "t3")
