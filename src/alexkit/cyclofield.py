@@ -25,8 +25,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import (CONDUCTOR_CAP, MAX_DIGITS, AlexkitError, Frozen, check,
                has_long_number)
-from .laurent import (LaurentPoly, _dup_mul, _from_dense, _invert_mod_prime,
-                      _phi_coeffs, _rational)
+from .laurent import (LaurentPoly, _dup_mul, _from_dense, _gf_inverse,
+                      _nextprime, _phi_coeffs, _rational)
 
 
 class CycloError(AlexkitError):
@@ -167,6 +167,8 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
         name = name.strip()
         if name not in names:
             raise CycloError(f"unknown name {name!r} in character")
+        if name in assignments:
+            raise CycloError(f"duplicate name {name!r} in character")
         if has_long_number(value):
             raise CycloError(f"a number in the value of {name!r} has more "
                              f"than {MAX_DIGITS} digits")
@@ -269,7 +271,9 @@ def _divider(b: tuple, n: int):
     means that b does not divide a: an internal error.
     """
     phi = _phi_coeffs(n)
-    ell, inverse = _invert_mod_prime(b, phi, _PRIME)
+    ell = _PRIME
+    while (inverse := _gf_inverse(b, phi, ell)) is None:
+        ell = _nextprime(ell)
     half = ell // 2
     bound = 2 * _power_bound(n) * sum(map(abs, b)) ** (len(phi) - 2)
 

@@ -1,13 +1,13 @@
 """Integer matrix normal forms and abelianization structure.
 
-Smith normal form with unimodular transforms is the workhorse: it yields
-the abelianization (rank, torsion invariants) of a presentation and the
-projection matrix onto the maximal torsion-free abelian quotient.
+Smith normal form with a unimodular change of basis and its inverse is
+the workhorse: it yields the abelianization (rank, torsion invariants) of
+a presentation, the projection matrix onto the maximal torsion-free
+abelian quotient, and the point a character induces on that quotient.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclofield import Character, CycloError
@@ -19,40 +19,41 @@ def _identity(n: int) -> List[List[int]]:
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
-    """(U, D, V) with U, V unimodular and D = U·M·V in Smith form.
+    """(D, V, W) with V unimodular, W = V⁻¹ and D = U·M·V in Smith form for
+    some unimodular U, which is not kept.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ...; zero rows/columns
-    are allowed (D has the same shape as M).
+    are allowed (D has the same shape as M).  Each column operation on V is
+    the inverse row operation on W.
     """
     m = [list(map(int, row)) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    u = _identity(rows)
     v = _identity(cols)
+    w = _identity(cols)
 
     def row_op(i, j, c):  # row_i += c * row_j
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
 
-    def col_op(i, j, c):  # col_i += c * col_j
+    def col_op(i, j, c):  # col_i += c * col_j, so row_j of W -= c * row_i
         for r in range(rows):
             m[r][i] += c * m[r][j]
         for r in range(cols):
             v[r][i] += c * v[r][j]
+        w[j] = [a - c * b for a, b in zip(w[j], w[i])]
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
 
     def col_swap(i, j):
         for r in range(rows):
             m[r][i], m[r][j] = m[r][j], m[r][i]
         for r in range(cols):
             v[r][i], v[r][j] = v[r][j], v[r][i]
+        w[i], w[j] = w[j], w[i]
 
     def row_negate(i):
         m[i] = [-a for a in m[i]]
-        u[i] = [-a for a in u[i]]
 
     t = 0
     while t < min(rows, cols):
@@ -95,34 +96,34 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
                 break
             row_op(t, bad[0], 1)
         t += 1
-    return u, m, v
+    return m, v, w
 
 
 class AbelianStructure(NamedTuple):
-    """Abelianization data: rank, torsion invariants, and the projection
-    matrix sending generator j to its image in Z^rank."""
+    """Abelianization data: rank, torsion invariants, the projection matrix
+    sending generator j to its image in Z^rank, and the inverse W of the
+    change of basis V that puts the exponent matrix in Smith form."""
 
     rank: int
     torsion: Tuple[int, ...]
     abf_projection: Tuple[Tuple[int, ...], ...]  # rank x m
+    abf_inverse: Tuple[Tuple[int, ...], ...]  # m x m
 
 
 def abelianization(p: GroupPresentation) -> AbelianStructure:
     """Structure of G_ab and the projection onto G_ab/Tors."""
     m = p.num_generators
-    exponent = p.exponent_matrix()
-    if not exponent:
-        exponent = [[0] * m] if m else []
     if m == 0:
-        return AbelianStructure(0, (), ())
-    _, d, v = smith_normal_form(exponent)
-    diag = [d[i][i] for i in range(min(len(d), m))] if d else []
+        return AbelianStructure(0, (), (), ())
+    d, v, w = smith_normal_form(p.exponent_matrix() or [[0] * m])
+    diag = [d[i][i] for i in range(min(len(d), m))]
     r = sum(1 for x in diag if x != 0)
     torsion = tuple(x for x in diag if x >= 2)
     # generators map through columns r..m-1 of V
     projection = tuple(tuple(v[j][k] for j in range(m))
                        for k in range(r, m))
-    return AbelianStructure(m - r, torsion, projection)
+    return AbelianStructure(m - r, torsion, projection,
+                            tuple(map(tuple, w)))
 
 
 def validate_character(p: GroupPresentation, chi: Character) -> bool:
@@ -132,31 +133,17 @@ def validate_character(p: GroupPresentation, chi: Character) -> bool:
     return chi.trivial_on(p.exponent_matrix())
 
 
-@lru_cache(maxsize=64)
-def _torus_section(projection: Tuple[Tuple[int, ...], ...]
-                   ) -> Optional[tuple]:
-    """(kernel, section) for a projection A onto Z^n, n ≥ 1, or None when
-    A is not onto: chi factors through A iff chi^kernel is trivial, and
-    then y = chi^section.  With D = U·A·V in Smith form, the columns of V
-    past n span ker A, and the section is V's first n columns times U.
-    """
-    n = len(projection)
-    u, d, v = smith_normal_form(projection)
-    if any(d[i][i] != 1 for i in range(n)):
-        return None
-    kernel = tuple(tuple(row[i] for row in v) for i in range(n, len(v)))
-    section = tuple(tuple(sum(row[i] * u[i][k] for i in range(n))
-                          for row in v) for k in range(n))
-    return kernel, section
-
-
 def induced_torus_point(ab: AbelianStructure,
                         chi: Character) -> Optional[Character]:
     """The point y with y^(A column j) = chi_j for all j, if chi factors
-    through the torsion-free quotient; None otherwise."""
-    if not ab.abf_projection:
-        return chi.pull([]) if chi.is_trivial() else None
-    found = _torus_section(ab.abf_projection)
-    if found is None or not chi.trivial_on(found[0]):
+    through the torsion-free quotient; None otherwise.
+
+    Generator j maps to row j of V, so chi takes the value chi^(row k of W)
+    on basis vector k of the Smith basis.  The first m − rank of these span
+    the torsion part, where chi must be trivial, and the rest give y, the
+    only such point since A is onto Z^rank.
+    """
+    split = len(ab.abf_inverse) - ab.rank
+    if not chi.trivial_on(ab.abf_inverse[:split]):
         return None
-    return chi.pull(found[1])
+    return chi.pull(ab.abf_inverse[split:])

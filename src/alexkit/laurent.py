@@ -526,19 +526,6 @@ def _gf_inverse(f: Sequence[int], m: Sequence[int], p: int
     return tuple(c * inverse % p for c in s0) + (0,) * (len(m) - 1 - len(s0))
 
 
-def _invert_mod_prime(f: Sequence[int], m: Sequence[int], p: int
-                      ) -> Tuple[int, Tuple[int, ...]]:
-    """(ℓ, the inverse of f modulo m over F_ℓ) for the least prime ℓ ≥ p at
-    which f is invertible modulo m; f and m are ascending integer
-    coefficient lists, m is monic and coprime to f over Q, and the inverse
-    has coefficients in [0, ℓ), one per degree below deg m."""
-    while True:
-        inverse = _gf_inverse(f, m, p)
-        if inverse is not None:
-            return p, inverse
-        p = _nextprime(p)
-
-
 # -- cyclotomic polynomials -------------------------------------------------
 
 

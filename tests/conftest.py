@@ -2,9 +2,12 @@ import json
 import os
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_decomp
 
 from alexkit.alexander import fox_matrix, load_matrix
 from alexkit.cyclofield import parse_character
+from alexkit.intlinalg import smith_normal_form
 from alexkit.laurent import divides, normalize
 from alexkit.presentation import free_reduce_letters, parse_presentation
 
@@ -55,6 +58,21 @@ def render_presentation(p):
             parts.append(name if e == 1 else f"{name}^{e}")
         lines.append("rel: " + " ".join(parts))
     return "\n".join(lines) + "\n"
+
+
+def check_smith_form(m):
+    """(D, V, W) = smith_normal_form(m), checked: V is unimodular with
+    inverse W, D is sympy's Smith form of m up to the signs of its
+    invariants, and M·V is zero past the rank."""
+    d, v, w = smith_normal_form(m)
+    cols = len(v)
+    assert abs(sympy.Matrix(v).det()) == 1
+    assert sympy.Matrix(w) * sympy.Matrix(v) == sympy.eye(cols)
+    a, _, _ = smith_normal_decomp(sympy.Matrix(m), domain=sympy.ZZ)
+    assert d == [[abs(int(x)) for x in a.row(i)] for i in range(len(m))]
+    rank = sum(1 for i in range(min(len(m), cols)) if d[i][i])
+    assert (sympy.Matrix(m) * sympy.Matrix(v))[:, rank:].is_zero_matrix
+    return d, v, w
 
 
 def multiplicity(f, delta):

@@ -233,6 +233,36 @@ def test_exit_code_zero_denominator_in_character(capsys, argv):
     assert "bad character value" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["betti", data_path("pencil3.grp"), "--char", "x1=zeta4,x1=1,x2=1,x3=1"],
+    ["seifert", "--weights", "1,1,1", "--q", "3",
+     "--char", "t1=-1,t2=1,t1=1,t3=1"],
+], ids=["betti", "seifert"])
+def test_exit_code_character_assigns_a_name_twice(capsys, argv):
+    """A name given two values is refused, as duplicate generators and
+    duplicate matrix variables are, not settled by its last value."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    name = argv[-1][:2]
+    assert captured.err == f"alexkit: duplicate name {name!r} in character\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants"], ["invariants", "--matrix"], ["betti", "--char", "a=1"],
+], ids=["invariants", "matrix", "betti"])
+def test_exit_code_input_not_utf8(tmp_path, capsys, argv):
+    """A file that is not UTF-8 text exits 2 with one line on stderr,
+    not a UnicodeDecodeError traceback."""
+    path = tmp_path / "input"
+    path.write_bytes(b"gens: a\n\xff\n")
+    code = main(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"alexkit: cannot read {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 LONG = "7" * 5000  # past Python's 4300-digit limit on int conversion
 
 

@@ -1,51 +1,42 @@
 import glob
 import itertools
+import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import sympy
+from sympy.matrices.normalforms import smith_normal_decomp
+
+import alexkit
 from alexkit.cyclofield import Character
 from alexkit.intlinalg import (abelianization, induced_torus_point,
-                               smith_normal_form, validate_character)
+                               validate_character)
 from alexkit.presentation import parse_presentation
 
-from conftest import DATA, character, load_presentation
-
-
-def _matmul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def _det(m):
-    if len(m) == 1:
-        return m[0][0]
-    return sum((-1) ** i * m[i][0] *
-               _det([row[1:] for j, row in enumerate(m) if j != i])
-               for i in range(len(m)))
+from conftest import DATA, character, check_smith_form, load_presentation
 
 
 def test_snf_diagonal_oracle():
-    u, d, v = smith_normal_form([[2, 0], [0, 3]])
+    d, _, _ = check_smith_form([[2, 0], [0, 3]])
     assert [d[0][0], d[1][1]] == [1, 6]
 
 
 def test_snf_transforms_are_unimodular():
-    m = [[4, 6, 2], [2, 8, 6]]
-    u, d, v = smith_normal_form(m)
-    assert abs(_det(u)) == 1
-    assert abs(_det(v)) == 1
-    assert _matmul(_matmul(u, m), v) == d
+    check_smith_form([[4, 6, 2], [2, 8, 6]])
 
 
 def test_snf_divisibility_chain():
-    _, d, _ = smith_normal_form([[6, 4], [4, 6]])
+    d, _, _ = check_smith_form([[6, 4], [4, 6]])
     assert d[1][1] % d[0][0] == 0
 
 
 def test_snf_zero_matrix():
-    _, d, _ = smith_normal_form([[0, 0], [0, 0]])
-    assert d == [[0, 0], [0, 0]]
+    d, v, w = check_smith_form([[0, 0], [0, 0]])
+    assert d == [[0, 0], [0, 0]] and v == w == [[1, 0], [0, 1]]
 
 
 TORUSBUNDLE = ("gens: x1 x2 x3\n"
@@ -94,22 +85,25 @@ def test_induced_torus_point_rejects_torsion_character():
 
 
 def _induced_torus_point_oracle(ab, chi):
-    """The per-character solve that `induced_torus_point` replaced: the
-    Smith form of the projection A is taken anew for every chi."""
-    a = [list(row) for row in ab.abf_projection]
-    n = len(a)
+    """The per-character solve that `induced_torus_point` replaced, on
+    sympy's Smith form D = S·A·T of the projection A: chi factors through A
+    iff chi^(column i of T) = 1 for i past n = rank, and then the point is
+    z^(S column k) with z_i = chi^(column i of T) / D_ii, D_ii = ±1."""
+    n = len(ab.abf_projection)
     m = len(chi)
     if n == 0:
         return chi.pull([]) if chi.is_trivial() else None
-    u, d, v = smith_normal_form(a)
-    for i in range(n):
-        if d[i][i] != 1:
-            return None
-    columns = [[row[i] for row in v] for i in range(m)]
+    a = sympy.Matrix([list(row) for row in ab.abf_projection])
+    d, s, t = smith_normal_decomp(a, domain=sympy.ZZ)
+    signs = [int(d[i, i]) for i in range(n)]
+    if any(abs(x) != 1 for x in signs):
+        return None
+    columns = [[int(t[j, i]) * (signs[i] if i < n else 1) for j in range(m)]
+               for i in range(m)]
     if not chi.pull(columns[n:]).is_trivial():
         return None
     z = chi.pull(columns[:n])
-    return z.pull([[row[i] for row in u] for i in range(n)])
+    return z.pull([[int(s[i, k]) for i in range(n)] for k in range(n)])
 
 
 def _pencil(n):
@@ -123,11 +117,14 @@ def _pencil(n):
 
 def test_torus_section_matches_per_character_solve():
     """On every character with values in μ_1..μ_4 of each presentation in
-    tests/data, and on random characters, with rational scales too, of
-    pencils, torus knots and a group with torsion, the section computed
-    once per projection gives the point the per-character solve gives."""
+    tests/data, of a group with no generators and of one of rank 0, and on
+    random characters, with rational scales too, of pencils, torus knots
+    and a group with torsion, the point read off the abelianization's
+    Smith form is the point the per-character solve gives."""
     groups = [load_presentation(os.path.basename(path))
               for path in sorted(glob.glob(os.path.join(DATA, "*.grp")))]
+    groups += [parse_presentation("gens:\n"),
+               parse_presentation("gens: a\nrel: a^2\n")]
     checked = 0
     for p in groups:
         ab = abelianization(p)
@@ -157,3 +154,35 @@ def test_torus_section_matches_per_character_solve():
             assert induced_torus_point(ab, chi) == expected, (p, chi)
             points += expected is not None
     assert checked > 1000 and points > 100
+
+
+_COUNT_SMITH_FORMS = (
+    "import sys\n"
+    "from alexkit import cli, intlinalg\n"
+    "calls = []\n"
+    "smith = intlinalg.smith_normal_form\n"
+    "def counted(matrix):\n"
+    "    calls.append(matrix)\n"
+    "    return smith(matrix)\n"
+    "intlinalg.smith_normal_form = counted\n"
+    "assert cli.main(sys.argv[1:]) == 0\n"
+    "print(len(calls), file=sys.stderr)\n")
+
+
+def test_one_smith_form_per_presentation():
+    """`invariants` on pencil4 at 16 characters, each off the trivial one
+    and each read as a torus point, takes the Smith form of the exponent
+    matrix and of nothing else, in a fresh interpreter."""
+    chars = [",".join(f"x{i + 1}={v}" for i, v in enumerate(values))
+             for values in itertools.product(("-1", "zeta3"), repeat=4)]
+    argv = ["invariants", os.path.join(DATA, "pencil4.grp")]
+    for spec in chars:
+        argv += ["--char", spec]
+    src = str(Path(alexkit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_SMITH_FORMS, *argv],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["characters"]) == 16
+    assert proc.stderr.split() == ["1"]

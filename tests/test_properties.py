@@ -19,7 +19,7 @@ from alexkit.alexander import (_det, _row_minors, alexander_poly,
 from alexkit.cyclofield import (_PRIME, Character, _divider, _mul, _reduce,
                                 cyclotomic_poly, evaluate, parse_character,
                                 rank_over_field)
-from alexkit.intlinalg import abelianization, smith_normal_form
+from alexkit.intlinalg import abelianization
 from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
                               _charpoly, _factor_root, monodromy_analysis,
                               twisted_betti)
@@ -28,7 +28,7 @@ from alexkit.laurent import (FactoredPoly, LaurentError, LaurentPoly,
                              _cyclotomic_exponents, _cyclotomic_parts,
                              _directions, _divisors, _dup_mul, _from_ring,
                              _ring,
-                             _invert_mod_prime, _isprime,
+                             _gf_inverse, _isprime,
                              _fibers, _order_bound, _phi_coeffs,
                              _split_cyclotomic, _split_directions, _to_dense,
                              _to_ring, _unfibers,
@@ -40,7 +40,8 @@ from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   parse_presentation)
 from alexkit.seifert import SpliceData, _order, seifert_delta
 
-from conftest import DATA, character, load_presentation, multiplicity, word
+from conftest import (DATA, character, check_smith_form, load_presentation,
+                      multiplicity, word)
 
 
 def random_word(rng, num_gens, max_len=6):
@@ -128,36 +129,11 @@ def _permute_vars(f, perm):
 
 def test_snf_random_matrices():
     rng = random.Random(20240904)
-
-    def det(m):
-        if len(m) == 1:
-            return m[0][0]
-        return sum((-1) ** i * m[i][0] *
-                   det([r[1:] for j, r in enumerate(m) if j != i])
-                   for i in range(len(m)))
-
     for _ in range(200):
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
-        m = [[rng.randrange(-9, 10) for _ in range(cols)]
-             for _ in range(rows)]
-        u, d, v = smith_normal_form(m)
-        assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
-        prod = [[sum(u[i][k] * m[k][j] for k in range(rows))
-                 for j in range(cols)] for i in range(rows)]
-        prod = [[sum(prod[i][k] * v[k][j] for k in range(cols))
-                 for j in range(cols)] for i in range(rows)]
-        assert prod == d
-        diag = [d[i][i] for i in range(min(rows, cols))]
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert d[i][j] == 0
-        nonzero = [x for x in diag if x]
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-        assert all(x >= 0 for x in diag)
+        check_smith_form([[rng.randrange(-9, 10) for _ in range(cols)]
+                          for _ in range(rows)])
 
 
 def random_poly(rng, nvars, max_terms=4):
@@ -1726,7 +1702,7 @@ def test_cyclotomic_exact_division():
               for n in (5, 12, 60, 240)]
     for n in (1, 7, 60):
         d = tuple(_PRIME * c for c in value(n, 3))
-        assert _invert_mod_prime(d, _phi_coeffs(n), _PRIME)[0] > _PRIME
+        assert _gf_inverse(d, _phi_coeffs(n), _PRIME) is None
         cases.append((n, value(n, 4), d))
     for n, x, d in cases:
         assert _divider(d, n)(_mul(x, d, n)) == x, (n, x, d)

@@ -29,7 +29,8 @@ RECORDS = {
     "GroupPresentation": _presentation,
     "Character": lambda: Character(conductor=6, scales=(1, 2), exps=(1, 5)),
     "SpliceData": lambda: SpliceData(weights=(1, 1, 1, 2, 3), q=3),
-    "AbelianStructure": lambda: AbelianStructure(2, (), ((1, 0), (0, 1))),
+    "AbelianStructure": lambda: AbelianStructure(
+        2, (), ((1, 0), (0, 1)), abf_inverse=((1, 0), (0, 1))),
     "FactoredPoly": lambda: factor_poly(parse_poly("t^2 - 1", ("t",))),
     "AlexanderMatrix": lambda: fox_matrix(load_presentation("pencil3.grp")),
     "QPVerdict": lambda: QPVerdict("CONSISTENT", "constant polynomial",
