@@ -14,7 +14,7 @@ import re
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import DEGREE_CAP, MINOR_MATRIX_CAP, AlexkitError, check
-from .cyclofield import Character, evaluate
+from .cyclofield import Character
 from .intlinalg import AbelianStructure, abelianization
 from .laurent import (LaurentPoly, _dup_exquo, _from_dense, _to_dense,
                       default_names, divides, exact_div_binomial, gcd_many,
@@ -292,22 +292,6 @@ def generic_rank_mod(mat: AlexanderMatrix, f: LaurentPoly) -> int:
                for minor in elementary_ideal_minors(mat, m - k)):
             return k
     return 0
-
-
-# -- evaluation at characters -----------------------------------------------
-
-
-def evaluate_matrix(mat: AlexanderMatrix, chi: Character,
-                    drop: Optional[int] = None):
-    """Evaluate at a character with one value per generator (or per variable
-    in matrix mode): a grid of coefficient tuples at chi's conductor, as
-    `evaluate` returns them, without column `drop` when it is given."""
-    entries = mat.generator_entries
-    if entries and len(chi) != entries[0][0].nvars:
-        raise AlexanderError(
-            f"character has {len(chi)} values, expected {entries[0][0].nvars}")
-    return [[evaluate(e, chi) for j, e in enumerate(row) if j != drop]
-            for row in entries]
 
 
 # -- univariate invariant factors -------------------------------------------

@@ -1,32 +1,32 @@
-"""Exact arithmetic in cyclotomic fields Q(ζ_N), and linear algebra over them.
+"""Characters with values in cyclotomic fields Q(ζ_N), and the two
+questions alexkit asks of those values: is one zero, and what is the rank
+of a matrix of them.
 
-A value in Q(ζ_N) is the tuple of its φ(N) coefficients in ζ_N, reduced
-mod Φ_N (`_reduce`), each an `int` or, when not integral, a `Fraction`.
-No complex embedding is chosen: ζ_N is the class of t in Q[t]/(Φ_N),
-which is all that exact ranks and vanishing orders need.  The conductor
-travels with the character or matrix, not with each value.
 A Character is an exponent vector: its values are q_i·ζ_N^{k_i}, so a
 monomial t^e at a character is the residue ⟨k, e⟩ mod N and a scale
-(`Character.residues`), and a polynomial's value is its coefficients
-summed by residue, each sum times a row of the table of ζ_N^k reduced
-mod Φ_N (`_powers`, `evaluate`).
-Ranks are computed in Z[ζ_N] by Bareiss's fraction-free elimination, whose
-exact divisions are ℓ-adic: no element of Q(ζ_N) is ever inverted.
+(`Character.residues`), and a polynomial's value is the pairs (c, k) of
+its coefficients times the scales and its residues, Σ c·ζ_N^k.
+No value is reduced mod Φ_N or inverted.  `is_zero` and `rank` read it at
+primes p ≡ 1 (mod N), where ζ_N ↦ ω, ω of order N in F_p (`_images`),
+until the product of the primes read passes a bound on the norm of what
+a nonzero answer would be (von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 5; Washington, Cyclotomic Fields, Thm 2.13).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from . import (CONDUCTOR_CAP, MAX_DIGITS, AlexkitError, Frozen, check,
                has_long_number)
-from .laurent import (LaurentPoly, _dup_mul, _from_dense, _gf_inverse,
-                      _nextprime, _phi_coeffs, _rational)
+from .laurent import (LaurentPoly, _factorize, _from_dense, _isprime,
+                      _phi_coeffs, _rational)
 
 
 class CycloError(AlexkitError):
@@ -38,33 +38,6 @@ def cyclotomic_poly(n: int) -> LaurentPoly:
     if n < 1:
         raise CycloError("conductor must be positive")
     return _from_dense(_phi_coeffs(n), (1,))
-
-
-def _reduce(coeffs: list, n: int) -> tuple:
-    """Reduce a coefficient list mod Φ_n to degree < φ(n)."""
-    phi = list(_phi_coeffs(n))
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    while len(coeffs) > deg:
-        c = coeffs.pop()
-        if c:
-            shift = len(coeffs) - deg
-            for i in range(deg):
-                coeffs[shift + i] -= c * phi[i]
-    while len(coeffs) < deg:
-        coeffs.append(0)
-    return tuple(coeffs)
-
-
-def _mul(x: Sequence, y: Sequence, n: int) -> tuple:
-    """x·y in Z[ζ_n] (or Q(ζ_n)), reduced mod Φ_n."""
-    return _reduce(_dup_mul(x, y), n)
-
-
-def _cross(p: tuple, x: tuple, f: tuple, y: tuple, n: int) -> tuple:
-    """p·x − f·y in Z[ζ_n], reduced mod Φ_n once."""
-    return _reduce([u - v for u, v in zip(_dup_mul(p, x), _dup_mul(f, y))],
-                   n)
 
 
 # -- characters -------------------------------------------------------------
@@ -135,6 +108,17 @@ class Character(Frozen):
                 scales.append(scale)
         return residues, scales
 
+    def at(self, terms: dict) -> Tuple[list, List[int]]:
+        """For the terms {e: c} of a polynomial f, the coefficients c times
+        the scales of ρ^e, and the residues of ρ^e: f(ρ) is Σ c·ζ_N^k over
+        the pairs (c, k) the two lists zip to, as `is_zero` and `rank`
+        take it."""
+        residues, scales = self.residues(terms)
+        coeffs = list(terms.values())
+        if scales is not None:
+            coeffs = list(map(operator.mul, coeffs, scales))
+        return coeffs, residues
+
     def pull(self, vectors: Iterable[Sequence[int]]) -> "Character":
         """ρ^e for each exponent vector e, as one character."""
         exps, scales = self.residues(vectors)
@@ -195,146 +179,126 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
                      tuple(k * (conductor // order) for _, order, k in values))
 
 
-# -- evaluation and exact rank ----------------------------------------------
+# -- zero tests and ranks at primes p ≡ 1 (mod N) ---------------------------
 
 
-@lru_cache(maxsize=None)
-def _powers(n: int) -> Tuple[tuple, ...]:
-    """ζ_n^k reduced mod Φ_n, for k = 0..n−1, as coefficient tuples: row
-    k is row k − 1 times ζ_n, its top coefficient c folded back as −c·Φ_n
-    (Φ_n is monic)."""
-    phi = _phi_coeffs(n)
-    row = (1,) + (0,) * (len(phi) - 2)
-    rows = [row]
-    for _ in range(n - 1):
-        top, row = row[-1], (0,) + row[:-1]
-        if top:
-            row = tuple(x - top * c for x, c in zip(row, phi))
-        rows.append(row)
-    return tuple(rows)
+_IMAGES: dict = {}
 
 
-def _power_sum(terms: Iterable[tuple], n: int) -> tuple:
-    """Σ c·ζ_n^k over the pairs (c, k), 0 ≤ k < n, as a coefficient tuple:
-    the c are summed by residue k, each nonzero sum is added times row k
-    of `_powers(n)`, and each coefficient is then an `int` when integral
-    (`_rational`)."""
-    buckets: dict = {}
-    for c, k in terms:
-        buckets[k] = buckets.get(k, 0) + c
-    rows = _powers(n)
-    out = [0] * len(rows[0])
-    for k, c in buckets.items():
-        if c:
-            for i, x in enumerate(rows[k]):
-                if x:
-                    out[i] += c * x
-    return tuple(map(_rational, out))
+def _images(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """The primes p ≡ 1 (mod n) above 2^61 in turn, each with ω^k mod p
+    for k < n, built once per conductor n.
+
+    ω = a^((p−1)/n) for the least a ≥ 2 with ω^(n/q) ≠ 1 for every prime
+    q | n has order n, so ζ_n ↦ ω is a ring map Z[ζ_n] → F_p, and its
+    kernel is a prime of norm p: p splits completely in Q(ζ_n)."""
+    table = _IMAGES.setdefault(n, [])
+    for i in itertools.count():
+        if i == len(table):
+            p = table[-1][0] if table else 2 ** 61
+            p += n - (p - 1) % n
+            while not _isprime(p):
+                p += n
+            cofactors = [n // q for q in _factorize(n)]
+            for a in itertools.count(2):
+                w = pow(a, (p - 1) // n, p)
+                if all(pow(w, d, p) != 1 for d in cofactors):
+                    break
+            powers = [1]
+            for _ in range(n - 1):
+                powers.append(powers[-1] * w % p)
+            table.append((p, tuple(powers)))
+        yield table[i]
 
 
-def evaluate(f: LaurentPoly, chi: Character) -> tuple:
-    """Exact value of f at the character chi, as a coefficient tuple at
-    chi's conductor N: c·t^e contributes c times chi's value at e."""
-    if len(chi) != f.nvars:
-        raise CycloError("point has wrong number of coordinates")
-    residues, scales = chi.residues(f.terms)
-    coeffs = f.terms.values()
-    if scales is not None:
-        coeffs = map(operator.mul, coeffs, scales)
-    return _power_sum(zip(coeffs, residues), chi.conductor)
+def _integer_sums(row: Sequence[Iterable[tuple]]) -> List[dict]:
+    """Each value of the row, pairs (c, k) for Σ c·ζ^k, as {k: Σ c} over
+    its nonzero sums, all times the lcm of their denominators."""
+    sums = []
+    for value in row:
+        out: dict = {}
+        for c, k in value:
+            out[k] = out.get(k, 0) + c
+        sums.append(out)
+    lcm = math.lcm(*(c.denominator for x in sums for c in x.values()))
+    return [{k: c.numerator * (lcm // c.denominator)
+             for k, c in x.items() if c} for x in sums]
 
 
-# The first prime ℓ of the ℓ-adic divisions; 2^61 − 1 fits a machine word.
-_PRIME = 2 ** 61 - 1
+def _norm_bound(n: int, bound: int) -> int:
+    """bound^φ(n): a bound on |N(x)| for x in Z[ζ_n] whose conjugates are
+    each at most bound in absolute value."""
+    return bound ** (len(_phi_coeffs(n)) - 1)
 
 
-@lru_cache(maxsize=None)
-def _power_bound(n: int) -> int:
-    """The largest |coefficient| of ζ_n^i, 0 ≤ i < n, reduced mod Φ_n."""
-    return max(abs(x) for row in _powers(n) for x in row)
+def is_zero(value: Iterable[tuple], n: int) -> bool:
+    """Whether x = Σ c·ζ_n^k over the pairs (c, k) of value is 0, for
+    rational c and 0 ≤ k < n.
+
+    Scaled to integers, x lies in Z[ζ_n] and each conjugate of it is at
+    most s = Σ|c| (summed by residue) in absolute value, so a nonzero x
+    has 0 < |N(x)| ≤ s^φ(n).  Where the image of x at a prime p of
+    `_images` vanishes, p divides N(x); so x = 0 once it vanishes at
+    primes whose product passes s^φ(n), and x ≠ 0 at the first image
+    that does not."""
+    (x,) = _integer_sums([value])
+    if not x:
+        return True
+    limit, product = _norm_bound(n, sum(map(abs, x.values()))), 1
+    for p, powers in _images(n):
+        if sum(c * powers[k] for k, c in x.items()) % p:
+            return False
+        product *= p
+        if product > limit:
+            return True
 
 
-def _divider(b: tuple, n: int):
-    """Exact division by b ≠ 0 in Z[ζ_n]: a function taking each integer
-    coefficient tuple a that b divides to the tuple of a / b.
-
-    b is inverted once, modulo a word-size prime ℓ and Φ_n (the next prime
-    when b is not invertible there).  The quotient then comes out in
-    symmetric ℓ-adic digits q_0 + q_1·ℓ + ..., each q_i = r_i·b⁻¹ mod ℓ with
-    r_0 = a and r_(i+1) = (r_i − b·q_i) / ℓ, until r_i = 0.
-
-    With b' the product of the other conjugates of b, a / b = a·b' / N(b)
-    for the norm N(b), a nonzero integer.  A conjugate permutes the
-    coefficients of b in Z[t]/(t^n − 1), so every coefficient of a / b is
-    at most B = c_n·|a|_1·|b|_1^(φ(n)−1), c_n from `_power_bound`.  Once
-    ℓ^i > 2B the digits hold the whole quotient, so a remainder left then
-    means that b does not divide a: an internal error.
-    """
-    phi = _phi_coeffs(n)
-    ell = _PRIME
-    while (inverse := _gf_inverse(b, phi, ell)) is None:
-        ell = _nextprime(ell)
-    half = ell // 2
-    bound = 2 * _power_bound(n) * sum(map(abs, b)) ** (len(phi) - 2)
-
-    def divide(a: tuple) -> tuple:
-        limit = bound * sum(map(abs, a))
-        q, r, scale = [0] * len(a), a, 1
-        while any(r):
-            if scale > limit:
-                raise CycloError("inexact division in Z[zeta] (internal bug)")
-            digit = [(c + half) % ell - half for c in _mul(r, inverse, n)]
-            r = [(x - y) // ell for x, y in zip(r, _mul(b, digit, n))]
-            q = [x + scale * y for x, y in zip(q, digit)]
-            scale *= ell
-        return tuple(q)
-
-    return divide
-
-
-def _integral(row: Sequence[tuple]) -> List[tuple]:
-    """The row times the lcm of its denominators, as integer tuples."""
-    if all(type(c) is int for x in row for c in x):
-        return list(row)
-    lcm = math.lcm(*(c.denominator for x in row for c in x))
-    return [tuple(c.numerator * (lcm // c.denominator) for c in x)
-            for x in row]
-
-
-def rank_over_field(matrix: Sequence[Sequence[tuple]], n: int) -> int:
-    """Exact rank over Q(ζ_n) of a matrix of coefficient tuples reduced
-    mod Φ_n, by Bareiss's fraction-free elimination in Z[ζ_n]
-    (Math. Comp. 22, 1968).
-
-    Each row is first scaled to integer coefficients, which keeps the rank.
-    Below the pivot p, every row becomes (p·row − f·pivot row) / the
-    previous pivot, f its entry in the pivot column (also when f = 0).
-    Sylvester's identity makes every entry a minor of the matrix, so each
-    division is exact in Z[ζ_n] (`_divider`).  At n = 1 the entries are
-    1-tuples of rationals and this is the rank over Q.
-    """
-    if not matrix or not matrix[0]:
-        return 0
-    rows = [_integral(row) for row in matrix]
-    nrows, ncols = len(rows), len(rows[0])
-    rank, prev = 0, None
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if any(rows[i][col])),
+def _rank_mod(rows: List[List[int]], p: int) -> int:
+    """The rank over F_p of a matrix of residues mod p."""
+    rows = [row for row in rows if any(row)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
                      None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         top = rows[rank]
-        p = top[col]
-        if rank + 1 < nrows:
-            divide = _divider(prev, n) if prev is not None else None
-            for i in range(rank + 1, nrows):
-                row, f = rows[i], rows[i][col]
-                for j in range(col + 1, ncols):
-                    x = _cross(p, row[j], f, top[j], n)
-                    row[j] = divide(x) if divide else x
-        prev = p
+        inverse = pow(top[col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inverse % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
         rank += 1
-        if rank == nrows:
-            break
     return rank
+
+
+def rank(matrix: Sequence[Sequence[Iterable[tuple]]], n: int) -> int:
+    """Exact rank over Q(ζ_n) of a matrix whose entries are values as
+    `is_zero` takes them.
+
+    Each row is scaled to integers, which keeps the rank; the rank mod a
+    prime of `_images` is then at most the rank, and the answer is the
+    largest seen, r.  Every (r + 1)-minor M has |M^σ| ≤ H for each
+    conjugate σ, by Hadamard's bound, with H the product of the r + 1
+    largest row norms √(Σ_j ‖a_ij‖₁²), ‖a‖₁ the sum of |c| by residue.
+    A nonzero M has |N(M)| ≤ H^φ(n), and each prime read divides N(M):
+    so once the product of the primes read passes H^φ(n), no (r + 1)-minor
+    is nonzero.  The loop also stops at full rank."""
+    rows = [_integer_sums(row) for row in matrix]
+    full = min(len(rows), len(rows[0])) if rows else 0
+    norms = sorted((sum(sum(map(abs, x.values())) ** 2 for x in row)
+                    for row in rows), reverse=True)
+    best, limit, product = 0, None, 1
+    for p, powers in _images(n):
+        if best == full:
+            return best
+        r = _rank_mod([[sum(c * powers[k] for k, c in x.items()) % p
+                        for x in row] for row in rows], p)
+        if limit is None or r > best:
+            best = r
+            # (H²)^φ(n), to be passed by the product of the primes squared
+            limit = _norm_bound(n, math.prod(norms[:best + 1]))
+        product *= p
+        if product * product > limit:
+            return best

@@ -13,8 +13,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import AlexkitError
 from .alexander import (AlexanderMatrix, elementary_divisor_exponents,
-                        evaluate_matrix, univariate_invariant_factors)
-from .cyclofield import Character, rank_over_field
+                        univariate_invariant_factors)
+from .cyclofield import Character, rank
 from .intlinalg import induced_torus_point, validate_character
 from .laurent import FactoredPoly, LaurentPoly, factor_poly, vanishing_order
 
@@ -33,8 +33,10 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
     per variable): JumpLociError otherwise.
 
     The trivial character gives the untwisted rank n; otherwise the rank
-    drops to m - 1 - rank of the evaluated Alexander matrix.  For a Fox
-    matrix, one column j with rho(x_j) ≠ 1 is left out: Fox's identity
+    drops to m - 1 - rank of the Alexander matrix at rho: the exact
+    `cyclofield.rank` of the values of `generator_entries`, each read
+    through `Character.at`.  For a Fox matrix, one column j with
+    rho(x_j) ≠ 1 is left out: Fox's identity
     Σ_j ∂r/∂x_j(rho)·(rho(x_j) − 1) = rho(r) − 1 = 0 makes it a
     combination of the others, so the rank does not change.  A matrix
     given in matrix mode whose rank there is m is no Alexander matrix:
@@ -52,12 +54,14 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
     if mat.presentation is not None:
         drop = next(j for j, (q, k) in enumerate(zip(rho.scales, rho.exps))
                     if q != 1 or k)
-    rank = rank_over_field(evaluate_matrix(mat, rho, drop), rho.conductor)
-    if rank == mat.num_cols:
-        raise JumpLociError(f"matrix has full rank {rank} at a nontrivial "
+    r = rank([[zip(*rho.at(f.terms)) for j, f in enumerate(row)
+               if j != drop] for row in mat.generator_entries],
+             rho.conductor)
+    if r == mat.num_cols:
+        raise JumpLociError(f"matrix has full rank {r} at a nontrivial "
                             f"character: an Alexander matrix has rank at "
-                            f"most {rank - 1} there")
-    return mat.num_cols - 1 - rank
+                            f"most {r - 1} there")
+    return mat.num_cols - 1 - r
 
 
 APStatus = Tuple[str, Optional[str]]  # ("Yes"|"Unknown", reason)
@@ -247,7 +251,7 @@ def monodromy_analysis(h: Sequence[Sequence[int]]) -> MonodromyReport:
     irreducible factor the twisted rank at its roots is the geometric
     multiplicity, and global semisimplicity is equivalent to every
     algebraic multiplicity being attained.  The rank of g(M) for a factor
-    g is `rank_over_field` at conductor 1.
+    g is `cyclofield.rank` at conductor 1.
     """
     m = [[int(x) for x in row] for row in h]
     size = len(m)
@@ -266,8 +270,8 @@ def monodromy_analysis(h: Sequence[Sequence[int]]) -> MonodromyReport:
         pm = [[0] * size for _ in range(size)]
         for c in reversed(g):
             pm = _mul_add(pm, m, c)
-        rank = rank_over_field([[(x,) for x in row] for row in pm], 1)
-        geometric = (size - rank) // (len(g) - 1)
+        geometric = (size - rank([[((x, 0),) for x in row] for row in pm],
+                                 1)) // (len(g) - 1)
         equality = (geometric == mu)
         if not equality:
             semisimple = False

@@ -7,13 +7,12 @@ if they additionally differ by a rational scalar.
 `LaurentPoly`, a dict {exponent vector: coefficient}, is the one polynomial
 type alexkit code handles.  Its coefficients are `int`s: an integral
 `Fraction` is stored as its `int`, and any other `Fraction` or a `float` is
-refused.  Rationals appear only in character scales and in values in
-Q(ζ_N), each an `int` when integral and a `Fraction` only when not
-(`_rational`).  One-variable work runs on a dense layer in Z[u], ascending
+refused.  Rationals appear only in character scales, each an `int` when
+integral and a `Fraction` only when not (`_rational`), and in values at
+characters.  One-variable work runs on a dense layer in Z[u], ascending
 `int` tuples: gcd (heuristic, with a primitive Euclidean fallback), exact
 division, the cyclotomic polynomials Φ_n and the recognizer of their
-products, inverses modulo a prime and a polynomial, and the primes and
-divisors these need.  sympy is a backend, imported in one function,
+products, and the primes and divisors these and `cyclofield` need.  sympy is a backend, imported in one function,
 `_ring` (a cached sparse ring Z[t] per variable count), and reached through
 the bridge `_ring`, `_to_ring` and `_from_ring`, which no other module
 names: multivariate gcd (`gcd_many`, and the cofactors of `factor_poly`'s
@@ -31,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from . import (COEFFICIENT_BITS_CAP, DEGREE_CAP, MAX_DIGITS,
+from . import (COEFFICIENT_BITS_CAP, DEGREE_CAP, EXPANSION_CAP, MAX_DIGITS,
                VANISHING_WORK_CAP, AlexkitError, check, check_printable,
                has_long_number)
 
@@ -282,7 +281,7 @@ def _from_ring(p, nvars: int) -> LaurentPoly:
 #
 # A polynomial in Z[u] is the tuple of its integer coefficients in ascending
 # degree, with a nonzero last entry: () is 0 and the degree is the length
-# minus one.  `cyclofield` holds Φ_N and the values in Q(ζ_N) the same way.
+# minus one.  `_phi_coeffs` holds Φ_N this way.
 
 
 def _to_dense(f: LaurentPoly) -> Tuple[int, ...]:
@@ -323,12 +322,6 @@ def _dup_strip(f: list) -> tuple:
     while f and not f[-1]:
         f.pop()
     return tuple(f)
-
-
-def _dup_sub(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
-    """x − y."""
-    return _dup_strip([a - b for a, b in
-                       itertools.zip_longest(x, y, fillvalue=0)])
 
 
 def _times_binomial(s: list, n: int, k: int) -> None:
@@ -499,31 +492,6 @@ def _nextprime(n: int) -> int:
     while not _isprime(n):
         n += 1
     return n
-
-
-def _gf_inverse(f: Sequence[int], m: Sequence[int], p: int
-                ) -> Optional[Tuple[int, ...]]:
-    """The inverse of f modulo a monic m over F_p, prime p, by the extended
-    Euclidean algorithm: one coefficient in [0, p) per degree below deg m,
-    or None when f is not invertible modulo m over F_p."""
-    r0, r1 = [c % p for c in m], list(_dup_strip([c % p for c in f]))
-    s0, s1 = [0], [1]
-    while r1:
-        inverse, d1 = pow(r1[-1], -1, p), len(r1) - 1
-        q = [0] * (len(r0) - d1)
-        for k in range(len(q) - 1, -1, -1):
-            c = r0[k + d1] * inverse % p
-            if c:
-                q[k] = c
-                r0[k:k + d1 + 1] = [(a - c * b) % p
-                                    for a, b in zip(r0[k:k + d1 + 1], r1)]
-        s = [c % p for c in _dup_sub(s0, _dup_mul(q, s1))]
-        r0, r1 = r1, list(_dup_strip(r0))
-        s0, s1 = s1, list(_dup_strip(s))
-    if len(r0) != 1:
-        return None
-    inverse = pow(r0[0], -1, p)
-    return tuple(c * inverse % p for c in s0) + (0,) * (len(m) - 1 - len(s0))
 
 
 # -- cyclotomic polynomials -------------------------------------------------
@@ -701,23 +669,21 @@ def vanishing_order(f: LaurentPoly, point: "Character") -> int:
 
     `point` is a `cyclofield.Character` with one value per variable.
     θ^α t^e = e^α t^e, so the monomials of f are evaluated at ρ once
-    (`Character.residues`) and each derivative only reweights their
+    (`Character.at`) and each derivative only reweights their
     coefficients: θ_j θ^α f has the coefficients of θ^α f times the
-    exponents of t_j.
+    exponents of t_j.  Each derivative's value is one exact zero test
+    (`cyclofield.is_zero`).
     θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers S(α,α) = 1 is
     unitriangular and t^β is a unit at ρ, so this is the order of
     vanishing of f at ρ.
     """
-    from .cyclofield import _power_sum
+    from .cyclofield import is_zero
 
     if f.is_zero():
         raise LaurentError("vanishing order of the zero polynomial")
     if len(point) != f.nvars:
         raise LaurentError("point has wrong number of coordinates")
-    residues, scales = point.residues(f.terms)
-    coeffs = list(f.terms.values())
-    if scales is not None:
-        coeffs = list(map(operator.mul, coeffs, scales))
+    coeffs, residues = point.at(f.terms)
     columns = list(zip(*f.terms))
     # the coefficients of θ^α f for the α of order k, in lexicographic
     # order, each with α's last index i; order k + 1 extends α by j ≥ i
@@ -728,7 +694,7 @@ def vanishing_order(f: LaurentPoly, point: "Character") -> int:
             work += len(weighted)
             check("vanishing-order work (derivatives evaluated × terms)",
                   work, VANISHING_WORK_CAP)
-            if any(_power_sum(zip(weighted, residues), point.conductor)):
+            if not is_zero(zip(weighted, residues), point.conductor):
                 return k
             vanishing.append((i, weighted))
         derivatives = ((j, list(map(operator.mul, weighted, columns[j])))
@@ -742,6 +708,13 @@ _TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9_]*|\^|\+|\-|\*|\(|\))")
 
 class PolyParseError(LaurentError):
     pass
+
+
+def _shape(f: LaurentPoly) -> tuple:
+    """(terms, the span of each variable's exponents, ⌈log2 ‖f‖₁⌉) of a
+    nonzero f, which bound the size of a power or product of it."""
+    return (len(f.terms), [max(c) - min(c) for c in zip(*f.terms)],
+            (sum(map(abs, f.terms.values())) - 1).bit_length())
 
 
 def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
@@ -811,6 +784,18 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
                 a = base.terms[max(base.terms)]
                 check("bits of a power's leading coefficient",
                       k * (abs(a).bit_length() - 1), COEFFICIENT_BITS_CAP)
+            if base.terms and k > 0:
+                # f^k has at most ∏(k·span + 1) terms, and no more than
+                # there are monomials of degree k in f's terms; each
+                # coefficient is at most ‖f‖₁^k.  The bits alone, ≥ k when
+                # f has two terms, refuse a large k before the counts
+                terms, spans, log = _shape(base)
+                size = k * log + 1
+                if size <= EXPANSION_CAP:
+                    size *= min(math.prod(k * s + 1 for s in spans),
+                                math.comb(terms + k - 1, k))
+                check("terms × coefficient bits of a power", size,
+                      EXPANSION_CAP)
             base = base ** k
         return base
 
@@ -818,7 +803,13 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
         out = atom()
         while peek() == "*":
             take()
-            out = out * atom()
+            rhs = atom()
+            if out.terms and rhs.terms:
+                (t1, s1, l1), (t2, s2, l2) = _shape(out), _shape(rhs)
+                check("terms × coefficient bits of a product",
+                      (l1 + l2 + 1) * min(t1 * t2, math.prod(
+                          x + y + 1 for x, y in zip(s1, s2))), EXPANSION_CAP)
+            out = out * rhs
         return out
 
     def expr() -> LaurentPoly:

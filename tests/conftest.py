@@ -8,7 +8,7 @@ from sympy.matrices.normalforms import smith_normal_decomp
 from alexkit.alexander import fox_matrix, load_matrix
 from alexkit.cyclofield import parse_character
 from alexkit.intlinalg import smith_normal_form
-from alexkit.laurent import divides, normalize
+from alexkit.laurent import _dup_mul, _phi_coeffs, divides, normalize
 from alexkit.presentation import free_reduce_letters, parse_presentation
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -93,3 +93,39 @@ def pencil3():
 @pytest.fixture
 def torusbundle():
     return fox_matrix(load_presentation("torusbundle.grp"))
+
+
+# -- values in Q(ζ_n) reduced mod Φ_n: the reference arithmetic of the
+# oracles for `cyclofield.is_zero` and `cyclofield.rank`
+
+def reduce_mod_phi(coeffs, n):
+    """A coefficient list in ζ_n reduced mod Φ_n, to degree < φ(n)."""
+    phi = _phi_coeffs(n)
+    deg = len(phi) - 1
+    coeffs = list(coeffs)
+    while len(coeffs) > deg:
+        c = coeffs.pop()
+        if c:
+            shift = len(coeffs) - deg
+            for i in range(deg):
+                coeffs[shift + i] -= c * phi[i]
+    return tuple(coeffs + [0] * (deg - len(coeffs)))
+
+
+def mul_mod_phi(x, y, n):
+    """x·y in Q(ζ_n), reduced mod Φ_n."""
+    return reduce_mod_phi(_dup_mul(x, y), n)
+
+
+def reduced(value, n):
+    """Σ c·ζ_n^k over the pairs (c, k) of a value, reduced mod Φ_n."""
+    buckets = [0] * n
+    for c, k in value:
+        buckets[k % n] += c
+    return reduce_mod_phi(buckets, n)
+
+
+def value_at(f, chi):
+    """The value of f at the character chi, as the pairs (c, k) of
+    Σ c·ζ_N^k that `cyclofield.is_zero` and `cyclofield.rank` take."""
+    return list(zip(*chi.at(f.terms)))

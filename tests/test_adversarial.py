@@ -3,7 +3,9 @@ must end with the stated exit code within a wall-time bound."""
 
 import json
 import os
+import random
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -12,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import alexkit
-from alexkit.laurent import _nextprime
+from alexkit.laurent import LaurentPoly, _nextprime, parse_poly
+
+from conftest import data_path
 
 # seconds; each input below ends in about a second or less
 WALL_BOUND = 10
@@ -229,3 +233,84 @@ def test_matrix_sparse_entries_under_dense_degree_cap(tmp_path, names, rows):
     assert wall < WALL_BOUND
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["delta"] == "1"
+
+
+@pytest.mark.parametrize("entry,size", [
+    ("(t+1)^3000", 9006001), ("(t+1)^5000", 25010001),
+    ("(t+1)^200*(x+1)^200", 16200801),
+], ids=["power-3000", "power-5000", "product-200x200"])
+def test_matrix_expansion_over_cap(tmp_path, entry, size):
+    """(t + 1)^k has k + 1 terms of up to k + 1 bits, and the product of
+    (t + 1)^200 and (x + 1)^200 has 201² terms of up to 401 bits: past
+    `EXPANSION_CAP` a power or product is refused from its operands,
+    before it is expanded.  (t + 1)^3000 took 7.6 s, and (t + 1)^5000 in
+    a matrix entry ran past 40 s."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["t", "x"], "rows": [[entry]]}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    kind = "product" if "*" in entry else "power"
+    assert proc.stderr.splitlines() == [
+        f"alexkit: cap exceeded: terms × coefficient bits of a {kind} "
+        f"{size} exceeds cap 5000000"]
+
+
+def test_matrix_expansion_under_cap(tmp_path):
+    """(t + 1)^2000, 4004001 terms × bits, is expanded and answered."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["t"], "rows": [["(t+1)^2000"]]}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stderr) == (0, "")
+    [[entry]] = json.loads(proc.stdout)["input"]["rows"]
+    assert len(entry.split(" + ")) == 2001
+
+
+def _pencil5_character(n, last):
+    """x_i = ζ_n^i for i ≤ 4 and x5 = ζ_n^last."""
+    return ",".join([f"x{i}=zeta{n}^{i}" for i in range(1, 5)]
+                    + [f"x5=zeta{n}^{last}"])
+
+
+def _rank_deficient_matrix():
+    """An 8×8 matrix B·C in x, B 8×5 and C 5×8, of rank 5 over Q(x)."""
+    rng = random.Random(8)
+    pool = ["x-1", "x^2+1", "2*x", "x+3", "1", "0", "x^3-x", "-x^2+2", "3",
+            "x^-1+x"]
+
+    def entries(rows, cols):
+        return [[parse_poly(rng.choice(pool), ("x",)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    b, c = entries(8, 5), entries(5, 8)
+    return [[sum((b[i][k] * c[k][j] for k in range(5)),
+                 LaurentPoly.zero(1)).render(("x",)) for j in range(8)]
+            for i in range(8)]
+
+
+@pytest.mark.parametrize("argv,b1", [
+    (["pencil5.grp", "--char", _pencil5_character(211, -10), "--depth", "1"],
+     3),
+    (["pencil5.grp", "--char", _pencil5_character(211, 5), "--depth", "1"],
+     0),
+    (["pencil5.grp", "--char", _pencil5_character(239, -10)], 3),
+    (["t11-13.grp", "--char", "x=zeta143^13,y=zeta143^11"], 1),
+    (["--matrix", "m.json", "--char", "x=zeta239^7"], 2),
+    (["--matrix", "m.json", "--char", "x=3/7*zeta240^11"], 2),
+], ids=["pencil5-zeta211-on", "pencil5-zeta211-off", "pencil5-zeta239",
+        "torus11-13-zeta143", "matrix8-zeta239", "matrix8-zeta240-scaled"])
+def test_betti_at_high_conductor(tmp_path, argv, b1):
+    """Ranks and vanishing orders in Q(ζ_N) for N up to 240, where a value
+    has up to 238 coordinates in ζ_N: on the jump locus of pencil5 every
+    2-minor vanishes and the rank reads the most primes."""
+    shutil.copy(data_path("pencil5.grp"), tmp_path)
+    (tmp_path / "t11-13.grp").write_text("gens: x y\nrel: x^11 y^-13\n")
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"vars": ["x"], "rows": _rank_deficient_matrix()}))
+    argv = [str(tmp_path / a) if a.endswith((".grp", ".json")) else a
+            for a in argv]
+    proc, wall = _run_cli("betti", *argv)
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert json.loads(proc.stdout)["b1"] == b1

@@ -1,22 +1,24 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from alexkit.cyclofield import (Character, CycloError, _divider, _mul,
-                                _reduce, cyclotomic_poly, evaluate,
-                                parse_character, rank_over_field)
+from alexkit.cyclofield import (Character, CycloError, _images,
+                                cyclotomic_poly, is_zero, parse_character,
+                                rank)
 from alexkit import ComputationCapError
-from alexkit.laurent import LaurentError, LaurentPoly, _to_dense, parse_poly
+from alexkit.laurent import (LaurentError, LaurentPoly, _to_dense, parse_poly,
+                             vanishing_order)
 
-from conftest import character
+from conftest import character, mul_mod_phi, reduce_mod_phi, value_at
 
 
 def one(n):
-    return _reduce([1], n)
+    return reduce_mod_phi([1], n)
 
 
 def zeta(n, k=1):
-    return _reduce([0] * k + [1], n)
+    return reduce_mod_phi([0] * k + [1], n)
 
 
 def test_root_of_unity_reduces_order():
@@ -28,8 +30,9 @@ def test_primitive_root_power_cycle():
     z = zeta(5)
     acc = one(5)
     for _ in range(5):
-        acc = _mul(acc, z, 5)
+        acc = mul_mod_phi(acc, z, 5)
     assert acc == one(5)
+    assert is_zero([(1, 0), (1, 1), (1, 2), (1, 3), (1, 4)], 5)
     z5 = character("zeta5")
     assert z5.pull([[5]]).is_trivial()
     assert not z5.pull([[3]]).is_trivial()
@@ -37,7 +40,9 @@ def test_primitive_root_power_cycle():
 
 def test_zeta3_sum_identity():
     z = zeta(3)
-    assert not any(map(sum, zip(_mul(z, z, 3), z, one(3))))
+    assert not any(map(sum, zip(mul_mod_phi(z, z, 3), z, one(3))))
+    assert is_zero([(1, 2), (1, 1), (1, 0)], 3)
+    assert not is_zero([(1, 2), (1, 1)], 3)
 
 
 def test_negative_powers():
@@ -57,8 +62,11 @@ def test_scales_and_values_are_exact():
     (q,) = Character(1, (Fraction(1, 2),), (0,)).pull([(-3,)]).scales
     assert type(q) is int and q == 8
     for x in (2, 3):
-        (v,) = evaluate(parse_poly("t^-1", ("t",)), character(x))
-        assert type(v) is Fraction and v == Fraction(1, x)
+        ((v, k),) = value_at(parse_poly("t^-1", ("t",)), character(x))
+        assert type(v) is Fraction and (v, k) == (Fraction(1, x), 0)
+        assert is_zero([(v, k), (Fraction(-1, x), 0)], 1)
+        assert vanishing_order(parse_poly(f"{x}*t^-1 - 1", ("t",)),
+                               character(x)) == 1
     (q,) = Character(4, (Fraction(-6, 3),), (1,)).scales
     assert type(q) is int and q == 2
 
@@ -110,13 +118,17 @@ def test_parse_character_rejects_bad_input():
 
 def test_evaluate_polynomial():
     f = parse_poly("t1*t2 - 1", ("t1", "t2"))
-    assert not any(evaluate(f, character("zeta4", "zeta4^3")))
-    g = parse_poly("t^-1 + t", ("t",))
-    assert evaluate(g, character(-1)) == (-2,)
+    assert is_zero(value_at(f, character("zeta4", "zeta4^3")), 4)
+    # t^-1 + t is −2 at −1, held at conductor 1 and at 2 (−1 = ζ_2)
+    g = parse_poly("t^-1 + t + 2", ("t",))
+    for minus_one in (character(-1), Character(2, (1,), (1,))):
+        assert is_zero(value_at(g, minus_one), minus_one.conductor)
+        assert not is_zero(value_at(g - 4, minus_one), minus_one.conductor)
     # 2·(ζ/2)^2 + 1 = ζ^2/2 + 1 = 1/2 − ζ/2, with ζ^2 = −1 − ζ
     h = parse_poly("2*t^2 + 1", ("t",))
-    assert evaluate(h, character("1/2*zeta3")) == (Fraction(1, 2),
-                                                   Fraction(-1, 2))
+    value = value_at(h, character("1/2*zeta3"))
+    assert is_zero(value + [(Fraction(-1, 2), 0), (Fraction(1, 2), 1)], 3)
+    assert not is_zero(value, 3)
 
 
 def test_cyclotomic_poly_values():
@@ -137,20 +149,51 @@ def test_cyclotomic_order_rejects_non_canonical_input():
 
 
 def test_rank_over_field():
-    z = zeta(3)
-    zero = _reduce([], 3)
-    rows = [[one(3), z], [zeta(3, 2), one(3)]]
-    # second row is a multiple of the first
-    assert rank_over_field(rows, 3) == 1
-    rows2 = [[one(3), zero], [zero, z]]
-    assert rank_over_field(rows2, 3) == 2
-    assert rank_over_field([[zero, zero]], 3) == 0
-    # at conductor 1 the entries are 1-tuples of rationals
-    assert rank_over_field([[(2,), (Fraction(1, 3),)], [(6,), (1,)]], 1) == 1
+    zero = []
+    rows = [[[(1, 0)], [(1, 1)]], [[(1, 2)], [(1, 0)]]]
+    # the second row is ζ_3^2 times the first
+    assert rank(rows, 3) == 1
+    assert rank([[[(1, 0)], zero], [zero, [(1, 1)]]], 3) == 2
+    assert rank([[zero, zero]], 3) == 0
+    assert rank([], 3) == rank([[], []], 3) == 0
+    # at conductor 1 every value is a rational
+    assert rank([[[(2, 0)], [(Fraction(1, 3), 0)]], [[(6, 0)], [(1, 0)]]],
+                1) == 1
 
 
-def test_inexact_division_raises():
-    with pytest.raises(CycloError, match="internal bug"):
-        _divider((2,), 1)((3,))
-    with pytest.raises(CycloError, match="internal bug"):
-        _divider((1, -1), 5)((1, 0, 0, 0))  # 1 − ζ_5 is no unit
+def test_first_prime_is_not_enough():
+    """Values and minors divisible by the first prime p₁ of their
+    conductor: each reads as zero there, and only a later prime shows
+    that it is not.  At N = 1 the value p₁·p₂ is zero at both of the first
+    two primes, whose product only reaches the bound p₁·p₂."""
+    for n in (1, 2, 5, 12, 211, 240):
+        (p1, _), (p2, _) = itertools.islice(_images(n), 2)
+        assert not is_zero([(p1, 0)], n)
+        assert not is_zero([(p1 * p2, n - 1)], n)
+        assert is_zero([(p1, n - 1), (-p1, n - 1)], n)
+        assert rank([[[(p1, 0)]]], n) == 1
+        assert rank([[[(1, 0)], [(1, 0)]],
+                     [[(1, 0)], [(1, 0), (p1, n - 1)]]], n) == 2
+        assert rank([[[(p1 * p2, 0)], [(1, 0)]], [[], [(1, 0)]]], n) == 2
+    (p1, _), = itertools.islice(_images(5), 1)
+    assert not is_zero([(p1, 0), (-p1, 1)], 5)  # p₁·(1 − ζ_5)
+    assert rank([[[(p1, 0), (-p1, 1)], [(1, 2)]], [[], [(3, 4)]]], 5) == 2
+    assert rank([[[(Fraction(p1, 7), 0)]]], 1) == 1
+
+
+def test_prime_images():
+    """Each prime of `_images(n)` is ≡ 1 mod n, above 2^61 and above the
+    one before, and ω^k is read at an ω of exact order n, a root of Φ_n
+    mod p."""
+    for n in (1, 2, 3, 4, 12, 143, 211, 239, 240):
+        last = 2 ** 61
+        for p, powers in itertools.islice(_images(n), 3):
+            assert p > last and p % n == 1 % n
+            last = p
+            w = powers[1 % n]
+            assert [pow(w, k, p) for k in range(n)] == list(powers)
+            assert pow(w, n, p) == 1
+            assert sorted(set(powers)) == sorted(powers)  # order exactly n
+            phi = cyclotomic_poly(n)
+            assert sum(c * pow(w, e, p) for (e,), c in phi.terms.items()) \
+                % p == 0

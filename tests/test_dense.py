@@ -8,13 +8,12 @@ import sympy
 from sympy.polys.densearith import dup_div
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.galoistools import gf_from_int_poly, gf_gcdex
 from sympy.polys.specialpolys import dup_zz_cyclotomic_poly
 
 from alexkit import laurent
 from alexkit.laurent import (_divisors, _dup_exquo, _dup_gcd, _dup_mul,
                              _dup_primitive, _dup_prs_gcd, _dup_strip,
-                             _gf_inverse, _isprime, _nextprime, _phi_coeffs)
+                             _isprime, _nextprime, _phi_coeffs)
 
 
 def _down(f):
@@ -90,23 +89,6 @@ def test_exact_division_matches_sympy_division():
 def test_phi_matches_sympy_to_1000():
     for n in range(1, 1001):
         assert _phi_coeffs(n) == _up(dup_zz_cyclotomic_poly(n, ZZ)), n
-
-
-def test_fp_inverse_matches_gf_gcdex():
-    """Modulo Φ_n over F_p: word-size and small primes, where some f are
-    not invertible (Φ_7 ≡ (u − 1)^6 mod 7)."""
-    rng = random.Random(20261104)
-    for _ in range(200):
-        n = rng.choice([1, 2, 3, 7, 12, 60, 211])
-        p = rng.choice([2 ** 61 - 1, 7, 13, 3])
-        m = _phi_coeffs(n)
-        f = _random_poly(rng, len(m) - 2, rng.choice([1, 10 ** 20]))
-        if rng.random() < 0.2:
-            f = _product(f, (-1, 1))[:len(m) - 1]
-        s, _, g = gf_gcdex(gf_from_int_poly(list(reversed(f)), p),
-                           gf_from_int_poly(list(reversed(m)), p), p, ZZ)
-        want = _up(s) + (0,) * (len(m) - 1 - len(s)) if g == [1] else None
-        assert _gf_inverse(f, m, p) == want, (n, p, f)
 
 
 # strong pseudoprimes to every prime base up to 7, up to 31 and up to 37:

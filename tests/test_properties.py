@@ -11,14 +11,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from alexkit import (CONDUCTOR_CAP, ComputationCapError, alexander,
-                     cyclofield, laurent)
+from alexkit import CONDUCTOR_CAP, ComputationCapError, alexander, laurent
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
-                               elementary_ideal_minors, evaluate_matrix,
-                               fox_matrix, univariate_invariant_factors)
-from alexkit.cyclofield import (_PRIME, Character, _divider, _mul, _reduce,
-                                cyclotomic_poly, evaluate, parse_character,
-                                rank_over_field)
+                               elementary_ideal_minors, fox_matrix,
+                               univariate_invariant_factors)
+from alexkit.cyclofield import (Character, cyclotomic_poly, is_zero,
+                                parse_character, rank)
 from alexkit.intlinalg import abelianization
 from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
                               _charpoly, _factor_root, monodromy_analysis,
@@ -27,8 +25,7 @@ from alexkit.laurent import (FactoredPoly, LaurentError, LaurentPoly,
                              _coprime,
                              _cyclotomic_exponents, _cyclotomic_parts,
                              _directions, _divisors, _dup_mul, _from_ring,
-                             _ring,
-                             _gf_inverse, _isprime,
+                             _ring, _isprime,
                              _fibers, _order_bound, _phi_coeffs,
                              _split_cyclotomic, _split_directions, _to_dense,
                              _to_ring, _unfibers,
@@ -41,7 +38,8 @@ from alexkit.presentation import (GroupPresentation, free_reduce_letters,
 from alexkit.seifert import SpliceData, _order, seifert_delta
 
 from conftest import (DATA, character, check_smith_form, load_presentation,
-                      multiplicity, word)
+                      mul_mod_phi, multiplicity, reduce_mod_phi, reduced,
+                      value_at, word)
 
 
 def random_word(rng, num_gens, max_len=6):
@@ -210,15 +208,15 @@ def _sub(x: tuple, y: tuple) -> tuple:
 
 def _values(chi: Character):
     """The values q·ζ_N^k of chi as coefficient tuples at its conductor N."""
-    return [_reduce([0] * k + [q], chi.conductor)
+    return [reduce_mod_phi([0] * k + [q], chi.conductor)
             for q, k in zip(chi.scales, chi.exps)]
 
 
 def _powers(x: tuple, e: int, n: int):
     """[x^0, x^1, ..., x^e] in Q(ζ_n) by repeated multiplication."""
-    out = [_reduce([1], n)]
+    out = [reduce_mod_phi([1], n)]
     for _ in range(e):
-        out.append(_mul(out[-1], x, n))
+        out.append(mul_mod_phi(out[-1], x, n))
     return out
 
 
@@ -240,7 +238,7 @@ def _expansion_order(f: LaurentPoly, point: Character) -> int:
     vals = _values(point)
 
     def const(c):
-        return _reduce([c], n)
+        return reduce_mod_phi([c], n)
 
     # a unit times f, with nonnegative exponents: the order does not change
     fs = normalize(f)
@@ -260,7 +258,8 @@ def _expansion_order(f: LaurentPoly, point: Character) -> int:
                     ze = list(zexp)
                     ze[i] += k
                     key = tuple(ze)
-                    add = _mul(_mul(powers[k], coeff, n), const(binom), n)
+                    add = mul_mod_phi(mul_mod_phi(powers[k], coeff, n),
+                                      const(binom), n)
                     new[key] = _add(new[key], add) if key in new else add
             partial = new
         for key, v in partial.items():
@@ -312,16 +311,16 @@ def _product_evaluate(f: LaurentPoly, n, coords) -> tuple:
     """f(ρ) for ρ_i = q_i·ζ_n^{k_i}, given as the pairs (q_i, k_i), as
     Σ c·∏ ρ_i^{e_i} with one product in Q(ζ_n) per unit of each exponent
     and ρ_i^{-1} = q_i^{-1}·ζ_n^{-k_i} built directly: the definition,
-    kept as the oracle for the bucket `evaluate`."""
-    rho = [_reduce([0] * k + [q], n) for q, k in coords]
-    rho_inv = [_reduce([0] * (-k % n) + [1 / Fraction(q)], n)
+    kept as the oracle for the values that `cyclofield.is_zero` reads."""
+    rho = [reduce_mod_phi([0] * k + [q], n) for q, k in coords]
+    rho_inv = [reduce_mod_phi([0] * (-k % n) + [1 / Fraction(q)], n)
                for q, k in coords]
-    acc = _reduce([], n)
+    acc = reduce_mod_phi([], n)
     for exp, c in f.terms.items():
-        term = _reduce([c], n)
+        term = reduce_mod_phi([c], n)
         for r, r_inv, e in zip(rho, rho_inv, exp):
             for _ in range(abs(e)):
-                term = _mul(term, r if e > 0 else r_inv, n)
+                term = mul_mod_phi(term, r if e > 0 else r_inv, n)
         acc = _add(acc, term)
     return acc
 
@@ -340,32 +339,13 @@ def test_evaluate_matches_product_oracle():
             tuple(rng.randrange(-5, 6) for _ in range(nvars)):
             rng.randrange(-6, 7)
             for _ in range(rng.randrange(1, 6))})
-        value = evaluate(f, chi)
-        assert value == _product_evaluate(f, n, coords)
-        seen.add((n, not any(value)))
+        want = _product_evaluate(f, n, coords)
+        value = value_at(f, chi)
+        assert is_zero(value, n) == (not any(want))
+        assert is_zero(value + [(-c, i) for i, c in enumerate(want)], n)
+        seen.add((n, not any(want)))
     assert {n for n, _ in seen} == {1, 2, 12, 60, 211, 240}
     assert any(zero for _, zero in seen)
-
-
-def test_power_table_matches_reduce_for_every_conductor():
-    """Row k of `_powers(n)` is ζ_n^k reduced by the `_reduce` cascade: a
-    random combination Σ c_k·ζ_n^k of all n rows, reduced once, and every
-    row k ≤ φ(n) + 2 and k = n − 1 alone, for every n ≤ CONDUCTOR_CAP;
-    `_power_bound` is the table's largest |coefficient|."""
-    rng = random.Random(20261023)
-    for n in range(1, CONDUCTOR_CAP + 1):
-        rows = cyclofield._powers(n)
-        assert len(rows) == n
-        deg = len(_phi_coeffs(n)) - 1
-        for k in {*range(min(n, deg + 3)), n - 1}:
-            assert rows[k] == _reduce([0] * k + [1], n), (n, k)
-        for _ in range(2):
-            c = [rng.randint(-9, 9) for _ in range(n)]
-            combo = [sum(ck * row[i] for ck, row in zip(c, rows))
-                     for i in range(deg)]
-            assert tuple(combo) == _reduce(c, n), n
-        assert cyclofield._power_bound(n) == \
-            max(abs(x) for row in rows for x in row)
 
 
 def _pull_oracle(chi: Character, vectors) -> Character:
@@ -384,11 +364,12 @@ def _pull_oracle(chi: Character, vectors) -> Character:
 
 def _bucket_sum_oracle(coeffs, values: Character) -> tuple:
     """Σ_j c_j·q_j·ζ_N^(k_j) in N buckets reduced mod Φ_N once: the former
-    `cyclofield._bucket_sum`, kept as the oracle for `_power_sum`."""
+    `cyclofield._bucket_sum`, kept as the oracle for the zero test."""
     buckets = [0] * values.conductor
     for c, q, k in zip(coeffs, values.scales, values.exps):
         buckets[k] += c * q
-    return tuple(map(laurent._rational, _reduce(buckets, values.conductor)))
+    return tuple(map(laurent._rational,
+                     reduce_mod_phi(buckets, values.conductor)))
 
 
 def _bucket_vanishing_order(f: LaurentPoly, point: Character) -> int:
@@ -416,7 +397,7 @@ def _random_character(rng, nvars, conductors):
 
 
 def test_residue_kernel_matches_pull_and_bucket_sum():
-    """`Character.residues`, `pull`, `trivial_on` and `evaluate` against
+    """`Character.residues`, `pull`, `trivial_on` and `is_zero` against
     the former one-scale-at-a-time pull and N-bucket sum, on random
     integer polynomials and characters of odd and even conductor with
     rational scales."""
@@ -436,9 +417,12 @@ def test_residue_kernel_matches_pull_and_bucket_sum():
         assert residues == list(pulled.exps)
         assert (scales is None) == all(q == 1 for q in chi.scales)
         assert chi.trivial_on(f.terms) == pulled.is_trivial()
-        value = evaluate(f, chi)
-        assert value == _bucket_sum_oracle(f.terms.values(), pulled)
-        seen.add((chi.conductor % 2, scales is None, not any(value)))
+        want = _bucket_sum_oracle(f.terms.values(), pulled)
+        value = value_at(f, chi)
+        assert is_zero(value, chi.conductor) == (not any(want))
+        assert is_zero(value + [(-c, i) for i, c in enumerate(want)],
+                       chi.conductor)
+        seen.add((chi.conductor % 2, scales is None, not any(want)))
     assert {(parity, plain) for parity, plain, _ in seen} == \
         {(0, False), (0, True), (1, False), (1, True)}
     assert any(zero for _, _, zero in seen)
@@ -534,7 +518,8 @@ def test_twisted_betti_dropped_column_matches_full_rank():
         for rho in chars:
             if rho.is_trivial():
                 continue
-            full = rank_over_field(evaluate_matrix(mat, rho), rho.conductor)
+            full = rank([[value_at(f, rho) for f in row]
+                         for row in mat.generator_entries], rho.conductor)
             b1 = twisted_betti(mat, rho)
             assert b1 == mat.num_cols - 1 - full, (p, rho)
             seen.add(min(b1, 2))
@@ -1226,11 +1211,11 @@ def _brute_rank(mat, n):
 
     def det(rsel, csel):
         if not rsel:
-            return _reduce([1], n)
+            return reduce_mod_phi([1], n)
         if (rsel, csel) not in memo:
-            acc = _reduce([], n)
+            acc = reduce_mod_phi([], n)
             for j, c in enumerate(csel):
-                term = _mul(mat[rsel[0]][c],
+                term = mul_mod_phi(mat[rsel[0]][c],
                             det(rsel[1:], csel[:j] + csel[j + 1:]), n)
                 acc = _add(acc, term) if j % 2 == 0 else _sub(acc, term)
             memo[rsel, csel] = acc
@@ -1246,74 +1231,73 @@ def _brute_rank(mat, n):
 
 
 def _random_cyclo(rng, n, scales, terms=2):
-    """A sum of up to `terms` values q·ζ_n^k, q drawn from `scales`."""
-    acc = _reduce([], n)
-    for _ in range(rng.randrange(terms + 1)):
-        acc = _add(acc, _reduce([0] * rng.randrange(n)
-                                + [rng.choice(scales)], n))
-    return acc
+    """A sum of up to `terms` values q·ζ_n^k, q drawn from `scales`, as
+    the pairs (q, k)."""
+    return [(rng.choice(scales), rng.randrange(n))
+            for _ in range(rng.randrange(terms + 1))]
+
+
+def _times(x, y, n):
+    """x·y for values given as pairs (c, k)."""
+    return [(a * b, (i + j) % n) for a, i in x for b, j in y]
 
 
 def test_rank_over_field_matches_brute_minors():
-    """Bareiss's rank against brute-force minors: conductors 1, 2, 5, 12,
-    60 and (up to 3×3) 211, rational entries, shapes up to 5×6, a zero
-    column, and a row that is a Z[ζ]-combination of the others."""
+    """`rank` against brute-force minors of the values reduced mod Φ_n:
+    conductors 1, 2, 3, 4, 12 and (up to 3×3 and 4×5) 211 and 240,
+    rational entries, shapes up to 5×6, a zero row or column, and a row
+    that is a Z[ζ]-combination of the others."""
     rng = random.Random(20240909)
     scales = (1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))
-    shapes = {1: (5, 6), 2: (5, 6), 5: (5, 6), 12: (5, 6), 60: (4, 5),
-              211: (3, 3)}
-    for case in range(240):
-        n = (1, 2, 5, 12, 60, 211)[case % 6]
-        max_rows, max_cols = shapes[n]
-        if case % 4 == 1:
-            max_rows, max_cols = (5, 6) if n != 211 else (3, 3)
+    conductors = (1, 2, 3, 4, 12, 211, 240)
+    shapes = {211: (3, 3), 240: (4, 5)}
+    for case in range(280):
+        n = conductors[case % 7]
+        max_rows, max_cols = shapes.get(n, (5, 6))
         rows, cols = rng.randint(1, max_rows), rng.randint(1, max_cols)
         mat = [[_random_cyclo(rng, n, scales) for _ in range(cols)]
                for _ in range(rows)]
         if case % 5 == 2:
             j = rng.randrange(cols)
             for row in mat:
-                row[j] = _reduce([], n)
+                row[j] = []
+        if case % 5 == 4:
+            mat[rng.randrange(rows)] = [[] for _ in range(cols)]
         if case % 3 == 0 and rows > 1:
             i = rng.randrange(rows)
-            combo = [_reduce([], n)] * cols
+            combo = [[] for _ in range(cols)]
             for r in range(rows):
                 if r != i:
                     c = _random_cyclo(rng, n, (1, -1, 2), 3)
-                    combo = [_add(x, _mul(c, y, n))
+                    combo = [x + _times(c, y, n)
                              for x, y in zip(combo, mat[r])]
             mat[i] = combo
-        assert rank_over_field(mat, n) == _brute_rank(mat, n), (n, mat)
+        oracle = [[reduced(x, n) for x in row] for row in mat]
+        assert rank(mat, n) == _brute_rank(oracle, n), (n, mat)
 
 
 def test_rank_of_known_rank_products():
     """B·C over Z[ζ_3] at 24×24 with B = [I_r; random] and
-    C = [I_r | random] has rank r; its minors grow with the size, which
-    Bareiss's exact divisions keep down."""
+    C = [I_r | random] has rank r; its minors grow with the size, and so
+    does the number of primes the rank reads."""
     rng = random.Random(20261018)
     size = 24
 
     def entry():
-        return _reduce([rng.randint(-9, 9), rng.randint(-9, 9)], 3)
+        return [(rng.randint(-9, 9), 0), (rng.randint(-9, 9), 1)]
 
     def identity(i, j):
-        return _reduce([int(i == j)], 3)
+        return [(int(i == j), 0)]
 
     for r in (1, 7, 16, 23):
         b = [[identity(i, j) if i < r else entry() for j in range(r)]
              for i in range(size)]
         c = [[identity(i, j) if j < r else entry() for j in range(size)]
              for i in range(r)]
-        product = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                acc = _reduce([], 3)
-                for k in range(r):
-                    acc = _add(acc, _mul(b[i][k], c[k][j], 3))
-                row.append(acc)
-            product.append(row)
-        assert rank_over_field(product, 3) == r
+        product = [[[term for k in range(r) for term in
+                     _times(b[i][k], c[k][j], 3)] for j in range(size)]
+                   for i in range(size)]
+        assert rank(product, 3) == r
 
 
 def test_charpoly_matches_sympy():
@@ -1678,34 +1662,6 @@ def test_cyclotomic_polys_multiply_to_binomials():
                         out[i + j] += x * y
             prod = out
         assert prod == [-1] + [0] * (n - 1) + [1]
-
-
-def test_cyclotomic_exact_division():
-    """divide(x·d) == x for the exact division by d in Z[ζ_n]: a sparse x
-    and d at every conductor up to the cap, dense ones at 211 and 239,
-    large coefficients, and d ≡ 0 mod the first prime ℓ, where d has no
-    inverse mod ℓ and the next prime is taken."""
-    rng = random.Random(20241103)
-
-    def value(n, length, size=6):
-        while True:
-            x = [0] * (len(_phi_coeffs(n)) - 1)
-            for _ in range(length):
-                x[rng.randrange(len(x))] = rng.randint(-size, size)
-            if any(x):
-                return tuple(x)
-
-    cases = [(n, value(n, 3), value(n, 2))
-             for n in range(1, CONDUCTOR_CAP + 1)]
-    cases += [(n, value(n, 300), value(n, 300)) for n in (211, 239)]
-    cases += [(n, value(n, 8, 10 ** 40), value(n, 8, 10 ** 30))
-              for n in (5, 12, 60, 240)]
-    for n in (1, 7, 60):
-        d = tuple(_PRIME * c for c in value(n, 3))
-        assert _gf_inverse(d, _phi_coeffs(n), _PRIME) is None
-        cases.append((n, value(n, 4), d))
-    for n, x, d in cases:
-        assert _divider(d, n)(_mul(x, d, n)) == x, (n, x, d)
 
 
 def test_seifert_delta_times_divisors_is_binomial_power():
