@@ -27,6 +27,12 @@ VANISHING_WORK_CAP = 200_000
 # term per unit of exponent, a Seifert Δ(u), and a coefficient list in one
 # variable (`invariants` on a^(10^5) takes 0.26 s on a 2-core x86_64)
 DEGREE_CAP = 100_000
+# the largest box ∏(deg_i + 1) of a piece that `factor_poly` hands to
+# sympy's `factor_list`: x^a·y^a + x + 1 takes 1.9 s at a = 120 (box 14641),
+# 5.9 s at a = 150 (22801) and 24 s at a = 200 on a 2-core x86_64; the
+# workloads' largest piece has box 243, an irreducible rest of degree 288
+# box 289
+FACTOR_BOX_CAP = 20_000
 # the largest q·(degree + 1), the exponents a Seifert Δ's terms carry in
 # all: every q ≤ 3 within DEGREE_CAP passes
 SEIFERT_OUTPUT_CAP = 3 * (DEGREE_CAP + 1)
@@ -47,6 +53,11 @@ COEFFICIENT_BITS_CAP = _DIGITS_LIMIT.bit_length() - 1
 # (t + 1)^2000 passes (4004001, in 2.6 s on a 2-core x86_64), (t + 1)^3000
 # does not (9006001)
 EXPANSION_CAP = 5_000_000
+# the largest work, term products × coefficient bits summed over every
+# product and squaring, that one `parse_poly` call spends expanding:
+# (t + 1)^2000 spends 2555853126 (1.7 s on a 2-core x86_64) and passes; a
+# sum of (t + 1)^1500, 1.06·10^9 (0.74 s) each, stops at the third
+EXPANSION_WORK_CAP = 3_000_000_000
 
 
 def check(what: str, value: int, cap: int) -> None:

@@ -84,6 +84,16 @@ class Character(Frozen):
     def is_trivial(self) -> bool:
         return all(q == 1 for q in self.scales) and not any(self.exps)
 
+    def order(self) -> Optional[int]:
+        """The multiplicative order of the one value q·ζ_N^k of a
+        one-value character, or None when it has none (|q| ≠ 1).  A
+        negative q is left only at odd N, where −1 = ζ_2N^N makes the value
+        ζ_2N^(2k + N); else it is ζ_2N^(2k)."""
+        (q,), (k,), n = self.scales, self.exps, self.conductor
+        if abs(q) != 1:
+            return None
+        return 2 * n // math.gcd(2 * n, 2 * k + (n if q < 0 else 0))
+
     def residues(self, vectors: Iterable[Sequence[int]]
                  ) -> Tuple[List[int], Optional[list]]:
         """The value ∏_j q_j^{e_j}·ζ_N^k of ρ^e for each exponent vector e,
@@ -186,8 +196,14 @@ _IMAGES: dict = {}
 
 
 def _images(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """The primes p ≡ 1 (mod n) above 2^61 in turn, each with ω^k mod p
+    """The primes p ≡ 1 (mod n) above 2^29 in turn, each with ω^k mod p
     for k < n, built once per conductor n.
+
+    Below 2^30 a residue is one CPython digit, so products and `pow` mod
+    p stay cheap; a nonzero value or minor whose norm the first prime
+    divides only takes more primes.  There are about 2^29/(φ(n)·21)
+    primes p ≡ 1 (mod n) in [2^29, 2^30), over 10^5 for every n ≤ 240,
+    where a certificate reads a few hundred.
 
     ω = a^((p−1)/n) for the least a ≥ 2 with ω^(n/q) ≠ 1 for every prime
     q | n has order n, so ζ_n ↦ ω is a ring map Z[ζ_n] → F_p, and its
@@ -195,7 +211,7 @@ def _images(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     table = _IMAGES.setdefault(n, [])
     for i in itertools.count():
         if i == len(table):
-            p = table[-1][0] if table else 2 ** 61
+            p = table[-1][0] if table else 2 ** 29
             p += n - (p - 1) % n
             while not _isprime(p):
                 p += n

@@ -14,7 +14,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import AlexkitError
 from .alexander import (AlexanderMatrix, elementary_divisor_exponents,
                         univariate_invariant_factors)
-from .cyclofield import Character, rank
+from .cyclofield import Character, is_zero, rank
 from .intlinalg import induced_torus_point, validate_character
 from .laurent import FactoredPoly, LaurentPoly, factor_poly, vanishing_order
 
@@ -112,6 +112,15 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
     When the first elementary ideal is known almost principal and rho is a
     nontrivial point of the identity component, the pointwise sum is a
     proven upper bound; a violation raises BoundInconsistencyError.
+
+    A factor f ≐ r(t^e) in one essential variable, with the `essential`
+    record (e, r, m), vanishes at rho to order 0 or 1, 1 exactly when
+    r(rho^e) = 0: r is irreducible in Z[u], so separable, and with
+    r(0) ≠ 0 the derivative θ_j f = e_j·u·r′(u) at u = t^e is nonzero at
+    a root for any e_j ≠ 0, e being primitive.  For r = Φ_m that is
+    whether rho^e has order m (`Character.order`), else one `is_zero` of
+    r at rho^e.  Only a factor in more than one essential variable takes
+    the general `vanishing_order`.
     """
     if rho.is_trivial():
         raise JumpLociError("bounds require a nontrivial character")
@@ -129,8 +138,18 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
         return BettiReport(rho, b1, None, None, almost_principal, False)
     bound = 0
     on_components = []
-    for f, mu in factored.factors:
-        nu = vanishing_order(f, point)
+    for (f, mu), record in zip(factored.factors, factored.essential):
+        if record is None:
+            nu = vanishing_order(f, point)
+        else:
+            e, r, m = record
+            value = point.pull([e])
+            if m is not None:
+                nu = int(value.order() == m)
+            else:
+                nu = int(is_zero(zip(*value.at(
+                    {(i,): c for i, c in enumerate(r) if c})),
+                    value.conductor))
         bound += mu * nu
         if nu > 0:
             on_components.append((f, mu))

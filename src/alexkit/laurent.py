@@ -30,7 +30,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from . import (COEFFICIENT_BITS_CAP, DEGREE_CAP, EXPANSION_CAP, MAX_DIGITS,
+from . import (COEFFICIENT_BITS_CAP, DEGREE_CAP, EXPANSION_CAP,
+               EXPANSION_WORK_CAP, FACTOR_BOX_CAP, MAX_DIGITS,
                VANISHING_WORK_CAP, AlexkitError, check, check_printable,
                has_long_number)
 
@@ -185,14 +186,7 @@ class LaurentPoly:
                 raise LaurentError("negative powers only for unit monomials")
             base = LaurentPoly(self.nvars, {tuple(-e for e in exp): c})
             return base ** (-k)
-        out = LaurentPoly.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, operator.mul)
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -248,6 +242,18 @@ class LaurentPoly:
             else:
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
+
+
+def _power(f: LaurentPoly, k: int, mul) -> LaurentPoly:
+    """f^k for k ≥ 0 by repeated squaring, each product taken by mul."""
+    out = LaurentPoly.one(f.nvars)
+    while k:
+        if k & 1:
+            out = mul(out, f)
+        k >>= 1
+        if k:
+            f = mul(f, f)
+    return out
 
 
 def default_names(n: int) -> list:
@@ -720,7 +726,11 @@ def _shape(f: LaurentPoly) -> tuple:
 def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
     """Parse the expression grammar: ints, variables, + - * ^, parentheses.
     A power whose result would hold a coefficient of more than MAX_DIGITS
-    digits is a cap error, found before it is expanded."""
+    digits is a cap error, found before it is expanded, and so is a power
+    or product whose result is past EXPANSION_CAP.  Every product and
+    squaring adds its term products × coefficient bits to the work of the
+    whole expression, which must stay within EXPANSION_WORK_CAP: a cap
+    error before the product that would pass it."""
     if has_long_number(text):
         raise PolyParseError(f"a number has more than {MAX_DIGITS} digits")
     tokens = []
@@ -735,7 +745,15 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
         pos = m.end()
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
-    state = {"i": 0}
+    state = {"i": 0, "work": 0}
+
+    def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        if a.terms and b.terms:
+            state["work"] += len(a.terms) * len(b.terms) * sum(
+                max(map(abs, f.terms.values())).bit_length() for f in (a, b))
+            check("expansion work (term products × coefficient bits)",
+                  state["work"], EXPANSION_WORK_CAP)
+        return a * b
 
     def peek():
         return tokens[state["i"]] if state["i"] < len(tokens) else None
@@ -796,7 +814,8 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
                                 math.comb(terms + k - 1, k))
                 check("terms × coefficient bits of a power", size,
                       EXPANSION_CAP)
-            base = base ** k
+            # k < 0 only for a monomial, whose powers need no count
+            base = base ** k if k < 0 else _power(base, k, mul)
         return base
 
     def term() -> LaurentPoly:
@@ -809,7 +828,7 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
                 check("terms × coefficient bits of a product",
                       (l1 + l2 + 1) * min(t1 * t2, math.prod(
                           x + y + 1 for x, y in zip(s1, s2))), EXPANSION_CAP)
-            out = out * rhs
+            out = mul(out, rhs)
         return out
 
     def expr() -> LaurentPoly:
@@ -1102,7 +1121,9 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     """
     def factored(p):
         """The irreducible factors of p in Z[t], canonical, and their
-        multiplicities."""
+        multiplicities; p's box must be within FACTOR_BOX_CAP."""
+        check("box ∏(deg_i + 1) of a piece to factor", math.prod(
+            max(c) - min(c) + 1 for c in zip(*p.terms)), FACTOR_BOX_CAP)
         return [(normalize(_from_ring(r, p.nvars)), k)
                 for r, k in _to_ring(p).factor_list()[1]]
 

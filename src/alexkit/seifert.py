@@ -10,7 +10,7 @@ closed forms in the single variable u = t_1^{N_1} ... t_q^{N_q}.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import DEGREE_CAP, SEIFERT_OUTPUT_CAP, AlexkitError, Frozen, check
 from .cyclofield import Character
@@ -113,16 +113,6 @@ def seifert_divisor(d: SpliceData) -> List[DivisorComponent]:
     return out
 
 
-def _order(alpha: Character) -> Optional[int]:
-    """Multiplicative order of the one value q·ζ_N^k of alpha, or None when
-    it has none (|q| ≠ 1).  With −1 = ζ_{2N}^N, the value ±ζ_N^k is
-    ζ_{2N}^{2k + [q<0]·N}."""
-    (q,), (k,), n = alpha.scales, alpha.exps, alpha.conductor
-    if abs(q) != 1:
-        return None
-    return 2 * n // math.gcd(2 * n, 2 * k + (n if q < 0 else 0))
-
-
 def seifert_twisted_betti(d: SpliceData, rho: Character) -> int:
     """Predicted twisted rank at a character on the link components.
 
@@ -135,7 +125,7 @@ def seifert_twisted_betti(d: SpliceData, rho: Character) -> int:
     if rho.is_trivial():
         raise SeifertError("trivial character excluded")
     alpha = rho.pull([[d.n_j(j) for j in range(d.q)]])
-    order = _order(alpha)
+    order = alpha.order()
     if order is None or d.big_n_prime % order:
         return 0
     m = _mult_at_order(d, order)

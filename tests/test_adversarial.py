@@ -267,6 +267,37 @@ def test_matrix_expansion_under_cap(tmp_path):
     assert len(entry.split(" + ")) == 2001
 
 
+def test_matrix_expansion_work_over_cap(tmp_path):
+    """A sum of (t + 1)^1500, each inside `EXPANSION_CAP`, ran without
+    bound: the work of the whole expression, term products × coefficient
+    bits, would pass `EXPANSION_WORK_CAP` within the third power, and the
+    product that would pass it is refused."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["t"],
+                                "rows": [[" + ".join(["(t+1)^1500"] * 40)]]}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "alexkit: cap exceeded: expansion work (term products × coefficient "
+        "bits) 3191172474 exceeds cap 3000000000"]
+
+
+def test_matrix_sparse_piece_over_factor_box(tmp_path):
+    """x^99999·y^99999 + x + 1 reaches sympy's `factor_list`, which ran
+    past 20 s on it: its box ∏(deg_i + 1) = 10^10 passes `FACTOR_BOX_CAP`,
+    so it is refused before the call."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["x", "y"],
+                                "rows": [["x^99999*y^99999 + x + 1", "0"]]}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "alexkit: cap exceeded: box ∏(deg_i + 1) of a piece to factor "
+        "10000000000 exceeds cap 20000"]
+
+
 def _pencil5_character(n, last):
     """x_i = ζ_n^i for i ≤ 4 and x5 = ζ_n^last."""
     return ",".join([f"x{i}=zeta{n}^{i}" for i in range(1, 5)]

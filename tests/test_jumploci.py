@@ -1,17 +1,30 @@
+import itertools
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
+import alexkit
 from alexkit import jumploci
 from alexkit.alexander import alexander_poly, fox_matrix, load_matrix
+from alexkit.cyclofield import Character
 from alexkit.jumploci import (BoundInconsistencyError, JumpLociError,
                               almost_principal_status, bounds_report,
                               monodromy_analysis,
                               semisimple_equality_report, twisted_betti)
-from alexkit.intlinalg import validate_character
-from alexkit.laurent import factor_poly, parse_poly
+from alexkit.intlinalg import induced_torus_point, validate_character
+from alexkit.laurent import (LaurentPoly, _from_dense, _phi_coeffs,
+                             factor_poly, parse_poly, vanishing_order)
 from alexkit.presentation import parse_presentation
 
 from conftest import character as chi
-from conftest import load_matrix_fixture, load_presentation
+from conftest import data_path, load_matrix_fixture, load_presentation
+from test_properties import _random_character
 
 
 def test_twisted_betti_example_56():
@@ -171,3 +184,200 @@ def test_monodromy_semisimple_cases():
 def test_monodromy_rejects_eigenvalue_one():
     with pytest.raises(JumpLociError):
         monodromy_analysis([[1, 5], [0, 2]])
+
+
+def _oracle_bounds(factored, point):
+    """(pointwise, generic) bounds at point, every vanishing order taken
+    by the general `vanishing_order`."""
+    nus = [(vanishing_order(f, point), mu) for f, mu in factored.factors]
+    on = [mu for nu, mu in nus if nu]
+    return sum(mu * nu for nu, mu in nus), on[0] if len(on) == 1 else None
+
+
+def _random_direction(rng, n):
+    """A primitive exponent vector with entries in [−3, 3], some negative
+    whenever n > 1."""
+    while True:
+        e = [rng.randint(-3, 3) for _ in range(n)]
+        if math.gcd(*e) == 1 and (n == 1 or min(e) < 0):
+            return e
+
+
+def _bezout(e):
+    """An integer vector a with ⟨a, e⟩ = 1, for a primitive e with entries
+    in [−3, 3]: one with entries in [−3, 3] exists."""
+    return next(a for a in itertools.product(range(-3, 4), repeat=len(e))
+                if sum(x * y for x, y in zip(a, e)) == 1)
+
+
+def _on_locus(rng, e, m, conductor):
+    """A point ρ of the given conductor, a multiple of m, with ρ^e of
+    order m: every scale 1 and ⟨k, e⟩ = (conductor/m)·j, gcd(j, m) = 1."""
+    k = [rng.randrange(conductor) for _ in e]
+    j = rng.choice([j for j in range(1, m + 1) if math.gcd(j, m) == 1])
+    shift = (conductor // m) * j - sum(x * y for x, y in zip(k, e))
+    return Character(conductor, [1] * len(e),
+                     [x + shift * y for x, y in zip(k, _bezout(e))])
+
+
+def test_bounds_report_matches_vanishing_order_oracle():
+    """The pointwise and generic bounds of `bounds_report`, which read the
+    order of a factor in one essential variable off its record, equal the
+    bounds from `vanishing_order` of every factor: on products of random
+    Φ_m(t^e), 2t^e − 1 and t^2e − 3t^e + 1 (e with negative entries), and
+    one factor in two essential variables, at random points of conductor
+    up to 240, on and off each factor's zero set."""
+    rng = random.Random(32)
+    hits = misses = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            # Φ_m, 2u − 1 or u² − 3u + 1, coefficients from u^0 up
+            kind = rng.randrange(4)
+            r = _phi_coeffs(rng.randint(1, 30)) if kind < 2 else \
+                ((-1, 2), (1, -3, 1))[kind - 2]
+            factors.append(_from_dense(r, _random_direction(rng, n)))
+        if n > 1 and rng.random() < 0.3:
+            factors.append(LaurentPoly.var(n, 0) + LaurentPoly.var(n, 1) + 1)
+        delta = LaurentPoly.one(n)
+        for f in factors:
+            delta = delta * f ** rng.randint(1, 2)
+        factored = factor_poly(delta)
+        assert any(factored.essential)
+        mat = load_matrix([f"t{i}" for i in range(n)], [["0"] * (n + 1)])
+        for _ in range(12):
+            e, _, m = rng.choice([x for x in factored.essential if x])
+            if m is not None and rng.random() < 0.5:
+                point = _on_locus(rng, e, m, m * rng.randint(1, 240 // m))
+            else:
+                point = _random_character(rng, n, range(1, 241))
+            if point.is_trivial():
+                continue
+            report = bounds_report(mat, factored, point,
+                                   almost_principal=("Unknown", None))
+            expected = _oracle_bounds(factored, point)
+            assert (report.bound_pointwise, report.bound_generic) == \
+                expected, (delta, point)
+            if expected[0]:
+                hits += 1
+            else:
+                misses += 1
+    assert hits > 100 and misses > 100
+
+
+def test_bounds_report_on_the_linear_root():
+    """2·t^e − 1 vanishes where ρ^e = 1/2, once: the record's `is_zero`
+    path gives order 1 there and 0 nearby, as `vanishing_order` does."""
+    rng = random.Random(7)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        e = _random_direction(rng, n)
+        factored = factor_poly(_from_dense([-1, 2], e) ** 2)
+        mat = load_matrix([f"t{i}" for i in range(n)], [["0"] * (n + 1)])
+        # scales 2^(−a_i) with ⟨a, e⟩ = 1 put ρ^e at 1/2
+        scales = [Fraction(1, 2) ** x for x in _bezout(e)]
+        conductor = rng.choice((1, 3, 7, 240))
+        for k in ([0] * n, [rng.randrange(conductor) for _ in range(n)]):
+            point = Character(conductor, scales, k)
+            if point.is_trivial():
+                continue
+            report = bounds_report(mat, factored, point,
+                                   almost_principal=("Unknown", None))
+            assert (report.bound_pointwise, report.bound_generic) == \
+                _oracle_bounds(factored, point)
+            if not any(k):
+                assert report.bound_pointwise == 2
+
+
+def _fixture_character(rng, name, width):
+    """A random character on the generators of a fixture; on
+    torusbundle, whose relators give x1² = 1 and x2² = x1, x1 and x2 are
+    drawn among the values that respect them."""
+    rho = _random_character(rng, width,
+                            (1, 2, 3, 4, 5, 6, 12, 60, 211, 240))
+    if name != "torusbundle.grp":
+        return rho
+    conductor = rng.choice((4, 12, 60, 240))
+    quarter = conductor // 4
+    x1, x2 = rng.choice(((0, 0), (0, 2), (2, 1), (2, 3)))
+    return Character(conductor, (1, 1, rho.scales[2]),
+                     (x1 * quarter, x2 * quarter, rng.randrange(conductor)))
+
+
+@pytest.mark.parametrize("name", ["pencil3.grp", "pencil4.grp",
+                                  "pencil5.grp", "torusbundle.grp",
+                                  "ex52-g1.json", "ex52-g2.json",
+                                  "ex66.json", "ex67-k2.json",
+                                  "ex67-k3.json"])
+def test_bounds_report_matches_vanishing_order_on_fixtures(name):
+    """On every fixture, the bounds of `bounds_report` at random
+    characters equal those from `vanishing_order` of every factor of Δ at
+    the same point of the character torus."""
+    mat = (fox_matrix(load_presentation(name)) if name.endswith(".grp")
+           else load_matrix_fixture(name))
+    delta = alexander_poly(mat)
+    if delta.is_zero():
+        pytest.skip("zero Δ: no bounds")
+    factored = factor_poly(delta)
+    rng = random.Random(name)
+    width = mat.num_vars if mat.presentation is None else \
+        mat.presentation.num_generators
+    checked = 0
+    for _ in range(40):
+        rho = _fixture_character(rng, name, width)
+        if rho.is_trivial() or (mat.presentation is not None and
+                                not validate_character(mat.presentation,
+                                                       rho)):
+            continue
+        point = rho if mat.presentation is None else \
+            induced_torus_point(mat.abelian, rho)
+        report = bounds_report(mat, factored, rho,
+                               almost_principal=("Unknown", None))
+        if point is None:
+            assert report.bound_pointwise is None
+            continue
+        assert (report.bound_pointwise, report.bound_generic) == \
+            _oracle_bounds(factored, point), rho
+        checked += 1
+    assert checked >= 5
+
+
+_COUNT_VANISHING_ORDERS = """
+import sys
+from alexkit import cli, jumploci
+calls = []
+oracle = jumploci.vanishing_order
+jumploci.vanishing_order = lambda f, point: calls.append(f) or \
+    oracle(f, point)
+code = cli.main(sys.argv[1:])
+print(code, len(calls), file=sys.stderr)
+"""
+
+
+def test_invariants_reads_essential_orders_off_records():
+    """`invariants` on pencil4, whose Δ = (t1·t2·t3·t4 − 1)^2 is one
+    factor in one essential variable, answers 16 characters in a fresh
+    interpreter without one call of `vanishing_order`: the first 8 on its
+    zero set, with bound 2, the last 8 off it, with bound 0."""
+    chars = [
+        "zeta2,zeta2,1,1", "zeta3,zeta3,zeta3,1",
+        "zeta5,zeta5^2,zeta5^3,zeta5^4", "zeta12^5,zeta12^7,zeta4,zeta4^3",
+        "zeta211^3,zeta211^-3,zeta211^5,zeta211^-5", "2,1/2,-1,-1",
+        "-2/3,-3/2,zeta7,zeta7^6", "zeta60^7,zeta60^13,zeta60^40,1",
+        "zeta2,1,1,1", "zeta3,zeta3,1,1", "zeta5,zeta5,zeta5,zeta5",
+        "zeta12^5,zeta4,1,1", "zeta240^11,zeta240,1,1", "2,1,1,1",
+        "-2/3,1/2,-1,zeta7", "zeta60^7,-1,1,1"]
+    chars = [",".join(f"x{j}={v}" for j, v in enumerate(c.split(","), 1))
+             for c in chars]
+    argv = ["invariants", data_path("pencil4.grp")]
+    for c in chars:
+        argv += ["--char", c]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_VANISHING_ORDERS, *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(alexkit.__file__))))
+    assert proc.stderr == "0 0\n", proc.stderr
+    report = json.loads(proc.stdout)["characters"]
+    assert [report[c]["bound_pointwise"] for c in chars] == [2] * 8 + [0] * 8

@@ -35,7 +35,7 @@ from alexkit.laurent import (FactoredPoly, LaurentError, LaurentPoly,
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, QPVerdict, qp_verdict
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   parse_presentation)
-from alexkit.seifert import SpliceData, _order, seifert_delta
+from alexkit.seifert import SpliceData, seifert_delta
 
 from conftest import (DATA, character, check_smith_form, load_presentation,
                       mul_mod_phi, multiplicity, reduce_mod_phi, reduced,
@@ -533,7 +533,7 @@ def test_seifert_order_matches_brute_powers():
                 alpha = Character(n, (q,), (k,))
                 brute = next((d for d in range(1, 2 * n + 1)
                               if alpha.pull([[d]]).is_trivial()), None)
-                assert _order(alpha) == brute
+                assert alpha.order() == brute
 
 
 def test_multiplicity_random():
