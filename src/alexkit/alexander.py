@@ -14,11 +14,10 @@ import re
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import DEGREE_CAP, MINOR_MATRIX_CAP, AlexkitError, check
-from .cyclofield import Character
 from .intlinalg import AbelianStructure, abelianization
 from .laurent import (LaurentPoly, _dup_exquo, _from_dense, _to_dense,
                       default_names, divides, exact_div_binomial, gcd_many,
-                      normalize, parse_poly, vanishing_order)
+                      normalize, parse_poly)
 from .presentation import GroupPresentation, Word
 
 
@@ -323,14 +322,18 @@ def univariate_invariant_factors(mat: AlexanderMatrix) -> List[LaurentPoly]:
 
 
 def elementary_divisor_exponents(invariant_factors: List[LaurentPoly],
-                                 root: Character) -> dict:
-    """e_k(z): number of invariant factors with (t−z)-multiplicity exactly k,
-    for z the value of a one-coordinate character."""
+                                 p: Tuple[int, ...]) -> dict:
+    """e_k(p): the number of invariant factors in which p has exponent
+    exactly k ≥ 1, for p in Z[u] dense, primitive and irreducible, as the
+    `essential` record of a factor holds it.  Being primitive, p^k divides
+    f in Q[u] exactly when it does in Z[u] (Gauss), so the exponent is the
+    count of exact divisions (`_dup_exquo`); being irreducible, p is
+    separable, so that exponent is the multiplicity of each root of p."""
     out: dict = {}
     for f in invariant_factors:
-        if normalize(f).is_constant():
-            continue
-        nu = vanishing_order(f, root)
-        if nu > 0:
-            out[nu] = out.get(nu, 0) + 1
+        q, k = _to_dense(f), 0
+        while (q := _dup_exquo(q, p)) is not None:
+            k += 1
+        if k:
+            out[k] = out.get(k, 0) + 1
     return out

@@ -1,14 +1,15 @@
-"""Characters with values in cyclotomic fields Q(ζ_N), and the two
-questions alexkit asks of those values: is one zero, and what is the rank
-of a matrix of them.
+"""Characters with values in cyclotomic fields Q(ζ_N), and the one exact
+reader of those values: the rank of a matrix of them.  A value is zero
+when its 1×1 matrix has rank 0, which is how `vanishing_order` reads
+the Euler derivatives of a polynomial at a character.
 
 A Character is an exponent vector: its values are q_i·ζ_N^{k_i}, so a
 monomial t^e at a character is the residue ⟨k, e⟩ mod N and a scale
 (`Character.residues`), and a polynomial's value is the pairs (c, k) of
 its coefficients times the scales and its residues, Σ c·ζ_N^k.
-No value is reduced mod Φ_N or inverted.  `is_zero` and `rank` read it at
-primes p ≡ 1 (mod N), where ζ_N ↦ ω, ω of order N in F_p (`_images`),
-until the product of the primes read passes a bound on the norm of what
+No value is reduced mod Φ_N or inverted.  `rank` reads it at primes
+p ≡ 1 (mod N), where ζ_N ↦ ω, ω of order N in F_p (`_images`), until
+the product of the primes read passes a bound on the norm of what
 a nonzero answer would be (von zur Gathen & Gerhard, Modern Computer
 Algebra, ch. 5; Washington, Cyclotomic Fields, Thm 2.13).
 """
@@ -23,8 +24,8 @@ from fractions import Fraction
 from typing import (Iterable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
-from . import (CONDUCTOR_CAP, MAX_DIGITS, AlexkitError, Frozen, check,
-               has_long_number)
+from . import (CONDUCTOR_CAP, MAX_DIGITS, VANISHING_WORK_CAP, AlexkitError,
+               Frozen, check, has_long_number)
 from .laurent import (LaurentPoly, _factorize, _from_dense, _isprime,
                       _phi_coeffs, _rational)
 
@@ -121,8 +122,7 @@ class Character(Frozen):
     def at(self, terms: dict) -> Tuple[list, List[int]]:
         """For the terms {e: c} of a polynomial f, the coefficients c times
         the scales of ρ^e, and the residues of ρ^e: f(ρ) is Σ c·ζ_N^k over
-        the pairs (c, k) the two lists zip to, as `is_zero` and `rank`
-        take it."""
+        the pairs (c, k) the two lists zip to, as `rank` takes it."""
         residues, scales = self.residues(terms)
         coeffs = list(terms.values())
         if scales is not None:
@@ -189,7 +189,7 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
                      tuple(k * (conductor // order) for _, order, k in values))
 
 
-# -- zero tests and ranks at primes p ≡ 1 (mod N) ---------------------------
+# -- ranks at primes p ≡ 1 (mod N) -------------------------------------------
 
 
 _IMAGES: dict = {}
@@ -241,34 +241,6 @@ def _integer_sums(row: Sequence[Iterable[tuple]]) -> List[dict]:
              for k, c in x.items() if c} for x in sums]
 
 
-def _norm_bound(n: int, bound: int) -> int:
-    """bound^φ(n): a bound on |N(x)| for x in Z[ζ_n] whose conjugates are
-    each at most bound in absolute value."""
-    return bound ** (len(_phi_coeffs(n)) - 1)
-
-
-def is_zero(value: Iterable[tuple], n: int) -> bool:
-    """Whether x = Σ c·ζ_n^k over the pairs (c, k) of value is 0, for
-    rational c and 0 ≤ k < n.
-
-    Scaled to integers, x lies in Z[ζ_n] and each conjugate of it is at
-    most s = Σ|c| (summed by residue) in absolute value, so a nonzero x
-    has 0 < |N(x)| ≤ s^φ(n).  Where the image of x at a prime p of
-    `_images` vanishes, p divides N(x); so x = 0 once it vanishes at
-    primes whose product passes s^φ(n), and x ≠ 0 at the first image
-    that does not."""
-    (x,) = _integer_sums([value])
-    if not x:
-        return True
-    limit, product = _norm_bound(n, sum(map(abs, x.values()))), 1
-    for p, powers in _images(n):
-        if sum(c * powers[k] for k, c in x.items()) % p:
-            return False
-        product *= p
-        if product > limit:
-            return True
-
-
 def _rank_mod(rows: List[List[int]], p: int) -> int:
     """The rank over F_p of a matrix of residues mod p."""
     rows = [row for row in rows if any(row)]
@@ -290,31 +262,74 @@ def _rank_mod(rows: List[List[int]], p: int) -> int:
 
 
 def rank(matrix: Sequence[Sequence[Iterable[tuple]]], n: int) -> int:
-    """Exact rank over Q(ζ_n) of a matrix whose entries are values as
-    `is_zero` takes them.
+    """Exact rank over Q(ζ_n) of a matrix whose entries are values
+    Σ c·ζ_n^k, each given as the pairs (c, k), c rational and 0 ≤ k < n.
+    This is the one exact reader of values in Q(ζ_n): a value is zero
+    exactly when the 1×1 matrix holding it has rank 0.
 
     Each row is scaled to integers, which keeps the rank; the rank mod a
     prime of `_images` is then at most the rank, and the answer is the
     largest seen, r.  Every (r + 1)-minor M has |M^σ| ≤ H for each
     conjugate σ, by Hadamard's bound, with H the product of the r + 1
-    largest row norms √(Σ_j ‖a_ij‖₁²), ‖a‖₁ the sum of |c| by residue.
-    A nonzero M has |N(M)| ≤ H^φ(n), and each prime read divides N(M):
-    so once the product of the primes read passes H^φ(n), no (r + 1)-minor
-    is nonzero.  The loop also stops at full rank."""
+    largest row norms √(Σ_j ‖a_ij‖₁²), ‖a‖₁ the sum of |c| by residue
+    (for one entry, H = ‖a‖₁).  A nonzero M has |N(M)| ≤ H^φ(n), and each
+    prime read divides N(M): so once the product of the primes read
+    passes H^φ(n), no (r + 1)-minor is nonzero.  The loop stops at the
+    first prime that shows full rank, so a nonzero value reads one prime
+    unless that prime divides its norm."""
     rows = [_integer_sums(row) for row in matrix]
     full = min(len(rows), len(rows[0])) if rows else 0
     norms = sorted((sum(sum(map(abs, x.values())) ** 2 for x in row)
                     for row in rows), reverse=True)
+    degree = len(_phi_coeffs(n)) - 1
     best, limit, product = 0, None, 1
     for p, powers in _images(n):
-        if best == full:
-            return best
         r = _rank_mod([[sum(c * powers[k] for k, c in x.items()) % p
                         for x in row] for row in rows], p)
+        if r == full:
+            return r
         if limit is None or r > best:
             best = r
             # (H²)^φ(n), to be passed by the product of the primes squared
-            limit = _norm_bound(n, math.prod(norms[:best + 1]))
+            limit = math.prod(norms[:best + 1]) ** degree
         product *= p
         if product * product > limit:
             return best
+
+
+# -- order of vanishing -----------------------------------------------------
+
+
+def vanishing_order(f: LaurentPoly, point: Character) -> int:
+    """ν_ρ(f): the least k such that some Euler derivative θ^α f with
+    |α| = k, θ_i = t_i ∂/∂t_i, is nonzero at ρ; computed exactly.
+
+    `point` has one value per variable.  θ^α t^e = e^α t^e, so the
+    monomials of f are evaluated at ρ once (`Character.at`) and each
+    derivative only reweights their coefficients: θ_j θ^α f has the
+    coefficients of θ^α f times the exponents of t_j.  Each derivative's
+    value is read as the `rank` of the 1×1 matrix holding it.
+    θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers S(α,α) = 1 is
+    unitriangular and t^β is a unit at ρ, so this is the order of
+    vanishing of f at ρ.
+    """
+    if f.is_zero():
+        raise CycloError("vanishing order of the zero polynomial")
+    if len(point) != f.nvars:
+        raise CycloError("point has wrong number of coordinates")
+    coeffs, residues = point.at(f.terms)
+    columns = list(zip(*f.terms))
+    # the coefficients of θ^α f for the α of order k, in lexicographic
+    # order, each with α's last index i; order k + 1 extends α by j ≥ i
+    derivatives, work = [(0, coeffs)], 0
+    for k in itertools.count():
+        vanishing = []
+        for i, weighted in derivatives:
+            work += len(weighted)
+            check("vanishing-order work (derivatives evaluated × terms)",
+                  work, VANISHING_WORK_CAP)
+            if rank([[zip(weighted, residues)]], point.conductor):
+                return k
+            vanishing.append((i, weighted))
+        derivatives = ((j, list(map(operator.mul, weighted, columns[j])))
+                       for i, weighted in vanishing for j in range(i, f.nvars))

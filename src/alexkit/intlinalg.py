@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from . import SMITH_BASIS_CAP, check
 from .cyclofield import Character, CycloError
 from .presentation import GroupPresentation
 
@@ -111,10 +112,13 @@ class AbelianStructure(NamedTuple):
 
 
 def abelianization(p: GroupPresentation) -> AbelianStructure:
-    """Structure of G_ab and the projection onto G_ab/Tors."""
+    """Structure of G_ab and the projection onto G_ab/Tors; m generators
+    need m² within SMITH_BASIS_CAP."""
     m = p.num_generators
     if m == 0:
         return AbelianStructure(0, (), (), ())
+    check("generators² (entries of the Smith change of basis)", m * m,
+          SMITH_BASIS_CAP)
     d, v, w = smith_normal_form(p.exponent_matrix() or [[0] * m])
     diag = [d[i][i] for i in range(min(len(d), m))]
     r = sum(1 for x in diag if x != 0)

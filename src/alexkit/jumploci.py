@@ -14,9 +14,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import AlexkitError
 from .alexander import (AlexanderMatrix, elementary_divisor_exponents,
                         univariate_invariant_factors)
-from .cyclofield import Character, is_zero, rank
+from .cyclofield import Character, rank, vanishing_order
 from .intlinalg import induced_torus_point, validate_character
-from .laurent import FactoredPoly, LaurentPoly, factor_poly, vanishing_order
+from .laurent import FactoredPoly, LaurentPoly, factor_poly
 
 
 class JumpLociError(AlexkitError):
@@ -118,9 +118,9 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
     r(rho^e) = 0: r is irreducible in Z[u], so separable, and with
     r(0) ≠ 0 the derivative θ_j f = e_j·u·r′(u) at u = t^e is nonzero at
     a root for any e_j ≠ 0, e being primitive.  For r = Φ_m that is
-    whether rho^e has order m (`Character.order`), else one `is_zero` of
-    r at rho^e.  Only a factor in more than one essential variable takes
-    the general `vanishing_order`.
+    whether rho^e has order m (`Character.order`), else whether the value
+    r(rho^e) has `rank` 0.  Only a factor in more than one essential
+    variable takes the general `vanishing_order`.
     """
     if rho.is_trivial():
         raise JumpLociError("bounds require a nontrivial character")
@@ -147,8 +147,8 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
             if m is not None:
                 nu = int(value.order() == m)
             else:
-                nu = int(is_zero(zip(*value.at(
-                    {(i,): c for i, c in enumerate(r) if c})),
+                nu = int(not rank([[zip(*value.at(
+                    {(i,): c for i, c in enumerate(r) if c}))]],
                     value.conductor))
         bound += mu * nu
         if nu > 0:
@@ -206,7 +206,7 @@ def semisimple_equality_report(mat: AlexanderMatrix,
         root = _factor_root(record)
         if root is None or root.is_trivial():
             continue
-        ek = elementary_divisor_exponents(inv, root)
+        ek = elementary_divisor_exponents(inv, record[1])
         b1 = sum(ek.values())
         all_simple = all(k <= 1 for k in ek)
         equality = (b1 == mu)

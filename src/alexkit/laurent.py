@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import (COEFFICIENT_BITS_CAP, DEGREE_CAP, EXPANSION_CAP,
                EXPANSION_WORK_CAP, FACTOR_BOX_CAP, MAX_DIGITS,
-               VANISHING_WORK_CAP, AlexkitError, check, check_printable,
+               RING_VARIABLES_CAP, AlexkitError, check, check_printable,
                has_long_number)
 
 
@@ -265,7 +265,9 @@ def default_names(n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _ring(nvars: int):
-    """sympy's sparse ring Z[t_1..t_n], lex order; built on first use."""
+    """sympy's sparse ring Z[t_1..t_n], lex order; built on first use, for
+    n within RING_VARIABLES_CAP."""
+    check("variables of a sympy ring", nvars, RING_VARIABLES_CAP)
     from sympy.polys.orderings import lex
     from sympy.polys.rings import PolyRing
 
@@ -646,6 +648,8 @@ def gcd_many(fs: Iterable[LaurentPoly]) -> LaurentPoly:
     nonzero = [f for f in fs if not f.is_zero()]
     if not nonzero:
         return LaurentPoly.zero(nvars)
+    if len(nonzero) == 1:
+        return normalize(nonzero[0])
     if nvars == 0:
         c = math.gcd(*(normalize(f).terms[()] for f in nonzero))
         return LaurentPoly.constant(0, c)
@@ -664,47 +668,6 @@ def gcd_many(fs: Iterable[LaurentPoly]) -> LaurentPoly:
         if acc == 1:
             break
     return normalize(_from_ring(acc, nvars))
-
-
-# -- order of vanishing -----------------------------------------------------
-
-
-def vanishing_order(f: LaurentPoly, point: "Character") -> int:
-    """ν_ρ(f): the least k such that some Euler derivative θ^α f with
-    |α| = k, θ_i = t_i ∂/∂t_i, is nonzero at ρ; computed exactly.
-
-    `point` is a `cyclofield.Character` with one value per variable.
-    θ^α t^e = e^α t^e, so the monomials of f are evaluated at ρ once
-    (`Character.at`) and each derivative only reweights their
-    coefficients: θ_j θ^α f has the coefficients of θ^α f times the
-    exponents of t_j.  Each derivative's value is one exact zero test
-    (`cyclofield.is_zero`).
-    θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers S(α,α) = 1 is
-    unitriangular and t^β is a unit at ρ, so this is the order of
-    vanishing of f at ρ.
-    """
-    from .cyclofield import is_zero
-
-    if f.is_zero():
-        raise LaurentError("vanishing order of the zero polynomial")
-    if len(point) != f.nvars:
-        raise LaurentError("point has wrong number of coordinates")
-    coeffs, residues = point.at(f.terms)
-    columns = list(zip(*f.terms))
-    # the coefficients of θ^α f for the α of order k, in lexicographic
-    # order, each with α's last index i; order k + 1 extends α by j ≥ i
-    derivatives, work = [(0, coeffs)], 0
-    for k in itertools.count():
-        vanishing = []
-        for i, weighted in derivatives:
-            work += len(weighted)
-            check("vanishing-order work (derivatives evaluated × terms)",
-                  work, VANISHING_WORK_CAP)
-            if not is_zero(zip(weighted, residues), point.conductor):
-                return k
-            vanishing.append((i, weighted))
-        derivatives = ((j, list(map(operator.mul, weighted, columns[j])))
-                       for i, weighted in vanishing for j in range(i, f.nvars))
 
 
 # -- expression parsing -----------------------------------------------------

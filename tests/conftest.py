@@ -6,7 +6,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_decomp
 
 from alexkit.alexander import fox_matrix, load_matrix
-from alexkit.cyclofield import parse_character
+from alexkit.cyclofield import parse_character, rank
 from alexkit.intlinalg import smith_normal_form
 from alexkit.laurent import _dup_mul, _phi_coeffs, divides, normalize
 from alexkit.presentation import free_reduce_letters, parse_presentation
@@ -96,7 +96,7 @@ def torusbundle():
 
 
 # -- values in Q(ζ_n) reduced mod Φ_n: the reference arithmetic of the
-# oracles for `cyclofield.is_zero` and `cyclofield.rank`
+# oracles for `cyclofield.rank`
 
 def reduce_mod_phi(coeffs, n):
     """A coefficient list in ζ_n reduced mod Φ_n, to degree < φ(n)."""
@@ -127,5 +127,11 @@ def reduced(value, n):
 
 def value_at(f, chi):
     """The value of f at the character chi, as the pairs (c, k) of
-    Σ c·ζ_N^k that `cyclofield.is_zero` and `cyclofield.rank` take."""
+    Σ c·ζ_N^k that `cyclofield.rank` takes."""
     return list(zip(*chi.at(f.terms)))
+
+
+def vanishes(value, n):
+    """Whether the value Σ c·ζ_n^k, given as the pairs (c, k), is zero:
+    whether the 1×1 matrix holding it has rank 0."""
+    return rank([[value]], n) == 0

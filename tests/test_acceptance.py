@@ -4,8 +4,8 @@ from alexkit.alexander import alexander_poly, fox_matrix, generic_rank_mod
 from alexkit.intlinalg import abelianization
 from alexkit.jumploci import (bounds_report, monodromy_analysis,
                               semisimple_equality_report, twisted_betti)
-from alexkit.laurent import (associates, factor_poly, normalize, parse_poly,
-                             vanishing_order)
+from alexkit.cyclofield import vanishing_order
+from alexkit.laurent import associates, factor_poly, normalize, parse_poly
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, qp_verdict
 from alexkit.seifert import (SpliceData, seifert_delta, seifert_divisor,
                              seifert_twisted_betti)

@@ -298,6 +298,36 @@ def test_matrix_sparse_piece_over_factor_box(tmp_path):
         "10000000000 exceeds cap 20000"]
 
 
+def test_invariants_over_smith_basis_cap(tmp_path):
+    """One commutator in 30000 generators filled the memory with the
+    30000 × 30000 change of basis of the Smith form: m² passes
+    `SMITH_BASIS_CAP`, so `abelianization` refuses it first."""
+    path = tmp_path / "g.grp"
+    path.write_text("gens: " + " ".join(f"g{i}" for i in range(30000))
+                    + "\nrel: g0 g1 g0^-1 g1^-1\n")
+    proc, wall = _run_cli("invariants", str(path))
+    assert wall < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "alexkit: cap exceeded: generators² (entries of the Smith change of "
+        "basis) 900000000 exceeds cap 1000000"]
+
+
+def test_matrix_over_ring_variables_cap(tmp_path):
+    """The gcd of x1 + 1 and x2 + 1 with 1000 declared variables filled
+    the memory inside sympy's ring: a ring of more than
+    `RING_VARIABLES_CAP` variables is refused before sympy is loaded."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": [f"x{i}" for i in range(1, 1001)],
+                                "rows": [["x1 + 1", "x2 + 1"]]}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "alexkit: cap exceeded: variables of a sympy ring 1000 exceeds cap "
+        "100"]
+
+
 def _pencil5_character(n, last):
     """x_i = ζ_n^i for i ≤ 4 and x5 = ζ_n^last."""
     return ",".join([f"x{i}=zeta{n}^{i}" for i in range(1, 5)]

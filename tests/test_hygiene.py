@@ -2,6 +2,7 @@
 checks that a fresh interpreter loads sympy only when the answer needs it."""
 
 import ast
+import graphlib
 import itertools
 import json
 import os
@@ -201,6 +202,24 @@ FRESH_RUNS = {
                          "essential variable",
                "verdict": "OBSTRUCTED"},
         "torsion": [], "warnings": []}),
+    # the gcd of one nonzero minor, and of none (Δ₁ = 1 of a 1 × 1
+    # matrix), is that minor made canonical, with no ring built
+    "matrix-one-minor": (["invariants", "--matrix", "one-minor.json"], {
+        "b1": 2, "delta": "x*y + x + 1",
+        "factored": {"constant": 1, "factors": [
+            {"multiplicity": 1, "poly": "x*y + x + 1"}]},
+        "input": {"rows": [["x*y + x + 1", "0"]], "vars": ["x", "y"]},
+        "qp": {"reason": "b1=2 groups are exempt",
+               "verdict": "NO-OBSTRUCTION-APPLICABLE"},
+        "torsion": None,
+        "warnings": ["matrix-mode input: Fox identity not verified"]}),
+    "matrix-delta-one": (["invariants", "--matrix", "delta-one.json"], {
+        "b1": 2, "delta": "1", "factored": {"constant": 1, "factors": []},
+        "input": {"rows": [["x*y + x + 1"]], "vars": ["x", "y"]},
+        "qp": {"reason": "b1=2 groups are exempt",
+               "verdict": "NO-OBSTRUCTION-APPLICABLE"},
+        "torsion": None,
+        "warnings": ["matrix-mode input: Fox identity not verified"]}),
 }
 
 # random_relators(random.Random(1), 5) of bench/workloads.py
@@ -225,6 +244,10 @@ def test_fresh_run_never_loads_sympy(tmp_path, name):
     shutil.copy(data_path("pencil3.grp"), tmp_path)
     (tmp_path / "torus11-13.grp").write_text("gens: x y\nrel: x^11 y^-13\n")
     (tmp_path / "random5.grp").write_text(RANDOM5)
+    for name, row in (("one-minor", ["x*y + x + 1", "0"]),
+                      ("delta-one", ["x*y + x + 1"])):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"vars": ["x", "y"], "rows": [row]}))
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH, *argv], cwd=tmp_path,
         capture_output=True, text=True, timeout=20,
@@ -232,6 +255,50 @@ def test_fresh_run_never_loads_sympy(tmp_path, name):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "False\n"
     assert proc.stdout == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def _package_imports(tree, stems):
+    """(module, line, inside a function) for each import of an alexkit
+    module: `from . import x` imports module x when there is one, else
+    alexkit itself, `__init__`."""
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(func)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "alexkit"):
+            module = node.module if node.level \
+                else node.module.partition(".")[2]
+            targets = [module] if module else [
+                a.name if a.name in stems else "__init__" for a in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [a.name.partition(".")[2] or "__init__"
+                       for a in node.names
+                       if a.name.split(".")[0] == "alexkit"]
+        else:
+            continue
+        for target in targets:
+            yield target, node.lineno, id(node) in inside
+
+
+def test_package_imports_at_module_level_and_acyclic():
+    """Every import of one alexkit module by another sits at module level,
+    so that importing a module loads all it needs, and the graph of these
+    imports is acyclic; `laurent`, on which the other layers build,
+    imports only from alexkit itself."""
+    modules = dict(_modules())
+    stems = {name[:-3] for name in modules}
+    graph, inside = {}, []
+    for name, tree in modules.items():
+        graph[name[:-3]] = set()
+        for target, line, nested in _package_imports(tree, stems):
+            graph[name[:-3]].add(target)
+            if nested:
+                inside.append(f"{name}:{line}")
+    assert inside == []
+    assert graph["laurent"] == {"__init__"}
+    # raises graphlib.CycleError, naming the cycle, on a cyclic graph
+    list(graphlib.TopologicalSorter(graph).static_order())
 
 
 def _definitions(tree):

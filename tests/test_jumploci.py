@@ -12,14 +12,14 @@ import pytest
 import alexkit
 from alexkit import jumploci
 from alexkit.alexander import alexander_poly, fox_matrix, load_matrix
-from alexkit.cyclofield import Character
+from alexkit.cyclofield import Character, vanishing_order
 from alexkit.jumploci import (BoundInconsistencyError, JumpLociError,
                               almost_principal_status, bounds_report,
                               monodromy_analysis,
                               semisimple_equality_report, twisted_betti)
 from alexkit.intlinalg import induced_torus_point, validate_character
 from alexkit.laurent import (LaurentPoly, _from_dense, _phi_coeffs,
-                             factor_poly, parse_poly, vanishing_order)
+                             factor_poly, parse_poly)
 from alexkit.presentation import parse_presentation
 
 from conftest import character as chi

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from alexkit import ComputationCapError, laurent
+from alexkit import ComputationCapError, cyclofield, laurent
 from alexkit.alexander import alexander_poly, fox_matrix
+from alexkit.cyclofield import vanishing_order
 from alexkit.laurent import (LaurentError, LaurentPoly, PolyParseError,
                              associates, divides, factor_poly, gcd_many,
-                             normalize, parse_poly, vanishing_order)
+                             normalize, parse_poly)
 
 from alexkit.presentation import parse_presentation
 
@@ -138,7 +139,7 @@ def test_vanishing_order():
 def test_vanishing_order_work_cap(monkeypatch):
     """The cap is on derivatives evaluated × terms, and its error names
     the budget, the work reached and the limit."""
-    monkeypatch.setattr(laurent, "VANISHING_WORK_CAP", 1000)
+    monkeypatch.setattr(cyclofield, "VANISHING_WORK_CAP", 1000)
     f = P("(t1-1)^5*(t2-1)^5", ("t1", "t2"))
     with pytest.raises(ComputationCapError,
                        match=r"vanishing-order work \(derivatives evaluated "

@@ -13,10 +13,11 @@ import sympy
 
 from alexkit import CONDUCTOR_CAP, ComputationCapError, alexander, laurent
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
+                               elementary_divisor_exponents,
                                elementary_ideal_minors, fox_matrix,
                                univariate_invariant_factors)
-from alexkit.cyclofield import (Character, cyclotomic_poly, is_zero,
-                                parse_character, rank)
+from alexkit.cyclofield import (Character, cyclotomic_poly, parse_character,
+                                rank, vanishing_order)
 from alexkit.intlinalg import abelianization
 from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
                               _charpoly, _factor_root, monodromy_analysis,
@@ -24,14 +25,15 @@ from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
 from alexkit.laurent import (FactoredPoly, LaurentError, LaurentPoly,
                              _coprime,
                              _cyclotomic_exponents, _cyclotomic_parts,
-                             _directions, _divisors, _dup_mul, _from_ring,
+                             _directions, _divisors, _dup_mul, _from_dense,
+                             _from_ring,
                              _ring, _isprime,
                              _fibers, _order_bound, _phi_coeffs,
                              _split_cyclotomic, _split_directions, _to_dense,
                              _to_ring, _unfibers,
                              associates, default_names, divides,
                              exact_div_binomial, factor_poly, gcd_many,
-                             normalize, parse_poly, vanishing_order)
+                             normalize, parse_poly)
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, QPVerdict, qp_verdict
 from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   parse_presentation)
@@ -39,7 +41,7 @@ from alexkit.seifert import SpliceData, seifert_delta
 
 from conftest import (DATA, character, check_smith_form, load_presentation,
                       mul_mod_phi, multiplicity, reduce_mod_phi, reduced,
-                      value_at, word)
+                      value_at, vanishes, word)
 
 
 def random_word(rng, num_gens, max_len=6):
@@ -311,7 +313,7 @@ def _product_evaluate(f: LaurentPoly, n, coords) -> tuple:
     """f(ρ) for ρ_i = q_i·ζ_n^{k_i}, given as the pairs (q_i, k_i), as
     Σ c·∏ ρ_i^{e_i} with one product in Q(ζ_n) per unit of each exponent
     and ρ_i^{-1} = q_i^{-1}·ζ_n^{-k_i} built directly: the definition,
-    kept as the oracle for the values that `cyclofield.is_zero` reads."""
+    kept as the oracle for the values that `cyclofield.rank` reads."""
     rho = [reduce_mod_phi([0] * k + [q], n) for q, k in coords]
     rho_inv = [reduce_mod_phi([0] * (-k % n) + [1 / Fraction(q)], n)
                for q, k in coords]
@@ -341,8 +343,8 @@ def test_evaluate_matches_product_oracle():
             for _ in range(rng.randrange(1, 6))})
         want = _product_evaluate(f, n, coords)
         value = value_at(f, chi)
-        assert is_zero(value, n) == (not any(want))
-        assert is_zero(value + [(-c, i) for i, c in enumerate(want)], n)
+        assert vanishes(value, n) == (not any(want))
+        assert vanishes(value + [(-c, i) for i, c in enumerate(want)], n)
         seen.add((n, not any(want)))
     assert {n for n, _ in seen} == {1, 2, 12, 60, 211, 240}
     assert any(zero for _, zero in seen)
@@ -397,7 +399,7 @@ def _random_character(rng, nvars, conductors):
 
 
 def test_residue_kernel_matches_pull_and_bucket_sum():
-    """`Character.residues`, `pull`, `trivial_on` and `is_zero` against
+    """`Character.residues`, `pull`, `trivial_on` and the zero test against
     the former one-scale-at-a-time pull and N-bucket sum, on random
     integer polynomials and characters of odd and even conductor with
     rational scales."""
@@ -419,8 +421,8 @@ def test_residue_kernel_matches_pull_and_bucket_sum():
         assert chi.trivial_on(f.terms) == pulled.is_trivial()
         want = _bucket_sum_oracle(f.terms.values(), pulled)
         value = value_at(f, chi)
-        assert is_zero(value, chi.conductor) == (not any(want))
-        assert is_zero(value + [(-c, i) for i, c in enumerate(want)],
+        assert vanishes(value, chi.conductor) == (not any(want))
+        assert vanishes(value + [(-c, i) for i, c in enumerate(want)],
                        chi.conductor)
         seen.add((chi.conductor % 2, scales is None, not any(want)))
     assert {(parity, plain) for parity, plain, _ in seen} == \
@@ -452,6 +454,40 @@ def test_vanishing_order_matches_bucket_path():
         assert nu == _bucket_vanishing_order(f, point)
         seen.add(nu)
     assert seen >= {0, 1, 2, 3}
+
+
+def test_elementary_divisor_exponents_match_vanishing_orders():
+    """The exact divisions that `elementary_divisor_exponents` counts
+    against the `vanishing_order` of each invariant factor at a root of
+    p: Φ_m at ζ_m, 2u − 1 at 1/2 and u − 2 at 2, on random lists of
+    products of Φ_m^a (m ≤ 60), (2u − 1)^b, (u − 2)^c and u² − 3u + 1,
+    with a, b, c ≤ 3."""
+    rng = random.Random(20261035)
+    roots = {(-1, 2): Character(1, (Fraction(1, 2),), (0,)),
+             (-2, 1): Character(1, (2,), (0,))}
+    roots.update({_phi_coeffs(m): Character(m, (1,), (1,))
+                  for m in range(1, 61)})
+    seen = set()
+    for _ in range(60):
+        factors = []
+        for _ in range(rng.randrange(1, 4)):
+            f = (rng.randrange(1, 4),)
+            for m in rng.sample(range(1, 61), rng.randrange(4)):
+                for _ in range(rng.randrange(1, 4)):
+                    f = _dup_mul(f, _phi_coeffs(m))
+            for p in ((-1, 2), (-2, 1), (1, -3, 1)):
+                for _ in range(rng.randrange(4)):
+                    f = _dup_mul(f, p)
+            factors.append(_from_dense(f, (1,)))
+        for p in rng.sample(sorted(roots), 12) + [(-1, 2), (-2, 1)]:
+            want: dict = {}
+            for f in factors:
+                nu = vanishing_order(f, roots[p])
+                if nu:
+                    want[nu] = want.get(nu, 0) + 1
+            assert elementary_divisor_exponents(factors, p) == want, p
+            seen.update(want)
+    assert seen >= {1, 2, 3}
 
 
 def _relator_characters(rng, p, count):
