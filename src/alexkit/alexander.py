@@ -21,10 +21,6 @@ from .laurent import (LaurentPoly, _dup_exquo, _from_dense, _to_dense,
 from .presentation import GroupPresentation, Word
 
 
-class AlexanderError(AlexkitError):
-    pass
-
-
 class AlexanderMatrix(NamedTuple):
     """h x m matrix over the Laurent ring, with provenance: `presentation`
     and `abelian` are None for a matrix given directly.
@@ -54,7 +50,7 @@ class AlexanderMatrix(NamedTuple):
     def fox_identity_holds(self) -> bool:
         """Check sum_j entry(i,j)·(t^{phi(x_j)} − 1) = 0 for every row."""
         if self.presentation is None:
-            raise AlexanderError("identity check applies to Fox matrices")
+            raise AlexkitError("identity check applies to Fox matrices")
         phi = [tuple(row[j] for row in self.abelian.abf_projection)
                for j in range(self.presentation.num_generators)]
         for row in self.entries:
@@ -124,7 +120,7 @@ def fox_matrix(p: GroupPresentation) -> AlexanderMatrix:
         generator_entries=gen_rows,
     )
     if not mat.fox_identity_holds():
-        raise AlexanderError("Fox fundamental identity failed (internal bug)")
+        raise AlexkitError("Fox fundamental identity failed (internal bug)")
     return mat
 
 
@@ -137,11 +133,11 @@ def load_matrix(var_names: Sequence[str],
     """
     names = tuple(var_names)
     if len(set(names)) != len(names):
-        raise AlexanderError(f"duplicate variable names in {list(names)}")
+        raise AlexkitError(f"duplicate variable names in {list(names)}")
     for name in names:
         # the names parse_poly can read as a variable, not as a number
         if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
-            raise AlexanderError(f"bad variable name {name!r}")
+            raise AlexkitError(f"bad variable name {name!r}")
     parsed: List[List[LaurentPoly]] = []
     width = None
     for row in rows:
@@ -150,10 +146,10 @@ def load_matrix(var_names: Sequence[str],
         if width is None:
             width = len(cur)
         elif len(cur) != width:
-            raise AlexanderError("ragged rows in matrix input")
+            raise AlexkitError("ragged rows in matrix input")
         parsed.append(cur)
     if not width:
-        raise AlexanderError("matrix input needs at least one row and column")
+        raise AlexkitError("matrix input needs at least one row and column")
     return AlexanderMatrix(
         num_vars=len(names),
         var_names=names,
@@ -215,7 +211,7 @@ def elementary_ideal_minors(mat: AlexanderMatrix, i: int) -> List[LaurentPoly]:
     minor size exceeds the number of rows (zero ideal).
     """
     if i < 0:
-        raise AlexanderError("elementary ideal index must be nonnegative")
+        raise AlexkitError("elementary ideal index must be nonnegative")
     n = mat.num_vars
     size = mat.num_cols - i
     if size <= 0:
@@ -245,7 +241,7 @@ def alexander_poly(mat: AlexanderMatrix, i: int = 1) -> LaurentPoly:
     take the gcd of all minors.
     """
     if i < 1:
-        raise AlexanderError("alexander_poly index must be >= 1")
+        raise AlexkitError("alexander_poly index must be >= 1")
     if i == 1 and mat.presentation is not None and mat.num_vars >= 1 \
             and 1 <= mat.num_cols - 1 <= mat.num_rows:
         return _fox_delta1(mat)
@@ -267,13 +263,10 @@ def _fox_delta1(mat: AlexanderMatrix) -> LaurentPoly:
             minor = minor * (LaurentPoly.var(1, 0) - 1)
         q = exact_div_binomial(minor, phi[j])
         if q is None:
-            raise AlexanderError(
+            raise AlexkitError(
                 "Fox identity division was not exact (internal bug)")
         quotients.append(q)
-    if len(quotients) > 1:
-        return gcd_many(quotients)
-    q = quotients[0]
-    return q if q.is_zero() else normalize(q)
+    return gcd_many(quotients)
 
 
 # -- generic ranks ----------------------------------------------------------
@@ -284,7 +277,7 @@ def generic_rank_mod(mat: AlexanderMatrix, f: LaurentPoly) -> int:
     by f (the rank at the generic point of V(f) for irreducible f).
     """
     if f.is_zero() or f.is_unit() or normalize(f).is_constant():
-        raise AlexanderError("generic_rank_mod needs a nonzero non-unit f")
+        raise AlexkitError("generic_rank_mod needs a nonzero non-unit f")
     m = mat.num_cols
     for k in range(min(mat.num_rows, m), 0, -1):
         if any(not divides(f, minor)
@@ -307,7 +300,7 @@ def univariate_invariant_factors(mat: AlexanderMatrix) -> List[LaurentPoly]:
     canonical, so the quotient is taken in Z[u] (`_dup_exquo`).
     """
     if mat.num_vars != 1:
-        raise AlexanderError("invariant factors require a univariate matrix")
+        raise AlexkitError("invariant factors require a univariate matrix")
     m = mat.num_cols
     out: List[LaurentPoly] = []
     prev = (1,)

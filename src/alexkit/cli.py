@@ -27,16 +27,12 @@ EXIT_INPUT = 2
 EXIT_CAPPED = 3
 
 
-class InputError(AlexkitError):
-    pass
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise AlexkitError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_input(path: str, matrix_mode: bool):
@@ -46,18 +42,18 @@ def _load_input(path: str, matrix_mode: bool):
         try:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputError(f"bad matrix JSON: {exc}") from exc
+            raise AlexkitError(f"bad matrix JSON: {exc}") from exc
         if not isinstance(data, dict) or "vars" not in data \
                 or "rows" not in data:
-            raise InputError('matrix JSON needs "vars" and "rows"')
+            raise AlexkitError('matrix JSON needs "vars" and "rows"')
         names, rows = data["vars"], data["rows"]
         if not isinstance(names, list) \
                 or not all(isinstance(x, str) for x in names):
-            raise InputError('matrix JSON "vars" must be a list of strings')
+            raise AlexkitError('matrix JSON "vars" must be a list of strings')
         if not isinstance(rows, list) or not all(
                 isinstance(row, list) and all(isinstance(x, str) for x in row)
                 for row in rows):
-            raise InputError(
+            raise AlexkitError(
                 'matrix JSON "rows" must be a list of lists of strings')
         mat = load_matrix(names, rows)
         echo = {"vars": list(mat.var_names),
@@ -127,7 +123,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_betti(args) -> int:
     if args.depth is not None and args.depth < 1:
-        raise InputError("depth must be a positive integer")
+        raise AlexkitError("depth must be a positive integer")
     mat, char_names, echo = _load_input(args.input, args.matrix)
     chi = parse_character(args.char, char_names)
     factored = ap = None
@@ -149,7 +145,7 @@ def cmd_seifert(args) -> int:
     try:
         weights = tuple(int(x) for x in args.weights.split(","))
     except ValueError as exc:
-        raise InputError(f"bad weights {args.weights!r}") from exc
+        raise AlexkitError(f"bad weights {args.weights!r}") from exc
     data = SpliceData(weights, args.q)
     delta = seifert_delta(data)
     names = default_names(data.q)

@@ -30,14 +30,10 @@ from .laurent import (LaurentPoly, _factorize, _from_dense, _isprime,
                       _phi_coeffs, _rational)
 
 
-class CycloError(AlexkitError):
-    pass
-
-
 def cyclotomic_poly(n: int) -> LaurentPoly:
     """Φ_n as a univariate LaurentPoly."""
     if n < 1:
-        raise CycloError("conductor must be positive")
+        raise AlexkitError("conductor must be positive")
     return _from_dense(_phi_coeffs(n), (1,))
 
 
@@ -65,12 +61,12 @@ class Character(Frozen):
                  scales: Tuple[Union[int, Fraction], ...],
                  exps: Tuple[int, ...]):
         if conductor < 1:
-            raise CycloError("conductor must be positive")
+            raise AlexkitError("conductor must be positive")
         check("conductor", conductor, CONDUCTOR_CAP)
         if len(scales) != len(exps):
-            raise CycloError("character needs one scale per exponent")
+            raise AlexkitError("character needs one scale per exponent")
         if any(q == 0 for q in scales):
-            raise CycloError("character values must be nonzero")
+            raise AlexkitError("character values must be nonzero")
         if conductor % 2 == 0 and any(q < 0 for q in scales):
             half = conductor // 2
             exps = [k + half if q < 0 else k for q, k in zip(scales, exps)]
@@ -109,7 +105,7 @@ class Character(Frozen):
         width = len(exps)
         for e in vectors:
             if len(e) != width:
-                raise CycloError("exponent vector has wrong length")
+                raise AlexkitError("exponent vector has wrong length")
             residues.append(sum(map(operator.mul, exps, e)) % n)
             if scaled:
                 scale = 1
@@ -156,24 +152,24 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
         if not chunk:
             continue
         if "=" not in chunk:
-            raise CycloError(f"bad character assignment {chunk!r}")
+            raise AlexkitError(f"bad character assignment {chunk!r}")
         name, value = chunk.split("=", 1)
         name = name.strip()
         if name not in names:
-            raise CycloError(f"unknown name {name!r} in character")
+            raise AlexkitError(f"unknown name {name!r} in character")
         if name in assignments:
-            raise CycloError(f"duplicate name {name!r} in character")
+            raise AlexkitError(f"duplicate name {name!r} in character")
         if has_long_number(value):
-            raise CycloError(f"a number in the value of {name!r} has more "
-                             f"than {MAX_DIGITS} digits")
+            raise AlexkitError(f"a number in the value of {name!r} has more "
+                               f"than {MAX_DIGITS} digits")
         m = _VALUE.match(value)
         if not m:
-            raise CycloError(f"bad character value {value!r}")
+            raise AlexkitError(f"bad character value {value!r}")
         order, k = 1, 0
         if m.group("zeta"):
             n, k = int(m.group("n")), int(m.group("k") or 1)
             if n < 1:
-                raise CycloError("order must be positive")
+                raise AlexkitError("order must be positive")
             g = math.gcd(n, k)
             order, k = n // g, k // g
             check("conductor", order, CONDUCTOR_CAP)
@@ -182,7 +178,7 @@ def parse_character(text: str, names: Sequence[str]) -> Character:
         assignments[name] = (scale, order, k)
     missing = [n for n in names if n not in assignments]
     if missing:
-        raise CycloError(f"character missing values for {missing}")
+        raise AlexkitError(f"character missing values for {missing}")
     values = [assignments[n] for n in names]
     conductor = math.lcm(*(order for _, order, _ in values))
     return Character(conductor, tuple(q for q, _, _ in values),
@@ -314,9 +310,9 @@ def vanishing_order(f: LaurentPoly, point: Character) -> int:
     vanishing of f at ρ.
     """
     if f.is_zero():
-        raise CycloError("vanishing order of the zero polynomial")
+        raise AlexkitError("vanishing order of the zero polynomial")
     if len(point) != f.nvars:
-        raise CycloError("point has wrong number of coordinates")
+        raise AlexkitError("point has wrong number of coordinates")
     coeffs, residues = point.at(f.terms)
     columns = list(zip(*f.terms))
     # the coefficients of θ^α f for the α of order k, in lexicographic

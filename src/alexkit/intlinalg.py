@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from . import SMITH_BASIS_CAP, check
-from .cyclofield import Character, CycloError
+from . import SMITH_BASIS_CAP, AlexkitError, check
+from .cyclofield import Character
 from .presentation import GroupPresentation
 
 
@@ -133,7 +133,7 @@ def abelianization(p: GroupPresentation) -> AbelianStructure:
 def validate_character(p: GroupPresentation, chi: Character) -> bool:
     """True iff chi respects every relator (factors through G_ab)."""
     if len(chi) != p.num_generators:
-        raise CycloError("character length does not match generator count")
+        raise AlexkitError("character length does not match generator count")
     return chi.trivial_on(p.exponent_matrix())
 
 

@@ -19,18 +19,14 @@ from .intlinalg import induced_torus_point, validate_character
 from .laurent import FactoredPoly, LaurentPoly, factor_poly
 
 
-class JumpLociError(AlexkitError):
-    pass
-
-
-class BoundInconsistencyError(JumpLociError):
+class BoundInconsistencyError(AlexkitError):
     """A proven upper bound was exceeded: indicates bad input assertions."""
 
 
 def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
     """b1 of the group with coefficients twisted by the character rho,
     which must respect the relators (or, in matrix mode, have one value
-    per variable): JumpLociError otherwise.
+    per variable): AlexkitError otherwise.
 
     The trivial character gives the untwisted rank n; otherwise the rank
     drops to m - 1 - rank of the Alexander matrix at rho: the exact
@@ -40,14 +36,14 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
     Σ_j ∂r/∂x_j(rho)·(rho(x_j) − 1) = rho(r) − 1 = 0 makes it a
     combination of the others, so the rank does not change.  A matrix
     given in matrix mode whose rank there is m is no Alexander matrix:
-    JumpLociError.
+    AlexkitError.
     """
     if mat.presentation is not None:
         if not validate_character(mat.presentation, rho):
-            raise JumpLociError("character does not respect the relators")
+            raise AlexkitError("character does not respect the relators")
     elif len(rho) != mat.num_vars:
-        raise JumpLociError(f"character has {len(rho)} values, matrix has "
-                            f"{mat.num_vars} variables")
+        raise AlexkitError(f"character has {len(rho)} values, matrix has "
+                           f"{mat.num_vars} variables")
     if rho.is_trivial():
         return mat.num_vars
     drop = None
@@ -58,9 +54,9 @@ def twisted_betti(mat: AlexanderMatrix, rho: Character) -> int:
                if j != drop] for row in mat.generator_entries],
              rho.conductor)
     if r == mat.num_cols:
-        raise JumpLociError(f"matrix has full rank {r} at a nontrivial "
-                            f"character: an Alexander matrix has rank at "
-                            f"most {r - 1} there")
+        raise AlexkitError(f"matrix has full rank {r} at a nontrivial "
+                           f"character: an Alexander matrix has rank at "
+                           f"most {r - 1} there")
     return mat.num_cols - 1 - r
 
 
@@ -123,9 +119,9 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
     variable takes the general `vanishing_order`.
     """
     if rho.is_trivial():
-        raise JumpLociError("bounds require a nontrivial character")
+        raise AlexkitError("bounds require a nontrivial character")
     if factored.constant == 0:
-        raise JumpLociError("bounds undefined for zero Alexander polynomial")
+        raise AlexkitError("bounds undefined for zero Alexander polynomial")
     b1 = twisted_betti(mat, rho)  # checks rho, once
     # rho as a point of the identity component of the character torus, or
     # None when rho does not factor through the torsion-free quotient
@@ -197,9 +193,9 @@ def semisimple_equality_report(mat: AlexanderMatrix,
     available.
     """
     if mat.num_vars != 1:
-        raise JumpLociError("semisimple analysis requires one variable")
+        raise AlexkitError("semisimple analysis requires one variable")
     if not factored.factors:
-        raise JumpLociError("constant Alexander polynomial: no roots")
+        raise AlexkitError("constant Alexander polynomial: no roots")
     inv = univariate_invariant_factors(mat)
     out = []
     for (f, mu), record in zip(factored.factors, factored.essential):
@@ -211,12 +207,12 @@ def semisimple_equality_report(mat: AlexanderMatrix,
         all_simple = all(k <= 1 for k in ek)
         equality = (b1 == mu)
         if equality != all_simple:
-            raise JumpLociError(
+            raise AlexkitError(
                 "invariant-factor structure disagrees with the multiplicity "
                 "comparison (internal bug)")
         if mat.presentation is not None:
             if twisted_betti(mat, _character_at(mat, root)) != b1:
-                raise JumpLociError(
+                raise AlexkitError(
                     "twisted rank disagrees with invariant factors "
                     "(internal bug)")
         out.append(RootEquality(f.render(("t",)), root, mu, b1, equality))
@@ -275,10 +271,10 @@ def monodromy_analysis(h: Sequence[Sequence[int]]) -> MonodromyReport:
     m = [[int(x) for x in row] for row in h]
     size = len(m)
     if any(len(row) != size for row in m):
-        raise JumpLociError("monodromy matrix must be square")
+        raise AlexkitError("monodromy matrix must be square")
     coeffs = _charpoly(m)
     if sum(coeffs) == 0:
-        raise JumpLociError("1 is an eigenvalue of the monodromy")
+        raise AlexkitError("1 is an eigenvalue of the monodromy")
     delta = LaurentPoly(1, {(size - i,): c for i, c in enumerate(coeffs)})
     factored = factor_poly(delta)
     equalities = []

@@ -36,31 +36,27 @@ from . import (COEFFICIENT_BITS_CAP, DEGREE_CAP, EXPANSION_CAP,
                has_long_number)
 
 
-class LaurentError(AlexkitError):
-    pass
-
-
 def _rational(c):
     """c as alexkit holds a rational: an `int` when c is integral, else a
-    `Fraction` with denominator > 1.  A `float` raises LaurentError: it
+    `Fraction` with denominator > 1.  A `float` raises AlexkitError: it
     is not exact, and nothing in alexkit is a float."""
     if type(c) is int:
         return c
     if isinstance(c, float):
-        raise LaurentError(f"inexact number {c!r}: expected an int or a "
+        raise AlexkitError(f"inexact number {c!r}: expected an int or a "
                            f"Fraction")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
 def _int_exponents(exp: Sequence[int]) -> tuple:
-    """exp as an exponent tuple; LaurentError unless every entry is an
+    """exp as an exponent tuple; AlexkitError unless every entry is an
     `int` (a `bool`, a `float` or a `Fraction` is not).  The constructors
     that take exponents from a caller check them here, not in
     `LaurentPoly.__init__`, which every polynomial built passes through."""
     exp = tuple(exp)
     if any(type(x) is not int for x in exp):
-        raise LaurentError(f"exponent vector {exp!r} has an entry that is "
+        raise AlexkitError(f"exponent vector {exp!r} has an entry that is "
                            f"not an int")
     return exp
 
@@ -71,7 +67,7 @@ class LaurentPoly:
     Each exponent vector is a tuple of nvars ints, and each coefficient is
     an `int`.  This constructor is the only one: it converts an integral
     coefficient that is not an `int` (`_rational`), refuses any other with
-    LaurentError, and drops zeros.
+    AlexkitError, and drops zeros.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
@@ -83,10 +79,10 @@ class LaurentPoly:
             if type(c) is not int:
                 c = _rational(c)
                 if type(c) is not int:
-                    raise LaurentError(f"coefficient {c} is not an integer")
+                    raise AlexkitError(f"coefficient {c} is not an integer")
             if c:
                 if type(exp) is not tuple or len(exp) != nvars:
-                    raise LaurentError(
+                    raise AlexkitError(
                         f"exponent vector {exp!r} is not a tuple of length "
                         f"{nvars}")
                 clean[exp] = c
@@ -180,10 +176,10 @@ class LaurentPoly:
     def __pow__(self, k: int):
         if k < 0:
             if not self.is_monomial():
-                raise LaurentError("negative powers only for monomials")
+                raise AlexkitError("negative powers only for monomials")
             exp, c = next(iter(self.terms.items()))
             if abs(c) != 1:
-                raise LaurentError("negative powers only for unit monomials")
+                raise AlexkitError("negative powers only for unit monomials")
             base = LaurentPoly(self.nvars, {tuple(-e for e in exp): c})
             return base ** (-k)
         return _power(self, k, operator.mul)
@@ -191,7 +187,7 @@ class LaurentPoly:
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             if other.nvars != self.nvars:
-                raise LaurentError("variable count mismatch")
+                raise AlexkitError("variable count mismatch")
             return other
         return LaurentPoly.constant(self.nvars, other)
 
@@ -294,11 +290,11 @@ def _from_ring(p, nvars: int) -> LaurentPoly:
 
 def _to_dense(f: LaurentPoly) -> Tuple[int, ...]:
     """The coefficients of a nonzero univariate f with no negative exponent,
-    as `normalize` returns it; LaurentError on any other f, and a cap error
+    as `normalize` returns it; AlexkitError on any other f, and a cap error
     for a degree past DEGREE_CAP."""
     terms = f.terms
     if not terms or min(e for (e,) in terms) < 0:
-        raise LaurentError("expected a nonzero polynomial in Z[u]")
+        raise AlexkitError("expected a nonzero polynomial in Z[u]")
     top = max(e for (e,) in terms)
     check("dense degree", top, DEGREE_CAP)
     return tuple(terms.get((k,), 0) for k in range(top + 1))
@@ -586,7 +582,7 @@ def normalize(f: LaurentPoly) -> LaurentPoly:
     greatest exponent vector is positive.
     """
     if f.is_zero():
-        raise LaurentError("cannot normalize the zero polynomial")
+        raise AlexkitError("cannot normalize the zero polynomial")
     mins = [min(exp[i] for exp in f.terms) for i in range(f.nvars)]
     out = {tuple(map(operator.sub, exp, mins)): c
            for exp, c in f.terms.items()}
@@ -617,9 +613,9 @@ def exact_div_binomial(f: LaurentPoly,
     """
     v = tuple(v)
     if len(v) != f.nvars:
-        raise LaurentError("exponent vector has wrong length")
+        raise AlexkitError("exponent vector has wrong length")
     if not any(v):
-        raise LaurentError("division by zero polynomial")
+        raise AlexkitError("division by zero polynomial")
     fibers = _fibers(f.terms, v)
     if any(map(sum, fibers.values())):
         return None
@@ -632,7 +628,7 @@ def divides(f: LaurentPoly, g: LaurentPoly) -> bool:
     """True iff g = f·q for some Laurent polynomial q over Q: iff f and
     gcd(f, g) have the same primitive part (Gauss's lemma)."""
     if f.is_zero():
-        raise LaurentError("zero divisor")
+        raise AlexkitError("zero divisor")
     f, h = normalize(f), gcd_many([f, g])
     cf, ch = math.gcd(*f.terms.values()), math.gcd(*h.terms.values())
     return f.terms.keys() == h.terms.keys() and all(
@@ -643,7 +639,7 @@ def gcd_many(fs: Iterable[LaurentPoly]) -> LaurentPoly:
     """Canonical gcd over Z[t^±] (integer content participates)."""
     fs = list(fs)
     if not fs:
-        raise LaurentError("gcd of empty list")
+        raise AlexkitError("gcd of empty list")
     nvars = fs[0].nvars
     nonzero = [f for f in fs if not f.is_zero()]
     if not nonzero:
@@ -675,10 +671,6 @@ def gcd_many(fs: Iterable[LaurentPoly]) -> LaurentPoly:
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9_]*|\^|\+|\-|\*|\(|\))")
 
 
-class PolyParseError(LaurentError):
-    pass
-
-
 def _shape(f: LaurentPoly) -> tuple:
     """(terms, the span of each variable's exponents, ⌈log2 ‖f‖₁⌉) of a
     nonzero f, which bound the size of a power or product of it."""
@@ -695,14 +687,14 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
     whole expression, which must stay within EXPANSION_WORK_CAP: a cap
     error before the product that would pass it."""
     if has_long_number(text):
-        raise PolyParseError(f"a number has more than {MAX_DIGITS} digits")
+        raise AlexkitError(f"a number has more than {MAX_DIGITS} digits")
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise PolyParseError(f"bad token at position {pos}: {text[pos:]!r}")
+                raise AlexkitError(f"bad token at position {pos}: {text[pos:]!r}")
             break
         tokens.append(m.group(1))
         pos = m.end()
@@ -733,7 +725,7 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
             sign = -sign
         t = take()
         if t is None or not t.isdigit():
-            raise PolyParseError("expected integer exponent")
+            raise AlexkitError("expected integer exponent")
         return sign * int(t)
 
     def atom() -> LaurentPoly:
@@ -741,23 +733,23 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
         if t == "(":
             e = expr()
             if take() != ")":
-                raise PolyParseError("missing closing parenthesis")
+                raise AlexkitError("missing closing parenthesis")
             base = e
         elif t == "-":
             return -atom()
         elif t is None:
-            raise PolyParseError("unexpected end of expression")
+            raise AlexkitError("unexpected end of expression")
         elif t.isdigit():
             base = LaurentPoly.constant(n, int(t))
         elif t in index:
             base = LaurentPoly.var(n, index[t])
         else:
-            raise PolyParseError(f"unknown variable {t!r}")
+            raise AlexkitError(f"unknown variable {t!r}")
         if peek() == "^":
             take()
             k = parse_int()
             if k < 0 and not base.is_monomial():
-                raise PolyParseError("negative exponent on a non-monomial")
+                raise AlexkitError("negative exponent on a non-monomial")
             if base.terms:
                 # the lex-leading term of a product is the product of the
                 # lex-leading terms, so |a|^k, a the leading coefficient,
@@ -809,9 +801,9 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
     try:
         result = expr()
     except RecursionError as exc:
-        raise PolyParseError("expression nested too deeply") from exc
+        raise AlexkitError("expression nested too deeply") from exc
     if peek() is not None:
-        raise PolyParseError(f"trailing tokens: {tokens[state['i']:]}")
+        raise AlexkitError(f"trailing tokens: {tokens[state['i']:]}")
     return result
 
 
@@ -1091,7 +1083,7 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
                 for r, k in _to_ring(p).factor_list()[1]]
 
     if f.is_zero():
-        raise LaurentError("cannot factor the zero polynomial")
+        raise AlexkitError("cannot factor the zero polynomial")
     g = normalize(f)
     c = math.gcd(*g.terms.values())
     if g.is_constant():
@@ -1130,5 +1122,5 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     out = FactoredPoly(c, tuple((f, mult) for f, mult, _ in parts),
                        tuple(record for _, _, record in parts))
     if not _reassembles(out, g):
-        raise LaurentError("factorization failed to reassemble (internal bug)")
+        raise AlexkitError("factorization failed to reassemble (internal bug)")
     return out

@@ -19,10 +19,6 @@ OBSTRUCTED = "OBSTRUCTED"
 NOT_APPLICABLE = "NO-OBSTRUCTION-APPLICABLE"
 
 
-class ObstructError(AlexkitError):
-    pass
-
-
 class QPVerdict(NamedTuple):
     verdict: str
     reason: str
@@ -47,7 +43,7 @@ def qp_verdict(factored: Optional[FactoredPoly], b1: int,
     """
     factors = factored.factors if factored is not None else ()
     if factors and factors[0][0].nvars != b1:
-        raise ObstructError(
+        raise AlexkitError(
             f"polynomial has {factors[0][0].nvars} variables but b1 = {b1}")
     if projective:
         if not factors:

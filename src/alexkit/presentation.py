@@ -99,6 +99,14 @@ class GroupPresentation(Frozen):
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _LETTER = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_TOKEN = re.compile(r"\S+")
+
+
+def _column(code: str, keyword: str, k: int) -> int:
+    """The 1-based column of token k of `code` after `keyword`, found only
+    for an error, so that splitting stays the fast path."""
+    start = code.index(keyword) + len(keyword)
+    return [m.start() for m in _TOKEN.finditer(code, start)][k] + 1
 
 
 def parse_presentation(text: str) -> GroupPresentation:
@@ -112,47 +120,44 @@ def parse_presentation(text: str) -> GroupPresentation:
     relators: List[Word] = []
     seen_gens = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if line.startswith("gens:"):
             if seen_gens:
                 raise PresentationError("duplicate gens: line", lineno, 1)
             seen_gens = True
-            for tok in line[len("gens:"):].split():
+            for k, tok in enumerate(line[len("gens:"):].split()):
                 if not _NAME.fullmatch(tok):
-                    raise PresentationError(
-                        f"bad generator name {tok!r}", lineno,
-                        raw.index(tok) + 1)
+                    raise PresentationError(f"bad generator name {tok!r}",
+                                            lineno, _column(code, "gens:", k))
                 if tok in index:
-                    raise PresentationError(
-                        f"duplicate generator {tok!r}", lineno,
-                        raw.index(tok) + 1)
+                    raise PresentationError(f"duplicate generator {tok!r}",
+                                            lineno, _column(code, "gens:", k))
                 index[tok] = len(names)
                 names.append(tok)
         elif line.startswith("rel:"):
             if not seen_gens:
                 raise PresentationError("rel: before gens:", lineno, 1)
             letters = []
-            for tok in line[len("rel:"):].split():
+            for k, tok in enumerate(line[len("rel:"):].split()):
                 m = _LETTER.match(tok)
                 if not m:
-                    raise PresentationError(
-                        f"bad letter {tok!r}", lineno, raw.index(tok) + 1)
+                    raise PresentationError(f"bad letter {tok!r}", lineno,
+                                            _column(code, "rel:", k))
                 name, exp = m.group(1), m.group(2)
                 if name not in index:
-                    raise PresentationError(
-                        f"undeclared generator {name!r}", lineno,
-                        raw.index(tok) + 1)
+                    raise PresentationError(f"undeclared generator {name!r}",
+                                            lineno, _column(code, "rel:", k))
                 if exp is not None and has_long_number(exp):
                     raise PresentationError(
                         f"exponent on {name!r} has more than {MAX_DIGITS} "
-                        f"digits", lineno, raw.index(tok) + 1)
+                        f"digits", lineno, _column(code, "rel:", k))
                 e = int(exp) if exp is not None else 1
                 if e == 0:
-                    raise PresentationError(
-                        f"zero exponent on {name!r}", lineno,
-                        raw.index(tok) + 1)
+                    raise PresentationError(f"zero exponent on {name!r}",
+                                            lineno, _column(code, "rel:", k))
                 letters.append((index[name], e))
             relators.append(free_reduce_letters(tuple(letters)))
         else:
@@ -160,4 +165,3 @@ def parse_presentation(text: str) -> GroupPresentation:
     if not seen_gens:
         raise PresentationError("missing gens: line", 1, 1)
     return GroupPresentation(tuple(names), tuple(relators))
-

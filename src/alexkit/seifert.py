@@ -18,10 +18,6 @@ from .laurent import (LaurentPoly, _divisors, _from_dense, _times_binomial,
                       normalize)
 
 
-class SeifertError(AlexkitError):
-    pass
-
-
 class SpliceData(Frozen):
     """Fiber weights k_1..k_n (pairwise coprime) with the first q as link
     components; trivial weights in the tail are sorted last."""
@@ -32,13 +28,13 @@ class SpliceData(Frozen):
         k = weights
         n = len(k)
         if n < 3:
-            raise SeifertError("need at least three weights")
+            raise AlexkitError("need at least three weights")
         if not (2 <= q <= n):
-            raise SeifertError("q must satisfy 2 <= q <= n")
+            raise AlexkitError("q must satisfy 2 <= q <= n")
         if any(x < 1 for x in k):
-            raise SeifertError("weights must be positive integers")
+            raise AlexkitError("weights must be positive integers")
         if math.lcm(*k) != math.prod(k):
-            raise SeifertError("weights not pairwise coprime")
+            raise AlexkitError("weights not pairwise coprime")
         tail = sorted(k[q:], reverse=True)
         object.__setattr__(self, "weights", tuple(k[:q]) + tuple(tail))
         object.__setattr__(self, "q", q)
@@ -121,9 +117,9 @@ def seifert_twisted_betti(d: SpliceData, rho: Character) -> int:
     the component multiplicity, cross-checked against the orbifold count.
     """
     if len(rho) != d.q:
-        raise SeifertError(f"expected {d.q} character values")
+        raise AlexkitError(f"expected {d.q} character values")
     if rho.is_trivial():
-        raise SeifertError("trivial character excluded")
+        raise AlexkitError("trivial character excluded")
     alpha = rho.pull([[d.n_j(j) for j in range(d.q)]])
     order = alpha.order()
     if order is None or d.big_n_prime % order:
@@ -133,6 +129,6 @@ def seifert_twisted_betti(d: SpliceData, rho: Character) -> int:
     i_alpha = sum(1 for j in range(d.q, d.q + d.s)
                   if alpha.trivial_on([[d.n_prime_j(j)]]))
     if m != (d.q - 2) + d.s - i_alpha:
-        raise SeifertError("multiplicity disagrees with orbifold count "
+        raise AlexkitError("multiplicity disagrees with orbifold count "
                            "(internal bug)")
     return m

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -83,6 +84,30 @@ def multiplicity(f, delta):
     while divides(power, delta):
         k, power = k + 1, power * f
     return k
+
+
+def seifert_link(weights, q):
+    """The exterior of the Seifert link with fiber weights a_1..a_n whose
+    first q fibers are its components, in the homology sphere Σ(a_1..a_n):
+    (presentation text, exponent vector of each component's meridian).
+
+    The generators are c1..cn h, with relators [c_i, h] for every i,
+    c_i^(a_i)·h^(b_i) for each fiber i > q, and c1⋯cn; the b_i solve
+    Σ b_i·∏_(j≠i) a_j = 1, and the meridian of component i is
+    c_i^(a_i)·h^(b_i)."""
+    n, total = len(weights), math.prod(weights)
+    b = [pow(total // a, -1, a) for a in weights]  # each term is 1 mod a_i
+    excess = sum(bi * (total // a) for bi, a in zip(b, weights)) - 1
+    b[0] -= excess // total * weights[0]
+    c = [f"c{i}" for i in range(1, n + 1)]
+    rels = [f"{x} h {x}^-1 h^-1" for x in c]
+    rels += [f"{c[i]}^{weights[i]}" + (f" h^{b[i]}" if b[i] else "")
+             for i in range(q, n)]
+    rels.append(" ".join(c))
+    text = "".join(f"rel: {r}\n" for r in rels)
+    meridians = [[weights[i] * (j == i) for j in range(n)] + [b[i]]
+                 for i in range(q)]
+    return f"gens: {' '.join(c)} h\n{text}", meridians
 
 
 @pytest.fixture

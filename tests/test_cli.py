@@ -147,6 +147,15 @@ PARSER_REFUSALS = {
                    "line 2, column 6: bad letter 'a^'"),
     "zero-exponent": ("grp", "gens: a\nrel: a^0\n",
                       "line 2, column 6: zero exponent on 'a'"),
+    # each column is that of the token itself, not of the first place its
+    # text occurs in the line
+    "duplicate-generator": ("grp", "gens: a a\n",
+                            "line 1, column 9: duplicate generator 'a'"),
+    "duplicate-generator-in-keyword": (
+        "grp", "gens: e e\n", "line 1, column 9: duplicate generator 'e'"),
+    "undeclared-generator-in-keyword": (
+        "grp", "gens: a\nrel: e\n",
+        "line 2, column 6: undeclared generator 'e'"),
     "unrecognized-line": ("grp", "gens: a\nrelator: a\n",
                           "line 2, column 1: unrecognized line 'relator: a'"),
     "bad-token": ("entry", "t $ 1", "bad token at position 1: ' $ 1'"),

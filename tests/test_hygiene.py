@@ -2,6 +2,7 @@
 checks that a fresh interpreter loads sympy only when the answer needs it."""
 
 import ast
+import builtins
 import graphlib
 import itertools
 import json
@@ -510,3 +511,40 @@ def test_caps_held_in_alexkit_init():
              if isinstance(node, ast.Name) and node.id.endswith("_CAP")
              and isinstance(node.ctx, (ast.Store, ast.Del))]
     assert bound == []
+
+
+def _is_builtin_exception(name):
+    cls = getattr(builtins, name, None)
+    return isinstance(cls, type) and issubclass(cls, BaseException)
+
+
+def test_one_error_class_per_exit_code():
+    """alexkit/__init__.py holds the two errors the CLI tells apart,
+    AlexkitError (exit 2) and ComputationCapError (exit 3).  The only other
+    exception classes are PresentationError, which carries the line and
+    column of a refusal, and BoundInconsistencyError, a proven bound
+    exceeded under an asserted hypothesis; no module imports an exception
+    class from a sibling module."""
+    bases = {(name, node.name): [ast.unparse(b).rpartition(".")[2]
+                                 for b in node.bases]
+             for name, tree in _modules() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    errors = set()
+    while True:  # a class is an exception when one of its bases is
+        found = {key for key, names in bases.items() if any(
+            _is_builtin_exception(b) or b in {c for _, c in errors}
+            for b in names)}
+        if found == errors:
+            break
+        errors = found
+    assert sorted(f"{name}:{cls}" for name, cls in errors) == [
+        "__init__.py:AlexkitError", "__init__.py:ComputationCapError",
+        "jumploci.py:BoundInconsistencyError",
+        "presentation.py:PresentationError"]
+    sibling = [f"{name}:{node.lineno} {alias.name}"
+               for name, tree in _modules() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               and node.module is not None
+               for alias in node.names
+               if alias.name in {cls for _, cls in errors}]
+    assert sibling == []

@@ -10,12 +10,11 @@ from fractions import Fraction
 import pytest
 
 import alexkit
-from alexkit import jumploci
+from alexkit import AlexkitError, jumploci
 from alexkit.alexander import alexander_poly, fox_matrix, load_matrix
 from alexkit.cyclofield import Character, vanishing_order
-from alexkit.jumploci import (BoundInconsistencyError, JumpLociError,
-                              almost_principal_status, bounds_report,
-                              monodromy_analysis,
+from alexkit.jumploci import (BoundInconsistencyError, almost_principal_status,
+                              bounds_report, monodromy_analysis,
                               semisimple_equality_report, twisted_betti)
 from alexkit.intlinalg import induced_torus_point, validate_character
 from alexkit.laurent import (LaurentPoly, _from_dense, _phi_coeffs,
@@ -46,7 +45,7 @@ def test_twisted_betti_trivial_character(pencil3):
 
 
 def test_twisted_betti_validates_characters(torusbundle):
-    with pytest.raises(JumpLociError):
+    with pytest.raises(AlexkitError, match="relators"):
         twisted_betti(torusbundle, chi(-1, 1, 1))
 
 
@@ -113,7 +112,7 @@ def test_bounds_report_inconsistency_raises():
 
 
 def test_bounds_report_rejects_trivial_character(pencil3):
-    with pytest.raises(JumpLociError):
+    with pytest.raises(AlexkitError, match="nontrivial character"):
         bounds_report(pencil3, factor_poly(alexander_poly(pencil3)),
                       chi(1, 1, 1))
 
@@ -132,7 +131,7 @@ def test_bounds_report_validates_the_character_once(pencil3, monkeypatch):
 
 
 def test_bounds_report_rejects_a_character_off_the_relators(torusbundle):
-    with pytest.raises(JumpLociError, match="relators"):
+    with pytest.raises(AlexkitError, match="relators"):
         bounds_report(torusbundle, factor_poly(alexander_poly(torusbundle)),
                       chi(-1, 1, 1))
 
@@ -182,7 +181,7 @@ def test_monodromy_semisimple_cases():
 
 
 def test_monodromy_rejects_eigenvalue_one():
-    with pytest.raises(JumpLociError):
+    with pytest.raises(AlexkitError, match="eigenvalue"):
         monodromy_analysis([[1, 5], [0, 2]])
 
 

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from alexkit import ComputationCapError, cyclofield, laurent
+from alexkit import AlexkitError, ComputationCapError, cyclofield, laurent
 from alexkit.alexander import alexander_poly, fox_matrix
 from alexkit.cyclofield import vanishing_order
-from alexkit.laurent import (LaurentError, LaurentPoly, PolyParseError,
-                             associates, divides, factor_poly, gcd_many,
-                             normalize, parse_poly)
+from alexkit.laurent import (LaurentPoly, associates, divides, factor_poly,
+                             gcd_many, normalize, parse_poly)
 
 from alexkit.presentation import parse_presentation
 
@@ -41,7 +40,7 @@ def test_normalize_idempotent():
 
 
 def test_normalize_zero_errors():
-    with pytest.raises(LaurentError):
+    with pytest.raises(AlexkitError, match="zero polynomial"):
         normalize(LaurentPoly.zero(2))
 
 
@@ -65,22 +64,22 @@ def test_divides_in_no_variables():
 
 
 def test_floats_are_refused():
-    with pytest.raises(LaurentError):
+    with pytest.raises(AlexkitError, match="inexact"):
         LaurentPoly(1, {(0,): 0.5})
-    with pytest.raises(LaurentError):
+    with pytest.raises(AlexkitError, match="inexact"):
         LaurentPoly.constant(2, 2.0)
-    with pytest.raises(LaurentError):
+    with pytest.raises(AlexkitError, match="inexact"):
         LaurentPoly.one(1) * 0.5
 
 
 def test_coefficients_are_integers():
     """A non-integral coefficient is refused, however it is reached; an
     integral `Fraction` is stored as its `int`."""
-    with pytest.raises(LaurentError):
+    with pytest.raises(AlexkitError, match="not an integer"):
         LaurentPoly(1, {(0,): Fraction(1, 2)})
-    with pytest.raises(LaurentError):
+    with pytest.raises(AlexkitError, match="not an integer"):
         LaurentPoly.one(1) * Fraction(1, 2)
-    with pytest.raises(LaurentError):
+    with pytest.raises(AlexkitError, match="not an integer"):
         LaurentPoly.constant(0, Fraction(-7, 3))
     (c,) = LaurentPoly(1, {(1,): Fraction(4, 2)}).terms.values()
     assert type(c) is int and c == 2
@@ -88,9 +87,9 @@ def test_coefficients_are_integers():
 
 @pytest.mark.parametrize("bad", [True, 0.5, Fraction(1, 2), Fraction(2, 1)])
 def test_var_and_monomial_refuse_exponents_that_are_not_ints(bad):
-    with pytest.raises(LaurentError):
+    with pytest.raises(AlexkitError, match="not an int"):
         LaurentPoly.var(2, 1, bad)
-    with pytest.raises(LaurentError):
+    with pytest.raises(AlexkitError, match="not an int"):
         LaurentPoly.monomial((0, bad))
     assert LaurentPoly.var(2, 1, -3) == LaurentPoly.monomial([0, -3])
 
@@ -185,27 +184,26 @@ def test_parse_render_roundtrip():
 
 
 def test_parse_errors():
-    with pytest.raises(LaurentError):
+    with pytest.raises(AlexkitError, match="unknown variable"):
         parse_poly("t1 +* t2", T3)
-    with pytest.raises(LaurentError):
+    with pytest.raises(AlexkitError, match="unknown variable"):
         parse_poly("q1", T3)
 
 
 @pytest.mark.parametrize("text,outcome", [
-    ("(t+1)^-1", PolyParseError),
-    ("(2*t)^-1", LaurentError),
+    ("(t+1)^-1", "negative exponent on a non-monomial"),
+    ("(2*t)^-1", "negative powers only for unit monomials"),
     ("(-t)^-2", LaurentPoly.var(1, 0, -2)),
 ])
 def test_parse_negative_powers(text, outcome):
     """A negative power of a non-monomial is refused by the parser, one of
-    a monomial that is not a unit by the arithmetic (a `LaurentError` that
-    is no `PolyParseError`), and one of a unit monomial is its inverse."""
+    a monomial that is not a unit by the arithmetic (each with its own
+    message), and one of a unit monomial is its inverse."""
     if isinstance(outcome, LaurentPoly):
         assert P(text, T1) == outcome
     else:
-        with pytest.raises(outcome) as info:
+        with pytest.raises(AlexkitError, match=outcome):
             P(text, T1)
-        assert type(info.value) is outcome
 
 
 def test_factor_poly_reassembles():
@@ -333,7 +331,7 @@ def test_factor_poly_reassembly_check_refuses_a_wrong_factorization(
     for f in (P("(t^2 + t + 1)*(t - 1)^2", T1),
               P("(t1^2 + t1 + 1)*(t2 - 1)^2", ("t1", "t2")),
               P("(t1*t2)^10 + (t1*t2)^5 + 1", ("t1", "t2"))):
-        with pytest.raises(LaurentError, match="reassemble"):
+        with pytest.raises(AlexkitError, match="reassemble"):
             factor_poly(f)
 
 

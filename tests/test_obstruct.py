@@ -1,8 +1,9 @@
 import pytest
 
+from alexkit import AlexkitError
 from alexkit.laurent import factor_poly, parse_poly
 from alexkit.obstruct import (CONSISTENT, NOT_APPLICABLE, OBSTRUCTED,
-                              ObstructError, qp_verdict)
+                              qp_verdict)
 
 X3 = ("x1", "x2", "x3")
 
@@ -73,5 +74,5 @@ def test_qp_verdict_nonzero_constant():
 
 
 def test_qp_verdict_variable_mismatch():
-    with pytest.raises(ObstructError):
+    with pytest.raises(AlexkitError, match="variables but b1"):
         qp_verdict(factor_poly(parse_poly("t1*t2-1", ("t1", "t2"))), 3)

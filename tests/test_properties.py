@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from alexkit import CONDUCTOR_CAP, ComputationCapError, alexander, laurent
+from alexkit import (CONDUCTOR_CAP, AlexkitError, ComputationCapError,
+                     alexander, laurent)
 from alexkit.alexander import (_det, _row_minors, alexander_poly,
                                elementary_divisor_exponents,
                                elementary_ideal_minors, fox_matrix,
@@ -19,10 +20,10 @@ from alexkit.alexander import (_det, _row_minors, alexander_poly,
 from alexkit.cyclofield import (Character, cyclotomic_poly, parse_character,
                                 rank, vanishing_order)
 from alexkit.intlinalg import abelianization
-from alexkit.jumploci import (JumpLociError, MonodromyReport, RootEquality,
-                              _charpoly, _factor_root, monodromy_analysis,
+from alexkit.jumploci import (MonodromyReport, RootEquality, _charpoly,
+                              _factor_root, monodromy_analysis,
                               twisted_betti)
-from alexkit.laurent import (FactoredPoly, LaurentError, LaurentPoly,
+from alexkit.laurent import (FactoredPoly, LaurentPoly,
                              _coprime,
                              _cyclotomic_exponents, _cyclotomic_parts,
                              _directions, _divisors, _dup_mul, _from_dense,
@@ -230,12 +231,12 @@ def _expansion_order(f: LaurentPoly, point: Character) -> int:
     """ν_ρ(f) as the minimal total z-degree of f(ρ + z): the definition,
     kept as the oracle for `vanishing_order`."""
     if f.is_zero():
-        raise LaurentError("vanishing order of the zero polynomial")
+        raise AlexkitError("vanishing order of the zero polynomial")
     if f.total_degree() > TOTAL_DEGREE_CAP:
         raise ComputationCapError(
             f"total degree {f.total_degree()} exceeds cap {TOTAL_DEGREE_CAP}")
     if len(point) != f.nvars:
-        raise LaurentError("point has wrong number of coordinates")
+        raise AlexkitError("point has wrong number of coordinates")
     n = point.conductor
     vals = _values(point)
 
@@ -268,7 +269,7 @@ def _expansion_order(f: LaurentPoly, point: Character) -> int:
             out[key] = _add(out[key], v) if key in out else v
     degrees = [sum(k) for k, v in out.items() if any(v)]
     if not degrees:
-        raise LaurentError("internal error: expansion vanished identically")
+        raise AlexkitError("internal error: expansion vanished identically")
     return min(degrees)
 
 
@@ -594,7 +595,7 @@ def sev_decompose(f: LaurentPoly):
     nonzero entry positive, when the support of f is collinear; else None.
     """
     if f.is_zero() or len(f.terms) == 1:
-        raise LaurentError("sev_decompose needs a nonzero non-unit input")
+        raise AlexkitError("sev_decompose needs a nonzero non-unit input")
     pts = f.support()
     directions = _directions(pts[0], pts)
     if len(directions) != 1:
@@ -1354,7 +1355,7 @@ def _sympy_monodromy(h):
     m = sympy.Matrix([[int(x) for x in row] for row in h])
     size = m.rows
     if (m - sympy.eye(size)).det() == 0:
-        raise JumpLociError("1 is an eigenvalue of the monodromy")
+        raise AlexkitError("1 is an eigenvalue of the monodromy")
     coeffs = m.charpoly().all_coeffs()  # leading coefficient first
     delta = LaurentPoly(1, {(size - i,): int(c) for i, c in enumerate(coeffs)})
     factored = factor_poly(delta)
@@ -1422,8 +1423,8 @@ def test_monodromy_matches_sympy_oracle():
         h = _random_monodromy(rng)
         try:
             expected = _sympy_monodromy(h)
-        except JumpLociError:
-            with pytest.raises(JumpLociError, match="eigenvalue"):
+        except AlexkitError:
+            with pytest.raises(AlexkitError, match="eigenvalue"):
                 monodromy_analysis(h)
             seen.add("rejected")
             continue

@@ -1,17 +1,23 @@
+import itertools
+import math
+import random
 import time
 
 import pytest
 
-from alexkit.alexander import alexander_poly
-from alexkit.cyclofield import cyclotomic_poly
+from alexkit.alexander import alexander_poly, fox_matrix
+from alexkit.cyclofield import Character, cyclotomic_poly
+from alexkit.jumploci import bounds_report, twisted_betti
 from alexkit.laurent import (LaurentPoly, _cyclotomic_exponents, _to_dense,
-                             associates, exact_div_binomial, normalize,
-                             parse_poly)
-from alexkit.seifert import (DivisorComponent, SeifertError, SpliceData,
-                             _mult_at_order, seifert_delta, seifert_divisor,
+                             associates, exact_div_binomial, factor_poly,
+                             normalize, parse_poly)
+from alexkit.presentation import parse_presentation
+from alexkit import AlexkitError
+from alexkit.seifert import (DivisorComponent, SpliceData, _mult_at_order,
+                             seifert_delta, seifert_divisor,
                              seifert_twisted_betti)
 
-from conftest import character, multiplicity
+from conftest import character, multiplicity, seifert_link
 from test_properties import sev_decompose
 
 T3 = ("t1", "t2", "t3")
@@ -22,13 +28,13 @@ def ex73():
 
 
 def test_splice_validation():
-    with pytest.raises(SeifertError):
+    with pytest.raises(AlexkitError, match="coprime"):
         SpliceData((2, 4, 5), 2)
-    with pytest.raises(SeifertError):
+    with pytest.raises(AlexkitError, match="three weights"):
         SpliceData((1, 1), 2)
-    with pytest.raises(SeifertError):
+    with pytest.raises(AlexkitError, match="q must satisfy"):
         SpliceData((1, 1, 1), 1)
-    with pytest.raises(SeifertError):
+    with pytest.raises(AlexkitError, match="positive integers"):
         SpliceData((1, 0, 3), 2)
 
 
@@ -126,8 +132,96 @@ def test_seifert_twisted_betti_pencil():
 
 
 def test_seifert_twisted_betti_rejects_trivial():
-    with pytest.raises(SeifertError):
+    with pytest.raises(AlexkitError, match="trivial character"):
         seifert_twisted_betti(ex73(), character(1, 1, 1))
+
+
+def _u_forms(f):
+    """The coefficient sequences of P, with f ≐ P(t^e), up to reversal and
+    sign; {()} for a unit f."""
+    if f.is_unit():
+        return {()}
+    p = _to_dense(sev_decompose(f)[0])
+    return {s for s in (p, p[::-1]) for s in (s, tuple(-c for c in s))}
+
+
+def _random_links(rng, count):
+    """(weights, q) of Seifert links with pairwise coprime weights whose
+    presentations have n + 1 ≤ 8 generators and 2n − q + 1 ≤ 8 relators,
+    within MINOR_MATRIX_CAP."""
+    links = []
+    while len(links) < count:
+        n = rng.choice((3, 3, 4, 4, 5, 6, 7))
+        weights = []
+        for _ in range(n):
+            weights.append(rng.choice([a for a in (1, 1, 2, 3, 4, 5, 7, 9, 11)
+                                       if all(math.gcd(a, w) == 1
+                                              for w in weights)]))
+        links.append((tuple(weights), rng.randint(max(2, 2 * n - 7), n)))
+    return links
+
+
+def _link_ranks(weights, q, points):
+    """The twisted ranks of the Seifert link (weights, q) through the
+    general pipeline at each nontrivial point of `points`, a sequence of
+    characters on the torsion-free quotient pulled back to the generators,
+    checked against the closed forms: Δ equals the closed form as a
+    polynomial in one monomial, and the rank equals the closed form at the
+    values on the meridians and attains the bound under the almost-principal
+    assertion, which these presentations, of deficiency q − n ≤ 0, do not
+    meet alone."""
+    d = SpliceData(weights, q)
+    text, meridians = seifert_link(weights, q)
+    mat = fox_matrix(parse_presentation(text))
+    delta = alexander_poly(mat)
+    assert _u_forms(delta) == _u_forms(seifert_delta(d))
+    factored = factor_poly(delta)
+    columns = list(zip(*mat.abelian.abf_projection))
+    ranks = []
+    for y in points(d):
+        if y.is_trivial():
+            continue
+        chi = y.pull(columns)
+        b1 = twisted_betti(mat, chi)
+        assert b1 == seifert_twisted_betti(d, chi.pull(meridians))
+        asserted = bounds_report(mat, factored, chi,
+                                 almost_principal=("Yes", "user-asserted"))
+        assert (asserted.b1, asserted.attained) == (b1, True)
+        assert bounds_report(mat, factored, chi).almost_principal == \
+            ("Unknown", None)
+        ranks.append(b1)
+    return ranks
+
+
+LINKS = _random_links(random.Random(9), 24)
+
+
+@pytest.mark.parametrize("weights,q", LINKS, ids=[
+    f"{','.join(map(str, weights))}-q{q}" for weights, q in LINKS])
+def test_seifert_link_through_fox_pipeline(weights, q):
+    """At eight random points of conductor at most 240, most of them a
+    divisor of N′, so that some lie on the zero set of Δ."""
+    rng = random.Random(repr((weights, q)))
+
+    def points(d):
+        orders = [k for k in range(2, 241) if d.big_n_prime % k == 0]
+        for _ in range(8):
+            n = rng.choice(orders + [2, 3, 6, rng.randint(2, 240)])
+            yield Character(n, (1,) * q,
+                            tuple(rng.randrange(n) for _ in range(q)))
+
+    _link_ranks(weights, q, points)
+
+
+def test_seifert_link_at_every_sixth_root():
+    """Weights 1, 1, 2, 3 with two components: Δ(u) is
+    (u⁶ − 1)²/((u³ − 1)(u² − 1)), whose zero set has components of orders
+    2, 3 and 6 with multiplicities 1, 1 and 2, so the points of order
+    dividing 6 have ranks 0, 1 and 2."""
+    ranks = _link_ranks((1, 1, 2, 3), 2, lambda d: (
+        Character(6, (1, 1), k) for k in itertools.product(range(6),
+                                                            repeat=2)))
+    assert set(ranks) == {0, 1, 2}
 
 
 def _sparse_seifert_u_delta(d):
