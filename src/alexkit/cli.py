@@ -7,8 +7,6 @@ computation cap was exceeded.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 
@@ -92,8 +90,9 @@ def _emit(report: dict, pretty: bool) -> None:
     sys.stdout.write("\n")
 
 
-def cmd_invariants(args) -> int:
-    mat, char_names, echo = _load_input(args.input, args.matrix)
+def cmd_invariants(file, matrix=False, char=(), projective=False,
+                   assert_almost_principal=None, pretty=False) -> int:
+    mat, char_names, echo = _load_input(file, matrix)
     names = mat.var_names
     report: dict = {"input": echo, "b1": mat.num_vars, "warnings": []}
     if mat.presentation is not None:
@@ -102,7 +101,7 @@ def cmd_invariants(args) -> int:
         report["torsion"] = None
         report["warnings"].append(
             "matrix-mode input: Fox identity not verified")
-    ap = almost_principal_status(mat, args.assert_almost_principal)
+    ap = almost_principal_status(mat, assert_almost_principal)
     delta = alexander_poly(mat, 1)
     if delta.is_zero():
         factored = report["delta"] = report["factored"] = None
@@ -110,43 +109,44 @@ def cmd_invariants(args) -> int:
         report["delta"] = delta.render(names)
         factored = factor_poly(delta)
         report["factored"] = _factored_dict(factored, names)
-    verdict = qp_verdict(factored, mat.num_vars, projective=args.projective)
+    verdict = qp_verdict(factored, mat.num_vars, projective=projective)
     report["qp"] = verdict.as_dict()
     chars = {spec: _character_report(
         mat, parse_character(spec, char_names), factored, ap)
-        for spec in args.char or []}
+        for spec in char}
     if chars:
         report["characters"] = chars
-    _emit(report, args.pretty)
+    _emit(report, pretty)
     return EXIT_OK
 
 
-def cmd_betti(args) -> int:
-    if args.depth is not None and args.depth < 1:
+def cmd_betti(file, char, matrix=False, depth=None,
+              assert_almost_principal=None, pretty=False) -> int:
+    if depth is not None and depth < 1:
         raise AlexkitError("depth must be a positive integer")
-    mat, char_names, echo = _load_input(args.input, args.matrix)
-    chi = parse_character(args.char, char_names)
+    mat, char_names, echo = _load_input(file, matrix)
+    chi = parse_character(char, char_names)
     factored = ap = None
     if not chi.is_trivial():  # a trivial character needs no Δ
         delta = alexander_poly(mat, 1)
         if not delta.is_zero():
             factored = factor_poly(delta)
-            ap = almost_principal_status(mat, args.assert_almost_principal)
-    report: dict = {"input": echo, "char": args.char,
+            ap = almost_principal_status(mat, assert_almost_principal)
+    report: dict = {"input": echo, "char": char,
                     **_character_report(mat, chi, factored, ap)}
-    if args.depth is not None:
-        report["depth"] = args.depth
-        report["member"] = report["b1"] >= args.depth
-    _emit(report, args.pretty)
+    if depth is not None:
+        report["depth"] = depth
+        report["member"] = report["b1"] >= depth
+    _emit(report, pretty)
     return EXIT_OK
 
 
-def cmd_seifert(args) -> int:
+def cmd_seifert(weights, q, char=None, pretty=False) -> int:
     try:
-        weights = tuple(int(x) for x in args.weights.split(","))
+        weights = tuple(int(x) for x in weights.split(","))
     except ValueError as exc:
-        raise AlexkitError(f"bad weights {args.weights!r}") from exc
-    data = SpliceData(weights, args.q)
+        raise AlexkitError(f"bad weights {weights!r}") from exc
+    data = SpliceData(weights, q)
     delta = seifert_delta(data)
     names = default_names(data.q)
     report: dict = {
@@ -157,64 +157,93 @@ def cmd_seifert(args) -> int:
                      "multiplicity": c.multiplicity}
                     for c in seifert_divisor(data)],
     }
-    if args.char:
-        chi = parse_character(args.char, names)
-        report["char"] = args.char
+    if char:
+        chi = parse_character(char, names)
+        report["char"] = char
         report["b1"] = seifert_twisted_betti(data, chi)
-    _emit(report, args.pretty)
+    _emit(report, pretty)
     return EXIT_OK
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first `main` call."""
-    parser = argparse.ArgumentParser(
-        prog="alexkit",
-        description="Exact Alexander-polynomial and jump-locus toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _commands() -> dict:
+    """Per command: its function, positionals, required options and the
+    kind of each option (`bool` a flag, `list` repeatable, `str` or `int`
+    one value, the last one given winning).  Built per call, so that a
+    `cmd_` function patched on this module is the one called."""
+    return {
+        "invariants": (cmd_invariants, ("file",), (), {
+            "matrix": bool, "char": list, "projective": bool,
+            "assert-almost-principal": str, "pretty": bool}),
+        "betti": (cmd_betti, ("file",), ("char",), {
+            "matrix": bool, "char": str, "depth": int,
+            "assert-almost-principal": str, "pretty": bool}),
+        "seifert": (cmd_seifert, (), ("weights", "q"), {
+            "weights": str, "q": int, "char": str, "pretty": bool})}
 
-    inv = sub.add_parser("invariants",
-                         help="Alexander polynomial, factorization, "
-                         "obstruction verdict")
-    inv.add_argument("input", help="presentation file, or matrix JSON "
-                     "with --matrix")
-    inv.add_argument("--matrix", action="store_true",
-                     help="input is a matrix JSON file")
-    inv.add_argument("--char", action="append",
-                     help="character to evaluate (repeatable)")
-    inv.add_argument("--projective", action="store_true",
-                     help="apply the projective-group test")
-    inv.add_argument("--assert-almost-principal", metavar="TAG",
-                     help="assert the almost-principal hypothesis")
-    inv.add_argument("--pretty", action="store_true")
-    inv.set_defaults(func=cmd_invariants)
 
-    bet = sub.add_parser("betti", help="twisted Betti rank at a character")
-    bet.add_argument("input")
-    bet.add_argument("--matrix", action="store_true")
-    bet.add_argument("--char", required=True)
-    bet.add_argument("--depth", type=int,
-                     help="also test jump-locus membership at this depth")
-    bet.add_argument("--assert-almost-principal", metavar="TAG")
-    bet.add_argument("--pretty", action="store_true")
-    bet.set_defaults(func=cmd_betti)
+def _help() -> int:
+    """Usage, one line per command, read off `_commands`."""
+    print("usage:")
+    for cmd, (_, positional, required, options) in _commands().items():
+        words = ["  alexkit", cmd, *map(str.upper, positional)]
+        for name, kind in options.items():
+            word = f"--{name}" if kind is bool else \
+                f"--{name} {'INT' if kind is int else 'TEXT'}"
+            words.append(word if name in required else
+                         f"[{word}]" + "..." * (kind is list))
+        print(*words)
+    return EXIT_OK
 
-    sei = sub.add_parser("seifert", help="Seifert link invariants")
-    sei.add_argument("--weights", required=True,
-                     help="comma-separated fiber multiplicities")
-    sei.add_argument("--q", type=int, required=True,
-                     help="number of link components")
-    sei.add_argument("--char",
-                     help="character values for t1..tq")
-    sei.add_argument("--pretty", action="store_true")
-    sei.set_defaults(func=cmd_seifert)
-    return parser
+
+def _parse(argv):
+    """The function that answers argv and its keyword arguments (`_help`
+    for `-h` or `--help`).  A long option may be shortened to any unique
+    prefix; its value follows `=` in the same item, or else is the next
+    item, whatever it is.  Every item after `--` is positional."""
+    func, positional, required, options = _commands().get(
+        argv[0] if argv else "", (None, (), (), {}))
+    kwargs, free, items = {}, [], iter(argv[func is not None:])
+    for item in items:
+        if item == "--":
+            free += items
+        elif not item.startswith("--") and item != "-h":
+            free.append(item)
+        else:
+            name, eq, value = item.lstrip("-").partition("=")
+            if name not in options:
+                found = [n for n in (*options, "help")
+                         if name and n.startswith(name)]
+                if found == ["help"]:
+                    return _help, {}
+                if len(found) != 1:
+                    raise AlexkitError(f"{'ambiguous' if found else 'unknown'}"
+                                       f" option --{name}")
+                name = found[0]
+            kind, key = options[name], name.replace("-", "_")
+            if kind is bool and eq:
+                raise AlexkitError(f"--{name} takes no value")
+            try:
+                value = True if kind is bool else value if eq else next(items)
+                kwargs[key] = [*kwargs.get(key, ()), value] \
+                    if kind is list else kind(value)
+            except (StopIteration, ValueError):
+                raise AlexkitError(f"--{name} needs " + (
+                    "an integer" if kind is int else "a value")) from None
+    if func is None:
+        raise AlexkitError("expected a command, one of " + ", ".join(
+            _commands()) + (f", not {free[0]!r}" if free else ""))
+    missing = [p.upper() for p in positional[len(free):]] + [
+        f"--{n}" for n in required if n.replace("-", "_") not in kwargs]
+    if missing or free[len(positional):]:
+        raise AlexkitError("missing " + " and ".join(missing) if missing else
+                           f"unexpected argument {free[len(positional)]!r}")
+    return func, dict(zip(positional, free), **kwargs)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        func, kwargs = _parse(sys.argv[1:] if argv is None else list(argv))
+        return func(**kwargs)
     except ComputationCapError as exc:
         print(f"alexkit: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPPED

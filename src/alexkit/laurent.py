@@ -579,17 +579,17 @@ def normalize(f: LaurentPoly) -> LaurentPoly:
 
     Every variable's minimum exponent over the support becomes 0 (integer
     content is preserved), and the coefficient of the lexicographically
-    greatest exponent vector is positive.
+    greatest exponent vector is positive.  An f already in this form is
+    returned itself.
     """
     if f.is_zero():
         raise AlexkitError("cannot normalize the zero polynomial")
-    mins = [min(exp[i] for exp in f.terms) for i in range(f.nvars)]
-    out = {tuple(map(operator.sub, exp, mins)): c
-           for exp, c in f.terms.items()}
-    lead = max(out)
-    if out[lead] < 0:
-        out = {e: -c for e, c in out.items()}
-    return LaurentPoly(f.nvars, out)
+    mins = [min(col) for col in zip(*f.terms)]
+    sign = -1 if f.terms[max(f.terms)] < 0 else 1
+    if sign == 1 and not any(mins):
+        return f
+    return LaurentPoly(f.nvars, {tuple(map(operator.sub, exp, mins)): sign * c
+                                 for exp, c in f.terms.items()})
 
 
 def associates(f: LaurentPoly, g: LaurentPoly) -> bool:

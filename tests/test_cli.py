@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -322,8 +323,8 @@ def test_exit_code_computed_coefficient_over_print_limit(tmp_path, capsys,
 
 
 def test_json_output_is_stable(capsys):
-    """Every `main` call of a process shares one parser: calls with other
-    options, and a usage error, leave no trace in the next report."""
+    """Calls with other options, and an argv error, leave no trace in the
+    next report of the same process."""
     argv = ["invariants", data_path("pencil4.grp")]
     assert main(argv) == 0
     raw1 = capsys.readouterr().out
@@ -333,9 +334,7 @@ def test_json_output_is_stable(capsys):
     assert len(report["characters"]) == 2
     assert main([*argv, "--pretty"]) == 0
     assert capsys.readouterr().out.startswith("{\n  ")
-    with pytest.raises(SystemExit) as exc:
-        main(["seifert", "--weights", "1,1,1"])
-    assert exc.value.code == 2
+    assert main(["seifert", "--weights", "1,1,1"]) == 2
     assert "--q" in capsys.readouterr().err
     assert main(argv) == 0
     raw2 = capsys.readouterr().out
@@ -345,33 +344,141 @@ def test_json_output_is_stable(capsys):
     assert raw1 == json.dumps(report, sort_keys=True) + "\n"
 
 
-_COUNT_PARSERS = (
-    "import argparse, sys\n"
-    "built = []\n"
-    "init = argparse.ArgumentParser.__init__\n"
-    "def counted(self, *args, **kwargs):\n"
-    "    built.append(self)\n"
-    "    init(self, *args, **kwargs)\n"
-    "argparse.ArgumentParser.__init__ = counted\n"
+_FRESH_IMPORT = (
+    "import sys\n"
     "import alexkit.cli\n"
-    "print(len(built), file=sys.stderr)\n"
+    "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
     "for _ in range(2):\n"
-    "    assert alexkit.cli.main(sys.argv[1:]) == 0\n"
-    "print(len(built), file=sys.stderr)\n")
+    "    assert alexkit.cli.main(sys.argv[1:]) == 0\n")
 
 
-def test_parser_built_once_per_process_and_not_at_import():
-    """Importing `alexkit.cli` builds no parser; the first `main` call
-    builds the top-level parser and its three subparsers, and a second
-    call builds none."""
+def test_fresh_import_loads_no_argparse_or_gettext():
+    """`import alexkit.cli` loads neither `argparse` nor the `gettext` it
+    brings; argv is read off a table, and two `main` calls in one process
+    both answer."""
     src = str(Path(alexkit.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", _COUNT_PARSERS,
+        [sys.executable, "-c", _FRESH_IMPORT,
          "seifert", "--weights", "1,1,1", "--q", "3"],
         capture_output=True, text=True, timeout=20,
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.split() == ["0", "4"]
+    assert proc.stdout.splitlines()[0] == "[]"
+
+
+PENCIL3 = data_path("pencil3.grp")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate", PENCIL3],
+    ["invariants", PENCIL3, "--frobnicate"],
+    ["invariants", PENCIL3, "--p"],
+    ["invariants", PENCIL3, "--pretty=yes"],
+    ["seifert", "--weights", "1,1,1"],
+    ["betti", PENCIL3],
+    ["betti", PENCIL3, "--char", "x1=-1,x2=1,x3=1", "--depth", "x"],
+    ["betti", PENCIL3, "--char", "x1=-1,x2=1,x3=1", "--depth"],
+    ["invariants"],
+    ["invariants", PENCIL3, PENCIL3],
+    ["seifert", "--weights", "1,1,1", "--q", "3", "extra"],
+], ids=["no-command", "unknown-command", "unknown-option", "ambiguous-prefix",
+        "flag-with-value", "seifert-without-q", "betti-without-char",
+        "depth-not-int", "depth-without-value", "missing-positional",
+        "extra-positional", "seifert-positional"])
+def test_argv_errors_exit_2_on_one_line(capsys, argv):
+    """Every argv error is an input error: `main` returns 2 (it raises
+    nothing) and writes one `alexkit:` line to stderr and nothing to
+    stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("alexkit: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["invariants", "--help"], ["betti", PENCIL3, "-h"],
+    ["seifert", "--he"]])
+def test_help_prints_usage(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    head, *lines = captured.out.splitlines()
+    assert head == "usage:"
+    assert [line.split()[:2] for line in lines] == [
+        ["alexkit", "invariants"], ["alexkit", "betti"],
+        ["alexkit", "seifert"]]
+    assert " FILE " in lines[0] and "[--char TEXT]..." in lines[0]
+    assert " --char TEXT " in lines[1] and "[--depth INT]" in lines[1]
+    assert "seifert --weights TEXT --q INT [--char TEXT]" in lines[2]
+
+
+def _same_output(capsys, argv, plain):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert main(plain) == code
+    assert capsys.readouterr() == captured
+    return code, captured
+
+
+def test_value_may_begin_with_a_minus(capsys):
+    """An option's value is the next argv item even when it begins with
+    `-`, as it is when written after `=`: `--char -zeta4` is the same bad
+    character as `--char=-zeta4`, and a tag may begin with `-`."""
+    code, captured = _same_output(
+        capsys, ["invariants", PENCIL3, "--char", "-zeta4"],
+        ["invariants", PENCIL3, "--char=-zeta4"])
+    assert code == 2 and "'-zeta4'" in captured.err
+    ex66 = data_path("ex66.json")
+    code, captured = _same_output(
+        capsys, ["betti", "--matrix", ex66, "--char", "x1=zeta5,x2=1,x3=1",
+                 "--assert-almost-principal", "-ref"],
+        ["betti", "--matrix", ex66, "--char", "x1=zeta5,x2=1,x3=1",
+         "--assert-almost-principal=-ref"])
+    assert code == 0
+    report = json.loads(captured.out)
+    assert report["almost_principal"] == "Yes (user-asserted: -ref)"
+
+
+_CHAR = "x1=zeta3,x2=zeta3,x3=zeta3"
+
+
+@pytest.mark.parametrize("argv,plain", [
+    (["invariants", "--pretty", PENCIL3], ["invariants", PENCIL3, "--pretty"]),
+    (["invariants", PENCIL3, f"--char={_CHAR}"],
+     ["invariants", PENCIL3, "--char", _CHAR]),
+    (["invariants", PENCIL3, "--proj"],
+     ["invariants", PENCIL3, "--projective"]),
+    (["invariants", PENCIL3, "--assert-almost-principal=TAG"],
+     ["invariants", PENCIL3, "--assert-almost-principal", "TAG"]),
+    (["betti", PENCIL3, "--char", "x1=-1,x2=1,x3=1", "--char", _CHAR],
+     ["betti", PENCIL3, "--char", _CHAR]),
+    (["seifert", "--q", "2", "--weights", "1,1,1", "--q=3"],
+     ["seifert", "--weights", "1,1,1", "--q", "3"]),
+    (["invariants", "--pretty", "--", PENCIL3],
+     ["invariants", PENCIL3, "--pretty"]),
+    (["betti", "--dep", "1", "--char", _CHAR, PENCIL3],
+     ["betti", PENCIL3, "--char", _CHAR, "--depth", "1"]),
+], ids=["option-first", "char-equals", "prefix", "tag-equals",
+        "last-char-wins", "last-q-wins", "double-dash", "depth-prefix"])
+def test_argv_spellings_answer_as_their_plain_form(capsys, argv, plain):
+    code, captured = _same_output(capsys, argv, plain)
+    assert code == 0 and captured.out and captured.err == ""
+
+
+def test_readme_command_lines_exit_0(capsys, monkeypatch):
+    """Every `alexkit ...` line of README's Command line block answers."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("alexkit ")]
+    assert len(lines) == 4
+    monkeypatch.chdir(root)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().out
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,36 @@ def test_normalize_idempotent():
     f = P("(t1*t2*t3-1)^2")
     assert normalize(f) == f
     assert normalize(normalize(f)) == normalize(f)
+
+
+def _normalize_oracle(f):
+    """The definition of `normalize`, which always builds a new
+    polynomial: shift every column minimum to 0, then make the
+    coefficient of the lex-greatest exponent positive."""
+    mins = [min(exp[i] for exp in f.terms) for i in range(f.nvars)]
+    out = {tuple(x - m for x, m in zip(exp, mins)): c
+           for exp, c in f.terms.items()}
+    if out[max(out)] < 0:
+        out = {e: -c for e, c in out.items()}
+    return LaurentPoly(f.nvars, out)
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+def test_normalize_matches_its_definition(nvars):
+    """On random polynomials with negative exponents and negative leads,
+    in zero to three variables, `normalize` equals its definition, and
+    returns a polynomial already in canonical form as itself."""
+    rng = random.Random(nvars)
+    for _ in range(300):
+        f = LaurentPoly(nvars, {
+            tuple(rng.randint(-4, 4) for _ in range(nvars)):
+                rng.choice([-7, -2, -1, 1, 3, 5])
+            for _ in range(rng.randint(1, 6))})
+        g = normalize(f)
+        assert g == _normalize_oracle(f)
+        assert g.terms == _normalize_oracle(f).terms
+        assert normalize(g) is g
+        assert (g is f) == (g.terms == f.terms)
 
 
 def test_normalize_zero_errors():
