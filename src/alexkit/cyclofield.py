@@ -304,7 +304,9 @@ def vanishing_order(f: LaurentPoly, point: Character) -> int:
     monomials of f are evaluated at ρ once (`Character.at`) and each
     derivative only reweights their coefficients: θ_j θ^α f has the
     coefficients of θ^α f times the exponents of t_j.  Each derivative's
-    value is read as the `rank` of the 1×1 matrix holding it.
+    value is read as the `rank` of the 1×1 matrix holding it.  θ_j f is
+    identically zero when no term of f holds t_j, so only the variables f
+    holds are derived along, and declared variables cost no work.
     θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers S(α,α) = 1 is
     unitriangular and t^β is a unit at ρ, so this is the order of
     vanishing of f at ρ.
@@ -314,7 +316,7 @@ def vanishing_order(f: LaurentPoly, point: Character) -> int:
     if len(point) != f.nvars:
         raise AlexkitError("point has wrong number of coordinates")
     coeffs, residues = point.at(f.terms)
-    columns = list(zip(*f.terms))
+    columns = [(j, col) for j, col in enumerate(zip(*f.terms)) if any(col)]
     # the coefficients of θ^α f for the α of order k, in lexicographic
     # order, each with α's last index i; order k + 1 extends α by j ≥ i
     derivatives, work = [(0, coeffs)], 0
@@ -327,5 +329,6 @@ def vanishing_order(f: LaurentPoly, point: Character) -> int:
             if rank([[zip(weighted, residues)]], point.conductor):
                 return k
             vanishing.append((i, weighted))
-        derivatives = ((j, list(map(operator.mul, weighted, columns[j])))
-                       for i, weighted in vanishing for j in range(i, f.nvars))
+        derivatives = ((j, list(map(operator.mul, weighted, col)))
+                       for i, weighted in vanishing for j, col in columns
+                       if j >= i)

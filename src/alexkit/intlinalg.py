@@ -115,8 +115,6 @@ def abelianization(p: GroupPresentation) -> AbelianStructure:
     """Structure of G_ab and the projection onto G_ab/Tors; m generators
     need m² within SMITH_BASIS_CAP."""
     m = p.num_generators
-    if m == 0:
-        return AbelianStructure(0, (), (), ())
     check("generators² (entries of the Smith change of basis)", m * m,
           SMITH_BASIS_CAP)
     d, v, w = smith_normal_form(p.exponent_matrix() or [[0] * m])

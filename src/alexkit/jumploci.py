@@ -109,14 +109,15 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
     nontrivial point of the identity component, the pointwise sum is a
     proven upper bound; a violation raises BoundInconsistencyError.
 
-    A factor f ≐ r(t^e) in one essential variable, with the `essential`
-    record (e, r, m), vanishes at rho to order 0 or 1, 1 exactly when
-    r(rho^e) = 0: r is irreducible in Z[u], so separable, and with
-    r(0) ≠ 0 the derivative θ_j f = e_j·u·r′(u) at u = t^e is nonzero at
-    a root for any e_j ≠ 0, e being primitive.  For r = Φ_m that is
-    whether rho^e has order m (`Character.order`), else whether the value
-    r(rho^e) has `rank` 0.  Only a factor in more than one essential
-    variable takes the general `vanishing_order`.
+    ν_rho is read in two ways.  A factor f ≐ Φ_m(t^e), whose `essential`
+    record (e, r, m) names its order m, vanishes at rho to order 0 or 1,
+    1 exactly when rho^e has order m (`Character.order`): Φ_m is
+    irreducible in Z[u], so separable, and with Φ_m(0) ≠ 0 the derivative
+    θ_j f = e_j·u·Φ_m′(u) at u = t^e is nonzero at a root for any
+    e_j ≠ 0, e being primitive.  Every other factor, in one essential
+    variable or more, takes `vanishing_order`, which spends no work on
+    the variables f does not hold; for f ≐ r(t^e) it reads at most the
+    value and one first derivative, by the same argument.
     """
     if rho.is_trivial():
         raise AlexkitError("bounds require a nontrivial character")
@@ -135,17 +136,11 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
     bound = 0
     on_components = []
     for (f, mu), record in zip(factored.factors, factored.essential):
-        if record is None:
-            nu = vanishing_order(f, point)
+        if record is not None and record[2] is not None:
+            e, _, m = record
+            nu = int(point.pull([e]).order() == m)
         else:
-            e, r, m = record
-            value = point.pull([e])
-            if m is not None:
-                nu = int(value.order() == m)
-            else:
-                nu = int(not rank([[zip(*value.at(
-                    {(i,): c for i, c in enumerate(r) if c}))]],
-                    value.conductor))
+            nu = vanishing_order(f, point)
         bound += mu * nu
         if nu > 0:
             on_components.append((f, mu))

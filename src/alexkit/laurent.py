@@ -70,7 +70,7 @@ class LaurentPoly:
     AlexkitError, and drops zeros.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
@@ -87,7 +87,6 @@ class LaurentPoly:
                         f"{nvars}")
                 clean[exp] = c
         self.terms = clean
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -199,9 +198,7 @@ class LaurentPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"LaurentPoly({self.render()})"
@@ -832,34 +829,30 @@ class FactoredPoly(NamedTuple):
         return acc
 
 
-def _cyclotomic_parts(r: Tuple[int, ...]) -> tuple:
-    """(closed, twice odd, even): products of Φ_m, each with a positive
-    leading coefficient, that between them hold every Φ_m dividing r in
-    Z[u], r(0) ≠ 0, with its full multiplicity.  For a squarefree r they
-    are the Φ_m with m odd and each Φ_(2^j·k) that comes with all of Φ_k,
-    Φ_2k, ..., Φ_(2^(j−1)·k), k odd; the other Φ_m with m ≡ 2 (mod 4);
-    the other Φ_m with 4 | m.
+def _cyclotomic_part(r: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The product of every Φ_m dividing r in Z[u], r(0) ≠ 0, each with
+    its full multiplicity, with a positive leading coefficient: (1,) when
+    no Φ_m divides r.
 
     A primitive m-th root of unity ζ is conjugate to ζ^2 when m is odd and
     to −ζ^2 when m ≡ 2 mod 4, and Φ_m(u) = Φ_{m/2}(u^2) when 4 | m
-    (Beukers & Smyth).  So the first part is the largest divisor h of r
-    with h | h(u^2), since squaring halves an even order; the second is
-    the largest divisor h of what is left with h | h(−u^2), since
-    α ↦ −α^2 takes an order divisible by 4 down to an odd one; and the
-    third is Φ(u^2) for the cyclotomic factors Φ(w) of the even part
-    gcd(r(u), r(−u)) = E(u^2) of what is left after that.  Such an h is
-    reached by gcds that each lower the degree, and has only roots of
+    (Beukers & Smyth).  So the product is taken over three divisors of r,
+    each of what the ones before leave of r: the largest h with
+    h | h(u^2), since squaring halves an even order; the largest h with
+    h | h(−u^2), since α ↦ −α^2 takes an order divisible by 4 down to an
+    odd one; and Φ(u^2) for the cyclotomic part Φ(w) of the even part
+    gcd(r(u), r(−u)) = E(u^2).  A divisor D of h with D | D(±u^2) divides
+    gcd(h, h(±u^2)), so the closure h ← gcd(h, h(±u^2)), whose gcds each
+    lower the degree, ends at the largest such h; it has only roots of
     unity, since for each root α all of ±α^(2^k) are among its finitely
     many roots.  No step depends on how many Φ_m there are.
 
-    Nor on r being squarefree.  A divisor D of h with D | D(±u^2) divides
-    gcd(h, h(±u^2)), so the closure h ← gcd(h, h(±u^2)) ends at the
-    largest such D.  By valuations: Φ_m^a divides Φ_m(u^2)^a for m odd
-    and Φ_m(−u^2)^a for m ≡ 2 mod 4, so the first two parts hold it
-    whole, and Φ_m(−u) = Φ_m(u) for 4 | m, so the even part holds what
-    the first two leave of Φ_m^a whole.  One Φ_m can fall into two parts:
-    in (u − 1)(u + 1)^3, Φ_2 goes once into the first and twice into the
-    second.
+    Nor on r being squarefree, by valuations: Φ_m^a divides Φ_m(u^2)^a for
+    m odd and Φ_m(−u^2)^a for m ≡ 2 mod 4, so the first two divisors hold
+    every such Φ_m^a dividing r, and Φ_m(−u) = Φ_m(u) for 4 | m, so the
+    even part holds what they leave of every other Φ_m^a.  One Φ_m can
+    fall into two of the divisors: in (u − 1)(u + 1)^3, Φ_2 goes once
+    into the first and twice into the second, and the product holds Φ_2^3.
     """
     def substitute(g, sign, power):
         """g(sign · u^power)"""
@@ -868,39 +861,16 @@ def _cyclotomic_parts(r: Tuple[int, ...]) -> tuple:
                         for k, c in enumerate(g)]
         return out
 
-    def closed(h, sign):
-        while True:
-            g = _dup_gcd(h, substitute(h, sign, 2))
-            if len(g) == len(h):
-                return h
-            h = g
-
-    parts = []
+    part = (1,)
     for sign in (1, -1):
-        h = closed(r, sign)
-        parts.append(h)
-        r = _dup_exquo(r, h)
+        h = r
+        while len(g := _dup_gcd(h, substitute(h, sign, 2))) < len(h):
+            h = g
+        part, r = _dup_mul(part, h), _dup_exquo(r, h)
     even = _dup_gcd(r, substitute(r, -1, 1))
-    if len(even) == 1:
-        return (*parts, (1,))
-    inner = (1,)
-    for h in _cyclotomic_parts(even[::2]):
-        inner = _dup_mul(inner, h)
-    return (*parts, tuple(substitute(inner, 1, 2)))
-
-
-def _split_cyclotomic(q: Tuple[int, ...]) -> tuple:
-    """([(m, a_m)], rest), m ascending, with q = Π Φ_m^(a_m) · rest, for q
-    in Z[u] with q(0) ≠ 0: no Φ_m divides rest.  Each part of
-    `_cyclotomic_parts` is a product of Φ_m, whose orders and
-    multiplicities `_cyclotomic_exponents` reads off; one Φ_m can fall
-    into two parts, so its multiplicities are summed."""
-    found, rest = {}, q
-    for c in _cyclotomic_parts(q):
-        for m, k in _cyclotomic_exponents(c):
-            found[m] = found.get(m, 0) + k
-        rest = _dup_exquo(rest, c)
-    return sorted(found.items()), rest
+    if len(even) > 1:
+        part = _dup_mul(part, substitute(_cyclotomic_part(even[::2]), 1, 2))
+    return tuple(part)
 
 
 def _directions(base: tuple, points: Sequence[tuple]) -> list:
@@ -1058,11 +1028,12 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     First every factor P(t^e) in one essential variable is split off by
     univariate gcds (`_split_directions`), and each P is factored in Z[u]:
     a product of Φ_m is read off its exponent sequence
-    (`_cyclotomic_exponents`); any other P loses its cyclotomic part,
-    multiplicities included (`_split_cyclotomic`), and only a nonconstant
-    rest goes to sympy's `factor_list`, which does its own squarefree
-    split.  A factor q(u) of P lifts to the factor q(t^e) of f,
-    irreducible because e extends to a basis of Z^n.
+    (`_cyclotomic_exponents`); any other P is divided by its cyclotomic
+    part (`_cyclotomic_part`), whose orders and multiplicities that one
+    recognizer reads off, and only a nonconstant rest goes to sympy's
+    `factor_list`, which does its own squarefree split.  A factor q(u) of
+    P lifts to the factor q(t^e) of f, irreducible because e extends to a
+    basis of Z^n.
 
     A residual piece h of degree one in some t_i is A·t_i + B, with A and
     B free of t_i: with c = gcd(A, B) = A/A' = B/B', A'·t_i + B' is
@@ -1094,7 +1065,8 @@ def factor_poly(f: LaurentPoly) -> FactoredPoly:
     for p, e in contents:
         orders, q = _cyclotomic_exponents(p), (1,)
         if orders is None:
-            orders, q = _split_cyclotomic(p)
+            part = _cyclotomic_part(p)
+            orders, q = _cyclotomic_exponents(part), _dup_exquo(p, part)
         found = [(_phi_coeffs(m), k, m) for m, k in orders]
         if len(q) > 1:
             found += [(_to_dense(r), k, None)

@@ -5,7 +5,7 @@ import pytest
 
 from alexkit.cyclofield import (Character, _images, cyclotomic_poly,
                                 parse_character, rank, vanishing_order)
-from alexkit import AlexkitError, ComputationCapError
+from alexkit import AlexkitError, ComputationCapError, cyclofield
 from alexkit.laurent import LaurentPoly, _to_dense, parse_poly
 
 from conftest import (character, mul_mod_phi, reduce_mod_phi, value_at,
@@ -202,3 +202,13 @@ def test_prime_images():
     for n in (1, 2, 211, 239, 240):
         assert all(p < 2 ** 30
                    for p, _ in itertools.islice(_images(n), 400))
+
+
+def test_vanishing_order_skips_absent_variables(monkeypatch):
+    """(v0 − 1)^2 declared among 50 variables vanishes to order 2 at the
+    trivial point within a work cap of 100: only derivatives along v0 are
+    taken, 9 units of work in all, where one along every declared
+    variable would spend 102 by the first order."""
+    monkeypatch.setattr(cyclofield, "VANISHING_WORK_CAP", 100)
+    f = parse_poly("(v0 - 1)^2", [f"v{i}" for i in range(50)])
+    assert vanishing_order(f, Character(1, [1] * 50, [0] * 50)) == 2

@@ -7,6 +7,7 @@ import graphlib
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -548,3 +549,20 @@ def test_one_error_class_per_exit_code():
                for alias in node.names
                if alias.name in {cls for _, cls in errors}]
     assert sibling == []
+
+
+def test_readme_limits_table_states_every_cap():
+    """Every `*_CAP` constant of alexkit/__init__.py has one row in
+    README's Limits table, and that row's value column states the
+    constant's current value; the table names no other cap."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Limits", 1)[1].split("\n\n| cap |", 1)[1]
+    rows = {}
+    for line in table.split("\n\n", 1)[0].splitlines()[2:]:
+        name, value = [cell.strip() for cell in line.split(" | ")[:2]]
+        rows[name.strip("| `")] = re.findall(r"\d+", value)
+    caps = {name: value for name, value in vars(alexkit).items()
+            if name.endswith("_CAP")}
+    assert sorted(rows) == sorted(caps)
+    assert [name for name, value in caps.items()
+            if str(value) not in rows[name]] == []

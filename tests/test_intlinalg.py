@@ -13,7 +13,8 @@ from sympy.matrices.normalforms import smith_normal_decomp
 
 import alexkit
 from alexkit.cyclofield import Character
-from alexkit.intlinalg import (abelianization, induced_torus_point,
+from alexkit.intlinalg import (AbelianStructure, abelianization,
+                               induced_torus_point,
                                validate_character)
 from alexkit.presentation import parse_presentation
 
@@ -186,3 +187,12 @@ def test_one_smith_form_per_presentation():
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)["characters"]) == 16
     assert proc.stderr.split() == ["1"]
+
+
+def test_abelianization_of_no_generators():
+    """`gens:` alone, and with two empty relators, presents the trivial
+    group: the Smith form of its k × 0 exponent matrix gives rank 0, no
+    torsion and empty projection and change of basis."""
+    for text in ("gens:\n", "gens:\nrel:\nrel:\n"):
+        assert abelianization(parse_presentation(text)) == \
+            AbelianStructure(0, (), (), ())

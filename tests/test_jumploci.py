@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import alexkit
-from alexkit import AlexkitError, jumploci
+from alexkit import AlexkitError, cyclofield, jumploci
 from alexkit.alexander import alexander_poly, fox_matrix, load_matrix
 from alexkit.cyclofield import Character, vanishing_order
 from alexkit.jumploci import (BoundInconsistencyError, almost_principal_status,
@@ -165,6 +165,16 @@ def test_semisimple_report_cyclotomic_roots():
         (chi("zeta3"), 2, 1, False), (chi("zeta8"), 1, 1, True)]
 
 
+def test_semisimple_report_skips_trivial_and_irrational_roots():
+    """Of (t − 1)(t + 1)(t² − 3t + 1) only t + 1 is reported: t − 1 has
+    the trivial root and t² − 3t + 1 no root that is a character."""
+    text = "(t - 1)*(t + 1)*(t^2 - 3*t + 1)"
+    m = load_matrix(("t",), [[text, "0"]])
+    rep = semisimple_equality_report(m, factor_poly(parse_poly(text, ("t",))))
+    assert [(e.root_text, e.root, e.mu, e.b1, e.equality) for e in rep] == [
+        ("t + 1", chi(-1), 1, 1, True)]
+
+
 def test_monodromy_jordan_block():
     rep = monodromy_analysis([[-1, 1], [0, -1]])
     assert rep.delta.render(("t",)) == "t^2 + 2*t + 1"
@@ -221,7 +231,7 @@ def _on_locus(rng, e, m, conductor):
 
 def test_bounds_report_matches_vanishing_order_oracle():
     """The pointwise and generic bounds of `bounds_report`, which read the
-    order of a factor in one essential variable off its record, equal the
+    order of a factor Φ_m(t^e) off its record, equal the
     bounds from `vanishing_order` of every factor: on products of random
     Φ_m(t^e), 2t^e − 1 and t^2e − 3t^e + 1 (e with negative entries), and
     one factor in two essential variables, at random points of conductor
@@ -266,8 +276,8 @@ def test_bounds_report_matches_vanishing_order_oracle():
 
 
 def test_bounds_report_on_the_linear_root():
-    """2·t^e − 1 vanishes where ρ^e = 1/2, once: the record's `is_zero`
-    path gives order 1 there and 0 nearby, as `vanishing_order` does."""
+    """2·t^e − 1 vanishes where ρ^e = 1/2, once: `bounds_report` gives
+    order 1 there and 0 nearby, as the oracle does."""
     rng = random.Random(7)
     for _ in range(20):
         n = rng.randint(1, 3)
@@ -287,6 +297,21 @@ def test_bounds_report_on_the_linear_root():
                 _oracle_bounds(factored, point)
             if not any(k):
                 assert report.bound_pointwise == 2
+
+
+def test_bounds_report_spends_no_work_on_absent_variables(monkeypatch):
+    """v48 − 2 among 50 variables, at v48 = 2: its record has no order,
+    so `vanishing_order` reads it, spending 4 units of work on the value
+    and the one derivative along v48; the bound 1 comes within a cap of
+    50, which a derivative along each declared variable would pass."""
+    monkeypatch.setattr(cyclofield, "VANISHING_WORK_CAP", 50)
+    mat = load_matrix([f"v{i}" for i in range(50)], [["v48 - 2", "0"]])
+    factored = factor_poly(mat.entries[0][0])
+    point = Character(1, [1] * 48 + [2, 1], [0] * 50)
+    report = bounds_report(mat, factored, point,
+                           almost_principal=("Unknown", None))
+    assert (report.b1, report.bound_pointwise, report.bound_generic) == \
+        (1, 1, 1)
 
 
 def _fixture_character(rng, name, width):

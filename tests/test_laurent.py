@@ -340,7 +340,7 @@ def test_factor_poly_reads_cyclotomic_delta_off_its_exponents(monkeypatch):
     from sympy.polys.rings import PolyElement
 
     monkeypatch.setattr(PolyElement, "factor_list", _no_split)
-    monkeypatch.setattr(laurent, "_cyclotomic_parts", _no_split)
+    monkeypatch.setattr(laurent, "_cyclotomic_part", _no_split)
     knot = parse_presentation("gens: x y\nrel: x^7 y^-11\n")
     fp = factor_poly(alexander_poly(fox_matrix(knot)))
     assert (fp.constant, _cyclotomic_orders(fp)) == (1, [(77, 1)])

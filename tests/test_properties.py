@@ -25,12 +25,13 @@ from alexkit.jumploci import (MonodromyReport, RootEquality, _charpoly,
                               twisted_betti)
 from alexkit.laurent import (FactoredPoly, LaurentPoly,
                              _coprime,
-                             _cyclotomic_exponents, _cyclotomic_parts,
-                             _directions, _divisors, _dup_mul, _from_dense,
+                             _cyclotomic_exponents, _cyclotomic_part,
+                             _directions, _divisors, _dup_exquo, _dup_mul,
+                             _from_dense,
                              _from_ring,
                              _ring, _isprime,
                              _fibers, _order_bound, _phi_coeffs,
-                             _split_cyclotomic, _split_directions, _to_dense,
+                             _split_directions, _to_dense,
                              _to_ring, _unfibers,
                              associates, default_names, divides,
                              exact_div_binomial, factor_poly, gcd_many,
@@ -696,14 +697,14 @@ def test_cyclotomic_recognition():
 
 def test_cyclotomic_order_every_order_to_1000():
     """The order oracle names every Φ_m, m ≤ 1000, and no non-cyclotomic
-    polynomial, and the split finds no order in a non-cyclotomic
-    irreducible."""
+    polynomial, and a non-cyclotomic irreducible has no cyclotomic
+    part."""
     for m in range(1, 1001):
         assert cyclotomic_order(cyclotomic_poly(m)) == m
     for text in ("t-2", "t^2-3", "t^2+t-1", "2*t+1", "t^4+t+1"):
         f = parse_poly(text, ("t",))
         assert cyclotomic_order(f) is None
-        assert _split_cyclotomic(_to_dense(f)) == ([], _to_dense(f))
+        assert _cyclotomic_part(_to_dense(f)) == (1,)
 
 
 def _euler_phi(m: int) -> int:
@@ -1066,11 +1067,6 @@ RECIPROCAL_NON_CYCLOTOMIC = (
     "u^4 - 3*u^2 + 1", "u^10 + u^9 - u^7 - u^6 - u^5 - u^4 - u^3 + u + 1")
 
 
-def _twos(m: int) -> int:
-    """The exponent of 2 in m ≥ 1."""
-    return (m & -m).bit_length() - 1
-
-
 def _phi_product(orders) -> tuple:
     """Π Φ_m over the orders, as a dense tuple."""
     out = (1,)
@@ -1079,54 +1075,59 @@ def _phi_product(orders) -> tuple:
     return out
 
 
-def test_split_cyclotomic_finds_exactly_the_cyclotomic_factors():
-    """_cyclotomic_parts and _split_cyclotomic on squarefree products of
-    distinct Φ_m (m ≤ 90) and self-reciprocal non-cyclotomic factors
-    whose roots square into each other's: the three parts are the
-    products of the Φ_m put in of each class (m odd or with every
-    m/2, m/4, ... down to its odd part put in too; the other m ≡ 2 mod 4;
-    the other 4 | m), and the split returns exactly the Φ_m.  The inputs
-    are built as dense coefficient tuples in Z[u]."""
+def _split(q: tuple) -> tuple:
+    """([(m, a_m)], rest) with q = Π Φ_m^(a_m) · rest, read as
+    `factor_poly` reads it: the orders off `_cyclotomic_part`, the rest by
+    exact division."""
+    part = _cyclotomic_part(q)
+    return _cyclotomic_exponents(part), _dup_exquo(q, part)
+
+
+def test_cyclotomic_part_finds_exactly_the_cyclotomic_factors():
+    """_cyclotomic_part on squarefree products of distinct Φ_m (m ≤ 90),
+    with chains k, 2k, 4k, ... of orders, and self-reciprocal
+    non-cyclotomic factors whose roots square into each other's: it is
+    the product of the Φ_m put in, `_cyclotomic_exponents` reads exactly
+    those orders off it, and it divides the input with the non-cyclotomic
+    factors left.  The inputs are built as dense coefficient tuples in
+    Z[u]."""
     rng = random.Random(20261018)
     for _ in range(300):
         orders = set(rng.sample(range(1, 91), rng.randint(0, 5)))
         if orders and rng.random() < 0.5:
-            # a chain k, 2k, 4k, ...: all of it in the first part
             k = rng.choice(sorted(orders))
             orders |= {k << i for i in range(1, rng.randint(2, 4))
                        if k << i <= 90}
         others = rng.sample(RECIPROCAL_NON_CYCLOTOMIC, rng.randint(0, 3))
         if not orders and not others:
             continue
-        q = _phi_product(orders)
+        rest = (1,)
         for text in others:
-            q = tuple(_dup_mul(q, _to_dense(parse_poly(text, ("u",)))))
-        closed = {m for m in orders
-                  if all(m >> i in orders for i in range(1, _twos(m) + 1))}
-        assert _cyclotomic_parts(q) == tuple(
-            _phi_product(m for m in orders if test(m))
-            for test in (closed.__contains__,
-                         lambda m: m not in closed and m % 4 == 2,
-                         lambda m: m not in closed and m % 4 == 0))
-        found, rest = _split_cyclotomic(q)
-        assert found == [(m, 1) for m in sorted(orders)], (orders, others)
-        assert tuple(_dup_mul(_phi_product(orders), rest)) == q
+            rest = tuple(_dup_mul(rest, _to_dense(parse_poly(text, ("u",)))))
+        q = tuple(_dup_mul(_phi_product(orders), rest))
+        assert _cyclotomic_part(q) == _phi_product(sorted(orders)), \
+            (orders, others)
+        assert _split(q) == ([(m, 1) for m in sorted(orders)], rest)
 
 
-def test_split_cyclotomic_counts_multiplicities():
-    """_split_cyclotomic on products that are not squarefree: Φ_m^a
+def test_cyclotomic_part_counts_multiplicities():
+    """_cyclotomic_part on products that are not squarefree: Φ_m^a
     (m ≤ 90, a ≤ 3), chains Φ_k^a·Φ_2k^b·Φ_4k^c with unequal exponents,
-    and squares of self-reciprocal non-cyclotomic factors.  It returns
-    the orders and multiplicities the product was built from and the
-    non-cyclotomic rest, also where one Φ_m falls into two parts of
-    `_cyclotomic_parts`.  The inputs are dense tuples in Z[u]."""
+    and squares of self-reciprocal non-cyclotomic factors.  The orders
+    and multiplicities read off it are those the product was built from,
+    and it divides the input with the non-cyclotomic rest left.  Chains
+    are where one Φ_m can fall into two of the divisors that
+    `_cyclotomic_part` multiplies (Φ_2k^b with b > a ≥ 1, k odd), so the
+    count checks that they are drawn.  The inputs are dense tuples in
+    Z[u]."""
     rng = random.Random(20261027)
-    shared = 0
+    chains = 0
     for _ in range(200):
         counts = {m: rng.randint(1, 3)
                   for m in rng.sample(range(1, 91), rng.randint(0, 3))}
         if rng.random() < 0.6:
             k = rng.randint(1, 22)
+            chains += 1
             for m, a in zip((k, 2 * k, 4 * k), rng.sample(range(4), 3)):
                 if a:
                     counts[m] = counts.get(m, 0) + a
@@ -1138,11 +1139,8 @@ def test_split_cyclotomic_counts_multiplicities():
         q = rest
         for m, a in counts.items():
             q = tuple(_dup_mul(q, _phi_product([m] * a)))
-        assert _split_cyclotomic(q) == (sorted(counts.items()), rest), \
-            (counts, rest)
-        parts = [dict(_cyclotomic_exponents(c)) for c in _cyclotomic_parts(q)]
-        shared += any(len([p for p in parts if m in p]) > 1 for m in counts)
-    assert shared > 20
+        assert _split(q) == (sorted(counts.items()), rest), (counts, rest)
+    assert chains > 100
 
 
 def _sympy_cyclotomic_exponents(p):
