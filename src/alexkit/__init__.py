@@ -3,6 +3,7 @@ jump loci of rank-one local systems, quasi-projectivity obstructions,
 and Seifert link invariants."""
 
 import re
+import sys
 
 __version__ = "0.1.0"
 
@@ -48,11 +49,12 @@ FACTOR_BOX_CAP = 20_000
 # all: every q ≤ 3 within DEGREE_CAP passes
 SEIFERT_OUTPUT_CAP = 3 * (DEGREE_CAP + 1)
 
-# Python refuses to convert a string of more than 4300 digits to an int
-# (its default `sys.get_int_max_str_digits()`), with a ValueError, and to
-# print such an int; each parser refuses such a number first, with its own
-# error, and `check_printable` refuses to print a computed one.
-MAX_DIGITS = 4300
+# Python refuses to convert a string of more than
+# `sys.get_int_max_str_digits()` digits (4300 by default) to an int, with a
+# ValueError, and to print such an int; each parser refuses such a number
+# first, with its own error, and `check_printable` refuses to print a
+# computed one.  Without that limit (0) the default stays the bound.
+MAX_DIGITS = sys.get_int_max_str_digits() or 4300
 _LONG_NUMBER = re.compile(rf"\d{{{MAX_DIGITS + 1}}}")
 _DIGITS_LIMIT = 10 ** MAX_DIGITS  # the least of more than MAX_DIGITS digits
 # the largest b with 2^b of at most MAX_DIGITS digits: `parse_poly` refuses

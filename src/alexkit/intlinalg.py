@@ -8,15 +8,11 @@ abelian quotient, and the point a character induces on that quotient.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import SMITH_BASIS_CAP, AlexkitError, check
 from .cyclofield import Character
 from .presentation import GroupPresentation
-
-
-def _identity(n: int) -> List[List[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
@@ -26,12 +22,20 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     D is diagonal with nonnegative entries d_1 | d_2 | ...; zero rows/columns
     are allowed (D has the same shape as M).  Each column operation on V is
     the inverse row operation on W.
+
+    Stage t makes d_t in rounds on the block of rows and columns ≥ t.  A
+    round moves the block's least nonzero |entry| (the first in row order)
+    to (t, t) as a positive pivot and reduces column t, then row t, by it
+    with floor quotients.  A remainder there, or a block entry that a pivot
+    above 1 does not divide (its row added to row t), starts another round
+    with a lesser pivot, so the stage ends.  Reducing only row and column t
+    keeps the rest of the block from growing (Kannan and Bachem, 1979).
     """
     m = [list(map(int, row)) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    v = _identity(cols)
-    w = _identity(cols)
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    w = [row[:] for row in v]
 
     def row_op(i, j, c):  # row_i += c * row_j
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]
@@ -43,9 +47,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
             v[r][i] += c * v[r][j]
         w[j] = [a - c * b for a, b in zip(w[j], w[i])]
 
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-
     def col_swap(i, j):
         for r in range(rows):
             m[r][i], m[r][j] = m[r][j], m[r][i]
@@ -53,49 +54,36 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
             v[r][i], v[r][j] = v[r][j], v[r][i]
         w[i], w[j] = w[j], w[i]
 
-    def row_negate(i):
-        m[i] = [-a for a in m[i]]
-
     t = 0
     while t < min(rows, cols):
-        # locate a pivot: smallest nonzero entry in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (pivot is None or
-                                     abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        least = None  # (|entry|, row, column), the scan stops at a unit
+        for entry in ((abs(m[i][j]), i, j) for i in range(t, rows)
+                      for j in range(t, cols) if m[i][j]):
+            if least is None or entry < least:
+                least = entry
+                if entry[0] == 1:
+                    break
+        if least is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        pivot, i, j = least
+        m[t], m[i] = m[i], m[t]
+        col_swap(t, j)
         if m[t][t] < 0:
-            row_negate(t)
-        while True:
-            # reduce column t; a nonzero remainder becomes the new pivot
-            changed = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    row_op(i, t, -(m[i][t] // m[t][t]))
-                    if m[i][t] != 0:
-                        row_swap(t, i)
-                        changed = True
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    col_op(j, t, -(m[t][j] // m[t][t]))
-                    if m[t][j] != 0:
-                        col_swap(t, j)
-                        changed = True
-            if changed:
-                # the new pivot, a remainder of `//` by a positive one, is > 0
+            m[t] = [-a for a in m[t]]
+        for i in range(t + 1, rows):
+            if m[i][t]:
+                row_op(i, t, -(m[i][t] // pivot))
+        for j in range(t + 1, cols):
+            if m[t][j]:
+                col_op(j, t, -(m[t][j] // pivot))
+        if any(m[i][t] for i in range(t + 1, rows)) or any(m[t][t + 1:]):
+            continue
+        if pivot > 1:
+            bad = next((i for i in range(t + 1, rows)
+                        if any(a % pivot for a in m[i][t + 1:])), None)
+            if bad is not None:
+                row_op(t, bad, 1)
                 continue
-            # divisibility: d_t must divide the remaining block
-            bad = next(((i, j) for i in range(t + 1, rows)
-                        for j in range(t + 1, cols)
-                        if m[i][j] % m[t][t] != 0), None)
-            if bad is None:
-                break
-            row_op(t, bad[0], 1)
         t += 1
     return m, v, w
 

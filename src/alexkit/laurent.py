@@ -191,8 +191,6 @@ class LaurentPoly:
         return LaurentPoly.constant(self.nvars, other)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.constant(self.nvars, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms

@@ -31,15 +31,15 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BOUND, MEMORY_BOUND))
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, **env):
     """(`python -m alexkit.cli` in a fresh interpreter under MEMORY_BOUND,
-    its wall time)."""
+    with `env` added to its environment, its wall time)."""
     src = str(Path(alexkit.__file__).resolve().parent.parent)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "alexkit.cli", *argv],
         capture_output=True, text=True, timeout=2 * WALL_BOUND,
-        env=dict(os.environ, PYTHONPATH=src), preexec_fn=_limit_memory)
+        env=dict(os.environ, PYTHONPATH=src, **env), preexec_fn=_limit_memory)
     return proc, time.perf_counter() - start
 
 
@@ -120,6 +120,27 @@ def test_matrix_power_under_print_limit(tmp_path):
     assert wall < WALL_BOUND
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["input"]["rows"] == [[str(11 ** 4000)]]
+
+
+@pytest.mark.parametrize("name,text,code,line", [
+    ("m.json", json.dumps({"vars": ["t"], "rows": [["7^1500*t + 1", "0"]]}),
+     3, "alexkit: cap exceeded: bits of a power's leading coefficient 3000 "
+     "exceeds cap 2126"),
+    ("g.grp", f"gens: a b\nrel: a^{'1' * 700} b\n", 2,
+     "alexkit: line 2, column 6: exponent on 'a' has more than 640 digits"),
+], ids=["matrix-power", "presentation-exponent"])
+def test_print_limit_follows_interpreter(tmp_path, name, text, code, line):
+    """Under a digit limit of 640 for int and str conversion, a number
+    past it is refused with one line, as past the default 4300: a power
+    of 1268 digits, and an exponent of 700.  Each once ended in a
+    ValueError traceback."""
+    path = tmp_path / name
+    path.write_text(text)
+    argv = ["--matrix", str(path)] if name.endswith(".json") else [str(path)]
+    proc, wall = _run_cli("invariants", *argv, PYTHONINTMAXSTRDIGITS="640")
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.splitlines() == [line]
 
 
 def test_seifert_many_components_over_output_cap():
@@ -311,6 +332,58 @@ def test_invariants_over_smith_basis_cap(tmp_path):
     assert proc.stderr.splitlines() == [
         "alexkit: cap exceeded: generators² (entries of the Smith change of "
         "basis) 900000000 exceeds cap 1000000"]
+
+
+# six relators on whose exponent matrix a Smith form that swapped each
+# remainder into the pivot in place ran past 20 s
+_SMITH_GROWTH = """gens: a b c d e f
+rel: a^5 b^7 c^-5 d^-5 e^3
+rel: a^5 b^3 c^-5 d^9 e^5 f^-5
+rel: a^9 b^-5 c^18 d^-5 e^7 f^5
+rel: b^5 c^5 d^7 e^7 f^-12
+rel: a^3 b^5 c^9 d^9 e^-12 f^5
+rel: a^-5 b^18 c^18 d^5 e^-12 f^3
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants"], ["betti", "--char", "a=1,b=1,c=1,d=1,e=1,f=1"],
+], ids=["invariants", "betti-trivial"])
+def test_smith_form_entry_growth(tmp_path, argv):
+    """G_ab = Z/4886019: the Smith form reduces only its pivot's row and
+    column, so the entries stay small and both commands answer at once;
+    `betti` at the trivial character needs no Δ."""
+    path = tmp_path / "g.grp"
+    path.write_text(_SMITH_GROWTH)
+    proc, wall = _run_cli(argv[0], str(path), *argv[1:])
+    assert wall < 1
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    report = json.loads(proc.stdout)
+    if argv[0] == "invariants":
+        assert (report["b1"], report["torsion"]) == (0, [4886019])
+    else:
+        assert report["b1"] == 0
+
+
+def test_smith_form_wide_wirtinger_like(tmp_path):
+    """1000 generators and 999 relators g(i+1)^-1 g(j) g(i) g(j)^-1: every
+    pivot is a unit, found at the first ±1 of the block, so the Smith form
+    takes under 2 s before the minor cap refuses the presentation, which
+    took over 40 s when each pivot scanned the whole block."""
+    rng = random.Random(1)
+    m = 1000
+    lines = ["gens: " + " ".join(f"g{i}" for i in range(m))]
+    for i in range(m - 1):
+        j = rng.randrange(m)
+        lines.append(f"rel: g{i + 1}^-1 g{j} g{i} g{j}^-1")
+    path = tmp_path / "g.grp"
+    path.write_text("\n".join(lines) + "\n")
+    proc, wall = _run_cli("invariants", str(path))
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "alexkit: cap exceeded: matrix size (most rows or columns) 1000 "
+        "exceeds cap 8"]
 
 
 def test_matrix_over_ring_variables_cap(tmp_path):

@@ -23,6 +23,16 @@ def P(text, names=T3):
     return parse_poly(text, names)
 
 
+def test_poly_equals_no_int():
+    """A constant polynomial is not equal to its int, so that equal
+    objects hash alike and set membership agrees with ==."""
+    one = LaurentPoly.one(1)
+    assert one != 1 and 1 != one
+    assert one not in {1} and 1 not in {one}
+    assert one == LaurentPoly.constant(1, 1)
+    assert LaurentPoly.constant(1, 1) in {one}
+
+
 def test_normalize_strips_units():
     f = P("-(t1^-1)*t2*(t1*t2-1)")
     assert normalize(f) == P("t1*t2 - 1")
