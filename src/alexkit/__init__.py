@@ -18,8 +18,6 @@ class ComputationCapError(RuntimeError):
 
 # -- caps: each is checked before the work it bounds is done ---------------
 
-# the most rows or columns of a matrix whose minors are expanded
-MINOR_MATRIX_CAP = 8
 # the most entries m² of the m × m change of basis (and of its inverse)
 # that `abelianization` builds for the Smith form of m generators: one
 # commutator in 1000 generators takes 0.43 s and 47 MB in a fresh run, in
@@ -64,13 +62,20 @@ COEFFICIENT_BITS_CAP = _DIGITS_LIMIT.bit_length() - 1
 # the largest terms × coefficient bits that `parse_poly` expands a power or
 # a product to, bounded from its operands before it is expanded:
 # (t + 1)^2000 passes (4004001, in 2.6 s on a 2-core x86_64), (t + 1)^3000
-# does not (9006001)
+# does not (9006001); it bounds memory, which PRODUCT_WORK_CAP does not
 EXPANSION_CAP = 5_000_000
-# the largest work, term products × coefficient bits summed over every
-# product and squaring, that one `parse_poly` call spends expanding:
-# (t + 1)^2000 spends 2555853126 (1.7 s on a 2-core x86_64) and passes; a
-# sum of (t + 1)^1500, 1.06·10^9 (0.74 s) each, stops at the third
-EXPANSION_WORK_CAP = 3_000_000_000
+# the most `product_work` of one `ProductMeter`: one `parse_poly`, one
+# `elementary_ideal_minors` or one `_fox_delta1`.  (t + 1)^2000 spends
+# 2.12·10^9 (1.7 s on a 2-core x86_64), a benchmark op at most 1.95·10^6
+PRODUCT_WORK_CAP = 3_000_000_000
+
+
+def product_work(terms_a: int, terms_b: int, top_a: int, top_b: int) -> int:
+    """The cost of a product of sparse polynomials of terms_a and terms_b
+    terms, of largest coefficients top_a and top_b: per term product, 512
+    (its loop overhead) plus the products of their 30-bit digits."""
+    return terms_a * terms_b * (512 + (abs(top_a).bit_length() + 29) // 30
+                                * ((abs(top_b).bit_length() + 29) // 30))
 
 
 def check(what: str, value: int, cap: int) -> None:
@@ -93,6 +98,17 @@ def check_printable(c: int) -> None:
     if abs(c) >= _DIGITS_LIMIT:
         raise ComputationCapError(f"a coefficient has more than {MAX_DIGITS} "
                                   "digits, the limit for printing a number")
+
+
+class ProductMeter:
+    """The `product_work` of one call, each charge added before the work it
+    prices, up to PRODUCT_WORK_CAP; tops default to 1-digit coefficients."""
+
+    spent = 0
+
+    def charge(self, terms_a, terms_b, top_a=1, top_b=1) -> None:
+        self.spent += product_work(terms_a, terms_b, top_a, top_b)
+        check("product work", self.spent, PRODUCT_WORK_CAP)
 
 
 class Frozen:

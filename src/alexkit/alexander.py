@@ -9,11 +9,12 @@ gcds the Alexander polynomials.  Matrices may also be loaded directly
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from . import DEGREE_CAP, MINOR_MATRIX_CAP, AlexkitError, check
+from . import DEGREE_CAP, AlexkitError, ProductMeter, check
 from .intlinalg import AbelianStructure, abelianization
 from .laurent import (LaurentPoly, _dup_exquo, _from_dense, _to_dense,
                       default_names, divides, exact_div_binomial, gcd_many,
@@ -161,47 +162,46 @@ def load_matrix(var_names: Sequence[str],
 # -- minors and elementary ideals -------------------------------------------
 
 
-def _row_minors(rows: List[List[LaurentPoly]], n: int) -> dict:
+def _row_minors(rows: List[List[LaurentPoly]], n: int,
+                meter: ProductMeter) -> dict:
     """The nonzero maximal minors of a k x m matrix (1 <= k <= m), keyed by
     the bitmask of their columns.
 
     Laplace expansion along the rows, bottom up and memoized over column
-    subsets: the minors on the last r rows are built from those on the
-    last r - 1, so every sub-minor is computed once (2^m of them at most,
-    not k!).  Products accumulate in plain term dicts, so each memo entry
-    makes a single LaurentPoly.
+    subsets: the minors on the last r rows, plain term dicts, are built
+    from those on the last r - 1, each once (2^m at most, not k!).  Each
+    level is first charged Σ_c terms(entry c) × Σ_mask terms(sub-minor),
+    at the largest coefficients of the row and of the level below.
     """
-    level = {1 << c: e for c, e in enumerate(rows[-1]) if not e.is_zero()}
+    level = {1 << c: e.terms for c, e in enumerate(rows[-1]) if e.terms}
+    values = [abs(c) for t in level.values() for c in t.values()]
+    size, top = len(values), max(values, default=0)
     for row in reversed(rows[:-1]):
+        live = [(1 << c, e.terms) for c, e in enumerate(row) if e.terms]
+        values = [abs(c) for _, t in live for c in t.values()]
+        meter.charge(len(values), size, max(values, default=0), top)
         sums: dict = {}
-        for c, entry in enumerate(row):
-            if entry.is_zero():
-                continue
-            bit = 1 << c
+        for bit, entry in live:
             for mask, sub in level.items():
                 if mask & bit:
                     continue
-                # sign of column c's position within the subset mask|bit
-                negative = bin(mask & (bit - 1)).count("1") & 1
+                # sign of the column bit's position within mask|bit
+                negative = (mask & (bit - 1)).bit_count() & 1
                 acc = sums.setdefault(mask | bit, {})
-                for e1, c1 in entry.terms.items():
+                for e1, c1 in entry.items():
                     if negative:
                         c1 = -c1
-                    for e2, c2 in sub.terms.items():
+                    for e2, c2 in sub.items():
                         e = tuple(map(operator.add, e1, e2))
                         acc[e] = acc.get(e, 0) + c1 * c2
-        level = {}
+        level, size, top = {}, 0, 0
         for mask, acc in sums.items():
-            minor = LaurentPoly(n, acc)
-            if not minor.is_zero():
-                level[mask] = minor
-    return level
-
-
-def _det(rows: List[List[LaurentPoly]], n: int) -> LaurentPoly:
-    """Determinant of a square matrix with entries in n variables."""
-    return _row_minors(rows, n).get((1 << len(rows)) - 1,
-                                    LaurentPoly.zero(n))
+            acc = {e: c for e, c in acc.items() if c}
+            if acc:
+                level[mask] = acc
+                size += len(acc)
+                top = max(top, max(map(abs, acc.values())))
+    return {mask: LaurentPoly(n, acc) for mask, acc in level.items()}
 
 
 def elementary_ideal_minors(mat: AlexanderMatrix, i: int) -> List[LaurentPoly]:
@@ -212,19 +212,19 @@ def elementary_ideal_minors(mat: AlexanderMatrix, i: int) -> List[LaurentPoly]:
     """
     if i < 0:
         raise AlexkitError("elementary ideal index must be nonnegative")
-    n = mat.num_vars
-    size = mat.num_cols - i
+    n, h, m = mat.num_vars, mat.num_rows, mat.num_cols
+    size = m - i
     if size <= 0:
         return [LaurentPoly.one(n)]
-    if size > mat.num_rows:
+    if size > h:
         return [LaurentPoly.zero(n)]
-    check("matrix size (most rows or columns)",
-          max(mat.num_rows, mat.num_cols), MINOR_MATRIX_CAP)
+    meter = ProductMeter()  # a term product per entry and minor a subset reads
+    meter.charge(math.comb(h, size), size * m + math.comb(m, size))
     zero = LaurentPoly.zero(n)
     out = []
-    for rsel in itertools.combinations(range(mat.num_rows), size):
-        minors = _row_minors([mat.entries[r] for r in rsel], n)
-        for csel in itertools.combinations(range(mat.num_cols), size):
+    for rsel in itertools.combinations(range(h), size):
+        minors = _row_minors([mat.entries[r] for r in rsel], n, meter)
+        for csel in itertools.combinations(range(m), size):
             out.append(minors.get(sum(1 << c for c in csel), zero))
     return out
 
@@ -250,15 +250,17 @@ def alexander_poly(mat: AlexanderMatrix, i: int = 1) -> LaurentPoly:
 
 def _fox_delta1(mat: AlexanderMatrix) -> LaurentPoly:
     """Δ₁ from one maximal minor per row subset (see alexander_poly)."""
-    check("matrix size (most rows or columns)",
-          max(mat.num_rows, mat.num_cols), MINOR_MATRIX_CAP)
     n, m = mat.num_vars, mat.num_cols
     phi = list(zip(*mat.abelian.abf_projection))
     j = next(k for k in range(m) if any(phi[k]))
     keep = [c for c in range(m) if c != j]
+    meter = ProductMeter()  # a term product per entry a subset copies
+    meter.charge(math.comb(mat.num_rows, m - 1), (m - 1) ** 2)
     quotients = []
     for rsel in itertools.combinations(range(mat.num_rows), m - 1):
-        minor = _det([[mat.entries[r][c] for c in keep] for r in rsel], n)
+        minor = _row_minors([[mat.entries[r][c] for c in keep] for r in rsel],
+                            n, meter).get((1 << (m - 1)) - 1,
+                                          LaurentPoly.zero(n))
         if n == 1:
             minor = minor * (LaurentPoly.var(1, 0) - 1)
         q = exact_div_binomial(minor, phi[j])

@@ -31,9 +31,8 @@ from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import (COEFFICIENT_BITS_CAP, DEGREE_CAP, EXPANSION_CAP,
-               EXPANSION_WORK_CAP, FACTOR_BOX_CAP, MAX_DIGITS,
-               RING_VARIABLES_CAP, AlexkitError, check, check_printable,
-               has_long_number)
+               FACTOR_BOX_CAP, MAX_DIGITS, RING_VARIABLES_CAP, AlexkitError,
+               ProductMeter, check, check_printable, has_long_number)
 
 
 def _rational(c):
@@ -677,10 +676,9 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
     """Parse the expression grammar: ints, variables, + - * ^, parentheses.
     A power whose result would hold a coefficient of more than MAX_DIGITS
     digits is a cap error, found before it is expanded, and so is a power
-    or product whose result is past EXPANSION_CAP.  Every product and
-    squaring adds its term products × coefficient bits to the work of the
-    whole expression, which must stay within EXPANSION_WORK_CAP: a cap
-    error before the product that would pass it."""
+    or product whose result is past EXPANSION_CAP.  One meter bounds the
+    whole expression: each product and squaring is charged its
+    `product_work` before it is done."""
     if has_long_number(text):
         raise AlexkitError(f"a number has more than {MAX_DIGITS} digits")
     tokens = []
@@ -695,14 +693,13 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
         pos = m.end()
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
-    state = {"i": 0, "work": 0}
+    state = {"i": 0}
+    meter = ProductMeter()
 
     def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-        if a.terms and b.terms:
-            state["work"] += len(a.terms) * len(b.terms) * sum(
-                max(map(abs, f.terms.values())).bit_length() for f in (a, b))
-            check("expansion work (term products × coefficient bits)",
-                  state["work"], EXPANSION_WORK_CAP)
+        meter.charge(len(a.terms), len(b.terms),
+                     max(map(abs, a.terms.values()), default=0),
+                     max(map(abs, b.terms.values()), default=0))
         return a * b
 
     def peek():

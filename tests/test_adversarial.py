@@ -290,9 +290,9 @@ def test_matrix_expansion_under_cap(tmp_path):
 
 def test_matrix_expansion_work_over_cap(tmp_path):
     """A sum of (t + 1)^1500, each inside `EXPANSION_CAP`, ran without
-    bound: the work of the whole expression, term products × coefficient
-    bits, would pass `EXPANSION_WORK_CAP` within the third power, and the
-    product that would pass it is refused."""
+    bound: the product work of the whole expression, 8.2·10^8 a power,
+    would pass `PRODUCT_WORK_CAP` within the fourth power, and the product
+    that would pass it is refused."""
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"vars": ["t"],
                                 "rows": [[" + ".join(["(t+1)^1500"] * 40)]]}))
@@ -300,8 +300,8 @@ def test_matrix_expansion_work_over_cap(tmp_path):
     assert wall < WALL_BOUND
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.splitlines() == [
-        "alexkit: cap exceeded: expansion work (term products × coefficient "
-        "bits) 3191172474 exceeds cap 3000000000"]
+        "alexkit: cap exceeded: product work 3275109176 exceeds cap "
+        "3000000000"]
 
 
 def test_matrix_sparse_piece_over_factor_box(tmp_path):
@@ -368,8 +368,10 @@ def test_smith_form_entry_growth(tmp_path, argv):
 def test_smith_form_wide_wirtinger_like(tmp_path):
     """1000 generators and 999 relators g(i+1)^-1 g(j) g(i) g(j)^-1: every
     pivot is a unit, found at the first ±1 of the block, so the Smith form
-    takes under 2 s before the minor cap refuses the presentation, which
-    took over 40 s when each pivot scanned the whole block."""
+    takes under 2 s (over 40 s when each pivot scanned the whole block).
+    The one 999 × 999 determinant of Δ₁ is then refused by the product
+    meter, at the level of its Laplace expansion that would pass the
+    cap."""
     rng = random.Random(1)
     m = 1000
     lines = ["gens: " + " ".join(f"g{i}" for i in range(m))]
@@ -382,8 +384,112 @@ def test_smith_form_wide_wirtinger_like(tmp_path):
     assert wall < WALL_BOUND
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.splitlines() == [
-        "alexkit: cap exceeded: matrix size (most rows or columns) 1000 "
-        "exceeds cap 8"]
+        "alexkit: cap exceeded: product work 4080933981 exceeds cap "
+        "3000000000"]
+
+
+# Fox entries of 5-18 terms spread over degrees up to 1.7·10^7: the one
+# 6 × 6 determinant of Δ₁ filled the memory (a MemoryError traceback)
+_SPARSE_DETERMINANT = """gens: a b c d e f g
+rel: a^9 b^18 c^18 d^9 e^18 f^9 g^-12
+rel: b^-12 c^7 d^18 e^7 f^7 g^7
+rel: a^-12 c^5 e^5 g^7
+rel: a^-12 b^5 d^7 e^7 g^5
+rel: b^7 c^5 d^5 e^-12 f^18 g^18
+rel: a^-12 c^7 d^-12 e^-12 f^18 g^7
+"""
+
+
+def test_sparse_determinant_over_product_work(tmp_path):
+    """Each level of the Laplace expansion is charged its products before
+    they are done, so the level that would pass `PRODUCT_WORK_CAP` is
+    refused at once."""
+    path = tmp_path / "g.grp"
+    path.write_text(_SPARSE_DETERMINANT)
+    proc, wall = _run_cli("invariants", str(path))
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "alexkit: cap exceeded: product work 6829390989 exceeds cap "
+        "3000000000"]
+
+
+@pytest.mark.parametrize("entry,bound,work", [
+    (" - ".join(["*".join(["11^4000"] * 300)] * 4), 5, 3005902360),
+    ("(" + "*".join(f"(1+t^{1 << i})" for i in range(13)) + ")^2", 1,
+     34435296855),
+], ids=["big-integer-chain", "squared-product"])
+def test_matrix_entry_over_product_work(tmp_path, entry, bound, work):
+    """A product of big integers costs their digits' products: four chains
+    of 300 × 11^4000 ran 16-18 s before the printing limit refused them.
+    The square of ∏(1 + t^(2^i)), i < 13, has 8192² term products, inside
+    `EXPANSION_CAP`, and ran 43 s; both are refused from `product_work`."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["t"], "rows": [[entry, "t - 1"]]}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < bound
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        f"alexkit: cap exceeded: product work {work} exceeds cap 3000000000"]
+
+
+@pytest.mark.parametrize("column", ["0", "t - 1"], ids=["zeros", "t-1"])
+def test_matrix_row_subsets_over_product_work(tmp_path, column):
+    """A 30 × 12 matrix has C(30, 11) row subsets of 11 rows, which do no
+    products when their minors vanish: the loop over them is charged
+    before it starts."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["t"],
+                                "rows": [[column] + ["0"] * 11] * 30}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "alexkit: cap exceeded: product work 4035427905600 exceeds cap "
+        "3000000000"]
+
+
+def _torus_knot(p, q):
+    """The Wirtinger presentation of T(p, q), q ≥ 2, as the closure of
+    (σ₁⋯σ_{p−1})^q: at σ_i the arc at position i passes over the one at
+    i + 1, and the new under-arc c = over·under·over⁻¹ takes position i,
+    the over-arc position i + 1.  The closure identifies each final arc
+    with the arc it started as; the relators come in crossing order, the
+    last one dropped.  Its (p − 1)·q generators are a0, a1, …"""
+    pos, crossings = list(range(p)), []
+    for _ in range(q):
+        for i in range(p - 1):
+            crossings.append((p + len(crossings), pos[i], pos[i + 1]))
+            pos[i], pos[i + 1] = crossings[-1][0], pos[i]
+    closure = {arc: k for k, arc in enumerate(pos)}
+    names: dict = {}
+    for arc in range(p + len(crossings)):
+        names.setdefault(closure.get(arc, arc), f"a{len(names)}")
+    rels = "".join(
+        f"rel: {names[closure.get(c, c)]}^-1 {names[closure.get(o, o)]} "
+        f"{names[closure.get(u, u)]} {names[closure.get(o, o)]}^-1\n"
+        for c, o, u in crossings[:-1])
+    return f"gens: {' '.join(names.values())}\n{rels}"
+
+
+@pytest.mark.parametrize("command", ["invariants", "betti"])
+def test_knot_diagram_of_61_arcs(tmp_path, command):
+    """T(2, 61) has 61 arcs, which no shape cap refuses now: Δ = Φ₁₂₂, and
+    at ζ₁₂₂ on every arc b1 = 1, the bound attained."""
+    path = tmp_path / "g.grp"
+    path.write_text(_torus_knot(2, 61))
+    argv = [command, str(path)] if command == "invariants" else [
+        command, str(path), "--char",
+        ",".join(f"a{i}=zeta122" for i in range(61))]
+    proc, wall = _run_cli(*argv)
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    report = json.loads(proc.stdout)
+    if command == "invariants":
+        assert parse_poly(report["delta"], ("t",)) == LaurentPoly(
+            1, {(k,): (-1) ** k for k in range(61)})
+    else:
+        assert (report["b1"], report["attained"]) == (1, True)
 
 
 def test_matrix_over_ring_variables_cap(tmp_path):

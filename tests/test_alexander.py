@@ -59,17 +59,23 @@ def test_minor_conventions_free_group():
 
 
 def test_minor_cap():
+    """No shape cap: the all-ones 9 × 9 answers, and the product meter
+    refuses the loop over the C(30, k) row subsets of a 30-row matrix
+    before it starts, whether their minors are zero or not."""
     names = tuple(f"x{i}" for i in range(9))
-    rows = [["1"] * 9 for _ in range(9)]
-    mat = load_matrix(names, rows)
-    with pytest.raises(ComputationCapError):
-        elementary_ideal_minors(mat, 0)
-    # one row of nine columns: the 1 x 1 minors are already over the cap
-    wide = load_matrix(("t",), [["t - 1"] * 9])
-    with pytest.raises(ComputationCapError):
+    square = load_matrix(names, [["1"] * 9 for _ in range(9)])
+    assert elementary_ideal_minors(square, 0) == [LaurentPoly.zero(9)]
+    ones = load_matrix(("t",), [["1"] * 12 for _ in range(30)])
+    with pytest.raises(ComputationCapError, match="^product work"):
+        elementary_ideal_minors(ones, 0)
+    # (t - 1)·I of size 30: its 2 x 2 minors pass, and its 3 x 3 are
+    # refused before the C(30, 3)² of them are read
+    wide = load_matrix(("t",), [["t - 1" if j == i else "0"
+                                 for j in range(30)] for i in range(30)])
+    with pytest.raises(ComputationCapError, match="^product work"):
         univariate_invariant_factors(wide)
-    with pytest.raises(ComputationCapError):
-        generic_rank_mod(wide, parse_poly("t + 1", ("t",)))
+    with pytest.raises(ComputationCapError, match="^product work"):
+        generic_rank_mod(ones, parse_poly("t + 1", ("t",)))
 
 
 def test_alexander_poly_pencil(pencil3):

@@ -222,7 +222,7 @@ def test_invariants_zero_delta(tmp_path, capsys, chars):
 
 
 def test_exit_code_cap_exceeded(tmp_path, capsys):
-    grid = {"vars": ["t"], "rows": [["t"] * 9 for _ in range(9)]}
+    grid = {"vars": ["t"], "rows": [["t"] * 12 for _ in range(30)]}
     big = tmp_path / "big.json"
     big.write_text(json.dumps(grid))
     code = main(["invariants", "--matrix", str(big)])

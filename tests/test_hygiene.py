@@ -514,6 +514,26 @@ def test_caps_held_in_alexkit_init():
     assert bound == []
 
 
+def test_product_work_cap_read_only_by_the_meter():
+    """Only alexkit/__init__.py names PRODUCT_WORK_CAP, and there only
+    `ProductMeter` reads it: every product charge goes through the one
+    meter, in the one unit `product_work`."""
+    def naming(tree):
+        return "PRODUCT_WORK_CAP" in _names(tree) or any(
+            alias.name == "PRODUCT_WORK_CAP" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names)
+    assert [name for name, tree in _modules() if naming(tree)] == [
+        "__init__.py"]
+    init = dict(_modules())["__init__.py"]
+    meter = next(node for node in init.body
+                 if isinstance(node, ast.ClassDef)
+                 and node.name == "ProductMeter")
+    reads = [node for node in ast.walk(init) if isinstance(node, ast.Name)
+             and node.id == "PRODUCT_WORK_CAP"
+             and isinstance(node.ctx, ast.Load)]
+    assert reads and all(node in set(ast.walk(meter)) for node in reads)
+
+
 def _is_builtin_exception(name):
     cls = getattr(builtins, name, None)
     return isinstance(cls, type) and issubclass(cls, BaseException)

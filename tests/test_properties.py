@@ -12,8 +12,8 @@ import pytest
 import sympy
 
 from alexkit import (CONDUCTOR_CAP, AlexkitError, ComputationCapError,
-                     alexander, laurent)
-from alexkit.alexander import (_det, _row_minors, alexander_poly,
+                     ProductMeter, alexander, laurent)
+from alexkit.alexander import (_row_minors, alexander_poly,
                                elementary_divisor_exponents,
                                elementary_ideal_minors, fox_matrix,
                                univariate_invariant_factors)
@@ -1049,7 +1049,6 @@ def test_random_presentation_residuals_split_without_factoring(
     import sympy.polys.factortools as factortools
     from sympy.polys.rings import PolyElement
 
-    monkeypatch.setattr(alexander, "MINOR_MATRIX_CAP", 10)
     p = parse_presentation(_random_relators_text(random.Random(seed), n))
     delta = alexander_poly(fox_matrix(p), 1)
     expected = _factor_list_oracle(delta)
@@ -1624,12 +1623,55 @@ def test_memoized_det_matches_cofactor_expansion():
                  else LaurentPoly.zero(n) for _ in range(width)]
                 for _ in range(k)]
         square = [r[:k] for r in rows]
-        assert _det(square, n) == _cofactor_det(square)
-        minors = _row_minors(rows, n)
+        assert _row_minors(square, n, ProductMeter()).get(
+            (1 << k) - 1, LaurentPoly.zero(n)) == _cofactor_det(square)
+        minors = _row_minors(rows, n, ProductMeter())
         for csel in itertools.combinations(range(width), k):
             mask = sum(1 << c for c in csel)
             expected = _cofactor_det([[r[c] for c in csel] for r in rows])
             assert minors.get(mask, LaurentPoly.zero(n)) == expected
+
+
+def _brute_term_products(rows):
+    """The term products the bottom-up Laplace expansion of `_row_minors`
+    does, counted from the nonzero minors of each trailing block, which
+    `_cofactor_det` computes afresh: each nonzero entry of a row times each
+    nonzero minor, on the rows below, of a column subset without its
+    column."""
+    k, width = len(rows), len(rows[0])
+    count = 0
+    for r in range(1, k):
+        below = rows[k - r:]
+        for csel in itertools.combinations(range(width), r):
+            minor = _cofactor_det([[row[c] for c in csel] for row in below])
+            count += len(minor.terms) * sum(
+                len(entry.terms) for c, entry in enumerate(rows[k - r - 1])
+                if c not in csel)
+    return count
+
+
+def test_minor_meter_covers_the_products_done():
+    """On random matrices up to 6 x 6 in 1-3 variables, with negative
+    exponents and zero rows and columns, the meter of `_row_minors` is
+    charged at least 513 (`product_work` of two 1-digit terms) for each
+    term product it does."""
+    rng = random.Random(20261021)
+    for _ in range(80):
+        k = rng.randrange(1, 7)
+        width = rng.randrange(k, 7)
+        n = rng.randrange(1, 4)
+        rows = [[random_laurent_poly(rng, n, 4) if rng.random() < 0.75
+                 else LaurentPoly.zero(n) for _ in range(width)]
+                for _ in range(k)]
+        if rng.random() < 0.2:
+            rows[rng.randrange(k)] = [LaurentPoly.zero(n)] * width
+        if rng.random() < 0.2:
+            c = rng.randrange(width)
+            for row in rows:
+                row[c] = LaurentPoly.zero(n)
+        meter = ProductMeter()
+        _row_minors(rows, n, meter)
+        assert meter.spent >= 513 * _brute_term_products(rows)
 
 
 def random_laurent_poly(rng, nvars, max_terms=5):

@@ -147,8 +147,9 @@ def _u_forms(f):
 
 def _random_links(rng, count):
     """(weights, q) of Seifert links with pairwise coprime weights whose
-    presentations have n + 1 ≤ 8 generators and 2n − q + 1 ≤ 8 relators,
-    within MINOR_MATRIX_CAP."""
+    presentations have n + 1 ≤ 8 generators and 2n − q + 1 ≤ 8 relators.
+    The product meter admits larger ones, but sympy's gcd of their row
+    subset quotients is not metered, and it can take tens of seconds."""
     links = []
     while len(links) < count:
         n = rng.choice((3, 3, 4, 4, 5, 6, 7))
