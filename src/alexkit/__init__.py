@@ -18,12 +18,6 @@ class ComputationCapError(RuntimeError):
 
 # -- caps: each is checked before the work it bounds is done ---------------
 
-# the most entries m² of the m × m change of basis (and of its inverse)
-# that `abelianization` builds for the Smith form of m generators: one
-# commutator in 1000 generators takes 0.43 s and 47 MB in a fresh run, in
-# 2000 generators 1.4 s and 138 MB, on a 2-core x86_64; a diagram of 400
-# arcs (160000) passes
-SMITH_BASIS_CAP = 1_000_000
 # the most variables of a sympy ring (`laurent._ring`): its gcd builds a
 # ring for each smaller variable count, so [["x1 + 1", "x2 + 1"]] takes
 # 0.92 s in a fresh run with 100 declared variables and 2.3 s with 200,
@@ -31,8 +25,6 @@ SMITH_BASIS_CAP = 1_000_000
 RING_VARIABLES_CAP = 100
 # the largest conductor N of a character, whose values lie in Q(ζ_N)
 CONDUCTOR_CAP = 240
-# derivatives evaluated × terms that one `vanishing_order` may spend
-VANISHING_WORK_CAP = 200_000
 # the largest degree expanded densely: a relator word length Σ|e|, one Fox
 # term per unit of exponent, a Seifert Δ(u), and a coefficient list in one
 # variable (`invariants` on a^(10^5) takes 0.26 s on a 2-core x86_64)
@@ -64,9 +56,9 @@ COEFFICIENT_BITS_CAP = _DIGITS_LIMIT.bit_length() - 1
 # (t + 1)^2000 passes (4004001, in 2.6 s on a 2-core x86_64), (t + 1)^3000
 # does not (9006001); it bounds memory, which PRODUCT_WORK_CAP does not
 EXPANSION_CAP = 5_000_000
-# the most `product_work` of one `ProductMeter`: one `parse_poly`, one
-# `elementary_ideal_minors` or one `_fox_delta1`.  (t + 1)^2000 spends
-# 2.12·10^9 (1.7 s on a 2-core x86_64), a benchmark op at most 1.95·10^6
+# the most `product_work` of one input's `ProductMeter`, which its
+# `AlexanderMatrix` carries: (t + 1)^2000 spends 2.12·10^9 (1.7 s on a
+# 2-core x86_64), a benchmark op at most 2.04·10^6
 PRODUCT_WORK_CAP = 3_000_000_000
 
 
@@ -101,14 +93,17 @@ def check_printable(c: int) -> None:
 
 
 class ProductMeter:
-    """The `product_work` of one call, each charge added before the work it
-    prices, up to PRODUCT_WORK_CAP; tops default to 1-digit coefficients."""
+    """The `product_work` of one input, each charge added before the work
+    it prices, up to PRODUCT_WORK_CAP; meters compare by what they spent."""
 
     spent = 0
 
     def charge(self, terms_a, terms_b, top_a=1, top_b=1) -> None:
         self.spent += product_work(terms_a, terms_b, top_a, top_b)
         check("product work", self.spent, PRODUCT_WORK_CAP)
+
+    def __eq__(self, other):
+        return type(other) is ProductMeter and self.spent == other.spent
 
 
 class Frozen:

@@ -24,7 +24,8 @@ from .presentation import GroupPresentation, Word
 
 class AlexanderMatrix(NamedTuple):
     """h x m matrix over the Laurent ring, with provenance: `presentation`
-    and `abelian` are None for a matrix given directly.
+    and `abelian` are None for a matrix given directly.  `meter` is the one
+    `ProductMeter` of the input, which every metered kernel charges.
 
     `entries` live in the torsion-free quotient variables (num_vars of them).
     `generator_entries` are what character evaluation uses: for a
@@ -36,6 +37,7 @@ class AlexanderMatrix(NamedTuple):
     var_names: Tuple[str, ...]
     entries: List[List[LaurentPoly]]
     generator_entries: List[List[LaurentPoly]]
+    meter: ProductMeter
     presentation: Optional[GroupPresentation] = None
     abelian: Optional[AbelianStructure] = None
 
@@ -70,11 +72,12 @@ class AlexanderMatrix(NamedTuple):
 
 
 def _fox_row(r: Word, m: int) -> List[LaurentPoly]:
-    """Abelianized Fox derivatives of one relator, in m generator variables."""
-    terms: List[dict] = [{} for _ in range(m)]
+    """Abelianized Fox derivatives of one relator, in m generator variables,
+    one shared zero for each generator the relator does not hold."""
+    terms: dict = {}
     prefix = [0] * m  # exponent vector of the prefix, abelianized
     for g, e in r.letters:
-        acc = terms[g]
+        acc = terms.setdefault(g, {})
         # x^e contributes 1 + x + ... + x^(e-1), x^-e contributes
         # -(x^-1 + ... + x^-e), each shifted by the prefix
         sign, ks = (1, range(e)) if e > 0 else (-1, range(-1, e - 1, -1))
@@ -84,7 +87,8 @@ def _fox_row(r: Word, m: int) -> List[LaurentPoly]:
             key = tuple(exp)
             acc[key] = acc.get(key, 0) + sign
         prefix[g] += e
-    return [LaurentPoly(m, t) for t in terms]
+    zero = LaurentPoly.zero(m)
+    return [LaurentPoly(m, terms[g]) if g in terms else zero for g in range(m)]
 
 
 def _substitute_monomials(f: LaurentPoly,
@@ -102,16 +106,21 @@ def fox_matrix(p: GroupPresentation) -> AlexanderMatrix:
     """The Alexander matrix of a presentation over the torsion-free quotient;
     when its projection is the identity, the generator rows are the
     entries.  The relators' word length, one Fox term per unit of
-    exponent, must be within `DEGREE_CAP`."""
+    exponent, must be within `DEGREE_CAP`.  The meter is charged m·2(m + h)
+    term products first: 2m² for the Smith basis and its inverse, h·m
+    each for the exponent matrix and the Fox entries (h relators)."""
     check("Fox word length",
           sum(abs(e) for r in p.relators for _, e in r.letters), DEGREE_CAP)
-    ab = abelianization(p)
     m = p.num_generators
+    meter = ProductMeter()
+    meter.charge(m, 2 * (m + p.num_relators))
+    ab = abelianization(p)
     gen_rows = [_fox_row(r, m) for r in p.relators]
     identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    zero = LaurentPoly.zero(ab.rank)
     rows = gen_rows if ab.abf_projection == identity else [
-        [_substitute_monomials(e, ab.abf_projection) for e in row]
-        for row in gen_rows]
+        [_substitute_monomials(e, ab.abf_projection) if e.terms else zero
+         for e in row] for row in gen_rows]
     mat = AlexanderMatrix(
         num_vars=ab.rank,
         var_names=tuple(default_names(ab.rank)),
@@ -119,6 +128,7 @@ def fox_matrix(p: GroupPresentation) -> AlexanderMatrix:
         presentation=p,
         abelian=ab,
         generator_entries=gen_rows,
+        meter=meter,
     )
     if not mat.fox_identity_holds():
         raise AlexkitError("Fox fundamental identity failed (internal bug)")
@@ -130,7 +140,8 @@ def load_matrix(var_names: Sequence[str],
     """Matrix-mode input: a grid of polynomial expressions.
 
     The Fox identity is not required (and not checked); the missing
-    presentation records the unverified provenance.
+    presentation records the unverified provenance.  One meter bounds the
+    products of every entry.
     """
     names = tuple(var_names)
     if len(set(names)) != len(names):
@@ -139,23 +150,19 @@ def load_matrix(var_names: Sequence[str],
         # the names parse_poly can read as a variable, not as a number
         if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
             raise AlexkitError(f"bad variable name {name!r}")
-    parsed: List[List[LaurentPoly]] = []
-    width = None
-    for row in rows:
-        cur = [parse_poly(text, names) if isinstance(text, str) else text
-               for text in row]
-        if width is None:
-            width = len(cur)
-        elif len(cur) != width:
-            raise AlexkitError("ragged rows in matrix input")
-        parsed.append(cur)
-    if not width:
+    meter = ProductMeter()
+    parsed = [[parse_poly(text, names, meter) if isinstance(text, str)
+               else text for text in row] for row in rows]
+    if any(len(row) != len(parsed[0]) for row in parsed):
+        raise AlexkitError("ragged rows in matrix input")
+    if not parsed or not parsed[0]:
         raise AlexkitError("matrix input needs at least one row and column")
     return AlexanderMatrix(
         num_vars=len(names),
         var_names=names,
         entries=parsed,
         generator_entries=parsed,
+        meter=meter,
     )
 
 
@@ -218,7 +225,7 @@ def elementary_ideal_minors(mat: AlexanderMatrix, i: int) -> List[LaurentPoly]:
         return [LaurentPoly.one(n)]
     if size > h:
         return [LaurentPoly.zero(n)]
-    meter = ProductMeter()  # a term product per entry and minor a subset reads
+    meter = mat.meter  # a term product per entry and minor a subset reads
     meter.charge(math.comb(h, size), size * m + math.comb(m, size))
     zero = LaurentPoly.zero(n)
     out = []
@@ -254,7 +261,7 @@ def _fox_delta1(mat: AlexanderMatrix) -> LaurentPoly:
     phi = list(zip(*mat.abelian.abf_projection))
     j = next(k for k in range(m) if any(phi[k]))
     keep = [c for c in range(m) if c != j]
-    meter = ProductMeter()  # a term product per entry a subset copies
+    meter = mat.meter  # a term product per entry a subset copies
     meter.charge(math.comb(mat.num_rows, m - 1), (m - 1) ** 2)
     quotients = []
     for rsel in itertools.combinations(range(mat.num_rows), m - 1):

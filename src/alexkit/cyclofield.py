@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import (Iterable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
-from . import (CONDUCTOR_CAP, MAX_DIGITS, VANISHING_WORK_CAP, AlexkitError,
-               Frozen, check, has_long_number)
+from . import (CONDUCTOR_CAP, MAX_DIGITS, AlexkitError, Frozen,
+               ProductMeter, check, has_long_number)
 from .laurent import (LaurentPoly, _factorize, _from_dense, _isprime,
                       _phi_coeffs, _rational)
 
@@ -296,7 +296,8 @@ def rank(matrix: Sequence[Sequence[Iterable[tuple]]], n: int) -> int:
 # -- order of vanishing -----------------------------------------------------
 
 
-def vanishing_order(f: LaurentPoly, point: Character) -> int:
+def vanishing_order(f: LaurentPoly, point: Character,
+                    meter: ProductMeter) -> int:
     """ν_ρ(f): the least k such that some Euler derivative θ^α f with
     |α| = k, θ_i = t_i ∂/∂t_i, is nonzero at ρ; computed exactly.
 
@@ -304,9 +305,10 @@ def vanishing_order(f: LaurentPoly, point: Character) -> int:
     monomials of f are evaluated at ρ once (`Character.at`) and each
     derivative only reweights their coefficients: θ_j θ^α f has the
     coefficients of θ^α f times the exponents of t_j.  Each derivative's
-    value is read as the `rank` of the 1×1 matrix holding it.  θ_j f is
-    identically zero when no term of f holds t_j, so only the variables f
-    holds are derived along, and declared variables cost no work.
+    value is read as the `rank` of the 1×1 matrix holding it, after one
+    term product per term is charged to `meter`.  θ_j f is identically
+    zero when no term of f holds t_j, so only the variables f holds are
+    derived along, and declared variables cost no work.
     θ^α = Σ_{β≤α} S(α,β) t^β ∂^β with Stirling numbers S(α,α) = 1 is
     unitriangular and t^β is a unit at ρ, so this is the order of
     vanishing of f at ρ.
@@ -319,13 +321,11 @@ def vanishing_order(f: LaurentPoly, point: Character) -> int:
     columns = [(j, col) for j, col in enumerate(zip(*f.terms)) if any(col)]
     # the coefficients of θ^α f for the α of order k, in lexicographic
     # order, each with α's last index i; order k + 1 extends α by j ≥ i
-    derivatives, work = [(0, coeffs)], 0
+    derivatives = [(0, coeffs)]
     for k in itertools.count():
         vanishing = []
         for i, weighted in derivatives:
-            work += len(weighted)
-            check("vanishing-order work (derivatives evaluated × terms)",
-                  work, VANISHING_WORK_CAP)
+            meter.charge(len(weighted), 1)
             if rank([[zip(weighted, residues)]], point.conductor):
                 return k
             vanishing.append((i, weighted))

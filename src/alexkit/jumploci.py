@@ -115,9 +115,9 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
     irreducible in Z[u], so separable, and with Φ_m(0) ≠ 0 the derivative
     θ_j f = e_j·u·Φ_m′(u) at u = t^e is nonzero at a root for any
     e_j ≠ 0, e being primitive.  Every other factor, in one essential
-    variable or more, takes `vanishing_order`, which spends no work on
-    the variables f does not hold; for f ≐ r(t^e) it reads at most the
-    value and one first derivative, by the same argument.
+    variable or more, takes `vanishing_order` on the input's meter: it
+    spends nothing on the variables f does not hold, and for f ≐ r(t^e)
+    reads at most the value and one first derivative, by the same argument.
     """
     if rho.is_trivial():
         raise AlexkitError("bounds require a nontrivial character")
@@ -140,7 +140,7 @@ def bounds_report(mat: AlexanderMatrix, factored: FactoredPoly,
             e, _, m = record
             nu = int(point.pull([e]).order() == m)
         else:
-            nu = vanishing_order(f, point)
+            nu = vanishing_order(f, point, mat.meter)
         bound += mu * nu
         if nu > 0:
             on_components.append((f, mu))

@@ -672,13 +672,13 @@ def _shape(f: LaurentPoly) -> tuple:
             (sum(map(abs, f.terms.values())) - 1).bit_length())
 
 
-def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
+def parse_poly(text: str, names: Sequence[str],
+               meter: ProductMeter) -> LaurentPoly:
     """Parse the expression grammar: ints, variables, + - * ^, parentheses.
     A power whose result would hold a coefficient of more than MAX_DIGITS
     digits is a cap error, found before it is expanded, and so is a power
-    or product whose result is past EXPANSION_CAP.  One meter bounds the
-    whole expression: each product and squaring is charged its
-    `product_work` before it is done."""
+    or product whose result is past EXPANSION_CAP.  Each product and
+    squaring is charged its `product_work` to `meter` before it is done."""
     if has_long_number(text):
         raise AlexkitError(f"a number has more than {MAX_DIGITS} digits")
     tokens = []
@@ -694,7 +694,6 @@ def parse_poly(text: str, names: Sequence[str]) -> LaurentPoly:
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
     state = {"i": 0}
-    meter = ProductMeter()
 
     def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         meter.charge(len(a.terms), len(b.terms),

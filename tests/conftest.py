@@ -9,7 +9,9 @@ from sympy.matrices.normalforms import smith_normal_decomp
 from alexkit.alexander import fox_matrix, load_matrix
 from alexkit.cyclofield import parse_character, rank
 from alexkit.intlinalg import smith_normal_form
-from alexkit.laurent import _dup_mul, _phi_coeffs, divides, normalize
+from alexkit import PRODUCT_WORK_CAP, ProductMeter, product_work
+from alexkit.laurent import (_dup_mul, _phi_coeffs, divides, normalize,
+                             parse_poly)
 from alexkit.presentation import free_reduce_letters, parse_presentation
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -28,6 +30,20 @@ def load_matrix_fixture(name):
     with open(data_path(name), "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return load_matrix(data["vars"], data["rows"])
+
+
+def poly(text, names):
+    """The polynomial a test writes out: `parse_poly` on a meter of its
+    own."""
+    return parse_poly(text, names, ProductMeter())
+
+
+def meter_with_room(products):
+    """A ProductMeter that refuses once it is charged more than `products`
+    further term products of 1-digit coefficients."""
+    meter = ProductMeter()
+    meter.spent = PRODUCT_WORK_CAP - product_work(products, 1, 1, 1)
+    return meter
 
 
 def character(*values):

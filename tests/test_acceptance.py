@@ -5,14 +5,15 @@ from alexkit.intlinalg import abelianization
 from alexkit.jumploci import (bounds_report, monodromy_analysis,
                               semisimple_equality_report, twisted_betti)
 from alexkit.cyclofield import vanishing_order
-from alexkit.laurent import associates, factor_poly, normalize, parse_poly
+from alexkit import ProductMeter
+from alexkit.laurent import associates, factor_poly, normalize
 from alexkit.obstruct import CONSISTENT, OBSTRUCTED, qp_verdict
 from alexkit.seifert import (SpliceData, seifert_delta, seifert_divisor,
                              seifert_twisted_betti)
 
 import test_properties
 from conftest import (character, load_matrix_fixture, load_presentation,
-                      multiplicity)
+                      multiplicity, poly)
 
 X3 = ("x1", "x2", "x3")
 
@@ -26,14 +27,14 @@ def test_criterion_01_pencil_delta():
         mat = fox_matrix(load_presentation(f"pencil{n}.grp"))
         names = tuple(f"t{i+1}" for i in range(n))
         u = "*".join(names)
-        want = parse_poly(f"({u} - 1)^{n - 2}", names)
+        want = poly(f"({u} - 1)^{n - 2}", names)
         assert normalize(alexander_poly(mat)) == normalize(want)
     _report(1, "pencil groups n=3,4,5 give delta = (t1...tn - 1)^(n-2)")
 
 
 def test_criterion_02_generic_rank_bounds():
-    want = parse_poly("(x2-1)*(x1*x2+1)^2*(x2*x3+1)^2", X3)
-    alpha = parse_poly("x1*x2+1", X3)
+    want = poly("(x2-1)*(x1*x2+1)^2*(x2*x3+1)^2", X3)
+    alpha = poly("x1*x2+1", X3)
     g1 = load_matrix_fixture("ex52-g1.json")
     g2 = load_matrix_fixture("ex52-g2.json")
     assert associates(alexander_poly(g1), want)
@@ -52,7 +53,7 @@ def test_criterion_03_nongeneric_point():
     g1 = load_matrix_fixture("ex52-g1.json")
     rho = character(-1, 1, -1)
     assert twisted_betti(g1, rho) == 2
-    assert multiplicity(parse_poly("x2-1", X3),
+    assert multiplicity(poly("x2-1", X3),
                         alexander_poly(g1)) == 1
     _report(3, "b1 = 2 at a special character although mu(x2-1) = 1")
 
@@ -79,7 +80,8 @@ def test_criterion_05_strict_inequality_family():
             rep = bounds_report(mat, fp, rho,
                                 almost_principal=("Yes",
                                                   "user-asserted: fixture"))
-            nu = vanishing_order(parse_poly("x1*x2+1", ("x1", "x2")), rho)
+            nu = vanishing_order(poly("x1*x2+1", ("x1", "x2")), rho,
+                                 ProductMeter())
             assert rep.b1 == 1
             assert rep.b1 < k * nu
     _report(5, "b1 = 1 < k*nu at sampled characters for the k=2,3 family")
@@ -109,7 +111,7 @@ def test_criterion_07_torus_bundle():
     assert (ab.rank, list(ab.torsion)) == (1, [4])
     mat = fox_matrix(pres)
     delta = alexander_poly(mat)
-    assert associates(delta, parse_poly("(t+1)^2", ("t",)))
+    assert associates(delta, poly("(t+1)^2", ("t",)))
     assert twisted_betti(mat, character(1, 1, -1)) == 1
     entry = semisimple_equality_report(mat, factor_poly(delta))[0]
     assert not entry.equality
@@ -128,7 +130,7 @@ def test_criterion_08_seifert_example():
     assert comps == {1: 1, 2: 2, 3: 2, 6: 3}
     from alexkit.cyclofield import cyclotomic_poly
     for order, mult in comps.items():
-        phi = parse_poly(cyclotomic_poly(order).render(("u",))
+        phi = poly(cyclotomic_poly(order).render(("u",))
                          .replace("u", "(t1*t2*t3)"), ("t1", "t2", "t3"))
         assert multiplicity(phi, delta) == mult
         if order == 1:
@@ -145,20 +147,20 @@ def test_criterion_08_seifert_example():
 
 
 def test_criterion_09_obstruction_suite():
-    delta52 = parse_poly("(x2-1)*(x1*x2+1)^2*(x2*x3+1)^2", X3)
+    delta52 = poly("(x2-1)*(x1*x2+1)^2*(x2*x3+1)^2", X3)
     assert qp_verdict(factor_poly(delta52), 3).verdict == OBSTRUCTED
     for n in (3, 4, 5):
         names = tuple(f"t{i+1}" for i in range(n))
         u = "*".join(names)
-        delta = parse_poly(f"({u} - 1)^{n - 2}", names)
+        delta = poly(f"({u} - 1)^{n - 2}", names)
         v = qp_verdict(factor_poly(delta), n)
         assert v.verdict == CONSISTENT
         assert v.certificate["cyclotomic_orders"] == [[1, n - 2]]
-    assert qp_verdict(factor_poly(parse_poly("5", X3)), 3,
+    assert qp_verdict(factor_poly(poly("5", X3)), 3,
                       projective=True).verdict == CONSISTENT
     assert qp_verdict(factor_poly(delta52), 3,
                       projective=True).verdict == OBSTRUCTED
-    two_factors = parse_poly("(x1*x2-1)*(x2*x3-1)", X3)
+    two_factors = poly("(x1*x2-1)*(x2*x3-1)", X3)
     assert qp_verdict(factor_poly(two_factors), 3).verdict == OBSTRUCTED
     _report(9, "obstruction verdicts match on all required shapes")
 

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import alexkit
-from alexkit.laurent import LaurentPoly, _nextprime, parse_poly
+from alexkit.laurent import LaurentPoly, _nextprime
 
-from conftest import data_path
+from conftest import data_path, poly
 
 # seconds; each input below ends in about a second or less
 WALL_BOUND = 10
@@ -319,19 +319,53 @@ def test_matrix_sparse_piece_over_factor_box(tmp_path):
         "10000000000 exceeds cap 20000"]
 
 
+def _commutator_in(m):
+    """One commutator in m generators: b1 = m, and Δ = 0 for m ≥ 3."""
+    return ("gens: " + " ".join(f"g{i}" for i in range(m))
+            + "\nrel: g0 g1 g0^-1 g1^-1\n")
+
+
 def test_invariants_over_smith_basis_cap(tmp_path):
     """One commutator in 30000 generators filled the memory with the
-    30000 × 30000 change of basis of the Smith form: m² passes
-    `SMITH_BASIS_CAP`, so `abelianization` refuses it first."""
+    30000 × 30000 change of basis of the Smith form: `fox_matrix` charges
+    the input's meter m·2(m + h) term products for it, the exponent matrix
+    and the Fox entries before `abelianization`, and is refused there."""
     path = tmp_path / "g.grp"
-    path.write_text("gens: " + " ".join(f"g{i}" for i in range(30000))
-                    + "\nrel: g0 g1 g0^-1 g1^-1\n")
+    path.write_text(_commutator_in(30000))
     proc, wall = _run_cli("invariants", str(path))
     assert wall < 1
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.splitlines() == [
-        "alexkit: cap exceeded: generators² (entries of the Smith change of "
-        "basis) 900000000 exceeds cap 1000000"]
+        "alexkit: cap exceeded: product work 923430780000 exceeds cap "
+        "3000000000"]
+
+
+def test_invariants_commutator_in_1200_generators(tmp_path):
+    """m² = 1440000 was refused by a cap on the Smith basis; its build,
+    m·2(m + h) = 2882400 term products, is inside the one meter."""
+    path = tmp_path / "g.grp"
+    path.write_text(_commutator_in(1200))
+    proc, wall = _run_cli("invariants", str(path))
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert (report["b1"], report["delta"]) == (1200, None)
+
+
+def test_invariants_many_one_letter_relators(tmp_path):
+    """1000 generators and 20000 relators g(i mod 1000): G is trivial, but
+    the 20000 × 1000 exponent and Fox matrices filled 1 GiB (a MemoryError
+    traceback after 23 s).  Their h·m entries are priced before either is
+    built."""
+    path = tmp_path / "g.grp"
+    path.write_text("gens: " + " ".join(f"g{i}" for i in range(1000)) + "\n"
+                    + "".join(f"rel: g{i % 1000}\n" for i in range(20000)))
+    proc, wall = _run_cli("invariants", str(path))
+    assert wall < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "alexkit: cap exceeded: product work 21546000000 exceeds cap "
+        "3000000000"]
 
 
 # six relators on whose exponent matrix a Smith form that swapped each
@@ -369,9 +403,9 @@ def test_smith_form_wide_wirtinger_like(tmp_path):
     """1000 generators and 999 relators g(i+1)^-1 g(j) g(i) g(j)^-1: every
     pivot is a unit, found at the first ±1 of the block, so the Smith form
     takes under 2 s (over 40 s when each pivot scanned the whole block).
-    The one 999 × 999 determinant of Δ₁ is then refused by the product
-    meter, at the level of its Laplace expansion that would pass the
-    cap."""
+    The one 999 × 999 determinant of Δ₁ is then refused by the input's
+    meter, which the Fox build has charged first, at the level of its
+    Laplace expansion that would pass the cap."""
     rng = random.Random(1)
     m = 1000
     lines = ["gens: " + " ".join(f"g{i}" for i in range(m))]
@@ -384,7 +418,7 @@ def test_smith_form_wide_wirtinger_like(tmp_path):
     assert wall < WALL_BOUND
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.splitlines() == [
-        "alexkit: cap exceeded: product work 4080933981 exceeds cap "
+        "alexkit: cap exceeded: product work 3034403721 exceeds cap "
         "3000000000"]
 
 
@@ -410,7 +444,7 @@ def test_sparse_determinant_over_product_work(tmp_path):
     assert wall < WALL_BOUND
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.splitlines() == [
-        "alexkit: cap exceeded: product work 6829390989 exceeds cap "
+        "alexkit: cap exceeded: product work 6829484355 exceeds cap "
         "3000000000"]
 
 
@@ -428,6 +462,24 @@ def test_matrix_entry_over_product_work(tmp_path, entry, bound, work):
     path.write_text(json.dumps({"vars": ["t"], "rows": [[entry, "t - 1"]]}))
     proc, wall = _run_cli("invariants", "--matrix", str(path))
     assert wall < bound
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        f"alexkit: cap exceeded: product work {work} exceeds cap 3000000000"]
+
+
+@pytest.mark.parametrize("rows,work", [
+    ([["(t+1)^1900"]] * 12, 3580406700),
+    ([["(t+1)^2000", "(t+1)^2000"]], 4244375906),
+], ids=["twelve-powers", "two-powers"])
+def test_matrix_entries_share_one_meter(tmp_path, rows, work):
+    """Each entry inside the product work one meter admits, all of them
+    past it: one meter bounds every entry of the input.  With a meter per
+    entry the twelve ran 18 s and the two 59-63 s, most of it in the gcd
+    of the two powers."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vars": ["t"], "rows": rows}))
+    proc, wall = _run_cli("invariants", "--matrix", str(path))
+    assert wall < 5
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.splitlines() == [
         f"alexkit: cap exceeded: product work {work} exceeds cap 3000000000"]
@@ -486,7 +538,7 @@ def test_knot_diagram_of_61_arcs(tmp_path, command):
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     report = json.loads(proc.stdout)
     if command == "invariants":
-        assert parse_poly(report["delta"], ("t",)) == LaurentPoly(
+        assert poly(report["delta"], ("t",)) == LaurentPoly(
             1, {(k,): (-1) ** k for k in range(61)})
     else:
         assert (report["b1"], report["attained"]) == (1, True)
@@ -520,7 +572,7 @@ def _rank_deficient_matrix():
             "x^-1+x"]
 
     def entries(rows, cols):
-        return [[parse_poly(rng.choice(pool), ("x",)) for _ in range(cols)]
+        return [[poly(rng.choice(pool), ("x",)) for _ in range(cols)]
                 for _ in range(rows)]
 
     b, c = entries(8, 5), entries(5, 8)

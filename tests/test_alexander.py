@@ -8,10 +8,10 @@ from alexkit.alexander import (alexander_poly, elementary_divisor_exponents,
                                generic_rank_mod, load_matrix,
                                univariate_invariant_factors)
 from alexkit import AlexkitError, ComputationCapError
-from alexkit.laurent import LaurentPoly, associates, divides, parse_poly
+from alexkit.laurent import LaurentPoly, associates, divides
 from alexkit.presentation import parse_presentation
 
-from conftest import load_matrix_fixture
+from conftest import load_matrix_fixture, poly
 
 X3 = ("x1", "x2", "x3")
 
@@ -22,9 +22,9 @@ def test_fox_row_of_commutator():
     t1, t2 = ("t1", "t2")
     row = [e.render((t1, t2)) for e in mat.entries[0]]
     assert associates(mat.entries[0][0],
-                      parse_poly("1 - t2", (t1, t2)))
+                      poly("1 - t2", (t1, t2)))
     assert associates(mat.entries[0][1],
-                      parse_poly("t1 - 1", (t1, t2)))
+                      poly("t1 - 1", (t1, t2)))
 
 
 def test_fox_identity_checked_on_presentations(pencil3):
@@ -34,8 +34,8 @@ def test_fox_identity_checked_on_presentations(pencil3):
 def test_pencil_first_row(pencil3):
     names = ("t1", "t2", "t3")
     row = pencil3.entries[0]
-    assert associates(row[1], parse_poly("t1*(1 - t1)", names))
-    assert associates(row[2], parse_poly("t1*t2*(1 - t1)", names))
+    assert associates(row[1], poly("t1*(1 - t1)", names))
+    assert associates(row[2], poly("t1*t2*(1 - t1)", names))
     assert pencil3.num_rows == 2
     assert pencil3.num_cols == 3
 
@@ -44,7 +44,7 @@ def test_torusbundle_matrix(torusbundle):
     rows = [[e.render(("t",)) for e in row] for row in torusbundle.entries]
     assert rows[0] == ["0", "0", "0"]
     assert associates(torusbundle.entries[1][0],
-                      parse_poly("t + 1", ("t",)))
+                      poly("t + 1", ("t",)))
     assert torusbundle.entries[1][1].is_zero()
 
 
@@ -75,18 +75,18 @@ def test_minor_cap():
     with pytest.raises(ComputationCapError, match="^product work"):
         univariate_invariant_factors(wide)
     with pytest.raises(ComputationCapError, match="^product work"):
-        generic_rank_mod(ones, parse_poly("t + 1", ("t",)))
+        generic_rank_mod(ones, poly("t + 1", ("t",)))
 
 
 def test_alexander_poly_pencil(pencil3):
     names = ("t1", "t2", "t3")
     assert associates(alexander_poly(pencil3),
-                      parse_poly("t1*t2*t3 - 1", names))
+                      poly("t1*t2*t3 - 1", names))
 
 
 def test_alexander_poly_example_52():
     mat = load_matrix_fixture("ex52-g1.json")
-    want = parse_poly("(x2-1)*(x1*x2+1)^2*(x2*x3+1)^2", X3)
+    want = poly("(x2-1)*(x1*x2+1)^2*(x2*x3+1)^2", X3)
     assert associates(alexander_poly(mat), want)
     mat2 = load_matrix_fixture("ex52-g2.json")
     assert associates(alexander_poly(mat2), want)
@@ -94,7 +94,7 @@ def test_alexander_poly_example_52():
 
 def test_alexander_poly_example_66():
     mat = load_matrix_fixture("ex66.json")
-    assert associates(alexander_poly(mat), parse_poly("x1*x3-1", X3))
+    assert associates(alexander_poly(mat), poly("x1*x3-1", X3))
 
 
 def test_delta_chain_divisibility():
@@ -107,7 +107,7 @@ def test_delta_chain_divisibility():
 
 
 def test_generic_rank_mod_example_52():
-    alpha = parse_poly("x1*x2+1", X3)
+    alpha = poly("x1*x2+1", X3)
     g1 = load_matrix_fixture("ex52-g1.json")
     g2 = load_matrix_fixture("ex52-g2.json")
     assert generic_rank_mod(g1, alpha) == 0

@@ -10,9 +10,9 @@ import pytest
 import alexkit
 from alexkit.cli import main
 from alexkit.cyclofield import cyclotomic_poly
-from alexkit.laurent import LaurentPoly, default_names, parse_poly
+from alexkit.laurent import LaurentPoly, default_names
 
-from conftest import DATA, data_path
+from conftest import DATA, data_path, poly
 
 
 def run(capsys, *argv):
@@ -192,7 +192,7 @@ def test_exit_code_parser_refusals(tmp_path, capsys, name):
 def test_unary_minus_after_times(tmp_path, capsys):
     """`2*-t` is −2t: the one input that reaches the unary minus of an
     atom."""
-    assert parse_poly("2*-t", ("t",)) == LaurentPoly(1, {(1,): -2})
+    assert poly("2*-t", ("t",)) == LaurentPoly(1, {(1,): -2})
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"vars": ["t"], "rows": [["2*-t"]]}))
     code, report = run(capsys, "invariants", "--matrix", str(path))
@@ -605,7 +605,7 @@ def _cyclotomic_along_t1(d, nvars):
 SLOW_BEFORE = [
     ("gens: a b\nrel: a^160 b a^-160 b^-1\n",
      [(_cyclotomic_along_t1(d, 2), 1) for d in range(2, 161) if 160 % d == 0]),
-    (_pencil_text(8), [(parse_poly("t1*t2*t3*t4*t5*t6*t7*t8 - 1",
+    (_pencil_text(8), [(poly("t1*t2*t3*t4*t5*t6*t7*t8 - 1",
                                    default_names(8)), 6)]),
     ("gens: x y\nrel: x^7 y^-13\n",
      [(cyclotomic_poly(d), 1) for d in range(2, 92)
@@ -626,7 +626,7 @@ def test_invariants_collinear_delta_in_bounded_time(tmp_path, text, factors):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     names = default_names(report["b1"])
-    got = {parse_poly(f["poly"], names): f["multiplicity"]
+    got = {poly(f["poly"], names): f["multiplicity"]
            for f in report["factored"]["factors"]}
     assert report["factored"]["constant"] == 1
     assert got == dict(factors)
@@ -670,9 +670,9 @@ def test_non_collinear_product_in_bounded_time(tmp_path):
     proc = _run_cli("invariants", "--matrix", str(path))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    got = {parse_poly(f["poly"], names): f["multiplicity"]
+    got = {poly(f["poly"], names): f["multiplicity"]
            for f in report["factored"]["factors"]}
-    assert got == {parse_poly(text, names): mult for text, mult in (
+    assert got == {poly(text, names): mult for text, mult in (
         ("t1 - 2", 1), ("t1*t2*t3*t4 + 1", 3),
         ("(t1*t2*t3*t4)^20 + (t1*t2*t3*t4)^19 - 1", 1))}
     assert report["factored"]["constant"] == 1

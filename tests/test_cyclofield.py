@@ -5,11 +5,11 @@ import pytest
 
 from alexkit.cyclofield import (Character, _images, cyclotomic_poly,
                                 parse_character, rank, vanishing_order)
-from alexkit import AlexkitError, ComputationCapError, cyclofield
-from alexkit.laurent import LaurentPoly, _to_dense, parse_poly
+from alexkit import AlexkitError, ComputationCapError, ProductMeter
+from alexkit.laurent import LaurentPoly, _to_dense
 
-from conftest import (character, mul_mod_phi, reduce_mod_phi, value_at,
-                      vanishes)
+from conftest import (character, meter_with_room, mul_mod_phi, poly,
+                      reduce_mod_phi, value_at, vanishes)
 
 
 def one(n):
@@ -61,11 +61,11 @@ def test_scales_and_values_are_exact():
     (q,) = Character(1, (Fraction(1, 2),), (0,)).pull([(-3,)]).scales
     assert type(q) is int and q == 8
     for x in (2, 3):
-        ((v, k),) = value_at(parse_poly("t^-1", ("t",)), character(x))
+        ((v, k),) = value_at(poly("t^-1", ("t",)), character(x))
         assert type(v) is Fraction and (v, k) == (Fraction(1, x), 0)
         assert vanishes([(v, k), (Fraction(-1, x), 0)], 1)
-        assert vanishing_order(parse_poly(f"{x}*t^-1 - 1", ("t",)),
-                               character(x)) == 1
+        assert vanishing_order(poly(f"{x}*t^-1 - 1", ("t",)),
+                               character(x), ProductMeter()) == 1
     (q,) = Character(4, (Fraction(-6, 3),), (1,)).scales
     assert type(q) is int and q == 2
 
@@ -116,33 +116,33 @@ def test_parse_character_rejects_bad_input():
 
 
 def test_evaluate_polynomial():
-    f = parse_poly("t1*t2 - 1", ("t1", "t2"))
+    f = poly("t1*t2 - 1", ("t1", "t2"))
     assert vanishes(value_at(f, character("zeta4", "zeta4^3")), 4)
     # t^-1 + t is −2 at −1, held at conductor 1 and at 2 (−1 = ζ_2)
-    g = parse_poly("t^-1 + t + 2", ("t",))
+    g = poly("t^-1 + t + 2", ("t",))
     for minus_one in (character(-1), Character(2, (1,), (1,))):
         assert vanishes(value_at(g, minus_one), minus_one.conductor)
         assert not vanishes(value_at(g - 4, minus_one), minus_one.conductor)
     # 2·(ζ/2)^2 + 1 = ζ^2/2 + 1 = 1/2 − ζ/2, with ζ^2 = −1 − ζ
-    h = parse_poly("2*t^2 + 1", ("t",))
+    h = poly("2*t^2 + 1", ("t",))
     value = value_at(h, character("1/2*zeta3"))
     assert vanishes(value + [(Fraction(-1, 2), 0), (Fraction(1, 2), 1)], 3)
     assert not vanishes(value, 3)
 
 
 def test_cyclotomic_poly_values():
-    assert cyclotomic_poly(1) == parse_poly("t-1", ("t",))
-    assert cyclotomic_poly(6) == parse_poly("t^2-t+1", ("t",))
-    assert cyclotomic_poly(8) == parse_poly("t^4+1", ("t",))
+    assert cyclotomic_poly(1) == poly("t-1", ("t",))
+    assert cyclotomic_poly(6) == poly("t^2-t+1", ("t",))
+    assert cyclotomic_poly(8) == poly("t^4+1", ("t",))
 
 
 def test_cyclotomic_order_rejects_non_canonical_input():
     """_to_dense, which reads a univariate polynomial into Z[u], rejects a
     negative exponent and the zero polynomial; no coefficient reaches it
     that is not an integer, since `LaurentPoly` refuses one."""
-    assert _to_dense(parse_poly("t^2+t+1", ("t",))) == (1, 1, 1)
+    assert _to_dense(poly("t^2+t+1", ("t",))) == (1, 1, 1)
     # t^-1 + 1 + t may not be read as 1 + t + t^2 = Φ_3
-    for p in (parse_poly("t^-1 + 1 + t", ("t",)), LaurentPoly.zero(1)):
+    for p in (poly("t^-1 + 1 + t", ("t",)), LaurentPoly.zero(1)):
         with pytest.raises(AlexkitError, match="nonzero polynomial in Z"):
             _to_dense(p)
 
@@ -204,11 +204,11 @@ def test_prime_images():
                    for p, _ in itertools.islice(_images(n), 400))
 
 
-def test_vanishing_order_skips_absent_variables(monkeypatch):
+def test_vanishing_order_skips_absent_variables():
     """(v0 − 1)^2 declared among 50 variables vanishes to order 2 at the
-    trivial point within a work cap of 100: only derivatives along v0 are
-    taken, 9 units of work in all, where one along every declared
-    variable would spend 102 by the first order."""
-    monkeypatch.setattr(cyclofield, "VANISHING_WORK_CAP", 100)
-    f = parse_poly("(v0 - 1)^2", [f"v{i}" for i in range(50)])
-    assert vanishing_order(f, Character(1, [1] * 50, [0] * 50)) == 2
+    trivial point on a meter with room for 100 term products: only
+    derivatives along v0 are taken, 9 term products in all, where one
+    along every declared variable would spend 102 by the first order."""
+    f = poly("(v0 - 1)^2", [f"v{i}" for i in range(50)])
+    assert vanishing_order(f, Character(1, [1] * 50, [0] * 50),
+                           meter_with_room(100)) == 2

@@ -12,8 +12,9 @@ import pytest
 
 from alexkit import AlexkitError, ComputationCapError, cli
 from alexkit.cyclofield import parse_character
-from alexkit.laurent import parse_poly
 from alexkit.presentation import parse_presentation
+
+from conftest import poly
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -102,7 +103,7 @@ def test_presentation_reader(text):
 @FUZZ
 @hypothesis.given(POLYS)
 def test_poly_reader(text):
-    _reads_or_refuses(parse_poly, text, ("t", "u"))
+    _reads_or_refuses(poly, text, ("t", "u"))
 
 
 @FUZZ

@@ -534,6 +534,30 @@ def test_product_work_cap_read_only_by_the_meter():
     assert reads and all(node in set(ast.walk(meter)) for node in reads)
 
 
+def test_one_meter_per_input():
+    """Only `load_matrix` and `fox_matrix` build a `ProductMeter`, the one
+    their `AlexanderMatrix` carries, and no function has a `meter`
+    parameter with a default: every metered kernel is handed the input's
+    meter."""
+    builders, defaulted = set(), []
+    for name, tree in _modules():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                continue
+            builders.update(
+                getattr(func, "name", "lambda") for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and "ProductMeter" in _names(node.func))
+            args = func.args
+            params = args.posonlyargs + args.args
+            defaults = params[len(params) - len(args.defaults):] + [
+                param for param, default in
+                zip(args.kwonlyargs, args.kw_defaults) if default]
+            defaulted += [f"{name}:{func.lineno}" for param in defaults
+                          if param.arg == "meter"]
+    assert (builders, defaulted) == ({"load_matrix", "fox_matrix"}, [])
+
+
 def _is_builtin_exception(name):
     cls = getattr(builtins, name, None)
     return isinstance(cls, type) and issubclass(cls, BaseException)

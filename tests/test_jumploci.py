@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import alexkit
-from alexkit import AlexkitError, cyclofield, jumploci
+from alexkit import AlexkitError, ProductMeter, jumploci
 from alexkit.alexander import alexander_poly, fox_matrix, load_matrix
 from alexkit.cyclofield import Character, vanishing_order
 from alexkit.jumploci import (BoundInconsistencyError, almost_principal_status,
@@ -18,11 +18,12 @@ from alexkit.jumploci import (BoundInconsistencyError, almost_principal_status,
                               semisimple_equality_report, twisted_betti)
 from alexkit.intlinalg import induced_torus_point, validate_character
 from alexkit.laurent import (LaurentPoly, _from_dense, _phi_coeffs,
-                             factor_poly, parse_poly)
+                             factor_poly)
 from alexkit.presentation import parse_presentation
 
 from conftest import character as chi
-from conftest import data_path, load_matrix_fixture, load_presentation
+from conftest import (data_path, load_matrix_fixture, load_presentation,
+                      meter_with_room, poly)
 from test_properties import _random_character
 
 
@@ -148,11 +149,11 @@ def test_semisimple_report_example_612(torusbundle):
 
 def test_semisimple_report_diagonal_blocks():
     m = load_matrix(("t",), [["t+1", "0"], ["0", "t+1"]])
-    fp = factor_poly(parse_poly("(t+1)^2", ("t",)))
+    fp = factor_poly(poly("(t+1)^2", ("t",)))
     entry = semisimple_equality_report(m, fp)[0]
     assert (entry.mu, entry.b1, entry.equality) == (2, 2, True)
     m2 = load_matrix(("t",), [["(t-2)^2"]])
-    fp2 = factor_poly(parse_poly("(t-2)^2", ("t",)))
+    fp2 = factor_poly(poly("(t-2)^2", ("t",)))
     entry2 = semisimple_equality_report(m2, fp2)[0]
     assert (entry2.mu, entry2.b1, entry2.equality) == (2, 1, False)
 
@@ -160,7 +161,7 @@ def test_semisimple_report_diagonal_blocks():
 def test_semisimple_report_cyclotomic_roots():
     text = "(t^2+t+1)^2*(t^4+1)"
     m = load_matrix(("t",), [[text]])
-    rep = semisimple_equality_report(m, factor_poly(parse_poly(text, ("t",))))
+    rep = semisimple_equality_report(m, factor_poly(poly(text, ("t",))))
     assert [(e.root, e.mu, e.b1, e.equality) for e in rep] == [
         (chi("zeta3"), 2, 1, False), (chi("zeta8"), 1, 1, True)]
 
@@ -170,7 +171,7 @@ def test_semisimple_report_skips_trivial_and_irrational_roots():
     the trivial root and t² − 3t + 1 no root that is a character."""
     text = "(t - 1)*(t + 1)*(t^2 - 3*t + 1)"
     m = load_matrix(("t",), [[text, "0"]])
-    rep = semisimple_equality_report(m, factor_poly(parse_poly(text, ("t",))))
+    rep = semisimple_equality_report(m, factor_poly(poly(text, ("t",))))
     assert [(e.root_text, e.root, e.mu, e.b1, e.equality) for e in rep] == [
         ("t + 1", chi(-1), 1, 1, True)]
 
@@ -198,7 +199,8 @@ def test_monodromy_rejects_eigenvalue_one():
 def _oracle_bounds(factored, point):
     """(pointwise, generic) bounds at point, every vanishing order taken
     by the general `vanishing_order`."""
-    nus = [(vanishing_order(f, point), mu) for f, mu in factored.factors]
+    nus = [(vanishing_order(f, point, ProductMeter()), mu)
+           for f, mu in factored.factors]
     on = [mu for nu, mu in nus if nu]
     return sum(mu * nu for nu, mu in nus), on[0] if len(on) == 1 else None
 
@@ -299,19 +301,37 @@ def test_bounds_report_on_the_linear_root():
                 assert report.bound_pointwise == 2
 
 
-def test_bounds_report_spends_no_work_on_absent_variables(monkeypatch):
+def test_bounds_report_spends_no_work_on_absent_variables():
     """v48 − 2 among 50 variables, at v48 = 2: its record has no order,
-    so `vanishing_order` reads it, spending 4 units of work on the value
-    and the one derivative along v48; the bound 1 comes within a cap of
-    50, which a derivative along each declared variable would pass."""
-    monkeypatch.setattr(cyclofield, "VANISHING_WORK_CAP", 50)
+    so `vanishing_order` reads it, charging the matrix's meter 4 term
+    products for the value and the one derivative along v48; the bound 1
+    comes with room for 50 left on the meter, which a derivative along
+    each declared variable would pass."""
     mat = load_matrix([f"v{i}" for i in range(50)], [["v48 - 2", "0"]])
+    mat.meter.spent = meter_with_room(50).spent
     factored = factor_poly(mat.entries[0][0])
     point = Character(1, [1] * 48 + [2, 1], [0] * 50)
     report = bounds_report(mat, factored, point,
                            almost_principal=("Unknown", None))
     assert (report.b1, report.bound_pointwise, report.bound_generic) == \
         (1, 1, 1)
+
+
+def test_one_meter_per_input():
+    """The matrix carries its input's meter: parsing the entries, the
+    minors of Δ and then the vanishing orders of `bounds_report` each
+    charge that one meter."""
+    mat = load_matrix(("t",), [["(t - 2)^2", "0"]])
+    spent = [mat.meter.spent]
+    factored = factor_poly(alexander_poly(mat))
+    spent.append(mat.meter.spent)
+    report = bounds_report(mat, factored, Character(1, (2,), (0,)),
+                           almost_principal=("Unknown", None))
+    spent.append(mat.meter.spent)
+    assert (report.b1, report.bound_pointwise) == (1, 2)
+    assert 0 < spent[0] < spent[1] < spent[2]
+    fox = fox_matrix(load_presentation("pencil3.grp"))
+    assert fox.meter.spent > 0
 
 
 def _fixture_character(rng, name, width):
@@ -372,8 +392,8 @@ import sys
 from alexkit import cli, jumploci
 calls = []
 oracle = jumploci.vanishing_order
-jumploci.vanishing_order = lambda f, point: calls.append(f) or \
-    oracle(f, point)
+jumploci.vanishing_order = lambda f, point, meter: calls.append(f) or \
+    oracle(f, point, meter)
 code = cli.main(sys.argv[1:])
 print(code, len(calls), file=sys.stderr)
 """

@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from alexkit import AlexkitError, ComputationCapError, cyclofield, laurent
+from alexkit import (PRODUCT_WORK_CAP, AlexkitError, ComputationCapError,
+                     ProductMeter, laurent, product_work)
 from alexkit.alexander import alexander_poly, fox_matrix
 from alexkit.cyclofield import vanishing_order
 from alexkit.laurent import (LaurentPoly, associates, divides, factor_poly,
-                             gcd_many, normalize, parse_poly)
+                             gcd_many, normalize)
 
 from alexkit.presentation import parse_presentation
 
-from conftest import character, multiplicity
+from conftest import character, meter_with_room, multiplicity, poly
 from test_properties import cyclotomic_order
 
 T3 = ("t1", "t2", "t3")
@@ -20,7 +21,7 @@ T1 = ("t",)
 
 
 def P(text, names=T3):
-    return parse_poly(text, names)
+    return poly(text, names)
 
 
 def test_poly_equals_no_int():
@@ -170,22 +171,24 @@ def test_multiplicity():
 
 def test_vanishing_order():
     z3 = character("zeta3", "zeta3", "zeta3")
-    assert vanishing_order(P("t1*t2*t3-1"), z3) == 1
-    assert vanishing_order(P("(t-1)^2", T1), character(1)) == 2
+    assert vanishing_order(P("t1*t2*t3-1"), z3, ProductMeter()) == 1
+    assert vanishing_order(P("(t-1)^2", T1), character(1),
+                           ProductMeter()) == 2
     assert vanishing_order(P("(x2-1)*(x1*x3-1)^2", ("x1", "x2", "x3")),
-                           character(1, 1, 1)) == 3
+                           character(1, 1, 1), ProductMeter()) == 3
 
 
-def test_vanishing_order_work_cap(monkeypatch):
-    """The cap is on derivatives evaluated × terms, and its error names
-    the budget, the work reached and the limit."""
-    monkeypatch.setattr(cyclofield, "VANISHING_WORK_CAP", 1000)
+def test_vanishing_order_work_cap():
+    """Each derivative read is charged one term product per term, and on
+    a meter with room for 1000 the 1008th refuses, naming the product
+    work reached and the cap."""
     f = P("(t1-1)^5*(t2-1)^5", ("t1", "t2"))
+    spent = meter_with_room(1000).spent + product_work(1008, 1, 1, 1)
     with pytest.raises(ComputationCapError,
-                       match=r"vanishing-order work \(derivatives evaluated "
-                             r"× terms\) 1008 exceeds cap 1000"):
-        vanishing_order(f, character(1, 1))
-    assert vanishing_order(f, character(-1, 1)) == 5
+                       match=f"product work {spent} exceeds cap "
+                             f"{PRODUCT_WORK_CAP}"):
+        vanishing_order(f, character(1, 1), meter_with_room(1000))
+    assert vanishing_order(f, character(-1, 1), meter_with_room(1000)) == 5
 
 
 def test_sev_decompose():
@@ -220,15 +223,15 @@ def test_cyclotomic_factor():
 
 def test_parse_render_roundtrip():
     f = P("(t1^-2*t2 + 3)*(t3 - 1)^2")
-    again = parse_poly(f.render(T3), T3)
+    again = poly(f.render(T3), T3)
     assert associates(f, again) or f == again
 
 
 def test_parse_errors():
     with pytest.raises(AlexkitError, match="unknown variable"):
-        parse_poly("t1 +* t2", T3)
+        poly("t1 +* t2", T3)
     with pytest.raises(AlexkitError, match="unknown variable"):
-        parse_poly("q1", T3)
+        poly("q1", T3)
 
 
 @pytest.mark.parametrize("text,outcome", [

@@ -10,12 +10,12 @@ from alexkit.alexander import fox_matrix
 from alexkit.cyclofield import Character
 from alexkit.intlinalg import AbelianStructure
 from alexkit.jumploci import BettiReport, RootEquality, monodromy_analysis
-from alexkit.laurent import factor_poly, parse_poly
+from alexkit.laurent import factor_poly
 from alexkit.obstruct import QPVerdict
 from alexkit.presentation import GroupPresentation, Word, parse_presentation
 from alexkit.seifert import DivisorComponent, SpliceData
 
-from conftest import load_presentation
+from conftest import load_presentation, poly
 
 
 def _presentation():
@@ -31,7 +31,7 @@ RECORDS = {
     "SpliceData": lambda: SpliceData(weights=(1, 1, 1, 2, 3), q=3),
     "AbelianStructure": lambda: AbelianStructure(
         2, (), ((1, 0), (0, 1)), abf_inverse=((1, 0), (0, 1))),
-    "FactoredPoly": lambda: factor_poly(parse_poly("t^2 - 1", ("t",))),
+    "FactoredPoly": lambda: factor_poly(poly("t^2 - 1", ("t",))),
     "AlexanderMatrix": lambda: fox_matrix(load_presentation("pencil3.grp")),
     "QPVerdict": lambda: QPVerdict("CONSISTENT", "constant polynomial",
                                    {"c": 1}),

@@ -10,14 +10,14 @@ from alexkit.cyclofield import Character, cyclotomic_poly
 from alexkit.jumploci import bounds_report, twisted_betti
 from alexkit.laurent import (LaurentPoly, _cyclotomic_exponents, _to_dense,
                              associates, exact_div_binomial, factor_poly,
-                             normalize, parse_poly)
+                             normalize)
 from alexkit.presentation import parse_presentation
 from alexkit import AlexkitError
 from alexkit.seifert import (DivisorComponent, SpliceData, _mult_at_order,
                              seifert_delta, seifert_divisor,
                              seifert_twisted_betti)
 
-from conftest import character, multiplicity, seifert_link
+from conftest import character, multiplicity, poly, seifert_link
 from test_properties import sev_decompose
 
 T3 = ("t1", "t2", "t3")
@@ -104,7 +104,7 @@ def test_seifert_divisor_matches_delta_multiplicities():
     delta = seifert_delta(d)
     for comp in seifert_divisor(d):
         phi_u = cyclotomic_poly(comp.root_order)
-        sub = parse_poly(
+        sub = poly(
             phi_u.render(("u",)).replace("u", "(t1*t2*t3)"), T3)
         assert multiplicity(sub, delta) == comp.multiplicity
 
