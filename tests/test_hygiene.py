@@ -535,27 +535,28 @@ def test_product_work_cap_read_only_by_the_meter():
 
 
 def test_one_meter_per_input():
-    """Only `load_matrix` and `fox_matrix` build a `ProductMeter`, the one
-    their `AlexanderMatrix` carries, and no function has a `meter`
-    parameter with a default: every metered kernel is handed the input's
-    meter."""
-    builders, defaulted = set(), []
+    """`ProductMeter` is called twice in the package, once in `load_matrix`
+    and once in `fox_matrix`, whose `AlexanderMatrix` carries it, and no
+    function has a `meter` parameter with a default: every metered kernel
+    is handed the input's meter."""
+    builders, defaulted = [], []
     for name, tree in _modules():
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
-                continue
-            builders.update(
-                getattr(func, "name", "lambda") for node in ast.walk(func)
-                if isinstance(node, ast.Call)
-                and "ProductMeter" in _names(node.func))
-            args = func.args
-            params = args.posonlyargs + args.args
-            defaults = params[len(params) - len(args.defaults):] + [
-                param for param, default in
-                zip(args.kwonlyargs, args.kw_defaults) if default]
-            defaulted += [f"{name}:{func.lineno}" for param in defaults
-                          if param.arg == "meter"]
-    assert (builders, defaulted) == ({"load_matrix", "fox_matrix"}, [])
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.FunctionDef) \
+                else f"{name}:{top.lineno}"
+            builders += [owner for node in ast.walk(top)
+                         if isinstance(node, ast.Call)
+                         and "ProductMeter" in _names(node.func)]
+        for args in ast.walk(tree):
+            if isinstance(args, ast.arguments):
+                params = args.posonlyargs + args.args
+                defaulted += [
+                    f"{name}:{param.lineno}" for param in
+                    params[len(params) - len(args.defaults):] + [
+                        param for param, default in
+                        zip(args.kwonlyargs, args.kw_defaults) if default]
+                    if param.arg == "meter"]
+    assert (sorted(builders), defaulted) == (["fox_matrix", "load_matrix"], [])
 
 
 def _is_builtin_exception(name):

@@ -308,7 +308,7 @@ def test_bounds_report_spends_no_work_on_absent_variables():
     comes with room for 50 left on the meter, which a derivative along
     each declared variable would pass."""
     mat = load_matrix([f"v{i}" for i in range(50)], [["v48 - 2", "0"]])
-    mat.meter.spent = meter_with_room(50).spent
+    mat = mat._replace(meter=meter_with_room(50))
     factored = factor_poly(mat.entries[0][0])
     point = Character(1, [1] * 48 + [2, 1], [0] * 50)
     report = bounds_report(mat, factored, point,
