@@ -54,11 +54,9 @@ class AlexanderMatrix(NamedTuple):
         """Check sum_j entry(i,j)·(t^{phi(x_j)} − 1) = 0 for every row."""
         if self.presentation is None:
             raise AlexkitError("identity check applies to Fox matrices")
-        phi = [tuple(row[j] for row in self.abelian.abf_projection)
-               for j in range(self.presentation.num_generators)]
         for row in self.entries:
             acc: dict = {}
-            for entry, v in zip(row, phi):
+            for entry, v in zip(row, self.abelian.images):
                 for exp, c in entry.terms.items():
                     up = tuple(map(operator.add, exp, v))
                     acc[up] = acc.get(up, 0) + c
@@ -71,56 +69,55 @@ class AlexanderMatrix(NamedTuple):
 # -- Fox derivatives --------------------------------------------------------
 
 
-def _fox_row(r: Word, m: int) -> List[LaurentPoly]:
-    """Abelianized Fox derivatives of one relator, in m generator variables,
-    one shared zero for each generator the relator does not hold."""
+def _fox_row(r: Word, images: Sequence[Sequence[Tuple[int, int]]],
+             n: int) -> List[LaurentPoly]:
+    """Abelianized Fox derivatives of one relator in Z[Z^n], generator g
+    read as the monomial of its image, given as its nonzero (coordinate,
+    value) pairs `images[g]`; one shared zero for each generator the
+    relator does not hold."""
     terms: dict = {}
-    prefix = [0] * m  # exponent vector of the prefix, abelianized
+    prefix = [0] * n  # exponent vector of the prefix, abelianized
+    exp = [0] * n  # prefix + k·image, equal to prefix between letters
     for g, e in r.letters:
         acc = terms.setdefault(g, {})
+        image = images[g]
         # x^e contributes 1 + x + ... + x^(e-1), x^-e contributes
         # -(x^-1 + ... + x^-e), each shifted by the prefix
         sign, ks = (1, range(e)) if e > 0 else (-1, range(-1, e - 1, -1))
-        exp = list(prefix)
         for k in ks:
-            exp[g] = prefix[g] + k
+            for i, a in image:
+                exp[i] = prefix[i] + k * a
             key = tuple(exp)
             acc[key] = acc.get(key, 0) + sign
-        prefix[g] += e
-    zero = LaurentPoly.zero(m)
-    return [LaurentPoly(m, terms[g]) if g in terms else zero for g in range(m)]
-
-
-def _substitute_monomials(f: LaurentPoly,
-                          projection: Sequence[Sequence[int]]) -> LaurentPoly:
-    """Push exponent vectors through an integer matrix (variable change)."""
-    n = len(projection)
-    out = {}
-    for exp, c in f.terms.items():
-        new = tuple(sum(map(operator.mul, row, exp)) for row in projection)
-        out[new] = out.get(new, 0) + c
-    return LaurentPoly(n, out)
+        for i, a in image:
+            exp[i] = prefix[i] = prefix[i] + e * a
+    zero = LaurentPoly.zero(n)
+    return [LaurentPoly(n, terms[g]) if g in terms else zero
+            for g in range(len(images))]
 
 
 def fox_matrix(p: GroupPresentation) -> AlexanderMatrix:
-    """The Alexander matrix of a presentation over the torsion-free quotient;
-    when its projection is the identity, the generator rows are the
-    entries.  The relators' word length, one Fox term per unit of
-    exponent, must be within `DEGREE_CAP`.  The meter is charged m·2(m + h)
-    term products first: 2m² for the Smith basis and its inverse, h·m
-    each for the exponent matrix and the Fox entries (h relators)."""
+    """The Alexander matrix of a presentation over the torsion-free quotient,
+    each generator read at its image there; the generator rows read it at
+    its own variable, and are the entries when the rank is m.  The
+    relators' word length, one Fox term per unit of exponent, must be
+    within `DEGREE_CAP`.  The meter is charged m·2(m + h) term products
+    first: 2m² for the Smith basis and its inverse, h·m each for the
+    exponent matrix and the Fox entries (h relators)."""
     check("Fox word length",
           sum(abs(e) for r in p.relators for _, e in r.letters), DEGREE_CAP)
     m = p.num_generators
     meter = ProductMeter()
     meter.charge(m, 2 * (m + p.num_relators))
     ab = abelianization(p)
-    gen_rows = [_fox_row(r, m) for r in p.relators]
-    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    zero = LaurentPoly.zero(ab.rank)
-    rows = gen_rows if ab.abf_projection == identity else [
-        [_substitute_monomials(e, ab.abf_projection) if e.terms else zero
-         for e in row] for row in gen_rows]
+    units = [((g, 1),) for g in range(m)]
+    gen_rows = [_fox_row(r, units, m) for r in p.relators]
+    if ab.rank == m:  # every exponent sum is zero, so V = I
+        rows = gen_rows
+    else:
+        images = [tuple((i, a) for i, a in enumerate(row) if a)
+                  for row in ab.images]
+        rows = [_fox_row(r, images, ab.rank) for r in p.relators]
     mat = AlexanderMatrix(
         num_vars=ab.rank,
         var_names=tuple(default_names(ab.rank)),
@@ -258,7 +255,7 @@ def alexander_poly(mat: AlexanderMatrix, i: int = 1) -> LaurentPoly:
 def _fox_delta1(mat: AlexanderMatrix) -> LaurentPoly:
     """Δ₁ from one maximal minor per row subset (see alexander_poly)."""
     n, m = mat.num_vars, mat.num_cols
-    phi = list(zip(*mat.abelian.abf_projection))
+    phi = mat.abelian.images
     j = next(k for k in range(m) if any(phi[k]))
     keep = [c for c in range(m) if c != j]
     meter = mat.meter  # a term product per entry a subset copies

@@ -2,7 +2,7 @@
 
 Smith normal form with a unimodular change of basis and its inverse is
 the workhorse: it yields the abelianization (rank, torsion invariants) of
-a presentation, the projection matrix onto the maximal torsion-free
+a presentation, the image of each generator in the maximal torsion-free
 abelian quotient, and the point a character induces on that quotient.
 """
 
@@ -89,27 +89,26 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
 
 
 class AbelianStructure(NamedTuple):
-    """Abelianization data: rank, torsion invariants, the projection matrix
-    sending generator j to its image in Z^rank, and the inverse W of the
-    change of basis V that puts the exponent matrix in Smith form."""
+    """Abelianization data: rank, torsion invariants, the image in Z^rank
+    of each generator (row j is generator j's: row j of V from column
+    m − rank on), and the inverse W of the change of basis V that puts the
+    exponent matrix in Smith form."""
 
     rank: int
     torsion: Tuple[int, ...]
-    abf_projection: Tuple[Tuple[int, ...], ...]  # rank x m
+    images: Tuple[Tuple[int, ...], ...]  # m x rank
     abf_inverse: Tuple[Tuple[int, ...], ...]  # m x m
 
 
 def abelianization(p: GroupPresentation) -> AbelianStructure:
-    """Structure of G_ab and the projection onto G_ab/Tors."""
+    """Structure of G_ab and each generator's image in G_ab/Tors."""
     m = p.num_generators
     d, v, w = smith_normal_form(p.exponent_matrix() or [[0] * m])
     diag = [d[i][i] for i in range(min(len(d), m))]
     r = sum(1 for x in diag if x != 0)
     torsion = tuple(x for x in diag if x >= 2)
-    # generators map through columns r..m-1 of V
-    projection = tuple(tuple(v[j][k] for j in range(m))
-                       for k in range(r, m))
-    return AbelianStructure(m - r, torsion, projection,
+    # generator j maps to row j of V, columns r..m-1
+    return AbelianStructure(m - r, torsion, tuple(tuple(row[r:]) for row in v),
                             tuple(map(tuple, w)))
 
 

@@ -217,7 +217,7 @@ def semisimple_equality_report(mat: AlexanderMatrix,
 def _character_at(mat: AlexanderMatrix, value: Character) -> Character:
     """The character on the generators induced by t -> value on the
     one-dimensional torsion-free quotient."""
-    return value.pull([[a] for a in mat.abelian.abf_projection[0]])
+    return value.pull(mat.abelian.images)
 
 
 # -- integer monodromy -------------------------------------------------------

@@ -368,6 +368,24 @@ def test_invariants_many_one_letter_relators(tmp_path):
         "3000000000"]
 
 
+def test_invariants_long_relator_in_1000_generators(tmp_path):
+    """One relator g0 g1 … g999 repeated to 20000 letters: G_ab is
+    Z^1000/(20, …, 20) = Z^999 ⊕ Z/20, and the 1 × 1000 Fox matrix has no
+    999-minor, so E₁ = 0.  Each of its 20000 Fox terms was pushed through
+    the 999 × 1000 projection (still running at 30 s); each generator's
+    term is now keyed at its image in Z^999 as the relator is walked."""
+    path = tmp_path / "g.grp"
+    letters = " ".join(f"g{i % 1000}" for i in range(20000))
+    path.write_text("gens: " + " ".join(f"g{i}" for i in range(1000))
+                    + f"\nrel: {letters}\n")
+    proc, wall = _run_cli("invariants", str(path))
+    assert wall < WALL_BOUND
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert (report["b1"], report["torsion"], report["delta"]) == (
+        999, [20], None)
+
+
 # six relators on whose exponent matrix a Smith form that swapped each
 # remainder into the pivot in place ran past 20 s
 _SMITH_GROWTH = """gens: a b c d e f

@@ -8,11 +8,19 @@ from pathlib import Path
 import pytest
 
 import alexkit
+from alexkit import AlexkitError, ProductMeter
+from alexkit.alexander import alexander_poly, load_matrix
 from alexkit.cli import main
-from alexkit.cyclofield import cyclotomic_poly
-from alexkit.laurent import LaurentPoly, default_names
+from alexkit.cyclofield import Character, cyclotomic_poly, vanishing_order
+from alexkit.intlinalg import validate_character
+from alexkit.jumploci import (bounds_report, monodromy_analysis,
+                              semisimple_equality_report, twisted_betti)
+from alexkit.laurent import (FactoredPoly, LaurentPoly, default_names,
+                             divides, exact_div_binomial, factor_poly,
+                             gcd_many, normalize)
+from alexkit.seifert import SpliceData, seifert_twisted_betti
 
-from conftest import DATA, data_path, poly
+from conftest import DATA, data_path, load_presentation, poly
 
 
 def run(capsys, *argv):
@@ -187,6 +195,85 @@ def test_exit_code_parser_refusals(tmp_path, capsys, name):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"alexkit: {message}\n"
+
+
+T = LaurentPoly.var(1, 0)
+UNIVARIATE = load_matrix(("t",), [["t - 1"]])
+BIVARIATE = load_matrix(("x", "y"), [["x - 1", "y - 1"]])
+SPLICE = SpliceData((1, 1, 1, 2, 3), 3)
+NO_FACTORS = FactoredPoly(0, (), ())
+
+# the refusals of library entry points that no command reaches: each is a
+# thunk and the message of the AlexkitError it raises
+LIBRARY_REFUSALS = {
+    "delta-index-0": (lambda: alexander_poly(UNIVARIATE, 0),
+                      "alexander_poly index must be >= 1"),
+    "identity-of-matrix-mode": (UNIVARIATE.fox_identity_holds,
+                                "identity check applies to Fox matrices"),
+    "gcd-of-nothing": (lambda: gcd_many([]), "gcd of empty list"),
+    "normalize-0": (lambda: normalize(LaurentPoly.zero(1)),
+                    "cannot normalize the zero polynomial"),
+    "factor-0": (lambda: factor_poly(LaurentPoly.zero(1)),
+                 "cannot factor the zero polynomial"),
+    "divides-by-0": (lambda: divides(LaurentPoly.zero(1), T), "zero divisor"),
+    "binomial-of-wrong-length": (lambda: exact_div_binomial(T - 1, (1, 0)),
+                                 "exponent vector has wrong length"),
+    "binomial-of-zero-vector": (lambda: exact_div_binomial(T - 1, (0,)),
+                                "division by zero polynomial"),
+    "vanishing-order-of-0": (
+        lambda: vanishing_order(LaurentPoly.zero(1), Character(2, (1,), (1,)),
+                                ProductMeter()),
+        "vanishing order of the zero polynomial"),
+    "vanishing-order-at-wrong-length": (
+        lambda: vanishing_order(T - 1, Character(2, (1, 1), (1, 1)),
+                                ProductMeter()),
+        "point has wrong number of coordinates"),
+    "conductor-0": (lambda: Character(0, (), ()),
+                    "conductor must be positive"),
+    "one-scale-two-exponents": (lambda: Character(2, (1,), (0, 1)),
+                                "character needs one scale per exponent"),
+    "cyclotomic-0": (lambda: cyclotomic_poly(0), "conductor must be positive"),
+    "character-of-wrong-length": (
+        lambda: validate_character(load_presentation("pencil3.grp"),
+                                   Character(2, (1,), (1,))),
+        "character length does not match generator count"),
+    "matrix-mode-betti-of-wrong-length": (
+        lambda: twisted_betti(UNIVARIATE, Character(2, (1, 1), (1, 1))),
+        "character has 2 values, matrix has 1 variables"),
+    "bounds-of-zero-delta": (
+        lambda: bounds_report(UNIVARIATE, NO_FACTORS,
+                              Character(2, (1,), (1,))),
+        "bounds undefined for zero Alexander polynomial"),
+    "semisimple-in-two-variables": (
+        lambda: semisimple_equality_report(BIVARIATE, NO_FACTORS),
+        "semisimple analysis requires one variable"),
+    "semisimple-of-constant-delta": (
+        lambda: semisimple_equality_report(
+            UNIVARIATE, factor_poly(LaurentPoly.one(1))),
+        "constant Alexander polynomial: no roots"),
+    "monodromy-not-square": (lambda: monodromy_analysis([[1, 2]]),
+                             "monodromy matrix must be square"),
+    "seifert-betti-of-wrong-length": (
+        lambda: seifert_twisted_betti(SPLICE, Character(2, (1,), (1,))),
+        "expected 3 character values"),
+    "variable-count-mismatch": (lambda: T + LaurentPoly.one(2),
+                                "variable count mismatch"),
+    "negative-power-of-binomial": (lambda: (T + 1) ** -1,
+                                   "negative powers only for monomials"),
+    "exponent-of-wrong-length": (
+        lambda: LaurentPoly(2, {(1,): 1}),
+        "exponent vector (1,) is not a tuple of length 2"),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_REFUSALS)
+def test_library_refusals(name):
+    """Each is an AlexkitError, the class that `main` reports with exit 2,
+    with its own message."""
+    thunk, message = LIBRARY_REFUSALS[name]
+    with pytest.raises(AlexkitError) as info:
+        thunk()
+    assert str(info.value) == message
 
 
 def test_unary_minus_after_times(tmp_path, capsys):

@@ -17,6 +17,7 @@ import pytest
 import sympy
 
 import alexkit
+from alexkit.intlinalg import AbelianStructure
 from alexkit.laurent import LaurentPoly
 
 from conftest import data_path
@@ -494,6 +495,23 @@ def _names(node):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
+
+
+def test_abelianization_map_held_as_images():
+    """`AbelianStructure.images` holds each generator's image the way its
+    readers use it: no module in the package transposes an
+    `AbelianStructure` field with `zip(*…)`, and the rank × m projection
+    `abf_projection` it replaced is named nowhere."""
+    fields = set(AbelianStructure._fields)
+    found = [f"{name}:{node.lineno}" for name, tree in _modules()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "zip"
+             and any(isinstance(arg, ast.Starred)
+                     and fields & set(_names(arg)) for arg in node.args)]
+    assert found == []
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "abf_projection" in path.read_text(encoding="utf-8")] == []
 
 
 def test_caps_held_in_alexkit_init():

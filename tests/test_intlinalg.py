@@ -52,7 +52,7 @@ def test_abelianization_torusbundle():
     assert ab.rank == 1
     assert ab.torsion == (4,)
     # x3 maps onto the free quotient, x1 and x2 are torsion
-    assert [abs(x) for x in ab.abf_projection[0]] == [0, 0, 1]
+    assert [abs(x) for (x,) in ab.images] == [0, 0, 1]
 
 
 def test_abelianization_free_group():
@@ -90,11 +90,11 @@ def _induced_torus_point_oracle(ab, chi):
     sympy's Smith form D = S·A·T of the projection A: chi factors through A
     iff chi^(column i of T) = 1 for i past n = rank, and then the point is
     z^(S column k) with z_i = chi^(column i of T) / D_ii, D_ii = ±1."""
-    n = len(ab.abf_projection)
+    n = ab.rank
     m = len(chi)
     if n == 0:
         return chi.pull([]) if chi.is_trivial() else None
-    a = sympy.Matrix([list(row) for row in ab.abf_projection])
+    a = sympy.Matrix([list(row) for row in ab.images]).T
     d, s, t = smith_normal_decomp(a, domain=sympy.ZZ)
     signs = [int(d[i, i]) for i in range(n)]
     if any(abs(x) != 1 for x in signs):

@@ -41,9 +41,9 @@ from alexkit.presentation import (GroupPresentation, free_reduce_letters,
                                   parse_presentation)
 from alexkit.seifert import SpliceData, seifert_delta
 
-from conftest import (DATA, character, check_smith_form, load_presentation,
-                      mul_mod_phi, multiplicity, poly, reduce_mod_phi,
-                      reduced, value_at, vanishes, word)
+from conftest import (DATA, character, check_smith_form, commutator,
+                      load_presentation, mul_mod_phi, multiplicity, poly,
+                      reduce_mod_phi, reduced, value_at, vanishes, word)
 
 
 def random_word(rng, num_gens, max_len=6):
@@ -504,14 +504,13 @@ def _relator_characters(rng, p, count):
     conductor kept when they pass the relator check."""
     ab = abelianization(p)
     m, out = p.num_generators, []
-    columns = [[row[j] for row in ab.abf_projection] for j in range(m)]
     for _ in range(count):
         n = rng.choice((1, 2, 3, 4, 6, 12))
         if ab.rank and rng.random() < 0.6:
             y = Character(n, tuple(rng.choice((1, 1, 1, 2, -1, Fraction(1, 3)))
                                    for _ in range(ab.rank)),
                           tuple(rng.randrange(n) for _ in range(ab.rank)))
-            out.append(y.pull(columns))
+            out.append(y.pull(ab.images))
         else:
             chi = Character(n, (1,) * m, tuple(rng.randrange(n)
                                                for _ in range(m)))
@@ -1469,8 +1468,7 @@ def test_fox_delta1_matches_gcd_of_minors():
         seen.add(("h-m", mat.num_rows - mat.num_cols))
         if ab.torsion:
             seen.add("torsion")
-        if mat.num_vars and any(not any(col) for col in
-                                zip(*ab.abf_projection)):
+        if mat.num_vars and any(not any(image) for image in ab.images):
             seen.add("phi=0")
         oracle = gcd_many(elementary_ideal_minors(mat, 1))
         assert alexander_poly(mat) == oracle
@@ -1480,6 +1478,73 @@ def test_fox_delta1_matches_gcd_of_minors():
     assert seen >= {("fox path", 0), ("fox path", 1), ("fox path", 2),
                     ("b1", 0), ("b1", 1), ("b1", 2), ("h-m", -2),
                     ("h-m", -1), ("h-m", 0), ("h-m", 1), "torsion", "phi=0"}
+
+
+def _substitute_monomials(f, projection):
+    """Push exponent vectors through an integer matrix (variable change):
+    the definition of a torsion-free Fox entry, its generator entry read
+    through the rank x m projection term by term."""
+    n = len(projection)
+    out = {}
+    for exp, c in f.terms.items():
+        new = tuple(sum(map(operator.mul, row, exp)) for row in projection)
+        out[new] = out.get(new, 0) + c
+    return LaurentPoly(n, out)
+
+
+def _image_oracle_presentation(rng):
+    """m in 1..5 generators and 0..m + 1 relators, each over a random
+    subset of the generators: conjugated commutators x·[y^a, z^b]·x⁻¹,
+    whose prefix cancels, generator powers (torsion, or rank 0), and
+    words with exponents up to ±5."""
+    m = rng.randrange(1, 6)
+    relators = []
+    for _ in range(rng.randrange(0, m + 2)):
+        held = rng.sample(range(m), rng.randrange(1, m + 1))
+        kind = rng.random()
+        if kind < 0.3 and len(held) >= 3:
+            x, y, z = (word(((g, rng.choice((-2, -1, 1, 3))),))
+                       for g in held[:3])
+            w = x * commutator(y, z) * x.inverse()
+        elif kind < 0.55:
+            w = word(((held[0], rng.randrange(1, 6)),))
+        else:
+            w = word(tuple((rng.choice(held),
+                            rng.choice((-5, -3, -2, -1, 1, 2, 4, 5)))
+                           for _ in range(rng.randrange(1, 7))))
+        if not w.is_empty():
+            relators.append(w)
+    names = tuple(f"x{i + 1}" for i in range(m))
+    return GroupPresentation(names, tuple(relators))
+
+
+def test_fox_entries_are_generator_entries_through_images():
+    """Each torsion-free Fox entry is its generator entry with every term
+    pushed through the generators' images, and the identity holds."""
+    rng = random.Random(20261022)
+    seen = set()
+    for _ in range(400):
+        p = _image_oracle_presentation(rng)
+        mat = fox_matrix(p)
+        ab, m = mat.abelian, p.num_generators
+        projection = list(zip(*ab.images))
+        for row, gen_row in zip(mat.entries, mat.generator_entries):
+            assert row == [_substitute_monomials(f, projection)
+                           for f in gen_row]
+        assert mat.fox_identity_holds()
+        letters = [(g, e) for r in p.relators for g, e in r.letters]
+        features = {
+            "torsion": bool(ab.torsion),
+            "rank 0": ab.rank == 0,
+            "rank < m - 1": 0 < ab.rank < m - 1,
+            "unheld": len({g for g, _ in letters}) < m,
+            "exponent 5": any(abs(e) == 5 for _, e in letters),
+            "cancelling prefix": any(
+                r.letters[0] == (r.letters[-1][0], -r.letters[-1][1])
+                for r in p.relators),
+        }
+        seen.update(name for name, found in features.items() if found)
+    assert seen == set(features)
 
 
 def _random_univariate_entry(rng):

@@ -177,12 +177,11 @@ def _link_ranks(weights, q, points):
     delta = alexander_poly(mat)
     assert _u_forms(delta) == _u_forms(seifert_delta(d))
     factored = factor_poly(delta)
-    columns = list(zip(*mat.abelian.abf_projection))
     ranks = []
     for y in points(d):
         if y.is_trivial():
             continue
-        chi = y.pull(columns)
+        chi = y.pull(mat.abelian.images)
         b1 = twisted_betti(mat, chi)
         assert b1 == seifert_twisted_betti(d, chi.pull(meridians))
         asserted = bounds_report(mat, factored, chi,
